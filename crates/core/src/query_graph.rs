@@ -63,7 +63,7 @@ impl QueryGraph {
                     })?;
                     let var = alias.clone().unwrap_or_else(|| name.clone());
                     g.tables.insert(schema.name.to_ascii_uppercase());
-                    g.nodes.push(QueryNode { var, table: schema.name.clone() });
+                    g.nodes.push(QueryNode { var, table: schema.name.to_string() });
                 }
                 TableFactor::Derived { .. } => {
                     return Err(PrefError::UnsupportedQuery(

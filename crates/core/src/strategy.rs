@@ -24,7 +24,7 @@ use crate::integrate::MatchSpec;
 use crate::personalize::{Personalized, Rewrite};
 use pqp_engine::plan::Plan;
 use pqp_engine::topk::TopKSpec;
-use pqp_engine::{Database, Estimator};
+use pqp_engine::{Database, Estimate, Estimator};
 use pqp_sql::ast::Query;
 
 /// A fully-built execution of a personalized query: either a SQL rewrite
@@ -52,6 +52,9 @@ pub struct StrategyChoice {
     pub plan: Plan,
     /// The estimated cost of `plan`.
     pub cost: f64,
+    /// The estimated number of rows `plan` produces (from the same pass
+    /// over the plan that priced it).
+    pub est_rows: f64,
     /// `(candidate, estimated cost)` for every buildable candidate, in
     /// evaluation order.
     pub alternatives: Vec<(Rewrite, f64)>,
@@ -113,6 +116,8 @@ pub fn choose(db: &Database, p: &Personalized, limit: Option<u64>) -> Result<Str
     }
     candidates.push(Rewrite::NativeRank);
 
+    // One estimator prices every candidate: they read the same tables.
+    let estimator = Estimator::new(db.catalog());
     let mut best: Option<StrategyChoice> = None;
     let mut alternatives: Vec<(Rewrite, f64)> = Vec::new();
     let mut last_err: Option<PrefError> = None;
@@ -126,7 +131,7 @@ pub fn choose(db: &Database, p: &Personalized, limit: Option<u64>) -> Result<Str
             }
             Err(e) => return Err(e),
         };
-        let cost = Estimator::new(db.catalog()).cost(&plan);
+        let Estimate { rows, cost, .. } = estimator.estimate(&plan);
         alternatives.push((rw, cost));
         if best.as_ref().is_none_or(|b| cost < b.cost) {
             best = Some(StrategyChoice {
@@ -134,6 +139,7 @@ pub fn choose(db: &Database, p: &Personalized, limit: Option<u64>) -> Result<Str
                 execution,
                 plan,
                 cost,
+                est_rows: rows,
                 alternatives: Vec::new(),
             });
         }
@@ -174,8 +180,15 @@ fn build_one(
 
 /// Wrap an explicitly-requested rewrite's build as a [`StrategyChoice`].
 fn resolved(db: &Database, rw: Rewrite, (execution, plan): (Execution, Plan)) -> StrategyChoice {
-    let cost = Estimator::new(db.catalog()).cost(&plan);
-    StrategyChoice { rewrite: rw, execution, plan, cost, alternatives: vec![(rw, cost)] }
+    let Estimate { rows, cost, .. } = Estimator::new(db.catalog()).estimate(&plan);
+    StrategyChoice {
+        rewrite: rw,
+        execution,
+        plan,
+        cost,
+        est_rows: rows,
+        alternatives: vec![(rw, cost)],
+    }
 }
 
 #[cfg(test)]

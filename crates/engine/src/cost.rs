@@ -19,15 +19,26 @@
 //! Conjunctions multiply selectivities (independence assumption),
 //! disjunctions combine as `s1 + s2 − s1·s2`, `NOT` complements.
 //!
-//! Selectivities apply to *base-table columns*; the estimator maps a plan
-//! node's output columns back to their originating `(table, column)` by
-//! walking the tree ([`Estimator`] keeps this internal), which survives
-//! scans, filters, joins and pass-through projections.
+//! Selectivities apply to *base-table columns*, so the estimator maps a plan
+//! node's output columns back to their originating `(table, column)`; that
+//! mapping survives scans, filters, joins and pass-through projections.
+//!
+//! # One pass
+//!
+//! A node's row estimate needs its children's rows and origins, and its cost
+//! needs its own rows and its children's costs. [`Estimator::estimate`]
+//! therefore computes all three — `(rows, cost, origins)` — bottom-up in a
+//! single post-order walk, every node visited once and handing its triple to
+//! its parent. [`Estimator::rows`], [`Estimator::cost`] and
+//! [`Estimator::explain`] are thin wrappers over that walk. Tables are
+//! resolved against the catalog once per estimator and referred to by a
+//! small integer from then on, so an origin is two machine words and a
+//! statistics lookup is an index, not a string hash.
 
 use crate::bound::BoundExpr;
-use crate::plan::Plan;
+use crate::plan::{Plan, TopKProbeSource};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, TableStats, Value};
+use pqp_storage::{Catalog, ColumnStats, TableRef, TableStats, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,126 +53,57 @@ pub const IS_NULL_FALLBACK: f64 = 0.1;
 /// Row estimate for a table the estimator cannot resolve at all.
 const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
 
-/// Where one output column of a plan node comes from: `(table name, column
-/// position)` in a base table, when derivable by walking the plan.
-pub(crate) type ColumnOrigin = Option<(String, usize)>;
+/// A table as one [`Estimator`] knows it: an index into its fact list.
+type TableId = usize;
 
-/// Cached per-table planning facts: row count plus the statistics snapshot
-/// (if the table was ever `ANALYZE`d).
-type TableInfo = (f64, Option<Arc<TableStats>>);
+/// Where one output column of a plan node comes from: `(table, column
+/// position)` in a base table, when derivable from the plan.
+pub(crate) type ColumnOrigin = Option<(TableId, usize)>;
 
-/// A cardinality estimator over one catalog. Caches per-table row counts and
-/// statistics snapshots for the duration of one planning pass.
+/// Per-table planning facts, read from the catalog once per estimator: row
+/// count, the statistics snapshot (if the table was ever `ANALYZE`d) and
+/// the column names.
+struct TableFacts {
+    name: Arc<str>,
+    /// `None` for a name the catalog does not know.
+    table: Option<TableRef>,
+    rows: f64,
+    stats: Option<Arc<TableStats>>,
+    columns: Vec<Arc<str>>,
+}
+
+/// What the one-pass walk knows about a plan node once its subtree is done.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Estimate {
+    /// Estimated number of rows the node produces.
+    pub rows: f64,
+    /// Estimated total work of the node's subtree (see [`Estimator::cost`]).
+    pub cost: f64,
+    /// The base-table origin of each output column.
+    pub(crate) origins: Vec<ColumnOrigin>,
+}
+
+/// A cardinality estimator over one catalog. Keeps per-table row counts and
+/// statistics snapshots for as long as it lives: one planning pass, or one
+/// strategy choice across all its candidates.
 pub struct Estimator<'a> {
     catalog: &'a Catalog,
-    tables: RefCell<HashMap<String, TableInfo>>,
+    tables: RefCell<Vec<TableFacts>>,
 }
 
 impl<'a> Estimator<'a> {
     pub fn new(catalog: &'a Catalog) -> Estimator<'a> {
-        Estimator { catalog, tables: RefCell::new(HashMap::new()) }
+        Estimator { catalog, tables: RefCell::new(Vec::new()) }
+    }
+
+    /// Rows, cost and column origins of a plan, in one post-order pass.
+    pub fn estimate(&self, plan: &Plan) -> Estimate {
+        self.walk(plan, &mut |_, _| {})
     }
 
     /// Estimated number of rows this plan node produces.
     pub fn rows(&self, plan: &Plan) -> f64 {
-        match plan {
-            Plan::Empty { .. } => 0.0,
-            Plan::Scan { table, filter, .. } => {
-                let len = self.table_rows(table);
-                match filter {
-                    Some(f) => len * self.selectivity(f, &self.origins(plan)),
-                    None => len,
-                }
-            }
-            Plan::IndexScan { table, column, key, residual, .. } => {
-                let len = self.table_rows(table);
-                let origin = self.column_index(table, column).map(|c| (table.to_string(), c));
-                let eq = self.stats_eq_value(&origin, key).unwrap_or(if key.is_null() {
-                    0.0
-                } else {
-                    EQ_FALLBACK
-                });
-                let res = match residual {
-                    Some(f) => self.selectivity(f, &self.origins(plan)),
-                    None => 1.0,
-                };
-                len * eq * res
-            }
-            Plan::Filter { input, predicate } => {
-                self.rows(input) * self.selectivity(predicate, &self.origins(input))
-            }
-            Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
-                let l = self.rows(left);
-                let r = self.rows(right);
-                let lo = self.origins(left);
-                let ro = self.origins(right);
-                let mut denom = 1.0;
-                for (lk, rk) in left_keys.iter().zip(right_keys) {
-                    let nl = self.ndv(lo.get(*lk).unwrap_or(&None), l);
-                    let nr = self.ndv(ro.get(*rk).unwrap_or(&None), r);
-                    denom *= nl.max(nr).max(1.0);
-                }
-                l * r / denom
-            }
-            Plan::IndexJoin { probe, probe_key, table, column, filter, .. } => {
-                let p = self.rows(probe);
-                let po = self.origins(probe);
-                let len = self.table_rows(table);
-                let scan_origins: Vec<ColumnOrigin> =
-                    (0..self.table_arity(table)).map(|i| Some((table.to_string(), i))).collect();
-                let fsel = match filter {
-                    Some(f) => self.selectivity(f, &scan_origins),
-                    None => 1.0,
-                };
-                let t = len * fsel;
-                let np = self.ndv(po.get(*probe_key).unwrap_or(&None), p);
-                let nt = self
-                    .ndv(&self.column_index(table, column).map(|c| (table.to_string(), c)), len);
-                p * t / np.max(nt).max(1.0)
-            }
-            Plan::CrossJoin { left, right, .. } => self.rows(left) * self.rows(right),
-            Plan::Project { input, .. } | Plan::Sort { input, .. } => self.rows(input),
-            Plan::Aggregate { input, group_by, .. } => {
-                let in_rows = self.rows(input);
-                if group_by.is_empty() {
-                    return 1.0; // global aggregate: exactly one row
-                }
-                if in_rows <= 0.0 {
-                    return 0.0;
-                }
-                let origins = self.origins(input);
-                let mut groups = 1.0f64;
-                for g in group_by {
-                    groups *= match g {
-                        BoundExpr::Column(i) => self.ndv(origins.get(*i).unwrap_or(&None), in_rows),
-                        _ => in_rows,
-                    };
-                }
-                groups.min(in_rows).max(1.0)
-            }
-            // Upper bound: DISTINCT can only shrink its input.
-            Plan::Distinct { input } => self.rows(input),
-            Plan::Limit { input, n } => self.rows(input).min(*n as f64),
-            Plan::Union { inputs, .. } => inputs.iter().map(|i| self.rows(i)).sum(),
-            Plan::TopK { base, visible, limit, .. } => {
-                // Output cardinality ≈ distinct visible prefixes of the
-                // base (the operator groups by them), capped by the limit.
-                let in_rows = self.rows(base);
-                if in_rows <= 0.0 {
-                    return 0.0;
-                }
-                let origins = self.origins(base);
-                let mut groups = 1.0f64;
-                for i in 0..*visible {
-                    groups *= self.ndv(origins.get(i).unwrap_or(&None), in_rows);
-                }
-                let groups = groups.min(in_rows).max(1.0);
-                match limit {
-                    Some(n) => groups.min(*n as f64),
-                    None => groups,
-                }
-            }
-        }
+        self.estimate(plan).rows
     }
 
     /// Estimated total work of a plan: unit cost per row produced at every
@@ -170,49 +112,198 @@ impl<'a> Estimator<'a> {
     /// vs native rank) — coarse, but monotone in the quantity that
     /// dominates all three: the rows their operator trees push around.
     pub fn cost(&self, plan: &Plan) -> f64 {
-        match plan {
-            Plan::Empty { .. } => 0.0,
-            // Leaves pay for the rows they read, not just those they emit.
-            Plan::Scan { table, .. } => self.table_rows(table).max(1.0),
-            Plan::IndexScan { .. } => self.rows(plan).max(1.0),
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. } => self.rows(plan) + self.cost(input),
-            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-                self.rows(plan) + self.cost(left) + self.cost(right)
+        self.estimate(plan).cost
+    }
+
+    /// EXPLAIN text with a per-node `est_rows` annotation.
+    pub fn explain(&self, plan: &Plan) -> String {
+        // Nodes of an immutable tree are identified by their address.
+        let mut rows: HashMap<*const Plan, f64> = HashMap::new();
+        self.walk(plan, &mut |node, r| {
+            rows.insert(node as *const Plan, r);
+        });
+        plan.explain_annotated(&mut |p| {
+            rows.get(&(p as *const Plan)).map(|r| format!("est_rows={:.0}", r.round()))
+        })
+    }
+
+    /// The post-order walk: estimate the children, derive this node's
+    /// triple from theirs, report `(node, rows)` to `visit`.
+    ///
+    /// The arithmetic — operand order included — is the textbook recursive
+    /// formulation's, so estimates are bit-identical to it (the workspace's
+    /// `estimator_equivalence` test keeps that reference and checks).
+    fn walk(&self, plan: &Plan, visit: &mut dyn FnMut(&Plan, f64)) -> Estimate {
+        let est = match plan {
+            Plan::Empty { schema } => {
+                Estimate { rows: 0.0, cost: 0.0, origins: vec![None; schema.arity()] }
             }
-            Plan::IndexJoin { probe, .. } => self.rows(plan) + self.cost(probe),
-            Plan::Union { inputs, .. } => {
-                self.rows(plan) + inputs.iter().map(|i| self.cost(i)).sum::<f64>()
+            Plan::Scan { table, filter, schema } => {
+                let t = self.table_id(table);
+                let len = self.table_rows(t);
+                let origins = scan_origins(t, schema.arity());
+                let rows = match filter {
+                    Some(f) => len * self.selectivity(f, &origins),
+                    None => len,
+                };
+                // Leaves pay for the rows they read, not just those they emit.
+                Estimate { rows, cost: len.max(1.0), origins }
             }
-            Plan::TopK { base, probes, .. } => {
+            Plan::IndexScan { table, column, key, residual, schema } => {
+                let t = self.table_id(table);
+                let len = self.table_rows(t);
+                let origins = scan_origins(t, schema.arity());
+                let origin = self.column_index(t, column).map(|c| (t, c));
+                let eq = self.stats_eq_value(&origin, key).unwrap_or(if key.is_null() {
+                    0.0
+                } else {
+                    EQ_FALLBACK
+                });
+                let res = match residual {
+                    Some(f) => self.selectivity(f, &origins),
+                    None => 1.0,
+                };
+                let rows = len * eq * res;
+                Estimate { rows, cost: rows.max(1.0), origins }
+            }
+            Plan::Filter { input, predicate } => {
+                let i = self.walk(input, visit);
+                let rows = i.rows * self.selectivity(predicate, &i.origins);
+                Estimate { rows, cost: rows + i.cost, origins: i.origins }
+            }
+            Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
+                let l = self.walk(left, visit);
+                let r = self.walk(right, visit);
+                let mut denom = 1.0;
+                for (lk, rk) in left_keys.iter().zip(right_keys) {
+                    let nl = self.ndv(l.origins.get(*lk).unwrap_or(&None), l.rows);
+                    let nr = self.ndv(r.origins.get(*rk).unwrap_or(&None), r.rows);
+                    denom *= nl.max(nr).max(1.0);
+                }
+                let rows = l.rows * r.rows / denom;
+                Estimate {
+                    rows,
+                    cost: rows + l.cost + r.cost,
+                    origins: concat(l.origins, r.origins),
+                }
+            }
+            Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, schema } => {
+                let p = self.walk(probe, visit);
+                let t = self.table_id(table);
+                let len = self.table_rows(t);
+                let fsel = match filter {
+                    Some(f) => self.selectivity(f, &scan_origins(t, self.table_arity(t))),
+                    None => 1.0,
+                };
+                let np = self.ndv(p.origins.get(*probe_key).unwrap_or(&None), p.rows);
+                let nt = self.ndv(&self.column_index(t, column).map(|c| (t, c)), len);
+                let rows = p.rows * (len * fsel) / np.max(nt).max(1.0);
+                let fetched = scan_origins(t, schema.arity().saturating_sub(p.origins.len()));
+                let origins = if *probe_is_left {
+                    concat(p.origins, fetched)
+                } else {
+                    concat(fetched, p.origins)
+                };
+                Estimate { rows, cost: rows + p.cost, origins }
+            }
+            Plan::CrossJoin { left, right, .. } => {
+                let l = self.walk(left, visit);
+                let r = self.walk(right, visit);
+                let rows = l.rows * r.rows;
+                Estimate {
+                    rows,
+                    cost: rows + l.cost + r.cost,
+                    origins: concat(l.origins, r.origins),
+                }
+            }
+            Plan::Project { input, exprs, .. } => {
+                let i = self.walk(input, visit);
+                let origins = exprs.iter().map(|e| passed_through(e, &i.origins)).collect();
+                Estimate { rows: i.rows, cost: i.rows + i.cost, origins }
+            }
+            // For DISTINCT an upper bound: it can only shrink its input.
+            Plan::Sort { input, .. } | Plan::Distinct { input } => {
+                let i = self.walk(input, visit);
+                Estimate { rows: i.rows, cost: i.rows + i.cost, origins: i.origins }
+            }
+            Plan::Aggregate { input, group_by, aggs, .. } => {
+                let i = self.walk(input, visit);
+                let rows = if group_by.is_empty() {
+                    1.0 // global aggregate: exactly one row
+                } else if i.rows <= 0.0 {
+                    0.0
+                } else {
+                    let mut groups = 1.0f64;
+                    for g in group_by {
+                        groups *= match g {
+                            BoundExpr::Column(c) => {
+                                self.ndv(i.origins.get(*c).unwrap_or(&None), i.rows)
+                            }
+                            _ => i.rows,
+                        };
+                    }
+                    groups.min(i.rows).max(1.0)
+                };
+                let mut origins: Vec<ColumnOrigin> =
+                    group_by.iter().map(|g| passed_through(g, &i.origins)).collect();
+                origins.resize(group_by.len() + aggs.len(), None);
+                Estimate { rows, cost: rows + i.cost, origins }
+            }
+            Plan::Limit { input, n } => {
+                let i = self.walk(input, visit);
+                let rows = i.rows.min(*n as f64);
+                Estimate { rows, cost: rows + i.cost, origins: i.origins }
+            }
+            Plan::Union { inputs, schema, .. } => {
+                let arms: Vec<Estimate> = inputs.iter().map(|i| self.walk(i, visit)).collect();
+                let rows: f64 = arms.iter().map(|a| a.rows).sum();
+                let cost = rows + arms.iter().map(|a| a.cost).sum::<f64>();
+                Estimate { rows, cost, origins: vec![None; schema.arity()] }
+            }
+            Plan::TopK { base, probes, visible, rank, limit, .. } => {
+                let b = self.walk(base, visit);
                 // Base + every witness sub-plan, plus one probe pass over
                 // the grouped rows per preference (the early-termination
                 // upper bound: pruning only makes it cheaper).
                 let witness_cost: f64 = probes
                     .iter()
                     .map(|p| match &p.source {
-                        crate::plan::TopKProbeSource::Literal(_) => 0.0,
-                        crate::plan::TopKProbeSource::Witness(w) => self.cost(w),
+                        TopKProbeSource::Literal(_) => 0.0,
+                        TopKProbeSource::Witness(w) => self.walk(w, visit).cost,
                     })
                     .sum();
-                let base_rows = self.rows(base);
-                self.cost(base) + witness_cost + base_rows * probes.len() as f64
+                let cost = b.cost + witness_cost + b.rows * probes.len() as f64;
+                // Output cardinality ≈ distinct visible prefixes of the
+                // base (the operator groups by them), capped by the limit.
+                let rows = if b.rows <= 0.0 {
+                    0.0
+                } else {
+                    let mut groups = 1.0f64;
+                    for i in 0..*visible {
+                        groups *= self.ndv(b.origins.get(i).unwrap_or(&None), b.rows);
+                    }
+                    let groups = groups.min(b.rows).max(1.0);
+                    match limit {
+                        Some(n) => groups.min(*n as f64),
+                        None => groups,
+                    }
+                };
+                let mut origins = b.origins;
+                origins.resize(*visible, None);
+                if *rank {
+                    // The synthesized interest column has no base origin.
+                    origins.push(None);
+                }
+                Estimate { rows, cost, origins }
             }
-        }
-    }
-
-    /// EXPLAIN text with a per-node `est_rows` annotation.
-    pub fn explain(&self, plan: &Plan) -> String {
-        plan.explain_annotated(&mut |p| Some(format!("est_rows={:.0}", self.rows(p).round())))
+        };
+        visit(plan, est.rows);
+        est
     }
 
     /// Estimated selectivity (in `[0, 1]`) of a bound predicate over rows
     /// whose columns originate as described by `origins`.
-    pub(crate) fn selectivity(&self, e: &BoundExpr, origins: &[ColumnOrigin]) -> f64 {
+    fn selectivity(&self, e: &BoundExpr, origins: &[ColumnOrigin]) -> f64 {
         let s = match e {
             BoundExpr::Literal(v) => match v {
                 Value::Bool(true) => 1.0,
@@ -276,92 +367,21 @@ impl<'a> Estimator<'a> {
         s.clamp(0.0, 1.0)
     }
 
-    /// Map each output column of a plan node back to its base-table origin,
-    /// when derivable.
-    pub(crate) fn origins(&self, plan: &Plan) -> Vec<ColumnOrigin> {
-        match plan {
-            Plan::Empty { schema } | Plan::Union { schema, .. } => vec![None; schema.arity()],
-            Plan::Scan { table, schema, .. } | Plan::IndexScan { table, schema, .. } => {
-                (0..schema.arity()).map(|i| Some((table.clone(), i))).collect()
-            }
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => self.origins(input),
-            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-                let mut out = self.origins(left);
-                out.extend(self.origins(right));
-                out
-            }
-            Plan::IndexJoin { probe, table, probe_is_left, schema, .. } => {
-                let p = self.origins(probe);
-                let table_arity = schema.arity().saturating_sub(p.len());
-                let t: Vec<ColumnOrigin> =
-                    (0..table_arity).map(|i| Some((table.clone(), i))).collect();
-                if *probe_is_left {
-                    let mut out = p;
-                    out.extend(t);
-                    out
-                } else {
-                    let mut out = t;
-                    out.extend(p);
-                    out
-                }
-            }
-            Plan::Project { input, exprs, .. } => {
-                let inner = self.origins(input);
-                exprs
-                    .iter()
-                    .map(|e| match e {
-                        BoundExpr::Column(i) => inner.get(*i).cloned().flatten(),
-                        _ => None,
-                    })
-                    .collect()
-            }
-            Plan::Aggregate { input, group_by, aggs, .. } => {
-                let inner = self.origins(input);
-                let mut out: Vec<ColumnOrigin> = group_by
-                    .iter()
-                    .map(|g| match g {
-                        BoundExpr::Column(i) => inner.get(*i).cloned().flatten(),
-                        _ => None,
-                    })
-                    .collect();
-                out.extend((0..aggs.len()).map(|_| None));
-                out
-            }
-            Plan::TopK { base, visible, rank, .. } => {
-                let inner = self.origins(base);
-                let mut out: Vec<ColumnOrigin> = inner.into_iter().take(*visible).collect();
-                out.resize(*visible, None);
-                if *rank {
-                    // The synthesized interest column has no base origin.
-                    out.push(None);
-                }
-                out
-            }
-        }
-    }
-
     /// Estimated distinct values of a column within a side producing
     /// `side_rows` rows: statistics NDV when available, the hash index's
     /// distinct-key count as a fallback, the side estimate itself otherwise
     /// (the key/foreign-key assumption); always clamped to `[1, side_rows]`.
     pub(crate) fn ndv(&self, origin: &ColumnOrigin, side_rows: f64) -> f64 {
         let cap = side_rows.max(1.0);
-        if let Some((table, col)) = origin {
-            if let Some(stats) = self.table_stats(table) {
-                if let Some(c) = stats.column(*col) {
-                    return (c.distinct as f64).clamp(1.0, cap);
-                }
-            }
-            if let Ok(t) = self.catalog.table(table) {
-                let t = t.read();
-                if let Some(c) = t.schema().columns.get(*col) {
-                    let name = c.name.clone();
-                    if let Some(idx) = t.index_on(&name) {
-                        return (idx.distinct_keys() as f64).clamp(1.0, cap);
-                    }
+        if let Some(distinct) = self.with_stats(origin, |c| c.distinct as f64) {
+            return distinct.clamp(1.0, cap);
+        }
+        if let Some((t, col)) = origin {
+            let tables = self.tables.borrow();
+            let facts = &tables[*t];
+            if let (Some(table), Some(name)) = (&facts.table, facts.columns.get(*col)) {
+                if let Some(idx) = table.read().index_on(name) {
+                    return (idx.distinct_keys() as f64).clamp(1.0, cap);
                 }
             }
         }
@@ -388,9 +408,7 @@ impl<'a> Estimator<'a> {
 
     /// Equality selectivity of `origin = v` from statistics alone.
     fn stats_eq_value(&self, origin: &ColumnOrigin, v: &Value) -> Option<f64> {
-        let (table, col) = origin.as_ref()?;
-        let stats = self.table_stats(table)?;
-        Some(stats.column(*col)?.eq_selectivity(v))
+        self.with_stats(origin, |c| c.eq_selectivity(v))
     }
 
     /// Statistics-backed range selectivity, `None` when stats can't help.
@@ -416,65 +434,93 @@ impl<'a> Estimator<'a> {
             }
             _ => return None,
         };
-        let (table, col) = origins.get(*i)?.as_ref()?;
-        let stats = self.table_stats(table)?;
-        let c = stats.column(*col)?;
-        Some(match op {
-            BinaryOp::Lt => c.lt_selectivity(v, false),
-            BinaryOp::LtEq => c.lt_selectivity(v, true),
-            BinaryOp::Gt => c.gt_selectivity(v, false),
-            BinaryOp::GtEq => c.gt_selectivity(v, true),
-            _ => return None,
-        })
+        self.with_stats(origins.get(*i)?, |c| match op {
+            BinaryOp::Lt => Some(c.lt_selectivity(v, false)),
+            BinaryOp::LtEq => Some(c.lt_selectivity(v, true)),
+            BinaryOp::Gt => Some(c.gt_selectivity(v, false)),
+            BinaryOp::GtEq => Some(c.gt_selectivity(v, true)),
+            _ => None,
+        })?
     }
 
     fn stats_ndv(&self, origin: &ColumnOrigin) -> Option<f64> {
-        let (table, col) = origin.as_ref()?;
-        let stats = self.table_stats(table)?;
-        Some(stats.column(*col)?.distinct.max(1) as f64)
+        self.with_stats(origin, |c| c.distinct.max(1) as f64)
     }
 
     fn null_fraction(&self, origin: &ColumnOrigin) -> Option<f64> {
-        let (table, col) = origin.as_ref()?;
-        let stats = self.table_stats(table)?;
-        Some(stats.column(*col)?.null_fraction())
+        self.with_stats(origin, |c| c.null_fraction())
     }
 
-    /// Estimated base-table row count: the stats snapshot when analyzed (the
-    /// numbers the rest of estimation is consistent with), live length
-    /// otherwise.
-    pub(crate) fn table_rows(&self, table: &str) -> f64 {
-        self.table_info(table).0
+    /// `f` of the `ANALYZE` statistics of the column behind `origin`, when
+    /// there is one and its table was analyzed.
+    fn with_stats<R>(&self, origin: &ColumnOrigin, f: impl FnOnce(&ColumnStats) -> R) -> Option<R> {
+        let (t, col) = origin.as_ref()?;
+        let tables = self.tables.borrow();
+        Some(f(tables[*t].stats.as_ref()?.column(*col)?))
     }
 
-    fn table_stats(&self, table: &str) -> Option<Arc<TableStats>> {
-        self.table_info(table).1
-    }
-
-    fn table_info(&self, table: &str) -> TableInfo {
-        let key = table.to_ascii_uppercase();
-        if let Some(info) = self.tables.borrow().get(&key) {
-            return info.clone();
+    /// The id of a table by (case-insensitive) name, reading its facts from
+    /// the catalog on first sight. Unknown names get an id too, carrying
+    /// [`UNKNOWN_TABLE_ROWS`] and nothing else.
+    fn table_id(&self, name: &str) -> TableId {
+        let mut tables = self.tables.borrow_mut();
+        if let Some(t) = tables.iter().position(|f| f.name.eq_ignore_ascii_case(name)) {
+            return t;
         }
-        let info = match self.catalog.table(table) {
-            Ok(t) => {
-                let t = t.read();
-                let stats = t.stats();
-                let rows = stats.as_ref().map(|s| s.rows as f64).unwrap_or_else(|| t.len() as f64);
-                (rows, stats)
+        tables.push(match self.catalog.table(name) {
+            Ok(table) => {
+                let (schema_name, rows, stats, columns) = {
+                    let t = table.read();
+                    let stats = t.stats();
+                    // The stats snapshot when analyzed (the numbers the rest
+                    // of estimation is consistent with), live length otherwise.
+                    let rows =
+                        stats.as_ref().map(|s| s.rows as f64).unwrap_or_else(|| t.len() as f64);
+                    let columns = t.schema().columns.iter().map(|c| c.name.clone()).collect();
+                    (t.schema().name.clone(), rows, stats, columns)
+                };
+                TableFacts { name: schema_name, table: Some(table), rows, stats, columns }
             }
-            Err(_) => (UNKNOWN_TABLE_ROWS, None),
-        };
-        self.tables.borrow_mut().insert(key, info.clone());
-        info
+            Err(_) => TableFacts {
+                name: Arc::from(name),
+                table: None,
+                rows: UNKNOWN_TABLE_ROWS,
+                stats: None,
+                columns: Vec::new(),
+            },
+        });
+        tables.len() - 1
     }
 
-    fn table_arity(&self, table: &str) -> usize {
-        self.catalog.table(table).map(|t| t.read().schema().arity()).unwrap_or(0)
+    fn table_rows(&self, t: TableId) -> f64 {
+        self.tables.borrow()[t].rows
     }
 
-    fn column_index(&self, table: &str, column: &str) -> Option<usize> {
-        self.catalog.table(table).ok()?.read().schema().column_index(column)
+    fn table_arity(&self, t: TableId) -> usize {
+        self.tables.borrow()[t].columns.len()
+    }
+
+    fn column_index(&self, t: TableId, column: &str) -> Option<usize> {
+        self.tables.borrow()[t].columns.iter().position(|c| c.eq_ignore_ascii_case(column))
+    }
+}
+
+/// Origins of `arity` columns read straight off table `t`.
+fn scan_origins(t: TableId, arity: usize) -> Vec<ColumnOrigin> {
+    (0..arity).map(|i| Some((t, i))).collect()
+}
+
+fn concat(mut left: Vec<ColumnOrigin>, right: Vec<ColumnOrigin>) -> Vec<ColumnOrigin> {
+    left.extend(right);
+    left
+}
+
+/// The origin an output expression inherits: a bare column reference keeps
+/// its input column's, anything computed has none.
+fn passed_through(e: &BoundExpr, input: &[ColumnOrigin]) -> ColumnOrigin {
+    match e {
+        BoundExpr::Column(i) => input.get(*i).copied().flatten(),
+        _ => None,
     }
 }
 

@@ -198,7 +198,7 @@ fn build_schema(
     let defs: Vec<ColumnDef> = columns
         .iter()
         .map(|c| ColumnDef {
-            name: c.name.clone(),
+            name: c.name.as_str().into(),
             ty: c.ty,
             nullable: c.nullable && !c.primary_key,
         })

@@ -221,11 +221,11 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
     match plan {
         Plan::Empty { .. } => Ok(Vec::new()),
         Plan::Scan { table, filter, .. } => {
-            pqp_obs::record("table", table.as_str());
+            pqp_obs::record("table", &**table);
             scan(env, table, filter.as_ref())
         }
         Plan::IndexScan { table, column, key, residual, .. } => {
-            pqp_obs::record("table", table.as_str());
+            pqp_obs::record("table", &**table);
             index_scan(env, table, column, key, residual.as_ref())
         }
         Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, .. } => {

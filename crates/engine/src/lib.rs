@@ -64,10 +64,10 @@ pub mod types;
 mod vexec;
 mod vexpr;
 
-pub use cost::Estimator;
+pub use cost::{Estimate, Estimator};
 pub use error::{EngineError, Result};
 pub use exec::{ExecOptions, DEFAULT_MIN_PARALLEL_ROWS};
-pub use types::{OutputColumn, OutputSchema, ResultSet};
+pub use types::{OutputColumn, OutputSchema, ResultSet, SchemaRef};
 
 use pqp_obs::QueryCtx;
 use pqp_sql::ast::Query;
@@ -163,7 +163,7 @@ impl Database {
         let _span = pqp_obs::span("execute");
         let rows = exec::execute_ctx(plan, &self.catalog, exec, ctx)?;
         pqp_obs::record("result_rows", rows.len());
-        let columns = plan.schema().columns.iter().map(|c| c.name.clone()).collect();
+        let columns = plan.schema().columns.iter().map(|c| c.name.to_string()).collect();
         Ok(ResultSet { columns, rows })
     }
 
@@ -176,9 +176,14 @@ impl Database {
 
     /// Produce the optimized plan for a query (OR-expansion + planning).
     pub fn plan(&self, q: &Query) -> Result<plan::Plan> {
+        self.plan_in(&planner::Planner::new(&self.catalog), q)
+    }
+
+    /// [`Database::plan`] as one query of a longer planning pass.
+    fn plan_in(&self, pass: &planner::Planner<'_>, q: &Query) -> Result<plan::Plan> {
         let _span = pqp_obs::span("plan");
         let rewritten = rewrite::or_expand(q, &self.catalog);
-        planner::Planner::new(&self.catalog).plan_query(&rewritten)
+        pass.plan_query(&rewritten)
     }
 
     /// Plan without the OR-expansion rewrite (used by tests and ablations).
@@ -201,7 +206,10 @@ impl Database {
                 spec.probes.len()
             )));
         }
-        let base = self.plan(&spec.base)?;
+        // One pass for the base and every witness: they bind the same
+        // tables under the same tuple variables.
+        let pass = planner::Planner::new(&self.catalog);
+        let base = self.plan_in(&pass, &spec.base)?;
         let arity = base.schema().arity();
         let expected = spec.columns.len() + spec.probes.len();
         if arity != expected {
@@ -223,7 +231,7 @@ impl Database {
             let source = match &p.source {
                 topk::ProbeSource::Literal(v) => plan::TopKProbeSource::Literal(v.clone()),
                 topk::ProbeSource::Witness(q) => {
-                    let wp = self.plan(q)?;
+                    let wp = self.plan_in(&pass, q)?;
                     if wp.schema().arity() != 1 {
                         return Err(EngineError::Bind(format!(
                             "native rank witness query must project exactly one column, got {}",
@@ -235,8 +243,8 @@ impl Database {
             };
             probes.push(plan::TopKProbe { doi: p.doi, source });
         }
-        let mut columns: Vec<OutputColumn> =
-            spec.columns.iter().map(|c| OutputColumn::new(None, c)).collect();
+        let mut columns = Vec::with_capacity(spec.columns.len() + 1);
+        columns.extend(spec.columns.iter().map(|c| OutputColumn::new(None, c)));
         if spec.rank {
             columns.push(OutputColumn::new(None, topk::INTEREST_COLUMN));
         }
@@ -247,7 +255,7 @@ impl Database {
             matching: spec.matching,
             rank: spec.rank,
             limit: spec.limit,
-            schema: OutputSchema::new(columns),
+            schema: pass.share(OutputSchema::new(columns)),
         })
     }
 

@@ -51,7 +51,7 @@ pub fn naive_execute_ctx(q: &Query, catalog: &Catalog, ctx: &QueryCtx) -> Result
     if let Some(n) = q.limit {
         rows.truncate(n as usize);
     }
-    Ok(ResultSet { columns: schema.columns.iter().map(|c| c.name.clone()).collect(), rows })
+    Ok(ResultSet { columns: schema.columns.iter().map(|c| c.name.to_string()).collect(), rows })
 }
 
 fn resolve_order_key(

@@ -3,29 +3,34 @@
 
 use crate::aggregate::AggCall;
 use crate::bound::BoundExpr;
-use crate::types::OutputSchema;
+use crate::types::{OutputSchema, SchemaRef};
 use pqp_storage::Value;
+use std::sync::Arc;
 
 /// A query plan node. Plans are produced fully bound: every expression
-//  references input columns by position.
+/// references input columns by position.
+///
+/// Table and column names are the catalog's interned strings and schemas
+/// are shared ([`SchemaRef`]), so a plan owns its operator tree and its
+/// bound expressions and little else — which is what a plan cache pins.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Produces no rows (e.g. `WHERE FALSE`, or a scan of a provably empty
     /// branch).
-    Empty { schema: OutputSchema },
+    Empty { schema: SchemaRef },
     /// Full scan of a base table, with an optional pushed-down filter.
-    Scan { table: String, filter: Option<BoundExpr>, schema: OutputSchema },
+    Scan { table: Arc<str>, filter: Option<BoundExpr>, schema: SchemaRef },
     /// Index point lookup on a base table: the rows where `column = key`
     /// (fetched through the table's hash index), then filtered by the
     /// remaining pushed-down conjuncts. Chosen at plan time when a
     /// pushed-down equality conjunct hits a `HashIndex`; the executor falls
     /// back to a full scan if the index is missing at runtime.
     IndexScan {
-        table: String,
-        column: String,
+        table: Arc<str>,
+        column: Arc<str>,
         key: Value,
         residual: Option<BoundExpr>,
-        schema: OutputSchema,
+        schema: SchemaRef,
     },
     /// σ: keep rows whose predicate evaluates to TRUE.
     Filter { input: Box<Plan>, predicate: BoundExpr },
@@ -36,7 +41,7 @@ pub enum Plan {
         right: Box<Plan>,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        schema: OutputSchema,
+        schema: SchemaRef,
     },
     /// Index nested-loop join chosen at plan time: execute `probe`, then for
     /// each probe row fetch `table` rows with `column = probe[probe_key]`
@@ -48,26 +53,21 @@ pub enum Plan {
     IndexJoin {
         probe: Box<Plan>,
         probe_key: usize,
-        table: String,
-        column: String,
+        table: Arc<str>,
+        column: Arc<str>,
         filter: Option<BoundExpr>,
         probe_is_left: bool,
-        schema: OutputSchema,
+        schema: SchemaRef,
     },
     /// Cartesian product (kept for predicates the join planner cannot turn
     /// into equi-joins).
-    CrossJoin { left: Box<Plan>, right: Box<Plan>, schema: OutputSchema },
+    CrossJoin { left: Box<Plan>, right: Box<Plan>, schema: SchemaRef },
     /// π: compute output expressions.
-    Project { input: Box<Plan>, exprs: Vec<BoundExpr>, schema: OutputSchema },
+    Project { input: Box<Plan>, exprs: Vec<BoundExpr>, schema: SchemaRef },
     /// γ: hash aggregation. Output rows are group values followed by
     /// aggregate results. With no group keys, exactly one output row is
     /// produced (even over empty input).
-    Aggregate {
-        input: Box<Plan>,
-        group_by: Vec<BoundExpr>,
-        aggs: Vec<AggCall>,
-        schema: OutputSchema,
-    },
+    Aggregate { input: Box<Plan>, group_by: Vec<BoundExpr>, aggs: Vec<AggCall>, schema: SchemaRef },
     /// δ: duplicate elimination preserving first-seen order.
     Distinct { input: Box<Plan> },
     /// Sort by output column positions.
@@ -75,7 +75,7 @@ pub enum Plan {
     /// First-n.
     Limit { input: Box<Plan>, n: u64 },
     /// Concatenation (`all = true`) or set union (`all = false`).
-    Union { inputs: Vec<Plan>, all: bool, schema: OutputSchema },
+    Union { inputs: Vec<Plan>, all: bool, schema: SchemaRef },
     /// Native rank operator (preference pushdown): evaluate per-preference
     /// satisfaction inside the executor instead of expanding preferences
     /// into a rewrite. `base` produces the visible columns followed by one
@@ -96,7 +96,7 @@ pub enum Plan {
         /// the visible columns ascending).
         rank: bool,
         limit: Option<u64>,
-        schema: OutputSchema,
+        schema: SchemaRef,
     },
 }
 
@@ -132,6 +132,12 @@ pub enum TopKMatching {
 impl Plan {
     /// The output schema of this node.
     pub fn schema(&self) -> &OutputSchema {
+        self.schema_ref()
+    }
+
+    /// The shared handle to this node's output schema (cloning it is a
+    /// reference-count increment).
+    pub fn schema_ref(&self) -> &SchemaRef {
         match self {
             Plan::Empty { schema }
             | Plan::Scan { schema, .. }
@@ -146,7 +152,7 @@ impl Plan {
             Plan::Filter { input, .. }
             | Plan::Distinct { input }
             | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => input.schema(),
+            | Plan::Limit { input, .. } => input.schema_ref(),
         }
     }
 

@@ -10,26 +10,81 @@
 //! - constant folding short-circuits `WHERE FALSE` branches to `Empty`.
 //!
 //! The OR-expansion rewrite (see [`crate::rewrite`]) runs before planning.
+//!
+//! One `Planner` is one planning pass. Within it every name is interned
+//! (column and table names are the catalog's own `Arc<str>`s, tuple
+//! variables and output names are interned here) and equal schemas are
+//! shared, so the partial queries of an MQ rewrite — or the base and witness
+//! queries of a native rank plan — which bind the same tables under the same
+//! tuple variables keep one schema per `(table, binding)`, per join shape
+//! and per projection; the pass also shares one [`Estimator`].
 
 use crate::aggregate::{AggCall, AggFunc};
 use crate::bound::BoundExpr;
-use crate::cost::Estimator;
+use crate::cost::{ColumnOrigin, Estimator};
 use crate::error::{bind_err, EngineError, Result};
 use crate::exec::{as_eq_literal, split_and};
 use crate::plan::Plan;
-use crate::types::{OutputColumn, OutputSchema};
+use crate::types::{OutputColumn, OutputSchema, SchemaRef};
 use pqp_sql::ast::*;
 use pqp_storage::{Catalog, Value};
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Plans queries against a catalog.
 pub struct Planner<'a> {
     catalog: &'a Catalog,
+    estimator: Estimator<'a>,
+    /// Tuple variables and output-column names seen in this pass.
+    names: RefCell<HashSet<Arc<str>>>,
+    /// Every schema built in this pass; equal ones are shared.
+    schemas: RefCell<HashSet<SchemaRef>>,
 }
 
 impl<'a> Planner<'a> {
     pub fn new(catalog: &'a Catalog) -> Planner<'a> {
-        Planner { catalog }
+        Planner {
+            catalog,
+            estimator: Estimator::new(catalog),
+            names: RefCell::new(HashSet::new()),
+            schemas: RefCell::new(HashSet::new()),
+        }
+    }
+
+    /// The pass-wide shared copy of a name.
+    fn intern(&self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.names.borrow().get(name) {
+            return shared.clone();
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.names.borrow_mut().insert(shared.clone());
+        shared
+    }
+
+    /// The pass-wide shared handle to a schema: the partial queries and
+    /// witness queries of one rewrite repeat the same few shapes, so only
+    /// the first of each is kept.
+    pub(crate) fn share(&self, schema: OutputSchema) -> SchemaRef {
+        if let Some(shared) = self.schemas.borrow().get(&schema) {
+            return shared.clone();
+        }
+        let shared = Arc::new(schema);
+        self.schemas.borrow_mut().insert(shared.clone());
+        shared
+    }
+
+    fn column(&self, qualifier: Option<&str>, name: &str) -> OutputColumn {
+        OutputColumn { qualifier: qualifier.map(|q| self.intern(q)), name: self.intern(name) }
+    }
+
+    /// Output column for a projected expression.
+    fn projected_column(&self, expr: &Expr, alias: Option<&str>) -> OutputColumn {
+        match (alias, expr) {
+            (Some(a), _) => self.column(None, a),
+            (None, Expr::Column { qualifier, name }) => self.column(qualifier.as_deref(), name),
+            (None, other) => self.column(None, &other.to_string()),
+        }
     }
 
     /// Plan a full query (set expression + order by + limit).
@@ -59,15 +114,16 @@ impl<'a> Planner<'a> {
         if sel.distinct || !sel.group_by.is_empty() || sel.having.is_some() {
             return bind_err("ORDER BY column must appear in the projection");
         }
-        let Plan::Project { input, mut exprs, mut schema } = plan else {
+        let Plan::Project { input, mut exprs, schema } = plan else {
             return bind_err("ORDER BY column must appear in the projection");
         };
         let visible = schema.arity();
+        let mut extended = OutputSchema::clone(&schema);
         let mut keys = Vec::new();
         for item in &q.order_by {
             // Visible output column first; otherwise bind against the input.
             if let Expr::Column { qualifier, name } = &item.expr {
-                if let Ok(i) = schema.resolve(qualifier.as_deref(), name) {
+                if let Some(i) = extended.position(qualifier.as_deref(), name) {
                     keys.push((i, item.desc));
                     continue;
                 }
@@ -75,17 +131,16 @@ impl<'a> Planner<'a> {
             let bound = self.bind_expr(&item.expr, input.schema())?;
             let idx = exprs.len();
             exprs.push(bound);
-            schema.columns.push(OutputColumn::new(None, &format!("__sort_{idx}")));
+            extended.columns.push(self.column(None, &format!("__sort_{idx}")));
             keys.push((idx, item.desc));
         }
-        let extended = Plan::Project { input, exprs, schema: schema.clone() };
+        let extended = Plan::Project { input, exprs, schema: self.share(extended) };
         let sorted = Plan::Sort { input: Box::new(extended), keys };
-        // Strip hidden columns.
-        let out_schema = OutputSchema::new(schema.columns[..visible].to_vec());
+        // Strip hidden columns: back to the projection's own schema.
         Ok(Plan::Project {
             input: Box::new(sorted),
             exprs: (0..visible).map(BoundExpr::Column).collect(),
-            schema: out_schema,
+            schema,
         })
     }
 
@@ -106,7 +161,8 @@ impl<'a> Planner<'a> {
                         ));
                     }
                 }
-                let schema = inputs[0].schema().clone();
+                inputs.shrink_to_fit();
+                let schema = inputs[0].schema_ref().clone();
                 Ok(Plan::Union { inputs, all: *all, schema })
             }
         }
@@ -128,11 +184,10 @@ impl<'a> Planner<'a> {
 
     fn plan_select(&self, s: &Select) -> Result<Plan> {
         // 1. Bind FROM factors.
-        let mut factors = Vec::new();
-        let mut seen = HashSet::new();
+        let mut factors: Vec<BoundFactor> = Vec::with_capacity(s.from.len());
         for f in &s.from {
-            let binding = f.binding_name().to_string();
-            if !seen.insert(binding.to_ascii_uppercase()) {
+            let binding = self.intern(f.binding_name());
+            if factors.iter().any(|seen| seen.binding.eq_ignore_ascii_case(&binding)) {
                 return bind_err(format!("duplicate tuple variable `{binding}`"));
             }
             let plan = self.plan_table_factor(f)?;
@@ -140,21 +195,17 @@ impl<'a> Planner<'a> {
         }
 
         // 2. Decompose WHERE into conjuncts and plan the join tree.
-        let combined_schema =
-            factors.iter().fold(OutputSchema::default(), |acc, f| acc.join(f.plan.schema()));
         let mut plan = if factors.is_empty() {
             // FROM-less select: a single empty row lets `SELECT 1` work.
+            let empty = SchemaRef::default();
             Plan::Project {
-                input: Box::new(Plan::Empty { schema: OutputSchema::default() }),
+                input: Box::new(Plan::Empty { schema: empty.clone() }),
                 exprs: Vec::new(),
-                schema: OutputSchema::default(),
+                schema: empty,
             }
         } else {
-            let conjuncts: Vec<Expr> = match &s.selection {
-                Some(w) => w.conjuncts().into_iter().cloned().collect(),
-                None => Vec::new(),
-            };
-            self.plan_joins(factors, conjuncts, &combined_schema)?
+            let conjuncts = s.selection.as_ref().map(Expr::conjuncts).unwrap_or_default();
+            self.plan_joins(factors, conjuncts)?
         };
         if s.from.is_empty() {
             if let Some(w) = &s.selection {
@@ -171,18 +222,22 @@ impl<'a> Planner<'a> {
                 SelectItem::Wildcard => false,
             });
 
-        let (proj_exprs, proj_schema, bound_having) = if needs_agg {
-            self.bind_aggregate_select(s, &mut plan)?
+        let (proj_exprs, proj_schema) = if needs_agg {
+            let (aggregated, exprs, schema, having) = self.bind_aggregate_select(s, plan)?;
+            plan = aggregated;
+            if let Some(h) = having {
+                plan = Plan::Filter { input: Box::new(plan), predicate: h };
+            }
+            (exprs, schema)
         } else {
-            let (exprs, schema) = self.bind_projection(&s.projection, plan.schema())?;
-            (exprs, schema, None)
+            self.bind_projection(&s.projection, plan.schema())?
         };
 
-        if let Some(h) = bound_having {
-            plan = Plan::Filter { input: Box::new(plan), predicate: h };
-        }
-
-        plan = Plan::Project { input: Box::new(plan), exprs: proj_exprs, schema: proj_schema };
+        plan = Plan::Project {
+            input: Box::new(plan),
+            exprs: proj_exprs,
+            schema: self.share(proj_schema),
+        };
         if s.distinct {
             plan = Plan::Distinct { input: Box::new(plan) };
         }
@@ -192,74 +247,62 @@ impl<'a> Planner<'a> {
     fn plan_table_factor(&self, f: &TableFactor) -> Result<Plan> {
         match f {
             TableFactor::Table { name, alias } => {
-                let schema = self.catalog.schema_of(name)?;
-                let binding = alias.as_deref().unwrap_or(name);
-                let columns = schema
+                let binding = self.intern(alias.as_deref().unwrap_or(name));
+                let t = self.catalog.table(name)?;
+                let t = t.read();
+                let columns = t
+                    .schema()
                     .columns
                     .iter()
-                    .map(|c| OutputColumn::new(Some(binding), &c.name))
+                    .map(|c| OutputColumn {
+                        qualifier: Some(binding.clone()),
+                        name: c.name.clone(),
+                    })
                     .collect();
                 Ok(Plan::Scan {
-                    table: schema.name.clone(),
+                    table: t.schema().name.clone(),
                     filter: None,
-                    schema: OutputSchema::new(columns),
+                    schema: self.share(OutputSchema::new(columns)),
                 })
             }
             TableFactor::Derived { query, alias } => {
                 let inner = self.plan_query(query)?;
                 // Re-qualify the derived table's output columns with its
                 // alias so references like `TEMP.title` resolve.
-                let columns = inner
+                let alias = self.intern(alias);
+                let columns: Vec<OutputColumn> = inner
                     .schema()
                     .columns
                     .iter()
-                    .map(|c| OutputColumn::new(Some(alias), &c.name))
+                    .map(|c| OutputColumn { qualifier: Some(alias.clone()), name: c.name.clone() })
                     .collect();
-                let schema = OutputSchema::new(columns);
-                let exprs = (0..schema.arity()).map(BoundExpr::Column).collect();
-                Ok(Plan::Project { input: Box::new(inner), exprs, schema })
+                let exprs = (0..columns.len()).map(BoundExpr::Column).collect();
+                Ok(Plan::Project {
+                    input: Box::new(inner),
+                    exprs,
+                    schema: self.share(OutputSchema::new(columns)),
+                })
             }
         }
     }
 
     /// Greedy bushy-free join planning over the FROM factors.
-    fn plan_joins(
-        &self,
-        factors: Vec<BoundFactor>,
-        conjuncts: Vec<Expr>,
-        combined: &OutputSchema,
-    ) -> Result<Plan> {
+    fn plan_joins(&self, factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Plan> {
         // Classify conjuncts by the set of factors they reference.
-        let mut single: Vec<Vec<Expr>> = vec![Vec::new(); factors.len()];
-        let mut join_edges: Vec<JoinEdge> = Vec::new();
-        let mut residual: Vec<Expr> = Vec::new();
+        let mut single: Vec<Vec<&Expr>> = vec![Vec::new(); factors.len()];
+        let mut join_edges: Vec<JoinEdge<'_>> = Vec::new();
+        let mut residual: Vec<Option<&Expr>> = Vec::new();
         for c in conjuncts {
-            let refs = self.factor_refs(&c, &factors, combined)?;
-            if refs.len() <= 1 {
-                match refs.iter().next() {
-                    Some(&i) => single[i].push(c),
-                    None => residual.push(c), // constant predicate
-                }
-                continue;
+            let refs = self.factor_refs(c, &factors)?;
+            match refs[..] {
+                [] => residual.push(Some(c)), // constant predicate
+                [i] => single[i].push(c),
+                [_, _] => match self.join_edge(c, &factors)? {
+                    Some(edge) => join_edges.push(edge),
+                    None => residual.push(Some(c)),
+                },
+                _ => residual.push(Some(c)),
             }
-            if refs.len() == 2 {
-                if let Expr::Binary { left, op: BinaryOp::Eq, right } = &c {
-                    if let (Expr::Column { .. }, Expr::Column { .. }) = (&**left, &**right) {
-                        let li = self.factor_of_column(left, &factors)?;
-                        let ri = self.factor_of_column(right, &factors)?;
-                        if let (Some(li), Some(ri)) = (li, ri) {
-                            if li != ri {
-                                join_edges.push(JoinEdge {
-                                    factors: (li, ri),
-                                    cols: ((*left.clone()).clone(), (*right.clone()).clone()),
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                }
-            }
-            residual.push(c);
         }
 
         // Attach single-factor predicates, pushing them into the access path
@@ -267,32 +310,36 @@ impl<'a> Planner<'a> {
         // filtered scan otherwise). Each factor's cardinality comes from the
         // statistics-backed estimator; un-analyzed tables fall back to the
         // fixed per-conjunct selectivities inside `crate::cost`.
-        let estimator = Estimator::new(self.catalog);
-        let mut nodes: Vec<Option<FactorNode>> = Vec::new();
-        for (i, f) in factors.into_iter().enumerate() {
+        let estimator = &self.estimator;
+        let mut nodes: Vec<Option<FactorNode>> = Vec::with_capacity(factors.len());
+        for (f, preds) in factors.into_iter().zip(&single) {
             let mut plan = f.plan;
-            if !single[i].is_empty() {
-                let mut pred: Option<BoundExpr> = None;
-                for c in &single[i] {
-                    let b = self.bind_expr(c, plan.schema())?.fold();
-                    pred = Some(match pred {
-                        None => b,
-                        Some(p) => BoundExpr::Binary {
-                            left: Box::new(p),
-                            op: BinaryOp::And,
-                            right: Box::new(b),
-                        },
-                    });
-                }
-                let pred = pred.unwrap();
+            let mut pred: Option<BoundExpr> = None;
+            for c in preds {
+                let b = self.bind_expr(c, plan.schema())?.fold();
+                pred = Some(match pred {
+                    None => b,
+                    Some(p) => BoundExpr::Binary {
+                        left: Box::new(p),
+                        op: BinaryOp::And,
+                        right: Box::new(b),
+                    },
+                });
+            }
+            if let Some(pred) = pred {
                 if pred.is_const_false() {
-                    plan = Plan::Empty { schema: plan.schema().clone() };
+                    plan = Plan::Empty { schema: plan.schema_ref().clone() };
                 } else if !pred.is_const_true() {
                     plan = self.push_predicate(plan, pred);
                 }
             }
-            let est = estimator.rows(&plan);
-            nodes.push(Some(FactorNode { binding: f.binding, plan, est }));
+            let est = estimator.estimate(&plan);
+            nodes.push(Some(FactorNode {
+                binding: f.binding,
+                plan,
+                est: est.rows,
+                origins: est.origins,
+            }));
         }
 
         // Greedy ordering: start from the cheapest node, then repeatedly
@@ -300,49 +347,38 @@ impl<'a> Planner<'a> {
         // smallest (|L|·|R| / Π max(ndv_L, ndv_R) over the connecting
         // edges); cross join when disconnected.
         let n = nodes.len();
+        let est_of = |nodes: &[Option<FactorNode>], i: usize| {
+            nodes[i].as_ref().map_or(f64::INFINITY, |node| node.est)
+        };
         let start = (0..n)
-            .min_by(|&a, &b| {
-                let ea = nodes[a].as_ref().unwrap().est;
-                let eb = nodes[b].as_ref().unwrap().est;
-                ea.total_cmp(&eb)
-            })
+            .min_by(|&a, &b| est_of(&nodes, a).total_cmp(&est_of(&nodes, b)))
             .expect("non-empty factors");
-        let mut current = nodes[start].take().unwrap();
+        // The joined side so far. Its column origins are carried forward
+        // from step to step: a join concatenates them, filters keep them.
+        let mut current = nodes[start].take().expect("start factor is present");
         let mut joined: HashSet<usize> = HashSet::from([start]);
         let mut used_edges: HashSet<usize> = HashSet::new();
-        let mut bindings_in: Vec<String> = vec![current.binding.clone()];
-
-        // Track residuals not yet applied.
-        let mut residual: Vec<Option<Expr>> = residual.into_iter().map(Some).collect();
+        let mut bindings_in: Vec<Arc<str>> = vec![current.binding.clone()];
 
         for _ in 1..n {
             // Cost each connected candidate by the cardinality of the join
             // it would produce, propagating estimates through
             // |L|·|R| / Π max(ndv_L, ndv_R) over its connecting edges.
-            let lorigins = estimator.origins(&current.plan);
             let mut best: Option<(usize, f64)> = None;
-            for i in (0..n).filter(|i| nodes[*i].is_some()) {
-                let node = nodes[i].as_ref().unwrap();
-                let norigins = estimator.origins(&node.plan);
+            for (i, node) in nodes.iter().enumerate() {
+                let Some(node) = node else { continue };
                 let mut denom = 1.0f64;
                 let mut touches = false;
                 for (ei, e) in join_edges.iter().enumerate() {
                     if used_edges.contains(&ei) {
                         continue;
                     }
-                    let (a, b) = e.factors;
-                    let (near, far) = if joined.contains(&a) && b == i {
-                        (&e.cols.0, &e.cols.1)
-                    } else if joined.contains(&b) && a == i {
-                        (&e.cols.1, &e.cols.0)
-                    } else {
-                        continue;
-                    };
+                    let Some((near, far)) = e.towards(&joined, i) else { continue };
                     touches = true;
                     let lk = self.bind_column_index(near, current.plan.schema())?;
                     let rk = self.bind_column_index(far, node.plan.schema())?;
-                    let ndv_l = estimator.ndv(&lorigins[lk], current.est);
-                    let ndv_r = estimator.ndv(&norigins[rk], node.est);
+                    let ndv_l = estimator.ndv(&current.origins[lk], current.est);
+                    let ndv_r = estimator.ndv(&node.origins[rk], node.est);
                     denom *= ndv_l.max(ndv_r).max(1.0);
                 }
                 if !touches {
@@ -358,42 +394,24 @@ impl<'a> Planner<'a> {
                 None => {
                     let i = (0..n)
                         .filter(|i| nodes[*i].is_some())
-                        .min_by(|&a, &b| {
-                            nodes[a]
-                                .as_ref()
-                                .unwrap()
-                                .est
-                                .total_cmp(&nodes[b].as_ref().unwrap().est)
-                        })
-                        .unwrap();
-                    let o = current.est * nodes[i].as_ref().unwrap().est;
-                    (i, false, o)
+                        .min_by(|&a, &b| est_of(&nodes, a).total_cmp(&est_of(&nodes, b)))
+                        .expect("a factor is left to join");
+                    (i, false, current.est * est_of(&nodes, i))
                 }
             };
-            let node = nodes[idx].take().unwrap();
-            let left_schema = current.plan.schema().clone();
-            let right_schema = node.plan.schema().clone();
-            let out_schema = left_schema.join(&right_schema);
+            let node = nodes[idx].take().expect("chosen factor is present");
+            let out_schema = self.share(current.plan.schema().join(node.plan.schema()));
 
             if connected {
-                let mut left_keys = Vec::new();
-                let mut right_keys = Vec::new();
+                let mut left_keys = Vec::with_capacity(1);
+                let mut right_keys = Vec::with_capacity(1);
                 for (ei, e) in join_edges.iter().enumerate() {
                     if used_edges.contains(&ei) {
                         continue;
                     }
-                    let (a, b) = e.factors;
-                    let (near, far) = if joined.contains(&a) && b == idx {
-                        (&e.cols.0, &e.cols.1)
-                    } else if joined.contains(&b) && a == idx {
-                        (&e.cols.1, &e.cols.0)
-                    } else {
-                        continue;
-                    };
-                    let lk = self.bind_column_index(near, &left_schema)?;
-                    let rk = self.bind_column_index(far, &right_schema)?;
-                    left_keys.push(lk);
-                    right_keys.push(rk);
+                    let Some((near, far)) = e.towards(&joined, idx) else { continue };
+                    left_keys.push(self.bind_column_index(near, current.plan.schema())?);
+                    right_keys.push(self.bind_column_index(far, node.plan.schema())?);
                     used_edges.insert(ei);
                 }
                 debug_assert!(!left_keys.is_empty());
@@ -413,9 +431,11 @@ impl<'a> Planner<'a> {
                     schema: out_schema,
                 };
             }
+            // Every join form emits `left ++ right`.
+            current.origins.extend(node.origins);
             current.est = out_est.max(1.0);
             joined.insert(idx);
-            bindings_in.push(node.binding.clone());
+            bindings_in.push(node.binding);
 
             // Any join edges between already-joined factors that were not
             // used as hash keys become filters (e.g. cycles in the join
@@ -425,8 +445,8 @@ impl<'a> Planner<'a> {
                     continue;
                 }
                 if joined.contains(&e.factors.0) && joined.contains(&e.factors.1) {
-                    let l = self.bind_expr(&e.cols.0, current.plan.schema())?;
-                    let r = self.bind_expr(&e.cols.1, current.plan.schema())?;
+                    let l = self.bind_expr(e.cols.0, current.plan.schema())?;
+                    let r = self.bind_expr(e.cols.1, current.plan.schema())?;
                     current.plan = Plan::Filter {
                         input: Box::new(current.plan),
                         predicate: BoundExpr::Binary {
@@ -441,34 +461,19 @@ impl<'a> Planner<'a> {
 
             // Apply residual predicates whose factors are all available.
             for r in residual.iter_mut() {
-                let apply = match r {
-                    Some(expr) => {
-                        let refs = self.binding_refs(expr, current.plan.schema())?;
-                        refs.iter().all(|q| bindings_in.iter().any(|b| b.eq_ignore_ascii_case(q)))
-                    }
-                    None => false,
-                };
-                if apply {
-                    let expr = r.take().unwrap();
-                    let pred = self.bind_expr(&expr, current.plan.schema())?.fold();
-                    if pred.is_const_false() {
-                        current.plan = Plan::Empty { schema: current.plan.schema().clone() };
-                    } else if !pred.is_const_true() {
-                        current.plan =
-                            Plan::Filter { input: Box::new(current.plan), predicate: pred };
-                    }
+                let Some(expr) = *r else { continue };
+                if self.refers_only_to(expr, current.plan.schema(), &bindings_in) {
+                    *r = None;
+                    let pred = self.bind_expr(expr, current.plan.schema())?.fold();
+                    current = current.filtered(pred);
                 }
             }
         }
 
         // Leftover residuals (constant predicates, or anything unresolved).
         for r in residual.into_iter().flatten() {
-            let pred = self.bind_expr(&r, current.plan.schema())?.fold();
-            if pred.is_const_false() {
-                current.plan = Plan::Empty { schema: current.plan.schema().clone() };
-            } else if !pred.is_const_true() {
-                current.plan = Plan::Filter { input: Box::new(current.plan), predicate: pred };
-            }
+            let pred = self.bind_expr(r, current.plan.schema())?.fold();
+            current = current.filtered(pred);
         }
         Ok(current.plan)
     }
@@ -496,7 +501,7 @@ impl<'a> Planner<'a> {
         &self,
         table: &str,
         pred: &BoundExpr,
-    ) -> Option<(String, Value, Option<BoundExpr>)> {
+    ) -> Option<(Arc<str>, Value, Option<BoundExpr>)> {
         let t = self.catalog.table(table).ok()?;
         let t = t.read();
         let conjuncts = split_and(pred);
@@ -507,7 +512,7 @@ impl<'a> Planner<'a> {
             }
             let name = &t.schema().columns.get(col)?.name;
             t.index_on(name)?;
-            Some((i, name.to_string(), v.clone()))
+            Some((i, name.clone(), v.clone()))
         })?;
         let residual = conjuncts
             .into_iter()
@@ -533,32 +538,16 @@ impl<'a> Planner<'a> {
         right: Plan,
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
-        schema: OutputSchema,
+        schema: SchemaRef,
         left_est: f64,
         right_est: f64,
     ) -> Plan {
-        if left_keys.len() == 1 {
-            if let Some(p) = self.promote_index_join(
-                &left,
-                &right,
-                left_keys[0],
-                right_keys[0],
-                &schema,
-                left_est,
-                /*probe_is_left=*/ true,
-            ) {
-                return p;
+        if let ([lk], [rk]) = (&left_keys[..], &right_keys[..]) {
+            if let Some(column) = self.index_join_column(&right, *rk, left_est) {
+                return index_join(left, *lk, right, column, /*probe_is_left=*/ true, schema);
             }
-            if let Some(p) = self.promote_index_join(
-                &right,
-                &left,
-                right_keys[0],
-                left_keys[0],
-                &schema,
-                right_est,
-                /*probe_is_left=*/ false,
-            ) {
-                return p;
+            if let Some(column) = self.index_join_column(&left, *lk, right_est) {
+                return index_join(right, *rk, left, column, /*probe_is_left=*/ false, schema);
             }
         }
         Plan::HashJoin {
@@ -570,92 +559,103 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// `Some(IndexJoin)` when `scan_side` is a bare scan of an *analyzed*
-    /// table with a hash index on its join column and the probe side's
-    /// estimated cardinality clears the executor's 4× size guard at plan
-    /// time. Without statistics the estimate is too crude to commit here,
-    /// so the executor's runtime sniffing keeps the decision instead.
-    #[allow(clippy::too_many_arguments)]
-    fn promote_index_join(
+    /// The indexed join column, when `scan_side` is a bare scan of an
+    /// *analyzed* table with a hash index on its join column and the probe
+    /// side's estimated cardinality clears the executor's 4× size guard at
+    /// plan time. Without statistics the estimate is too crude to commit
+    /// here, so the executor's runtime sniffing keeps the decision instead.
+    fn index_join_column(
         &self,
-        probe: &Plan,
         scan_side: &Plan,
-        probe_key: usize,
         scan_key: usize,
-        schema: &OutputSchema,
         probe_est: f64,
-        probe_is_left: bool,
-    ) -> Option<Plan> {
-        let Plan::Scan { table, filter, .. } = scan_side else {
+    ) -> Option<Arc<str>> {
+        let Plan::Scan { table, .. } = scan_side else {
             return None;
         };
         let t = self.catalog.table(table).ok()?;
         let t = t.read();
         let stats = t.stats()?;
-        let column = t.schema().columns.get(scan_key)?.name.clone();
-        t.index_on(&column)?;
+        let column = &t.schema().columns.get(scan_key)?.name;
+        t.index_on(column)?;
         if probe_est * 4.0 > stats.rows as f64 {
             return None;
         }
-        Some(Plan::IndexJoin {
-            probe: Box::new(probe.clone()),
-            probe_key,
-            table: table.clone(),
-            column,
-            filter: filter.clone(),
-            probe_is_left,
-            schema: schema.clone(),
-        })
+        Some(column.clone())
     }
 
-    /// Which factors an expression references.
-    fn factor_refs(
-        &self,
-        e: &Expr,
-        factors: &[BoundFactor],
-        combined: &OutputSchema,
-    ) -> Result<HashSet<usize>> {
-        let mut qs = Vec::new();
-        e.referenced_qualifiers(&mut qs);
-        // Unqualified columns: resolve to find their factor.
-        collect_unqualified(e, &mut |name| {
-            if let Ok(i) = combined.resolve(None, name) {
-                if let Some(q) = &combined.columns[i].qualifier {
-                    if !qs.iter().any(|x| x.eq_ignore_ascii_case(q)) {
-                        qs.push(q.clone());
+    /// Which factors an expression references, each once. An unqualified
+    /// column counts for its factor when no other column of any factor
+    /// shares its name.
+    fn factor_refs(&self, e: &Expr, factors: &[BoundFactor]) -> Result<Vec<usize>> {
+        let mut out: Vec<usize> = Vec::new();
+        let mut unknown: Option<&str> = None;
+        for_each_column(e, &mut |qualifier, name| {
+            let factor = match qualifier {
+                Some(q) => {
+                    let hit = factors.iter().position(|f| f.binding.eq_ignore_ascii_case(q));
+                    if hit.is_none() && unknown.is_none() {
+                        unknown = Some(q);
                     }
+                    hit
+                }
+                None => {
+                    let mut hits = factors.iter().enumerate().flat_map(|(i, f)| {
+                        let columns = f.plan.schema().columns.iter();
+                        columns.filter(|c| c.matches(None, name)).map(move |_| i)
+                    });
+                    match (hits.next(), hits.next()) {
+                        (Some(i), None) => Some(i),
+                        _ => None,
+                    }
+                }
+            };
+            if let Some(i) = factor {
+                if !out.contains(&i) {
+                    out.push(i);
                 }
             }
         });
-        let mut out = HashSet::new();
-        for q in qs {
-            match factors.iter().position(|f| f.binding.eq_ignore_ascii_case(&q)) {
-                Some(i) => {
-                    out.insert(i);
-                }
-                None => {
-                    return bind_err(format!("unknown tuple variable `{q}`"));
-                }
-            }
+        if let Some(q) = unknown {
+            return bind_err(format!("unknown tuple variable `{q}`"));
         }
         Ok(out)
     }
 
-    /// Qualifiers referenced by an expression, resolving unqualified columns
-    /// through the given schema.
-    fn binding_refs(&self, e: &Expr, schema: &OutputSchema) -> Result<Vec<String>> {
-        let mut qs = Vec::new();
-        e.referenced_qualifiers(&mut qs);
-        collect_unqualified(e, &mut |name| {
-            if let Ok(i) = schema.resolve(None, name) {
-                if let Some(q) = &schema.columns[i].qualifier {
-                    if !qs.iter().any(|x| x.eq_ignore_ascii_case(q)) {
-                        qs.push(q.clone());
-                    }
+    /// Whether every column of `e` belongs to one of `bindings` (unqualified
+    /// columns through the qualifier `schema` resolves them to).
+    fn refers_only_to(&self, e: &Expr, schema: &OutputSchema, bindings: &[Arc<str>]) -> bool {
+        let mut all = true;
+        for_each_column(e, &mut |qualifier, name| {
+            let qualifier = match qualifier {
+                Some(q) => Some(q),
+                None => {
+                    schema.position(None, name).and_then(|i| schema.columns[i].qualifier.as_deref())
                 }
+            };
+            if let Some(q) = qualifier {
+                all &= bindings.iter().any(|b| b.eq_ignore_ascii_case(q));
             }
         });
-        Ok(qs)
+        all
+    }
+
+    /// `a.x = b.y` between two different factors, as a join edge.
+    fn join_edge<'e>(&self, c: &'e Expr, factors: &[BoundFactor]) -> Result<Option<JoinEdge<'e>>> {
+        let Expr::Binary { left, op: BinaryOp::Eq, right } = c else {
+            return Ok(None);
+        };
+        if !matches!((&**left, &**right), (Expr::Column { .. }, Expr::Column { .. })) {
+            return Ok(None);
+        }
+        let li = self.factor_of_column(left, factors)?;
+        let ri = self.factor_of_column(right, factors)?;
+        Ok(match (li, ri) {
+            (Some(li), Some(ri)) if li != ri => {
+                Some(JoinEdge { factors: (li, ri), cols: (&**left, &**right) })
+            }
+            _ => None,
+        })
     }
 
     fn factor_of_column(&self, e: &Expr, factors: &[BoundFactor]) -> Result<Option<usize>> {
@@ -668,7 +668,7 @@ impl<'a> Planner<'a> {
                 // Unqualified: find the unique factor having this column.
                 let mut hit = None;
                 for (i, f) in factors.iter().enumerate() {
-                    if f.plan.schema().resolve(None, name).is_ok() {
+                    if f.plan.schema().position(None, name).is_some() {
                         if hit.is_some() {
                             return bind_err(format!("ambiguous column `{name}`"));
                         }
@@ -726,8 +726,9 @@ impl<'a> Planner<'a> {
         items: &[SelectItem],
         schema: &OutputSchema,
     ) -> Result<(Vec<BoundExpr>, OutputSchema)> {
-        let mut exprs = Vec::new();
-        let mut cols = Vec::new();
+        // Sized exactly: the bound expressions live as long as the plan.
+        let mut exprs = Vec::with_capacity(items.len());
+        let mut cols = Vec::with_capacity(items.len());
         for item in items {
             match item {
                 SelectItem::Wildcard => {
@@ -738,21 +739,21 @@ impl<'a> Planner<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     exprs.push(self.bind_expr(expr, schema)?);
-                    cols.push(projected_column(expr, alias.as_deref()));
+                    cols.push(self.projected_column(expr, alias.as_deref()));
                 }
             }
         }
         Ok((exprs, OutputSchema::new(cols)))
     }
 
-    /// Bind an aggregate select: inserts an Aggregate node below and returns
-    /// the projection over its output plus the rebound HAVING.
+    /// Bind an aggregate select: puts an Aggregate node over `plan` and
+    /// returns it with the projection over its output and the rebound HAVING.
     fn bind_aggregate_select(
         &self,
         s: &Select,
-        plan: &mut Plan,
-    ) -> Result<(Vec<BoundExpr>, OutputSchema, Option<BoundExpr>)> {
-        let input_schema = plan.schema().clone();
+        plan: Plan,
+    ) -> Result<(Plan, Vec<BoundExpr>, OutputSchema, Option<BoundExpr>)> {
+        let input_schema = plan.schema_ref().clone();
 
         // Collect aggregate calls from projection and having.
         let mut agg_asts: Vec<Expr> = Vec::new();
@@ -766,18 +767,18 @@ impl<'a> Planner<'a> {
         }
 
         // Bind group-by expressions.
-        let mut group_bound = Vec::new();
-        let mut agg_schema_cols = Vec::new();
+        let mut group_bound = Vec::with_capacity(s.group_by.len());
+        let mut agg_schema_cols = Vec::with_capacity(s.group_by.len() + agg_asts.len());
         for (i, g) in s.group_by.iter().enumerate() {
             group_bound.push(self.bind_expr(g, &input_schema)?);
             agg_schema_cols.push(match g {
-                Expr::Column { qualifier, name } => OutputColumn::new(qualifier.as_deref(), name),
-                other => OutputColumn::new(None, &format!("group_{i}__{other}")),
+                Expr::Column { qualifier, name } => self.column(qualifier.as_deref(), name),
+                other => self.column(None, &format!("group_{i}__{other}")),
             });
         }
 
         // Bind aggregate calls.
-        let mut aggs = Vec::new();
+        let mut aggs = Vec::with_capacity(agg_asts.len());
         for (i, a) in agg_asts.iter().enumerate() {
             let Expr::Function { name, args, wildcard } = a else { unreachable!() };
             let func = AggFunc::from_name(name)
@@ -794,12 +795,12 @@ impl<'a> Planner<'a> {
                 Some(self.bind_expr(&args[0], &input_schema)?)
             };
             aggs.push(AggCall::new(func, arg)?);
-            agg_schema_cols.push(OutputColumn::new(None, &format!("agg_{i}")));
+            agg_schema_cols.push(self.column(None, &format!("agg_{i}")));
         }
 
-        let agg_out = OutputSchema::new(agg_schema_cols);
-        *plan = Plan::Aggregate {
-            input: Box::new(plan.clone()),
+        let agg_out = self.share(OutputSchema::new(agg_schema_cols));
+        let plan = Plan::Aggregate {
+            input: Box::new(plan),
             group_by: group_bound,
             aggs,
             schema: agg_out.clone(),
@@ -807,8 +808,8 @@ impl<'a> Planner<'a> {
 
         // Rebind projection and HAVING over the aggregate output.
         let ctx = AggContext { group_asts: &s.group_by, agg_asts: &agg_asts };
-        let mut exprs = Vec::new();
-        let mut cols = Vec::new();
+        let mut exprs = Vec::with_capacity(s.projection.len());
+        let mut cols = Vec::with_capacity(s.projection.len());
         for item in &s.projection {
             match item {
                 SelectItem::Wildcard => {
@@ -816,7 +817,7 @@ impl<'a> Planner<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     exprs.push(self.rebind_post_agg(expr, &ctx, &agg_out)?);
-                    cols.push(projected_column(expr, alias.as_deref()));
+                    cols.push(self.projected_column(expr, alias.as_deref()));
                 }
             }
         }
@@ -824,7 +825,7 @@ impl<'a> Planner<'a> {
             Some(h) => Some(self.rebind_post_agg(h, &ctx, &agg_out)?),
             None => None,
         };
-        Ok((exprs, OutputSchema::new(cols), having))
+        Ok((plan, exprs, OutputSchema::new(cols), having))
     }
 
     /// Rebind an expression that may reference group keys and aggregates to
@@ -904,7 +905,7 @@ impl<'a> Planner<'a> {
         for item in items {
             // 1. Alias or column name in the output schema.
             if let Expr::Column { qualifier, name } = &item.expr {
-                if let Ok(i) = schema.resolve(qualifier.as_deref(), name) {
+                if let Some(i) = schema.position(qualifier.as_deref(), name) {
                     keys.push((i, item.desc));
                     continue;
                 }
@@ -924,19 +925,52 @@ impl<'a> Planner<'a> {
 }
 
 struct BoundFactor {
-    binding: String,
+    binding: Arc<str>,
     plan: Plan,
 }
 
+/// One side of the greedy join search: a FROM factor, or the factors joined
+/// so far, with its estimated rows and the origins of its output columns.
 struct FactorNode {
-    binding: String,
+    binding: Arc<str>,
     plan: Plan,
     est: f64,
+    origins: Vec<ColumnOrigin>,
 }
 
-struct JoinEdge {
+impl FactorNode {
+    /// This side filtered by a folded predicate; a constant-false one
+    /// empties it (and an `Empty` node's columns come from nowhere).
+    fn filtered(mut self, pred: BoundExpr) -> FactorNode {
+        if pred.is_const_false() {
+            let schema = self.plan.schema_ref().clone();
+            self.origins = vec![None; schema.arity()];
+            self.plan = Plan::Empty { schema };
+        } else if !pred.is_const_true() {
+            self.plan = Plan::Filter { input: Box::new(self.plan), predicate: pred };
+        }
+        self
+    }
+}
+
+struct JoinEdge<'e> {
     factors: (usize, usize),
-    cols: (Expr, Expr),
+    cols: (&'e Expr, &'e Expr),
+}
+
+impl<'e> JoinEdge<'e> {
+    /// `(near, far)` columns when this edge connects an already-joined
+    /// factor to factor `i`.
+    fn towards(&self, joined: &HashSet<usize>, i: usize) -> Option<(&'e Expr, &'e Expr)> {
+        let (a, b) = self.factors;
+        if joined.contains(&a) && b == i {
+            Some(self.cols)
+        } else if joined.contains(&b) && a == i {
+            Some((self.cols.1, self.cols.0))
+        } else {
+            None
+        }
+    }
 }
 
 struct AggContext<'a> {
@@ -944,14 +978,27 @@ struct AggContext<'a> {
     agg_asts: &'a [Expr],
 }
 
-/// Output column for a projected expression.
-fn projected_column(expr: &Expr, alias: Option<&str>) -> OutputColumn {
-    match alias {
-        Some(a) => OutputColumn::new(None, a),
-        None => match expr {
-            Expr::Column { qualifier, name } => OutputColumn::new(qualifier.as_deref(), name),
-            other => OutputColumn::new(None, &other.to_string()),
-        },
+/// An index nested-loop join of `probe` into the bare scan `scan_side`
+/// (see [`Planner::index_join_column`], which vets the pair).
+fn index_join(
+    probe: Plan,
+    probe_key: usize,
+    scan_side: Plan,
+    column: Arc<str>,
+    probe_is_left: bool,
+    schema: SchemaRef,
+) -> Plan {
+    let Plan::Scan { table, filter, .. } = scan_side else {
+        unreachable!("index_join_column accepts bare scans only");
+    };
+    Plan::IndexJoin {
+        probe: Box::new(probe),
+        probe_key,
+        table,
+        column,
+        filter,
+        probe_is_left,
+        schema,
     }
 }
 
@@ -1028,25 +1075,27 @@ pub fn expr_eq_ci(a: &Expr, b: &Expr) -> bool {
     }
 }
 
-fn collect_unqualified(e: &Expr, f: &mut impl FnMut(&str)) {
+/// Call `f(qualifier, name)` for every column reference in `e`, left to
+/// right.
+fn for_each_column<'e>(e: &'e Expr, f: &mut impl FnMut(Option<&'e str>, &'e str)) {
     match e {
-        Expr::Column { qualifier: None, name } => f(name),
-        Expr::Column { .. } | Expr::Literal(_) => {}
+        Expr::Column { qualifier, name } => f(qualifier.as_deref(), name),
+        Expr::Literal(_) => {}
         Expr::Binary { left, right, .. } => {
-            collect_unqualified(left, f);
-            collect_unqualified(right, f);
+            for_each_column(left, f);
+            for_each_column(right, f);
         }
-        Expr::Not(inner) => collect_unqualified(inner, f),
-        Expr::IsNull { expr, .. } => collect_unqualified(expr, f),
+        Expr::Not(inner) => for_each_column(inner, f),
+        Expr::IsNull { expr, .. } => for_each_column(expr, f),
         Expr::InList { expr, list, .. } => {
-            collect_unqualified(expr, f);
+            for_each_column(expr, f);
             for x in list {
-                collect_unqualified(x, f);
+                for_each_column(x, f);
             }
         }
         Expr::Function { args, .. } => {
             for a in args {
-                collect_unqualified(a, f);
+                for_each_column(a, f);
             }
         }
     }

@@ -96,36 +96,31 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
         }
     }
 
-    let Some(selection) = sel.selection.clone() else {
-        return SetExpr::Select(Box::new(sel));
-    };
-
-    let conjuncts: Vec<Expr> = selection.conjuncts().into_iter().cloned().collect();
-
     // Find the first conjunct that is a disjunction worth expanding: either
     // expansion lets some branch drop a FROM factor, or the disjuncts hide
     // join predicates (column = column across factors) that the planner
-    // could only see as a post-cross-product filter.
-    let mut chosen: Option<usize> = None;
-    for (i, c) in conjuncts.iter().enumerate() {
-        let disjuncts = c.disjuncts();
-        if disjuncts.len() < 2 {
-            continue;
-        }
-        if expansion_enables_elimination(&sel, &conjuncts, i)
-            || disjuncts.iter().any(|d| contains_join_predicate(d))
-        {
-            chosen = Some(i);
-            break;
-        }
-    }
+    // could only see as a post-cross-product filter. Most blocks have none,
+    // so the search borrows; only an expansion copies the conjuncts.
+    let Some(selection) = &sel.selection else {
+        return SetExpr::Select(Box::new(sel));
+    };
+    let conjuncts = selection.conjuncts();
+    let chosen = (0..conjuncts.len()).find(|&i| {
+        let disjuncts = conjuncts[i].disjuncts();
+        disjuncts.len() >= 2
+            && (expansion_enables_elimination(&sel, &conjuncts, i)
+                || disjuncts.iter().any(|d| contains_join_predicate(d)))
+    });
     let Some(idx) = chosen else {
         return SetExpr::Select(Box::new(sel));
     };
-
     let disjuncts: Vec<Expr> = conjuncts[idx].disjuncts().into_iter().cloned().collect();
-    let core: Vec<Expr> =
-        conjuncts.iter().enumerate().filter(|(i, _)| *i != idx).map(|(_, c)| c.clone()).collect();
+    let core: Vec<Expr> = conjuncts
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != idx)
+        .map(|(_, c)| (*c).clone())
+        .collect();
 
     let mut branches: Vec<SetExpr> = Vec::new();
     for d in &disjuncts {
@@ -207,7 +202,7 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
 
 /// Whether expanding conjunct `idx` lets at least one branch drop at least
 /// one FROM factor.
-fn expansion_enables_elimination(sel: &Select, conjuncts: &[Expr], idx: usize) -> bool {
+fn expansion_enables_elimination(sel: &Select, conjuncts: &[&Expr], idx: usize) -> bool {
     let mut outside: Vec<String> = Vec::new();
     for item in &sel.projection {
         if let SelectItem::Expr { expr, .. } = item {

@@ -2,19 +2,24 @@
 
 use pqp_storage::{Row, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// One column of an intermediate or final result.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Both strings are interned: a column of a base table shares its name with
+/// the catalog's `ColumnDef` and its qualifier with every other column of
+/// the same tuple variable, so cloning a column copies two pointers.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OutputColumn {
     /// The tuple variable (or derived-table alias) the column belongs to;
     /// `None` for synthesized columns such as aggregates.
-    pub qualifier: Option<String>,
-    pub name: String,
+    pub qualifier: Option<Arc<str>>,
+    pub name: Arc<str>,
 }
 
 impl OutputColumn {
     pub fn new(qualifier: Option<&str>, name: &str) -> OutputColumn {
-        OutputColumn { qualifier: qualifier.map(str::to_string), name: name.to_string() }
+        OutputColumn { qualifier: qualifier.map(Arc::from), name: Arc::from(name) }
     }
 
     /// Whether a reference `[qualifier.]name` resolves to this column.
@@ -39,10 +44,15 @@ impl fmt::Display for OutputColumn {
 }
 
 /// Schema of an intermediate result: an ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct OutputSchema {
     pub columns: Vec<OutputColumn>,
 }
+
+/// How plan nodes hold their schema: shared, so pass-through nodes, the
+/// partial queries of one rewrite and cached plans reference one allocation
+/// per distinct schema.
+pub type SchemaRef = Arc<OutputSchema>;
 
 impl OutputSchema {
     pub fn new(columns: Vec<OutputColumn>) -> OutputSchema {
@@ -55,37 +65,37 @@ impl OutputSchema {
 
     /// Concatenate two schemas (join output).
     pub fn join(&self, other: &OutputSchema) -> OutputSchema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
+        let mut columns = Vec::with_capacity(self.arity() + other.arity());
+        columns.extend(self.columns.iter().chain(&other.columns).cloned());
         OutputSchema { columns }
+    }
+
+    /// Position of the one column a reference `[qualifier.]name` resolves
+    /// to; `None` when no column or more than one matches. For callers
+    /// that only probe: unlike [`OutputSchema::resolve`] it builds no message.
+    pub fn position(&self, qualifier: Option<&str>, name: &str) -> Option<usize> {
+        let mut hits = (0..self.arity()).filter(|&i| self.columns[i].matches(qualifier, name));
+        match (hits.next(), hits.next()) {
+            (Some(i), None) => Some(i),
+            _ => None,
+        }
     }
 
     /// Resolve a column reference to its position.
     ///
     /// Returns `Err` with a descriptive message on ambiguity or absence.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize, String> {
-        let mut hits = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.matches(qualifier, name))
-            .map(|(i, _)| i);
-        match (hits.next(), hits.next()) {
-            (Some(i), None) => Ok(i),
-            (Some(_), Some(_)) => {
-                let display = match qualifier {
-                    Some(q) => format!("{q}.{name}"),
-                    None => name.to_string(),
-                };
-                Err(format!("ambiguous column reference `{display}`"))
-            }
-            (None, _) => {
-                let display = match qualifier {
-                    Some(q) => format!("{q}.{name}"),
-                    None => name.to_string(),
-                };
-                Err(format!("unknown column `{display}`"))
-            }
+        if let Some(i) = self.position(qualifier, name) {
+            return Ok(i);
+        }
+        let display = match qualifier {
+            Some(q) => format!("{q}.{name}"),
+            None => name.to_string(),
+        };
+        if self.columns.iter().any(|c| c.matches(qualifier, name)) {
+            Err(format!("ambiguous column reference `{display}`"))
+        } else {
+            Err(format!("unknown column `{display}`"))
         }
     }
 }

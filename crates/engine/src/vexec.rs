@@ -106,11 +106,11 @@ fn execute_vop(env: &Env, plan: &Plan) -> Result<Out> {
     match plan {
         Plan::Empty { .. } => Ok(Out::R(Vec::new())),
         Plan::Scan { table, filter, .. } => {
-            pqp_obs::record("table", table.as_str());
+            pqp_obs::record("table", &**table);
             vscan(env, table, filter.as_ref())
         }
         Plan::IndexScan { table, column, key, residual, .. } => {
-            pqp_obs::record("table", table.as_str());
+            pqp_obs::record("table", &**table);
             Ok(Out::R(exec::index_scan(env, table, column, key, residual.as_ref())?))
         }
         Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, .. } => {

@@ -8,16 +8,33 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A bounded map evicting its oldest-inserted entry on overflow.
+///
+/// Each key is stored once: the map and the eviction queue share it.
 #[derive(Debug)]
 pub struct FifoCache<K, V> {
     capacity: usize,
-    map: HashMap<K, V>,
-    order: VecDeque<K>,
+    map: HashMap<Arc<K>, V>,
+    order: VecDeque<Arc<K>>,
 }
 
-impl<K: Hash + Eq + Clone, V> FifoCache<K, V> {
+/// What an insert pushed out of the cache. The displaced value is handed
+/// back rather than dropped, so a caller holding a lock around the cache
+/// can release it before paying for the drop.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Inserted<V> {
+    /// A new entry, and there was room for it.
+    Fresh,
+    /// The key was present; its old value is returned (insertion order is
+    /// unchanged).
+    Replaced(V),
+    /// A new entry, and the *oldest* entry was evicted to make room.
+    Evicted(V),
+}
+
+impl<K: Hash + Eq, V> FifoCache<K, V> {
     /// A cache holding at most `capacity` entries (clamped to at least 1).
     pub fn new(capacity: usize) -> FifoCache<K, V> {
         FifoCache { capacity: capacity.max(1), map: HashMap::new(), order: VecDeque::new() }
@@ -28,20 +45,20 @@ impl<K: Hash + Eq + Clone, V> FifoCache<K, V> {
         self.map.get(key)
     }
 
-    /// Insert (or replace) an entry. Returns `true` when an *older* entry
-    /// was evicted to make room.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
-        if self.map.insert(key.clone(), value).is_some() {
-            return false; // replaced in place; insertion order unchanged
+    /// Insert (or replace) an entry.
+    pub fn insert(&mut self, key: K, value: V) -> Inserted<V> {
+        if let Some(slot) = self.map.get_mut(&key) {
+            return Inserted::Replaced(std::mem::replace(slot, value));
         }
+        let key = Arc::new(key);
+        self.map.insert(Arc::clone(&key), value);
         self.order.push_back(key);
         if self.map.len() > self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
+            if let Some(evicted) = self.order.pop_front().and_then(|k| self.map.remove(&*k)) {
+                return Inserted::Evicted(evicted);
             }
-            return true;
         }
-        false
+        Inserted::Fresh
     }
 
     /// Remove every entry failing the predicate, preserving the insertion
@@ -50,7 +67,7 @@ impl<K: Hash + Eq + Clone, V> FifoCache<K, V> {
         let before = self.map.len();
         self.map.retain(|k, v| f(k, &*v));
         if self.map.len() != before {
-            self.order.retain(|k| self.map.contains_key(k));
+            self.order.retain(|k| self.map.contains_key(&**k));
         }
         before - self.map.len()
     }
@@ -79,9 +96,9 @@ mod tests {
     #[test]
     fn evicts_oldest_at_capacity() {
         let mut c = FifoCache::new(2);
-        assert!(!c.insert("a", 1));
-        assert!(!c.insert("b", 2));
-        assert!(c.insert("c", 3), "inserting past capacity evicts");
+        assert_eq!(c.insert("a", 1), Inserted::Fresh);
+        assert_eq!(c.insert("b", 2), Inserted::Fresh);
+        assert_eq!(c.insert("c", 3), Inserted::Evicted(1), "past capacity the oldest leaves");
         assert_eq!(c.get(&"a"), None, "oldest went first");
         assert_eq!(c.get(&"b"), Some(&2));
         assert_eq!(c.get(&"c"), Some(&3));
@@ -93,7 +110,7 @@ mod tests {
         let mut c = FifoCache::new(2);
         c.insert("a", 1);
         c.insert("b", 2);
-        assert!(!c.insert("a", 10), "replacement is not an eviction");
+        assert_eq!(c.insert("a", 10), Inserted::Replaced(1), "replacement is not an eviction");
         c.insert("c", 3);
         assert_eq!(c.get(&"a"), None, "a is still the oldest insertion");
         assert_eq!(c.get(&"b"), Some(&2));

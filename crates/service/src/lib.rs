@@ -59,7 +59,7 @@ pub use telemetry::{
     TelemetrySnapshot,
 };
 
-use cache::FifoCache;
+use cache::{FifoCache, Inserted};
 use pqp_core::graph::InMemoryGraph;
 use pqp_core::query_graph::QueryGraph;
 use pqp_core::{
@@ -394,15 +394,16 @@ struct Prepared {
     select: Select,
     graph: QueryGraph,
     /// The canonical printed form, used as the plan-cache key component so
-    /// textual variants of the same query share plan entries.
-    canonical: String,
+    /// textual variants of the same query share plan entries. Every key and
+    /// query-log observation of this query shares the one allocation.
+    canonical: Arc<str>,
 }
 
 /// Personalized-plan cache key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     user: UserId,
-    canonical: String,
+    canonical: Arc<str>,
     /// Canonical fingerprint of the [`PersonalizeOptions`] (K/M/L,
     /// criterion, rank).
     opts: OptionsKey,
@@ -473,10 +474,17 @@ impl From<&PersonalizeOptions> for OptionsKey {
 }
 
 /// A cached personalized plan, valid while the user's epoch matches.
+///
+/// The plan shares its schemas and every table/column name with the catalog
+/// and with its own sub-plans, so an entry pins the operator tree and its
+/// bound expressions; the row estimate is kept from the pass that priced the
+/// plan, so a hit never walks it again.
 #[derive(Debug)]
 struct CachedPlan {
     epoch: u64,
     plan: Plan,
+    /// The strategy layer's row estimate for `plan` (query-log telemetry).
+    est_rows: f64,
     /// The rewrite the strategy layer resolved to (never `Auto`): a hit
     /// must report the same [`AnswerMeta::rewrite`] the miss did.
     rewrite: Rewrite,
@@ -718,8 +726,9 @@ impl Service {
             .ok_or_else(|| PrefError::UnsupportedQuery("only plain SELECT blocks".into()))?
             .clone();
         let graph = QueryGraph::from_select(&select, self.db.catalog())?;
-        let prepared = Arc::new(Prepared { select, graph, canonical: query.to_string() });
-        if self.prepared.write().insert(key.to_string(), Arc::clone(&prepared)) {
+        let prepared = Arc::new(Prepared { select, graph, canonical: query.to_string().into() });
+        let displaced = self.prepared.write().insert(key.to_string(), Arc::clone(&prepared));
+        if matches!(displaced, Inserted::Evicted(_)) {
             self.prepared_stats.eviction();
         }
         Ok((prepared, false))
@@ -731,7 +740,7 @@ impl Service {
     /// message: cheap to call, user-independent, no execution.
     pub fn prepare_sql(&self, sql: &str) -> Result<String> {
         let (prepared, _cached) = self.prepare(sql)?;
-        Ok(prepared.canonical.clone())
+        Ok(prepared.canonical.to_string())
     }
 
     /// Snapshot counters of both caches.
@@ -856,7 +865,7 @@ impl Service {
         self.telemetry.record(QueryRecord {
             seq: 0, // assigned by the log
             user: user.as_str().to_string(),
-            sql: obs.canonical.clone().unwrap_or_else(|| sql.trim().to_string()),
+            sql: obs.canonical.as_deref().unwrap_or_else(|| sql.trim()).to_string(),
             ok,
             error_kind,
             error,
@@ -990,10 +999,10 @@ impl Service {
         let (prepared, prepared_hit) = self.prepare(sql)?;
         obs.phases.parse_us = t_parse.elapsed().as_micros() as u64;
         obs.prepared_cache = if prepared_hit { "hit" } else { "miss" };
-        obs.canonical = Some(prepared.canonical.clone());
+        obs.canonical = Some(Arc::clone(&prepared.canonical));
         let key = PlanKey {
             user: user.clone(),
-            canonical: prepared.canonical.clone(),
+            canonical: Arc::clone(&prepared.canonical),
             opts: OptionsKey::from(&options),
             rewrite,
             stats_epoch: self.db.catalog().stats_epoch(),
@@ -1021,7 +1030,7 @@ impl Service {
             Lookup::Hit(cached) => {
                 self.plan_stats.hit();
                 obs.plan_cache = "hit";
-                obs.est_rows = Some(Estimator::new(self.db.catalog()).rows(&cached.plan));
+                obs.est_rows = Some(cached.est_rows);
                 let t_exec = Instant::now();
                 let rows = self.db.run_plan_ctx(&cached.plan, &self.config.exec, ctx);
                 obs.phases.execute_us += t_exec.elapsed().as_micros() as u64;
@@ -1070,13 +1079,16 @@ impl Service {
             if self.config.degrade { &DegradeLevel::LADDER } else { &DegradeLevel::LADDER[..1] };
         for (i, &level) in ladder.iter().enumerate() {
             let is_last = i + 1 == ladder.len();
-            let (plan, ran, k, m) = if level == DegradeLevel::Unpersonalized {
-                // The unpersonalized floor runs the plain query.
+            let (plan, est_rows, ran, k, m) = if level == DegradeLevel::Unpersonalized {
+                // The unpersonalized floor runs the plain query; no strategy
+                // choice priced it, so this rung estimates for itself.
                 let q = Query::from_select(prepared.select.clone());
                 let t_plan = Instant::now();
                 let plan = self.db.plan(&q);
                 obs.phases.plan_us += t_plan.elapsed().as_micros() as u64;
-                (plan?, Rewrite::Original, 0, 0)
+                let plan = plan?;
+                let est_rows = Estimator::new(self.db.catalog()).rows(&plan);
+                (plan, est_rows, Rewrite::Original, 0, 0)
             } else {
                 let slice = ctx.slice(1, 4);
                 let t_pers = Instant::now();
@@ -1108,7 +1120,7 @@ impl Service {
                             pqp_core::strategy::build_execution(&self.db, &p, rung_rewrite, None);
                         obs.phases.plan_us += t_plan.elapsed().as_micros() as u64;
                         let choice = choice?;
-                        (choice.plan, choice.rewrite, p.k(), p.m)
+                        (choice.plan, choice.est_rows, choice.rewrite, p.k(), p.m)
                     }
                     Err(PrefError::Budget(_)) if !is_last => {
                         pqp_obs::counter_add("service.degrade.steps", 1);
@@ -1117,7 +1129,7 @@ impl Service {
                     Err(e) => return Err(e.into()),
                 }
             };
-            obs.est_rows = Some(Estimator::new(self.db.catalog()).rows(&plan));
+            obs.est_rows = Some(est_rows);
             let t_exec = Instant::now();
             let rows = self.db.run_plan_ctx(&plan, &self.config.exec, ctx);
             obs.phases.execute_us += t_exec.elapsed().as_micros() as u64;
@@ -1126,8 +1138,11 @@ impl Service {
             if level == DegradeLevel::None {
                 // Only full-fidelity plans are cached: a degraded plan is an
                 // artifact of one query's budget, not of the user's profile.
-                let cached = CachedPlan { epoch, plan, rewrite: ran, k, m };
-                if self.plans.write().insert(key, Arc::new(cached)) {
+                let cached = CachedPlan { epoch, plan, est_rows, rewrite: ran, k, m };
+                // The write guard is released at the end of this statement;
+                // whatever plan the insert displaced is freed after it.
+                let displaced = self.plans.write().insert(key, Arc::new(cached));
+                if matches!(displaced, Inserted::Evicted(_)) {
                     self.plan_stats.eviction();
                 }
             } else {
@@ -1219,7 +1234,7 @@ impl Service {
 #[derive(Debug)]
 struct Observed {
     phases: PhaseBreakdown,
-    canonical: Option<String>,
+    canonical: Option<Arc<str>>,
     est_rows: Option<f64>,
     prepared_cache: &'static str,
     plan_cache: &'static str,

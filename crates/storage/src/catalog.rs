@@ -49,7 +49,7 @@ impl Catalog {
     pub fn create_table(&mut self, schema: TableSchema) -> Result<TableRef> {
         let key = schema.name.to_ascii_uppercase();
         if self.tables.contains_key(&key) {
-            return Err(StorageError::TableExists(schema.name));
+            return Err(StorageError::TableExists(schema.name.to_string()));
         }
         let t = Arc::new(RwLock::new(Table::new(schema)));
         self.tables.insert(key, t.clone());
@@ -58,15 +58,23 @@ impl Catalog {
 
     /// Look up a table by (case-insensitive) name.
     pub fn table(&self, name: &str) -> Result<TableRef> {
-        self.tables
-            .get(&name.to_ascii_uppercase())
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
+        self.lookup(name).cloned().ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
     /// Whether a table exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_uppercase())
+        self.lookup(name).is_some()
+    }
+
+    /// Keys are upper-cased names. The planner and estimator look tables up
+    /// by their catalog spelling many times per query, so a name that is
+    /// already its own key is not copied.
+    fn lookup(&self, name: &str) -> Option<&TableRef> {
+        if name.bytes().any(|b| b.is_ascii_lowercase()) {
+            self.tables.get(&name.to_ascii_uppercase())
+        } else {
+            self.tables.get(name)
+        }
     }
 
     /// Remove a table. Fails if the table does not exist. Foreign keys of
@@ -81,7 +89,7 @@ impl Catalog {
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.values().map(|t| t.read().schema().name.clone()).collect()
+        self.tables.values().map(|t| t.read().schema().name.to_string()).collect()
     }
 
     /// A snapshot of a table's schema.
@@ -146,16 +154,16 @@ impl Catalog {
                 };
                 for (c, pc) in fk.columns.iter().zip(&fk.parent_columns) {
                     out.push(SchemaJoin {
-                        from_table: s.name.clone(),
+                        from_table: s.name.to_string(),
                         from_column: c.clone(),
-                        to_table: parent.name.clone(),
+                        to_table: parent.name.to_string(),
                         to_column: pc.clone(),
                         cardinality: parent.join_cardinality_into(pc),
                     });
                     out.push(SchemaJoin {
-                        from_table: parent.name.clone(),
+                        from_table: parent.name.to_string(),
                         from_column: pc.clone(),
-                        to_table: s.name.clone(),
+                        to_table: s.name.to_string(),
                         to_column: c.clone(),
                         cardinality: s.join_cardinality_into(c),
                     });

@@ -9,23 +9,26 @@
 use crate::error::{Result, StorageError};
 use crate::value::DataType;
 use std::fmt;
+use std::sync::Arc;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
-    pub name: String,
+    /// Interned once here: every plan that names the column shares this
+    /// allocation instead of copying the text.
+    pub name: Arc<str>,
     pub ty: DataType,
     pub nullable: bool,
 }
 
 impl ColumnDef {
     /// A non-nullable column.
-    pub fn new(name: impl Into<String>, ty: DataType) -> ColumnDef {
+    pub fn new(name: impl Into<Arc<str>>, ty: DataType) -> ColumnDef {
         ColumnDef { name: name.into(), ty, nullable: false }
     }
 
     /// A nullable column.
-    pub fn nullable(name: impl Into<String>, ty: DataType) -> ColumnDef {
+    pub fn nullable(name: impl Into<Arc<str>>, ty: DataType) -> ColumnDef {
         ColumnDef { name: name.into(), ty, nullable: true }
     }
 }
@@ -61,7 +64,8 @@ impl fmt::Display for Cardinality {
 /// Schema of a single table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
-    pub name: String,
+    /// Interned like [`ColumnDef::name`].
+    pub name: Arc<str>,
     pub columns: Vec<ColumnDef>,
     /// Column positions forming the primary key (may be empty).
     pub primary_key: Vec<usize>,
@@ -72,7 +76,7 @@ pub struct TableSchema {
 
 impl TableSchema {
     /// Create a schema with the given columns and no keys.
-    pub fn new(name: impl Into<String>, columns: Vec<ColumnDef>) -> TableSchema {
+    pub fn new(name: impl Into<Arc<str>>, columns: Vec<ColumnDef>) -> TableSchema {
         TableSchema {
             name: name.into(),
             columns,
@@ -133,7 +137,7 @@ impl TableSchema {
     /// The column definition by name, as a `Result` for caller convenience.
     pub fn column(&self, name: &str) -> Result<&ColumnDef> {
         self.column_index(name).map(|i| &self.columns[i]).ok_or_else(|| {
-            StorageError::UnknownColumn { table: self.name.clone(), column: name.to_string() }
+            StorageError::UnknownColumn { table: self.name.to_string(), column: name.to_string() }
         })
     }
 

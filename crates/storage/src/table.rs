@@ -54,7 +54,7 @@ impl Table {
     /// are back-filled. Returns the index position.
     pub fn create_index(&mut self, column: &str) -> Result<usize> {
         let col = self.schema.column_index(column).ok_or_else(|| StorageError::UnknownColumn {
-            table: self.schema.name.clone(),
+            table: self.schema.name.to_string(),
             column: column.to_string(),
         })?;
         let mut idx = HashIndex::new(vec![col], false);
@@ -76,7 +76,7 @@ impl Table {
     pub fn insert(&mut self, row: Vec<Value>) -> Result<RowId> {
         if row.len() != self.schema.arity() {
             return Err(StorageError::ArityMismatch {
-                table: self.schema.name.clone(),
+                table: self.schema.name.to_string(),
                 expected: self.schema.arity(),
                 got: row.len(),
             });
@@ -86,8 +86,8 @@ impl Table {
             if v.is_null() {
                 if !col.nullable {
                     return Err(StorageError::NullViolation {
-                        table: self.schema.name.clone(),
-                        column: col.name.clone(),
+                        table: self.schema.name.to_string(),
+                        column: col.name.to_string(),
                     });
                 }
                 coerced.push(v);
@@ -95,8 +95,8 @@ impl Table {
             }
             if !v.conforms_to(col.ty) {
                 return Err(StorageError::TypeMismatch {
-                    table: self.schema.name.clone(),
-                    column: col.name.clone(),
+                    table: self.schema.name.to_string(),
+                    column: col.name.to_string(),
                     expected: col.ty.to_string(),
                     got: format!("{v:?}"),
                 });
@@ -105,7 +105,7 @@ impl Table {
         }
         for idx in &self.indexes {
             if idx.is_unique() && idx.contains_key(&idx.key_of(&coerced)) {
-                return Err(StorageError::DuplicateKey { table: self.schema.name.clone() });
+                return Err(StorageError::DuplicateKey { table: self.schema.name.to_string() });
             }
         }
         let id = self.heap.insert(&coerced)?;

@@ -106,6 +106,23 @@ cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_differential -q
 echo "==> native rank differential suite (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_differential -q
 
+# The cost of a plan-cache miss, counted exactly: a counting allocator
+# bounds the allocations per build_execution(Auto) and the live allocations
+# and bytes of the plan it leaves behind, and the one-pass estimator must
+# agree bit for bit with its recursive reference while plans, strategy
+# choices and answers match the recorded digest. Release mode: that is the
+# build the serving path runs (the counts are the same in debug).
+echo "==> plan footprint budget + estimator equivalence (release)"
+cargo test "${CARGO_FLAGS[@]}" --release -p pqp --test plan_footprint --test estimator_equivalence -q
+
+# The repo's benchmark on the workload that misses the plan cache on every
+# request, at smoke length: it builds from this checkout, checks every
+# answer and its own guards, and must report no failed op.
+echo "==> benchmark smoke (cold_read)"
+smoke=$(bash benchmark/run.sh --smoke --workload cold_read)
+echo "$smoke"
+grep -q '"correct":true' <<<"$smoke"
+
 # Native TopK micro-bench smoke (PQP_TOPK_SMOKE shrinks the K/L sweep to
 # its two ends): must produce results/micro_topk.json with per-point cost
 # model choices and the K=14/L=3 corner speedup. The native-vs-ranked-MQ

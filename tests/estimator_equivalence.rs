@@ -1,0 +1,590 @@
+//! The one-pass estimator against a plain recursive reference, and a
+//! digest pinning plans, estimates, strategy choices and answers.
+//!
+//! `pqp_engine::Estimator` derives `(rows, cost, origins)` for a whole plan
+//! in one post-order pass. The reference below is the textbook formulation
+//! it replaced: `rows`, `cost` and `origins` each recurse on their own and
+//! re-derive whatever they need at every node. It lives here, in test code
+//! only, and reads nothing but the public catalog/statistics API — the
+//! property is that both produce the same `f64`s **bit for bit** on every
+//! plan the personalization layer builds.
+
+use pqp_core::strategy::build_execution;
+use pqp_core::{
+    personalize_prepared, InMemoryGraph, PersonalizeOptions, Personalized, QueryGraph, Rewrite,
+};
+use pqp_datagen::{
+    generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
+};
+use pqp_engine::bound::BoundExpr;
+use pqp_engine::plan::{Plan, TopKProbeSource};
+use pqp_engine::{Database, Estimator, ExecOptions};
+use pqp_obs::QueryCtx;
+use pqp_sql::BinaryOp;
+use pqp_storage::{Catalog, TableStats, Value};
+use std::sync::Arc;
+
+// ---- the recursive reference ---------------------------------------------
+
+const EQ_FALLBACK: f64 = 0.05;
+const DEFAULT_FALLBACK: f64 = 0.5;
+const IS_NULL_FALLBACK: f64 = 0.1;
+const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
+
+type Origin = Option<(String, usize)>;
+
+struct Reference<'a> {
+    catalog: &'a Catalog,
+}
+
+impl Reference<'_> {
+    fn rows(&self, plan: &Plan) -> f64 {
+        match plan {
+            Plan::Empty { .. } => 0.0,
+            Plan::Scan { table, filter, .. } => {
+                let len = self.table_rows(table);
+                match filter {
+                    Some(f) => len * self.selectivity(f, &self.origins(plan)),
+                    None => len,
+                }
+            }
+            Plan::IndexScan { table, column, key, residual, .. } => {
+                let len = self.table_rows(table);
+                let origin = self.column_index(table, column).map(|c| (table.to_string(), c));
+                let eq = self.stats_eq_value(&origin, key).unwrap_or(if key.is_null() {
+                    0.0
+                } else {
+                    EQ_FALLBACK
+                });
+                let res = match residual {
+                    Some(f) => self.selectivity(f, &self.origins(plan)),
+                    None => 1.0,
+                };
+                len * eq * res
+            }
+            Plan::Filter { input, predicate } => {
+                self.rows(input) * self.selectivity(predicate, &self.origins(input))
+            }
+            Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
+                let l = self.rows(left);
+                let r = self.rows(right);
+                let lo = self.origins(left);
+                let ro = self.origins(right);
+                let mut denom = 1.0;
+                for (lk, rk) in left_keys.iter().zip(right_keys) {
+                    let nl = self.ndv(lo.get(*lk).unwrap_or(&None), l);
+                    let nr = self.ndv(ro.get(*rk).unwrap_or(&None), r);
+                    denom *= nl.max(nr).max(1.0);
+                }
+                l * r / denom
+            }
+            Plan::IndexJoin { probe, probe_key, table, column, filter, .. } => {
+                let p = self.rows(probe);
+                let po = self.origins(probe);
+                let len = self.table_rows(table);
+                let scan_origins: Vec<Origin> =
+                    (0..self.table_arity(table)).map(|i| Some((table.to_string(), i))).collect();
+                let fsel = match filter {
+                    Some(f) => self.selectivity(f, &scan_origins),
+                    None => 1.0,
+                };
+                let t = len * fsel;
+                let np = self.ndv(po.get(*probe_key).unwrap_or(&None), p);
+                let nt = self
+                    .ndv(&self.column_index(table, column).map(|c| (table.to_string(), c)), len);
+                p * t / np.max(nt).max(1.0)
+            }
+            Plan::CrossJoin { left, right, .. } => self.rows(left) * self.rows(right),
+            Plan::Project { input, .. } | Plan::Sort { input, .. } => self.rows(input),
+            Plan::Aggregate { input, group_by, .. } => {
+                let in_rows = self.rows(input);
+                if group_by.is_empty() {
+                    return 1.0;
+                }
+                if in_rows <= 0.0 {
+                    return 0.0;
+                }
+                let origins = self.origins(input);
+                let mut groups = 1.0f64;
+                for g in group_by {
+                    groups *= match g {
+                        BoundExpr::Column(i) => self.ndv(origins.get(*i).unwrap_or(&None), in_rows),
+                        _ => in_rows,
+                    };
+                }
+                groups.min(in_rows).max(1.0)
+            }
+            Plan::Distinct { input } => self.rows(input),
+            Plan::Limit { input, n } => self.rows(input).min(*n as f64),
+            Plan::Union { inputs, .. } => inputs.iter().map(|i| self.rows(i)).sum(),
+            Plan::TopK { base, visible, limit, .. } => {
+                let in_rows = self.rows(base);
+                if in_rows <= 0.0 {
+                    return 0.0;
+                }
+                let origins = self.origins(base);
+                let mut groups = 1.0f64;
+                for i in 0..*visible {
+                    groups *= self.ndv(origins.get(i).unwrap_or(&None), in_rows);
+                }
+                let groups = groups.min(in_rows).max(1.0);
+                match limit {
+                    Some(n) => groups.min(*n as f64),
+                    None => groups,
+                }
+            }
+        }
+    }
+
+    fn cost(&self, plan: &Plan) -> f64 {
+        match plan {
+            Plan::Empty { .. } => 0.0,
+            Plan::Scan { table, .. } => self.table_rows(table).max(1.0),
+            Plan::IndexScan { .. } => self.rows(plan).max(1.0),
+            Plan::Filter { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. } => self.rows(plan) + self.cost(input),
+            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
+                self.rows(plan) + self.cost(left) + self.cost(right)
+            }
+            Plan::IndexJoin { probe, .. } => self.rows(plan) + self.cost(probe),
+            Plan::Union { inputs, .. } => {
+                self.rows(plan) + inputs.iter().map(|i| self.cost(i)).sum::<f64>()
+            }
+            Plan::TopK { base, probes, .. } => {
+                let witness_cost: f64 = probes
+                    .iter()
+                    .map(|p| match &p.source {
+                        TopKProbeSource::Literal(_) => 0.0,
+                        TopKProbeSource::Witness(w) => self.cost(w),
+                    })
+                    .sum();
+                let base_rows = self.rows(base);
+                self.cost(base) + witness_cost + base_rows * probes.len() as f64
+            }
+        }
+    }
+
+    fn selectivity(&self, e: &BoundExpr, origins: &[Origin]) -> f64 {
+        let s = match e {
+            BoundExpr::Literal(v) => match v {
+                Value::Bool(true) => 1.0,
+                _ => 0.0,
+            },
+            BoundExpr::Column(_) => DEFAULT_FALLBACK,
+            BoundExpr::Not(inner) => 1.0 - self.selectivity(inner, origins),
+            BoundExpr::IsNull { expr, negated } => {
+                let s = match &**expr {
+                    BoundExpr::Column(i) => self
+                        .null_fraction(origins.get(*i).unwrap_or(&None))
+                        .unwrap_or(IS_NULL_FALLBACK),
+                    _ => IS_NULL_FALLBACK,
+                };
+                if *negated {
+                    1.0 - s
+                } else {
+                    s
+                }
+            }
+            BoundExpr::InList { expr, list, negated } => {
+                let s: f64 = list
+                    .iter()
+                    .map(|item| self.stats_eq(expr, item, origins).unwrap_or(EQ_FALLBACK))
+                    .sum();
+                let s = s.min(1.0);
+                if *negated {
+                    1.0 - s
+                } else {
+                    s
+                }
+            }
+            BoundExpr::Binary { left, op, right } => match op {
+                BinaryOp::And => self.selectivity(left, origins) * self.selectivity(right, origins),
+                BinaryOp::Or => {
+                    let a = self.selectivity(left, origins);
+                    let b = self.selectivity(right, origins);
+                    a + b - a * b
+                }
+                BinaryOp::Eq => self.stats_eq(left, right, origins).unwrap_or_else(|| {
+                    if is_col_lit(left, right) {
+                        EQ_FALLBACK
+                    } else {
+                        DEFAULT_FALLBACK
+                    }
+                }),
+                BinaryOp::NotEq => {
+                    self.stats_eq(left, right, origins).map(|s| 1.0 - s).unwrap_or(DEFAULT_FALLBACK)
+                }
+                BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq => {
+                    self.stats_range(left, *op, right, origins).unwrap_or(DEFAULT_FALLBACK)
+                }
+                _ => DEFAULT_FALLBACK,
+            },
+        };
+        s.clamp(0.0, 1.0)
+    }
+
+    fn origins(&self, plan: &Plan) -> Vec<Origin> {
+        match plan {
+            Plan::Empty { schema } | Plan::Union { schema, .. } => vec![None; schema.arity()],
+            Plan::Scan { table, schema, .. } | Plan::IndexScan { table, schema, .. } => {
+                (0..schema.arity()).map(|i| Some((table.to_string(), i))).collect()
+            }
+            Plan::Filter { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => self.origins(input),
+            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
+                let mut out = self.origins(left);
+                out.extend(self.origins(right));
+                out
+            }
+            Plan::IndexJoin { probe, table, probe_is_left, schema, .. } => {
+                let p = self.origins(probe);
+                let table_arity = schema.arity().saturating_sub(p.len());
+                let t: Vec<Origin> =
+                    (0..table_arity).map(|i| Some((table.to_string(), i))).collect();
+                if *probe_is_left {
+                    let mut out = p;
+                    out.extend(t);
+                    out
+                } else {
+                    let mut out = t;
+                    out.extend(p);
+                    out
+                }
+            }
+            Plan::Project { input, exprs, .. } => {
+                let inner = self.origins(input);
+                exprs
+                    .iter()
+                    .map(|e| match e {
+                        BoundExpr::Column(i) => inner.get(*i).cloned().flatten(),
+                        _ => None,
+                    })
+                    .collect()
+            }
+            Plan::Aggregate { input, group_by, aggs, .. } => {
+                let inner = self.origins(input);
+                let mut out: Vec<Origin> = group_by
+                    .iter()
+                    .map(|g| match g {
+                        BoundExpr::Column(i) => inner.get(*i).cloned().flatten(),
+                        _ => None,
+                    })
+                    .collect();
+                out.extend((0..aggs.len()).map(|_| None));
+                out
+            }
+            Plan::TopK { base, visible, rank, .. } => {
+                let inner = self.origins(base);
+                let mut out: Vec<Origin> = inner.into_iter().take(*visible).collect();
+                out.resize(*visible, None);
+                if *rank {
+                    out.push(None);
+                }
+                out
+            }
+        }
+    }
+
+    fn ndv(&self, origin: &Origin, side_rows: f64) -> f64 {
+        let cap = side_rows.max(1.0);
+        if let Some((table, col)) = origin {
+            if let Some(stats) = self.table_stats(table) {
+                if let Some(c) = stats.column(*col) {
+                    return (c.distinct as f64).clamp(1.0, cap);
+                }
+            }
+            if let Ok(t) = self.catalog.table(table) {
+                let t = t.read();
+                if let Some(c) = t.schema().columns.get(*col) {
+                    if let Some(idx) = t.index_on(&c.name) {
+                        return (idx.distinct_keys() as f64).clamp(1.0, cap);
+                    }
+                }
+            }
+        }
+        cap
+    }
+
+    fn stats_eq(&self, a: &BoundExpr, b: &BoundExpr, origins: &[Origin]) -> Option<f64> {
+        match (a, b) {
+            (BoundExpr::Column(i), BoundExpr::Literal(v))
+            | (BoundExpr::Literal(v), BoundExpr::Column(i)) => {
+                self.stats_eq_value(origins.get(*i)?, v)
+            }
+            (BoundExpr::Column(i), BoundExpr::Column(j)) => {
+                let ni = self.stats_ndv(origins.get(*i)?)?;
+                let nj = self.stats_ndv(origins.get(*j)?)?;
+                Some(1.0 / ni.max(nj).max(1.0))
+            }
+            _ => None,
+        }
+    }
+
+    fn stats_eq_value(&self, origin: &Origin, v: &Value) -> Option<f64> {
+        let (table, col) = origin.as_ref()?;
+        let stats = self.table_stats(table)?;
+        Some(stats.column(*col)?.eq_selectivity(v))
+    }
+
+    fn stats_range(
+        &self,
+        a: &BoundExpr,
+        op: BinaryOp,
+        b: &BoundExpr,
+        origins: &[Origin],
+    ) -> Option<f64> {
+        let (i, v, op) = match (a, b) {
+            (BoundExpr::Column(i), BoundExpr::Literal(v)) => (i, v, op),
+            (BoundExpr::Literal(v), BoundExpr::Column(i)) => {
+                let flipped = match op {
+                    BinaryOp::Lt => BinaryOp::Gt,
+                    BinaryOp::LtEq => BinaryOp::GtEq,
+                    BinaryOp::Gt => BinaryOp::Lt,
+                    BinaryOp::GtEq => BinaryOp::LtEq,
+                    other => other,
+                };
+                (i, v, flipped)
+            }
+            _ => return None,
+        };
+        let (table, col) = origins.get(*i)?.as_ref()?;
+        let stats = self.table_stats(table)?;
+        let c = stats.column(*col)?;
+        Some(match op {
+            BinaryOp::Lt => c.lt_selectivity(v, false),
+            BinaryOp::LtEq => c.lt_selectivity(v, true),
+            BinaryOp::Gt => c.gt_selectivity(v, false),
+            BinaryOp::GtEq => c.gt_selectivity(v, true),
+            _ => return None,
+        })
+    }
+
+    fn stats_ndv(&self, origin: &Origin) -> Option<f64> {
+        let (table, col) = origin.as_ref()?;
+        let stats = self.table_stats(table)?;
+        Some(stats.column(*col)?.distinct.max(1) as f64)
+    }
+
+    fn null_fraction(&self, origin: &Origin) -> Option<f64> {
+        let (table, col) = origin.as_ref()?;
+        let stats = self.table_stats(table)?;
+        Some(stats.column(*col)?.null_fraction())
+    }
+
+    fn table_rows(&self, table: &str) -> f64 {
+        match self.catalog.table(table) {
+            Ok(t) => {
+                let t = t.read();
+                t.stats().map(|s| s.rows as f64).unwrap_or_else(|| t.len() as f64)
+            }
+            Err(_) => UNKNOWN_TABLE_ROWS,
+        }
+    }
+
+    fn table_stats(&self, table: &str) -> Option<Arc<TableStats>> {
+        self.catalog.table(table).ok()?.read().stats()
+    }
+
+    fn table_arity(&self, table: &str) -> usize {
+        self.catalog.table(table).map(|t| t.read().schema().arity()).unwrap_or(0)
+    }
+
+    fn column_index(&self, table: &str, column: &str) -> Option<usize> {
+        self.catalog.table(table).ok()?.read().schema().column_index(column)
+    }
+}
+
+fn is_col_lit(a: &BoundExpr, b: &BoundExpr) -> bool {
+    matches!(
+        (a, b),
+        (BoundExpr::Column(_), BoundExpr::Literal(_))
+            | (BoundExpr::Literal(_), BoundExpr::Column(_))
+    )
+}
+
+/// Every node of a plan, witness sub-plans included.
+fn for_each_node<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
+    f(plan);
+    match plan {
+        Plan::Empty { .. } | Plan::Scan { .. } | Plan::IndexScan { .. } => {}
+        Plan::Filter { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. } => for_each_node(input, f),
+        Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
+            for_each_node(left, f);
+            for_each_node(right, f);
+        }
+        Plan::IndexJoin { probe, .. } => for_each_node(probe, f),
+        Plan::Union { inputs, .. } => inputs.iter().for_each(|i| for_each_node(i, f)),
+        Plan::TopK { base, probes, .. } => {
+            for_each_node(base, f);
+            for p in probes {
+                if let TopKProbeSource::Witness(w) = &p.source {
+                    for_each_node(w, f);
+                }
+            }
+        }
+    }
+}
+
+// ---- the corpus ------------------------------------------------------------
+
+/// A fixed (user, query, K/L) corpus over a small generated movie database.
+struct Corpus {
+    db: Database,
+    /// `(label, personalized query)`.
+    cases: Vec<(String, Personalized)>,
+}
+
+fn corpus(analyzed: bool) -> Corpus {
+    let mut movies = generate(MovieDbConfig {
+        movies: 400,
+        theatres: 10,
+        days: 6,
+        plays_per_day: 4,
+        ..MovieDbConfig::default()
+    });
+    if analyzed {
+        movies.db.execute("ANALYZE").expect("ANALYZE");
+    }
+    let db = movies.db;
+    let profiles = generate_profiles(
+        "user",
+        5,
+        &movies.pools,
+        &ProfileGenConfig { selections: 40, join_coverage: 1.0, seed: 11 },
+    );
+    let mut queries = generate_queries(8, &movies.pools, &QueryGenConfig::default());
+    queries.extend(generate_queries(4, &movies.pools, &QueryGenConfig::broad()));
+    let option_sets = [
+        ("k4l1", PersonalizeOptions::builder().k(4).l(1).build()),
+        ("k6l2", PersonalizeOptions::builder().k(6).l(2).build()),
+        ("k5l1r", PersonalizeOptions::builder().k(5).l(1).ranked().build()),
+    ];
+    let mut cases = Vec::new();
+    for profile in &profiles {
+        let graph = InMemoryGraph::build(profile, db.catalog()).expect("profile graph");
+        for (qi, query) in queries.iter().enumerate() {
+            let select = query.as_select().expect("plain SELECT").clone();
+            let qg = QueryGraph::from_select(&select, db.catalog()).expect("query graph");
+            for (name, options) in &option_sets {
+                let p = personalize_prepared(&select, &qg, &graph, *options).expect("personalize");
+                cases.push((format!("{}/q{qi}/{name}", profile.user), p));
+            }
+        }
+    }
+    Corpus { db, cases }
+}
+
+const REWRITES: [Rewrite; 3] = [Rewrite::Sq, Rewrite::Mq, Rewrite::NativeRank];
+
+#[test]
+fn one_pass_estimates_equal_the_recursive_reference_bit_for_bit() {
+    for analyzed in [true, false] {
+        let corpus = corpus(analyzed);
+        let reference = Reference { catalog: corpus.db.catalog() };
+        let mut plans = 0usize;
+        let mut nodes = 0usize;
+        for (label, p) in &corpus.cases {
+            for rw in REWRITES {
+                // SQ cannot express ranked queries; a refusal is not a case.
+                let Ok(choice) = build_execution(&corpus.db, p, rw, None) else { continue };
+                plans += 1;
+                // One estimator per plan and one across all of a plan's
+                // nodes must both agree with the reference.
+                let estimator = Estimator::new(corpus.db.catalog());
+                for_each_node(&choice.plan, &mut |node| {
+                    nodes += 1;
+                    let (rows, cost) = (estimator.rows(node), estimator.cost(node));
+                    let (ref_rows, ref_cost) = (reference.rows(node), reference.cost(node));
+                    assert_eq!(
+                        (rows.to_bits(), cost.to_bits()),
+                        (ref_rows.to_bits(), ref_cost.to_bits()),
+                        "{label} {rw} analyzed={analyzed}: one-pass ({rows}, {cost}) vs \
+                         reference ({ref_rows}, {ref_cost}) at\n{}",
+                        node.explain()
+                    );
+                });
+                assert_eq!(
+                    choice.cost.to_bits(),
+                    reference.cost(&choice.plan).to_bits(),
+                    "{label} {rw} analyzed={analyzed}: StrategyChoice::cost"
+                );
+            }
+        }
+        println!("analyzed={analyzed}: {plans} plans, {nodes} nodes agree");
+        assert!(plans >= 400 && nodes >= 10_000, "corpus shrank: {plans} plans, {nodes} nodes");
+    }
+}
+
+// ---- stability -------------------------------------------------------------
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, text: &str) {
+        for b in text.bytes().chain([0xFF]) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// FNV-1a over, for every case and every requested rewrite (the three
+/// explicit ones and `Auto`): the resolved rewrite, the estimated costs of
+/// every candidate (bit patterns), `Plan::explain()`, `Estimator::explain()`
+/// and the executed answer.
+fn digest(analyzed: bool) -> u64 {
+    let corpus = corpus(analyzed);
+    let mut fnv = Fnv(0xCBF2_9CE4_8422_2325);
+    for (label, p) in &corpus.cases {
+        for rw in REWRITES.into_iter().chain([Rewrite::Auto]) {
+            fnv.eat(label);
+            let choice = match build_execution(&corpus.db, p, rw, None) {
+                Ok(choice) => choice,
+                Err(e) => {
+                    fnv.eat(&format!("refused: {e}"));
+                    continue;
+                }
+            };
+            fnv.eat(choice.rewrite.label());
+            fnv.eat(&format!("{:016x}", choice.cost.to_bits()));
+            for (alt, cost) in &choice.alternatives {
+                fnv.eat(&format!("{}={:016x}", alt.label(), cost.to_bits()));
+            }
+            fnv.eat(&choice.plan.explain());
+            fnv.eat(&Estimator::new(corpus.db.catalog()).explain(&choice.plan));
+            let answer = corpus
+                .db
+                .run_plan_ctx(&choice.plan, &ExecOptions::default(), &QueryCtx::unlimited())
+                .expect("execute");
+            fnv.eat(&format!("{:?}", answer.columns));
+            fnv.eat(&format!("{:?}", answer.rows));
+        }
+    }
+    fnv.0
+}
+
+/// Recorded by running this very function on the parent commit (PR 14,
+/// `0ecb601`): owned-`String` schemas, recursive estimator.
+const PARENT_DIGEST_ANALYZED: u64 = 0x92bc_04d9_c461_9db2;
+const PARENT_DIGEST_UNANALYZED: u64 = 0xc8eb_2bee_c8f5_5e4c;
+
+#[test]
+fn plans_estimates_choices_and_answers_match_the_parent_commit() {
+    let (analyzed, unanalyzed) = (digest(true), digest(false));
+    println!("digest analyzed={analyzed:#018x} unanalyzed={unanalyzed:#018x}");
+    assert_eq!(
+        (analyzed, unanalyzed),
+        (PARENT_DIGEST_ANALYZED, PARENT_DIGEST_UNANALYZED),
+        "a plan, an estimate, a strategy choice or an answer changed"
+    );
+}
