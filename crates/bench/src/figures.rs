@@ -441,13 +441,13 @@ pub fn ablation_or_expansion() -> Vec<Experiment> {
             let Ok(sq) = p.sq() else { continue };
             let (r, ms) = time_ms(|| {
                 let plan = micro.db.plan(&sq).expect("plan");
-                pqp_engine::exec::execute(&plan, micro.db.catalog())
+                micro.db.run_plan(&plan)
             });
             r.expect("expanded SQ runs");
             t_with.push(ms);
             let (r, ms) = time_ms(|| {
                 let plan = micro.db.plan_unexpanded(&sq).expect("plan");
-                pqp_engine::exec::execute(&plan, micro.db.catalog())
+                micro.db.run_plan(&plan)
             });
             r.expect("unexpanded SQ runs");
             t_without.push(ms);

@@ -6,33 +6,29 @@
 //! smaller side; grouping and duplicate elimination preserve first-seen
 //! order so results are deterministic.
 //!
-//! By default ([`ExecOptions::batched`]) the hot path — scan, filter,
-//! project, hash-join probe, limit — runs column-oriented over
-//! [`pqp_storage::Batch`]es of ~[`pqp_storage::BATCH_SIZE`] rows in the
-//! `vexec` module, which produces byte-identical rows to the
-//! tuple-at-a-time functions in this module (the `PQP_BATCHED=0` escape
-//! hatch and the differential tests hold it to that). This module remains
-//! the reference semantics: `vexec` falls back to the row helpers here for
-//! every operator it does not vectorize.
+//! Rows (`Vec<Row>`) are the only currency between operators. The heap
+//! scan is columnar on the inside: it decodes datum-encoded rows straight
+//! into a [`pqp_storage::Batch`] of [`pqp_storage::BATCH_SIZE`] rows,
+//! evaluates the pushed-down filter over the columns as a selection vector
+//! (`crate::vexpr`) and materializes only the surviving rows.
 //!
 //! ## Intra-query parallelism
 //!
-//! [`execute_with`] accepts an [`ExecOptions`] thread budget. When
+//! [`execute_ctx`] accepts an [`ExecOptions`] thread budget. When
 //! `threads > 1` and an operator's input is at least
 //! [`ExecOptions::min_parallel_rows`], table scans, filters, projections and
 //! hash joins run partitioned across `std::thread::scope` workers (the
 //! private `par` module). Partitions are always merged **in partition
-//! order**, so
-//! parallel execution preserves the engine's deterministic first-seen
-//! ordering contract: for any plan, `execute_with(plan, catalog, opts)`
-//! returns byte-identical rows to the serial [`execute`]. Small inputs and
-//! `threads <= 1` take the serial fast path and never spawn.
+//! order**, so parallel execution preserves the engine's deterministic
+//! first-seen ordering contract: for any plan and any budget the rows are
+//! byte-identical to a serial run. Small inputs and `threads <= 1` take the
+//! serial fast path and never spawn.
 //!
 //! ## The query governor
 //!
-//! [`execute_ctx`] additionally threads a [`QueryCtx`] through every
-//! operator. Execution is *cooperative*: each operator checkpoints at its
-//! entry, base-table scans charge rows in batches of
+//! [`execute_ctx`] threads a [`QueryCtx`] through every operator.
+//! Execution is *cooperative*: each operator checkpoints at its entry, heap
+//! scans charge rows at every batch boundary and index reads in batches of
 //! [`pqp_obs::governor::CHARGE_BATCH_ROWS`], non-scan loops checkpoint
 //! every [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations, and
 //! row-materializing operators (joins, cross products, projections) charge
@@ -46,10 +42,11 @@ use crate::bound::BoundExpr;
 use crate::error::{bind_err, failpoint, Result};
 use crate::par;
 use crate::plan::Plan;
+use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, Row, Table, Value};
+use pqp_storage::{BatchBuilder, Catalog, Row, Table, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -70,16 +67,11 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Inputs below this row count stay serial even when `threads > 1`.
     pub min_parallel_rows: usize,
-    /// Process rows in column-oriented batches (`crate::vexec`) instead of
-    /// one boxed tuple at a time. On by default; both paths return
-    /// byte-identical rows, so this is a performance escape hatch, not a
-    /// semantic switch.
-    pub batched: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
-        ExecOptions { threads: 1, min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS, batched: true }
+        ExecOptions { threads: 1, min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS }
     }
 }
 
@@ -99,28 +91,6 @@ impl ExecOptions {
     pub fn min_parallel_rows(mut self, rows: usize) -> ExecOptions {
         self.min_parallel_rows = rows;
         self
-    }
-
-    /// Disable or re-enable batched execution (builder-style).
-    pub fn batched(mut self, on: bool) -> ExecOptions {
-        self.batched = on;
-        self
-    }
-
-    /// Read the thread budget from the `PQP_THREADS` environment variable
-    /// (serial when unset or unparsable) and the execution mode from
-    /// `PQP_BATCHED` (`0`, `false` or `off` select the tuple-at-a-time
-    /// path; anything else, including unset, keeps batching on).
-    pub fn from_env() -> ExecOptions {
-        let threads = std::env::var("PQP_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        let batched = match std::env::var("PQP_BATCHED") {
-            Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-            Err(_) => true,
-        };
-        ExecOptions::with_threads(threads).batched(batched)
     }
 
     /// Whether any operator may go parallel under this budget.
@@ -143,41 +113,22 @@ pub(crate) struct Env<'a> {
     pub ctx: &'a QueryCtx,
 }
 
-/// Execute a plan against a catalog serially, materializing all rows.
+/// Execute a plan under a thread budget and a query-governor context,
+/// materializing all rows: deadline / rows-scanned / memory limits are
+/// checked cooperatively at operator loop boundaries, and an exceeded budget
+/// aborts with [`EngineError::Budget`](crate::EngineError::Budget).
 ///
 /// Every operator runs under an observability span named `exec.<op>` with
 /// its output cardinality recorded, so a traced run yields per-operator
 /// rows and timings (`EXPLAIN ANALYZE`). Untraced runs pay only a
 /// thread-local check per operator.
-pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Vec<Row>> {
-    execute_with(plan, catalog, &ExecOptions::default())
-}
-
-/// Execute a plan under an explicit [`ExecOptions`] thread budget.
-///
-/// Output is byte-identical to [`execute`] for every plan and budget:
-/// parallel operators merge their partitions in partition order
-/// (`crate::par`), preserving the deterministic ordering contract.
-pub fn execute_with(plan: &Plan, catalog: &Catalog, opts: &ExecOptions) -> Result<Vec<Row>> {
-    execute_ctx(plan, catalog, opts, &QueryCtx::unlimited())
-}
-
-/// Execute a plan under a thread budget **and** a query-governor context:
-/// deadline / rows-scanned / memory limits are checked cooperatively at
-/// operator loop boundaries, and an exceeded budget aborts with
-/// [`EngineError::Budget`](crate::EngineError::Budget)(crate::EngineError::Budget).
 pub fn execute_ctx(
     plan: &Plan,
     catalog: &Catalog,
     opts: &ExecOptions,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
-    let env = Env { catalog, opts, ctx };
-    if opts.batched {
-        crate::vexec::run_root(&env, plan)
-    } else {
-        run(&env, plan)
-    }
+    run(&Env { catalog, opts, ctx }, plan)
 }
 
 /// The recursive workhorse: span + estimate bookkeeping around
@@ -197,7 +148,7 @@ pub(crate) fn run(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
-pub(crate) fn op_name(plan: &Plan) -> &'static str {
+fn op_name(plan: &Plan) -> &'static str {
     match plan {
         Plan::Empty { .. } => "exec.empty",
         Plan::Scan { .. } => "exec.scan",
@@ -311,7 +262,7 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
 /// Execute a [`Plan::IndexScan`]: an index point lookup plus residual
 /// filter, falling back to a full scan (with the reconstructed predicate)
 /// when the index was dropped after planning.
-pub(crate) fn index_scan(
+fn index_scan(
     env: &Env,
     table: &str,
     column: &str,
@@ -369,13 +320,8 @@ pub(crate) fn index_scan(
 
 /// Serve a filtered scan through a hash index when the pushed-down filter
 /// has a `col = literal` conjunct over an indexed column. `Ok(None)` means
-/// no such conjunct: the caller falls through to a full heap scan. Shared
-/// by the tuple and batched scan paths.
-pub(crate) fn scan_index_shortcut(
-    t: &Table,
-    f: &BoundExpr,
-    ctx: &QueryCtx,
-) -> Result<Option<Vec<Row>>> {
+/// no such conjunct: the caller falls through to a full heap scan.
+fn scan_index_shortcut(t: &Table, f: &BoundExpr, ctx: &QueryCtx) -> Result<Option<Vec<Row>>> {
     for conjunct in split_and(f) {
         let Some((col, value)) = as_eq_literal(conjunct) else {
             continue;
@@ -407,7 +353,7 @@ pub(crate) fn scan_index_shortcut(
 /// Scan a base table, using a hash index for an equality conjunct of the
 /// pushed-down filter when one exists; otherwise a full (possibly
 /// partitioned-parallel) heap scan.
-pub(crate) fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
+fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
@@ -423,26 +369,41 @@ pub(crate) fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result
             return par::scan_partitioned(&t, filter, parts, ctx);
         }
     }
-    let mut out = Vec::with_capacity(t.len());
-    let mut pending = 0u64;
-    for (_, row) in t.iter() {
-        let row = row?;
-        pending += 1;
-        if pending == CHARGE_BATCH_ROWS {
-            ctx.charge_rows(pending)?;
-            pending = 0;
+    scan_encoded(t.iter_raw(), t.schema().arity(), filter, ctx)
+}
+
+/// The body of every heap scan, serial and page-partitioned: decode
+/// datum-encoded rows straight into column vectors, and per batch of
+/// [`pqp_storage::BATCH_SIZE`] rows charge the governor (the batch boundary
+/// is the scan's charge point), evaluate the pushed-down filter as a
+/// selection vector and materialize the surviving rows.
+pub(crate) fn scan_encoded<'a>(
+    encoded: impl Iterator<Item = pqp_storage::Result<&'a [u8]>>,
+    arity: usize,
+    filter: Option<&BoundExpr>,
+    ctx: &QueryCtx,
+) -> Result<Vec<Row>> {
+    let mut encoded = encoded.fuse();
+    let mut out = Vec::new();
+    let mut builder = BatchBuilder::new(arity);
+    loop {
+        while !builder.is_full() {
+            let Some(enc) = encoded.next() else { break };
+            builder.push_encoded(enc?)?;
         }
+        if builder.is_empty() {
+            return Ok(out);
+        }
+        let batch = builder.finish();
+        ctx.charge_rows(batch.len() as u64)?;
         match filter {
             Some(f) => {
-                if f.eval_predicate(&row)? {
-                    out.push(row);
-                }
+                let selected = vexpr::select_true(f, &batch)?;
+                out.extend(selected.into_iter().map(|i| batch.row(i as usize)));
             }
-            None => out.push(row),
+            None => batch.append_rows(&mut out),
         }
     }
-    ctx.charge_rows(pending)?;
-    Ok(out)
 }
 
 /// Top-level conjuncts of a bound expression.
@@ -473,9 +434,8 @@ pub(crate) fn as_eq_literal(e: &BoundExpr) -> Option<(usize, &Value)> {
     }
 }
 
-/// Tuple-at-a-time filter over materialized rows, parallel when the budget
-/// allows.
-pub(crate) fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
+/// Filter materialized rows, parallel when the budget allows.
+fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     if let Some(parts) = env.opts.partitions_for(rows.len()) {
         return par::filter_partitioned(rows, predicate, parts, ctx);
@@ -492,9 +452,8 @@ pub(crate) fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> R
     Ok(out)
 }
 
-/// Tuple-at-a-time projection over materialized rows, parallel when the
-/// budget allows.
-pub(crate) fn project_rows(env: &Env, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
+/// Project materialized rows, parallel when the budget allows.
+fn project_rows(env: &Env, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     if let Some(parts) = env.opts.partitions_for(rows.len()) {
         return par::project_partitioned(rows, exprs, parts, ctx);
@@ -514,11 +473,7 @@ pub(crate) fn project_rows(env: &Env, rows: Vec<Row>, exprs: &[BoundExpr]) -> Re
 }
 
 /// Cartesian product of two materialized sides.
-pub(crate) fn cross_join_rows(
-    ctx: &QueryCtx,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-) -> Result<Vec<Row>> {
+fn cross_join_rows(ctx: &QueryCtx, lrows: Vec<Row>, rrows: Vec<Row>) -> Result<Vec<Row>> {
     // Cap the pre-allocation: a huge product should grow lazily (and
     // fail late with partial progress) rather than request the whole
     // worst case up front.
@@ -545,7 +500,7 @@ pub(crate) fn cross_join_rows(
 }
 
 /// Duplicate elimination preserving first-seen order.
-pub(crate) fn distinct_rows(ctx: &QueryCtx, rows: Vec<Row>) -> Result<Vec<Row>> {
+fn distinct_rows(ctx: &QueryCtx, rows: Vec<Row>) -> Result<Vec<Row>> {
     let mut seen = HashSet::with_capacity(rows.len());
     let mut out = Vec::new();
     for (i, row) in rows.into_iter().enumerate() {
@@ -580,7 +535,7 @@ pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
 /// analyzed tables the planner owns the index-join decision
 /// ([`Plan::IndexJoin`]); this runtime sniffing only covers un-analyzed
 /// tables.
-pub(crate) fn try_index_join(
+fn try_index_join(
     env: &Env,
     probe: &Plan,
     scan_side: &Plan,
@@ -624,7 +579,7 @@ pub(crate) fn try_index_join(
 /// when the probe side turns out large relative to the table, or the index
 /// is missing at runtime, fall back to hashing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn index_join(
+fn index_join(
     env: &Env,
     probe_rows: Vec<Row>,
     probe_key: usize,
@@ -731,7 +686,7 @@ fn hash_join_oriented(
 /// when the thread budget and input size allow, the serial one otherwise.
 /// Both produce identical rows in identical order (probe order, and
 /// build-insertion order within one key).
-pub(crate) fn join_rows(
+fn join_rows(
     env: &Env,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
@@ -806,7 +761,7 @@ fn hash_join(
     Ok(out)
 }
 
-pub(crate) fn aggregate(
+fn aggregate(
     rows: Vec<Row>,
     group_by: &[BoundExpr],
     aggs: &[crate::aggregate::AggCall],

@@ -61,7 +61,6 @@ pub mod planner;
 pub mod rewrite;
 pub mod topk;
 pub mod types;
-mod vexec;
 mod vexpr;
 
 pub use cost::{Estimate, Estimator};
@@ -165,13 +164,6 @@ impl Database {
         pqp_obs::record("result_rows", rows.len());
         let columns = plan.schema().columns.iter().map(|c| c.name.to_string()).collect();
         Ok(ResultSet { columns, rows })
-    }
-
-    /// Plan and execute a parsed query under an [`ExecOptions`] thread
-    /// budget.
-    pub fn run_query_with(&self, q: &Query, exec: &ExecOptions) -> Result<ResultSet> {
-        let plan = self.plan(q)?;
-        self.run_plan_with(&plan, exec)
     }
 
     /// Produce the optimized plan for a query (OR-expansion + planning).

@@ -10,7 +10,7 @@
 //!
 //! - scans partition the heap into contiguous *page* ranges and concatenate
 //!   partition outputs in partition order, which is exactly the serial
-//!   iteration order ([`pqp_storage::Heap::iter_partition`]);
+//!   iteration order ([`pqp_storage::Heap::iter_raw_partition`]);
 //! - filter/project split their materialized input into contiguous row
 //!   chunks and merge chunk outputs in chunk order;
 //! - the hash join builds hash-partitioned tables over the smaller side
@@ -46,8 +46,8 @@
 
 use crate::bound::BoundExpr;
 use crate::error::{EngineError, Result};
-use crate::exec::key_of;
-use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
+use crate::exec::{key_of, scan_encoded};
+use pqp_obs::governor::CHECKPOINT_STRIDE;
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_storage::{Row, Table, Value};
 use std::collections::hash_map::DefaultHasher;
@@ -57,12 +57,12 @@ use std::thread::ScopedJoinHandle;
 
 /// Count workers spawned by a parallel operator (the never-spawns-when-
 /// serial regression tests watch this counter).
-pub(crate) fn count_workers(n: usize) {
+fn count_workers(n: usize) {
     pqp_obs::counter_add("exec.parallel.workers", n as i64);
 }
 
 /// Record the partition fan-out of the current operator's span.
-pub(crate) fn record_partitions(sizes: &[usize]) {
+fn record_partitions(sizes: &[usize]) {
     pqp_obs::record("partitions", sizes.len());
     pqp_obs::record("partition_rows", format!("{sizes:?}"));
 }
@@ -70,7 +70,7 @@ pub(crate) fn record_partitions(sizes: &[usize]) {
 /// The `par.worker` failpoint, fired at every worker's entry: `error` fails
 /// that worker's partition, `panic` exercises the panic-isolation path
 /// below, `delay` stretches the worker so deadlines trip mid-operator.
-pub(crate) fn worker_failpoint() -> Result<()> {
+fn worker_failpoint() -> Result<()> {
     match pqp_obs::failpoint::fire("par.worker") {
         Some(msg) => Err(EngineError::Internal(format!("failpoint par.worker: {msg}"))),
         None => Ok(()),
@@ -80,7 +80,7 @@ pub(crate) fn worker_failpoint() -> Result<()> {
 /// Join a scoped worker, converting a worker panic into a typed
 /// [`EngineError::Internal`] instead of propagating the unwind: the query
 /// fails, the scope still joins every other worker, the process lives on.
-pub(crate) fn join_worker<T>(handle: ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
+fn join_worker<T>(handle: ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
     match handle.join() {
         Ok(result) => result,
         Err(payload) => {
@@ -121,9 +121,9 @@ fn merge_ordered(results: Vec<Result<Vec<Row>>>) -> Result<Vec<Row>> {
     Ok(out)
 }
 
-/// Parallel partitioned scan over a table's heap pages: each worker scans
-/// one contiguous page range, applying the pushed-down filter; partitions
-/// merge in page order (= serial scan order). Records
+/// Parallel partitioned scan over a table's heap pages: each worker runs
+/// the scan body ([`scan_encoded`]) over one contiguous page range;
+/// partitions merge in page order (= serial scan order). Records
 /// `exec.scan.partitions` via the span fields and metrics.
 pub(crate) fn scan_partitioned(
     t: &Table,
@@ -133,31 +133,13 @@ pub(crate) fn scan_partitioned(
 ) -> Result<Vec<Row>> {
     count_workers(parts);
     pqp_obs::counter_add("exec.scan.partitions", parts as i64);
+    let arity = t.schema().arity();
     let results: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..parts)
             .map(|p| {
                 s.spawn(move || -> Result<Vec<Row>> {
                     worker_failpoint()?;
-                    let mut out = Vec::new();
-                    let mut pending = 0u64;
-                    for (_, row) in t.iter_partition(p, parts) {
-                        let row = row?;
-                        pending += 1;
-                        if pending == CHARGE_BATCH_ROWS {
-                            ctx.charge_rows(pending)?;
-                            pending = 0;
-                        }
-                        match filter {
-                            Some(f) => {
-                                if f.eval_predicate(&row)? {
-                                    out.push(row);
-                                }
-                            }
-                            None => out.push(row),
-                        }
-                    }
-                    ctx.charge_rows(pending)?;
-                    Ok(out)
+                    scan_encoded(t.iter_raw_partition(p, parts), arity, filter, ctx)
                 })
             })
             .collect();

@@ -9,8 +9,6 @@
 //!
 //! 1. **Group**: consume the base input (visible columns ++ one probe
 //!    column per preference), folding rows into visible-prefix groups.
-//!    Batched inputs are ingested batch-by-batch with a governor
-//!    checkpoint at every batch boundary.
 //! 2. **Probe passes**: one pass per optional preference, in decreasing
 //!    degree order. A pass builds the preference's *witness set* (the
 //!    single-column result of a small sub-plan — the preference's join
@@ -140,25 +138,11 @@ pub(crate) fn execute(
     }
 
     // Phase 1: consume the base and group by the visible prefix,
-    // first-seen order. Batched inputs checkpoint at batch boundaries.
+    // first-seen order.
     let mut groups: Vec<Group> = Vec::new();
     let mut index: HashMap<Row, usize> = HashMap::new();
-    if env.opts.batched {
-        match crate::vexec::run_b(env, base)? {
-            crate::vexec::Out::B(bats) => {
-                for b in &bats {
-                    env.ctx.checkpoint()?;
-                    let mut rows = Vec::with_capacity(b.len());
-                    b.append_rows(&mut rows);
-                    ingest(env, rows, visible, &mut groups, &mut index)?;
-                }
-            }
-            crate::vexec::Out::R(rows) => ingest(env, rows, visible, &mut groups, &mut index)?,
-        }
-    } else {
-        let rows = exec::run(env, base)?;
-        ingest(env, rows, visible, &mut groups, &mut index)?;
-    }
+    let rows = exec::run(env, base)?;
+    ingest(env, rows, visible, &mut groups, &mut index)?;
     drop(index);
     pqp_obs::record("groups", groups.len());
 
@@ -362,8 +346,7 @@ fn ingest(
 /// Execute a witness sub-plan and collect its single output column into a
 /// membership set. NULLs are excluded: SQL equality never matches them.
 fn witness_set(env: &Env, plan: &Plan) -> Result<HashSet<Value>> {
-    let rows =
-        if env.opts.batched { crate::vexec::run_root(env, plan)? } else { exec::run(env, plan)? };
+    let rows = exec::run(env, plan)?;
     let mut set = HashSet::with_capacity(rows.len());
     let mut bytes: u64 = 0;
     for row in rows {

@@ -1,76 +1,37 @@
-//! Vectorized expression evaluation over [`Batch`] columns.
+//! Vectorized predicate evaluation over [`Batch`] columns: the heap scan's
+//! pushed-down filter.
 //!
-//! The contract is strict: every function here is **observably identical**
-//! to evaluating the same [`BoundExpr`] with `BoundExpr::eval` against each
-//! materialized row — same selected rows, same projected values, and an
-//! error exactly when the tuple path would error (in exotic rows carrying
-//! *multiple* latent errors, which error surfaces may differ; both paths
-//! still fail). Typed comparison kernels are used only where the column
-//! representation proves them exact; everything else falls back to a
-//! per-row loop over materialized rows, which is trivially exact.
+//! The contract is strict: [`select_true`] is **observably identical** to
+//! calling `BoundExpr::eval_predicate` on each materialized row — same
+//! selected rows, and an error exactly when per-row evaluation would error
+//! (in exotic rows carrying *multiple* latent errors, which error surfaces
+//! may differ; both still fail). Typed comparison kernels are used only
+//! where the column representation proves them exact; everything else falls
+//! back to a per-row loop over materialized rows, which is trivially exact.
 //!
 //! Three-valued logic is evaluated as a per-row tri-state ([`Tri`]):
 //! `AND`/`OR` first evaluate their left side over the whole selection (the
-//! tuple path also always evaluates the left), then the right side only over
-//! the sub-selection the left did not decide — preserving the tuple path's
+//! per-row evaluator also always evaluates the left), then the right side
+//! only over the sub-selection the left did not decide — preserving the
 //! guarantee that `x <> 0 AND 10 / x > 1` never divides by zero on a
 //! filtered-out row.
 
 use crate::bound::BoundExpr;
 use crate::error::{exec_err, Result};
 use pqp_sql::BinaryOp;
-use pqp_storage::{total_fcmp, Batch, Column, ColumnData, Value};
+use pqp_storage::{total_fcmp, Batch, ColumnData, Value};
 use std::cmp::Ordering;
 
-/// The row indices of `batch` (in order) whose predicate evaluates to TRUE
-/// — the batched equivalent of `BoundExpr::eval_predicate` per row.
+/// The row indices of `batch` (in order) whose predicate evaluates to TRUE.
 pub(crate) fn select_true(pred: &BoundExpr, batch: &Batch) -> Result<Vec<u32>> {
     let sel: Vec<u32> = (0..batch.len() as u32).collect();
     let tri = eval_tri(pred, batch, &sel)?;
     Ok(sel.into_iter().zip(tri).filter(|(_, t)| matches!(t, Tri::T)).map(|(i, _)| i).collect())
 }
 
-/// Project a batch through output expressions — the batched equivalent of
-/// `BoundExpr::eval` per row per expression.
-///
-/// Column references copy the input column wholesale and literals broadcast
-/// without touching rows; any other expression shape drops to one
-/// row-at-a-time pass (rows materialized once, expressions evaluated
-/// left-to-right — the tuple path's exact error order).
-pub(crate) fn project_batch(exprs: &[BoundExpr], batch: &Batch) -> Result<Batch> {
-    let n = batch.len();
-    let mut cols: Vec<Option<Column>> = exprs
-        .iter()
-        .map(|e| match e {
-            BoundExpr::Column(i) => Some(batch.column(*i).clone()),
-            BoundExpr::Literal(v) => {
-                Some(Column::from_values(std::iter::repeat_n(v.clone(), n).collect()))
-            }
-            _ => None,
-        })
-        .collect();
-    if cols.iter().any(Option::is_none) {
-        let mut vals: Vec<Vec<Value>> = exprs.iter().map(|_| Vec::new()).collect();
-        for i in 0..n {
-            let row = batch.row(i);
-            for (j, e) in exprs.iter().enumerate() {
-                if cols[j].is_none() {
-                    vals[j].push(e.eval(&row)?);
-                }
-            }
-        }
-        for (j, c) in cols.iter_mut().enumerate() {
-            if c.is_none() {
-                *c = Some(Column::from_values(std::mem::take(&mut vals[j])));
-            }
-        }
-    }
-    Ok(Batch::from_columns(cols.into_iter().flatten().collect()))
-}
-
 /// Per-row predicate state: TRUE, FALSE, NULL, or a non-boolean value that
 /// becomes a type error if (and only if) a logical connective must inspect
-/// it — mirroring `expect_bool` in the tuple evaluator.
+/// it — mirroring `expect_bool` in the per-row evaluator.
 enum Tri {
     T,
     F,
@@ -114,7 +75,7 @@ fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
         }
         BoundExpr::Binary { left, op: BinaryOp::And, right } => {
             // Kleene AND, FALSE-dominant: the right side is evaluated only
-            // where the left is not FALSE (matching the tuple short-circuit).
+            // where the left is not FALSE (matching the per-row short-circuit).
             let l = eval_tri(left, batch, sel)?;
             let sub: Vec<u32> =
                 sel.iter().zip(&l).filter(|(_, t)| !matches!(t, Tri::F)).map(|(&i, _)| i).collect();
@@ -192,9 +153,9 @@ fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
     }
 }
 
-/// Exact fallback: materialize each selected row and evaluate the tuple
-/// way. Errors surface at the first erring row in selection (= row) order,
-/// exactly as the tuple loop would.
+/// Exact fallback: materialize each selected row and evaluate it on its
+/// own. Errors surface at the first erring row in selection (= row) order,
+/// exactly as a per-row loop would.
 fn per_row(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
     sel.iter()
         .map(|&i| {
@@ -289,4 +250,187 @@ fn cmp_kernel(
         ),
         _ => None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pqp_obs::rng::{Rng, SmallRng};
+    use pqp_storage::row::encode_row_vec;
+    use pqp_storage::{BatchBuilder, DataType, Row};
+
+    /// One column of each representation, plus repeats so `column = column`
+    /// and arithmetic draws can land on two columns of one type.
+    const COLUMNS: &[DataType] = &[
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Int,
+        DataType::Str,
+        DataType::Bool,
+    ];
+
+    const STRINGS: &[&str] = &["x", "y", "z", ""];
+
+    fn arb_literal(rng: &mut SmallRng, ty: DataType) -> Value {
+        match ty {
+            DataType::Int => Value::Int(rng.gen_range(0..4i64)),
+            DataType::Float => Value::Float(rng.gen_range(0..8i64) as f64 / 2.0),
+            DataType::Bool => Value::Bool(rng.gen_bool(0.5)),
+            DataType::Str => Value::from(STRINGS[rng.gen_index(STRINGS.len())]),
+        }
+    }
+
+    /// Rows as a scan would see them: schema-typed columns, 1-in-4 NULLs so
+    /// null masks, all-NULL (`Val`) columns and three-valued logic all occur.
+    fn arb_rows(rng: &mut SmallRng) -> Vec<Row> {
+        let n = rng.gen_range(0..24usize);
+        (0..n)
+            .map(|_| {
+                COLUMNS
+                    .iter()
+                    .map(|&ty| if rng.gen_bool(0.25) { Value::Null } else { arb_literal(rng, ty) })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The scan's decode path: datum-encoded rows into column vectors.
+    fn batch_of(rows: &[Row]) -> Batch {
+        let mut b = BatchBuilder::new(COLUMNS.len());
+        for row in rows {
+            b.push_encoded(&encode_row_vec(row)).unwrap();
+        }
+        b.finish()
+    }
+
+    fn arb_column(rng: &mut SmallRng) -> (BoundExpr, DataType) {
+        let i = rng.gen_index(COLUMNS.len());
+        (BoundExpr::Column(i), COLUMNS[i])
+    }
+
+    fn binary(left: BoundExpr, op: BinaryOp, right: BoundExpr) -> BoundExpr {
+        BoundExpr::Binary { left: Box::new(left), op, right: Box::new(right) }
+    }
+
+    /// Random predicates biased toward the kernels' hazards: typed
+    /// comparisons (column vs literal, both orientations), cross-type
+    /// comparisons (type errors for ordered ops), arithmetic under
+    /// comparison (division by zero must error on exactly the rows per-row
+    /// evaluation reaches) and Kleene AND/OR whose right side must stay
+    /// unevaluated where the left decides.
+    fn arb_predicate(rng: &mut SmallRng, depth: usize) -> BoundExpr {
+        if depth > 0 && rng.gen_bool(0.4) {
+            let left = arb_predicate(rng, depth - 1);
+            return match rng.gen_range(0..3u32) {
+                0 => binary(left, BinaryOp::And, arb_predicate(rng, depth - 1)),
+                1 => binary(left, BinaryOp::Or, arb_predicate(rng, depth - 1)),
+                _ => BoundExpr::Not(Box::new(left)),
+            };
+        }
+        match rng.gen_range(0..8u32) {
+            0 => {
+                // column <op> literal, matching type: the kernel fast path.
+                let (col, ty) = arb_column(rng);
+                let ops = [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq];
+                let op = ops[rng.gen_index(ops.len())];
+                let lit = BoundExpr::Literal(arb_literal(rng, ty));
+                if rng.gen_bool(0.5) {
+                    binary(col, op, lit)
+                } else {
+                    binary(lit, op, col)
+                }
+            }
+            1 => {
+                // column <op> literal, random type (NULL included):
+                // cross-class Eq/NotEq never match, ordered ops are per-row
+                // type errors.
+                let (col, _) = arb_column(rng);
+                let lit = match rng.gen_range(0..5u32) {
+                    0 => Value::Null,
+                    t => arb_literal(
+                        rng,
+                        [DataType::Int, DataType::Float, DataType::Bool, DataType::Str]
+                            [t as usize - 1],
+                    ),
+                };
+                let ops = [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::Gt];
+                binary(col, ops[rng.gen_index(ops.len())], BoundExpr::Literal(lit))
+            }
+            2 => {
+                // column = column: not kernelable, the per-row fallback.
+                binary(arb_column(rng).0, BinaryOp::Eq, arb_column(rng).0)
+            }
+            3 => {
+                BoundExpr::IsNull { expr: Box::new(arb_column(rng).0), negated: rng.gen_bool(0.5) }
+            }
+            4 => {
+                let (c, ty) = arb_column(rng);
+                let n = rng.gen_range(1..3usize);
+                let list = (0..n).map(|_| BoundExpr::Literal(arb_literal(rng, ty))).collect();
+                BoundExpr::InList { expr: Box::new(c), list, negated: rng.gen_bool(0.5) }
+            }
+            5 => {
+                // A bare column or literal as a predicate: booleans classify
+                // directly, anything else is a type error only where a
+                // connective inspects it.
+                if rng.gen_bool(0.7) {
+                    arb_column(rng).0
+                } else {
+                    BoundExpr::Literal(arb_literal(rng, DataType::Bool))
+                }
+            }
+            6 => {
+                // The guard idiom: `x <> 0 AND 10 / x > 1` must never divide
+                // by zero on a row the left side filtered out.
+                let (x, _) = arb_column(rng);
+                let guard = binary(x.clone(), BinaryOp::NotEq, BoundExpr::Literal(Value::Int(0)));
+                let div = binary(BoundExpr::Literal(Value::Int(10)), BinaryOp::Div, x);
+                binary(
+                    guard,
+                    BinaryOp::And,
+                    binary(div, BinaryOp::Gt, BoundExpr::Literal(Value::Int(1))),
+                )
+            }
+            _ => {
+                // Arithmetic under a comparison; Div by a small-int column
+                // hits division by zero on some rows.
+                let ops = [BinaryOp::Plus, BinaryOp::Minus, BinaryOp::Mul, BinaryOp::Div];
+                let arith =
+                    binary(arb_column(rng).0, ops[rng.gen_index(ops.len())], arb_column(rng).0);
+                binary(arith, BinaryOp::Gt, BoundExpr::Literal(Value::Int(1)))
+            }
+        }
+    }
+
+    #[test]
+    fn select_true_matches_per_row_evaluation() {
+        let mut rng = SmallRng::seed_from_u64(0xBA7C);
+        let (mut selected_some, mut errored) = (0, 0);
+        for _ in 0..4096 {
+            let rows = arb_rows(&mut rng);
+            let batch = batch_of(&rows);
+            let pred = arb_predicate(&mut rng, 3);
+            let per_row: Result<Vec<u32>> = (0..batch.len())
+                .filter_map(|i| match pred.eval_predicate(&batch.row(i)) {
+                    Ok(true) => Some(Ok(i as u32)),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                })
+                .collect();
+            match (per_row, select_true(&pred, &batch)) {
+                (Ok(expected), Ok(selected)) => {
+                    assert_eq!(selected, expected, "{pred:?} over {rows:?}");
+                    selected_some += usize::from(!selected.is_empty());
+                }
+                (Err(_), Err(_)) => errored += 1, // which error surfaces may differ
+                (Ok(_), Err(e)) => panic!("select_true alone failed ({e}): {pred:?} over {rows:?}"),
+                (Err(e), Ok(_)) => panic!("per-row alone failed ({e}): {pred:?} over {rows:?}"),
+            }
+        }
+        assert!(
+            selected_some > 500 && errored > 100,
+            "{selected_some} selected, {errored} errored"
+        );
+    }
 }

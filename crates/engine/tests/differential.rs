@@ -1,9 +1,10 @@
 //! Differential testing: on random databases and random queries, the
 //! optimized pipeline (rewrite → plan → execute) must produce exactly the
-//! same multiset of rows as the naive AST interpreter. Driven by a seeded
-//! PRNG so failures reproduce exactly.
+//! same multiset of rows as the naive AST interpreter — serially and under
+//! a thread budget low enough that every operator fans out. Driven by a
+//! seeded PRNG so failures reproduce exactly.
 
-use pqp_engine::Database;
+use pqp_engine::{Database, ExecOptions};
 use pqp_obs::rng::{Rng, SmallRng};
 use pqp_sql::ast::*;
 use pqp_sql::builder as b;
@@ -11,35 +12,32 @@ use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
 
 /// Fixed table shapes; row contents are generated.
 const TABLES: &[(&str, &[(&str, DataType)])] = &[
-    ("T0", &[("a", DataType::Int), ("b", DataType::Int), ("c", DataType::Str)]),
+    ("T0", &[("a", DataType::Int), ("b", DataType::Float), ("c", DataType::Str)]),
     ("T1", &[("d", DataType::Int), ("e", DataType::Str)]),
-    ("T2", &[("f", DataType::Int), ("g", DataType::Int)]),
+    ("T2", &[("f", DataType::Int), ("g", DataType::Bool), ("h", DataType::Int)]),
 ];
 
-const STRINGS: &[&str] = &["x", "y", "z"];
+const STRINGS: &[&str] = &["x", "y", "z", ""];
 
 fn arb_value(rng: &mut SmallRng, ty: DataType) -> Value {
-    // 1-in-4 NULLs so three-valued logic gets exercised.
+    // 1-in-4 NULLs so three-valued logic and null masks get exercised.
     if rng.gen_bool(0.25) {
         return Value::Null;
     }
-    match ty {
-        DataType::Int => Value::Int(rng.gen_range(0..4i64)),
-        DataType::Str => Value::from(STRINGS[rng.gen_index(STRINGS.len())]),
-        _ => unreachable!(),
-    }
+    arb_literal(rng, ty)
 }
 
-fn arb_db(rng: &mut SmallRng) -> Database {
+/// A database with up to `max_rows[i]` rows in table `i`.
+fn arb_db(rng: &mut SmallRng, max_rows: [usize; 3]) -> Database {
     let mut c = Catalog::new();
-    for (name, cols) in TABLES {
+    for ((name, cols), max_rows) in TABLES.iter().zip(max_rows) {
         let schema = TableSchema::new(
             *name,
             cols.iter().map(|(n, ty)| ColumnDef::nullable(*n, *ty)).collect(),
         );
         let t = c.create_table(schema).unwrap();
         let mut t = t.write();
-        let n = rng.gen_range(0..10usize);
+        let n = rng.gen_range(0..max_rows);
         for _ in 0..n {
             let row: Vec<Value> = cols.iter().map(|(_, ty)| arb_value(rng, *ty)).collect();
             t.insert(row).unwrap();
@@ -63,7 +61,9 @@ fn arb_column(rng: &mut SmallRng, factors: &[usize]) -> (Expr, DataType) {
 fn arb_literal(rng: &mut SmallRng, ty: DataType) -> Value {
     match ty {
         DataType::Int => Value::Int(rng.gen_range(0..4i64)),
-        _ => Value::from(STRINGS[rng.gen_index(STRINGS.len())]),
+        DataType::Float => Value::Float(rng.gen_range(0..8i64) as f64 / 2.0),
+        DataType::Bool => Value::Bool(rng.gen_bool(0.5)),
+        DataType::Str => Value::from(STRINGS[rng.gen_index(STRINGS.len())]),
     }
 }
 
@@ -116,11 +116,16 @@ fn arb_predicate(rng: &mut SmallRng, factors: &[usize], depth: usize) -> Expr {
 fn arb_query(rng: &mut SmallRng) -> Query {
     let k = rng.gen_range(1..3usize);
     let factors: Vec<usize> = (0..k).map(|_| rng.gen_index(TABLES.len())).collect();
+    arb_query_over(rng, &factors)
+}
+
+/// A random query over the given tables (one factor each, aliases q0..).
+fn arb_query_over(rng: &mut SmallRng, factors: &[usize]) -> Query {
     let from: Vec<TableFactor> =
         factors.iter().enumerate().map(|(i, &t)| b::table(TABLES[t].0, format!("q{i}"))).collect();
     let n_proj = rng.gen_range(1..3usize);
-    let proj: Vec<(Expr, DataType)> = (0..n_proj).map(|_| arb_column(rng, &factors)).collect();
-    let selection = if rng.gen_bool(0.5) { Some(arb_predicate(rng, &factors, 3)) } else { None };
+    let proj: Vec<(Expr, DataType)> = (0..n_proj).map(|_| arb_column(rng, factors)).collect();
+    let selection = if rng.gen_bool(0.5) { Some(arb_predicate(rng, factors, 3)) } else { None };
     if rng.gen_bool(0.5) {
         // GROUP BY the first projected column with COUNT(*).
         let gcol = proj[0].0.clone();
@@ -144,30 +149,81 @@ fn arb_query(rng: &mut SmallRng) -> Query {
     }
 }
 
+/// Run `query` through the naive interpreter and through the planned
+/// pipeline, serially and under a thread budget low enough that scans (on
+/// multi-page tables), filters, projections and joins all fan out: each
+/// planned run must return the oracle's multiset of rows, or fail where the
+/// oracle fails.
+fn assert_matches_naive(db: &Database, query: &Query) {
+    let naive = db.run_naive(query).map(|r| {
+        let mut rows = r.rows;
+        rows.sort();
+        rows
+    });
+    for opts in [ExecOptions::serial(), ExecOptions::with_threads(4).min_parallel_rows(2)] {
+        let fast = db.plan(query).and_then(|plan| db.run_plan_with(&plan, &opts));
+        match (&naive, fast) {
+            (Ok(n), Ok(f)) => {
+                let mut f = f.rows;
+                f.sort();
+                assert_eq!(n, &f, "threads={} query: {query}", opts.threads);
+            }
+            (Err(_), Err(_)) => {}
+            (Ok(_), Err(e)) => {
+                panic!(
+                    "engine (threads={}) failed where naive succeeded on `{query}`: {e}",
+                    opts.threads
+                );
+            }
+            (Err(e), Ok(_)) => {
+                panic!(
+                    "naive failed where engine (threads={}) succeeded on `{query}`: {e}",
+                    opts.threads
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn optimized_engine_matches_naive() {
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
     for _ in 0..384 {
-        let db = arb_db(&mut rng);
+        let db = arb_db(&mut rng, [10; 3]);
         let query = arb_query(&mut rng);
-        let naive = db.run_naive(&query);
-        let fast = db.run_query(&query);
-        match (naive, fast) {
-            (Ok(n), Ok(f)) => {
-                let mut n = n.rows;
-                let mut f = f.rows;
-                n.sort();
-                f.sort();
-                assert_eq!(n, f, "query: {query}");
-            }
-            (Err(_), Err(_)) => {}
-            (Ok(_), Err(e)) => {
-                panic!("engine failed where naive succeeded on `{query}`: {e}");
-            }
-            (Err(e), Ok(_)) => {
-                panic!("naive failed where engine succeeded on `{query}`: {e}");
-            }
+        assert_matches_naive(&db, &query);
+    }
+}
+
+/// Equi-joins over the multi-page fixture: partitioned scans on both sides,
+/// NULL join keys, post-join filters and projections.
+const JOIN_QUERIES: &[&str] = &[
+    "select q0.d, q1.f from T1 q0, T2 q1 where q0.d = q1.f and q1.g = true",
+    "select q0.e, q1.h from T1 q0, T2 q1 where q0.d = q1.h and q0.e <> '' and q1.f >= 2",
+    "select distinct q0.e from T1 q0, T2 q1 where q0.d = q1.f",
+];
+
+#[test]
+fn page_partitioned_scans_match_naive() {
+    // Tables spanning several heap pages (T0 also several scan batches), so
+    // the parallel runs split every scan into page ranges whose last batch
+    // is short, and the serial runs cross batch boundaries mid-table. T1 and
+    // T2 stay small because the oracle enumerates the joins' cross product.
+    let mut rng = SmallRng::seed_from_u64(0x0B47);
+    let db = loop {
+        let db = arb_db(&mut rng, [4_000, 700, 700]);
+        let pages = |t: &str| db.catalog().table(t).unwrap().read().page_count();
+        if pages("T0") >= 8 && pages("T1") >= 2 && pages("T2") >= 2 {
+            break db;
         }
+    };
+    for _ in 0..48 {
+        let table = rng.gen_index(TABLES.len());
+        let query = arb_query_over(&mut rng, &[table]);
+        assert_matches_naive(&db, &query);
+    }
+    for sql in JOIN_QUERIES {
+        assert_matches_naive(&db, &pqp_sql::parse_query(sql).unwrap());
     }
 }
 
@@ -175,7 +231,7 @@ fn optimized_engine_matches_naive() {
 fn sql_text_roundtrip_preserves_semantics() {
     let mut rng = SmallRng::seed_from_u64(0x7E47);
     for _ in 0..384 {
-        let db = arb_db(&mut rng);
+        let db = arb_db(&mut rng, [10; 3]);
         let query = arb_query(&mut rng);
         // Executing the printed SQL must equal executing the AST.
         let direct = db.run_query(&query);

@@ -88,8 +88,9 @@ fn more_partitions_than_pages_is_fine() {
     let opts = ExecOptions::with_threads(16).min_parallel_rows(1);
     for sql in QUERIES {
         let q = parse_query(sql).unwrap();
-        let serial = db.run_query(&q).unwrap();
-        let parallel = db.run_query_with(&q, &opts).unwrap();
+        let plan = db.plan(&q).unwrap();
+        let serial = db.run_plan(&plan).unwrap();
+        let parallel = db.run_plan_with(&plan, &opts).unwrap();
         assert_eq!(serial.rows, parallel.rows, "`{sql}` diverged with excess partitions");
     }
 }
@@ -98,10 +99,11 @@ fn more_partitions_than_pages_is_fine() {
 fn parallel_run_records_its_shape_in_the_trace() {
     let db = fixture(600);
     let q = parse_query("select A.id, B.y from A, B where A.id = B.a_id").unwrap();
+    let plan = db.plan(&q).unwrap();
     let opts = ExecOptions::with_threads(4).min_parallel_rows(2);
 
     pqp_obs::trace_begin("test");
-    db.run_query_with(&q, &opts).unwrap();
+    db.run_plan_with(&plan, &opts).unwrap();
     let trace = pqp_obs::trace_end().unwrap();
 
     let join = trace
@@ -123,17 +125,10 @@ fn parallel_run_records_its_shape_in_the_trace() {
 }
 
 #[test]
-fn exec_options_builder_clamps_and_parses() {
+fn exec_options_builder_clamps() {
     assert_eq!(ExecOptions::default().threads, 1);
     assert!(!ExecOptions::default().is_parallel());
     assert_eq!(ExecOptions::with_threads(0).threads, 1, "zero clamps to serial");
     assert!(ExecOptions::with_threads(2).is_parallel());
     assert_eq!(ExecOptions::serial(), ExecOptions::default());
-
-    std::env::set_var("PQP_THREADS", "3");
-    assert_eq!(ExecOptions::from_env().threads, 3);
-    std::env::set_var("PQP_THREADS", "not a number");
-    assert_eq!(ExecOptions::from_env().threads, 1);
-    std::env::remove_var("PQP_THREADS");
-    assert_eq!(ExecOptions::from_env().threads, 1);
 }

@@ -1,24 +1,22 @@
-//! Column-oriented row batches: the unit of vectorized execution.
+//! Column-oriented row batches: the inside of the heap scan.
 //!
 //! A [`Batch`] holds ~[`BATCH_SIZE`] rows column-wise. Each [`Column`] is a
 //! typed vector (`Vec<i64>`, `Vec<f64>`, `Vec<bool>`, `Vec<Arc<str>>`) with
 //! an optional null mask, falling back to a plain `Vec<Value>` for all-null
-//! or mixed-type columns. Compared to the tuple representation
-//! (`Vec<Vec<Value>>`) this removes the per-row heap allocation, shrinks
-//! ints and floats from a 32-byte enum to 8 bytes, and makes row movement
-//! through joins a *gather* — a memcpy for numeric columns and a refcount
-//! bump for strings (`Arc<str>`) instead of a `String` clone per cell.
+//! or mixed-type columns. The scan decodes heap rows into a batch, filters
+//! it with typed comparison loops over whole columns, and materializes a
+//! `Vec<Value>` only for the rows that survive.
 //!
 //! Columns are dynamically typed with promotion: a [`BatchBuilder`] column
 //! starts untyped, adopts the type of the first non-null value it sees, and
 //! demotes to the `Val` fallback if a second type ever appears. Batches
 //! scanned from schema-typed tables therefore always take the typed
 //! representation (inserts coerce `Int` → `Float`, so a column never mixes),
-//! and the fallback only pays for exotic computed columns.
+//! and the fallback only pays for exotic columns.
 //!
 //! [`BatchBuilder::push_encoded`] decodes a [`crate::datum`]-encoded row
-//! straight into the column vectors — the batched scan path — without ever
-//! materializing a `Vec<Value>`.
+//! straight into the column vectors without ever materializing a
+//! `Vec<Value>`.
 
 use crate::datum::{
     float_from_order_key, int_from_order_key, split_str_body, take_u64, StrBody, TAG_FALSE,
@@ -30,10 +28,9 @@ use crate::value::Value;
 use std::sync::Arc;
 
 /// Target rows per batch. Large enough to amortize per-batch overhead
-/// (dispatch, governor checkpoint, selection-vector allocation), small
-/// enough that a batch's working set stays cache-resident. Batches are
-/// soft-sized: operators may emit shorter batches (partition tails) or
-/// longer ones (join fan-out) without violating any invariant.
+/// (governor charge, selection-vector allocation), small enough that a
+/// batch's working set stays cache-resident. The last batch of a scan (or
+/// of a scan partition) is shorter.
 pub const BATCH_SIZE: usize = 1024;
 
 /// The typed payload of a [`Column`].
@@ -45,8 +42,7 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Booleans; null positions hold `false`.
     Bool(Vec<bool>),
-    /// Strings, shared by refcount so gathers never copy bytes; null
-    /// positions hold the empty string.
+    /// Strings; null positions hold the empty string.
     Str(Vec<Arc<str>>),
     /// Fallback: boxed values, nulls stored inline as [`Value::Null`].
     /// Used for all-null columns and columns that mix types.
@@ -63,43 +59,14 @@ pub struct Column {
 }
 
 impl Column {
-    /// A column holding the given values, choosing the typed representation
-    /// when they are uniform and the `Val` fallback otherwise.
-    pub fn from_values(values: Vec<Value>) -> Column {
-        let mut b = ColBuilder::Nulls(0);
-        for v in &values {
-            b.push_value(v);
-        }
-        b.finish()
-    }
-
-    /// A column from typed data and an optional null mask. The mask, when
-    /// present, must match the data length; positions flagged null should
-    /// hold the representation's placeholder value.
-    pub fn new(data: ColumnData, nulls: Option<Vec<bool>>) -> Column {
-        debug_assert!(nulls.as_ref().is_none_or(|m| m.len() == data_len(&data)));
+    fn new(data: ColumnData, nulls: Option<Vec<bool>>) -> Column {
         debug_assert!(!(matches!(data, ColumnData::Val(_)) && nulls.is_some()));
         Column { data, nulls }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        data_len(&self.data)
-    }
-
-    /// True if the column has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The typed payload.
     pub fn data(&self) -> &ColumnData {
         &self.data
-    }
-
-    /// The null mask, if any cell is null (never for `Val` columns).
-    pub fn nulls(&self) -> Option<&[bool]> {
-        self.nulls.as_deref()
     }
 
     /// Whether cell `i` is NULL.
@@ -125,114 +92,6 @@ impl Column {
             ColumnData::Str(v) => Value::Str(v[i].to_string()),
             ColumnData::Val(v) => v[i].clone(),
         }
-    }
-
-    /// A new column holding `sel`'s cells in `sel` order (indices may
-    /// repeat — join fan-out). Numeric gathers are flat copies; string
-    /// gathers bump refcounts.
-    pub fn gather(&self, sel: &[u32]) -> Column {
-        let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float(v) => ColumnData::Float(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Str(v) => {
-                ColumnData::Str(sel.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-            ColumnData::Val(v) => {
-                ColumnData::Val(sel.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-        };
-        let nulls = self.nulls.as_ref().map(|m| {
-            let mask: Vec<bool> = sel.iter().map(|&i| m[i as usize]).collect();
-            mask
-        });
-        let nulls = nulls.filter(|m| m.iter().any(|&b| b));
-        Column { data, nulls }
-    }
-
-    /// Append `other`'s cells after this column's. Same-typed columns
-    /// extend in place; a type mismatch demotes both sides to the `Val`
-    /// fallback.
-    pub fn append(&mut self, other: Column) {
-        let self_len = self.len();
-        let other_nulls = other.nulls;
-        let merged_typed = |a: &mut Option<Vec<bool>>, b: Option<Vec<bool>>, blen: usize| {
-            if a.is_none() && b.is_none() {
-                return;
-            }
-            let m = a.get_or_insert_with(|| vec![false; self_len]);
-            match b {
-                Some(bm) => m.extend(bm),
-                None => m.extend(std::iter::repeat_n(false, blen)),
-            }
-        };
-        match (&mut self.data, other.data) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => {
-                merged_typed(&mut self.nulls, other_nulls, b.len());
-                a.extend(b);
-            }
-            (ColumnData::Float(a), ColumnData::Float(b)) => {
-                merged_typed(&mut self.nulls, other_nulls, b.len());
-                a.extend(b);
-            }
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => {
-                merged_typed(&mut self.nulls, other_nulls, b.len());
-                a.extend(b);
-            }
-            (ColumnData::Str(a), ColumnData::Str(b)) => {
-                merged_typed(&mut self.nulls, other_nulls, b.len());
-                a.extend(b);
-            }
-            (_, other_data) => {
-                let mut vals = std::mem::replace(&mut self.data, ColumnData::Val(Vec::new()));
-                let mut out = into_values(vals, self.nulls.take());
-                vals = other_data;
-                out.extend(into_values(vals, other_nulls));
-                self.data = ColumnData::Val(out);
-            }
-        }
-    }
-
-    /// Keep only the first `n` cells.
-    pub fn truncate(&mut self, n: usize) {
-        match &mut self.data {
-            ColumnData::Int(v) => v.truncate(n),
-            ColumnData::Float(v) => v.truncate(n),
-            ColumnData::Bool(v) => v.truncate(n),
-            ColumnData::Str(v) => v.truncate(n),
-            ColumnData::Val(v) => v.truncate(n),
-        }
-        if let Some(m) = &mut self.nulls {
-            m.truncate(n);
-        }
-    }
-
-    /// Actual compact memory footprint of the column's cells, in bytes —
-    /// what the governor charges for batched intermediates (versus the
-    /// [`crate::row::estimated_size`]-style per-row estimate of the tuple
-    /// path).
-    pub fn mem_bytes(&self) -> u64 {
-        let data = match &self.data {
-            ColumnData::Int(v) => 8 * v.len(),
-            ColumnData::Float(v) => 8 * v.len(),
-            ColumnData::Bool(v) => v.len(),
-            // Pointer + shared bytes per cell (shared bytes counted once
-            // per reference on purpose: each referencing batch keeps them
-            // alive).
-            ColumnData::Str(v) => v.iter().map(|s| 8 + s.len()).sum(),
-            ColumnData::Val(v) => v.iter().map(crate::datum::datum_size).sum(),
-        };
-        (data + self.nulls.as_ref().map_or(0, Vec::len)) as u64
-    }
-}
-
-fn data_len(data: &ColumnData) -> usize {
-    match data {
-        ColumnData::Int(v) => v.len(),
-        ColumnData::Float(v) => v.len(),
-        ColumnData::Bool(v) => v.len(),
-        ColumnData::Str(v) => v.len(),
-        ColumnData::Val(v) => v.len(),
     }
 }
 
@@ -268,22 +127,6 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// A batch from pre-built columns (all must have equal length).
-    pub fn from_columns(columns: Vec<Column>) -> Batch {
-        let len = columns.first().map_or(0, Column::len);
-        debug_assert!(columns.iter().all(|c| c.len() == len));
-        Batch { columns, len }
-    }
-
-    /// A batch holding the given rows (each of width `arity`).
-    pub fn from_rows(rows: &[Row], arity: usize) -> Batch {
-        let mut b = BatchBuilder::new(arity);
-        for r in rows {
-            b.push_row(r);
-        }
-        b.finish()
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -294,19 +137,9 @@ impl Batch {
         self.len == 0
     }
 
-    /// The columns.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Column `i`.
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
-    }
-
-    /// Take ownership of the columns (used to splice join sides together).
-    pub fn into_columns(self) -> Vec<Column> {
-        self.columns
     }
 
     /// Materialize row `i`.
@@ -321,47 +154,10 @@ impl Batch {
             out.push(self.row(i));
         }
     }
-
-    /// A new batch holding the selected rows in `sel` order.
-    pub fn gather(&self, sel: &[u32]) -> Batch {
-        Batch { columns: self.columns.iter().map(|c| c.gather(sel)).collect(), len: sel.len() }
-    }
-
-    /// Concatenate batches (all must share a column layout). Returns an
-    /// empty zero-column batch for an empty input.
-    pub fn concat(batches: Vec<Batch>) -> Batch {
-        let mut iter = batches.into_iter();
-        let Some(mut first) = iter.next() else {
-            return Batch { columns: Vec::new(), len: 0 };
-        };
-        for b in iter {
-            first.len += b.len;
-            for (dst, src) in first.columns.iter_mut().zip(b.columns) {
-                dst.append(src);
-            }
-        }
-        first
-    }
-
-    /// Keep only the first `n` rows.
-    pub fn truncate(&mut self, n: usize) {
-        if n >= self.len {
-            return;
-        }
-        for c in &mut self.columns {
-            c.truncate(n);
-        }
-        self.len = n;
-    }
-
-    /// Actual compact memory footprint of all cells, in bytes.
-    pub fn mem_bytes(&self) -> u64 {
-        self.columns.iter().map(Column::mem_bytes).sum()
-    }
 }
 
-/// Incrementally builds a [`Batch`] row by row, from values or straight
-/// from [`crate::datum`]-encoded bytes.
+/// Incrementally builds a [`Batch`] row by row, straight from
+/// [`crate::datum`]-encoded bytes.
 pub struct BatchBuilder {
     cols: Vec<ColBuilder>,
     len: usize,
@@ -481,16 +277,6 @@ impl ColBuilder {
         }
     }
 
-    fn push_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.push_null(),
-            Value::Int(x) => self.push_int(*x),
-            Value::Float(x) => self.push_float(*x),
-            Value::Bool(x) => self.push_bool(*x),
-            Value::Str(s) => self.push_str(Arc::from(s.as_str())),
-        }
-    }
-
     /// Mixed types in one column: fall back to boxed values.
     fn demote_push(&mut self, v: Value) {
         let old = std::mem::replace(self, ColBuilder::Val(Vec::new()));
@@ -540,11 +326,6 @@ impl BatchBuilder {
         BatchBuilder { cols: (0..arity).map(|_| ColBuilder::Nulls(0)).collect(), len: 0 }
     }
 
-    /// Rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// True if no rows have been pushed since the last [`BatchBuilder::finish`].
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -553,15 +334,6 @@ impl BatchBuilder {
     /// True once the builder holds at least [`BATCH_SIZE`] rows.
     pub fn is_full(&self) -> bool {
         self.len >= BATCH_SIZE
-    }
-
-    /// Push one row of values. The row's arity must match the builder's.
-    pub fn push_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.cols.len());
-        for (c, v) in self.cols.iter_mut().zip(row) {
-            c.push_value(v);
-        }
-        self.len += 1;
     }
 
     /// Decode one [`crate::datum`]-encoded row straight into the column
@@ -649,103 +421,66 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn push_row_roundtrips() {
-        let rows = sample_rows();
-        let b = Batch::from_rows(&rows, 4);
-        assert_eq!(b.len(), rows.len());
+    fn batch_of(rows: &[Row], arity: usize) -> Batch {
+        let mut b = BatchBuilder::new(arity);
+        for r in rows {
+            b.push_encoded(&encode_row_vec(r)).unwrap();
+        }
+        b.finish()
+    }
+
+    fn rows_of(b: &Batch) -> Vec<Row> {
         let mut out = Vec::new();
         b.append_rows(&mut out);
-        assert_eq!(out, rows);
+        out
     }
 
     #[test]
-    fn push_encoded_matches_push_row() {
+    fn push_encoded_roundtrips() {
         let rows = sample_rows();
-        let mut by_value = BatchBuilder::new(4);
-        let mut by_bytes = BatchBuilder::new(4);
-        for r in &rows {
-            by_value.push_row(r);
-            by_bytes.push_encoded(&encode_row_vec(r)).unwrap();
-        }
-        let (a, b) = (by_value.finish(), by_bytes.finish());
-        let mut ra = Vec::new();
-        let mut rb = Vec::new();
-        a.append_rows(&mut ra);
-        b.append_rows(&mut rb);
-        assert_eq!(ra, rb);
-        assert_eq!(ra, rows);
+        let b = batch_of(&rows, 4);
+        assert_eq!(b.len(), rows.len());
+        assert_eq!(rows_of(&b), rows);
+        assert_eq!(b.row(3), rows[3]);
+    }
+
+    #[test]
+    fn finish_resets_the_builder() {
+        let rows = sample_rows();
+        let mut b = BatchBuilder::new(4);
+        assert!(b.is_empty());
+        b.push_encoded(&encode_row_vec(&rows[0])).unwrap();
+        assert!(!b.is_empty() && !b.is_full());
+        assert_eq!(rows_of(&b.finish()), rows[..1]);
+        assert!(b.is_empty());
+        // The second batch's columns start untyped again.
+        b.push_encoded(&encode_row_vec(&rows[2])).unwrap();
+        assert_eq!(rows_of(&b.finish()), rows[2..3]);
     }
 
     #[test]
     fn scan_typed_columns_stay_typed() {
         let rows = vec![vec![Value::Int(1), Value::str("x")], vec![Value::Int(2), Value::str("y")]];
-        let b = Batch::from_rows(&rows, 2);
+        let b = batch_of(&rows, 2);
         assert!(matches!(b.column(0).data(), ColumnData::Int(_)));
         assert!(matches!(b.column(1).data(), ColumnData::Str(_)));
-        assert!(b.column(0).nulls().is_none());
+        assert!(b.column(0).nulls.is_none());
     }
 
     #[test]
     fn mixed_types_demote_to_val() {
         let rows = vec![vec![Value::Int(1)], vec![Value::str("x")], vec![Value::Null]];
-        let b = Batch::from_rows(&rows, 1);
+        let b = batch_of(&rows, 1);
         assert!(matches!(b.column(0).data(), ColumnData::Val(_)));
-        let mut out = Vec::new();
-        b.append_rows(&mut out);
-        assert_eq!(out, rows);
+        assert_eq!(rows_of(&b), rows);
     }
 
     #[test]
     fn all_null_column_materializes_nulls() {
         let rows = vec![vec![Value::Null], vec![Value::Null]];
-        let b = Batch::from_rows(&rows, 1);
+        let b = batch_of(&rows, 1);
         assert!(b.column(0).is_null(0) && b.column(0).is_null(1));
         assert_eq!(b.row(1), vec![Value::Null]);
-    }
-
-    #[test]
-    fn gather_selects_and_repeats() {
-        let rows = sample_rows();
-        let b = Batch::from_rows(&rows, 4);
-        let g = b.gather(&[3, 1, 1, 0]);
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.row(0), rows[3]);
-        assert_eq!(g.row(1), rows[1]);
-        assert_eq!(g.row(2), rows[1]);
-        assert_eq!(g.row(3), rows[0]);
-    }
-
-    #[test]
-    fn concat_and_truncate() {
-        let rows = sample_rows();
-        let b1 = Batch::from_rows(&rows[..2], 4);
-        let b2 = Batch::from_rows(&rows[2..], 4);
-        let mut all = Batch::concat(vec![b1, b2]);
-        assert_eq!(all.len(), 4);
-        let mut out = Vec::new();
-        all.append_rows(&mut out);
-        assert_eq!(out, rows);
-        all.truncate(3);
-        assert_eq!(all.len(), 3);
-        assert_eq!(all.row(2), rows[2]);
-    }
-
-    #[test]
-    fn concat_reconciles_mismatched_column_types() {
-        let a = Batch::from_rows(&[vec![Value::Int(1)]], 1);
-        let c = Batch::from_rows(&[vec![Value::str("s")]], 1);
-        let merged = Batch::concat(vec![a, c]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged.row(0), vec![Value::Int(1)]);
-        assert_eq!(merged.row(1), vec![Value::str("s")]);
-    }
-
-    #[test]
-    fn mem_bytes_is_compact() {
-        let rows: Vec<Row> = (0..100).map(|i| vec![Value::Int(i)]).collect();
-        let b = Batch::from_rows(&rows, 1);
-        assert_eq!(b.mem_bytes(), 800, "100 ints at 8 bytes each");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::error::{Result, StorageError};
 use crate::value::Value;
 
-/// Tag byte for `NULL`. Tags are public so the batched decoders in
+/// Tag byte for `NULL`. Tags are public so the column decoder in
 /// [`crate::batch`] can dispatch without re-deriving the grammar.
 pub const TAG_NULL: u8 = 0x00;
 /// Tag byte for `FALSE` (the boolean is folded into the tag).

@@ -90,29 +90,8 @@ impl Heap {
         ))
     }
 
-    /// Iterate over the live rows of partition `part` of `parts`.
-    ///
-    /// Partitions are contiguous page ranges (the morsel unit is a page), so
-    /// concatenating partitions `0..parts` in order yields exactly the
-    /// [`Heap::iter`] order — the property the parallel executor relies on
-    /// to keep partitioned scans deterministic. `parts` may exceed the page
-    /// count; surplus partitions are empty.
-    pub fn iter_partition(
-        &self,
-        part: usize,
-        parts: usize,
-    ) -> impl Iterator<Item = (RowId, Result<Row>)> + '_ {
-        let (start, end) = self.partition_bounds(part, parts);
-        Self::scan_failpoint().into_iter().chain(
-            self.pages[start..end].iter().enumerate().flat_map(move |(off, page)| {
-                page.iter()
-                    .map(move |(slot, row)| (RowId { page: (start + off) as u32, slot }, row))
-            }),
-        )
-    }
-
     /// Iterate over all live rows as raw encoded bytes (same order as
-    /// [`Heap::iter`]). The batched executor decodes these straight into
+    /// [`Heap::iter`]). The executor's scan decodes these straight into
     /// column vectors, skipping the per-row `Vec<Value>` allocation. The
     /// `storage.scan` failpoint fires here exactly as it does in
     /// [`Heap::iter`].
@@ -122,10 +101,13 @@ impl Heap {
             .chain(self.pages.iter().flat_map(|page| page.iter_raw().map(Ok)))
     }
 
-    /// Raw-bytes variant of [`Heap::iter_partition`]: the live rows of
-    /// partition `part` of `parts` as encoded bytes, in the same order.
-    /// Concatenating partitions `0..parts` yields the [`Heap::iter_raw`]
-    /// order.
+    /// The live rows of partition `part` of `parts` as raw encoded bytes.
+    ///
+    /// Partitions are contiguous page ranges (the morsel unit is a page), so
+    /// concatenating partitions `0..parts` in order yields exactly the
+    /// [`Heap::iter_raw`] order — the property the parallel executor relies
+    /// on to keep partitioned scans deterministic. `parts` may exceed the
+    /// page count; surplus partitions are empty.
     pub fn iter_raw_partition(
         &self,
         part: usize,
@@ -167,6 +149,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::decode_row;
 
     #[test]
     fn insert_across_pages() {
@@ -229,8 +212,8 @@ mod tests {
         for parts in [1, 2, 3, 5, 8, h.page_count(), h.page_count() + 7] {
             let mut merged = Vec::new();
             for p in 0..parts {
-                for (_, row) in h.iter_partition(p, parts) {
-                    merged.push(row.unwrap());
+                for enc in h.iter_raw_partition(p, parts) {
+                    merged.push(decode_row(enc.unwrap()).unwrap());
                 }
             }
             assert_eq!(merged, full, "partition concat must equal iter() for parts={parts}");
@@ -241,7 +224,7 @@ mod tests {
     fn partitions_of_empty_heap_are_empty() {
         let h = Heap::new();
         for p in 0..4 {
-            assert_eq!(h.iter_partition(p, 4).count(), 0);
+            assert_eq!(h.iter_raw_partition(p, 4).count(), 0);
         }
     }
 
@@ -256,8 +239,9 @@ mod tests {
             assert!(h.delete(*id));
         }
         let full: Vec<Row> = h.scan().unwrap();
-        let merged: Vec<Row> =
-            (0..4).flat_map(|p| h.iter_partition(p, 4).map(|(_, r)| r.unwrap())).collect();
+        let merged: Vec<Row> = (0..4)
+            .flat_map(|p| h.iter_raw_partition(p, 4).map(|enc| decode_row(enc.unwrap()).unwrap()))
+            .collect();
         assert_eq!(merged, full);
     }
 

@@ -156,7 +156,7 @@ impl Page {
     }
 
     /// Iterate over live rows as raw encoded bytes, skipping the decode —
-    /// the batched scan path decodes straight into column vectors instead.
+    /// the executor's scan decodes straight into column vectors instead.
     pub fn iter_raw(&self) -> impl Iterator<Item = &[u8]> + '_ {
         (0..self.slot_count()).filter_map(move |s| self.get_raw(s))
     }

@@ -6,8 +6,7 @@
 //! page slot bounds the slice, and decode walks datums until the slice is
 //! exhausted. Because each datum is memcmp-comparable within its type
 //! class, encoded rows over the same schema compare byte-wise like
-//! column-wise value comparison — the property batched execution and
-//! composite keys build on.
+//! column-wise value comparison — the property composite keys build on.
 //!
 //! The codec is infallible on encode and validating on decode, so a corrupt
 //! page surfaces as an error rather than UB or a panic.

@@ -145,29 +145,20 @@ impl Table {
         self.heap.page_count()
     }
 
-    /// Iterate over the live rows of partition `part` of `parts` — a
-    /// contiguous page range; concatenating all partitions in order equals
-    /// [`Table::iter`] order (see [`Heap::iter_partition`]).
-    pub fn iter_partition(
-        &self,
-        part: usize,
-        parts: usize,
-    ) -> impl Iterator<Item = (RowId, Result<Row>)> + '_ {
-        self.heap.iter_partition(part, parts)
-    }
-
     /// Materialize all rows.
     pub fn scan(&self) -> Result<Vec<Row>> {
         self.heap.scan()
     }
 
-    /// Iterate over live rows as raw encoded bytes (batched-scan fast path;
-    /// same order as [`Table::iter`]).
+    /// Iterate over live rows as raw encoded bytes (the executor's scan
+    /// path; same order as [`Table::iter`]).
     pub fn iter_raw(&self) -> impl Iterator<Item = Result<&[u8]>> + '_ {
         self.heap.iter_raw()
     }
 
-    /// Raw-bytes variant of [`Table::iter_partition`].
+    /// The raw encoded rows of partition `part` of `parts` — a contiguous
+    /// page range; concatenating all partitions in order equals
+    /// [`Table::iter_raw`] order (see [`Heap::iter_raw_partition`]).
     pub fn iter_raw_partition(
         &self,
         part: usize,

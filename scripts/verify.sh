@@ -67,42 +67,24 @@ echo "==> unwrap/expect gate (service, storage, wire, server)"
 ./scripts/check_unwrap.sh
 
 # Parallel execution must be row-for-row identical to serial, under the
-# default test parallelism AND serially (nested-parallelism interleavings
-# differ on both schedules). PQP_THREADS sets the budget under test.
-echo "==> parallel equivalence (PQP_THREADS=4)"
-PQP_THREADS=4 cargo test "${CARGO_FLAGS[@]}" -p pqp --test parallel_equivalence -q
+# default test parallelism (the workspace run above: the suites default to
+# a 4-thread budget, PQP_THREADS overrides it) AND serially —
+# nested-parallelism interleavings differ on both schedules.
 echo "==> parallel equivalence (PQP_THREADS=4, RUST_TEST_THREADS=1)"
 PQP_THREADS=4 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test parallel_equivalence -q
 
 # Statistics may change plans, never answers: the stats-equivalence suite
 # (naive vs planned, stats on/off/stale, serial vs PQP_THREADS budget) runs
-# under the default test parallelism AND serially, like the parallel suite.
-echo "==> stats equivalence (PQP_THREADS=4)"
-PQP_THREADS=4 cargo test "${CARGO_FLAGS[@]}" -p pqp --test stats_equivalence -q
+# on both schedules too, like the parallel suite.
 echo "==> stats equivalence (PQP_THREADS=4, RUST_TEST_THREADS=1)"
 PQP_THREADS=4 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test stats_equivalence -q
-
-# Batched (vectorized) execution is the default path and must be
-# byte-identical to the tuple-at-a-time reference: the differential suites
-# (random predicates over hazard-biased schemas, the generated movie
-# corpus, service-level answers) run on both test schedules.
-echo "==> vectorized differential suites"
-cargo test "${CARGO_FLAGS[@]}" -p pqp-engine --test vectorized_equivalence -q
-cargo test "${CARGO_FLAGS[@]}" -p pqp-datagen --test vectorized_equivalence -q
-cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test batched_answers -q
-echo "==> vectorized differential suites (RUST_TEST_THREADS=1)"
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-engine --test vectorized_equivalence -q
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-datagen --test vectorized_equivalence -q
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test batched_answers -q
 
 # The native rank operator must be indistinguishable from the ranked MQ
 # rewrite — same rows, bit-identical degrees, deterministic tie order —
 # over randomized profiles and K/M/L knobs. The suite itself re-executes
-# every native plan under the parallel and tuple-at-a-time executor modes
-# and trips governor budgets mid-operator; it runs here on both test
-# schedules.
-echo "==> native rank differential suite"
-cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_differential -q
+# every native plan under a thread budget and trips governor budgets
+# mid-operator; the workspace run above covers the default schedule, this
+# the serial one.
 echo "==> native rank differential suite (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_differential -q
 
@@ -149,101 +131,6 @@ for point in derived["sweep"]:
 EOF
 else
     grep -q '"native_speedup_k14_l3"' results/micro_topk.json
-fi
-
-# Vectorized micro-bench smoke: must produce results/micro_vectorized.json
-# with the full benchmark set and a derived speedup block (the asserted
-# batched-vs-tuple row identity runs inside the bench binary itself).
-echo "==> vectorized bench smoke"
-cargo bench "${CARGO_FLAGS[@]}" -p pqp-bench --bench vectorized
-if command -v python3 >/dev/null; then
-    python3 - <<'EOF'
-import json
-doc = json.load(open("results/micro_vectorized.json"))
-names = {b["name"] for b in doc["benchmarks"]}
-for name in ("join4_tuple", "join4_batched", "scan_broad_tuple",
-             "scan_broad_batched", "scan_selective_tuple", "scan_selective_batched"):
-    assert name in names, f"benchmark {name} missing"
-for b in doc["benchmarks"]:
-    assert b["mean_ms"] > 0 and b["n"] > 0
-for key in ("join4_vectorized_speedup", "scan_broad_vectorized_speedup",
-            "scan_selective_vectorized_speedup", "join4_rows", "host_cores"):
-    assert key in doc["derived"], f"derived.{key} missing"
-assert doc["derived"]["join4_rows"] > 0
-assert doc["meta"]["bench"] == "micro_vectorized"
-EOF
-else
-    grep -q '"join4_vectorized_speedup"' results/micro_vectorized.json
-fi
-
-# Replication bench smoke (PQP_REPL_SMOKE shrinks the sample counts):
-# must produce results/micro_repl.json with the in-memory vs WAL'd
-# mutation overhead and the ack-quorum latency curve over 1..3 loopback
-# followers.
-echo "==> replication bench smoke"
-PQP_REPL_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p pqp-bench --bench repl
-if command -v python3 >/dev/null; then
-    python3 - <<'EOF'
-import json
-doc = json.load(open("results/micro_repl.json"))
-assert doc["meta"]["bench"] == "micro_repl"
-assert doc["meta"]["schema_version"] >= 2
-assert doc["meta"]["host_cores"] >= 1
-names = {b["name"] for b in doc["benchmarks"]}
-for name in ("in_memory", "wal_quorum1", "quorum2_followers1",
-             "quorum3_followers2", "quorum4_followers3"):
-    assert name in names, f"benchmark {name} missing"
-for b in doc["benchmarks"]:
-    assert b["mean_ms"] > 0 and b["n"] > 0
-curve = doc["derived"]["quorum_curve"]
-assert [p["followers"] for p in curve] == [1, 2, 3]
-for p in curve:
-    assert p["ack_p50_ms"] > 0 and p["ack_p95_ms"] >= p["ack_p50_ms"]
-assert doc["derived"]["durability_overhead_factor"] > 0
-EOF
-else
-    grep -q '"quorum_curve"' results/micro_repl.json
-fi
-
-# Macro load harness smoke: a short zipf closed-loop run must produce
-# results/macro_load.json with a non-zero throughput figure.
-echo "==> load harness smoke (1s closed loop)"
-PQP_LOAD_SECONDS=1 PQP_LOAD_USERS=10 PQP_LOAD_WORKERS=2 \
-    cargo bench "${CARGO_FLAGS[@]}" -p pqp-bench --bench load
-grep -q '"throughput_qps"' results/macro_load.json
-if command -v python3 >/dev/null; then
-    python3 - <<'EOF'
-import json
-doc = json.load(open("results/macro_load.json"))
-assert doc["throughput_qps"] > 0, "throughput must be non-zero"
-for key in ("p50", "p95", "p99"):
-    assert key in doc["latency_ms"], f"latency_ms.{key} missing"
-assert doc["meta"]["schema_version"] >= 2
-EOF
-else
-    grep -q '"p99"' results/macro_load.json
-fi
-
-# The same harness over real loopback sockets: PQP_LOAD_MODE=tcp fronts
-# the service with an in-process pqp-server and must report non-zero
-# throughput with client-measured latency quantiles.
-echo "==> TCP load harness smoke (1s closed loop over loopback)"
-PQP_LOAD_MODE=tcp PQP_LOAD_SECONDS=1 PQP_LOAD_USERS=10 PQP_LOAD_WORKERS=2 \
-    cargo bench "${CARGO_FLAGS[@]}" -p pqp-bench --bench load
-grep -q '"throughput_qps"' results/macro_load_tcp.json
-if command -v python3 >/dev/null; then
-    python3 - <<'EOF'
-import json
-doc = json.load(open("results/macro_load_tcp.json"))
-assert doc["throughput_qps"] > 0, "TCP throughput must be non-zero"
-assert doc["config"]["mode"] == "tcp"
-assert doc["latency_ms"]["source"] == "client"
-for key in ("p50", "p95", "p99"):
-    assert key in doc["latency_ms"], f"latency_ms.{key} missing"
-assert doc["meta"]["schema_version"] >= 2
-EOF
-else
-    grep -q '"p99"' results/macro_load_tcp.json
 fi
 
 echo "==> cargo test --doc"

@@ -8,9 +8,8 @@
 //! descending, then the visible columns ascending as the tie-break).
 //!
 //! The suite runs randomized profiles and K/M/L knobs over the generated
-//! movie corpus, and re-executes every native plan under the parallel
-//! (`PQP_THREADS=4`-shaped) and tuple-at-a-time (`PQP_BATCHED=0`-shaped)
-//! executor modes, which must be row-for-row identical to the serial run.
+//! movie corpus, and re-executes every native plan under a 4-thread budget,
+//! which must be row-for-row identical to the serial run.
 //! scripts/verify.sh and CI run the suite on both test schedules (default
 //! and `RUST_TEST_THREADS=1`).
 
@@ -37,9 +36,10 @@ fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-/// The alternate executor modes every native plan is re-run under.
-fn alternate_modes() -> [ExecOptions; 2] {
-    [ExecOptions::with_threads(4).min_parallel_rows(2), ExecOptions::default().batched(false)]
+/// The alternate executor modes every native plan is re-run under: the
+/// thread budget is the executor's only mode axis.
+fn alternate_modes() -> [ExecOptions; 1] {
+    [ExecOptions::with_threads(4).min_parallel_rows(2)]
 }
 
 /// Build the native execution for `p`; `None` when the strategy layer had
@@ -92,11 +92,7 @@ fn native_matches_ranked_mq_over_randomized_profiles_and_knobs() {
         // Executor modes must be row-for-row identical.
         for exec in alternate_modes() {
             let alt = m.db.run_plan_with(&choice.plan, &exec).unwrap();
-            assert_eq!(
-                alt.rows, native.rows,
-                "query {i} diverged under threads={} batched={}",
-                exec.threads, exec.batched
-            );
+            assert_eq!(alt.rows, native.rows, "query {i} diverged under threads={}", exec.threads);
         }
     }
     assert!(exercised >= 6, "only {exercised} native plans built; the suite is near-vacuous");

@@ -39,7 +39,8 @@ fn below_threshold_inputs_stay_serial() {
     let opts = ExecOptions::with_threads(8);
     let before = workers_spawned();
     for q in &queries {
-        m.db.run_query_with(q, &opts).unwrap();
+        let plan = m.db.plan(q).unwrap();
+        m.db.run_plan_with(&plan, &opts).unwrap();
     }
     assert_eq!(
         workers_spawned(),
