@@ -41,15 +41,6 @@ impl InterestCriterion {
         }
     }
 
-    /// Whether acceptance is monotone in the candidate degree (given a fixed
-    /// current set): if a candidate with degree `d` is rejected, every
-    /// candidate with degree `≤ d` is rejected too. All of Table 1's
-    /// criteria have this property, which the selection algorithm's early
-    /// termination depends on.
-    pub fn is_monotone(&self) -> bool {
-        true
-    }
-
     /// Whether a rejection is *permanent*: acceptance never depends on the
     /// selected-so-far set in a way that could admit the candidate later.
     ///

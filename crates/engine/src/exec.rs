@@ -1,5 +1,18 @@
 //! The executor: evaluates a [`Plan`] to a materialized row set.
 //!
+//! ## The planner chooses, the executor executes
+//!
+//! `run` is the only dispatcher and every [`Plan`] node maps to exactly
+//! one operator here: a `Scan` reads the heap, an `IndexScan` probes an
+//! index, a `HashJoin` hashes, an `IndexJoin` probes per row. Whether a scan
+//! or a join goes through an index was decided at plan time
+//! (`Planner::{push_predicate, choose_join}`), where EXPLAIN and the cost
+//! model can see it; nothing in this file looks for an index the plan did
+//! not name. The two index operators keep a run-time *guard* each — the
+//! index was dropped since planning, or the actual probe side is too large
+//! for the 4× rule — and degrade to a heap scan / hash join, so a stale or
+//! mis-estimated plan still answers, correctly.
+//!
 //! Execution is operator-at-a-time over materialized intermediates — the
 //! right trade-off for an in-memory engine whose workloads (the paper's
 //! experiments) are join-heavy but small-intermediate. Joins hash the
@@ -12,17 +25,20 @@
 //! evaluates the pushed-down filter over the columns as a selection vector
 //! (`crate::vexpr`) and materializes only the surviving rows.
 //!
-//! ## Intra-query parallelism
+//! ## One loop per operator, two schedules
 //!
-//! [`execute_ctx`] accepts an [`ExecOptions`] thread budget. When
-//! `threads > 1` and an operator's input is at least
-//! [`ExecOptions::min_parallel_rows`], table scans, filters, projections and
-//! hash joins run partitioned across `std::thread::scope` workers (the
-//! private `par` module). Partitions are always merged **in partition
-//! order**, so parallel execution preserves the engine's deterministic
-//! first-seen ordering contract: for any plan and any budget the rows are
-//! byte-identical to a serial run. Small inputs and `threads <= 1` take the
-//! serial fast path and never spawn.
+//! Each operator's loop body is one function in this file — the scan
+//! (`scan_encoded`), filter, projection, hash build (`build_table`) and
+//! hash probe (`probe_tables`) — with its governor checkpoints and
+//! charges inside. [`execute_ctx`] accepts an [`ExecOptions`] thread budget:
+//! with `threads <= 1`, or an input below
+//! [`ExecOptions::min_parallel_rows`], the operator calls its loop inline
+//! on the whole input (one hash table, no routing hash, no thread — the
+//! serial fast path never spawns). Otherwise the private `par` module
+//! splits the input, runs the *same* function per piece on
+//! `std::thread::scope` workers and merges the outputs **in piece order**,
+//! so for any plan and any budget the rows are byte-identical to a serial
+//! run.
 //!
 //! ## The query governor
 //!
@@ -47,8 +63,9 @@ use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
 use pqp_storage::{BatchBuilder, Catalog, Row, Table, Value};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Default serial-fallback threshold: operators with fewer input rows than
 /// this stay serial regardless of the thread budget (fan-out overhead beats
@@ -189,22 +206,6 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
             filter_rows(env, rows, predicate)
         }
         Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            // Index-nested-loop when one side is a base-table scan with a
-            // hash index on its (single) join column and the other side is
-            // small relative to it — the access path that makes selective
-            // personalized partials cheap (paper §7, Fig. 10).
-            if right_keys.len() == 1 {
-                if let Some(rows) = try_index_join(
-                    env, left, right, left_keys, right_keys, /*probe_left=*/ true,
-                )? {
-                    return Ok(rows);
-                }
-                if let Some(rows) = try_index_join(
-                    env, right, left, right_keys, left_keys, /*probe_left=*/ false,
-                )? {
-                    return Ok(rows);
-                }
-            }
             let lrows = run(env, left)?;
             let rrows = run(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
@@ -318,50 +319,13 @@ fn index_scan(
     }
 }
 
-/// Serve a filtered scan through a hash index when the pushed-down filter
-/// has a `col = literal` conjunct over an indexed column. `Ok(None)` means
-/// no such conjunct: the caller falls through to a full heap scan.
-fn scan_index_shortcut(t: &Table, f: &BoundExpr, ctx: &QueryCtx) -> Result<Option<Vec<Row>>> {
-    for conjunct in split_and(f) {
-        let Some((col, value)) = as_eq_literal(conjunct) else {
-            continue;
-        };
-        if value.is_null() {
-            continue; // `= NULL` can never be TRUE; fall through to scan
-        }
-        let name = &t.schema().columns[col].name;
-        if let Some(hits) = t.index_lookup(name, value) {
-            let mut out = Vec::new();
-            let mut pending = 0u64;
-            for row in hits? {
-                pending += 1;
-                if pending == CHARGE_BATCH_ROWS {
-                    ctx.charge_rows(pending)?;
-                    pending = 0;
-                }
-                if f.eval_predicate(&row)? {
-                    out.push(row);
-                }
-            }
-            ctx.charge_rows(pending)?;
-            return Ok(Some(out));
-        }
-    }
-    Ok(None)
-}
-
-/// Scan a base table, using a hash index for an equality conjunct of the
-/// pushed-down filter when one exists; otherwise a full (possibly
-/// partitioned-parallel) heap scan.
+/// Heap-scan a base table, page-partitioned across workers when the budget
+/// allows. Index access is the planner's call ([`Plan::IndexScan`],
+/// [`Plan::IndexJoin`]); a `Scan` always reads the heap.
 fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    if let Some(f) = filter {
-        if let Some(out) = scan_index_shortcut(&t, f, ctx)? {
-            return Ok(out);
-        }
-    }
     if let Some(parts) = env.opts.partitions_for(t.len()) {
         // Morsel unit is a page: at most one partition per page.
         let parts = parts.min(t.page_count());
@@ -406,40 +370,18 @@ pub(crate) fn scan_encoded<'a>(
     }
 }
 
-/// Top-level conjuncts of a bound expression.
-pub(crate) fn split_and(e: &BoundExpr) -> Vec<&BoundExpr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
-        match e {
-            BoundExpr::Binary { left, op: BinaryOp::And, right } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
-/// `col = literal` (either orientation), as (column position, literal).
-pub(crate) fn as_eq_literal(e: &BoundExpr) -> Option<(usize, &Value)> {
-    let BoundExpr::Binary { left, op: BinaryOp::Eq, right } = e else {
-        return None;
-    };
-    match (&**left, &**right) {
-        (BoundExpr::Column(c), BoundExpr::Literal(v)) => Some((*c, v)),
-        (BoundExpr::Literal(v), BoundExpr::Column(c)) => Some((*c, v)),
-        _ => None,
-    }
-}
-
-/// Filter materialized rows, parallel when the budget allows.
+/// Filter materialized rows: the whole input inline, or one contiguous
+/// chunk per worker when the budget allows.
 fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
     let ctx = env.ctx;
-    if let Some(parts) = env.opts.partitions_for(rows.len()) {
-        return par::filter_partitioned(rows, predicate, parts, ctx);
+    match env.opts.partitions_for(rows.len()) {
+        Some(parts) => par::map_chunks(rows, parts, |chunk| filter_chunk(chunk, predicate, ctx)),
+        None => filter_chunk(rows, predicate, ctx),
     }
+}
+
+/// The filter loop.
+fn filter_chunk(rows: Vec<Row>, predicate: &BoundExpr, ctx: &QueryCtx) -> Result<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len() / 2);
     for (i, row) in rows.into_iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -452,12 +394,17 @@ fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<R
     Ok(out)
 }
 
-/// Project materialized rows, parallel when the budget allows.
+/// Project materialized rows: inline, or chunked like [`filter_rows`].
 fn project_rows(env: &Env, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
     let ctx = env.ctx;
-    if let Some(parts) = env.opts.partitions_for(rows.len()) {
-        return par::project_partitioned(rows, exprs, parts, ctx);
+    match env.opts.partitions_for(rows.len()) {
+        Some(parts) => par::map_chunks(rows, parts, |chunk| project_chunk(chunk, exprs, ctx)),
+        None => project_chunk(rows, exprs, ctx),
     }
+}
+
+/// The projection loop.
+fn project_chunk(rows: Vec<Row>, exprs: &[BoundExpr], ctx: &QueryCtx) -> Result<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len());
     for (i, row) in rows.into_iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -528,57 +475,12 @@ pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
     });
 }
 
-/// Index-nested-loop join: execute `probe`, and for each probe row fetch
-/// matches from `scan_side` (which must be a base-table scan with an index
-/// on its single join column). Returns `None` when the shape or the size
-/// heuristic does not apply, or when the table has statistics — for
-/// analyzed tables the planner owns the index-join decision
-/// ([`Plan::IndexJoin`]); this runtime sniffing only covers un-analyzed
-/// tables.
-fn try_index_join(
-    env: &Env,
-    probe: &Plan,
-    scan_side: &Plan,
-    probe_keys: &[usize],
-    scan_keys: &[usize],
-    probe_is_left: bool,
-) -> Result<Option<Vec<Row>>> {
-    let Plan::Scan { table, filter, .. } = scan_side else {
-        return Ok(None);
-    };
-    let t = env.catalog.table(table)?;
-    // Resolve the indexed column name and check an index exists.
-    let (col_name, table_len) = {
-        let t = t.read();
-        if t.stats().is_some() {
-            return Ok(None);
-        }
-        let name = t.schema().columns[scan_keys[0]].name.clone();
-        if t.index_on(&name).is_none() {
-            return Ok(None);
-        }
-        (name, t.len())
-    };
-    let probe_rows = run(env, probe)?;
-    // Heuristic: probing pays off only when the probe side is small
-    // relative to the indexed table (otherwise hashing wins).
-    if probe_rows.len() * 4 > table_len {
-        // Fall back by handing the already-computed probe rows to a hash
-        // join (avoid re-executing the probe subtree).
-        let scan_rows = scan(env, table, filter.as_ref())?;
-        let rows =
-            hash_join_oriented(env, probe_rows, scan_rows, probe_keys, scan_keys, probe_is_left)?;
-        return Ok(Some(rows));
-    }
-    let t = t.read();
-    index_probe(env.ctx, &t, &col_name, &probe_rows, probe_keys[0], filter.as_ref(), probe_is_left)
-}
-
-/// Execute a planner-chosen [`Plan::IndexJoin`]'s scan side against
-/// already-materialized probe rows. Keeps the executor's runtime guard:
-/// when the probe side turns out large relative to the table, or the index
-/// is missing at runtime, fall back to hashing.
-#[allow(clippy::too_many_arguments)]
+/// Execute a [`Plan::IndexJoin`]'s scan side against already-materialized
+/// probe rows. The planner chose the path from estimates (or, on an
+/// un-analyzed table, from the plan's shape alone); this guard holds it to
+/// the actual rows: a probe side that turned out large relative to the
+/// table, or an index dropped since planning, degrades to a hash join over
+/// a heap scan, un-swapping the sides so output stays `left ++ right`.
 fn index_join(
     env: &Env,
     probe_rows: Vec<Row>,
@@ -604,7 +506,11 @@ fn index_join(
     drop(t);
     pqp_obs::record("strategy", "hash_fallback");
     let scan_rows = scan(env, table, filter)?;
-    hash_join_oriented(env, probe_rows, scan_rows, &[probe_key], &[scan_key], probe_is_left)
+    if probe_is_left {
+        join_rows(env, probe_rows, scan_rows, &[probe_key], &[scan_key])
+    } else {
+        join_rows(env, scan_rows, probe_rows, &[scan_key], &[probe_key])
+    }
 }
 
 /// Probe `t`'s hash index on `column` with each probe row's `probe_key`
@@ -661,31 +567,11 @@ fn index_probe(
     Ok(Some(out))
 }
 
-/// Hash-join a probe-side and a scan-side row set whose plan-tree
-/// orientation is given by `probe_is_left`, producing rows in the engine's
-/// fixed `left ++ right` column order either way. The single place that
-/// knows how to un-swap a join whose sides were reordered by an access-path
-/// decision — both `try_index_join` fallbacks and the parallel join route
-/// through it.
-fn hash_join_oriented(
-    env: &Env,
-    probe_rows: Vec<Row>,
-    scan_rows: Vec<Row>,
-    probe_keys: &[usize],
-    scan_keys: &[usize],
-    probe_is_left: bool,
-) -> Result<Vec<Row>> {
-    if probe_is_left {
-        join_rows(env, probe_rows, scan_rows, probe_keys, scan_keys)
-    } else {
-        join_rows(env, scan_rows, probe_rows, scan_keys, probe_keys)
-    }
-}
-
-/// Join two materialized sides, choosing the partitioned-parallel hash join
-/// when the thread budget and input size allow, the serial one otherwise.
-/// Both produce identical rows in identical order (probe order, and
-/// build-insertion order within one key).
+/// Hash-join two materialized sides into `left ++ right` rows in (probe
+/// order, then build-insertion order within one key): build on the smaller
+/// side, then run the build and probe loops inline — one table, no routing
+/// hash, no thread — or per partition and per probe chunk under
+/// [`par::hash_join_partitioned`] when the budget and input size allow.
 fn join_rows(
     env: &Env,
     lrows: Vec<Row>,
@@ -694,13 +580,23 @@ fn join_rows(
     right_keys: &[usize],
 ) -> Result<Vec<Row>> {
     failpoint("join.build")?;
+    let ctx = env.ctx;
+    let build_left = lrows.len() <= rrows.len();
+    let (build, probe, build_keys, probe_keys) = if build_left {
+        (&lrows, &rrows, left_keys, right_keys)
+    } else {
+        (&rrows, &lrows, right_keys, left_keys)
+    };
     if let Some(parts) = env.opts.partitions_for(lrows.len() + rrows.len()) {
-        return par::hash_join_partitioned(lrows, rrows, left_keys, right_keys, parts, env.ctx);
+        return par::hash_join_partitioned(
+            build, probe, build_keys, probe_keys, build_left, parts, ctx,
+        );
     }
-    hash_join(lrows, rrows, left_keys, right_keys, env.ctx)
+    let table = build_table(build, build_keys, 0, 1, ctx)?;
+    probe_tables(probe, build, std::slice::from_ref(&table), probe_keys, build_left, ctx)
 }
 
-pub(crate) fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
+fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
     let mut out = Vec::with_capacity(keys.len());
     for &k in keys {
         let v = &row[k];
@@ -713,29 +609,53 @@ pub(crate) fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
     Some(out)
 }
 
-fn hash_join(
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    left_keys: &[usize],
-    right_keys: &[usize],
+/// Join key → indices into the build rows, in build-insertion order.
+pub(crate) type JoinTable = HashMap<Vec<Value>, Vec<usize>>;
+
+/// Which of `parts` hash partitions owns a join key. `DefaultHasher::new()`
+/// uses fixed keys, so the routing is deterministic within and across runs.
+fn partition_of(key: &[Value], parts: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() % parts as u64) as usize
+}
+
+/// The hash-build loop: index the build rows whose key falls in partition
+/// `part` of `parts` (all of them, unhashed, when `parts == 1`). Scanning
+/// the build side in order keeps every match list in build-insertion order.
+pub(crate) fn build_table(
+    build: &[Row],
+    build_keys: &[usize],
+    part: usize,
+    parts: usize,
     ctx: &QueryCtx,
-) -> Result<Vec<Row>> {
-    // Build on the smaller side; output column order is always left ++ right.
-    let build_left = lrows.len() <= rrows.len();
-    let (build, probe, build_keys, probe_keys) = if build_left {
-        (&lrows, &rrows, left_keys, right_keys)
-    } else {
-        (&rrows, &lrows, right_keys, left_keys)
-    };
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
+) -> Result<JoinTable> {
+    let mut table = JoinTable::with_capacity(build.len() / parts);
     for (i, row) in build.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
         }
         if let Some(k) = key_of(row, build_keys) {
-            table.entry(k).or_default().push(i);
+            if parts == 1 || partition_of(&k, parts) == part {
+                table.entry(k).or_default().push(i);
+            }
         }
     }
+    Ok(table)
+}
+
+/// The hash-probe loop: look each probe row up in the table that owns its
+/// key (`tables` holds one per partition, in partition order) and emit
+/// `left ++ right` rows in probe order, charging an estimated
+/// [`approx_row_bytes`] per output row.
+pub(crate) fn probe_tables(
+    probe: &[Row],
+    build: &[Row],
+    tables: &[JoinTable],
+    probe_keys: &[usize],
+    build_left: bool,
+    ctx: &QueryCtx,
+) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     let mut pending_mem = 0u64;
     for (i, prow) in probe.iter().enumerate() {
@@ -745,6 +665,10 @@ fn hash_join(
         }
         let Some(k) = key_of(prow, probe_keys) else {
             continue;
+        };
+        let table = match tables {
+            [only] => only,
+            _ => &tables[partition_of(&k, tables.len())],
         };
         if let Some(matches) = table.get(&k) {
             for &bi in matches {

@@ -1,36 +1,40 @@
-//! Partitioned parallel operators: morsel-style scans, filter/project
-//! evaluation, and a partitioned hash join, all built on
-//! [`std::thread::scope`] (the workspace allows no external dependencies,
-//! so no rayon).
+//! The parallel schedule: split, spawn, join, merge — and nothing else.
+//!
+//! No operator logic lives here. Every loop body (scan, filter, projection,
+//! hash build, hash probe) is a function of `exec.rs` that the serial path
+//! calls inline on its whole input; this module cuts the input into pieces,
+//! runs that same function once per piece on a [`std::thread::scope`]
+//! worker ([`fan_out`]; the workspace allows no external dependencies, so
+//! no rayon) and concatenates the outputs in piece order
+//! ([`merge_ordered`]).
 //!
 //! ## Determinism contract
 //!
-//! Every operator here produces **byte-identical output to its serial
-//! counterpart** in `exec.rs`:
+//! Because the loop is the serial loop, **output is byte-identical to a
+//! serial run** exactly when the split and merge preserve order:
 //!
-//! - scans partition the heap into contiguous *page* ranges and concatenate
-//!   partition outputs in partition order, which is exactly the serial
-//!   iteration order ([`pqp_storage::Heap::iter_raw_partition`]);
+//! - scans partition the heap into contiguous *page* ranges
+//!   ([`pqp_storage::Heap::iter_raw_partition`]) whose concatenation is the
+//!   serial iteration order;
 //! - filter/project split their materialized input into contiguous row
-//!   chunks and merge chunk outputs in chunk order;
-//! - the hash join builds hash-partitioned tables over the smaller side
-//!   (each partition built by one worker scanning the build rows in order,
-//!   so per-key match lists keep build-insertion order), then probes
-//!   contiguous chunks of the larger side, merging probe-chunk outputs in
-//!   chunk order — reproducing the serial join's (probe order, then
-//!   build-insertion order) emission exactly.
+//!   chunks ([`split_chunks`]);
+//! - the hash join builds one table per hash partition of the build side
+//!   (each worker scans all build rows in order and keeps its partition's
+//!   keys, so per-key match lists keep build-insertion order), then probes
+//!   contiguous chunks of the probe side — (probe order, then
+//!   build-insertion order) emission, as with the serial join's one table.
 //!
 //! Downstream order-sensitive operators (DISTINCT, GROUP BY, first-seen
 //! dedup) therefore see the same row order under any thread budget.
 //!
 //! ## Failure & governor semantics
 //!
-//! Workers share the query's [`QueryCtx`]: scans charge rows and other
-//! loops checkpoint on the same atomic counters as the serial paths, so a
-//! budget tripped by any worker stops the rest at their next checkpoint. A
-//! *panicking* worker is isolated: every `scope` joins all its handles and
-//! maps a panicked join into [`EngineError::Internal`] — the query fails
-//! with a typed error, no thread leaks, and the process keeps serving. The
+//! Workers share the query's [`QueryCtx`]: the loops charge and checkpoint
+//! on the same atomic counters as a serial run, so a budget tripped by any
+//! worker stops the rest at their next checkpoint. A *panicking* worker is
+//! isolated: the scope joins all its handles and [`join_worker`] maps a
+//! panicked join into [`EngineError::Internal`] — the query fails with a
+//! typed error, no thread leaks, and the process keeps serving. The
 //! `par.worker` failpoint fires at each worker's entry to prove exactly
 //! that under chaos testing.
 //!
@@ -41,41 +45,15 @@
 //! per-partition output rows on its own `exec.<op>` span, bumps the
 //! `exec.parallel.workers` counter by the number of workers it spawned
 //! (the serial path never touches it — the regression tests key off that),
-//! and the join records `strategy=parallel_hash_join`. Worker closures make
-//! no observability calls.
+//! and the join records `strategy=parallel_hash_join`. Workers make no
+//! observability calls.
 
 use crate::bound::BoundExpr;
 use crate::error::{EngineError, Result};
-use crate::exec::{key_of, scan_encoded};
-use pqp_obs::governor::CHECKPOINT_STRIDE;
-use pqp_obs::{approx_row_bytes, QueryCtx};
-use pqp_storage::{Row, Table, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use crate::exec::{build_table, probe_tables, scan_encoded, JoinTable};
+use pqp_obs::QueryCtx;
+use pqp_storage::{Row, Table};
 use std::thread::ScopedJoinHandle;
-
-/// Count workers spawned by a parallel operator (the never-spawns-when-
-/// serial regression tests watch this counter).
-fn count_workers(n: usize) {
-    pqp_obs::counter_add("exec.parallel.workers", n as i64);
-}
-
-/// Record the partition fan-out of the current operator's span.
-fn record_partitions(sizes: &[usize]) {
-    pqp_obs::record("partitions", sizes.len());
-    pqp_obs::record("partition_rows", format!("{sizes:?}"));
-}
-
-/// The `par.worker` failpoint, fired at every worker's entry: `error` fails
-/// that worker's partition, `panic` exercises the panic-isolation path
-/// below, `delay` stretches the worker so deadlines trip mid-operator.
-fn worker_failpoint() -> Result<()> {
-    match pqp_obs::failpoint::fire("par.worker") {
-        Some(msg) => Err(EngineError::Internal(format!("failpoint par.worker: {msg}"))),
-        None => Ok(()),
-    }
-}
 
 /// Join a scoped worker, converting a worker panic into a typed
 /// [`EngineError::Internal`] instead of propagating the unwind: the query
@@ -96,6 +74,35 @@ fn join_worker<T>(handle: ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
     }
 }
 
+/// Run `work` over every item on a scoped worker of its own and return the
+/// results in item order; the scope joins every worker before returning,
+/// whatever any one of them did. The one place a thread is spawned, so also
+/// where `exec.parallel.workers` is counted and where the `par.worker`
+/// failpoint fires at each worker's entry: `error` fails that worker's
+/// piece, `panic` exercises [`join_worker`]'s isolation, `delay` stretches
+/// the worker so deadlines trip mid-operator.
+fn fan_out<I, T>(items: I, work: impl Fn(I::Item) -> Result<T> + Sync) -> Vec<Result<T>>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    T: Send,
+{
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| {
+                s.spawn(move || match pqp_obs::failpoint::fire("par.worker") {
+                    Some(msg) => Err(EngineError::Internal(format!("failpoint par.worker: {msg}"))),
+                    None => work(item),
+                })
+            })
+            .collect();
+        pqp_obs::counter_add("exec.parallel.workers", handles.len() as i64);
+        handles.into_iter().map(join_worker).collect()
+    })
+}
+
 /// Split `rows` into at most `parts` contiguous chunks (all but the last of
 /// equal size), preserving order across the concatenation of the chunks.
 fn split_chunks(mut rows: Vec<Row>, parts: usize) -> Vec<Vec<Row>> {
@@ -113,7 +120,8 @@ fn split_chunks(mut rows: Vec<Row>, parts: usize) -> Vec<Vec<Row>> {
 fn merge_ordered(results: Vec<Result<Vec<Row>>>) -> Result<Vec<Row>> {
     let parts: Vec<Vec<Row>> = results.into_iter().collect::<Result<_>>()?;
     let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
-    record_partitions(&sizes);
+    pqp_obs::record("partitions", sizes.len());
+    pqp_obs::record("partition_rows", format!("{sizes:?}"));
     let mut out = Vec::with_capacity(sizes.iter().sum());
     for p in parts {
         out.extend(p);
@@ -121,199 +129,53 @@ fn merge_ordered(results: Vec<Result<Vec<Row>>>) -> Result<Vec<Row>> {
     Ok(out)
 }
 
-/// Parallel partitioned scan over a table's heap pages: each worker runs
-/// the scan body ([`scan_encoded`]) over one contiguous page range;
-/// partitions merge in page order (= serial scan order). Records
-/// `exec.scan.partitions` via the span fields and metrics.
+/// Page-partitioned heap scan: each worker runs the scan body
+/// ([`scan_encoded`]) over one contiguous page range; partitions merge in
+/// page order (= serial scan order).
 pub(crate) fn scan_partitioned(
     t: &Table,
     filter: Option<&BoundExpr>,
     parts: usize,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
-    count_workers(parts);
     pqp_obs::counter_add("exec.scan.partitions", parts as i64);
     let arity = t.schema().arity();
-    let results: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..parts)
-            .map(|p| {
-                s.spawn(move || -> Result<Vec<Row>> {
-                    worker_failpoint()?;
-                    scan_encoded(t.iter_raw_partition(p, parts), arity, filter, ctx)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    merge_ordered(results)
+    merge_ordered(fan_out(0..parts, |p| {
+        scan_encoded(t.iter_raw_partition(p, parts), arity, filter, ctx)
+    }))
 }
 
-/// Parallel filter over materialized rows: contiguous chunks, ordered merge.
-pub(crate) fn filter_partitioned(
+/// A row-at-a-time operator (filter, projection) over materialized rows:
+/// `work` runs over contiguous chunks, outputs merge in chunk order.
+pub(crate) fn map_chunks(
     rows: Vec<Row>,
-    predicate: &BoundExpr,
     parts: usize,
-    ctx: &QueryCtx,
+    work: impl Fn(Vec<Row>) -> Result<Vec<Row>> + Sync,
 ) -> Result<Vec<Row>> {
-    let chunks = split_chunks(rows, parts);
-    count_workers(chunks.len());
-    let results: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || -> Result<Vec<Row>> {
-                    worker_failpoint()?;
-                    let mut out = Vec::with_capacity(chunk.len() / 2);
-                    for (i, row) in chunk.into_iter().enumerate() {
-                        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-                            ctx.checkpoint()?;
-                        }
-                        if predicate.eval_predicate(&row)? {
-                            out.push(row);
-                        }
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    merge_ordered(results)
+    merge_ordered(fan_out(split_chunks(rows, parts), work))
 }
 
-/// Parallel projection over materialized rows: contiguous chunks, ordered
-/// merge.
-pub(crate) fn project_partitioned(
-    rows: Vec<Row>,
-    exprs: &[BoundExpr],
-    parts: usize,
-    ctx: &QueryCtx,
-) -> Result<Vec<Row>> {
-    let chunks = split_chunks(rows, parts);
-    count_workers(chunks.len());
-    let results: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || -> Result<Vec<Row>> {
-                    worker_failpoint()?;
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for (i, row) in chunk.into_iter().enumerate() {
-                        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-                            ctx.checkpoint()?;
-                        }
-                        let mut projected = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            projected.push(e.eval(&row)?);
-                        }
-                        out.push(projected);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    merge_ordered(results)
-}
-
-/// Stable hash partition of a join key. `DefaultHasher::new()` uses fixed
-/// keys, so the routing is deterministic within and across runs.
-fn partition_of(key: &[Value], parts: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % parts as u64) as usize
-}
-
-/// Partitioned hash join: parallel build of `parts` hash-partitioned tables
-/// over the smaller side, then parallel probe of the larger side in
-/// contiguous chunks merged in chunk order. Output rows are identical (and
-/// identically ordered) to the serial `hash_join`.
+/// Partitioned hash join: one worker per hash partition builds that
+/// partition's table over the whole build side, then one worker per
+/// contiguous chunk of the probe side probes them; chunk outputs merge in
+/// chunk order.
 pub(crate) fn hash_join_partitioned(
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    left_keys: &[usize],
-    right_keys: &[usize],
+    build: &[Row],
+    probe: &[Row],
+    build_keys: &[usize],
+    probe_keys: &[usize],
+    build_left: bool,
     parts: usize,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
-    // Build on the smaller side; output column order is always left ++ right.
-    let build_left = lrows.len() <= rrows.len();
-    let (build, probe, build_keys, probe_keys) = if build_left {
-        (&lrows, &rrows, left_keys, right_keys)
-    } else {
-        (&rrows, &lrows, right_keys, left_keys)
-    };
     pqp_obs::record("strategy", "parallel_hash_join");
     pqp_obs::record("build_rows", build.len());
-
-    // Phase 1: each worker owns one hash partition and builds its table by
-    // scanning the build rows in order (per-key match lists therefore keep
-    // build-insertion order, as the serial join's single table does).
-    count_workers(parts);
-    let tables: Result<Vec<HashMap<Vec<Value>, Vec<usize>>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..parts)
-            .map(|p| {
-                s.spawn(move || -> Result<HashMap<Vec<Value>, Vec<usize>>> {
-                    worker_failpoint()?;
-                    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                    for (i, row) in build.iter().enumerate() {
-                        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-                            ctx.checkpoint()?;
-                        }
-                        if let Some(k) = key_of(row, build_keys) {
-                            if partition_of(&k, parts) == p {
-                                table.entry(k).or_default().push(i);
-                            }
-                        }
-                    }
-                    Ok(table)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    let tables = tables?;
-
-    // Phase 2: probe contiguous chunks in parallel; chunk outputs merge in
-    // chunk order, reproducing the serial probe-order emission.
+    let tables: Vec<JoinTable> =
+        fan_out(0..parts, |p| build_table(build, build_keys, p, parts, ctx))
+            .into_iter()
+            .collect::<Result<_>>()?;
     let chunk = probe.len().div_ceil(parts).max(1);
-    let chunk_count = probe.len().div_ceil(chunk);
-    count_workers(chunk_count);
-    let tables = &tables;
-    let outs: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = probe
-            .chunks(chunk)
-            .map(|chunk_rows| {
-                s.spawn(move || -> Result<Vec<Row>> {
-                    worker_failpoint()?;
-                    let mut out = Vec::new();
-                    let mut pending_mem = 0u64;
-                    for (i, prow) in chunk_rows.iter().enumerate() {
-                        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-                            ctx.charge_mem(pending_mem)?;
-                            pending_mem = 0;
-                        }
-                        let Some(k) = key_of(prow, probe_keys) else {
-                            continue;
-                        };
-                        if let Some(matches) = tables[partition_of(&k, parts)].get(&k) {
-                            for &bi in matches {
-                                let brow = &build[bi];
-                                let (l, r) = if build_left { (brow, prow) } else { (prow, brow) };
-                                let mut row = l.clone();
-                                row.extend(r.iter().cloned());
-                                pending_mem += approx_row_bytes(row.len());
-                                out.push(row);
-                            }
-                        }
-                    }
-                    ctx.charge_mem(pending_mem)?;
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect()
-    });
-    merge_ordered(outs)
+    merge_ordered(fan_out(probe.chunks(chunk), |rows| {
+        probe_tables(rows, build, &tables, probe_keys, build_left, ctx)
+    }))
 }

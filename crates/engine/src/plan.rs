@@ -18,7 +18,8 @@ pub enum Plan {
     /// Produces no rows (e.g. `WHERE FALSE`, or a scan of a provably empty
     /// branch).
     Empty { schema: SchemaRef },
-    /// Full scan of a base table, with an optional pushed-down filter.
+    /// Heap scan of a base table, with an optional pushed-down filter.
+    /// Always reads the heap: index access is [`Plan::IndexScan`].
     Scan { table: Arc<str>, filter: Option<BoundExpr>, schema: SchemaRef },
     /// Index point lookup on a base table: the rows where `column = key`
     /// (fetched through the table's hash index), then filtered by the
@@ -35,7 +36,8 @@ pub enum Plan {
     /// σ: keep rows whose predicate evaluates to TRUE.
     Filter { input: Box<Plan>, predicate: BoundExpr },
     /// Equi-join: `left.left_keys[i] = right.right_keys[i]` for all i.
-    /// Output rows are `left ++ right`.
+    /// Output rows are `left ++ right`. Always a hash join: probing an
+    /// index instead is [`Plan::IndexJoin`].
     HashJoin {
         left: Box<Plan>,
         right: Box<Plan>,

@@ -23,7 +23,6 @@ use crate::aggregate::{AggCall, AggFunc};
 use crate::bound::BoundExpr;
 use crate::cost::{ColumnOrigin, Estimator};
 use crate::error::{bind_err, EngineError, Result};
-use crate::exec::{as_eq_literal, split_and};
 use crate::plan::Plan;
 use crate::types::{OutputColumn, OutputSchema, SchemaRef};
 use pqp_sql::ast::*;
@@ -528,9 +527,11 @@ impl<'a> Planner<'a> {
     }
 
     /// Build the physical join for the chosen factor pair: an index
-    /// nested-loop join when one side is a bare scan of an analyzed,
-    /// indexed base table and the other side's estimate clears the 4×
-    /// probe-size guard, a hash join otherwise.
+    /// nested-loop join when one side is a bare scan of a base table with a
+    /// hash index on its single join column ([`Self::index_join_column`];
+    /// the right side is tried first), a hash join otherwise. With
+    /// [`Self::push_predicate`] this is the only code that turns a scan or
+    /// a join into an index path — the executor runs what it is given.
     #[allow(clippy::too_many_arguments)]
     fn choose_join(
         &self,
@@ -559,11 +560,12 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The indexed join column, when `scan_side` is a bare scan of an
-    /// *analyzed* table with a hash index on its join column and the probe
-    /// side's estimated cardinality clears the executor's 4× size guard at
-    /// plan time. Without statistics the estimate is too crude to commit
-    /// here, so the executor's runtime sniffing keeps the decision instead.
+    /// The indexed join column, when `scan_side` is a bare scan of a table
+    /// with a hash index on its join column. With statistics the probe
+    /// side's estimate must also clear the 4× size guard at plan time.
+    /// Without them the estimate is too crude to rule the path out, so the
+    /// shape alone promotes and the executor's guard — the same 4× test on
+    /// the actual probe rows, hash join if it fails — settles it per run.
     fn index_join_column(
         &self,
         scan_side: &Plan,
@@ -575,10 +577,9 @@ impl<'a> Planner<'a> {
         };
         let t = self.catalog.table(table).ok()?;
         let t = t.read();
-        let stats = t.stats()?;
         let column = &t.schema().columns.get(scan_key)?.name;
         t.index_on(column)?;
-        if probe_est * 4.0 > stats.rows as f64 {
+        if t.stats().is_some_and(|stats| probe_est * 4.0 > stats.rows as f64) {
             return None;
         }
         Some(column.clone())
@@ -999,6 +1000,34 @@ fn index_join(
         filter,
         probe_is_left,
         schema,
+    }
+}
+
+/// Top-level conjuncts of a bound expression.
+fn split_and(e: &BoundExpr) -> Vec<&BoundExpr> {
+    let mut out = Vec::new();
+    fn walk<'a>(e: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
+        match e {
+            BoundExpr::Binary { left, op: BinaryOp::And, right } => {
+                walk(left, out);
+                walk(right, out);
+            }
+            other => out.push(other),
+        }
+    }
+    walk(e, &mut out);
+    out
+}
+
+/// `col = literal` (either orientation), as (column position, literal).
+fn as_eq_literal(e: &BoundExpr) -> Option<(usize, &Value)> {
+    let BoundExpr::Binary { left, op: BinaryOp::Eq, right } = e else {
+        return None;
+    };
+    match (&**left, &**right) {
+        (BoundExpr::Column(c), BoundExpr::Literal(v)) => Some((*c, v)),
+        (BoundExpr::Literal(v), BoundExpr::Column(c)) => Some((*c, v)),
+        _ => None,
     }
 }
 

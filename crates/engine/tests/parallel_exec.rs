@@ -98,7 +98,9 @@ fn more_partitions_than_pages_is_fine() {
 #[test]
 fn parallel_run_records_its_shape_in_the_trace() {
     let db = fixture(600);
-    let q = parse_query("select A.id, B.y from A, B where A.id = B.a_id").unwrap();
+    // Neither join column is indexed, so the planner picks a hash join
+    // (`A.id = B.a_id` would plan as an index join into A's primary key).
+    let q = parse_query("select A.id, B.y from A, B where A.x = B.y").unwrap();
     let plan = db.plan(&q).unwrap();
     let opts = ExecOptions::with_threads(4).min_parallel_rows(2);
 

@@ -425,14 +425,19 @@ fn naive_agreement_suite() {
 }
 
 #[test]
-fn explain_shows_hash_joins() {
+fn explain_shows_join_access_paths() {
     let db = movies_db();
+    // THEATRE.tid and MOVIE.mid are primary keys: both joins probe them.
     let explain = db
         .explain(
             "select MV.title from MOVIE MV, PLAY PL, THEATRE TH \
              where MV.mid = PL.mid and PL.tid = TH.tid and TH.region = 'downtown'",
         )
         .unwrap();
-    assert_eq!(explain.matches("HashJoin").count(), 2, "plan:\n{explain}");
-    assert!(!explain.contains("CrossJoin"), "plan:\n{explain}");
+    assert_eq!(explain.matches("IndexJoin").count(), 2, "plan:\n{explain}");
+    assert!(!explain.contains("HashJoin") && !explain.contains("CrossJoin"), "plan:\n{explain}");
+    // PLAY has no index: an equi-join of it with itself hashes.
+    let explain = db.explain("select P1.tid from PLAY P1, PLAY P2 where P1.mid = P2.mid").unwrap();
+    assert_eq!(explain.matches("HashJoin").count(), 1, "plan:\n{explain}");
+    assert!(!explain.contains("IndexJoin"), "plan:\n{explain}");
 }

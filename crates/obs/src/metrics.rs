@@ -336,11 +336,6 @@ pub fn global_snapshot() -> Registry {
     global_registry().lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Reset the process-global registry (bench harness runs between figures).
-pub fn global_reset() {
-    with_global(|g| *g = Registry::new());
-}
-
 /// Add to a counter in the global registry and the active trace (if any).
 pub fn counter_add(name: &str, delta: i64) {
     with_global(|g| g.add(name, delta));

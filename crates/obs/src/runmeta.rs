@@ -1,10 +1,10 @@
 //! A shared run-metadata block stamped into every `results/*.json` writer.
 //!
 //! Bench trajectory files are only comparable across runs when each file
-//! records the environment it was measured in — the ROADMAP's standing
-//! caveat is that `micro_parallel.json` numbers from a 1-core host measure
-//! partitioning overhead, not speedup. One helper, one schema, every
-//! writer: [`run_meta`] returns the block, writers `set("meta", ...)` it.
+//! records the environment it was measured in (a number that depends on
+//! threads means nothing without the host's core count). One helper, one
+//! schema, every writer: [`run_meta`] returns the block, writers
+//! `set("meta", ...)` it.
 
 use crate::json::Json;
 

@@ -168,12 +168,6 @@ impl RouterHandle {
         self.state.leader.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Trigger failover now (manual promotion), bypassing the probe
-    /// threshold. Returns the promoted node, if any was reachable.
-    pub fn promote_now(&self) -> Option<String> {
-        promote(&self.state)
-    }
-
     /// Stop both loops and join them.
     pub fn shutdown(self) {
         self.state.shutdown.store(true, Ordering::SeqCst);

@@ -25,10 +25,17 @@ use pqp_wire::{Client, ClientConfig};
 static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
 
 fn with_failpoints(f: impl FnOnce()) {
-    let _g = FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::clear();
+    let _g = no_failpoints();
     f();
     failpoint::clear();
+}
+
+/// Failpoints are process-global: a test that ships over repl links holds
+/// this guard so that no other test's armed `repl.ship` cuts them.
+fn no_failpoints() -> std::sync::MutexGuard<'static, ()> {
+    let guard = FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    failpoint::clear();
+    guard
 }
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -122,6 +129,7 @@ fn install_ana(client: &mut Client) {
 
 #[test]
 fn leader_death_failover_keeps_every_acked_mutation_and_answer() {
+    let _quiet = no_failpoints();
     // Topology: f2 (leaf) ← f1 ← leader; f1 is wired to ship to f2 so
     // it can sustain quorum 2 after taking over.
     let f2 = TestNode::start("f2", Role::Follower, vec![], 1);
@@ -195,6 +203,7 @@ fn leader_death_failover_keeps_every_acked_mutation_and_answer() {
 
 #[test]
 fn router_promotes_the_survivor_and_keeps_routing() {
+    let _quiet = no_failpoints();
     let follower = TestNode::start("rf", Role::Follower, vec![], 1);
     let mut leader = TestNode::start("rlead", Role::Leader, vec![follower.addr.clone()], 2);
 

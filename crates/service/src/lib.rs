@@ -122,8 +122,7 @@ pub struct ServiceConfig {
     pub prepared_capacity: usize,
     /// Capacity of the personalized-plan cache (entries).
     pub plan_capacity: usize,
-    /// Personalization options used when a session does not override them
-    /// (and by [`Service::query_batch`]).
+    /// Personalization options used when a session does not override them.
     pub options: PersonalizeOptions,
     /// Rewrite executed when a session does not override it.
     pub rewrite: Rewrite,
@@ -494,8 +493,8 @@ struct CachedPlan {
 
 /// The serving layer: one database, many users, one front door.
 ///
-/// `Service` is `Sync`: queries, profile mutations and batch execution may
-/// run from any number of threads. See the crate docs for the cache and
+/// `Service` is `Sync`: queries and profile mutations may run from any
+/// number of threads. See the crate docs for the cache and
 /// invalidation design, and `tests/concurrency.rs` for the guarantees under
 /// contention.
 pub struct Service {
@@ -1164,68 +1163,6 @@ impl Service {
         }
         unreachable!("the degradation ladder always returns or errors")
     }
-
-    /// Run a batch of `(user, sql)` requests, fanned across `workers`
-    /// scoped threads, with the service's default options and rewrite.
-    /// Results come back in request order, each the same as a sequential
-    /// [`Service::query`] call would produce.
-    ///
-    /// Identical in-flight requests (same user and SQL text) are
-    /// **collapsed**: one execution serves all duplicates. Combined with
-    /// the plan cache this is what makes batch serving beat a sequential
-    /// request loop even on a single core; on multi-core hosts the worker
-    /// threads add real parallelism on top.
-    pub fn query_batch(
-        &self,
-        requests: &[(UserId, String)],
-        workers: usize,
-    ) -> Vec<Result<Answer>> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // Collapse duplicates: `slots[i]` is the distinct-request slot that
-        // request i's answer comes from.
-        let mut slot_of_key: std::collections::HashMap<(&UserId, &str), usize> =
-            std::collections::HashMap::new();
-        let mut distinct: Vec<usize> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(requests.len());
-        for (i, (user, sql)) in requests.iter().enumerate() {
-            let slot = *slot_of_key.entry((user, sql.trim())).or_insert_with(|| {
-                distinct.push(i);
-                distinct.len() - 1
-            });
-            slots.push(slot);
-        }
-        pqp_obs::counter_add("service.batch.requests", requests.len() as i64);
-        pqp_obs::counter_add("service.batch.collapsed", (requests.len() - distinct.len()) as i64);
-
-        let workers = workers.clamp(1, distinct.len());
-        let chunk = distinct.len().div_ceil(workers);
-        let mut slot_results: Vec<Option<Result<Answer>>> = Vec::new();
-        slot_results.resize_with(distinct.len(), || None);
-        std::thread::scope(|scope| {
-            for (req_indices, out) in distinct.chunks(chunk).zip(slot_results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (&i, out) in req_indices.iter().zip(out.iter_mut()) {
-                        let (user, sql) = &requests[i];
-                        *out =
-                            Some(self.query(user, sql, self.config.options, self.config.rewrite));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                // Every slot is filled by construction (chunks cover the
-                // distinct set exactly, and `query` catches worker panics).
-                // If one ever is not, fail that request — not the process.
-                slot_results[slot].clone().unwrap_or_else(|| {
-                    Err(Error::Internal("batch worker did not fill its result slot".into()))
-                })
-            })
-            .collect()
-    }
 }
 
 /// Per-query facts gathered along the pipeline for the query log: phase
@@ -1659,24 +1596,6 @@ mod tests {
             .session("ana")
             .query("(select MV.title from MOVIE MV) union (select MV.title from MOVIE MV)");
         assert!(matches!(err, Err(Error::Personalize(PrefError::UnsupportedQuery(_)))));
-    }
-
-    #[test]
-    fn batch_collapses_duplicates_and_preserves_order() {
-        let service = service_with_ana();
-        let requests: Vec<(UserId, String)> = vec![
-            (UserId::from("ana"), Q.to_string()),
-            (UserId::from("nobody"), Q.to_string()),
-            (UserId::from("ana"), Q.to_string()),
-            (UserId::from("ana"), format!("{Q} where MV.mid = 1")),
-        ];
-        let batch = service.query_batch(&requests, 3);
-        assert_eq!(batch.len(), 4);
-        let answers: Vec<&Answer> = batch.iter().map(|r| r.as_ref().unwrap()).collect();
-        assert_eq!(answers[0].rows, answers[2].rows, "duplicates share one answer");
-        assert_eq!(answers[1].meta.k, 0);
-        assert_eq!(answers[3].rows.len(), 1);
-        assert!(service.query_batch(&[], 4).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use pqp_core::{PersonalizeOptions, Profile, Rewrite};
 use pqp_engine::{Database, EngineError, ExecOptions};
 use pqp_obs::{failpoint, BudgetReason};
-use pqp_service::{DegradeLevel, Error, Service, ServiceConfig, UserId};
+use pqp_service::{DegradeLevel, Error, Service, ServiceConfig};
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
 use std::sync::Mutex;
 
@@ -135,14 +135,15 @@ fn run_workload(service: &Service) -> Vec<Result<pqp_service::Answer, Error>> {
 /// did not touch byte-identical to the baseline run.
 #[test]
 fn mixed_workload_under_chaos_never_aborts_and_stays_deterministic() {
-    // Baseline first, outside the failpoint window.
-    let baseline_service = chaos_service();
-    let baseline: Vec<_> = run_workload(&baseline_service)
-        .into_iter()
-        .map(|r| r.expect("baseline workload has no faults").rows)
-        .collect();
-
     with_failpoints(|| {
+        // Baseline first, before any failpoint is armed — but under the
+        // guard, or it runs into (and uses up) another test's failpoints.
+        let baseline_service = chaos_service();
+        let baseline: Vec<_> = run_workload(&baseline_service)
+            .into_iter()
+            .map(|r| r.expect("baseline workload has no faults").rows)
+            .collect();
+
         // Build (and populate) the service first: the chaos window covers
         // the query workload, not fixture setup.
         let service = chaos_service();
@@ -272,24 +273,25 @@ fn parallel_worker_panic_fails_one_query_only() {
 }
 
 /// A panic at the service entry point is caught by the session-level
-/// `catch_unwind`, and a batch containing the poisoned request fails only
-/// that slot.
+/// `catch_unwind`: of several queries in flight on two threads only the
+/// poisoned one fails.
 #[test]
-fn service_entry_panic_is_isolated_even_in_batches() {
+fn service_entry_panic_is_isolated_among_concurrent_queries() {
     with_failpoints(|| {
         let service = chaos_service();
         failpoint::configure("service.query", "1*panic(front door chaos)").unwrap();
-        let requests: Vec<(UserId, String)> = (0..4)
-            .map(|i| {
-                (
-                    UserId::from(USERS[i % USERS.len()].0),
-                    format!("select MV.title from MOVIE MV where MV.mid < {}", 10 + i),
-                )
+        let run = |i: usize| {
+            let sql = format!("select MV.title from MOVIE MV where MV.mid < {}", 10 + i);
+            service.session(USERS[i % USERS.len()].0).query(&sql)
+        };
+        let results: Vec<Result<_, Error>> = quietly(|| {
+            std::thread::scope(|scope| {
+                let workers = [[0, 1], [2, 3]].map(|mine| scope.spawn(move || mine.map(run)));
+                workers.into_iter().flat_map(|w| w.join().expect("no panic escapes")).collect()
             })
-            .collect();
-        let batch = quietly(|| service.query_batch(&requests, 2));
-        let failures: Vec<&Error> = batch.iter().filter_map(|r| r.as_ref().err()).collect();
-        assert_eq!(failures.len(), 1, "exactly the poisoned request fails: {batch:?}");
+        });
+        let failures: Vec<&Error> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+        assert_eq!(failures.len(), 1, "exactly the poisoned request fails: {results:?}");
         assert!(matches!(failures[0], Error::Internal(m) if m.contains("panicked")));
         assert_eq!(service.in_flight(), 0, "panicked query released its admission slot");
     });

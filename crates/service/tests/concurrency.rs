@@ -1,16 +1,13 @@
-//! Concurrency guarantees of the serving layer:
-//!
-//! 1. two threads mutating the same user's profile while a third queries it
-//!    never deadlock, and epoch-based plan-cache invalidation is observed;
-//! 2. `query_batch` returns exactly what a sequential request loop would,
-//!    for a mixed-user workload.
+//! Concurrency guarantees of the serving layer: two threads mutating the
+//! same user's profile while a third queries it never deadlock, no update is
+//! lost, and epoch-based plan-cache invalidation is observed — per user.
 //!
 //! `scripts/verify.sh` runs this file both under the default test
 //! parallelism and with `RUST_TEST_THREADS=1`.
 
-use pqp_core::{PersonalizeOptions, Profile, Rewrite};
+use pqp_core::Profile;
 use pqp_engine::Database;
-use pqp_service::{Service, ServiceConfig, UserId};
+use pqp_service::Service;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
 
 fn movie_db() -> Database {
@@ -181,70 +178,4 @@ fn mutations_do_not_invalidate_other_users() {
             }
         });
     });
-}
-
-/// `query_batch` over a mixed-user workload returns, slot for slot, exactly
-/// the rows a sequential `Session::query` loop produces.
-#[test]
-fn batch_matches_sequential_for_mixed_users() {
-    let users = ["ana", "bob", "cid", "dee", "eve"];
-    let genres = ["comedy", "drama", "thriller", "scifi", "comedy"];
-    let sqls = [
-        Q,
-        "select MV.title from MOVIE MV where MV.mid < 10",
-        "select MV.mid, MV.title from MOVIE MV",
-    ];
-
-    let build = || {
-        let service = Service::with_config(
-            movie_db(),
-            ServiceConfig {
-                options: PersonalizeOptions::builder().k(2).l(1).build(),
-                rewrite: Rewrite::Mq,
-                ..ServiceConfig::default()
-            },
-        );
-        for (u, g) in users.iter().zip(genres) {
-            service.install_profile(profile_for(u, g)).unwrap();
-        }
-        service
-    };
-
-    // 50-request mixed-user workload with plenty of duplicates.
-    let requests: Vec<(UserId, String)> = (0..50)
-        .map(|i| (UserId::from(users[i % users.len()]), sqls[i % sqls.len()].to_string()))
-        .collect();
-
-    let sequential_service = build();
-    let sequential: Vec<_> = requests
-        .iter()
-        .map(|(u, sql)| sequential_service.session(u.clone()).query(sql).unwrap().rows)
-        .collect();
-
-    for workers in [1, 4, 8] {
-        let service = build();
-        let batch = service.query_batch(&requests, workers);
-        assert_eq!(batch.len(), requests.len());
-        for (i, (got, want)) in batch.iter().zip(&sequential).enumerate() {
-            let got = got.as_ref().expect("batch request succeeds");
-            assert_eq!(&got.rows, want, "request {i} differs with {workers} workers");
-        }
-    }
-}
-
-/// Batches keep running when individual requests fail: errors come back in
-/// the right slots, successes are unaffected.
-#[test]
-fn batch_reports_per_request_errors_in_order() {
-    let service = Service::new(movie_db());
-    service.install_profile(profile_for("ana", "comedy")).unwrap();
-    let requests = vec![
-        (UserId::from("ana"), Q.to_string()),
-        (UserId::from("ana"), "select from where".to_string()),
-        (UserId::from("ana"), Q.to_string()),
-    ];
-    let batch = service.query_batch(&requests, 2);
-    assert!(batch[0].is_ok());
-    assert!(matches!(batch[1], Err(pqp_service::Error::Parse(_))));
-    assert!(batch[2].is_ok());
 }

@@ -32,11 +32,6 @@ pub fn eq(left: Expr, right: Expr) -> Expr {
     binary(left, BinaryOp::Eq, right)
 }
 
-/// `left <> right`
-pub fn neq(left: Expr, right: Expr) -> Expr {
-    binary(left, BinaryOp::NotEq, right)
-}
-
 /// `left > right`
 pub fn gt(left: Expr, right: Expr) -> Expr {
     binary(left, BinaryOp::Gt, right)
@@ -100,11 +95,6 @@ pub fn item_as(expr: Expr, alias: impl Into<String>) -> SelectItem {
 /// A base-table FROM factor with an alias (tuple variable).
 pub fn table(name: impl Into<String>, alias: impl Into<String>) -> TableFactor {
     TableFactor::Table { name: name.into(), alias: Some(alias.into()) }
-}
-
-/// A base-table FROM factor without alias.
-pub fn bare_table(name: impl Into<String>) -> TableFactor {
-    TableFactor::Table { name: name.into(), alias: None }
 }
 
 /// A derived-table FROM factor.

@@ -1,11 +1,9 @@
 //! The blocking TCP client: one socket, one session, the same
-//! [`QueryApi`] the in-process `Session` implements — plus an opt-in
-//! bounded-backoff retry policy for transient transport failures.
+//! [`QueryApi`] the in-process `Session` implements. Every transport error
+//! surfaces to the caller as it happens.
 
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
 use std::io::BufWriter;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use pqp_service::{Answer, Error, QueryApi, Result};
@@ -14,61 +12,6 @@ use pqp_storage::Value;
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{ProfileOp, Request, Response, ShowRequest};
 use crate::{MAX_FRAME_LEN, PROTOCOL_VERSION};
-
-/// Opt-in retry policy for transient failures: bounded exponential
-/// backoff with full jitter.
-///
-/// Only `Io` and `Overloaded` errors are retried — everything else
-/// (parse errors, protocol violations, budget trips) is deterministic and
-/// retrying it wastes work. An `Io` retry reconnects and re-handshakes
-/// first, since the old socket is dead.
-///
-/// **At-least-once caveat:** when a request dies with `Io`, whether it
-/// took effect is unknown. Retrying a *mutation* after `Io` can therefore
-/// apply it twice. Profile mutations are upserts keyed on the preference,
-/// so a duplicate is harmless here — but that is why the policy is
-/// default-off and opt-in per client.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (≥ 1; 1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff base: attempt `n` draws a delay uniformly from
-    /// `0..min(max_delay, base_delay * 2^n)` (full jitter).
-    pub base_delay: Duration,
-    /// Hard cap on a single backoff delay.
-    pub max_delay: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// 4 attempts, 25 ms base, 1 s cap — under 2 s worst-case total sleep.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(25),
-            max_delay: Duration::from_secs(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered backoff delay before retry attempt `attempt`
-    /// (0-based), given a uniform draw in `[0, 1)`.
-    fn delay(&self, attempt: u32, draw: f64) -> Duration {
-        let exp = self.base_delay.saturating_mul(1u32 << attempt.min(16));
-        exp.min(self.max_delay).mul_f64(draw)
-    }
-}
-
-/// Counters a client accumulates under its [`RetryPolicy`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryCounters {
-    /// Individual retry attempts performed (after transient failures).
-    pub retries: u64,
-    /// Requests that failed even after exhausting every attempt.
-    pub exhausted: u64,
-    /// Successful reconnect-and-re-handshake cycles after an `Io` error.
-    pub reconnects: u64,
-}
 
 /// Client-side connection knobs.
 #[derive(Debug, Clone)]
@@ -79,27 +22,16 @@ pub struct ClientConfig {
     pub read_timeout: Option<Duration>,
     /// Write timeout on requests (`None` = block forever).
     pub write_timeout: Option<Duration>,
-    /// Retry transient `Io`/`Overloaded` failures (`None` = off, the
-    /// default: every transport error surfaces immediately).
-    pub retry: Option<RetryPolicy>,
 }
 
 impl ClientConfig {
-    /// A config for `user` with 30-second read/write timeouts and no
-    /// retry policy.
+    /// A config for `user` with 30-second read/write timeouts.
     pub fn new(user: impl Into<String>) -> ClientConfig {
         ClientConfig {
             user: user.into(),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            retry: None,
         }
-    }
-
-    /// The same config with a retry policy enabled.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> ClientConfig {
-        self.retry = Some(policy);
-        self
     }
 }
 
@@ -113,58 +45,15 @@ pub struct Client {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
     config: ClientConfig,
-    /// Resolved addresses, kept for reconnects under the retry policy.
-    addrs: Vec<SocketAddr>,
     server: String,
-    counters: RetryCounters,
-    /// Jitter state: a cheap xorshift seeded per client.
-    jitter: u64,
 }
 
 impl Client {
     /// Connect, perform the protocol handshake, and bind the session to
     /// `config.user`. Fails with [`Error::Protocol`] on a version mismatch
-    /// and [`Error::Io`] on transport failures. With a retry policy
-    /// configured, transient connect failures back off and retry too.
+    /// and [`Error::Io`] on transport failures.
     pub fn connect(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Client> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs().map_err(io_err)?.collect();
-        if addrs.is_empty() {
-            return Err(Error::Io("address resolved to nothing".to_string()));
-        }
-        let mut jitter = RandomState::new().build_hasher().finish() | 1;
-        let mut attempt = 0u32;
-        let mut counters = RetryCounters::default();
-        loop {
-            match Self::open_session(&addrs, &config) {
-                Ok((reader, writer, server)) => {
-                    return Ok(Client { reader, writer, config, addrs, server, counters, jitter });
-                }
-                Err(e) => {
-                    let Some(policy) = config.retry.clone() else { return Err(e) };
-                    if !transient(&e) {
-                        return Err(e);
-                    }
-                    if attempt + 1 >= policy.max_attempts {
-                        // The client is never constructed, so exhaustion is
-                        // only visible via the process-wide counter.
-                        pqp_obs::counter_add("wire.client.retry_exhausted", 1);
-                        return Err(e);
-                    }
-                    counters.retries += 1;
-                    pqp_obs::counter_add("wire.client.retries", 1);
-                    std::thread::sleep(policy.delay(attempt, draw(&mut jitter)));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// One raw connect + handshake.
-    fn open_session(
-        addrs: &[SocketAddr],
-        config: &ClientConfig,
-    ) -> Result<(TcpStream, BufWriter<TcpStream>, String)> {
-        let stream = TcpStream::connect(addrs).map_err(io_err)?;
+        let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_read_timeout(config.read_timeout).map_err(io_err)?;
         stream.set_write_timeout(config.write_timeout).map_err(io_err)?;
         stream.set_nodelay(true).map_err(io_err)?;
@@ -173,10 +62,8 @@ impl Client {
         let hello = Request::Hello { version: PROTOCOL_VERSION, user: config.user.clone() };
         let (tag, payload) = hello.encode();
         write_frame(&mut writer, tag, &payload).map_err(io_err)?;
-        use std::io::Write;
-        writer.flush().map_err(io_err)?;
         match recv_on(&mut reader)? {
-            Response::HelloOk { server, .. } => Ok((reader, writer, server)),
+            Response::HelloOk { server, .. } => Ok(Client { reader, writer, config, server }),
             Response::Error(e) => Err(e.into_error()),
             other => Err(unexpected(&hello, &other)),
         }
@@ -185,12 +72,6 @@ impl Client {
     /// The server identification string from the handshake.
     pub fn server(&self) -> &str {
         &self.server
-    }
-
-    /// Retry counters accumulated by this client (all zero without a
-    /// retry policy).
-    pub fn retry_counters(&self) -> RetryCounters {
-        self.counters
     }
 
     /// Run one introspection request (`SHOW …`) over live server telemetry.
@@ -242,62 +123,14 @@ impl Client {
         recv_on(&mut self.reader)
     }
 
-    /// Tear down the dead socket and open a fresh session (same address,
-    /// same user). Only called under a retry policy after an `Io` error.
-    fn reconnect(&mut self) -> Result<()> {
-        let (reader, writer, server) = Self::open_session(&self.addrs, &self.config)?;
-        self.reader = reader;
-        self.writer = writer;
-        self.server = server;
-        self.counters.reconnects += 1;
-        pqp_obs::counter_add("wire.client.reconnects", 1);
-        Ok(())
-    }
-
-    fn rpc_once(&mut self, req: &Request) -> Result<Response> {
+    /// One request/response exchange. A server `Error` frame becomes the
+    /// decoded service [`Error`] (kind-preserving; `Overloaded` rebuilds
+    /// structurally).
+    fn rpc(&mut self, req: &Request) -> Result<Response> {
         self.send(req)?;
         match self.recv()? {
             Response::Error(e) => Err(e.into_error()),
             resp => Ok(resp),
-        }
-    }
-
-    /// One request/response exchange. A server `Error` frame becomes the
-    /// decoded service [`Error`] (kind-preserving; `Overloaded` rebuilds
-    /// structurally). With a retry policy, transient `Io`/`Overloaded`
-    /// failures back off with jitter and retry — reconnecting first when
-    /// the socket died.
-    fn rpc(&mut self, req: &Request) -> Result<Response> {
-        let Some(policy) = self.config.retry.clone() else { return self.rpc_once(req) };
-        let mut attempt = 0u32;
-        loop {
-            let err = match self.rpc_once(req) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => e,
-            };
-            if !transient(&err) {
-                return Err(err);
-            }
-            if attempt + 1 >= policy.max_attempts {
-                self.counters.exhausted += 1;
-                pqp_obs::counter_add("wire.client.retry_exhausted", 1);
-                return Err(err);
-            }
-            self.counters.retries += 1;
-            pqp_obs::counter_add("wire.client.retries", 1);
-            std::thread::sleep(policy.delay(attempt, draw(&mut self.jitter)));
-            if matches!(err, Error::Io(_)) {
-                // The socket is dead; a fresh session is part of the
-                // retry. A failed reconnect is itself transient — loop.
-                if let Err(e) = self.reconnect() {
-                    if attempt + 2 >= policy.max_attempts {
-                        self.counters.exhausted += 1;
-                        pqp_obs::counter_add("wire.client.retry_exhausted", 1);
-                        return Err(e);
-                    }
-                }
-            }
-            attempt += 1;
         }
     }
 }
@@ -352,22 +185,6 @@ impl QueryApi for Client {
     }
 }
 
-/// Is this error worth retrying? Only transport failures and admission
-/// refusals — both can succeed on a later attempt.
-fn transient(e: &Error) -> bool {
-    matches!(e, Error::Io(_) | Error::Overloaded { .. })
-}
-
-/// Uniform draw in `[0, 1)` from a xorshift64* step.
-fn draw(state: &mut u64) -> f64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 fn recv_on(reader: &mut TcpStream) -> Result<Response> {
     let (tag, payload) = read_frame(reader, MAX_FRAME_LEN).map_err(frame_err)?;
     Response::decode(tag, &payload).map_err(|e| Error::Protocol(format!("bad response frame: {e}")))
@@ -391,54 +208,4 @@ fn unexpected(req: &Request, resp: &Response) -> Error {
     Error::Protocol(format!(
         "unexpected response tag {resp_tag:#04x} to request tag {req_tag:#04x}"
     ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_policy_is_bounded() {
-        let p = RetryPolicy::default();
-        assert!(p.max_attempts >= 2);
-        // Worst-case total sleep stays small even if every draw is ~1.
-        let total: Duration = (0..p.max_attempts - 1).map(|a| p.delay(a, 0.999)).sum();
-        assert!(total < Duration::from_secs(5), "worst-case backoff {total:?}");
-    }
-
-    #[test]
-    fn delay_grows_then_caps() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(80),
-        };
-        assert_eq!(p.delay(0, 1.0), Duration::from_millis(10));
-        assert_eq!(p.delay(1, 1.0), Duration::from_millis(20));
-        assert_eq!(p.delay(2, 1.0), Duration::from_millis(40));
-        assert_eq!(p.delay(3, 1.0), Duration::from_millis(80));
-        assert_eq!(p.delay(9, 1.0), Duration::from_millis(80), "capped");
-        assert_eq!(p.delay(5, 0.0), Duration::ZERO, "full jitter reaches zero");
-    }
-
-    #[test]
-    fn transient_classification() {
-        assert!(transient(&Error::Io("reset".into())));
-        assert!(transient(&Error::Overloaded { in_flight: 9, max: 8 }));
-        assert!(!transient(&Error::Protocol("bad".into())));
-        assert!(!transient(&Error::Internal("bug".into())));
-    }
-
-    #[test]
-    fn jitter_draw_is_uniformish_and_in_range() {
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut sum = 0.0;
-        for _ in 0..1000 {
-            let d = draw(&mut state);
-            assert!((0.0..1.0).contains(&d));
-            sum += d;
-        }
-        let mean = sum / 1000.0;
-        assert!((0.4..0.6).contains(&mean), "mean {mean}");
-    }
 }

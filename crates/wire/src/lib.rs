@@ -42,7 +42,7 @@ pub mod repl;
 
 mod client;
 
-pub use client::{Client, ClientConfig, RetryCounters, RetryPolicy};
+pub use client::{Client, ClientConfig};
 pub use codec::{DecodeError, Reader, Writer};
 pub use frame::{read_frame, write_frame, FrameError};
 pub use proto::{ProfileOp, Request, Response, ShowRequest, WireError};

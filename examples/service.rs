@@ -1,10 +1,10 @@
 //! The serving layer in five minutes: one [`Service`] over a generated
 //! movies database, several users' profiles, sessions issuing personalized
-//! SQL, a profile mutation invalidating cached plans, and a batch run.
+//! SQL, and a profile mutation invalidating cached plans.
 //!
 //! Run with: `cargo run --example service`
 
-use pqp::{Service, ServiceConfig, UserId};
+use pqp::{Service, ServiceConfig};
 use pqp_core::{PersonalizeOptions, Rewrite};
 use pqp_datagen::{generate, generate_profiles, MovieDbConfig, ProfileGenConfig};
 
@@ -48,17 +48,6 @@ fn main() -> Result<(), pqp::Error> {
     service.add_selection("user0", "GENRE", "genre", "comedy", 0.95)?;
     let after = session.query(sql)?;
     println!("after mutation: cache: {} (epoch {})", after.meta.cache, service.epoch("user0"));
-
-    // 5. Batch execution: identical in-flight requests are collapsed, the
-    //    rest fan out across scoped worker threads.
-    let requests: Vec<(UserId, String)> =
-        (0..16).map(|i| (UserId::from(format!("user{}", i % 4)), sql.to_string())).collect();
-    let answers = service.query_batch(&requests, 4);
-    println!(
-        "\nbatch: {}/{} requests ok",
-        answers.iter().filter(|a| a.is_ok()).count(),
-        answers.len()
-    );
 
     let stats = service.cache_stats();
     println!(

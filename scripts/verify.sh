@@ -97,13 +97,18 @@ RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_dif
 echo "==> plan footprint budget + estimator equivalence (release)"
 cargo test "${CARGO_FLAGS[@]}" --release -p pqp --test plan_footprint --test estimator_equivalence -q
 
-# The repo's benchmark on the workload that misses the plan cache on every
-# request, at smoke length: it builds from this checkout, checks every
-# answer and its own guards, and must report no failed op.
-echo "==> benchmark smoke (cold_read)"
-smoke=$(bash benchmark/run.sh --smoke --workload cold_read)
-echo "$smoke"
-grep -q '"correct":true' <<<"$smoke"
+# The repo's benchmark the way the pipeline runs it, at smoke length: all
+# four workloads, untraced then traced, each building from this checkout,
+# checking every answer and its own guards (~70 s). The traced runs compile
+# against several times more of the crates' public API than the untraced
+# ones, so every one of the eight last-line JSON results must say correct.
+# Then the benchmark package's own tests.
+echo "==> benchmark smoke (all workloads, untraced + traced)"
+smoke=$(bash benchmark/run.sh --smoke)
+grep -E '^(workload |ops_attempted |FAILED)' <<<"$smoke"
+[ "$(grep -c '^{.*"correct":true' <<<"$smoke")" -eq 8 ]
+echo "==> benchmark package tests"
+cargo test "${CARGO_FLAGS[@]}" --manifest-path benchmark/Cargo.toml -q
 
 # Native TopK micro-bench smoke (PQP_TOPK_SMOKE shrinks the K/L sweep to
 # its two ends): must produce results/micro_topk.json with per-point cost

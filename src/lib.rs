@@ -17,8 +17,7 @@
 //! - [`service`] — the concurrent multi-user serving layer: a [`Service`]
 //!   owning one database plus a sharded profile store, prepared-query and
 //!   personalized-plan caches with epoch invalidation, [`Session::query`]
-//!   as the one front door (returning [`Result<Answer, Error>`](Error)),
-//!   and [`Service::query_batch`] for batch execution;
+//!   as the one front door (returning [`Result<Answer, Error>`](Error));
 //! - [`wire`] — the versioned, length-prefixed binary protocol and the
 //!   blocking TCP [`Client`];
 //! - [`server`] — the `pqp-server` TCP session runtime (thread per

@@ -1,5 +1,6 @@
-//! The one-pass estimator against a plain recursive reference, and a
-//! digest pinning plans, estimates, strategy choices and answers.
+//! The one-pass estimator against a plain recursive reference, and two
+//! digests pinning plans, estimates and strategy choices, and answers and
+//! rows scanned.
 //!
 //! `pqp_engine::Estimator` derives `(rows, cost, origins)` for a whole plan
 //! in one post-order pass. The reference below is the textbook formulation
@@ -538,53 +539,80 @@ impl Fnv {
     }
 }
 
-/// FNV-1a over, for every case and every requested rewrite (the three
-/// explicit ones and `Auto`): the resolved rewrite, the estimated costs of
-/// every candidate (bit patterns), `Plan::explain()`, `Estimator::explain()`
-/// and the executed answer.
-fn digest(analyzed: bool) -> u64 {
+/// Two FNV-1a digests over the corpus. **(a) plans**: for every case and
+/// every requested rewrite (the three explicit ones and `Auto`) the resolved
+/// rewrite, the estimated costs of every candidate (bit patterns),
+/// `Plan::explain()` and `Estimator::explain()` — what the optimizer
+/// decided. **(b) answers**: for every case and each explicit rewrite the
+/// executed answer and the rows the run scanned — what the executor did.
+/// Kept apart so a change to who picks an access path shows as (a) moving
+/// while (b) proves the same rows were read and returned.
+fn digests(analyzed: bool) -> (u64, u64) {
     let corpus = corpus(analyzed);
-    let mut fnv = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut plans = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut answers = Fnv(0xCBF2_9CE4_8422_2325);
     for (label, p) in &corpus.cases {
         for rw in REWRITES.into_iter().chain([Rewrite::Auto]) {
-            fnv.eat(label);
+            plans.eat(label);
             let choice = match build_execution(&corpus.db, p, rw, None) {
                 Ok(choice) => choice,
                 Err(e) => {
-                    fnv.eat(&format!("refused: {e}"));
+                    plans.eat(&format!("refused: {e}"));
                     continue;
                 }
             };
-            fnv.eat(choice.rewrite.label());
-            fnv.eat(&format!("{:016x}", choice.cost.to_bits()));
+            plans.eat(choice.rewrite.label());
+            plans.eat(&format!("{:016x}", choice.cost.to_bits()));
             for (alt, cost) in &choice.alternatives {
-                fnv.eat(&format!("{}={:016x}", alt.label(), cost.to_bits()));
+                plans.eat(&format!("{}={:016x}", alt.label(), cost.to_bits()));
             }
-            fnv.eat(&choice.plan.explain());
-            fnv.eat(&Estimator::new(corpus.db.catalog()).explain(&choice.plan));
+            plans.eat(&choice.plan.explain());
+            plans.eat(&Estimator::new(corpus.db.catalog()).explain(&choice.plan));
+            if rw == Rewrite::Auto {
+                continue;
+            }
+            let ctx = QueryCtx::unlimited();
             let answer = corpus
                 .db
-                .run_plan_ctx(&choice.plan, &ExecOptions::default(), &QueryCtx::unlimited())
+                .run_plan_ctx(&choice.plan, &ExecOptions::default(), &ctx)
                 .expect("execute");
-            fnv.eat(&format!("{:?}", answer.columns));
-            fnv.eat(&format!("{:?}", answer.rows));
+            answers.eat(label);
+            answers.eat(rw.label());
+            answers.eat(&format!("{:?}", answer.columns));
+            answers.eat(&format!("{:?}", answer.rows));
+            answers.eat(&format!("rows_scanned={}", ctx.progress().rows_scanned));
         }
     }
-    fnv.0
+    (plans.0, answers.0)
 }
 
-/// Recorded by running this very function on the parent commit (PR 14,
-/// `0ecb601`): owned-`String` schemas, recursive estimator.
-const PARENT_DIGEST_ANALYZED: u64 = 0x92bc_04d9_c461_9db2;
-const PARENT_DIGEST_UNANALYZED: u64 = 0xc8eb_2bee_c8f5_5e4c;
+/// Recorded by running this very function on the parent commit (PR 16,
+/// `a82e59e`) — except `PLANS_UNANALYZED`, re-recorded in the PR that moved
+/// the un-analyzed index-join decision from the executor's run-time sniff
+/// into the planner (parent: `0xff60_eeef_3328_cec0`): the joins the sniff
+/// used to probe now read `IndexJoin` in `explain()` and are priced as such,
+/// which also moves `Auto`'s choices. The answers digest did not move.
+const PARENT_PLANS_ANALYZED: u64 = 0x074b_eb80_35bc_2eaf;
+const PLANS_UNANALYZED: u64 = 0xa34a_7712_ac99_022c;
+const PARENT_ANSWERS_ANALYZED: u64 = 0xbf86_239a_a0df_4b41;
+const PARENT_ANSWERS_UNANALYZED: u64 = 0xca7b_4445_e7ca_b6a1;
 
 #[test]
 fn plans_estimates_choices_and_answers_match_the_parent_commit() {
-    let (analyzed, unanalyzed) = (digest(true), digest(false));
-    println!("digest analyzed={analyzed:#018x} unanalyzed={unanalyzed:#018x}");
+    let (plans_a, answers_a) = digests(true);
+    let (plans_u, answers_u) = digests(false);
+    println!(
+        "plans analyzed={plans_a:#018x} unanalyzed={plans_u:#018x}; \
+         answers analyzed={answers_a:#018x} unanalyzed={answers_u:#018x}"
+    );
     assert_eq!(
-        (analyzed, unanalyzed),
-        (PARENT_DIGEST_ANALYZED, PARENT_DIGEST_UNANALYZED),
-        "a plan, an estimate, a strategy choice or an answer changed"
+        (answers_a, answers_u),
+        (PARENT_ANSWERS_ANALYZED, PARENT_ANSWERS_UNANALYZED),
+        "an answer or the rows scanned to produce it changed"
+    );
+    assert_eq!(
+        (plans_a, plans_u),
+        (PARENT_PLANS_ANALYZED, PLANS_UNANALYZED),
+        "a plan, an estimate or a strategy choice changed"
     );
 }
