@@ -58,11 +58,8 @@ pub mod conflict;
 pub mod criteria;
 pub mod doi;
 pub mod error;
-pub mod explain;
 pub mod graph;
 pub mod integrate;
-pub mod learn;
-pub mod negative;
 pub mod path;
 pub mod personalize;
 pub mod pref;
@@ -96,11 +93,8 @@ pub use strategy::{build_execution, choose, Execution, StrategyChoice};
 pub mod prelude {
     pub use crate::criteria::InterestCriterion;
     pub use crate::doi::Doi;
-    pub use crate::explain::explain;
     pub use crate::graph::{GraphAccess, InMemoryGraph, StoredProfileGraph};
     pub use crate::integrate::MatchSpec;
-    pub use crate::learn::{LearnerConfig, ProfileLearner};
-    pub use crate::negative::{integrate_mq_with_negatives, select_negatives};
     pub use crate::personalize::{
         personalize, personalize_prepared, MandatorySpec, PersonalizeOptions,
         PersonalizeOptionsBuilder, Personalized, Rewrite,

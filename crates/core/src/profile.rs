@@ -16,10 +16,6 @@ use std::fmt;
 pub struct Profile {
     pub user: String,
     preferences: Vec<AtomicPreference>,
-    /// Negative preferences (degrees of *disinterest*; see
-    /// [`crate::negative`]). Kept separate so they never enter the positive
-    /// personalization graph. Omitted from JSON when empty.
-    negatives: Vec<AtomicPreference>,
     /// Mutation epoch: bumped on every successful mutating call (including
     /// degree-identical replacement), so caches keyed on profile contents can
     /// invalidate without diffing preference lists. Not part of equality and
@@ -31,16 +27,14 @@ pub struct Profile {
 /// store the same preferences for the same user, however they got there.
 impl PartialEq for Profile {
     fn eq(&self, other: &Profile) -> bool {
-        self.user == other.user
-            && self.preferences == other.preferences
-            && self.negatives == other.negatives
+        self.user == other.user && self.preferences == other.preferences
     }
 }
 
 impl Profile {
     /// An empty profile for a named user.
     pub fn new(user: impl Into<String>) -> Profile {
-        Profile { user: user.into(), preferences: Vec::new(), negatives: Vec::new(), revision: 0 }
+        Profile { user: user.into(), preferences: Vec::new(), revision: 0 }
     }
 
     /// The mutation epoch: how many mutating calls this profile value has
@@ -111,38 +105,6 @@ impl Profile {
         self.add_join(b_table, b_column, a_table, a_column, doi)
     }
 
-    /// Add (or update) a **negative** selection preference: `disinterest`
-    /// is a degree of disinterest in `[0, 1]`; 1 excludes matching results
-    /// outright, smaller values demote them in the ranking (see
-    /// [`crate::negative`]).
-    pub fn add_negative_selection(
-        &mut self,
-        table: &str,
-        column: &str,
-        value: impl Into<Value>,
-        disinterest: f64,
-    ) -> Result<&mut Self> {
-        let doi = Doi::new(disinterest)?;
-        let attr = AttrRef::new(table, column);
-        let value = value.into();
-        self.negatives.retain(|p| match p {
-            AtomicPreference::Selection { attr: a, value: v, .. } => {
-                !(a.same_as(&attr) && *v == value)
-            }
-            _ => true,
-        });
-        if doi > Doi::ZERO {
-            self.negatives.push(AtomicPreference::Selection { attr, value, doi });
-        }
-        self.revision += 1;
-        Ok(self)
-    }
-
-    /// Stored negative preferences.
-    pub fn negatives(&self) -> impl Iterator<Item = &AtomicPreference> {
-        self.negatives.iter()
-    }
-
     /// All stored preferences.
     pub fn preferences(&self) -> &[AtomicPreference] {
         &self.preferences
@@ -179,7 +141,7 @@ impl Profile {
             }
             Ok(())
         };
-        for p in self.preferences.iter().chain(self.negatives.iter()) {
+        for p in &self.preferences {
             match p {
                 AtomicPreference::Selection { attr, .. } => check_attr(attr)?,
                 AtomicPreference::Join { from, to, .. } => {
@@ -196,18 +158,15 @@ impl Profile {
     /// The wire format is stable across versions: preferences carry a
     /// `"kind"` tag (`"selection"` / `"join"`), values use a
     /// `{"Int": 7}`-style tagged encoding (`Value::Null` is the bare string
-    /// `"Null"`), and the `negatives` array is omitted when empty.
+    /// `"Null"`).
     pub fn to_json(&self) -> String {
         let prefs = Json::Arr(self.preferences.iter().map(pref_to_json).collect());
-        let mut j = Json::obj().set("user", self.user.as_str()).set("preferences", prefs);
-        if !self.negatives.is_empty() {
-            j = j.set("negatives", Json::Arr(self.negatives.iter().map(pref_to_json).collect()));
-        }
-        j.pretty()
+        Json::obj().set("user", self.user.as_str()).set("preferences", prefs).pretty()
     }
 
     /// Deserialize from JSON. Degrees are re-validated through [`Doi::new`],
-    /// so an out-of-range `doi` in the document is rejected.
+    /// so an out-of-range `doi` in the document is rejected, and so is a
+    /// non-empty `negatives` array.
     pub fn from_json(s: &str) -> Result<Profile> {
         let j = Json::parse(s).map_err(|e| json_err(e.to_string()))?;
         let user = j
@@ -215,21 +174,19 @@ impl Profile {
             .and_then(Json::as_str)
             .ok_or_else(|| json_err("missing `user` string"))?
             .to_string();
-        let parse_list = |key: &str, required: bool| -> Result<Vec<AtomicPreference>> {
-            match j.get(key) {
-                None if !required => Ok(Vec::new()),
-                None => Err(json_err(format!("missing `{key}` array"))),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| json_err(format!("`{key}` must be an array")))?
-                    .iter()
-                    .map(pref_from_json)
-                    .collect(),
-            }
-        };
-        let preferences = parse_list("preferences", true)?;
-        let negatives = parse_list("negatives", false)?;
-        Ok(Profile { user, preferences, negatives, revision: 0 })
+        let preferences = j
+            .get("preferences")
+            .and_then(Json::as_array)
+            .ok_or_else(|| json_err("missing `preferences` array"))?
+            .iter()
+            .map(pref_from_json)
+            .collect::<Result<_>>()?;
+        // Negative preferences are not part of the model; ignoring a
+        // document's would serve its user answers the profile excludes.
+        if j.get("negatives").is_some_and(|n| n.as_array() != Some(&[])) {
+            return Err(json_err("`negatives` are not supported"));
+        }
+        Ok(Profile { user, preferences, revision: 0 })
     }
 }
 
@@ -455,6 +412,16 @@ mod tests {
             {"kind":"selection","attr":{"table":"T","column":"c"},"value":{"Str":"v"},"doi":7.0}
         ]}"#;
         assert!(Profile::from_json(j).is_err());
+    }
+
+    #[test]
+    fn json_rejects_negatives_unless_empty() {
+        let doc = |negatives: &str| format!(r#"{{"user":"x","preferences":[]{negatives}}}"#);
+        let neg = r#"{"kind":"selection","attr":{"table":"T","column":"c"},"value":{"Str":"v"},"doi":1.0}"#;
+        let err = Profile::from_json(&doc(&format!(r#","negatives":[{neg}]"#))).unwrap_err();
+        assert!(err.to_string().contains("profile JSON: `negatives`"), "got: {err}");
+        assert_eq!(Profile::from_json(&doc(r#","negatives":[]"#)).unwrap(), Profile::new("x"));
+        assert_eq!(Profile::from_json(&doc("")).unwrap(), Profile::new("x"));
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! reproduction, and [`naive`] for the differential-testing oracle.
 //!
 //! Execution is serial by default; pass an [`ExecOptions`] thread budget to
-//! [`Database::run_plan_with`] for intra-query parallelism (partitioned
+//! [`Database::run_plan_ctx`] for intra-query parallelism (partitioned
 //! scans, filters, projections and hash joins — see the parallelism notes
 //! in [`exec`]). Parallel execution preserves the serial row order exactly.
 //!
 //! ```
 //! use pqp_engine::{Database, ExecOptions};
+//! use pqp_obs::QueryCtx;
 //! use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
 //!
 //! let mut catalog = Catalog::new();
@@ -44,7 +45,8 @@
 //! assert_eq!(serial.rows, vec![vec!["Brazil".into()]]);
 //!
 //! // A thread budget never changes the answer: ordered partition merge.
-//! let parallel = db.run_plan_with(&plan, &ExecOptions::with_threads(4)).unwrap();
+//! let parallel =
+//!     db.run_plan_ctx(&plan, &ExecOptions::with_threads(4), &QueryCtx::unlimited()).unwrap();
 //! assert_eq!(parallel.rows, serial.rows);
 //! ```
 
@@ -133,26 +135,21 @@ impl Database {
     /// times (and from any thread) as long as the referenced tables still
     /// exist — the serving layer's personalized-plan cache relies on it.
     pub fn run_plan(&self, plan: &plan::Plan) -> Result<ResultSet> {
-        self.run_plan_with(plan, &ExecOptions::default())
+        self.run_plan_ctx(plan, &ExecOptions::default(), &QueryCtx::unlimited())
     }
 
     /// Execute an already-planned query under an [`ExecOptions`] thread
-    /// budget. Parallel execution merges partitions in partition order, so
-    /// the result is row-for-row identical to [`Database::run_plan`] for
-    /// any budget (serial fast path when `threads <= 1` or inputs are
-    /// small).
-    pub fn run_plan_with(&self, plan: &plan::Plan, exec: &ExecOptions) -> Result<ResultSet> {
-        self.run_plan_ctx(plan, exec, &QueryCtx::unlimited())
-    }
-
-    /// Execute an already-planned query under a thread budget **and** a
-    /// query-governor context ([`pqp_obs::QueryCtx`]): operators check the
-    /// context's deadline / rows-scanned / memory budget cooperatively at
-    /// loop boundaries and abort with
-    /// [`EngineError::Budget`] (partial-progress
-    /// counters included) when it trips. Parallel workers share the same
-    /// context, so one worker tripping stops the others at their next
-    /// checkpoint — the scope joins every thread either way.
+    /// budget **and** a query-governor context ([`pqp_obs::QueryCtx`]).
+    ///
+    /// Parallel execution merges partitions in partition order, so the
+    /// result is row-for-row identical to [`Database::run_plan`] for any
+    /// budget (serial fast path when `threads <= 1` or inputs are small).
+    /// Operators check the context's deadline / rows-scanned / memory budget
+    /// cooperatively at loop boundaries and abort with
+    /// [`EngineError::Budget`] (partial-progress counters included) when it
+    /// trips. Parallel workers share the same context, so one worker
+    /// tripping stops the others at their next checkpoint — the scope joins
+    /// every thread either way.
     pub fn run_plan_ctx(
         &self,
         plan: &plan::Plan,
@@ -249,18 +246,6 @@ impl Database {
             limit: spec.limit,
             schema: pass.share(OutputSchema::new(columns)),
         })
-    }
-
-    /// Execute with the naive reference interpreter (no optimization).
-    pub fn run_naive(&self, q: &Query) -> Result<ResultSet> {
-        naive::naive_execute(q, &self.catalog)
-    }
-
-    /// Naive reference execution under a query-governor context — even the
-    /// oracle respects deadlines (its cross products are the costliest
-    /// thing in the workspace).
-    pub fn run_naive_ctx(&self, q: &Query, ctx: &QueryCtx) -> Result<ResultSet> {
-        naive::naive_execute_ctx(q, &self.catalog, ctx)
     }
 
     /// EXPLAIN text for a SQL string, with per-node `est_rows` from the

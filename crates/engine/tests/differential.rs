@@ -4,8 +4,10 @@
 //! a thread budget low enough that every operator fans out. Driven by a
 //! seeded PRNG so failures reproduce exactly.
 
+use pqp_engine::naive::naive_execute;
 use pqp_engine::{Database, ExecOptions};
 use pqp_obs::rng::{Rng, SmallRng};
+use pqp_obs::QueryCtx;
 use pqp_sql::ast::*;
 use pqp_sql::builder as b;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
@@ -155,13 +157,14 @@ fn arb_query_over(rng: &mut SmallRng, factors: &[usize]) -> Query {
 /// planned run must return the oracle's multiset of rows, or fail where the
 /// oracle fails.
 fn assert_matches_naive(db: &Database, query: &Query) {
-    let naive = db.run_naive(query).map(|r| {
+    let naive = naive_execute(query, db.catalog()).map(|r| {
         let mut rows = r.rows;
         rows.sort();
         rows
     });
     for opts in [ExecOptions::serial(), ExecOptions::with_threads(4).min_parallel_rows(2)] {
-        let fast = db.plan(query).and_then(|plan| db.run_plan_with(&plan, &opts));
+        let fast =
+            db.plan(query).and_then(|plan| db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()));
         match (&naive, fast) {
             (Ok(n), Ok(f)) => {
                 let mut f = f.rows;

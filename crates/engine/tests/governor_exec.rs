@@ -6,6 +6,7 @@
 //! The failpoint registry is process-global, so every test that arms one
 //! serializes on a shared mutex and clears the registry before returning.
 
+use pqp_engine::naive::naive_execute_ctx;
 use pqp_engine::{Database, EngineError, ExecOptions};
 use pqp_obs::rng::{Rng, SmallRng};
 use pqp_obs::{failpoint, Budget, BudgetReason, QueryCtx};
@@ -177,7 +178,7 @@ fn deadline_trips_inside_parallel_join_without_leaking_workers() {
         failpoint::clear();
         // The scope joined everything: the same database serves the next
         // query normally.
-        let ok = db.run_plan_with(&plan, &opts).unwrap();
+        let ok = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
         assert_eq!(ok.rows, db.run_plan(&plan).unwrap().rows);
     });
 }
@@ -189,13 +190,13 @@ fn worker_panic_becomes_internal_error_for_that_query_only() {
         let plan = db.plan(&parse_query(JOIN_SQL).unwrap()).unwrap();
         let opts = ExecOptions::with_threads(3).min_parallel_rows(2);
         failpoint::configure("par.worker", "1*panic(chaos worker)").unwrap();
-        let err = db.run_plan_with(&plan, &opts).unwrap_err();
+        let err = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap_err();
         match err {
             EngineError::Internal(msg) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected Internal, got {other:?}"),
         }
         failpoint::clear();
-        let ok = db.run_plan_with(&plan, &opts).unwrap();
+        let ok = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
         assert_eq!(ok.rows, db.run_plan(&plan).unwrap().rows);
     });
 }
@@ -238,13 +239,13 @@ fn naive_executor_respects_deadline() {
     // iterations for the cooperative checks.
     let q = parse_query(JOIN_SQL).unwrap();
     let ctx = QueryCtx::new(Budget::unlimited().deadline_ms(0));
-    match db.run_naive_ctx(&q, &ctx) {
+    match naive_execute_ctx(&q, db.catalog(), &ctx) {
         Err(EngineError::Budget(b)) => assert_eq!(b.reason, BudgetReason::Deadline),
         other => panic!("expected Budget, got {other:?}"),
     }
     // And the memory budget bounds the cross product itself.
     let ctx = QueryCtx::new(Budget::unlimited().max_memory_bytes(64 * 1024));
-    match db.run_naive_ctx(&q, &ctx) {
+    match naive_execute_ctx(&q, db.catalog(), &ctx) {
         Err(EngineError::Budget(b)) => assert_eq!(b.reason, BudgetReason::Memory),
         other => panic!("expected Budget, got {other:?}"),
     }

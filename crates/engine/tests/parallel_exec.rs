@@ -4,6 +4,7 @@
 
 use pqp_engine::{Database, ExecOptions};
 use pqp_obs::rng::{Rng, SmallRng};
+use pqp_obs::QueryCtx;
 use pqp_sql::parse_query;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
 
@@ -69,7 +70,7 @@ fn every_thread_budget_matches_serial() {
         let serial = db.run_plan(&plan).unwrap();
         for threads in [2, 3, 4, 8] {
             let opts = ExecOptions::with_threads(threads).min_parallel_rows(2);
-            let parallel = db.run_plan_with(&plan, &opts).unwrap();
+            let parallel = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
             assert_eq!(
                 serial.rows,
                 parallel.rows,
@@ -90,7 +91,7 @@ fn more_partitions_than_pages_is_fine() {
         let q = parse_query(sql).unwrap();
         let plan = db.plan(&q).unwrap();
         let serial = db.run_plan(&plan).unwrap();
-        let parallel = db.run_plan_with(&plan, &opts).unwrap();
+        let parallel = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
         assert_eq!(serial.rows, parallel.rows, "`{sql}` diverged with excess partitions");
     }
 }
@@ -105,7 +106,7 @@ fn parallel_run_records_its_shape_in_the_trace() {
     let opts = ExecOptions::with_threads(4).min_parallel_rows(2);
 
     pqp_obs::trace_begin("test");
-    db.run_plan_with(&plan, &opts).unwrap();
+    db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
     let trace = pqp_obs::trace_end().unwrap();
 
     let join = trace

@@ -856,10 +856,8 @@ impl Service {
         let mut phases = obs.phases;
         phases.total_us = started.elapsed().as_micros() as u64;
         let (ok, rows_out, k, m, degrade, error_kind, error) = match result {
-            Ok(a) => (true, a.rows.len(), a.meta.k, a.meta.m, a.meta.degraded.label(), None, None),
-            Err(e) => {
-                (false, 0, 0, 0, DegradeLevel::None.label(), Some(e.kind()), Some(e.to_string()))
-            }
+            Ok(a) => (true, a.rows.len(), a.meta.k, a.meta.m, a.meta.degraded, None, None),
+            Err(e) => (false, 0, 0, 0, DegradeLevel::None, Some(e.kind()), Some(e.to_string())),
         };
         self.telemetry.record(QueryRecord {
             seq: 0, // assigned by the log

@@ -22,6 +22,7 @@
 //! the bench suite asserts the end-to-end overhead stays under 2% on the
 //! governor micro-benchmark.
 
+use crate::DegradeLevel;
 use pqp_engine::ResultSet;
 use pqp_obs::{Json, WindowSnapshot, WindowedHistogram};
 use pqp_storage::Value;
@@ -114,8 +115,9 @@ pub struct QueryRecord {
     /// Personalized-plan cache outcome: `"hit"`, `"stale"`, `"miss"`, or
     /// `"-"` (not reached).
     pub plan_cache: &'static str,
-    /// Degradation level the answer ran at ([`crate::DegradeLevel::label`]).
-    pub degrade: &'static str,
+    /// Degradation level the answer ran at (printed as its
+    /// [`DegradeLevel::label`]).
+    pub degrade: DegradeLevel,
     /// Preferences selected (K) for this answer.
     pub k: usize,
     /// Mandatory preferences (M) for this answer.
@@ -152,7 +154,7 @@ impl QueryRecord {
             .set("mem_bytes", self.mem_bytes)
             .set("prepared_cache", self.prepared_cache)
             .set("plan_cache", self.plan_cache)
-            .set("degrade", self.degrade)
+            .set("degrade", self.degrade.label())
             .set("k", self.k)
             .set("m", self.m)
             .set("slow", self.slow);
@@ -341,10 +343,9 @@ pub struct TelemetrySnapshot {
     pub strategy_mq: u64,
     /// Answers executed through the native rank operator.
     pub strategy_native_rank: u64,
-    /// Degraded answers per ladder rung, in ladder order below
-    /// [`crate::DegradeLevel::None`]: reduced-k, native-reduced-k,
-    /// mandatory-only, unpersonalized.
-    pub degrade_rungs: [u64; 4],
+    /// Degraded answers per ladder rung, indexed like
+    /// [`DegradeLevel::LADDER`]`[1..]`.
+    pub degrade_rungs: [u64; DegradeLevel::LADDER.len() - 1],
     /// Total latency in milliseconds: lifetime + sliding last-minute view.
     pub latency_ms: WindowSnapshot,
     /// Replication state, when this service runs under a replicated
@@ -369,7 +370,7 @@ pub struct Telemetry {
     strategy_sq: AtomicU64,
     strategy_mq: AtomicU64,
     strategy_native_rank: AtomicU64,
-    degrade_rungs: [AtomicU64; 4],
+    degrade_rungs: [AtomicU64; DegradeLevel::LADDER.len() - 1],
     repl: Mutex<Option<ReplStatus>>,
 }
 
@@ -413,18 +414,9 @@ impl Telemetry {
         if !record.ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if record.degrade != "none" {
+        if let Some(i) = DegradeLevel::LADDER[1..].iter().position(|&l| l == record.degrade) {
             self.degraded.fetch_add(1, Ordering::Relaxed);
-            let rung = match record.degrade {
-                "reduced-k" => Some(0),
-                "native-reduced-k" => Some(1),
-                "mandatory-only" => Some(2),
-                "unpersonalized" => Some(3),
-                _ => None,
-            };
-            if let Some(i) = rung {
-                self.degrade_rungs[i].fetch_add(1, Ordering::Relaxed);
-            }
+            self.degrade_rungs[i].fetch_add(1, Ordering::Relaxed);
         }
         if let Some(deadline_ms) = record.deadline_ms {
             if record.phases.total_us > deadline_ms.saturating_mul(1_000) {
@@ -493,12 +485,7 @@ impl Telemetry {
             strategy_sq: self.strategy_sq.load(Ordering::Relaxed),
             strategy_mq: self.strategy_mq.load(Ordering::Relaxed),
             strategy_native_rank: self.strategy_native_rank.load(Ordering::Relaxed),
-            degrade_rungs: [
-                self.degrade_rungs[0].load(Ordering::Relaxed),
-                self.degrade_rungs[1].load(Ordering::Relaxed),
-                self.degrade_rungs[2].load(Ordering::Relaxed),
-                self.degrade_rungs[3].load(Ordering::Relaxed),
-            ],
+            degrade_rungs: std::array::from_fn(|i| self.degrade_rungs[i].load(Ordering::Relaxed)),
             latency_ms: self.latency_ms.snapshot(),
             repl: self.repl_status(),
         }
@@ -524,10 +511,9 @@ impl Telemetry {
         int("planner.strategy.sq", snap.strategy_sq, &mut rows);
         int("planner.strategy.mq", snap.strategy_mq, &mut rows);
         int("planner.strategy.native_rank", snap.strategy_native_rank, &mut rows);
-        int("service.degrade.rung.reduced-k", snap.degrade_rungs[0], &mut rows);
-        int("service.degrade.rung.native-reduced-k", snap.degrade_rungs[1], &mut rows);
-        int("service.degrade.rung.mandatory-only", snap.degrade_rungs[2], &mut rows);
-        int("service.degrade.rung.unpersonalized", snap.degrade_rungs[3], &mut rows);
+        for (level, n) in DegradeLevel::LADDER[1..].iter().zip(snap.degrade_rungs) {
+            int(&format!("service.degrade.rung.{level}"), n, &mut rows);
+        }
         let float = |name: &str, v: f64, rows: &mut Vec<Vec<Value>>| {
             rows.push(vec![Value::Str(name.to_string()), Value::Float(v)]);
         };
@@ -635,7 +621,7 @@ mod tests {
             est_rows: Some(3.4),
             prepared_cache: "miss",
             plan_cache: "miss",
-            degrade: "none",
+            degrade: DegradeLevel::None,
             k: 1,
             m: 0,
             deadline_ms: None,
@@ -692,7 +678,7 @@ mod tests {
         t.record(record_with("a", 1_000, true));
         t.record(record_with("b", 1_000, false));
         let mut degraded = record_with("c", 1_000, true);
-        degraded.degrade = "reduced-k";
+        degraded.degrade = DegradeLevel::ReducedK;
         t.record(degraded);
         let mut late = record_with("d", 9_000, true);
         late.deadline_ms = Some(5);
@@ -702,7 +688,7 @@ mod tests {
         t.record(refused);
         t.note_panic();
         let mut native = record_with("f", 1_000, true);
-        native.degrade = "native-reduced-k";
+        native.degrade = DegradeLevel::NativeReducedK;
         t.record(native);
         let snap = t.snapshot();
         assert_eq!(snap.queries, 6);

@@ -66,28 +66,6 @@ cargo test "${CARGO_FLAGS[@]}" -p pqp-wire --test fuzz_codec -q
 echo "==> unwrap/expect gate (service, storage, wire, server)"
 ./scripts/check_unwrap.sh
 
-# Parallel execution must be row-for-row identical to serial, under the
-# default test parallelism (the workspace run above: the suites default to
-# a 4-thread budget, PQP_THREADS overrides it) AND serially —
-# nested-parallelism interleavings differ on both schedules.
-echo "==> parallel equivalence (PQP_THREADS=4, RUST_TEST_THREADS=1)"
-PQP_THREADS=4 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test parallel_equivalence -q
-
-# Statistics may change plans, never answers: the stats-equivalence suite
-# (naive vs planned, stats on/off/stale, serial vs PQP_THREADS budget) runs
-# on both schedules too, like the parallel suite.
-echo "==> stats equivalence (PQP_THREADS=4, RUST_TEST_THREADS=1)"
-PQP_THREADS=4 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test stats_equivalence -q
-
-# The native rank operator must be indistinguishable from the ranked MQ
-# rewrite — same rows, bit-identical degrees, deterministic tie order —
-# over randomized profiles and K/M/L knobs. The suite itself re-executes
-# every native plan under a thread budget and trips governor budgets
-# mid-operator; the workspace run above covers the default schedule, this
-# the serial one.
-echo "==> native rank differential suite (RUST_TEST_THREADS=1)"
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_differential -q
-
 # The cost of a plan-cache miss, counted exactly: a counting allocator
 # bounds the allocations per build_execution(Auto) and the live allocations
 # and bytes of the plan it leaves behind, and the one-pass estimator must

@@ -14,7 +14,7 @@ use pqp_core::error::{PrefError, Result};
 use pqp_core::graph::GraphAccess;
 use pqp_core::{personalize, PersonalizeOptions, Personalized};
 use pqp_engine::{Database, ExecOptions, ResultSet};
-use pqp_obs::{Json, PipelineTrace};
+use pqp_obs::{Json, PipelineTrace, QueryCtx};
 use std::fmt::Write as _;
 
 pub use pqp_core::Rewrite;
@@ -116,7 +116,7 @@ pub fn explain_analyze_with(
         // requested one); `Auto` picks the cheapest, an unsupported native
         // request falls back to MQ.
         let choice = pqp_core::strategy::build_execution(db, &p, rewrite, None)?;
-        let result = db.run_plan_with(&choice.plan, exec)?;
+        let result = db.run_plan_ctx(&choice.plan, exec, &QueryCtx::unlimited())?;
         Ok((p, choice.rewrite, choice.summary(), result))
     };
     let outcome = run();

@@ -12,8 +12,8 @@
 //!   OR-expansion under DISTINCT), executor, ranking aggregates;
 //! - [`core`] — the paper's contribution: preference model, personalization
 //!   graph, preference selection, SQ/MQ integration, ranking;
-//! - [`datagen`] — synthetic movies/bookstore databases, profile and query
-//!   generators (the experimental apparatus);
+//! - [`datagen`] — synthetic movies database, profile and query generators
+//!   (the experimental apparatus);
 //! - [`service`] — the concurrent multi-user serving layer: a [`Service`]
 //!   owning one database plus a sharded profile store, prepared-query and
 //!   personalized-plan caches with epoch invalidation, [`Session::query`]

@@ -91,7 +91,7 @@ fn native_matches_ranked_mq_over_randomized_profiles_and_knobs() {
         nonempty += usize::from(!native.rows.is_empty());
         // Executor modes must be row-for-row identical.
         for exec in alternate_modes() {
-            let alt = m.db.run_plan_with(&choice.plan, &exec).unwrap();
+            let alt = m.db.run_plan_ctx(&choice.plan, &exec, &QueryCtx::unlimited()).unwrap();
             assert_eq!(alt.rows, native.rows, "query {i} diverged under threads={}", exec.threads);
         }
     }
@@ -128,7 +128,7 @@ fn native_top_n_equals_canonically_truncated_mq() {
             let cut = &mq[..mq.len().min(n as usize)];
             assert_eq!(native.rows, cut, "query {i} top-{n} diverged: {q}");
             for exec in alternate_modes() {
-                let alt = m.db.run_plan_with(&choice.plan, &exec).unwrap();
+                let alt = m.db.run_plan_ctx(&choice.plan, &exec, &QueryCtx::unlimited()).unwrap();
                 assert_eq!(alt.rows, native.rows, "query {i} top-{n} mode divergence");
             }
         }

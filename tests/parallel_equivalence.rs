@@ -6,24 +6,18 @@
 //! The determinism contract (DESIGN.md, "Parallel execution"): parallel
 //! operators merge partitions in partition order, so output is row-for-row
 //! identical to the serial executor for any thread budget.
-//!
-//! The thread budget defaults to 4 and can be overridden with
-//! `PQP_THREADS` (scripts/verify.sh and CI run this suite with
-//! `PQP_THREADS=4`, both under the default test harness and under
-//! `RUST_TEST_THREADS=1`).
 
 use pqp::datagen::{generate, generate_queries, MovieDbConfig, QueryGenConfig};
 use pqp::engine::{Database, ExecOptions};
+use pqp::QueryCtx;
 
-/// Thread budget under test: `PQP_THREADS`, default 4.
-fn test_threads() -> usize {
-    std::env::var("PQP_THREADS").ok().and_then(|s| s.parse().ok()).filter(|&n| n > 1).unwrap_or(4)
-}
+/// Thread budget under test.
+const THREADS: usize = 4;
 
 /// An [`ExecOptions`] with the threshold dropped so even the tiny test
 /// databases actually take the parallel paths.
 fn parallel_opts() -> ExecOptions {
-    ExecOptions::with_threads(test_threads()).min_parallel_rows(2)
+    ExecOptions::with_threads(THREADS).min_parallel_rows(2)
 }
 
 fn assert_equivalent(db: &Database, queries: &[pqp::sql::ast::Query], what: &str) {
@@ -31,7 +25,7 @@ fn assert_equivalent(db: &Database, queries: &[pqp::sql::ast::Query], what: &str
     for (i, q) in queries.iter().enumerate() {
         let plan = db.plan(q).unwrap_or_else(|e| panic!("{what} query {i} failed to plan: {e}"));
         let serial = db.run_plan(&plan).unwrap();
-        let parallel = db.run_plan_with(&plan, &opts).unwrap();
+        let parallel = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
         assert_eq!(
             serial.rows,
             parallel.rows,

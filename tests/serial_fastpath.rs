@@ -9,6 +9,7 @@
 
 use pqp::datagen::{generate, generate_queries, MovieDbConfig, QueryGenConfig};
 use pqp::engine::ExecOptions;
+use pqp::QueryCtx;
 
 fn workers_spawned() -> i64 {
     pqp::obs::metrics::global_snapshot().counter("exec.parallel.workers")
@@ -22,10 +23,15 @@ fn default_and_threads_1_budgets_never_spawn() {
     for q in &queries {
         let plan = m.db.plan(q).unwrap();
         m.db.run_plan(&plan).unwrap();
-        m.db.run_plan_with(&plan, &ExecOptions::default()).unwrap();
-        m.db.run_plan_with(&plan, &ExecOptions::with_threads(1)).unwrap();
+        m.db.run_plan_ctx(&plan, &ExecOptions::default(), &QueryCtx::unlimited()).unwrap();
+        m.db.run_plan_ctx(&plan, &ExecOptions::with_threads(1), &QueryCtx::unlimited()).unwrap();
         // A low threshold changes nothing when the budget itself is serial.
-        m.db.run_plan_with(&plan, &ExecOptions::with_threads(1).min_parallel_rows(1)).unwrap();
+        m.db.run_plan_ctx(
+            &plan,
+            &ExecOptions::with_threads(1).min_parallel_rows(1),
+            &QueryCtx::unlimited(),
+        )
+        .unwrap();
     }
     assert_eq!(workers_spawned(), before, "serial budgets spawned parallel workers");
 }
@@ -40,7 +46,7 @@ fn below_threshold_inputs_stay_serial() {
     let before = workers_spawned();
     for q in &queries {
         let plan = m.db.plan(q).unwrap();
-        m.db.run_plan_with(&plan, &opts).unwrap();
+        m.db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
     }
     assert_eq!(
         workers_spawned(),

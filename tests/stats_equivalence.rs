@@ -5,19 +5,17 @@
 //! (index scans, index joins), never answers.
 //!
 //! Also re-checks the parallel determinism contract on the stats-informed
-//! plans: execution under a thread budget stays byte-identical to serial
-//! (scripts/verify.sh and CI run this suite with `PQP_THREADS=4`, under
-//! the default harness and under `RUST_TEST_THREADS=1`).
+//! plans: execution under a thread budget stays byte-identical to serial.
 
 use pqp::datagen::{generate, generate_queries, MovieDbConfig, QueryGenConfig};
+use pqp::engine::naive::naive_execute;
 use pqp::engine::{Database, ExecOptions};
 use pqp::sql::ast::Query;
 use pqp::storage::Value;
+use pqp::QueryCtx;
 
-/// Thread budget under test: `PQP_THREADS`, default 4.
-fn test_threads() -> usize {
-    std::env::var("PQP_THREADS").ok().and_then(|s| s.parse().ok()).filter(|&n| n > 1).unwrap_or(4)
-}
+/// Thread budget under test.
+const THREADS: usize = 4;
 
 fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort();
@@ -41,7 +39,8 @@ fn planned_results_match_naive_with_and_without_stats() {
         .iter()
         .enumerate()
         .map(|(i, q)| {
-            let naive = db.run_naive(q).unwrap_or_else(|e| panic!("query {i} naive: {e}"));
+            let naive =
+                naive_execute(q, db.catalog()).unwrap_or_else(|e| panic!("query {i} naive: {e}"));
             let plan = db.plan(q).unwrap_or_else(|e| panic!("query {i} plan: {e}"));
             let planned = db.run_plan(&plan).unwrap();
             assert_eq!(
@@ -58,7 +57,7 @@ fn planned_results_match_naive_with_and_without_stats() {
     // (possibly different join orders, IndexScan/IndexJoin access paths)
     // must produce the same multisets.
     db.catalog().analyze_all().unwrap();
-    let opts = ExecOptions::with_threads(test_threads()).min_parallel_rows(2);
+    let opts = ExecOptions::with_threads(THREADS).min_parallel_rows(2);
     for (i, q) in queries.iter().enumerate() {
         let plan = db.plan(q).unwrap_or_else(|e| panic!("query {i} re-plan: {e}"));
         let informed = db.run_plan(&plan).unwrap();
@@ -69,7 +68,7 @@ fn planned_results_match_naive_with_and_without_stats() {
             plan.explain()
         );
         // Determinism contract holds for stats-informed plans too.
-        let parallel = db.run_plan_with(&plan, &opts).unwrap();
+        let parallel = db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()).unwrap();
         assert_eq!(
             informed.rows,
             parallel.rows,
@@ -95,7 +94,7 @@ fn stale_stats_never_change_answers() {
     }
     let queries = generate_queries(30, &m.pools, &QueryGenConfig::default());
     for (i, q) in queries.iter().enumerate() {
-        let naive = db.run_naive(q).unwrap();
+        let naive = naive_execute(q, db.catalog()).unwrap();
         let plan = db.plan(q).unwrap();
         let planned = db.run_plan(&plan).unwrap();
         assert_eq!(
