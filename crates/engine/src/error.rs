@@ -21,9 +21,8 @@ pub enum EngineError {
     /// or memory cap, or cooperative cancellation) — carries
     /// partial-progress counters.
     Budget(BudgetExceeded),
-    /// An invariant violation inside the engine: a panicking parallel
-    /// worker, or an injected failpoint fault. The query fails; the process
-    /// (and other queries) keep going.
+    /// An invariant violation inside the engine, or an injected failpoint
+    /// fault. The query fails; the process (and other queries) keep going.
     Internal(String),
 }
 

@@ -25,20 +25,13 @@
 //! evaluates the pushed-down filter over the columns as a selection vector
 //! (`crate::vexpr`) and materializes only the surviving rows.
 //!
-//! ## One loop per operator, two schedules
+//! ## One loop per operator, one schedule
 //!
-//! Each operator's loop body is one function in this file — the scan
-//! (`scan_encoded`), filter, projection, hash build (`build_table`) and
-//! hash probe (`probe_tables`) — with its governor checkpoints and
-//! charges inside. [`execute_ctx`] accepts an [`ExecOptions`] thread budget:
-//! with `threads <= 1`, or an input below
-//! [`ExecOptions::min_parallel_rows`], the operator calls its loop inline
-//! on the whole input (one hash table, no routing hash, no thread — the
-//! serial fast path never spawns). Otherwise the private `par` module
-//! splits the input, runs the *same* function per piece on
-//! `std::thread::scope` workers and merges the outputs **in piece order**,
-//! so for any plan and any budget the rows are byte-identical to a serial
-//! run.
+//! Each operator's loop is one function in this file — the scan
+//! (`scan`), filter, projection, hash build (`build_table`) and hash probe
+//! (`probe_table`) — with its governor checkpoints and charges inside, and
+//! every one of them runs on the calling thread: nothing below the service
+//! spawns.
 //!
 //! ## The query governor
 //!
@@ -50,88 +43,34 @@
 //! row-materializing operators (joins, cross products, projections) charge
 //! an estimated [`pqp_obs::approx_row_bytes`] per output row. A tripped
 //! budget aborts the query with [`EngineError::Budget`](crate::EngineError::Budget) carrying
-//! partial-progress counters; parallel workers observe the same shared
-//! context, so a trip in one worker stops the others at their next
-//! checkpoint and the scope joins everything — no leaked threads.
+//! partial-progress counters.
 
 use crate::bound::BoundExpr;
 use crate::error::{bind_err, failpoint, Result};
-use crate::par;
 use crate::plan::Plan;
 use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
 use pqp_storage::{BatchBuilder, Catalog, Row, Table, Value};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 
-/// Default serial-fallback threshold: operators with fewer input rows than
-/// this stay serial regardless of the thread budget (fan-out overhead beats
-/// the win on small inputs, and the paper's selective partial queries are
-/// usually below it).
-pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 4096;
+/// Execution options. Field-less: execution has one schedule and nothing
+/// to configure. The type only keeps the signatures the benchmark compiles
+/// against ([`Database::run_plan_ctx`](crate::Database::run_plan_ctx)'s
+/// middle argument); ROADMAP item 1 removes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecOptions {}
 
-/// Execution options: the intra-query thread budget.
-///
-/// The default is strictly serial (`threads: 1`), which is also the fast
-/// path: with `threads <= 1` no thread is ever spawned and the executor
-/// behaves exactly as it did before parallelism existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Worker-thread budget per parallel operator. `<= 1` means serial.
-    pub threads: usize,
-    /// Inputs below this row count stay serial even when `threads > 1`.
-    pub min_parallel_rows: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions { threads: 1, min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS }
-    }
-}
-
-impl ExecOptions {
-    /// Strictly serial execution (the default).
-    pub fn serial() -> ExecOptions {
-        ExecOptions::default()
-    }
-
-    /// A budget of `threads` workers with the default serial-fallback
-    /// threshold.
-    pub fn with_threads(threads: usize) -> ExecOptions {
-        ExecOptions { threads: threads.max(1), ..ExecOptions::default() }
-    }
-
-    /// Override the serial-fallback threshold (builder-style).
-    pub fn min_parallel_rows(mut self, rows: usize) -> ExecOptions {
-        self.min_parallel_rows = rows;
-        self
-    }
-
-    /// Whether any operator may go parallel under this budget.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
-    /// The partition count for an operator over `rows` input rows, or
-    /// `None` to take the serial fast path.
-    pub(crate) fn partitions_for(&self, rows: usize) -> Option<usize> {
-        (self.threads > 1 && rows >= self.min_parallel_rows.max(1)).then_some(self.threads)
-    }
-}
-
-/// Everything an operator needs from its surroundings: the catalog, the
-/// thread budget, and the per-query governor context.
+/// Everything an operator needs from its surroundings: the catalog and the
+/// per-query governor context.
 pub(crate) struct Env<'a> {
     pub catalog: &'a Catalog,
-    pub opts: &'a ExecOptions,
     pub ctx: &'a QueryCtx,
 }
 
-/// Execute a plan under a thread budget and a query-governor context,
-/// materializing all rows: deadline / rows-scanned / memory limits are
+/// Execute a plan under a query-governor context, materializing all rows: deadline / rows-scanned / memory limits are
 /// checked cooperatively at operator loop boundaries, and an exceeded budget
 /// aborts with [`EngineError::Budget`](crate::EngineError::Budget).
 ///
@@ -139,13 +78,8 @@ pub(crate) struct Env<'a> {
 /// its output cardinality recorded, so a traced run yields per-operator
 /// rows and timings (`EXPLAIN ANALYZE`). Untraced runs pay only a
 /// thread-local check per operator.
-pub fn execute_ctx(
-    plan: &Plan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-    ctx: &QueryCtx,
-) -> Result<Vec<Row>> {
-    run(&Env { catalog, opts, ctx }, plan)
+pub fn execute_ctx(plan: &Plan, catalog: &Catalog, ctx: &QueryCtx) -> Result<Vec<Row>> {
+    run(&Env { catalog, ctx }, plan)
 }
 
 /// The recursive workhorse: span + estimate bookkeeping around
@@ -203,14 +137,14 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
         Plan::Filter { input, predicate } => {
             let rows = run(env, input)?;
             pqp_obs::record("rows_in", rows.len());
-            filter_rows(env, rows, predicate)
+            filter_rows(ctx, rows, predicate)
         }
         Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
             let lrows = run(env, left)?;
             let rrows = run(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
-            join_rows(env, lrows, rrows, left_keys, right_keys)
+            join_rows(ctx, lrows, rrows, left_keys, right_keys)
         }
         Plan::CrossJoin { left, right, .. } => {
             let lrows = run(env, left)?;
@@ -221,7 +155,7 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
         }
         Plan::Project { input, exprs, .. } => {
             let rows = run(env, input)?;
-            project_rows(env, rows, exprs)
+            project_rows(ctx, rows, exprs)
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let rows = run(env, input)?;
@@ -319,37 +253,19 @@ fn index_scan(
     }
 }
 
-/// Heap-scan a base table, page-partitioned across workers when the budget
-/// allows. Index access is the planner's call ([`Plan::IndexScan`],
-/// [`Plan::IndexJoin`]); a `Scan` always reads the heap.
+/// Heap-scan a base table. Index access is the planner's call
+/// ([`Plan::IndexScan`], [`Plan::IndexJoin`]); a `Scan` always reads the
+/// heap: decode datum-encoded rows straight into column vectors, and per
+/// batch of [`pqp_storage::BATCH_SIZE`] rows charge the governor (the batch
+/// boundary is the scan's charge point), evaluate the pushed-down filter as
+/// a selection vector and materialize the surviving rows.
 fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    if let Some(parts) = env.opts.partitions_for(t.len()) {
-        // Morsel unit is a page: at most one partition per page.
-        let parts = parts.min(t.page_count());
-        if parts >= 2 {
-            return par::scan_partitioned(&t, filter, parts, ctx);
-        }
-    }
-    scan_encoded(t.iter_raw(), t.schema().arity(), filter, ctx)
-}
-
-/// The body of every heap scan, serial and page-partitioned: decode
-/// datum-encoded rows straight into column vectors, and per batch of
-/// [`pqp_storage::BATCH_SIZE`] rows charge the governor (the batch boundary
-/// is the scan's charge point), evaluate the pushed-down filter as a
-/// selection vector and materialize the surviving rows.
-pub(crate) fn scan_encoded<'a>(
-    encoded: impl Iterator<Item = pqp_storage::Result<&'a [u8]>>,
-    arity: usize,
-    filter: Option<&BoundExpr>,
-    ctx: &QueryCtx,
-) -> Result<Vec<Row>> {
-    let mut encoded = encoded.fuse();
+    let mut encoded = t.iter_raw().fuse();
     let mut out = Vec::new();
-    let mut builder = BatchBuilder::new(arity);
+    let mut builder = BatchBuilder::new(t.schema().arity());
     loop {
         while !builder.is_full() {
             let Some(enc) = encoded.next() else { break };
@@ -370,18 +286,8 @@ pub(crate) fn scan_encoded<'a>(
     }
 }
 
-/// Filter materialized rows: the whole input inline, or one contiguous
-/// chunk per worker when the budget allows.
-fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    match env.opts.partitions_for(rows.len()) {
-        Some(parts) => par::map_chunks(rows, parts, |chunk| filter_chunk(chunk, predicate, ctx)),
-        None => filter_chunk(rows, predicate, ctx),
-    }
-}
-
-/// The filter loop.
-fn filter_chunk(rows: Vec<Row>, predicate: &BoundExpr, ctx: &QueryCtx) -> Result<Vec<Row>> {
+/// The filter loop over materialized rows.
+fn filter_rows(ctx: &QueryCtx, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len() / 2);
     for (i, row) in rows.into_iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -394,17 +300,8 @@ fn filter_chunk(rows: Vec<Row>, predicate: &BoundExpr, ctx: &QueryCtx) -> Result
     Ok(out)
 }
 
-/// Project materialized rows: inline, or chunked like [`filter_rows`].
-fn project_rows(env: &Env, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    match env.opts.partitions_for(rows.len()) {
-        Some(parts) => par::map_chunks(rows, parts, |chunk| project_chunk(chunk, exprs, ctx)),
-        None => project_chunk(rows, exprs, ctx),
-    }
-}
-
-/// The projection loop.
-fn project_chunk(rows: Vec<Row>, exprs: &[BoundExpr], ctx: &QueryCtx) -> Result<Vec<Row>> {
+/// The projection loop over materialized rows.
+fn project_rows(ctx: &QueryCtx, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len());
     for (i, row) in rows.into_iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -507,9 +404,9 @@ fn index_join(
     pqp_obs::record("strategy", "hash_fallback");
     let scan_rows = scan(env, table, filter)?;
     if probe_is_left {
-        join_rows(env, probe_rows, scan_rows, &[probe_key], &[scan_key])
+        join_rows(env.ctx, probe_rows, scan_rows, &[probe_key], &[scan_key])
     } else {
-        join_rows(env, scan_rows, probe_rows, &[scan_key], &[probe_key])
+        join_rows(env.ctx, scan_rows, probe_rows, &[scan_key], &[probe_key])
     }
 }
 
@@ -568,32 +465,24 @@ fn index_probe(
 }
 
 /// Hash-join two materialized sides into `left ++ right` rows in (probe
-/// order, then build-insertion order within one key): build on the smaller
-/// side, then run the build and probe loops inline — one table, no routing
-/// hash, no thread — or per partition and per probe chunk under
-/// [`par::hash_join_partitioned`] when the budget and input size allow.
+/// order, then build-insertion order within one key): build one table on
+/// the smaller side, then probe it with the other.
 fn join_rows(
-    env: &Env,
+    ctx: &QueryCtx,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> Result<Vec<Row>> {
     failpoint("join.build")?;
-    let ctx = env.ctx;
     let build_left = lrows.len() <= rrows.len();
     let (build, probe, build_keys, probe_keys) = if build_left {
         (&lrows, &rrows, left_keys, right_keys)
     } else {
         (&rrows, &lrows, right_keys, left_keys)
     };
-    if let Some(parts) = env.opts.partitions_for(lrows.len() + rrows.len()) {
-        return par::hash_join_partitioned(
-            build, probe, build_keys, probe_keys, build_left, parts, ctx,
-        );
-    }
-    let table = build_table(build, build_keys, 0, 1, ctx)?;
-    probe_tables(probe, build, std::slice::from_ref(&table), probe_keys, build_left, ctx)
+    let table = build_table(build, build_keys, ctx)?;
+    probe_table(probe, build, &table, probe_keys, build_left, ctx)
 }
 
 fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
@@ -610,48 +499,30 @@ fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
 }
 
 /// Join key → indices into the build rows, in build-insertion order.
-pub(crate) type JoinTable = HashMap<Vec<Value>, Vec<usize>>;
+type JoinTable = HashMap<Vec<Value>, Vec<usize>>;
 
-/// Which of `parts` hash partitions owns a join key. `DefaultHasher::new()`
-/// uses fixed keys, so the routing is deterministic within and across runs.
-fn partition_of(key: &[Value], parts: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % parts as u64) as usize
-}
-
-/// The hash-build loop: index the build rows whose key falls in partition
-/// `part` of `parts` (all of them, unhashed, when `parts == 1`). Scanning
-/// the build side in order keeps every match list in build-insertion order.
-pub(crate) fn build_table(
-    build: &[Row],
-    build_keys: &[usize],
-    part: usize,
-    parts: usize,
-    ctx: &QueryCtx,
-) -> Result<JoinTable> {
-    let mut table = JoinTable::with_capacity(build.len() / parts);
+/// The hash-build loop: index the build rows by key. Scanning the build
+/// side in order keeps every match list in build-insertion order.
+fn build_table(build: &[Row], build_keys: &[usize], ctx: &QueryCtx) -> Result<JoinTable> {
+    let mut table = JoinTable::with_capacity(build.len());
     for (i, row) in build.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
         }
         if let Some(k) = key_of(row, build_keys) {
-            if parts == 1 || partition_of(&k, parts) == part {
-                table.entry(k).or_default().push(i);
-            }
+            table.entry(k).or_default().push(i);
         }
     }
     Ok(table)
 }
 
-/// The hash-probe loop: look each probe row up in the table that owns its
-/// key (`tables` holds one per partition, in partition order) and emit
+/// The hash-probe loop: look each probe row up in the table and emit
 /// `left ++ right` rows in probe order, charging an estimated
 /// [`approx_row_bytes`] per output row.
-pub(crate) fn probe_tables(
+fn probe_table(
     probe: &[Row],
     build: &[Row],
-    tables: &[JoinTable],
+    table: &JoinTable,
     probe_keys: &[usize],
     build_left: bool,
     ctx: &QueryCtx,
@@ -665,10 +536,6 @@ pub(crate) fn probe_tables(
         }
         let Some(k) = key_of(prow, probe_keys) else {
             continue;
-        };
-        let table = match tables {
-            [only] => only,
-            _ => &tables[partition_of(&k, tables.len())],
         };
         if let Some(matches) = table.get(&k) {
             for &bi in matches {

@@ -7,14 +7,11 @@
 //! order) → execute`. See [`rewrite`] for why OR-expansion matters to the
 //! reproduction, and [`naive`] for the differential-testing oracle.
 //!
-//! Execution is serial by default; pass an [`ExecOptions`] thread budget to
-//! [`Database::run_plan_ctx`] for intra-query parallelism (partitioned
-//! scans, filters, projections and hash joins — see the parallelism notes
-//! in [`exec`]). Parallel execution preserves the serial row order exactly.
+//! Execution is serial: every operator of [`exec`] runs on the calling
+//! thread.
 //!
 //! ```
-//! use pqp_engine::{Database, ExecOptions};
-//! use pqp_obs::QueryCtx;
+//! use pqp_engine::Database;
 //! use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
 //!
 //! let mut catalog = Catalog::new();
@@ -41,13 +38,8 @@
 //! // Parse → plan → execute; plans are reusable and thread-safe.
 //! let query = pqp_sql::parse_query("select MV.title from MOVIE MV where MV.mid = 2").unwrap();
 //! let plan = db.plan(&query).unwrap();
-//! let serial = db.run_plan(&plan).unwrap();
-//! assert_eq!(serial.rows, vec![vec!["Brazil".into()]]);
-//!
-//! // A thread budget never changes the answer: ordered partition merge.
-//! let parallel =
-//!     db.run_plan_ctx(&plan, &ExecOptions::with_threads(4), &QueryCtx::unlimited()).unwrap();
-//! assert_eq!(parallel.rows, serial.rows);
+//! let answer = db.run_plan(&plan).unwrap();
+//! assert_eq!(answer.rows, vec![vec!["Brazil".into()]]);
 //! ```
 
 pub mod aggregate;
@@ -57,7 +49,6 @@ pub mod ddl;
 pub mod error;
 pub mod exec;
 pub mod naive;
-mod par;
 pub mod plan;
 pub mod planner;
 pub mod rewrite;
@@ -67,7 +58,7 @@ mod vexpr;
 
 pub use cost::{Estimate, Estimator};
 pub use error::{EngineError, Result};
-pub use exec::{ExecOptions, DEFAULT_MIN_PARALLEL_ROWS};
+pub use exec::ExecOptions;
 pub use types::{OutputColumn, OutputSchema, ResultSet, SchemaRef};
 
 use pqp_obs::QueryCtx;
@@ -128,7 +119,7 @@ impl Database {
         self.run_plan(&plan)
     }
 
-    /// Execute an already-planned query serially.
+    /// Execute an already-planned query.
     ///
     /// This is the plan-reuse entry point: a plan produced by
     /// [`Database::plan`] is immutable and can be executed any number of
@@ -138,26 +129,22 @@ impl Database {
         self.run_plan_ctx(plan, &ExecOptions::default(), &QueryCtx::unlimited())
     }
 
-    /// Execute an already-planned query under an [`ExecOptions`] thread
-    /// budget **and** a query-governor context ([`pqp_obs::QueryCtx`]).
+    /// Execute an already-planned query under a query-governor context
+    /// ([`pqp_obs::QueryCtx`]); the field-less [`ExecOptions`] argument is
+    /// ignored (see its doc).
     ///
-    /// Parallel execution merges partitions in partition order, so the
-    /// result is row-for-row identical to [`Database::run_plan`] for any
-    /// budget (serial fast path when `threads <= 1` or inputs are small).
     /// Operators check the context's deadline / rows-scanned / memory budget
     /// cooperatively at loop boundaries and abort with
     /// [`EngineError::Budget`] (partial-progress counters included) when it
-    /// trips. Parallel workers share the same context, so one worker
-    /// tripping stops the others at their next checkpoint — the scope joins
-    /// every thread either way.
+    /// trips.
     pub fn run_plan_ctx(
         &self,
         plan: &plan::Plan,
-        exec: &ExecOptions,
+        _exec: &ExecOptions,
         ctx: &QueryCtx,
     ) -> Result<ResultSet> {
         let _span = pqp_obs::span("execute");
-        let rows = exec::execute_ctx(plan, &self.catalog, exec, ctx)?;
+        let rows = exec::execute_ctx(plan, &self.catalog, ctx)?;
         pqp_obs::record("result_rows", rows.len());
         let columns = plan.schema().columns.iter().map(|c| c.name.to_string()).collect();
         Ok(ResultSet { columns, rows })

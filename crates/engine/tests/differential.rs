@@ -1,13 +1,11 @@
 //! Differential testing: on random databases and random queries, the
 //! optimized pipeline (rewrite → plan → execute) must produce exactly the
-//! same multiset of rows as the naive AST interpreter — serially and under
-//! a thread budget low enough that every operator fans out. Driven by a
-//! seeded PRNG so failures reproduce exactly.
+//! same multiset of rows as the naive AST interpreter. Driven by a seeded
+//! PRNG so failures reproduce exactly.
 
 use pqp_engine::naive::naive_execute;
-use pqp_engine::{Database, ExecOptions};
+use pqp_engine::Database;
 use pqp_obs::rng::{Rng, SmallRng};
-use pqp_obs::QueryCtx;
 use pqp_sql::ast::*;
 use pqp_sql::builder as b;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
@@ -152,39 +150,23 @@ fn arb_query_over(rng: &mut SmallRng, factors: &[usize]) -> Query {
 }
 
 /// Run `query` through the naive interpreter and through the planned
-/// pipeline, serially and under a thread budget low enough that scans (on
-/// multi-page tables), filters, projections and joins all fan out: each
-/// planned run must return the oracle's multiset of rows, or fail where the
-/// oracle fails.
+/// pipeline: the planned run must return the oracle's multiset of rows, or
+/// fail where the oracle fails.
 fn assert_matches_naive(db: &Database, query: &Query) {
     let naive = naive_execute(query, db.catalog()).map(|r| {
         let mut rows = r.rows;
         rows.sort();
         rows
     });
-    for opts in [ExecOptions::serial(), ExecOptions::with_threads(4).min_parallel_rows(2)] {
-        let fast =
-            db.plan(query).and_then(|plan| db.run_plan_ctx(&plan, &opts, &QueryCtx::unlimited()));
-        match (&naive, fast) {
-            (Ok(n), Ok(f)) => {
-                let mut f = f.rows;
-                f.sort();
-                assert_eq!(n, &f, "threads={} query: {query}", opts.threads);
-            }
-            (Err(_), Err(_)) => {}
-            (Ok(_), Err(e)) => {
-                panic!(
-                    "engine (threads={}) failed where naive succeeded on `{query}`: {e}",
-                    opts.threads
-                );
-            }
-            (Err(e), Ok(_)) => {
-                panic!(
-                    "naive failed where engine (threads={}) succeeded on `{query}`: {e}",
-                    opts.threads
-                );
-            }
+    match (naive, db.run_query(query)) {
+        (Ok(n), Ok(f)) => {
+            let mut f = f.rows;
+            f.sort();
+            assert_eq!(n, f, "query: {query}");
         }
+        (Err(_), Err(_)) => {}
+        (Ok(_), Err(e)) => panic!("engine failed where naive succeeded on `{query}`: {e}"),
+        (Err(e), Ok(_)) => panic!("naive failed where engine succeeded on `{query}`: {e}"),
     }
 }
 
@@ -198,7 +180,7 @@ fn optimized_engine_matches_naive() {
     }
 }
 
-/// Equi-joins over the multi-page fixture: partitioned scans on both sides,
+/// Equi-joins over the multi-page fixture: multi-page scans on both sides,
 /// NULL join keys, post-join filters and projections.
 const JOIN_QUERIES: &[&str] = &[
     "select q0.d, q1.f from T1 q0, T2 q1 where q0.d = q1.f and q1.g = true",
@@ -209,9 +191,9 @@ const JOIN_QUERIES: &[&str] = &[
 #[test]
 fn page_partitioned_scans_match_naive() {
     // Tables spanning several heap pages (T0 also several scan batches), so
-    // the parallel runs split every scan into page ranges whose last batch
-    // is short, and the serial runs cross batch boundaries mid-table. T1 and
-    // T2 stay small because the oracle enumerates the joins' cross product.
+    // scans cross page and batch boundaries mid-table and end on a short
+    // last batch. T1 and T2 stay small because the oracle enumerates the
+    // joins' cross product.
     let mut rng = SmallRng::seed_from_u64(0x0B47);
     let db = loop {
         let db = arb_db(&mut rng, [4_000, 700, 700]);

@@ -25,12 +25,11 @@
 //!
 //! Programmatic: [`configure`]`("site", "spec")`, [`remove`], [`clear`].
 //! From the environment: `PQP_FAILPOINTS="site=spec;site2=spec2"`, applied by
-//! [`init_from_env`] (the service calls it at construction).
+//! [`init_from_env`] (a binary calls it first thing in `main`).
 //!
 //! Site names follow a `<layer>.<site>` scheme (`storage.scan`,
-//! `join.build`, `par.worker`, `shard.lock`, `select.pref`, `select.budget`,
-//! `plan.cache`, `service.query`) — see DESIGN.md §12 for the registry of
-//! meanings.
+//! `join.build`, `shard.lock`, `select.pref`, `select.budget`, `plan.cache`,
+//! `service.query`) — see DESIGN.md §12 for the registry of meanings.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -298,11 +297,11 @@ mod tests {
     fn count_limits_fires() {
         let _g = exclusive();
         clear();
-        configure("par.worker", "2*error(x)").unwrap();
-        assert!(fire("par.worker").is_some());
-        assert!(fire("par.worker").is_some());
-        assert!(fire("par.worker").is_none());
-        assert!(fire("par.worker").is_none());
+        configure("plan.cache", "2*error(x)").unwrap();
+        assert!(fire("plan.cache").is_some());
+        assert!(fire("plan.cache").is_some());
+        assert!(fire("plan.cache").is_none());
+        assert!(fire("plan.cache").is_none());
         clear();
     }
 

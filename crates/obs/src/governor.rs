@@ -151,8 +151,8 @@ pub struct Progress {
 ///
 /// Created once per query from a [`Budget`]; operators hold `&QueryCtx` and
 /// call the `charge_*` / [`checkpoint`](QueryCtx::checkpoint) methods at
-/// loop boundaries. All counters are atomic, so a single context is shared
-/// freely across parallel workers.
+/// loop boundaries. The counters and the cancellation flag are atomic, so
+/// another thread can cancel the query or read its progress.
 #[derive(Debug)]
 pub struct QueryCtx {
     start: Instant,

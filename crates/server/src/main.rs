@@ -22,7 +22,8 @@
 //!   storing the WAL/snapshot/term files here
 //! - `PQP_NODE_ID`, `PQP_REPL_ROLE` (`leader`|`follower`),
 //!   `PQP_REPL_PEERS` (comma-separated follower addresses),
-//!   `PQP_REPL_QUORUM` — replication identity and durability quorum
+//!   `PQP_REPL_QUORUM` — replication identity and durability quorum; a
+//!   value that is set but invalid stops the server with exit code 2
 //!
 //! Router mode (replaces server mode when set):
 //! - `PQP_ROUTER_NODES` — comma-separated node addresses; the process
@@ -36,7 +37,7 @@ use std::sync::Arc;
 
 use pqp_datagen::{generate, generate_profiles, MovieDbConfig, ProfileGenConfig};
 use pqp_server::{ReplConfig, ReplNode, Router, RouterConfig, Server, ServerConfig};
-use pqp_service::Service;
+use pqp_service::{Service, ServiceConfig};
 
 fn main() {
     pqp_obs::failpoint::init_from_env();
@@ -67,12 +68,19 @@ fn main() {
         }
     }
 
+    // A mistyped replication variable must stop the node, not start it in
+    // a role or with a quorum the operator did not ask for.
+    let repl_config = ReplConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("pqp-server: {e}");
+        std::process::exit(2);
+    });
+
     let movie_db = generate(MovieDbConfig::default());
-    let service = Arc::new(Service::new(movie_db.db));
+    let service = Arc::new(Service::with_config(movie_db.db, ServiceConfig::from_env()));
 
     // With a WAL configured, recovery replays the durable profile store;
     // generated seed profiles only populate a fresh (empty-log) node.
-    let repl = match ReplConfig::from_env() {
+    let repl = match repl_config {
         Some(config) => match ReplNode::open(Arc::clone(&service), config) {
             Ok(node) => Some(node),
             Err(e) => {

@@ -45,8 +45,8 @@ pub enum Error {
         /// The configured admission limit.
         max: usize,
     },
-    /// An invariant was violated — a worker panicked, a failpoint fired, or
-    /// an internal bug surfaced. The failure is isolated to this query; the
+    /// An invariant was violated — the pipeline panicked, a failpoint fired,
+    /// or an internal bug surfaced. The failure is isolated to this query; the
     /// service keeps serving.
     Internal(String),
     /// A transport failure: the connection to (or from) a remote peer broke

@@ -126,22 +126,17 @@ pub struct ServiceConfig {
     pub options: PersonalizeOptions,
     /// Rewrite executed when a session does not override it.
     pub rewrite: Rewrite,
-    /// Intra-query execution budget: every query this service runs executes
-    /// under this [`ExecOptions`] (partitioned parallel scans/joins when
-    /// `threads > 1`, strictly serial by default). Parallel execution
-    /// preserves the serial row order, so answers are identical either way;
-    /// cached plans are execution-strategy-agnostic and need no
-    /// invalidation when this changes.
+    /// Vestige: the field-less [`ExecOptions`], kept only because the
+    /// benchmark reads `config().exec` (ROADMAP item 1 removes it).
     pub exec: ExecOptions,
     /// Default per-query governor budget (deadline / rows scanned / memory).
-    /// Defaults to [`Budget::from_env`], so `PQP_DEADLINE_MS`,
-    /// `PQP_MAX_ROWS_SCANNED` and `PQP_MAX_MEMORY_BYTES` configure a fleet
-    /// without code changes; unlimited when the variables are unset.
+    /// Unlimited by default; [`ServiceConfig::from_env`] fills it from
+    /// `PQP_DEADLINE_MS`, `PQP_MAX_ROWS_SCANNED` and `PQP_MAX_MEMORY_BYTES`.
     /// Sessions override it per query with [`Session::with_budget`].
     pub budget: Budget,
     /// Admission control: the maximum number of queries in flight before
-    /// new ones are refused with [`Error::Overloaded`] (`0` = unlimited).
-    /// Defaults to `PQP_MAX_IN_FLIGHT` (unlimited when unset).
+    /// new ones are refused with [`Error::Overloaded`] (`0` = unlimited, the
+    /// default; `PQP_MAX_IN_FLIGHT` through [`ServiceConfig::from_env`]).
     pub max_in_flight: usize,
     /// Degrade personalization gracefully when it blows its slice of the
     /// query budget: shrink K, then keep only mandatory preferences, then
@@ -150,16 +145,13 @@ pub struct ServiceConfig {
     /// [`Error::BudgetExceeded`] instead.
     pub degrade: bool,
     /// Always-on telemetry: query-log capacities, slow-query threshold
-    /// (`PQP_SLOW_QUERY_MS`) and the optional JSON-lines sink
-    /// (`PQP_QUERY_LOG_FILE`). See [`TelemetryConfig`].
+    /// and the optional JSON-lines sink. See [`TelemetryConfig`].
     pub telemetry: TelemetryConfig,
 }
 
-fn max_in_flight_from_env() -> usize {
-    std::env::var("PQP_MAX_IN_FLIGHT").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(0)
-}
-
 impl Default for ServiceConfig {
+    /// Constants only: the process environment is read by
+    /// [`ServiceConfig::from_env`], never here.
     fn default() -> ServiceConfig {
         ServiceConfig {
             shards: 16,
@@ -168,10 +160,37 @@ impl Default for ServiceConfig {
             options: PersonalizeOptions::builder().k(3).l(1).build(),
             rewrite: Rewrite::Mq,
             exec: ExecOptions::default(),
-            budget: Budget::from_env(),
-            max_in_flight: max_in_flight_from_env(),
+            budget: Budget::unlimited(),
+            max_in_flight: 0,
             degrade: true,
             telemetry: TelemetryConfig::default(),
+        }
+    }
+}
+
+impl ServiceConfig {
+    /// The default config with every `PQP_*` environment override applied:
+    /// the governor budget ([`Budget::from_env`]), `PQP_MAX_IN_FLIGHT`,
+    /// `PQP_SLOW_QUERY_MS` and `PQP_QUERY_LOG_FILE`. Unset or unparsable
+    /// variables leave the default.
+    pub fn from_env() -> ServiceConfig {
+        fn var(name: &str) -> Option<String> {
+            std::env::var(name).ok().map(|v| v.trim().to_string()).filter(|v| !v.is_empty())
+        }
+        let d = ServiceConfig::default();
+        ServiceConfig {
+            budget: Budget::from_env(),
+            max_in_flight: var("PQP_MAX_IN_FLIGHT")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(d.max_in_flight),
+            telemetry: TelemetryConfig {
+                slow_query_ms: var("PQP_SLOW_QUERY_MS")
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(d.telemetry.slow_query_ms),
+                log_file: var("PQP_QUERY_LOG_FILE").map(std::path::PathBuf::from),
+                ..d.telemetry
+            },
+            ..d
         }
     }
 }
@@ -532,9 +551,6 @@ impl Service {
 
     /// Wrap a database with an explicit configuration.
     pub fn with_config(db: Database, config: ServiceConfig) -> Service {
-        // First service in the process arms any failpoints configured via
-        // `PQP_FAILPOINTS` / `PQP_FAILPOINT_SEED` (no-op otherwise).
-        pqp_obs::failpoint::init_from_env();
         Service {
             db,
             in_flight: AtomicUsize::new(0),
@@ -796,8 +812,8 @@ impl Service {
     /// This is also the robustness boundary of the service: admission
     /// control runs first (rejecting with [`Error::Overloaded`] when
     /// [`ServiceConfig::max_in_flight`] queries are already inside), and the
-    /// whole pipeline runs under `catch_unwind`, so a panicking worker —
-    /// real bug or injected failpoint — fails only this query with
+    /// whole pipeline runs under `catch_unwind`, so a panic — real bug or
+    /// injected failpoint — fails only this query with
     /// [`Error::Internal`] instead of taking the process down. All locks a
     /// panic can leave behind are poison-recovering.
     pub fn query_ctx(

@@ -33,8 +33,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Configuration of the telemetry subsystem. All knobs have environment
-/// overrides so a deployed fleet can be tuned without code changes.
+/// Configuration of the telemetry subsystem. The two knobs with an
+/// environment override get it from
+/// [`ServiceConfig::from_env`](crate::ServiceConfig::from_env).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Entries retained in the recent-query ring.
@@ -43,24 +44,22 @@ pub struct TelemetryConfig {
     /// after fast traffic has evicted them from the recent ring).
     pub slow_log_capacity: usize,
     /// Queries at or above this total latency are marked slow and
-    /// force-retained (`0` disables slow tracking). Env: `PQP_SLOW_QUERY_MS`.
+    /// force-retained (`0` disables slow tracking). Default 250; env:
+    /// `PQP_SLOW_QUERY_MS`.
     pub slow_query_ms: u64,
     /// When set, every record is appended to this file as one JSON line.
-    /// Env: `PQP_QUERY_LOG_FILE`.
+    /// Default none; env: `PQP_QUERY_LOG_FILE`.
     pub log_file: Option<PathBuf>,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
-        let slow_query_ms = std::env::var("PQP_SLOW_QUERY_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(250);
-        let log_file = std::env::var("PQP_QUERY_LOG_FILE")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-            .map(PathBuf::from);
-        TelemetryConfig { query_log_capacity: 512, slow_log_capacity: 128, slow_query_ms, log_file }
+        TelemetryConfig {
+            query_log_capacity: 512,
+            slow_log_capacity: 128,
+            slow_query_ms: 250,
+            log_file: None,
+        }
     }
 }
 

@@ -3,11 +3,10 @@
 //!
 //! What this file proves:
 //!
-//! 1. with failpoints armed at six-plus sites (storage scan, hash-join
-//!    build, parallel worker, profile shard lock, preference selection,
-//!    plan cache, service entry), a 100-query mixed workload never aborts
-//!    the process — every failure comes back as a typed
-//!    [`pqp_service::Error`];
+//! 1. with failpoints armed at six sites (storage scan, hash-join build,
+//!    profile shard lock, preference selection, selection budget, plan
+//!    cache), a 100-query mixed workload never aborts the process — every
+//!    failure comes back as a typed [`pqp_service::Error`];
 //! 2. sessions a failpoint did *not* touch return byte-identical rows to a
 //!    no-failpoint run of the same workload;
 //! 3. each injected fault is isolated: the query after the fault succeeds.
@@ -18,7 +17,7 @@
 //! parallelism and with `RUST_TEST_THREADS=1`.
 
 use pqp_core::{PersonalizeOptions, Profile, Rewrite};
-use pqp_engine::{Database, EngineError, ExecOptions};
+use pqp_engine::{Database, EngineError};
 use pqp_obs::{failpoint, BudgetReason};
 use pqp_service::{DegradeLevel, Error, Service, ServiceConfig};
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
@@ -98,7 +97,6 @@ fn chaos_service() -> Service {
         ServiceConfig {
             options: PersonalizeOptions::builder().k(2).l(1).build(),
             rewrite: Rewrite::Mq,
-            exec: ExecOptions::with_threads(2).min_parallel_rows(8),
             ..ServiceConfig::default()
         },
     );
@@ -130,7 +128,7 @@ fn run_workload(service: &Service) -> Vec<Result<pqp_service::Answer, Error>> {
     out
 }
 
-/// The headline chaos test: failpoints armed at seven sites, 100 queries,
+/// The headline chaos test: failpoints armed at six sites, 100 queries,
 /// zero process aborts, every failure typed, and every answer a failpoint
 /// did not touch byte-identical to the baseline run.
 #[test]
@@ -150,7 +148,6 @@ fn mixed_workload_under_chaos_never_aborts_and_stays_deterministic() {
         failpoint::configure_many(
             "storage.scan=3%error(chaos scan);\
              join.build=3%error(chaos build);\
-             par.worker=2%error(chaos worker);\
              shard.lock=20%panic(chaos lock);\
              select.pref=3%error(chaos selection);\
              select.budget=3%error(chaos budget);\
@@ -256,19 +253,6 @@ fn every_site_fails_one_query_with_a_typed_error_then_recovers() {
             // A fault must never poison the caches with a wrong entry.
             assert_eq!(ok.rows, service.session(user).query(join_sql).unwrap().rows);
         }
-    });
-}
-
-/// A parallel worker panic (not just an error) is contained to its query.
-#[test]
-fn parallel_worker_panic_fails_one_query_only() {
-    with_failpoints(|| {
-        let service = chaos_service();
-        failpoint::configure("par.worker", "1*panic(chaos worker)").unwrap();
-        let err = quietly(|| service.session("ana").query(SQLS[2])).unwrap_err();
-        assert!(matches!(&err, Error::Internal(m) if m.contains("panicked")), "got {err:?}");
-        assert!(service.session("ana").query(SQLS[2]).is_ok());
-        assert_eq!(service.in_flight(), 0);
     });
 }
 

@@ -73,7 +73,7 @@ impl Heap {
 
     /// The `storage.scan` failpoint: when armed, a scan yields one injected
     /// corrupt-row error before any real row, exercising the executor's
-    /// error path (including inside parallel scan workers).
+    /// error path.
     fn scan_failpoint() -> Option<(RowId, Result<Row>)> {
         pqp_obs::failpoint::fire("storage.scan").map(|msg| {
             let err = StorageError::Corrupt(format!("injected: {msg}"));
@@ -96,48 +96,10 @@ impl Heap {
     /// `storage.scan` failpoint fires here exactly as it does in
     /// [`Heap::iter`].
     pub fn iter_raw(&self) -> impl Iterator<Item = Result<&[u8]>> + '_ {
-        Self::raw_failpoint()
-            .into_iter()
-            .chain(self.pages.iter().flat_map(|page| page.iter_raw().map(Ok)))
-    }
-
-    /// The live rows of partition `part` of `parts` as raw encoded bytes.
-    ///
-    /// Partitions are contiguous page ranges (the morsel unit is a page), so
-    /// concatenating partitions `0..parts` in order yields exactly the
-    /// [`Heap::iter_raw`] order — the property the parallel executor relies
-    /// on to keep partitioned scans deterministic. `parts` may exceed the
-    /// page count; surplus partitions are empty.
-    pub fn iter_raw_partition(
-        &self,
-        part: usize,
-        parts: usize,
-    ) -> impl Iterator<Item = Result<&[u8]>> + '_ {
-        let (start, end) = self.partition_bounds(part, parts);
-        Self::raw_failpoint()
-            .into_iter()
-            .chain(self.pages[start..end].iter().flat_map(|page| page.iter_raw().map(Ok)))
-    }
-
-    /// The `storage.scan` failpoint for the raw iterators (same site and
-    /// semantics as [`Heap::scan_failpoint`], different item type).
-    fn raw_failpoint<'a>() -> Option<Result<&'a [u8]>> {
         pqp_obs::failpoint::fire("storage.scan")
             .map(|msg| Err(StorageError::Corrupt(format!("injected: {msg}"))))
-    }
-
-    /// The page range `[start, end)` of partition `part` of `parts`: a
-    /// balanced contiguous split (the first `n % parts` partitions get one
-    /// extra page).
-    fn partition_bounds(&self, part: usize, parts: usize) -> (usize, usize) {
-        let parts = parts.max(1);
-        assert!(part < parts, "partition {part} out of range for {parts} partitions");
-        let n = self.pages.len();
-        let base = n / parts;
-        let extra = n % parts;
-        let start = part * base + part.min(extra);
-        let len = base + usize::from(part < extra);
-        (start, start + len)
+            .into_iter()
+            .chain(self.pages.iter().flat_map(|page| page.iter_raw().map(Ok)))
     }
 
     /// Materialize all live rows, failing on the first corrupt row.
@@ -149,7 +111,6 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::decode_row;
 
     #[test]
     fn insert_across_pages() {
@@ -198,51 +159,6 @@ mod tests {
         let row = vec![Value::str("z".repeat(20_000))];
         assert!(h.insert(&row).is_err());
         assert_eq!(h.len(), 0);
-    }
-
-    #[test]
-    fn partitions_concatenate_to_full_iteration_order() {
-        let mut h = Heap::new();
-        // Wide rows so the heap spans many pages.
-        for i in 0..400 {
-            h.insert(&[Value::Int(i), Value::str("x".repeat(100))]).unwrap();
-        }
-        assert!(h.page_count() >= 4, "need a multi-page heap to partition");
-        let full: Vec<Row> = h.scan().unwrap();
-        for parts in [1, 2, 3, 5, 8, h.page_count(), h.page_count() + 7] {
-            let mut merged = Vec::new();
-            for p in 0..parts {
-                for enc in h.iter_raw_partition(p, parts) {
-                    merged.push(decode_row(enc.unwrap()).unwrap());
-                }
-            }
-            assert_eq!(merged, full, "partition concat must equal iter() for parts={parts}");
-        }
-    }
-
-    #[test]
-    fn partitions_of_empty_heap_are_empty() {
-        let h = Heap::new();
-        for p in 0..4 {
-            assert_eq!(h.iter_raw_partition(p, 4).count(), 0);
-        }
-    }
-
-    #[test]
-    fn partitions_skip_tombstones() {
-        let mut h = Heap::new();
-        let mut ids = Vec::new();
-        for i in 0..200 {
-            ids.push(h.insert(&[Value::Int(i), Value::str("y".repeat(120))]).unwrap());
-        }
-        for id in ids.iter().step_by(3) {
-            assert!(h.delete(*id));
-        }
-        let full: Vec<Row> = h.scan().unwrap();
-        let merged: Vec<Row> = (0..4)
-            .flat_map(|p| h.iter_raw_partition(p, 4).map(|enc| decode_row(enc.unwrap()).unwrap()))
-            .collect();
-        assert_eq!(merged, full);
     }
 
     #[test]

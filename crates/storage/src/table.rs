@@ -140,7 +140,7 @@ impl Table {
         self.heap.iter()
     }
 
-    /// Number of heap pages (the partition unit for parallel scans).
+    /// Number of heap pages.
     pub fn page_count(&self) -> usize {
         self.heap.page_count()
     }
@@ -154,17 +154,6 @@ impl Table {
     /// path; same order as [`Table::iter`]).
     pub fn iter_raw(&self) -> impl Iterator<Item = Result<&[u8]>> + '_ {
         self.heap.iter_raw()
-    }
-
-    /// The raw encoded rows of partition `part` of `parts` — a contiguous
-    /// page range; concatenating all partitions in order equals
-    /// [`Table::iter_raw`] order (see [`Heap::iter_raw_partition`]).
-    pub fn iter_raw_partition(
-        &self,
-        part: usize,
-        parts: usize,
-    ) -> impl Iterator<Item = Result<&[u8]>> + '_ {
-        self.heap.iter_raw_partition(part, parts)
     }
 
     /// Scan the table and (re)collect its statistics snapshot. Returns the

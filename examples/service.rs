@@ -2,13 +2,18 @@
 //! movies database, several users' profiles, sessions issuing personalized
 //! SQL, and a profile mutation invalidating cached plans.
 //!
-//! Run with: `cargo run --example service`
+//! Run with: `cargo run --example service`. Like `pqp-server`, it reads the
+//! `PQP_*` service knobs and failpoints from the environment, so it doubles
+//! as an end-to-end probe (`PQP_MAX_ROWS_SCANNED=5 cargo run --example
+//! service`).
 
 use pqp::{Service, ServiceConfig};
 use pqp_core::{PersonalizeOptions, Rewrite};
 use pqp_datagen::{generate, generate_profiles, MovieDbConfig, ProfileGenConfig};
 
 fn main() -> Result<(), pqp::Error> {
+    pqp::obs::failpoint::init_from_env();
+
     // 1. A service over a synthetic movies database, serving MQ rewrites
     //    with the top-3 preferences per query.
     let m = generate(MovieDbConfig { movies: 200, theatres: 8, ..Default::default() });
@@ -17,7 +22,7 @@ fn main() -> Result<(), pqp::Error> {
         ServiceConfig {
             options: PersonalizeOptions::builder().k(3).l(1).build(),
             rewrite: Rewrite::Mq,
-            ..ServiceConfig::default()
+            ..ServiceConfig::from_env()
         },
     );
 

@@ -25,41 +25,15 @@ RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test concurr
 echo "==> telemetry tests (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test telemetry -q
 
-# The chaos suite (failpoint-injected faults at every named site) and the
-# governor integration tests run on both schedules too: fault isolation
-# must hold under concurrent tests and under a serial schedule.
-echo "==> chaos suite"
-cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test chaos -q
+# The failpoint-using suites — service chaos (faults at every named site),
+# the network edge (TCP integration, protocol robustness, server-boundary
+# chaos) and replication (crash recovery, kill -9 differential, failover)
+# — once more under a serial schedule: the workspace run above was their
+# default-schedule run, and session-thread interleavings differ serially.
 echo "==> chaos suite (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test chaos -q
-echo "==> governor integration tests"
-cargo test "${CARGO_FLAGS[@]}" -p pqp --test governor --test governor_env -q
-
-# The network edge: end-to-end TCP integration, protocol robustness
-# (malformed/truncated/oversized frames, version mismatches, mid-query
-# disconnects) and server-boundary chaos, on both test schedules —
-# session-thread interleavings differ under a serial schedule too.
-echo "==> server suites (integration, robustness, chaos)"
-cargo test "${CARGO_FLAGS[@]}" -p pqp-server -q
-echo "==> server suites (RUST_TEST_THREADS=1)"
+echo "==> server + replication suites (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-server -q
-
-# Replication: crash recovery (torn tails, bit flips, WAL failpoints,
-# and the kill -9 differential — SIGKILL a mutating child, replay must
-# reconstruct a byte-identical store with no acked mutation lost) and
-# failover chaos (leader death, promote-by-term, fencing, router
-# auto-promotion), on both test schedules.
-echo "==> replication recovery + failover chaos suites"
-cargo test "${CARGO_FLAGS[@]}" -p pqp-server --test repl_recovery --test repl_failover -q
-echo "==> replication recovery + failover chaos suites (RUST_TEST_THREADS=1)"
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-server \
-    --test repl_recovery --test repl_failover -q
-
-# Frame-codec fuzzing: every wire decoder over 12k arbitrary-byte cases
-# per test (xoshiro-seeded, reproducible) — Ok or a typed error, never a
-# panic.
-echo "==> wire codec fuzz (PQP_FUZZ_CASES=12000)"
-cargo test "${CARGO_FLAGS[@]}" -p pqp-wire --test fuzz_codec -q
 
 # No new unwrap()/expect() in non-test serving-path code (panics there
 # take lock-holding threads down mid-query; use typed errors instead).

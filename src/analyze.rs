@@ -13,8 +13,8 @@
 use pqp_core::error::{PrefError, Result};
 use pqp_core::graph::GraphAccess;
 use pqp_core::{personalize, PersonalizeOptions, Personalized};
-use pqp_engine::{Database, ExecOptions, ResultSet};
-use pqp_obs::{Json, PipelineTrace, QueryCtx};
+use pqp_engine::{Database, ResultSet};
+use pqp_obs::{Json, PipelineTrace};
 use std::fmt::Write as _;
 
 pub use pqp_core::Rewrite;
@@ -89,24 +89,6 @@ pub fn explain_analyze(
     opts: PersonalizeOptions,
     rewrite: Rewrite,
 ) -> Result<Analysis> {
-    explain_analyze_with(sql, graph, db, opts, rewrite, &ExecOptions::default())
-}
-
-/// [`explain_analyze`] under an explicit [`ExecOptions`] thread budget.
-///
-/// With `threads > 1` the executor spans in the trace carry the parallel
-/// shape — `partitions`, per-partition row counts, and
-/// `strategy=parallel_hash_join` on partitioned joins — while the answer
-/// itself is row-for-row identical to the serial run (ordered partition
-/// merge).
-pub fn explain_analyze_with(
-    sql: &str,
-    graph: &impl GraphAccess,
-    db: &Database,
-    opts: PersonalizeOptions,
-    rewrite: Rewrite,
-    exec: &ExecOptions,
-) -> Result<Analysis> {
     pqp_obs::trace_begin("explain_analyze");
     let run = || -> Result<(Personalized, Rewrite, String, ResultSet)> {
         let query =
@@ -116,7 +98,7 @@ pub fn explain_analyze_with(
         // requested one); `Auto` picks the cheapest, an unsupported native
         // request falls back to MQ.
         let choice = pqp_core::strategy::build_execution(db, &p, rewrite, None)?;
-        let result = db.run_plan_ctx(&choice.plan, exec, &QueryCtx::unlimited())?;
+        let result = db.run_plan(&choice.plan)?;
         Ok((p, choice.rewrite, choice.summary(), result))
     };
     let outcome = run();

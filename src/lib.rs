@@ -53,9 +53,8 @@ pub use pqp_sql as sql;
 pub use pqp_storage as storage;
 pub use pqp_wire as wire;
 
-pub use analyze::{explain_analyze, explain_analyze_with, Analysis, Rewrite};
+pub use analyze::{explain_analyze, Analysis, Rewrite};
 pub use pqp_core::prelude;
-pub use pqp_engine::ExecOptions;
 pub use pqp_obs::{Budget, BudgetExceeded, BudgetReason, QueryCtx};
 pub use pqp_server::{Server, ServerConfig, ServerHandle};
 pub use pqp_service::{

@@ -11,9 +11,7 @@ mod common;
 
 use pqp::core::{PersonalizeOptions, Rewrite};
 use pqp::obs::failpoint;
-use pqp::{
-    Budget, BudgetReason, DegradeLevel, Error, ExecOptions, QueryCtx, Service, ServiceConfig,
-};
+use pqp::{Budget, BudgetReason, DegradeLevel, Error, QueryCtx, Service, ServiceConfig};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -27,6 +25,12 @@ fn with_failpoints<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
+/// How often the armed `storage.scan` failpoint has fired so far: shows that
+/// a query meant to be stretched by it did reach a heap scan.
+fn scan_stalls() -> i64 {
+    pqp::obs::metrics::global_snapshot().counter("failpoint.storage.scan")
+}
+
 fn tonight_sql() -> String {
     format!(
         "select MV.title from MOVIE MV, PLAY PL \
@@ -35,17 +39,13 @@ fn tonight_sql() -> String {
     )
 }
 
-/// The paper fixture behind a service with parallel execution enabled (so
-/// governor checkpoints inside parallel operators are actually exercised)
-/// and an explicitly unlimited default budget (immune to `PQP_*` env vars).
+/// The paper fixture behind a service with an unlimited default budget.
 fn governed_service() -> Service {
     let service = Service::with_config(
         common::paper_db(),
         ServiceConfig {
             options: PersonalizeOptions::builder().k(3).l(1).build(),
             rewrite: Rewrite::Mq,
-            exec: ExecOptions::with_threads(3).min_parallel_rows(2),
-            budget: Budget::unlimited(),
             ..ServiceConfig::default()
         },
     );
@@ -102,14 +102,14 @@ fn generous_budget_answers_match_the_unlimited_run() {
 }
 
 #[test]
-fn cancellation_from_another_thread_aborts_a_parallel_join() {
+fn cancellation_from_another_thread_aborts_a_join() {
     with_failpoints(|| {
         let service = governed_service();
         let sql = tonight_sql();
-        // Slow every parallel worker down so the cancellation lands while
-        // the join is genuinely in flight.
-        failpoint::configure("par.worker", "delay(40)").unwrap();
-        let before = pqp::obs::metrics::global_snapshot().counter("exec.parallel.workers");
+        // Stall every heap scan so the cancellation lands while the join's
+        // inputs are genuinely in flight.
+        failpoint::configure("storage.scan", "delay(40)").unwrap();
+        let before = scan_stalls();
         let ctx = QueryCtx::unlimited();
         let result = std::thread::scope(|s| {
             let handle = s.spawn(|| service.session("julie").query_ctx(&sql, &ctx));
@@ -121,9 +121,8 @@ fn cancellation_from_another_thread_aborts_a_parallel_join() {
             Err(Error::BudgetExceeded(b)) => assert_eq!(b.reason, BudgetReason::Cancelled),
             other => panic!("expected BudgetExceeded(Cancelled), got {other:?}"),
         }
-        let after = pqp::obs::metrics::global_snapshot().counter("exec.parallel.workers");
-        assert!(after > before, "the cancelled query reached a parallel operator");
-        // Scoped workers all joined: the service keeps serving.
+        assert!(scan_stalls() > before, "the cancelled query reached a heap scan");
+        // The service keeps serving.
         failpoint::clear();
         assert_eq!(service.in_flight(), 0);
         assert!(service.session("julie").query(&sql).is_ok());
@@ -157,17 +156,16 @@ fn admission_control_rejects_at_capacity_under_real_concurrency() {
             ServiceConfig {
                 options: PersonalizeOptions::builder().k(3).l(1).build(),
                 rewrite: Rewrite::Mq,
-                exec: ExecOptions::with_threads(2).min_parallel_rows(2),
-                budget: Budget::unlimited(),
                 max_in_flight: 1,
                 ..ServiceConfig::default()
             },
         );
         service.install_profile(common::julie()).unwrap();
         let sql = tonight_sql();
-        // Slow parallel workers keep the first query inside the service
-        // long enough for the second to hit the admission limit.
-        failpoint::configure("par.worker", "delay(60)").unwrap();
+        // Stalled heap scans keep the first query inside the service long
+        // enough for the second to hit the admission limit.
+        failpoint::configure("storage.scan", "delay(60)").unwrap();
+        let before = scan_stalls();
         std::thread::scope(|s| {
             let slow = s.spawn(|| service.session("julie").query(&sql));
             std::thread::sleep(Duration::from_millis(15));
@@ -177,6 +175,7 @@ fn admission_control_rejects_at_capacity_under_real_concurrency() {
             }
             assert!(slow.join().unwrap().is_ok(), "the admitted query completes normally");
         });
+        assert!(scan_stalls() > before, "the admitted query reached a heap scan");
         failpoint::clear();
         // The slot was released: the service admits again.
         assert_eq!(service.in_flight(), 0);

@@ -2,9 +2,11 @@
 //! `PQP_MAX_ROWS_SCANNED`, `PQP_MAX_MEMORY_BYTES`, `PQP_MAX_IN_FLIGHT`,
 //! `PQP_FAILPOINTS`, `PQP_FAILPOINT_SEED`).
 //!
-//! Lives in its own test binary — and in a single test function — because
-//! it mutates process-global environment variables and
-//! `failpoint::init_from_env` applies them once per process.
+//! `ServiceConfig::from_env` and `failpoint::init_from_env` are the only
+//! readers; `ServiceConfig::default()` is a constant. Lives in its own test
+//! binary — and in a single test function — because it mutates
+//! process-global environment variables and `failpoint::init_from_env`
+//! applies them once per process.
 
 mod common;
 
@@ -26,23 +28,26 @@ fn env_vars_shape_the_default_budget_admission_and_failpoints() {
     assert_eq!(budget.max_memory, Some(4096));
 
     let config = ServiceConfig::default();
-    assert_eq!(config.budget, budget, "the service default budget comes from the environment");
+    assert_eq!(config.budget, Budget::unlimited(), "Default must not read the environment");
+    assert_eq!(config.max_in_flight, 0, "Default must not read the environment");
+    let config = ServiceConfig::from_env();
+    assert_eq!(config.budget, budget);
     assert_eq!(config.max_in_flight, 3);
 
     // Unparsable values must leave the field unlimited, never panic.
     std::env::set_var("PQP_DEADLINE_MS", "not-a-number");
     assert_eq!(Budget::from_env().deadline, None);
 
-    // `PQP_FAILPOINTS` arms sites when the first service is constructed.
+    // `PQP_FAILPOINTS` arms sites when the binary calls `init_from_env`
+    // (constructing a service does not).
     std::env::set_var("PQP_FAILPOINTS", "service.query=1*error(armed from env)");
     std::env::set_var("PQP_FAILPOINT_SEED", "42");
+    failpoint::init_from_env();
     let service = Service::with_config(
         common::paper_db(),
         ServiceConfig {
             options: PersonalizeOptions::builder().k(3).l(1).build(),
             rewrite: Rewrite::Mq,
-            budget: Budget::unlimited(),
-            max_in_flight: 0,
             ..ServiceConfig::default()
         },
     );

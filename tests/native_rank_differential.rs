@@ -8,10 +8,7 @@
 //! descending, then the visible columns ascending as the tie-break).
 //!
 //! The suite runs randomized profiles and K/M/L knobs over the generated
-//! movie corpus, and re-executes every native plan under a 4-thread budget,
-//! which must be row-for-row identical to the serial run.
-//! scripts/verify.sh and CI run the suite on both test schedules (default
-//! and `RUST_TEST_THREADS=1`).
+//! movie corpus.
 
 use pqp::core::{personalize, InMemoryGraph, PersonalizeOptions, Rewrite};
 use pqp::datagen::{
@@ -34,12 +31,6 @@ fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
         key(a).partial_cmp(&key(b)).unwrap().then_with(|| a[..a.len() - 1].cmp(&b[..b.len() - 1]))
     });
     rows
-}
-
-/// The alternate executor modes every native plan is re-run under: the
-/// thread budget is the executor's only mode axis.
-fn alternate_modes() -> [ExecOptions; 1] {
-    [ExecOptions::with_threads(4).min_parallel_rows(2)]
 }
 
 /// Build the native execution for `p`; `None` when the strategy layer had
@@ -89,11 +80,6 @@ fn native_matches_ranked_mq_over_randomized_profiles_and_knobs() {
             "query {i} (K={k}, M={mm}, L={l}) diverged from ranked MQ: {q}"
         );
         nonempty += usize::from(!native.rows.is_empty());
-        // Executor modes must be row-for-row identical.
-        for exec in alternate_modes() {
-            let alt = m.db.run_plan_ctx(&choice.plan, &exec, &QueryCtx::unlimited()).unwrap();
-            assert_eq!(alt.rows, native.rows, "query {i} diverged under threads={}", exec.threads);
-        }
     }
     assert!(exercised >= 6, "only {exercised} native plans built; the suite is near-vacuous");
     assert!(nonempty > 0, "the workload never produced rows; the suite is vacuous");
@@ -127,10 +113,6 @@ fn native_top_n_equals_canonically_truncated_mq() {
             let mq = canonical(m.db.run_query(&p.mq().unwrap()).unwrap().rows);
             let cut = &mq[..mq.len().min(n as usize)];
             assert_eq!(native.rows, cut, "query {i} top-{n} diverged: {q}");
-            for exec in alternate_modes() {
-                let alt = m.db.run_plan_ctx(&choice.plan, &exec, &QueryCtx::unlimited()).unwrap();
-                assert_eq!(alt.rows, native.rows, "query {i} top-{n} mode divergence");
-            }
         }
     }
     assert!(exercised >= 6, "only {exercised} top-n plans built; the suite is near-vacuous");
@@ -214,29 +196,26 @@ fn governor_trips_mid_topk_leave_no_state_behind() {
         (Budget::unlimited().max_rows(1), BudgetReason::RowsScanned),
         (Budget::unlimited().max_memory_bytes(16), BudgetReason::Memory),
     ];
-    for exec in [ExecOptions::default(), ExecOptions::with_threads(4).min_parallel_rows(2)] {
-        for (budget, reason) in trips {
-            let ctx = QueryCtx::new(budget);
-            match m.db.run_plan_ctx(&choice.plan, &exec, &ctx) {
-                Err(EngineError::Budget(b)) => {
-                    assert_eq!(b.reason, reason, "threads={}", exec.threads)
-                }
-                other => panic!("expected Budget({reason:?}), got {other:?}"),
-            }
-            // No leaked state: the very next unlimited run over the same
-            // plan object is complete and correct.
-            let again = m.db.run_plan_ctx(&choice.plan, &exec, &QueryCtx::unlimited()).unwrap();
-            assert_eq!(again.rows, expected.rows, "post-trip run diverged ({reason:?})");
-        }
-        // Cancellation too: a pre-cancelled context aborts, the plan stays
-        // reusable.
-        let ctx = QueryCtx::unlimited();
-        ctx.cancel();
+    let exec = ExecOptions::default();
+    for (budget, reason) in trips {
+        let ctx = QueryCtx::new(budget);
         match m.db.run_plan_ctx(&choice.plan, &exec, &ctx) {
-            Err(EngineError::Budget(b)) => assert_eq!(b.reason, BudgetReason::Cancelled),
-            other => panic!("expected Budget(Cancelled), got {other:?}"),
+            Err(EngineError::Budget(b)) => assert_eq!(b.reason, reason),
+            other => panic!("expected Budget({reason:?}), got {other:?}"),
         }
-        let again = m.db.run_plan_ctx(&choice.plan, &exec, &QueryCtx::unlimited()).unwrap();
-        assert_eq!(again.rows, expected.rows);
+        // No leaked state: the very next unlimited run over the same
+        // plan object is complete and correct.
+        let again = m.db.run_plan(&choice.plan).unwrap();
+        assert_eq!(again.rows, expected.rows, "post-trip run diverged ({reason:?})");
     }
+    // Cancellation too: a pre-cancelled context aborts, the plan stays
+    // reusable.
+    let ctx = QueryCtx::unlimited();
+    ctx.cancel();
+    match m.db.run_plan_ctx(&choice.plan, &exec, &ctx) {
+        Err(EngineError::Budget(b)) => assert_eq!(b.reason, BudgetReason::Cancelled),
+        other => panic!("expected Budget(Cancelled), got {other:?}"),
+    }
+    let again = m.db.run_plan(&choice.plan).unwrap();
+    assert_eq!(again.rows, expected.rows);
 }
