@@ -202,9 +202,9 @@ impl<'a> StoredProfileGraph<'a> {
             match p {
                 AtomicPreference::Selection { attr, value, doi } => {
                     sels.write().insert(vec![
-                        Value::str(&profile.user),
+                        Value::str(profile.user.as_str()),
                         Value::str(attr.table.to_ascii_uppercase()),
-                        Value::str(&attr.column),
+                        Value::str(attr.column.as_str()),
                         Value::str(pqp_sql::sql_literal(value)),
                         Value::Float(doi.value()),
                     ])?;
@@ -212,11 +212,11 @@ impl<'a> StoredProfileGraph<'a> {
                 AtomicPreference::Join { from, to, doi } => {
                     let card = db.catalog().join_cardinality(&to.table, &to.column)?;
                     joins.write().insert(vec![
-                        Value::str(&profile.user),
+                        Value::str(profile.user.as_str()),
                         Value::str(from.table.to_ascii_uppercase()),
-                        Value::str(&from.column),
+                        Value::str(from.column.as_str()),
                         Value::str(to.table.to_ascii_uppercase()),
-                        Value::str(&to.column),
+                        Value::str(to.column.as_str()),
                         Value::Float(doi.value()),
                         Value::Bool(card == Cardinality::ToOne),
                     ])?;

@@ -214,7 +214,7 @@ fn value_to_json(v: &Value) -> Json {
         Value::Bool(b) => Json::obj().set("Bool", *b),
         Value::Int(i) => Json::obj().set("Int", *i),
         Value::Float(f) => Json::obj().set("Float", *f),
-        Value::Str(s) => Json::obj().set("Str", s.as_str()),
+        Value::Str(s) => Json::obj().set("Str", &**s),
     }
 }
 

@@ -207,8 +207,8 @@ pub fn generate(config: MovieDbConfig) -> MovieDb {
         let mut t = t.write();
         for aid in 0..n_actors {
             let name = names::person_name(&mut rng, aid);
-            pools.actor_names.push(name.clone());
-            t.insert(vec![Value::Int(aid as i64), Value::Str(name)]).unwrap();
+            t.insert(vec![Value::Int(aid as i64), Value::str(name.as_str())]).unwrap();
+            pools.actor_names.push(name);
         }
     }
     // DIRECTOR.
@@ -217,8 +217,8 @@ pub fn generate(config: MovieDbConfig) -> MovieDb {
         let mut t = t.write();
         for did in 0..n_directors {
             let name = names::person_name(&mut rng, did + 100_000);
-            pools.director_names.push(name.clone());
-            t.insert(vec![Value::Int(did as i64), Value::Str(name)]).unwrap();
+            t.insert(vec![Value::Int(did as i64), Value::str(name.as_str())]).unwrap();
+            pools.director_names.push(name);
         }
     }
     // MOVIE + GENRE + CAST + DIRECTED.
@@ -237,13 +237,13 @@ pub fn generate(config: MovieDbConfig) -> MovieDb {
         for mid in 0..config.movies {
             let title = names::movie_title(&mut rng, mid);
             let year = 1950 + rng.gen_range(0..75i64);
-            pools.titles.push(title.clone());
             if !pools.years.contains(&year) {
                 pools.years.push(year);
             }
             movies
-                .insert(vec![Value::Int(mid as i64), Value::Str(title), Value::Int(year)])
+                .insert(vec![Value::Int(mid as i64), Value::str(title.as_str()), Value::Int(year)])
                 .unwrap();
+            pools.titles.push(title);
             // 1–3 distinct genres.
             let n_genres = 1 + rng.gen_range(0..3usize);
             let mut seen = Vec::new();
@@ -290,15 +290,14 @@ pub fn generate(config: MovieDbConfig) -> MovieDb {
             theatres
                 .insert(vec![
                     Value::Int(tid as i64),
-                    Value::Str(name),
-                    Value::Str(phone),
+                    Value::str(name),
+                    Value::str(phone),
                     Value::str(region),
                 ])
                 .unwrap();
         }
         for day in 0..config.days {
             let date = format!("2003-07-{:02}", day + 1);
-            pools.dates.push(date.clone());
             for tid in 0..config.theatres {
                 for _ in 0..config.plays_per_day {
                     let mid = movie_zipf.sample(&mut rng);
@@ -306,11 +305,12 @@ pub fn generate(config: MovieDbConfig) -> MovieDb {
                         .insert(vec![
                             Value::Int(tid as i64),
                             Value::Int(mid as i64),
-                            Value::str(&date),
+                            Value::str(date.as_str()),
                         ])
                         .unwrap();
                 }
             }
+            pools.dates.push(date);
         }
     }
 

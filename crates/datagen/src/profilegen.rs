@@ -29,12 +29,17 @@ impl Default for ProfileGenConfig {
 
 /// The attributes on which selection preferences can be expressed, paired
 /// with their value pool.
-fn selection_targets(pools: &ValuePools) -> Vec<(&'static str, &'static str, Vec<Value>)> {
+type Targets = Vec<(&'static str, &'static str, Vec<Value>)>;
+
+/// Build the [`Targets`] once per batch of profiles: each string value is
+/// allocated here, once, and every profile that draws it shares it.
+fn selection_targets(pools: &ValuePools) -> Targets {
+    let strs = |pool: &[String]| pool.iter().map(|s| Value::str(s.as_str())).collect();
     vec![
-        ("GENRE", "genre", pools.genres.iter().map(|g| Value::str(g.clone())).collect()),
-        ("ACTOR", "name", pools.actor_names.iter().map(|n| Value::str(n.clone())).collect()),
-        ("DIRECTOR", "name", pools.director_names.iter().map(|n| Value::str(n.clone())).collect()),
-        ("THEATRE", "region", pools.regions.iter().map(|r| Value::str(r.clone())).collect()),
+        ("GENRE", "genre", strs(&pools.genres)),
+        ("ACTOR", "name", strs(&pools.actor_names)),
+        ("DIRECTOR", "name", strs(&pools.director_names)),
+        ("THEATRE", "region", strs(&pools.regions)),
         ("MOVIE", "year", pools.years.iter().map(|y| Value::Int(*y)).collect()),
     ]
 }
@@ -45,6 +50,11 @@ fn selection_targets(pools: &ValuePools) -> Vec<(&'static str, &'static str, Vec
 /// if the pools cannot supply the requested size, the profile is as large as
 /// possible (callers can check [`Profile::size`]).
 pub fn generate_profile(user: &str, pools: &ValuePools, config: &ProfileGenConfig) -> Profile {
+    profile_from(user, &selection_targets(pools), config)
+}
+
+/// [`generate_profile`] over targets built by the caller.
+fn profile_from(user: &str, targets: &Targets, config: &ProfileGenConfig) -> Profile {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut p = Profile::new(user);
 
@@ -76,7 +86,6 @@ pub fn generate_profile(user: &str, pools: &ValuePools, config: &ProfileGenConfi
     }
 
     // Selection preferences, skewed toward interesting degrees.
-    let targets = selection_targets(pools);
     let mut attempts = 0;
     while p.size() < config.selections && attempts < config.selections * 20 {
         attempts += 1;
@@ -98,18 +107,20 @@ pub fn generate_profile(user: &str, pools: &ValuePools, config: &ProfileGenConfi
     p
 }
 
-/// Generate `count` profiles of a given size with derived seeds.
+/// Generate `count` profiles of a given size with derived seeds. The
+/// selection targets are built once for the whole batch.
 pub fn generate_profiles(
     prefix: &str,
     count: usize,
     pools: &ValuePools,
     base: &ProfileGenConfig,
 ) -> Vec<Profile> {
+    let targets = selection_targets(pools);
     (0..count)
         .map(|i| {
             let cfg =
                 ProfileGenConfig { seed: base.seed.wrapping_add(i as u64 * 7919), ..base.clone() };
-            generate_profile(&format!("{prefix}{i}"), pools, &cfg)
+            profile_from(&format!("{prefix}{i}"), &targets, &cfg)
         })
         .collect()
 }

@@ -70,19 +70,19 @@ fn selection_of(
     rng: &mut impl Rng,
 ) -> Option<(&'static str, pqp_storage::Value)> {
     use pqp_storage::Value;
-    let pick = |v: &Vec<String>, rng: &mut dyn Rng| -> Option<String> {
+    let pick = |v: &[String], rng: &mut dyn Rng| -> Option<Value> {
         if v.is_empty() {
             None
         } else {
-            Some(v[(rng.next_u32() as usize) % v.len()].clone())
+            Some(Value::str(v[(rng.next_u32() as usize) % v.len()].as_str()))
         }
     };
     match table {
-        "PLAY" => Some(("date", Value::Str(pick(&pools.dates, rng)?))),
-        "GENRE" => Some(("genre", Value::Str(pick(&pools.genres, rng)?))),
-        "THEATRE" => Some(("region", Value::Str(pick(&pools.regions, rng)?))),
-        "ACTOR" => Some(("name", Value::Str(pick(&pools.actor_names, rng)?))),
-        "DIRECTOR" => Some(("name", Value::Str(pick(&pools.director_names, rng)?))),
+        "PLAY" => Some(("date", pick(&pools.dates, rng)?)),
+        "GENRE" => Some(("genre", pick(&pools.genres, rng)?)),
+        "THEATRE" => Some(("region", pick(&pools.regions, rng)?)),
+        "ACTOR" => Some(("name", pick(&pools.actor_names, rng)?)),
+        "DIRECTOR" => Some(("name", pick(&pools.director_names, rng)?)),
         "MOVIE" => {
             if pools.years.is_empty() {
                 None

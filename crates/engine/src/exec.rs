@@ -19,11 +19,25 @@
 //! smaller side; grouping and duplicate elimination preserve first-seen
 //! order so results are deterministic.
 //!
-//! Rows (`Vec<Row>`) are the only currency between operators. The heap
-//! scan is columnar on the inside: it decodes datum-encoded rows straight
-//! into a [`pqp_storage::Batch`] of [`pqp_storage::BATCH_SIZE`] rows,
+//! Rows (`Vec<Row>`) are the only currency between operators, and a row is
+//! cheap to copy: a string value is a shared `Arc<str>`, so cloning one is a
+//! reference-count bump. The heap scan is columnar on the inside: it
+//! decodes datum-encoded rows straight into a [`pqp_storage::Batch`] of
+//! [`pqp_storage::BATCH_SIZE`] rows (one allocation per string cell),
 //! evaluates the pushed-down filter over the columns as a selection vector
-//! (`crate::vexpr`) and materializes only the surviving rows.
+//! (`crate::vexpr`) and materializes only the surviving rows. An index
+//! probe decodes each hit straight into its output row. Every operator that
+//! emits a row builds it once, at its final width.
+//!
+//! ## Keys without key vectors
+//!
+//! The hash join, `DISTINCT`, non-`ALL` `UNION` and `GROUP BY` share one
+//! pair of helpers: `key_hash` hashes a row's key columns in place and
+//! `key_eq` compares two rows' key columns in place. A `KeyTable` maps a
+//! hash to chained indices — build rows, distinct output rows, groups — and
+//! every candidate is confirmed by `key_eq`, so no operator allocates a key
+//! per row. Equality is [`Value`]'s (`Int(3)` matches `Float(3.0)`); the
+//! join drops NULL keys, the others group them.
 //!
 //! ## One loop per operator, one schedule
 //!
@@ -52,9 +66,9 @@ use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
-use pqp_storage::{BatchBuilder, Catalog, Row, Table, Value};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use pqp_storage::{decode_row_into, BatchBuilder, Catalog, Row, Table, Value};
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Execution options. Field-less: execution has one schedule and nothing
 /// to configure. The type only keeps the signatures the benchmark compiles
@@ -182,11 +196,11 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
                 out.extend(run(env, i)?);
                 ctx.checkpoint()?;
             }
-            if !*all {
-                let mut seen = HashSet::with_capacity(out.len());
-                out.retain(|row| seen.insert(row.clone()));
+            if *all {
+                Ok(out)
+            } else {
+                distinct_rows(ctx, out)
             }
-            Ok(out)
         }
         Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
             crate::topk::execute(env, base, probes, *visible, matching, *rank, *limit)
@@ -207,50 +221,53 @@ fn index_scan(
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    match t.index_lookup(column, key) {
-        Some(hits) => {
-            pqp_obs::record("strategy", "index_scan");
-            let mut out = Vec::new();
-            let mut pending = 0u64;
-            for row in hits? {
-                pending += 1;
-                if pending == CHARGE_BATCH_ROWS {
-                    ctx.charge_rows(pending)?;
-                    pending = 0;
-                }
-                if let Some(f) = residual {
-                    if !f.eval_predicate(&row)? {
-                        continue;
-                    }
-                }
-                out.push(row);
-            }
-            ctx.charge_rows(pending)?;
-            Ok(out)
-        }
-        None => {
-            // The index was dropped after planning: reconstruct the
-            // full pushed-down predicate and fall back to a scan.
-            let Some(col) = t.schema().column_index(column) else {
-                return bind_err(format!("unknown column `{column}` in `{table}`"));
-            };
-            let eq = BoundExpr::Binary {
-                left: Box::new(BoundExpr::Column(col)),
-                op: BinaryOp::Eq,
-                right: Box::new(BoundExpr::Literal(key.clone())),
-            };
-            let pred = match residual {
-                Some(r) => BoundExpr::Binary {
-                    left: Box::new(eq),
-                    op: BinaryOp::And,
-                    right: Box::new(r.clone()),
-                },
-                None => eq,
-            };
-            drop(t);
-            scan(env, table, Some(&pred))
-        }
+    if t.index_on(column).is_none() {
+        // The index was dropped after planning: reconstruct the full
+        // pushed-down predicate and fall back to a scan.
+        let Some(col) = t.schema().column_index(column) else {
+            return bind_err(format!("unknown column `{column}` in `{table}`"));
+        };
+        let eq = BoundExpr::Binary {
+            left: Box::new(BoundExpr::Column(col)),
+            op: BinaryOp::Eq,
+            right: Box::new(BoundExpr::Literal(key.clone())),
+        };
+        let pred = match residual {
+            Some(r) => BoundExpr::Binary {
+                left: Box::new(eq),
+                op: BinaryOp::And,
+                right: Box::new(r.clone()),
+            },
+            None => eq,
+        };
+        drop(t);
+        return scan(env, table, Some(&pred));
     }
+    pqp_obs::record("strategy", "index_scan");
+    let width = t.schema().arity();
+    let mut out = Vec::new();
+    // Each hit decodes into `row`; a hit the residual rejects leaves its
+    // allocation to the next one.
+    let mut row = Row::new();
+    let mut pending = 0u64;
+    for bytes in t.index_lookup_raw(column, key).into_iter().flatten() {
+        pending += 1;
+        if pending == CHARGE_BATCH_ROWS {
+            ctx.charge_rows(pending)?;
+            pending = 0;
+        }
+        row.clear();
+        row.reserve_exact(width);
+        decode_row_into(bytes, &mut row)?;
+        if let Some(f) = residual {
+            if !f.eval_predicate(&row)? {
+                continue;
+            }
+        }
+        out.push(std::mem::take(&mut row));
+    }
+    ctx.charge_rows(pending)?;
+    Ok(out)
 }
 
 /// Heap-scan a base table. Index access is the planner's call
@@ -329,8 +346,7 @@ fn cross_join_rows(ctx: &QueryCtx, lrows: Vec<Row>, rrows: Vec<Row>) -> Result<V
     let mut pending_mem = 0u64;
     for l in &lrows {
         for r in &rrows {
-            let mut row = l.clone();
-            row.extend(r.iter().cloned());
+            let row = concat(l, r);
             pending_mem += approx_row_bytes(row.len());
             out.push(row);
             if out.len() & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -343,15 +359,31 @@ fn cross_join_rows(ctx: &QueryCtx, lrows: Vec<Row>, rrows: Vec<Row>) -> Result<V
     Ok(out)
 }
 
-/// Duplicate elimination preserving first-seen order.
+/// `l ++ r`, allocated once at its final width.
+fn concat(l: &[Value], r: &[Value]) -> Row {
+    let mut row = Vec::with_capacity(l.len() + r.len());
+    row.extend_from_slice(l);
+    row.extend_from_slice(r);
+    row
+}
+
+/// Duplicate elimination preserving first-seen order (`DISTINCT` and
+/// non-`ALL` `UNION`): the table indexes the output rows kept so far, and a
+/// row is kept unless one of them equals it.
 fn distinct_rows(ctx: &QueryCtx, rows: Vec<Row>) -> Result<Vec<Row>> {
-    let mut seen = HashSet::with_capacity(rows.len());
-    let mut out = Vec::new();
+    let Some(first) = rows.first() else {
+        return Ok(rows);
+    };
+    let cols: Vec<usize> = (0..first.len()).collect();
+    let mut table = KeyTable::with_capacity(rows.len());
+    let mut out: Vec<Row> = Vec::new();
     for (i, row) in rows.into_iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
         }
-        if seen.insert(row.clone()) {
+        let h = key_hash(&row, &cols, true).unwrap_or_default();
+        if !table.chain(h).any(|o| key_eq(&out[o], &cols, &row, &cols)) {
+            table.insert(h, out.len());
             out.push(row);
         }
     }
@@ -424,7 +456,12 @@ fn index_probe(
 ) -> Result<Option<Vec<Row>>> {
     pqp_obs::record("strategy", "index_nested_loop");
     pqp_obs::record("probe_rows", probe_rows.len());
+    let width = t.schema().arity();
     let mut out = Vec::new();
+    // The hit decodes straight into the output row — after the probe row's
+    // values when the probe side is the left one, before them otherwise —
+    // and a hit the filter rejects leaves its allocation to the next one.
+    let mut row = Row::new();
     let mut pending = 0u64;
     for (i, prow) in probe_rows.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -434,30 +471,32 @@ fn index_probe(
         if key.is_null() {
             continue;
         }
-        let Some(hits) = t.index_lookup(column, key) else {
+        let Some(hits) = t.index_lookup_raw(column, key) else {
             return Ok(None);
         };
-        for hit in hits? {
+        for bytes in hits {
             // Index probes read base-table rows: charge them like a scan.
             pending += 1;
             if pending == CHARGE_BATCH_ROWS {
                 ctx.charge_rows(pending)?;
                 pending = 0;
             }
+            row.clear();
+            row.reserve_exact(prow.len() + width);
+            if probe_is_left {
+                row.extend_from_slice(prow);
+            }
+            let hit = row.len();
+            decode_row_into(bytes, &mut row)?;
             if let Some(f) = filter {
-                if !f.eval_predicate(&hit)? {
+                if !f.eval_predicate(&row[hit..])? {
                     continue;
                 }
             }
-            let mut row;
-            if probe_is_left {
-                row = prow.clone();
-                row.extend(hit);
-            } else {
-                row = hit;
-                row.extend(prow.iter().cloned());
+            if !probe_is_left {
+                row.extend_from_slice(prow);
             }
-            out.push(row);
+            out.push(std::mem::take(&mut row));
         }
     }
     ctx.charge_rows(pending)?;
@@ -482,35 +521,80 @@ fn join_rows(
         (&rrows, &lrows, right_keys, left_keys)
     };
     let table = build_table(build, build_keys, ctx)?;
-    probe_table(probe, build, &table, probe_keys, build_left, ctx)
+    probe_table(probe, build, &table, probe_keys, build_keys, build_left, ctx)
 }
 
-fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for &k in keys {
-        let v = &row[k];
-        // SQL equi-join semantics: NULL never matches.
-        if v.is_null() {
+/// Hash of `row`'s values at `cols`, in order, computed in place: the key
+/// of the hash join, `DISTINCT`, `UNION` and `GROUP BY`. `None` when one of
+/// them is NULL and `null_is_key` is false — SQL equi-join semantics, NULL
+/// never matches. Consistent with [`key_eq`]: [`Value`]'s hash agrees with
+/// its equality across `Int` / `Float`.
+fn key_hash(row: &[Value], cols: &[usize], null_is_key: bool) -> Option<u64> {
+    let mut h = DefaultHasher::new();
+    for &c in cols {
+        let v = &row[c];
+        if v.is_null() && !null_is_key {
             return None;
         }
-        out.push(v.clone());
+        v.hash(&mut h);
     }
-    Some(out)
+    Some(h.finish())
 }
 
-/// Join key → indices into the build rows, in build-insertion order.
-type JoinTable = HashMap<Vec<Value>, Vec<usize>>;
+/// Whether `a`'s values at `a_cols` equal `b`'s at `b_cols`, pairwise.
+fn key_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
+    a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i] == b[j])
+}
 
-/// The hash-build loop: index the build rows by key. Scanning the build
-/// side in order keeps every match list in build-insertion order.
-fn build_table(build: &[Row], build_keys: &[usize], ctx: &QueryCtx) -> Result<JoinTable> {
-    let mut table = JoinTable::with_capacity(build.len());
-    for (i, row) in build.iter().enumerate() {
+/// End of a [`KeyTable`] chain.
+const NO_ENTRY: usize = usize::MAX;
+
+/// Entries — indices into the caller's rows — chained by key hash: `heads`
+/// holds the last entry inserted under each hash and `next[e]` the one
+/// inserted under the same hash before `e`. A chain holds every entry whose
+/// key hashes alike; callers confirm each candidate with [`key_eq`].
+struct KeyTable {
+    heads: HashMap<u64, usize>,
+    next: Vec<usize>,
+}
+
+impl KeyTable {
+    fn with_capacity(entries: usize) -> KeyTable {
+        KeyTable { heads: HashMap::with_capacity(entries), next: Vec::with_capacity(entries) }
+    }
+
+    /// Chain `entry` under hash `h`, ahead of the entries already there.
+    fn insert(&mut self, h: u64, entry: usize) {
+        if entry >= self.next.len() {
+            self.next.resize(entry + 1, NO_ENTRY);
+        }
+        self.next[entry] = self.heads.insert(h, entry).unwrap_or(NO_ENTRY);
+    }
+
+    /// The entries chained under hash `h`, last inserted first.
+    fn chain(&self, h: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut e = self.heads.get(&h).copied().unwrap_or(NO_ENTRY);
+        std::iter::from_fn(move || {
+            let cur = e;
+            (cur != NO_ENTRY).then(|| {
+                e = self.next[cur];
+                cur
+            })
+        })
+    }
+}
+
+/// The hash-build loop: chain the build rows by key hash. Inserting them
+/// last to first leaves every chain in build-insertion order, the order
+/// matches are emitted in.
+fn build_table(build: &[Row], build_keys: &[usize], ctx: &QueryCtx) -> Result<KeyTable> {
+    let mut table = KeyTable::with_capacity(build.len());
+    for (i, row) in build.iter().enumerate().rev() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
         }
-        if let Some(k) = key_of(row, build_keys) {
-            table.entry(k).or_default().push(i);
+        if let Some(h) = key_hash(row, build_keys, false) {
+            table.insert(h, i);
         }
     }
     Ok(table)
@@ -522,8 +606,9 @@ fn build_table(build: &[Row], build_keys: &[usize], ctx: &QueryCtx) -> Result<Jo
 fn probe_table(
     probe: &[Row],
     build: &[Row],
-    table: &JoinTable,
+    table: &KeyTable,
     probe_keys: &[usize],
+    build_keys: &[usize],
     build_left: bool,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
@@ -534,57 +619,70 @@ fn probe_table(
             ctx.charge_mem(pending_mem)?;
             pending_mem = 0;
         }
-        let Some(k) = key_of(prow, probe_keys) else {
+        let Some(h) = key_hash(prow, probe_keys, false) else {
             continue;
         };
-        if let Some(matches) = table.get(&k) {
-            for &bi in matches {
-                let brow = &build[bi];
-                let (l, r) = if build_left { (brow, prow) } else { (prow, brow) };
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                pending_mem += approx_row_bytes(row.len());
-                out.push(row);
+        for bi in table.chain(h) {
+            let brow = &build[bi];
+            if !key_eq(brow, build_keys, prow, probe_keys) {
+                continue;
             }
+            let row = if build_left { concat(brow, prow) } else { concat(prow, brow) };
+            pending_mem += approx_row_bytes(row.len());
+            out.push(row);
         }
     }
     ctx.charge_mem(pending_mem)?;
     Ok(out)
 }
 
+/// Hash aggregation. Groups live in a first-seen `Vec` (their key values,
+/// then their accumulators, `aggs.len()` per group, in one flat `Vec`); the
+/// table maps a key hash to group indices. Each input row's key is
+/// evaluated into one reused scratch row and moved into a group's output
+/// row only when it opens a new group.
 fn aggregate(
     rows: Vec<Row>,
     group_by: &[BoundExpr],
     aggs: &[crate::aggregate::AggCall],
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
-    // Group keys in first-seen order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<crate::aggregate::AggState>> = HashMap::new();
-
+    let width = group_by.len() + aggs.len();
+    let cols: Vec<usize> = (0..group_by.len()).collect();
+    let mut groups: Vec<Row> = Vec::new();
+    let mut states: Vec<crate::aggregate::AggState> = Vec::new();
+    let mut table = KeyTable::with_capacity(0);
     if group_by.is_empty() {
         // Global aggregate: exactly one group, present even on empty input.
-        let states: Vec<_> = aggs.iter().map(|a| a.new_state()).collect();
-        groups.insert(Vec::new(), states);
-        order.push(Vec::new());
+        groups.push(Row::with_capacity(width));
+        states.extend(aggs.iter().map(|a| a.new_state()));
+        table.insert(key_hash(&[], &[], true).unwrap_or_default(), 0);
     }
 
+    let mut key = Row::with_capacity(group_by.len());
     for (i, row) in rows.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
         }
-        let mut key = Vec::with_capacity(group_by.len());
+        key.clear();
         for g in group_by {
             key.push(g.eval(row)?);
         }
-        let states = match groups.entry(key.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                order.push(key);
-                e.insert(aggs.iter().map(|a| a.new_state()).collect())
+        let h = key_hash(&key, &cols, true).unwrap_or_default();
+        let found = table.chain(h).find(|&g| key_eq(&groups[g], &cols, &key, &cols));
+        let group = match found {
+            Some(g) => g,
+            None => {
+                let mut out_row = Row::with_capacity(width);
+                out_row.append(&mut key);
+                table.insert(h, groups.len());
+                groups.push(out_row);
+                states.extend(aggs.iter().map(|a| a.new_state()));
+                groups.len() - 1
             }
         };
-        for (call, state) in aggs.iter().zip(states.iter_mut()) {
+        let group_states = &mut states[group * aggs.len()..(group + 1) * aggs.len()];
+        for (call, state) in aggs.iter().zip(group_states) {
             match &call.arg {
                 None => state.update(None)?,
                 Some(e) => {
@@ -595,16 +693,134 @@ fn aggregate(
         }
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let Some(states) = groups.remove(&key) else {
-            continue; // every ordered key was inserted into `groups`
-        };
-        let mut row = key;
-        for s in &states {
-            row.push(s.finish());
-        }
-        out.push(row);
+    if aggs.is_empty() {
+        return Ok(groups);
     }
-    Ok(out)
+    for (row, group_states) in groups.iter_mut().zip(states.chunks(aggs.len())) {
+        row.extend(group_states.iter().map(|s| s.finish()));
+    }
+    Ok(groups)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::{AggCall, AggFunc};
+
+    fn int(i: i64) -> Value {
+        Value::Int(i)
+    }
+
+    fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
+        join_rows(&QueryCtx::unlimited(), l, r, lk, rk).unwrap()
+    }
+
+    #[test]
+    fn hash_join_matches_int_against_equal_float() {
+        let l = vec![vec![int(3), Value::str("l")]];
+        let r = vec![vec![Value::Float(3.0)], vec![Value::Float(3.5)]];
+        assert_eq!(
+            join(l.clone(), r.clone(), &[0], &[0]),
+            vec![vec![int(3), Value::str("l"), Value::Float(3.0)]]
+        );
+        // The same with the float side building the table.
+        let r_small = vec![vec![Value::Float(3.0)]];
+        let l_big = vec![vec![int(3), Value::str("a")], vec![int(4), Value::str("b")]];
+        assert_eq!(
+            join(l_big, r_small, &[0], &[0]),
+            vec![vec![int(3), Value::str("a"), Value::Float(3.0)]]
+        );
+    }
+
+    #[test]
+    fn hash_join_null_keys_never_match() {
+        let l = vec![vec![Value::Null], vec![int(1)]];
+        let r = vec![vec![Value::Null], vec![int(1)], vec![Value::Null]];
+        assert_eq!(join(l.clone(), r.clone(), &[0], &[0]), vec![vec![int(1), int(1)]]);
+        assert_eq!(join(r, l, &[0], &[0]), vec![vec![int(1), int(1)]]);
+        // A NULL in either column of a two-column key drops the row too.
+        let l = vec![vec![int(1), Value::Null], vec![int(1), int(2)]];
+        let r = vec![vec![int(1), Value::Null], vec![int(1), int(2)]];
+        assert_eq!(join(l, r, &[0, 1], &[0, 1]), vec![vec![int(1), int(2), int(1), int(2)]]);
+    }
+
+    #[test]
+    fn hash_join_on_a_two_column_key() {
+        let l = vec![
+            vec![int(1), Value::str("a")],
+            vec![int(1), Value::str("b")],
+            vec![int(2), Value::str("a")],
+        ];
+        let r = vec![vec![Value::str("a"), int(1)], vec![Value::str("a"), int(2)]];
+        // Columns (0, 1) of the left against (1, 0) of the right.
+        assert_eq!(
+            join(l, r, &[0, 1], &[1, 0]),
+            vec![
+                vec![int(1), Value::str("a"), Value::str("a"), int(1)],
+                vec![int(2), Value::str("a"), Value::str("a"), int(2)],
+            ]
+        );
+    }
+
+    #[test]
+    fn duplicate_build_keys_emit_in_build_insertion_order() {
+        let build: Vec<Row> = (0..5).map(|i| vec![int(i % 2), int(i)]).collect();
+        let probe: Vec<Row> = (0..8).map(|i| vec![int(i % 2)]).collect();
+        // Build side left (smaller): matches follow the build rows' order
+        // within one probe row, probe order across them.
+        let out = join(build.clone(), probe.clone(), &[0], &[0]);
+        let seconds: Vec<i64> = out.iter().take(5).map(|r| r[1].as_i64().unwrap()).collect();
+        assert_eq!(seconds, [0, 2, 4, 1, 3]);
+        assert_eq!(out.len(), 4 * 3 + 4 * 2);
+        // Build side right (the left side is larger): same order.
+        let big: Vec<Row> = (0..8).map(|i| vec![int(i % 2)]).collect();
+        let out = join(big, build, &[0], &[0]);
+        let seconds: Vec<i64> = out.iter().take(5).map(|r| r[2].as_i64().unwrap()).collect();
+        assert_eq!(seconds, [0, 2, 4, 1, 3]);
+    }
+
+    #[test]
+    fn distinct_keeps_first_seen_order_and_groups_nulls() {
+        let rows = vec![
+            vec![int(2), Value::Null],
+            vec![int(1), Value::str("x")],
+            vec![Value::Float(2.0), Value::Null],
+            vec![int(1), Value::str("y")],
+            vec![int(1), Value::str("x")],
+        ];
+        assert_eq!(
+            distinct_rows(&QueryCtx::unlimited(), rows).unwrap(),
+            vec![
+                vec![int(2), Value::Null],
+                vec![int(1), Value::str("x")],
+                vec![int(1), Value::str("y")],
+            ]
+        );
+        assert!(distinct_rows(&QueryCtx::unlimited(), Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn group_by_keeps_first_seen_order() {
+        let rows: Vec<Row> = [("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5)]
+            .iter()
+            .map(|&(k, v)| vec![Value::str(k), int(v)])
+            .collect();
+        let group_by = [BoundExpr::Column(0)];
+        let aggs = [
+            AggCall::new(AggFunc::Count, None).unwrap(),
+            AggCall::new(AggFunc::Sum, Some(BoundExpr::Column(1))).unwrap(),
+        ];
+        let out = aggregate(rows, &group_by, &aggs, &QueryCtx::unlimited()).unwrap();
+        assert_eq!(
+            out,
+            vec![
+                vec![Value::str("b"), int(2), Value::Float(4.0)],
+                vec![Value::str("a"), int(2), Value::Float(7.0)],
+                vec![Value::str("c"), int(1), Value::Float(4.0)],
+            ]
+        );
+        // No GROUP BY: one group, even over no rows.
+        let out = aggregate(Vec::new(), &[], &aggs, &QueryCtx::unlimited()).unwrap();
+        assert_eq!(out, vec![vec![int(0), Value::Null]]);
+    }
 }

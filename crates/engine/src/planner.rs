@@ -349,12 +349,15 @@ impl<'a> Planner<'a> {
         let est_of = |nodes: &[Option<FactorNode>], i: usize| {
             nodes[i].as_ref().map_or(f64::INFINITY, |node| node.est)
         };
+        // Every index chosen below names a factor not yet taken; an empty
+        // FROM never reaches here (the binder rejects it).
+        let lost = |what: &str| EngineError::Internal(format!("join ordering: {what}"));
         let start = (0..n)
             .min_by(|&a, &b| est_of(&nodes, a).total_cmp(&est_of(&nodes, b)))
-            .expect("non-empty factors");
+            .ok_or_else(|| lost("no factors"))?;
         // The joined side so far. Its column origins are carried forward
         // from step to step: a join concatenates them, filters keep them.
-        let mut current = nodes[start].take().expect("start factor is present");
+        let mut current = nodes[start].take().ok_or_else(|| lost("start factor taken"))?;
         let mut joined: HashSet<usize> = HashSet::from([start]);
         let mut used_edges: HashSet<usize> = HashSet::new();
         let mut bindings_in: Vec<Arc<str>> = vec![current.binding.clone()];
@@ -394,11 +397,11 @@ impl<'a> Planner<'a> {
                     let i = (0..n)
                         .filter(|i| nodes[*i].is_some())
                         .min_by(|&a, &b| est_of(&nodes, a).total_cmp(&est_of(&nodes, b)))
-                        .expect("a factor is left to join");
+                        .ok_or_else(|| lost("no factor left to join"))?;
                     (i, false, current.est * est_of(&nodes, i))
                 }
             };
-            let node = nodes[idx].take().expect("chosen factor is present");
+            let node = nodes[idx].take().ok_or_else(|| lost("chosen factor taken"))?;
             let out_schema = self.share(current.plan.schema().join(node.plan.schema()));
 
             if connected {

@@ -227,7 +227,7 @@ fn cmp_kernel(
         (ColumnData::Int(v), Value::Float(x)) => Some(build(&|i| total_fcmp(v[i] as f64, *x))),
         (ColumnData::Float(v), Value::Int(x)) => Some(build(&|i| total_fcmp(v[i], *x as f64))),
         (ColumnData::Float(v), Value::Float(x)) => Some(build(&|i| total_fcmp(v[i], *x))),
-        (ColumnData::Str(v), Value::Str(x)) => Some(build(&|i| (*v[i]).cmp(x.as_str()))),
+        (ColumnData::Str(v), Value::Str(x)) => Some(build(&|i| (*v[i]).cmp(&**x))),
         (ColumnData::Bool(v), Value::Bool(x)) => Some(build(&|i| v[i].cmp(x))),
         // Cross-class equality never errors and never matches (distinct
         // type ranks compare unequal); ordered cross-class comparison is a

@@ -384,6 +384,22 @@ fn union_distinct_vs_all() {
 }
 
 #[test]
+fn union_and_distinct_keep_first_seen_order() {
+    let db = movies_db();
+    let mids = |sql: &str| -> Vec<Value> {
+        db.run(sql).unwrap().rows.into_iter().map(|mut r| r.remove(0)).collect()
+    };
+    assert_eq!(
+        mids("(select mid from GENRE where genre='sci-fi') union (select mid from GENRE)"),
+        vec![Value::Int(12), Value::Int(10), Value::Int(11)]
+    );
+    assert_eq!(
+        mids("select distinct GN.genre from GENRE GN"),
+        vec![Value::str("comedy"), Value::str("thriller"), Value::str("sci-fi")]
+    );
+}
+
+#[test]
 fn derived_table_with_alias_resolution() {
     let db = movies_db();
     let rs = db

@@ -911,10 +911,7 @@ impl Service {
         let rows = match show {
             ShowStmt::Metrics => {
                 let mut table = self.telemetry.metrics_table();
-                table.rows.push(vec![
-                    Value::Str("in_flight".into()),
-                    Value::Int(self.in_flight() as i64),
-                ]);
+                table.rows.push(vec![Value::str("in_flight"), Value::Int(self.in_flight() as i64)]);
                 table
             }
             ShowStmt::Queries { limit } => self.telemetry.queries_table(limit.unwrap_or(20)),
@@ -946,7 +943,7 @@ impl Service {
         };
         let row = |name: &str, len: usize, cap: usize, s: CacheSnapshot| {
             vec![
-                Value::Str(name.to_string()),
+                Value::str(name),
                 Value::Int(len as i64),
                 Value::Int(cap as i64),
                 Value::Int(s.hits as i64),
@@ -1733,7 +1730,7 @@ mod tests {
                 .rows
                 .rows
                 .iter()
-                .find(|r| r[0] == pqp_storage::Value::Str(name.to_string()))
+                .find(|r| r[0] == pqp_storage::Value::str(name))
                 .map(|r| r[1].clone())
                 .unwrap()
         };

@@ -497,7 +497,7 @@ impl Telemetry {
         let snap = self.snapshot();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let int = |name: &str, v: u64, rows: &mut Vec<Vec<Value>>| {
-            rows.push(vec![Value::Str(name.to_string()), Value::Int(v as i64)]);
+            rows.push(vec![Value::str(name), Value::Int(v as i64)]);
         };
         int("queries_total", snap.queries, &mut rows);
         int("errors_total", snap.errors, &mut rows);
@@ -514,7 +514,7 @@ impl Telemetry {
             int(&format!("service.degrade.rung.{level}"), n, &mut rows);
         }
         let float = |name: &str, v: f64, rows: &mut Vec<Vec<Value>>| {
-            rows.push(vec![Value::Str(name.to_string()), Value::Float(v)]);
+            rows.push(vec![Value::str(name), Value::Float(v)]);
         };
         let life = &snap.latency_ms.lifetime;
         float("latency_mean_ms", life.mean(), &mut rows);
@@ -524,15 +524,15 @@ impl Telemetry {
         float("latency_max_ms", life.max(), &mut rows);
         let win = &snap.latency_ms.window;
         let win_secs = snap.latency_ms.window_dur.as_secs_f64();
-        rows.push(vec![Value::Str("window_seconds".into()), Value::Int(win_secs as i64)]);
-        rows.push(vec![Value::Str("window_queries".into()), Value::Int(win.count() as i64)]);
+        rows.push(vec![Value::str("window_seconds"), Value::Int(win_secs as i64)]);
+        rows.push(vec![Value::str("window_queries"), Value::Int(win.count() as i64)]);
         float("window_qps", win.count() as f64 / win_secs.max(1.0), &mut rows);
         float("window_p50_ms", win.p50(), &mut rows);
         float("window_p95_ms", win.p95(), &mut rows);
         float("window_p99_ms", win.p99(), &mut rows);
         if let Some(repl) = &snap.repl {
-            rows.push(vec![Value::Str("repl.node_id".into()), Value::Str(repl.node_id.clone())]);
-            rows.push(vec![Value::Str("repl.role".into()), Value::Str(repl.role.clone())]);
+            rows.push(vec![Value::str("repl.node_id"), Value::str(repl.node_id.as_str())]);
+            rows.push(vec![Value::str("repl.role"), Value::str(repl.role.as_str())]);
             int("repl.term", repl.term, &mut rows);
             int("repl.last_seq", repl.last_seq, &mut rows);
             int("repl.durable_seq", repl.durable_seq, &mut rows);
@@ -578,7 +578,7 @@ impl Telemetry {
             .map(|r| {
                 vec![
                     Value::Int(r.seq as i64),
-                    Value::Str(r.user.clone()),
+                    Value::str(r.user.as_str()),
                     Value::Bool(r.ok),
                     Value::Float(r.phases.total_us as f64 / 1_000.0),
                     Value::Int(r.phases.parse_us as i64),
@@ -588,12 +588,12 @@ impl Telemetry {
                     Value::Int(r.rows_out as i64),
                     Value::Int(r.rows_scanned as i64),
                     r.est_rows.map_or(Value::Null, Value::Float),
-                    Value::Str(r.prepared_cache.to_string()),
-                    Value::Str(r.plan_cache.to_string()),
-                    Value::Str(r.degrade.to_string()),
+                    Value::str(r.prepared_cache),
+                    Value::str(r.plan_cache),
+                    Value::str(r.degrade.label()),
                     Value::Bool(r.slow),
-                    r.error.clone().map_or(Value::Null, Value::Str),
-                    Value::Str(r.sql.clone()),
+                    r.error.as_deref().map_or(Value::Null, Value::str),
+                    Value::str(r.sql.as_str()),
                 ]
             })
             .collect();
@@ -744,14 +744,14 @@ mod tests {
         let metrics = t.metrics_table();
         assert_eq!(metrics.columns, vec!["metric", "value"]);
         let get = |name: &str| {
-            metrics.rows.iter().find(|r| r[0] == Value::Str(name.to_string())).map(|r| r[1].clone())
+            metrics.rows.iter().find(|r| r[0] == Value::str(name)).map(|r| r[1].clone())
         };
         assert_eq!(get("queries_total"), Some(Value::Int(1)));
         assert_eq!(get("errors_total"), Some(Value::Int(0)));
         t.note_strategy(pqp_core::Rewrite::NativeRank);
         let metrics = t.metrics_table();
         let get = |name: &str| {
-            metrics.rows.iter().find(|r| r[0] == Value::Str(name.to_string())).map(|r| r[1].clone())
+            metrics.rows.iter().find(|r| r[0] == Value::str(name)).map(|r| r[1].clone())
         };
         assert_eq!(get("planner.strategy.native_rank"), Some(Value::Int(1)));
         assert_eq!(get("planner.strategy.sq"), Some(Value::Int(0)));
@@ -770,7 +770,7 @@ mod tests {
         let seq_col = queries.columns.iter().position(|c| c == "seq").unwrap();
         let user_col = queries.columns.iter().position(|c| c == "user").unwrap();
         assert_eq!(queries.rows[0][seq_col], Value::Int(1));
-        assert_eq!(queries.rows[0][user_col], Value::Str("ana".to_string()));
+        assert_eq!(queries.rows[0][user_col], Value::str("ana"));
     }
 
     #[test]
@@ -800,7 +800,7 @@ mod tests {
 
         let metrics = t.metrics_table();
         let get = |name: &str| {
-            metrics.rows.iter().find(|r| r[0] == Value::Str(name.to_string())).map(|r| r[1].clone())
+            metrics.rows.iter().find(|r| r[0] == Value::str(name)).map(|r| r[1].clone())
         };
         assert_eq!(get("repl.node_id"), Some(Value::Str("n1".into())));
         assert_eq!(get("repl.role"), Some(Value::Str("leader".into())));
@@ -819,7 +819,7 @@ mod tests {
         t.set_repl_status(again);
         let metrics = t.metrics_table();
         let roles: Vec<&Vec<Value>> =
-            metrics.rows.iter().filter(|r| r[0] == Value::Str("repl.role".to_string())).collect();
+            metrics.rows.iter().filter(|r| r[0] == Value::str("repl.role")).collect();
         assert_eq!(roles.len(), 1);
         assert_eq!(roles[0][1], Value::Str("follower".into()));
     }

@@ -374,7 +374,7 @@ impl Parser {
                 Ok(Expr::Literal(Value::Float(f)))
             }
             Token::String(_) => match self.next() {
-                Token::String(s) => Ok(Expr::Literal(Value::Str(s))),
+                Token::String(s) => Ok(Expr::Literal(Value::Str(s.into()))),
                 _ => unreachable!(),
             },
             Token::Keyword(Keyword::True) => {

@@ -38,7 +38,7 @@ fn literal(rng: &mut SmallRng) -> Value {
         _ => {
             let len = rng.gen_range(0..12usize);
             const CHARS: &[char] = &['a', 'b', 'z', 'A', 'Z', ' ', '\'', '‘', 'q', 'x', 'o', 'e'];
-            Value::Str((0..len).map(|_| CHARS[rng.gen_index(CHARS.len())]).collect())
+            Value::str((0..len).map(|_| CHARS[rng.gen_index(CHARS.len())]).collect::<String>())
         }
     }
 }

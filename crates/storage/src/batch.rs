@@ -19,8 +19,8 @@
 //! `Vec<Value>`.
 
 use crate::datum::{
-    float_from_order_key, int_from_order_key, split_str_body, take_u64, StrBody, TAG_FALSE,
-    TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR, TAG_TRUE,
+    float_from_order_key, int_from_order_key, split_str_body, take_u64, TAG_FALSE, TAG_FLOAT,
+    TAG_INT, TAG_NULL, TAG_STR, TAG_TRUE,
 };
 use crate::error::{Result, StorageError};
 use crate::row::Row;
@@ -80,7 +80,8 @@ impl Column {
         }
     }
 
-    /// Materialize cell `i` as a [`Value`] (clones string bytes).
+    /// Materialize cell `i` as a [`Value`] (a string cell is shared, not
+    /// copied: `Arc::clone`).
     pub fn value(&self, i: usize) -> Value {
         if self.is_null(i) {
             return Value::Null;
@@ -89,7 +90,7 @@ impl Column {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].to_string()),
+            ColumnData::Str(v) => Value::Str(Arc::clone(&v[i])),
             ColumnData::Val(v) => v[i].clone(),
         }
     }
@@ -110,11 +111,9 @@ fn into_values(data: ColumnData, nulls: Option<Vec<bool>>) -> Vec<Value> {
         ColumnData::Bool(v) => {
             v.into_iter().enumerate().map(|(i, x)| materialize(i, Value::Bool(x))).collect()
         }
-        ColumnData::Str(v) => v
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| materialize(i, Value::Str(x.to_string())))
-            .collect(),
+        ColumnData::Str(v) => {
+            v.into_iter().enumerate().map(|(i, x)| materialize(i, Value::Str(x))).collect()
+        }
         ColumnData::Val(v) => v,
     }
 }
@@ -272,8 +271,8 @@ impl ColBuilder {
                 push_masked_live(nulls);
                 v.push(x);
             }
-            ColBuilder::Val(v) => v.push(Value::Str(x.to_string())),
-            _ => self.demote_push(Value::Str(x.to_string())),
+            ColBuilder::Val(v) => v.push(Value::Str(x)),
+            _ => self.demote_push(Value::Str(x)),
         }
     }
 
@@ -337,8 +336,9 @@ impl BatchBuilder {
     }
 
     /// Decode one [`crate::datum`]-encoded row straight into the column
-    /// vectors. Strings become `Arc<str>` in a single allocation; no
-    /// intermediate `Vec<Value>` is built.
+    /// vectors. Strings become `Arc<str>` in a single allocation — the only
+    /// one a string cell costs per scan, since materializing a row shares
+    /// it; no intermediate `Vec<Value>` is built.
     pub fn push_encoded(&mut self, bytes: &[u8]) -> Result<()> {
         let mut rest = bytes;
         for c in &mut self.cols {
@@ -370,21 +370,7 @@ impl BatchBuilder {
                 }
                 TAG_STR => {
                     let (body, used) = split_str_body(&rest[1..])?;
-                    let s: Arc<str> = match body {
-                        StrBody::Borrowed(b) => {
-                            Arc::from(std::str::from_utf8(b).map_err(|_| {
-                                StorageError::Corrupt("invalid utf-8 in string datum".into())
-                            })?)
-                        }
-                        StrBody::Owned(b) => Arc::from(
-                            String::from_utf8(b)
-                                .map_err(|_| {
-                                    StorageError::Corrupt("invalid utf-8 in string datum".into())
-                                })?
-                                .as_str(),
-                        ),
-                    };
-                    c.push_str(s);
+                    c.push_str(body.into_shared()?);
                     rest = &rest[1 + used..];
                 }
                 other => {

@@ -34,6 +34,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Tag byte for `NULL`. Tags are public so the column decoder in
 /// [`crate::batch`] can dispatch without re-deriving the grammar.
@@ -156,14 +157,7 @@ pub fn decode_datum(data: &[u8]) -> Result<(Value, usize)> {
         }
         TAG_STR => {
             let (body, consumed) = split_str_body(&data[1..])?;
-            let s = match body {
-                StrBody::Borrowed(b) => std::str::from_utf8(b)
-                    .map_err(|_| StorageError::Corrupt("invalid utf-8 in string datum".into()))?
-                    .to_owned(),
-                StrBody::Owned(b) => String::from_utf8(b)
-                    .map_err(|_| StorageError::Corrupt("invalid utf-8 in string datum".into()))?,
-            };
-            Ok((Value::Str(s), 1 + consumed))
+            Ok((Value::Str(body.into_shared()?), 1 + consumed))
         }
         other => Err(StorageError::Corrupt(format!("unknown datum tag {other:#04x}"))),
     }
@@ -177,6 +171,21 @@ pub enum StrBody<'a> {
     Borrowed(&'a [u8]),
     /// The body after collapsing `0x00 0xFF` escapes.
     Owned(Vec<u8>),
+}
+
+impl StrBody<'_> {
+    /// The body as a shared string, validated as UTF-8: the one allocation
+    /// a decoded string cell costs (every later copy is a reference-count
+    /// bump).
+    pub(crate) fn into_shared(self) -> Result<Arc<str>> {
+        let bytes = match &self {
+            StrBody::Borrowed(b) => b,
+            StrBody::Owned(b) => b.as_slice(),
+        };
+        std::str::from_utf8(bytes)
+            .map(Arc::from)
+            .map_err(|_| StorageError::Corrupt("invalid utf-8 in string datum".into()))
+    }
 }
 
 /// Split the escaped, terminated body of a string datum (input starts just

@@ -59,6 +59,12 @@ impl Heap {
         self.pages.get(id.page as usize)?.get(id.slot)
     }
 
+    /// The encoded bytes of a row by id, undecoded. `None` for tombstones
+    /// and out-of-range ids.
+    pub(crate) fn get_raw(&self, id: RowId) -> Option<&[u8]> {
+        self.pages.get(id.page as usize)?.get_raw(id.slot)
+    }
+
     /// Delete a row by id. Returns whether a live row was removed.
     pub fn delete(&mut self, id: RowId) -> bool {
         let Some(page) = self.pages.get_mut(id.page as usize) else {
@@ -124,6 +130,7 @@ mod tests {
         assert!(h.page_count() > 1, "1000-byte rows must spill to multiple pages");
         for id in &ids {
             assert_eq!(h.get(*id).unwrap().unwrap(), row);
+            assert_eq!(h.get_raw(*id).unwrap(), encode_row_vec(&row));
         }
     }
 
@@ -166,5 +173,6 @@ mod tests {
         let h = Heap::new();
         assert!(h.get(RowId { page: 0, slot: 0 }).is_none());
         assert!(h.get(RowId { page: 9, slot: 3 }).is_none());
+        assert!(h.get_raw(RowId { page: 9, slot: 3 }).is_none());
     }
 }

@@ -65,7 +65,7 @@ pub use error::{Result, StorageError};
 pub use heap::Heap;
 pub use index::HashIndex;
 pub use page::{Page, RowId, PAGE_SIZE};
-pub use row::{decode_row, encode_row, encode_row_vec, Row};
+pub use row::{decode_row, decode_row_into, encode_row, encode_row_vec, Row};
 pub use schema::{Cardinality, ColumnDef, ForeignKey, TableSchema};
 pub use shard::ShardedMap;
 pub use stats::{ColumnStats, Histogram, TableStats};

@@ -42,13 +42,22 @@ pub fn estimated_size(row: &[Value]) -> usize {
 /// The slice must contain exactly one row (page slots guarantee this).
 pub fn decode_row(data: &[u8]) -> Result<Row> {
     let mut row = Vec::new();
+    decode_row_into(data, &mut row)?;
+    Ok(row)
+}
+
+/// Decode a row like [`decode_row`], appending its values to `out` after
+/// whatever it already holds — the executor's index probes decode a hit
+/// straight into the output row. On error `out` may hold a prefix of the
+/// row's values.
+pub fn decode_row_into(data: &[u8], out: &mut Row) -> Result<()> {
     let mut rest = data;
     while !rest.is_empty() {
         let (v, used) = decode_datum(rest)?;
-        row.push(v);
+        out.push(v);
         rest = &rest[used..];
     }
-    Ok(row)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -118,5 +127,26 @@ mod tests {
     #[test]
     fn decode_rejects_invalid_utf8() {
         assert!(decode_row(&[TAG_STR, 0xff, 0xfe, 0x00, 0x00]).is_err());
+    }
+
+    #[test]
+    fn decode_into_appends_after_existing_values() {
+        let tail = vec![Value::Int(7), Value::str("abc"), Value::Null];
+        let mut out = vec![Value::str("kept"), Value::Float(0.5)];
+        decode_row_into(&encode_row_vec(&tail), &mut out).unwrap();
+        assert_eq!(out, [vec![Value::str("kept"), Value::Float(0.5)], tail].concat());
+    }
+
+    #[test]
+    fn decode_into_rejects_what_decode_row_rejects() {
+        let bytes = encode_row_vec(&[Value::Int(7), Value::str("abc")]);
+        let mut out = vec![Value::Int(1)];
+        assert!(decode_row_into(&bytes[..bytes.len() - 1], &mut out).is_err(), "truncation");
+        assert!(decode_row_into(&[99], &mut vec![]).is_err(), "bad tag");
+        assert!(
+            decode_row_into(&[TAG_STR, 0xff, 0xfe, 0x00, 0x00], &mut vec![]).is_err(),
+            "invalid utf-8"
+        );
+        assert_eq!(out[0], Value::Int(1), "the values before the decoded row stay");
     }
 }

@@ -1,4 +1,9 @@
 //! A table = schema + heap + indexes, with insert-time constraint checking.
+//!
+//! Rows go in as values and come out either decoded ([`Table::scan`],
+//! [`Table::get`]) or as their encoded bytes ([`Table::iter_raw`],
+//! [`Table::index_lookup_raw`]) for the executor, which decodes them
+//! straight into column batches or output rows.
 
 use crate::error::{Result, StorageError};
 use crate::heap::Heap;
@@ -172,20 +177,17 @@ impl Table {
         self.stats.clone()
     }
 
-    /// Point lookup through an index on `column`, materializing matches.
-    /// Returns `None` if no index on that column exists.
-    pub fn index_lookup(&self, column: &str, key: &Value) -> Option<Result<Vec<Row>>> {
-        let idx = self.index_on(column)?;
-        let ids = idx.lookup(std::slice::from_ref(key));
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            match self.heap.get(id) {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => return Some(Err(e)),
-                None => {}
-            }
-        }
-        Some(Ok(out))
+    /// Point lookup through an index on `column`: the encoded bytes of each
+    /// matching row, in index order, undecoded — the caller decodes them
+    /// where the values are wanted (`crate::row::decode_row_into`). Returns
+    /// `None` if no index on that column exists.
+    pub fn index_lookup_raw<'a>(
+        &'a self,
+        column: &str,
+        key: &Value,
+    ) -> Option<impl Iterator<Item = &'a [u8]> + 'a> {
+        let ids = self.index_on(column)?.lookup(std::slice::from_ref(key));
+        Some(ids.iter().filter_map(|&id| self.heap.get_raw(id)))
     }
 }
 
@@ -268,14 +270,24 @@ mod tests {
         t.insert(vec![Value::Int(2), Value::str("a"), Value::Int(2001)]).unwrap();
         t.insert(vec![Value::Int(3), Value::str("b"), Value::Int(2002)]).unwrap();
         t.create_index("title").unwrap();
-        let hits = t.index_lookup("title", &Value::str("a")).unwrap().unwrap();
-        assert_eq!(hits.len(), 2);
-        assert!(t.index_lookup("year", &Value::Int(2000)).is_none(), "no index on year");
+        let hits = |t: &Table, key: &str| -> Vec<Row> {
+            let raw = t.index_lookup_raw("title", &Value::str(key)).unwrap();
+            raw.map(|bytes| crate::row::decode_row(bytes).unwrap()).collect()
+        };
+        assert_eq!(
+            hits(&t, "a"),
+            vec![
+                vec![Value::Int(1), Value::str("a"), Value::Int(2000)],
+                vec![Value::Int(2), Value::str("a"), Value::Int(2001)],
+            ]
+        );
+        assert!(t.index_lookup_raw("year", &Value::Int(2000)).is_none(), "no index on year");
         // Index maintained on later inserts and deletes.
         let id = t.insert(vec![Value::Int(4), Value::str("a"), Value::Null]).unwrap();
-        assert_eq!(t.index_lookup("title", &Value::str("a")).unwrap().unwrap().len(), 3);
+        assert_eq!(hits(&t, "a").len(), 3);
         t.delete(id).unwrap();
-        assert_eq!(t.index_lookup("title", &Value::str("a")).unwrap().unwrap().len(), 2);
+        assert_eq!(hits(&t, "a").len(), 2);
+        assert!(hits(&t, "zzz").is_empty());
     }
 
     #[test]

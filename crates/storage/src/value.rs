@@ -7,10 +7,16 @@
 //! aggregation and hash indexes). Numeric comparison is cross-type: an `Int`
 //! and a `Float` holding the same mathematical number compare (and hash)
 //! equal, mirroring SQL numeric semantics.
+//!
+//! Strings are shared: [`Value::Str`] holds an `Arc<str>`, so copying a value
+//! — into a join row, a projection, a group key, an index key — bumps a
+//! reference count instead of copying bytes. Equality, order and hash are
+//! by content, never by pointer.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The static type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,7 +43,8 @@ impl fmt::Display for DataType {
     }
 }
 
-/// A dynamically-typed runtime value.
+/// A dynamically-typed runtime value: 24 bytes, cheap to clone (a string is
+/// a shared `Arc<str>`).
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL. Sorts before every non-null value; equal to itself for
@@ -47,12 +54,13 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl Value {
-    /// A convenience constructor for string values.
-    pub fn str(s: impl Into<String>) -> Value {
+    /// A convenience constructor for string values: one allocation from a
+    /// `&str`, none from an `Arc<str>`.
+    pub fn str(s: impl Into<Arc<str>>) -> Value {
         Value::Str(s.into())
     }
 
@@ -236,12 +244,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {
@@ -310,6 +318,25 @@ mod tests {
         assert_eq!(Value::str("x").to_string(), "x");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Int(-4).to_string(), "-4");
+    }
+
+    #[test]
+    fn value_stays_24_bytes() {
+        // The row currency: every operator copies these. A variant that
+        // re-inflates it (an owned `String` is 24 bytes of payload alone)
+        // should fail here, not in a benchmark.
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn shared_strings_compare_and_hash_by_content() {
+        let shared: Arc<str> = Arc::from("comedy");
+        let a = Value::Str(shared.clone());
+        let b = Value::str("comedy");
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_eq!(a.clone().as_str().map(|s| s.as_ptr()), Some(shared.as_ptr()), "clone shares");
+        assert!(Value::str("a") < Value::str("b"));
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn arb_value(rng: &mut SmallRng) -> Value {
             let s: String = (0..len)
                 .map(|_| char::from_u32(rng.gen_range(0x20..0x2FF_u32)).unwrap_or('x'))
                 .collect();
-            Value::Str(s)
+            Value::str(s)
         }
     }
 }

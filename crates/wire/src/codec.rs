@@ -219,12 +219,18 @@ impl<'a> Reader<'a> {
     /// A length-prefixed UTF-8 string. The length is validated against the
     /// bytes actually present before anything is allocated.
     pub fn str(&mut self, what: &'static str) -> Result<String> {
+        self.str_ref(what).map(str::to_owned)
+    }
+
+    /// [`Reader::str`] borrowed from the payload, so the caller picks the
+    /// one allocation (a string [`pqp_storage::Value`] takes an `Arc<str>`).
+    pub(crate) fn str_ref(&mut self, what: &'static str) -> Result<&'a str> {
         let len = self.u32(what)? as usize;
         if len > self.remaining() {
             return Err(DecodeError::Truncated { what, needed: len, remaining: self.remaining() });
         }
         let bytes = self.take(what, len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8 { what })
+        std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8 { what })
     }
 
     /// A length-prefixed opaque byte blob. Like [`Reader::str`], the

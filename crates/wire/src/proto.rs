@@ -230,7 +230,7 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         1 => Ok(Value::Bool(r.bool("bool value")?)),
         2 => Ok(Value::Int(r.i64("int value")?)),
         3 => Ok(Value::Float(r.f64("float value")?)),
-        4 => Ok(Value::Str(r.str("str value")?)),
+        4 => Ok(Value::str(r.str_ref("str value")?)),
         tag => Err(DecodeError::BadTag { what: "value", tag: tag as u64 }),
     }
 }
@@ -704,7 +704,7 @@ mod tests {
                         Value::Bool(false),
                         Value::Null,
                         Value::Float(f64::MIN),
-                        Value::Str(String::new()),
+                        Value::str(""),
                     ],
                 ],
             },

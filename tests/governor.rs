@@ -4,8 +4,10 @@
 //! and admission control bounds concurrency — all on the paper's running
 //! example (Julie, the movies database).
 //!
-//! The failpoint registry is process-global, so every test that arms one
-//! serializes on a shared mutex and clears the registry before returning.
+//! The failpoint registry is process-global, so every test serializes on a
+//! shared mutex and clears the registry before returning: one that arms a
+//! failpoint, and one that does not, which would otherwise be hit by (and
+//! use up) another test's.
 
 mod common;
 
@@ -56,49 +58,54 @@ fn governed_service() -> Service {
 
 #[test]
 fn zero_deadline_returns_budget_exceeded_instead_of_hanging() {
-    let service = governed_service();
-    let sql = tonight_sql();
-    let result =
-        service.session("julie").with_budget(Budget::unlimited().deadline_ms(0)).query(&sql);
-    match result {
-        Err(Error::BudgetExceeded(b)) => assert_eq!(b.reason, BudgetReason::Deadline),
-        other => panic!("expected BudgetExceeded(Deadline), got {other:?}"),
-    }
-    // The same session recovers immediately with a sane budget.
-    let ok = service.session("julie").query(&sql).unwrap();
-    assert!(!ok.rows.rows.is_empty());
+    with_failpoints(|| {
+        let service = governed_service();
+        let sql = tonight_sql();
+        let result =
+            service.session("julie").with_budget(Budget::unlimited().deadline_ms(0)).query(&sql);
+        match result {
+            Err(Error::BudgetExceeded(b)) => assert_eq!(b.reason, BudgetReason::Deadline),
+            other => panic!("expected BudgetExceeded(Deadline), got {other:?}"),
+        }
+        // The same session recovers immediately with a sane budget.
+        let ok = service.session("julie").query(&sql).unwrap();
+        assert!(!ok.rows.rows.is_empty());
+    });
 }
 
 #[test]
 fn row_budget_trips_with_partial_progress_through_the_full_stack() {
-    let service = governed_service();
-    let result =
-        service.session("julie").with_budget(Budget::unlimited().max_rows(3)).query(&tonight_sql());
-    match result {
-        Err(Error::BudgetExceeded(b)) => {
-            assert_eq!(b.reason, BudgetReason::RowsScanned);
-            assert!(b.rows_scanned > 3, "partial progress reported: {b:?}");
+    with_failpoints(|| {
+        let service = governed_service();
+        let budget = Budget::unlimited().max_rows(3);
+        match service.session("julie").with_budget(budget).query(&tonight_sql()) {
+            Err(Error::BudgetExceeded(b)) => {
+                assert_eq!(b.reason, BudgetReason::RowsScanned);
+                assert!(b.rows_scanned > 3, "partial progress reported: {b:?}");
+            }
+            other => panic!("expected BudgetExceeded(RowsScanned), got {other:?}"),
         }
-        other => panic!("expected BudgetExceeded(RowsScanned), got {other:?}"),
-    }
+    });
 }
 
 #[test]
 fn generous_budget_answers_match_the_unlimited_run() {
-    let service = governed_service();
-    for user in ["julie", "rob"] {
-        for sql in [tonight_sql(), "select MV.title from MOVIE MV".to_string()] {
-            let plain = service.session(user).query(&sql).unwrap();
-            service.clear_caches();
-            let governed = service
-                .session(user)
-                .with_budget(Budget::unlimited().deadline_ms(60_000).max_rows(1_000_000))
-                .query(&sql)
-                .unwrap();
-            assert_eq!(plain.rows, governed.rows, "governed run diverged for {user}: `{sql}`");
-            assert_eq!(governed.meta.degraded, DegradeLevel::None);
+    with_failpoints(|| {
+        let service = governed_service();
+        for user in ["julie", "rob"] {
+            for sql in [tonight_sql(), "select MV.title from MOVIE MV".to_string()] {
+                let plain = service.session(user).query(&sql).unwrap();
+                service.clear_caches();
+                let governed = service
+                    .session(user)
+                    .with_budget(Budget::unlimited().deadline_ms(60_000).max_rows(1_000_000))
+                    .query(&sql)
+                    .unwrap();
+                assert_eq!(plain.rows, governed.rows, "governed run diverged for {user}: `{sql}`");
+                assert_eq!(governed.meta.degraded, DegradeLevel::None);
+            }
         }
-    }
+    });
 }
 
 #[test]

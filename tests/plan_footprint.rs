@@ -11,14 +11,24 @@
 //! - live allocations / requested bytes of the one `Plan` the call leaves
 //!   behind (what the serving layer's plan cache then pins per entry).
 //!
+//! The same binary counts the execution side of a plan-cache *hit*:
+//! allocations per `Database::run_plan` of each built plan over a population
+//! shaped like the `rank_exec` workload — broad query texts, 60-selection
+//! profiles with every join preference, K=12, L=2, ranked, `Rewrite::Mq` —
+//! where the executor's per-row cost (string copies, join rows, key vectors)
+//! is what the count sees.
+//!
 //! Allocation counts are a pure function of the inputs, so the ceilings are
-//! a regression gate, not a timing.
+//! a regression gate, not a timing. Everything runs in one `#[test]` so no
+//! other test thread allocates while the counters are on.
 
 use pqp_core::strategy::build_execution;
 use pqp_core::{personalize_prepared, InMemoryGraph, PersonalizeOptions, QueryGraph, Rewrite};
 use pqp_datagen::{
     generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
+    ValuePools,
 };
+use pqp_engine::Database;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
@@ -30,6 +40,14 @@ const TEXTS: usize = 32;
 const MAX_ALLOCS_PER_BUILD: u64 = 8_000;
 const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 150;
 const MAX_LIVE_BYTES_PER_PLAN: i64 = 8 * 1024;
+
+/// The `rank_exec` population: 16 users x 8 broad texts.
+const EXEC_USERS: usize = 16;
+const EXEC_TEXTS: usize = 8;
+/// Ceiling on allocations per `run_plan` (see ISSUE 25): the parent's
+/// `String`-holding `Value`, clone-then-grow join rows and `Vec<Value>` key
+/// vectors measured 89 057 here; the ceiling is 40 % of that.
+const MAX_ALLOCS_PER_RUN: u64 = 35_600;
 
 struct Counting;
 
@@ -70,25 +88,46 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The allocation counters, read together.
+fn counters() -> (u64, i64, i64) {
+    (
+        ALLOCS.load(Ordering::Relaxed),
+        LIVE_ALLOCS.load(Ordering::Relaxed),
+        LIVE_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+/// The first `n` distinct query texts of the generator.
+fn distinct_texts(n: usize, pools: &ValuePools, config: &QueryGenConfig) -> Vec<String> {
+    let mut sqls: Vec<String> = Vec::new();
+    for query in generate_queries(n * 8, pools, config) {
+        let text = query.to_string();
+        if sqls.len() < n && !sqls.contains(&text) {
+            sqls.push(text);
+        }
+    }
+    assert_eq!(sqls.len(), n);
+    sqls
+}
+
 #[test]
 fn plan_cache_miss_stays_inside_its_allocation_budget() {
     let mut movies = generate(MovieDbConfig::default());
     movies.db.execute("ANALYZE").expect("ANALYZE on the generated database");
     let db = movies.db;
+    miss_side(&db, &movies.pools);
+    execution_side(&db, &movies.pools);
+}
+
+/// `build_execution(Rewrite::Auto)` over the `cold_read` population.
+fn miss_side(db: &Database, pools: &ValuePools) {
     let profiles = generate_profiles(
         "user",
         USERS,
-        &movies.pools,
+        pools,
         &ProfileGenConfig { selections: 150, join_coverage: 1.0, seed: 11 },
     );
-    let mut sqls: Vec<String> = Vec::new();
-    for query in generate_queries(TEXTS * 8, &movies.pools, &QueryGenConfig::default()) {
-        let text = query.to_string();
-        if sqls.len() < TEXTS && !sqls.contains(&text) {
-            sqls.push(text);
-        }
-    }
-    assert_eq!(sqls.len(), TEXTS);
+    let sqls = distinct_texts(TEXTS, pools, &QueryGenConfig::default());
     let options = PersonalizeOptions::builder().k(10).l(1).build();
 
     let (mut builds, mut allocs, mut live_allocs, mut live_bytes) = (0u64, 0u64, 0i64, 0i64);
@@ -103,23 +142,20 @@ fn plan_cache_miss_stays_inside_its_allocation_budget() {
 
             // Single-threaded from here to the second snapshot: the counters
             // see this call and nothing else.
-            let before = (
-                ALLOCS.load(Ordering::Relaxed),
-                LIVE_ALLOCS.load(Ordering::Relaxed),
-                LIVE_BYTES.load(Ordering::Relaxed),
-            );
+            let before = counters();
             ENABLED.store(true, Ordering::Relaxed);
             // The serving layer keeps the plan and drops the rest.
             let plan = {
                 let choice =
-                    build_execution(&db, &personalized, Rewrite::Auto, None).expect("build");
+                    build_execution(db, &personalized, Rewrite::Auto, None).expect("build");
                 choice.plan
             };
             ENABLED.store(false, Ordering::Relaxed);
+            let after = counters();
             builds += 1;
-            allocs += ALLOCS.load(Ordering::Relaxed) - before.0;
-            live_allocs += LIVE_ALLOCS.load(Ordering::Relaxed) - before.1;
-            live_bytes += LIVE_BYTES.load(Ordering::Relaxed) - before.2;
+            allocs += after.0 - before.0;
+            live_allocs += after.1 - before.1;
+            live_bytes += after.2 - before.2;
             // Dropped uncounted, so the live counters keep each plan's share.
             drop(plan);
         }
@@ -143,5 +179,47 @@ fn plan_cache_miss_stays_inside_its_allocation_budget() {
     assert!(
         plan_bytes <= MAX_LIVE_BYTES_PER_PLAN,
         "a retained plan holds {plan_bytes} B (ceiling {MAX_LIVE_BYTES_PER_PLAN})"
+    );
+}
+
+/// `Database::run_plan` of every built plan of the `rank_exec` population:
+/// what a plan-cache hit executes.
+fn execution_side(db: &Database, pools: &ValuePools) {
+    let profiles = generate_profiles(
+        "user",
+        EXEC_USERS,
+        pools,
+        &ProfileGenConfig { selections: 60, join_coverage: 1.0, seed: 11 },
+    );
+    let sqls = distinct_texts(EXEC_TEXTS, pools, &QueryGenConfig::broad());
+    let options = PersonalizeOptions::builder().k(12).l(2).ranked().build();
+
+    let (mut runs, mut allocs, mut rows) = (0u64, 0u64, 0usize);
+    for profile in &profiles {
+        let graph = InMemoryGraph::build(profile, db.catalog()).expect("profile graph");
+        for sql in &sqls {
+            let query = pqp_sql::parse_query(sql).expect("generated SQL parses");
+            let select = query.as_select().expect("plain SELECT").clone();
+            let query_graph = QueryGraph::from_select(&select, db.catalog()).expect("query graph");
+            let personalized = personalize_prepared(&select, &query_graph, &graph, options)
+                .expect("personalization");
+            let plan = build_execution(db, &personalized, Rewrite::Mq, None).expect("build").plan;
+
+            let before = counters();
+            ENABLED.store(true, Ordering::Relaxed);
+            let answer = db.run_plan(&plan).expect("execution");
+            ENABLED.store(false, Ordering::Relaxed);
+            let after = counters();
+            runs += 1;
+            allocs += after.0 - before.0;
+            rows += answer.rows.len();
+        }
+    }
+
+    let per_run = allocs / runs;
+    println!("{runs} runs ({rows} rows out): {per_run} allocations per run_plan");
+    assert!(
+        per_run <= MAX_ALLOCS_PER_RUN,
+        "{per_run} allocations per run_plan (ceiling {MAX_ALLOCS_PER_RUN})"
     );
 }
