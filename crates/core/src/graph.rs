@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::pref::{AtomicPreference, AttrRef};
 use crate::profile::Profile;
 use pqp_engine::Database;
-use pqp_storage::{Cardinality, Catalog, ColumnDef, DataType, TableSchema, Value};
+use pqp_storage::{Cardinality, Catalog, ColumnDef, DataType, StorageError, TableSchema, Value};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -186,17 +186,9 @@ impl<'a> StoredProfileGraph<'a> {
         // Storing is an upsert of the whole profile: clear the user's
         // previous rows, or a refresh would duplicate every preference.
         for table in [&sels, &joins] {
-            let mut t = table.write();
-            let doomed: Vec<_> = t
-                .iter()
-                .filter_map(|(id, row)| match row {
-                    Ok(r) if r[0].as_str() == Some(profile.user.as_str()) => Some(id),
-                    _ => None,
-                })
-                .collect();
-            for id in doomed {
-                t.delete(id)?;
-            }
+            table.write().delete_where(|r| {
+                Ok::<_, StorageError>(r[0].as_str() == Some(profile.user.as_str()))
+            })?;
         }
         for p in profile.preferences() {
             match p {

@@ -5,7 +5,7 @@ use crate::error::{bind_err, EngineError, Result};
 use crate::types::ResultSet;
 use pqp_sql::stmt::{ColumnSpec, Statement, TableConstraint};
 use pqp_sql::Expr;
-use pqp_storage::{Catalog, ColumnDef, RowId, TableSchema, Value};
+use pqp_storage::{Catalog, ColumnDef, TableSchema, Value};
 
 /// Outcome of executing a statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,23 +125,10 @@ pub fn execute_statement(stmt: &Statement, catalog: &mut Catalog) -> Result<Stat
                 }
                 None => None,
             };
-            let mut doomed: Vec<RowId> = Vec::new();
-            for (id, row) in t.iter() {
-                let row = row?;
-                let keep = match &predicate {
-                    Some(p) => !p.eval_predicate(&row)?,
-                    None => false,
-                };
-                if !keep {
-                    doomed.push(id);
-                }
-            }
-            let mut deleted = 0;
-            for id in doomed {
-                if t.delete(id)? {
-                    deleted += 1;
-                }
-            }
+            let deleted = t.delete_where(|row| match &predicate {
+                Some(p) => p.eval_predicate(row),
+                None => Ok(true),
+            })?;
             Ok(StatementResult::Affected(deleted))
         }
     }

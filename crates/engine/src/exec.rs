@@ -3,14 +3,14 @@
 //! ## The planner chooses, the executor executes
 //!
 //! `run` is the only dispatcher and every [`Plan`] node maps to exactly
-//! one operator here: a `Scan` reads the heap, an `IndexScan` probes an
+//! one operator here: a `Scan` reads the table, an `IndexScan` probes an
 //! index, a `HashJoin` hashes, an `IndexJoin` probes per row. Whether a scan
 //! or a join goes through an index was decided at plan time
 //! (`Planner::{push_predicate, choose_join}`), where EXPLAIN and the cost
 //! model can see it; nothing in this file looks for an index the plan did
 //! not name. The two index operators keep a run-time *guard* each — the
 //! index was dropped since planning, or the actual probe side is too large
-//! for the 4× rule — and degrade to a heap scan / hash join, so a stale or
+//! for the 4× rule — and degrade to a table scan / hash join, so a stale or
 //! mis-estimated plan still answers, correctly.
 //!
 //! Execution is operator-at-a-time over materialized intermediates — the
@@ -21,13 +21,13 @@
 //!
 //! Rows (`Vec<Row>`) are the only currency between operators, and a row is
 //! cheap to copy: a string value is a shared `Arc<str>`, so cloning one is a
-//! reference-count bump. The heap scan is columnar on the inside: it
-//! decodes datum-encoded rows straight into a [`pqp_storage::Batch`] of
-//! [`pqp_storage::BATCH_SIZE`] rows (one allocation per string cell),
-//! evaluates the pushed-down filter over the columns as a selection vector
-//! (`crate::vexpr`) and materializes only the surviving rows. An index
-//! probe decodes each hit straight into its output row. Every operator that
-//! emits a row builds it once, at its final width.
+//! reference-count bump. The scan is columnar on the inside: a table is
+//! stored as [`pqp_storage::Batch`] chunks of [`pqp_storage::BATCH_SIZE`]
+//! typed columns, and the scan evaluates the pushed-down filter over each
+//! stored chunk in place as a selection vector (`crate::vexpr`), then
+//! materializes only the surviving rows. An index probe copies each hit's
+//! values straight into its output row. Neither allocates a string. Every
+//! operator that emits a row builds it once, at its final width.
 //!
 //! ## Keys without key vectors
 //!
@@ -50,8 +50,8 @@
 //! ## The query governor
 //!
 //! [`execute_ctx`] threads a [`QueryCtx`] through every operator.
-//! Execution is *cooperative*: each operator checkpoints at its entry, heap
-//! scans charge rows at every batch boundary and index reads in batches of
+//! Execution is *cooperative*: each operator checkpoints at its entry, table
+//! scans charge rows at every chunk boundary and index reads in batches of
 //! [`pqp_obs::governor::CHARGE_BATCH_ROWS`], non-scan loops checkpoint
 //! every [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations, and
 //! row-materializing operators (joins, cross products, projections) charge
@@ -66,7 +66,7 @@ use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
-use pqp_storage::{decode_row_into, BatchBuilder, Catalog, Row, Table, Value};
+use pqp_storage::{Catalog, Row, Table, Value};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -221,7 +221,7 @@ fn index_scan(
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    if t.index_on(column).is_none() {
+    let Some(hits) = t.index_lookup(column, key) else {
         // The index was dropped after planning: reconstruct the full
         // pushed-down predicate and fall back to a scan.
         let Some(col) = t.schema().column_index(column) else {
@@ -242,15 +242,15 @@ fn index_scan(
         };
         drop(t);
         return scan(env, table, Some(&pred));
-    }
+    };
     pqp_obs::record("strategy", "index_scan");
     let width = t.schema().arity();
     let mut out = Vec::new();
-    // Each hit decodes into `row`; a hit the residual rejects leaves its
+    // Each hit is copied into `row`; a hit the residual rejects leaves its
     // allocation to the next one.
     let mut row = Row::new();
     let mut pending = 0u64;
-    for bytes in t.index_lookup_raw(column, key).into_iter().flatten() {
+    for &ord in hits {
         pending += 1;
         if pending == CHARGE_BATCH_ROWS {
             ctx.charge_rows(pending)?;
@@ -258,7 +258,7 @@ fn index_scan(
         }
         row.clear();
         row.reserve_exact(width);
-        decode_row_into(bytes, &mut row)?;
+        t.append_row(ord, &mut row);
         if let Some(f) = residual {
             if !f.eval_predicate(&row)? {
                 continue;
@@ -270,37 +270,28 @@ fn index_scan(
     Ok(out)
 }
 
-/// Heap-scan a base table. Index access is the planner's call
-/// ([`Plan::IndexScan`], [`Plan::IndexJoin`]); a `Scan` always reads the
-/// heap: decode datum-encoded rows straight into column vectors, and per
-/// batch of [`pqp_storage::BATCH_SIZE`] rows charge the governor (the batch
-/// boundary is the scan's charge point), evaluate the pushed-down filter as
-/// a selection vector and materialize the surviving rows.
+/// Scan a base table. Index access is the planner's call
+/// ([`Plan::IndexScan`], [`Plan::IndexJoin`]); a `Scan` always reads every
+/// stored chunk: per chunk of [`pqp_storage::BATCH_SIZE`] rows, charge the
+/// governor (the chunk boundary is the scan's charge point), evaluate the
+/// pushed-down filter over the stored columns as a selection vector and
+/// materialize the surviving rows.
 fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    let mut encoded = t.iter_raw().fuse();
     let mut out = Vec::new();
-    let mut builder = BatchBuilder::new(t.schema().arity());
-    loop {
-        while !builder.is_full() {
-            let Some(enc) = encoded.next() else { break };
-            builder.push_encoded(enc?)?;
-        }
-        if builder.is_empty() {
-            return Ok(out);
-        }
-        let batch = builder.finish();
-        ctx.charge_rows(batch.len() as u64)?;
+    for chunk in t.chunks()? {
+        ctx.charge_rows(chunk.len() as u64)?;
         match filter {
             Some(f) => {
-                let selected = vexpr::select_true(f, &batch)?;
-                out.extend(selected.into_iter().map(|i| batch.row(i as usize)));
+                let selected = vexpr::select_true(f, chunk)?;
+                out.extend(selected.into_iter().map(|i| chunk.row(i as usize)));
             }
-            None => batch.append_rows(&mut out),
+            None => chunk.append_rows(&mut out),
         }
     }
+    Ok(out)
 }
 
 /// The filter loop over materialized rows.
@@ -409,7 +400,7 @@ pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
 /// un-analyzed table, from the plan's shape alone); this guard holds it to
 /// the actual rows: a probe side that turned out large relative to the
 /// table, or an index dropped since planning, degrades to a hash join over
-/// a heap scan, un-swapping the sides so output stays `left ++ right`.
+/// a table scan, un-swapping the sides so output stays `left ++ right`.
 fn index_join(
     env: &Env,
     probe_rows: Vec<Row>,
@@ -458,9 +449,10 @@ fn index_probe(
     pqp_obs::record("probe_rows", probe_rows.len());
     let width = t.schema().arity();
     let mut out = Vec::new();
-    // The hit decodes straight into the output row — after the probe row's
-    // values when the probe side is the left one, before them otherwise —
-    // and a hit the filter rejects leaves its allocation to the next one.
+    // The hit is copied straight into the output row — after the probe
+    // row's values when the probe side is the left one, before them
+    // otherwise — and a hit the filter rejects leaves its allocation to the
+    // next one.
     let mut row = Row::new();
     let mut pending = 0u64;
     for (i, prow) in probe_rows.iter().enumerate() {
@@ -471,10 +463,10 @@ fn index_probe(
         if key.is_null() {
             continue;
         }
-        let Some(hits) = t.index_lookup_raw(column, key) else {
+        let Some(hits) = t.index_lookup(column, key) else {
             return Ok(None);
         };
-        for bytes in hits {
+        for &ord in hits {
             // Index probes read base-table rows: charge them like a scan.
             pending += 1;
             if pending == CHARGE_BATCH_ROWS {
@@ -487,7 +479,7 @@ fn index_probe(
                 row.extend_from_slice(prow);
             }
             let hit = row.len();
-            decode_row_into(bytes, &mut row)?;
+            t.append_row(ord, &mut row);
             if let Some(f) = filter {
                 if !f.eval_predicate(&row[hit..])? {
                     continue;

@@ -18,8 +18,8 @@ pub enum Plan {
     /// Produces no rows (e.g. `WHERE FALSE`, or a scan of a provably empty
     /// branch).
     Empty { schema: SchemaRef },
-    /// Heap scan of a base table, with an optional pushed-down filter.
-    /// Always reads the heap: index access is [`Plan::IndexScan`].
+    /// Full scan of a base table, with an optional pushed-down filter.
+    /// Always reads every row: index access is [`Plan::IndexScan`].
     Scan { table: Arc<str>, filter: Option<BoundExpr>, schema: SchemaRef },
     /// Index point lookup on a base table: the rows where `column = key`
     /// (fetched through the table's hash index), then filtered by the

@@ -1,5 +1,7 @@
-//! Vectorized predicate evaluation over [`Batch`] columns: the heap scan's
-//! pushed-down filter.
+//! Vectorized predicate evaluation over [`Batch`] columns: the scan's
+//! pushed-down filter, run in place over each stored chunk of a table.
+//! Stored columns are typed by their schema column, so a comparison kernel
+//! applies wherever the literal's type class matches.
 //!
 //! The contract is strict: [`select_true`] is **observably identical** to
 //! calling `BoundExpr::eval_predicate` on each materialized row — same
@@ -167,10 +169,10 @@ fn per_row(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
 
 /// Typed comparison kernel for `column <op> literal` (either orientation).
 /// Returns `Ok(None)` when no kernel is provably exact for this shape —
-/// `Val`-represented columns, non-literal operands, ordered comparison
-/// across incomparable type classes (which must error per row, in row
-/// order), and arithmetic (whose div-by-zero errors are likewise
-/// row-ordered) all take the per-row fallback.
+/// non-literal operands, ordered comparison across incomparable type
+/// classes (which must error per row, in row order), and arithmetic (whose
+/// div-by-zero errors are likewise row-ordered) all take the per-row
+/// fallback.
 fn cmp_kernel(
     left: &BoundExpr,
     op: BinaryOp,
@@ -256,8 +258,7 @@ fn cmp_kernel(
 mod tests {
     use super::*;
     use pqp_obs::rng::{Rng, SmallRng};
-    use pqp_storage::row::encode_row_vec;
-    use pqp_storage::{BatchBuilder, DataType, Row};
+    use pqp_storage::{DataType, Row};
 
     /// One column of each representation, plus repeats so `column = column`
     /// and arithmetic draws can land on two columns of one type.
@@ -281,8 +282,9 @@ mod tests {
         }
     }
 
-    /// Rows as a scan would see them: schema-typed columns, 1-in-4 NULLs so
-    /// null masks, all-NULL (`Val`) columns and three-valued logic all occur.
+    /// Rows as a table stores them: schema-typed columns, 1-in-4 NULLs so
+    /// null masks, all-NULL columns (typed, with a full mask) and
+    /// three-valued logic all occur.
     fn arb_rows(rng: &mut SmallRng) -> Vec<Row> {
         let n = rng.gen_range(0..24usize);
         (0..n)
@@ -295,13 +297,13 @@ mod tests {
             .collect()
     }
 
-    /// The scan's decode path: datum-encoded rows into column vectors.
+    /// The append path `Table::insert` stores a checked row with.
     fn batch_of(rows: &[Row]) -> Batch {
-        let mut b = BatchBuilder::new(COLUMNS.len());
+        let mut b = Batch::new(COLUMNS.iter().copied());
         for row in rows {
-            b.push_encoded(&encode_row_vec(row)).unwrap();
+            b.push_row(row.clone());
         }
-        b.finish()
+        b
     }
 
     fn arb_column(rng: &mut SmallRng) -> (BoundExpr, DataType) {
@@ -406,10 +408,13 @@ mod tests {
     #[test]
     fn select_true_matches_per_row_evaluation() {
         let mut rng = SmallRng::seed_from_u64(0xBA7C);
-        let (mut selected_some, mut errored) = (0, 0);
+        let (mut selected_some, mut errored, mut all_null) = (0, 0, 0);
         for _ in 0..4096 {
             let rows = arb_rows(&mut rng);
             let batch = batch_of(&rows);
+            all_null += usize::from(
+                !rows.is_empty() && (0..COLUMNS.len()).any(|c| rows.iter().all(|r| r[c].is_null())),
+            );
             let pred = arb_predicate(&mut rng, 3);
             let per_row: Result<Vec<u32>> = (0..batch.len())
                 .filter_map(|i| match pred.eval_predicate(&batch.row(i)) {
@@ -429,8 +434,8 @@ mod tests {
             }
         }
         assert!(
-            selected_some > 500 && errored > 100,
-            "{selected_some} selected, {errored} errored"
+            selected_some > 500 && errored > 100 && all_null > 100,
+            "{selected_some} selected, {errored} errored, {all_null} with an all-NULL column"
         );
     }
 }

@@ -8,7 +8,7 @@ use pqp_engine::Database;
 use pqp_obs::rng::{Rng, SmallRng};
 use pqp_sql::ast::*;
 use pqp_sql::builder as b;
-use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
+use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value, BATCH_SIZE};
 
 /// Fixed table shapes; row contents are generated.
 const TABLES: &[(&str, &[(&str, DataType)])] = &[
@@ -180,8 +180,8 @@ fn optimized_engine_matches_naive() {
     }
 }
 
-/// Equi-joins over the multi-page fixture: multi-page scans on both sides,
-/// NULL join keys, post-join filters and projections.
+/// Equi-joins over the multi-chunk fixture's two small tables: NULL join
+/// keys, post-join filters and projections.
 const JOIN_QUERIES: &[&str] = &[
     "select q0.d, q1.f from T1 q0, T2 q1 where q0.d = q1.f and q1.g = true",
     "select q0.e, q1.h from T1 q0, T2 q1 where q0.d = q1.h and q0.e <> '' and q1.f >= 2",
@@ -189,16 +189,15 @@ const JOIN_QUERIES: &[&str] = &[
 ];
 
 #[test]
-fn page_partitioned_scans_match_naive() {
-    // Tables spanning several heap pages (T0 also several scan batches), so
-    // scans cross page and batch boundaries mid-table and end on a short
-    // last batch. T1 and T2 stay small because the oracle enumerates the
-    // joins' cross product.
+fn multi_chunk_scans_match_naive() {
+    // T0 spans at least three stored chunks and ends on a short one, so its
+    // scans cross chunk boundaries mid-table. T1 and T2 stay small because
+    // the oracle enumerates the joins' cross product.
     let mut rng = SmallRng::seed_from_u64(0x0B47);
     let db = loop {
         let db = arb_db(&mut rng, [4_000, 700, 700]);
-        let pages = |t: &str| db.catalog().table(t).unwrap().read().page_count();
-        if pages("T0") >= 8 && pages("T1") >= 2 && pages("T2") >= 2 {
+        let t0 = db.catalog().table("T0").unwrap().read().len();
+        if t0 >= 3 * BATCH_SIZE && !t0.is_multiple_of(BATCH_SIZE) {
             break db;
         }
     };

@@ -458,3 +458,12 @@ fn explain_shows_join_access_paths() {
     assert_eq!(explain.matches("HashJoin").count(), 1, "plan:\n{explain}");
     assert!(!explain.contains("IndexJoin"), "plan:\n{explain}");
 }
+
+#[test]
+fn negative_zero_is_stored_and_rendered_as_zero() {
+    let mut db = Database::new(Catalog::new());
+    db.execute("create table Z (x float)").unwrap();
+    db.execute("insert into Z values (-0.0)").unwrap();
+    let rs = db.run("select x from Z").unwrap();
+    assert_eq!(rs.rows[0][0].to_string(), "0");
+}

@@ -22,7 +22,9 @@ pub enum StorageError {
     DuplicateKey { table: String },
     /// A foreign-key declaration references a missing table or column.
     InvalidForeignKey(String),
-    /// A row failed to decode from its page representation.
+    /// Stored data failed a consistency check (a WAL record or snapshot),
+    /// or a table ran out of row ordinals, or a `storage.scan` fault was
+    /// injected.
     Corrupt(String),
     /// A filesystem operation failed (WAL append/sync, snapshot install).
     Io(String),
@@ -49,7 +51,7 @@ impl fmt::Display for StorageError {
                 write!(f, "duplicate primary key in table `{table}`")
             }
             StorageError::InvalidForeignKey(msg) => write!(f, "invalid foreign key: {msg}"),
-            StorageError::Corrupt(msg) => write!(f, "corrupt page data: {msg}"),
+            StorageError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             StorageError::Io(msg) => write!(f, "storage i/o failed: {msg}"),
         }
     }

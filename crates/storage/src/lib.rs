@@ -2,10 +2,12 @@
 //!
 //! The storage substrate of the `pqp` workspace: an in-memory relational
 //! store with a value model, table schemas carrying key/foreign-key metadata,
-//! slotted pages, heap tables, hash indexes and a catalog.
+//! tables stored as typed column chunks, hash indexes and a catalog.
 //!
 //! The paper's prototype ran on Oracle 9i; this crate (together with
-//! `pqp-engine`) is the from-scratch substitute. Beyond plain storage it
+//! `pqp-engine`) is the from-scratch substitute. Base tables live in memory
+//! only, so rows are never encoded: a table keeps the typed columns its
+//! scan filters (only the profile WAL is persisted). Beyond plain storage it
 //! exposes the one piece of metadata the personalization model needs from the
 //! database: the **schema graph** with per-direction join *cardinalities*
 //! ([`Catalog::schema_joins`]), which drive conflict detection and
@@ -44,11 +46,8 @@
 
 pub mod batch;
 pub mod catalog;
-pub mod datum;
 pub mod error;
-pub mod heap;
 pub mod index;
-pub mod page;
 pub mod row;
 pub mod schema;
 pub mod shard;
@@ -58,14 +57,11 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use batch::{Batch, BatchBuilder, Column, ColumnData, BATCH_SIZE};
+pub use batch::{Batch, Column, ColumnData, BATCH_SIZE};
 pub use catalog::{Catalog, SchemaJoin, TableRef};
-pub use datum::{datum_size, decode_datum, encode_datum, encode_key};
 pub use error::{Result, StorageError};
-pub use heap::Heap;
 pub use index::HashIndex;
-pub use page::{Page, RowId, PAGE_SIZE};
-pub use row::{decode_row, decode_row_into, encode_row, encode_row_vec, Row};
+pub use row::Row;
 pub use schema::{Cardinality, ColumnDef, ForeignKey, TableSchema};
 pub use shard::ShardedMap;
 pub use stats::{ColumnStats, Histogram, TableStats};

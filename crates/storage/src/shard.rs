@@ -135,7 +135,15 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// Every test that write-locks a shard holds this: the armed `shard.lock`
+    /// failpoint is process-global and panics whichever writer reaches it
+    /// first.
+    fn serial() -> MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn routing_is_stable_and_in_range() {
@@ -150,6 +158,7 @@ mod tests {
 
     #[test]
     fn basic_map_operations() {
+        let _serial = serial();
         let m: ShardedMap<String, i32> = ShardedMap::new(4);
         assert!(m.is_empty());
         assert_eq!(m.insert("a".into(), 1), None);
@@ -169,6 +178,7 @@ mod tests {
 
     #[test]
     fn write_closure_edits_in_place() {
+        let _serial = serial();
         let m: ShardedMap<String, Vec<i32>> = ShardedMap::new(2);
         m.insert("k".into(), vec![1]);
         m.write(&"k".into(), |shard| shard.get_mut("k").unwrap().push(2));
@@ -177,6 +187,7 @@ mod tests {
 
     #[test]
     fn zero_shards_clamps_to_one() {
+        let _serial = serial();
         let m: ShardedMap<i32, i32> = ShardedMap::new(0);
         assert_eq!(m.shard_count(), 1);
         m.insert(1, 1);
@@ -185,6 +196,7 @@ mod tests {
 
     #[test]
     fn panic_holding_a_shard_lock_does_not_wedge_later_access() {
+        let _serial = serial();
         // Regression: a panic while a shard's write lock is held poisons the
         // std lock; the sync wrapper must recover so subsequent queries on
         // that shard still work (and see consistent pre-panic state).
@@ -209,6 +221,7 @@ mod tests {
 
     #[test]
     fn shard_lock_failpoint_panic_is_survivable() {
+        let _serial = serial();
         let m: Arc<ShardedMap<String, i32>> = Arc::new(ShardedMap::new(2));
         m.insert("a".into(), 1);
         pqp_obs::failpoint::configure("shard.lock", "1*panic(chaos)").unwrap();
@@ -225,6 +238,7 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_access() {
+        let _serial = serial();
         let m: Arc<ShardedMap<u32, u64>> = Arc::new(ShardedMap::new(4));
         std::thread::scope(|s| {
             for t in 0..4u32 {

@@ -1,24 +1,33 @@
-//! A table = schema + heap + indexes, with insert-time constraint checking.
+//! A table = schema + column chunks + hash indexes, with insert-time
+//! constraint checking.
 //!
-//! Rows go in as values and come out either decoded ([`Table::scan`],
-//! [`Table::get`]) or as their encoded bytes ([`Table::iter_raw`],
-//! [`Table::index_lookup_raw`]) for the executor, which decodes them
-//! straight into column batches or output rows.
+//! Rows are stored in insertion order as [`Batch`] chunks of [`BATCH_SIZE`]
+//! rows, each column typed by its schema column; only the last chunk is
+//! partly filled. The executor reads the chunks directly ([`Table::chunks`])
+//! or copies single rows out by ordinal ([`Table::append_row`], with the
+//! ordinals an index hit returns). A row's ordinal is its position in
+//! insertion order: a delete compacts the chunks and rebuilds the indexes,
+//! so there are no tombstones and every chunk but the last stays full.
 
+use crate::batch::{Batch, BATCH_SIZE};
 use crate::error::{Result, StorageError};
-use crate::heap::Heap;
 use crate::index::HashIndex;
-use crate::page::RowId;
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::value::Value;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A stored table.
 pub struct Table {
     schema: TableSchema,
-    heap: Heap,
+    /// The rows in insertion order, [`BATCH_SIZE`] per chunk.
+    chunks: Vec<Batch>,
+    len: usize,
+    /// Per column, the distinct strings it stores (empty for other types):
+    /// a repeated string is one shared allocation.
+    strings: Vec<HashSet<Arc<str>>>,
     /// Indexes; index 0, when present, is the primary-key index.
     indexes: Vec<HashIndex>,
     /// Statistics snapshot from the last `ANALYZE`, if any. Deliberately
@@ -37,7 +46,8 @@ impl Table {
         for u in &schema.unique {
             indexes.push(HashIndex::new(u.clone(), true));
         }
-        Table { schema, heap: Heap::new(), indexes, stats: None }
+        let strings = schema.columns.iter().map(|_| HashSet::new()).collect();
+        Table { schema, chunks: Vec::new(), len: 0, strings, indexes, stats: None }
     }
 
     /// The table schema.
@@ -45,14 +55,14 @@ impl Table {
         &self.schema
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Add a non-unique secondary index on the named column. Existing rows
@@ -63,8 +73,11 @@ impl Table {
             column: column.to_string(),
         })?;
         let mut idx = HashIndex::new(vec![col], false);
-        for (id, row) in self.heap.iter() {
-            idx.insert(&row?, id);
+        let mut row = Row::new();
+        for ord in 0..self.len as u32 {
+            row.clear();
+            self.append_row(ord, &mut row);
+            idx.insert(&row, ord);
         }
         self.indexes.push(idx);
         Ok(self.indexes.len() - 1)
@@ -76,9 +89,10 @@ impl Table {
         self.indexes.iter().find(|i| i.columns() == [col])
     }
 
-    /// Validate and insert a row. Values are coerced (Int → Float) to the
-    /// column types; arity, type, NOT NULL and key constraints are enforced.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<RowId> {
+    /// Validate and insert a row. Values are coerced to the column types
+    /// (`Int` → `Float`, `-0.0` → `0.0`); arity, type, NOT NULL and key
+    /// constraints are enforced.
+    pub fn insert(&mut self, row: Vec<Value>) -> Result<()> {
         if row.len() != self.schema.arity() {
             return Err(StorageError::ArityMismatch {
                 table: self.schema.name.to_string(),
@@ -113,81 +127,115 @@ impl Table {
                 return Err(StorageError::DuplicateKey { table: self.schema.name.to_string() });
             }
         }
-        let id = self.heap.insert(&coerced)?;
+        if u32::try_from(self.len).is_err() {
+            return Err(StorageError::Corrupt(format!("table `{}` is full", self.schema.name)));
+        }
+        self.append(coerced);
+        Ok(())
+    }
+
+    /// Store an already checked and coerced row at the next ordinal.
+    fn append(&mut self, mut row: Row) {
+        let ord = self.len as u32;
+        for (v, strings) in row.iter_mut().zip(&mut self.strings) {
+            if let Value::Str(s) = v {
+                match strings.get(&**s) {
+                    Some(shared) => *s = Arc::clone(shared),
+                    None => {
+                        strings.insert(Arc::clone(s));
+                    }
+                }
+            }
+        }
         for idx in &mut self.indexes {
-            idx.insert(&coerced, id);
+            idx.insert(&row, ord);
         }
-        Ok(id)
-    }
-
-    /// Fetch a row by id.
-    pub fn get(&self, id: RowId) -> Option<Result<Row>> {
-        self.heap.get(id)
-    }
-
-    /// Delete a row by id, maintaining indexes.
-    pub fn delete(&mut self, id: RowId) -> Result<bool> {
-        let Some(row) = self.heap.get(id) else {
-            return Ok(false);
-        };
-        let row = row?;
-        if !self.heap.delete(id) {
-            return Ok(false);
+        if self.len.is_multiple_of(BATCH_SIZE) {
+            self.chunks.push(Batch::new(self.schema.columns.iter().map(|c| c.ty)));
         }
-        for idx in &mut self.indexes {
-            idx.remove(&row, id);
+        if let Some(last) = self.chunks.last_mut() {
+            last.push_row(row);
         }
-        Ok(true)
+        self.len += 1;
     }
 
-    /// Iterate over live rows.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, Result<Row>)> + '_ {
-        self.heap.iter()
+    /// Delete every row `doomed` selects; returns how many went. The
+    /// survivors keep their insertion order, packed into full chunks, and
+    /// the indexes are rebuilt over their new ordinals. If `doomed` fails on
+    /// any row, nothing is deleted.
+    pub fn delete_where<E>(
+        &mut self,
+        mut doomed: impl FnMut(&[Value]) -> std::result::Result<bool, E>,
+    ) -> std::result::Result<usize, E> {
+        let mut keep = Vec::with_capacity(self.len);
+        let mut row = Row::new();
+        for ord in 0..self.len as u32 {
+            row.clear();
+            self.append_row(ord, &mut row);
+            keep.push(!doomed(&row)?);
+        }
+        let deleted = self.len - keep.iter().filter(|&&k| k).count();
+        if deleted == 0 {
+            return Ok(0);
+        }
+        let old = std::mem::take(&mut self.chunks);
+        self.len = 0;
+        self.strings.iter_mut().for_each(HashSet::clear);
+        self.indexes.iter_mut().for_each(HashIndex::clear);
+        for (ord, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            self.append(old[ord / BATCH_SIZE].row(ord % BATCH_SIZE));
+        }
+        Ok(deleted)
     }
 
-    /// Number of heap pages.
-    pub fn page_count(&self) -> usize {
-        self.heap.page_count()
+    /// The rows as column chunks, in insertion order: every chunk but the
+    /// last holds exactly [`BATCH_SIZE`] rows. This is the executor's scan,
+    /// and [`Table::scan`]'s: when the `storage.scan` failpoint is armed, it
+    /// fails with an injected error before any row is read.
+    pub fn chunks(&self) -> Result<&[Batch]> {
+        if let Some(msg) = pqp_obs::failpoint::fire("storage.scan") {
+            return Err(StorageError::Corrupt(format!("injected: {msg}")));
+        }
+        Ok(&self.chunks)
     }
 
-    /// Materialize all rows.
+    /// Materialize all rows, in insertion order.
     pub fn scan(&self) -> Result<Vec<Row>> {
-        self.heap.scan()
+        let mut rows = Vec::with_capacity(self.len);
+        for chunk in self.chunks()? {
+            chunk.append_rows(&mut rows);
+        }
+        Ok(rows)
     }
 
-    /// Iterate over live rows as raw encoded bytes (the executor's scan
-    /// path; same order as [`Table::iter`]).
-    pub fn iter_raw(&self) -> impl Iterator<Item = Result<&[u8]>> + '_ {
-        self.heap.iter_raw()
+    /// Append the values of the row at ordinal `ord` (from
+    /// [`Table::index_lookup`]) to `out`, after whatever it already holds.
+    pub fn append_row(&self, ord: u32, out: &mut Row) {
+        let ord = ord as usize;
+        self.chunks[ord / BATCH_SIZE].append_row(ord % BATCH_SIZE, out);
     }
 
     /// Scan the table and (re)collect its statistics snapshot. Returns the
     /// fresh stats. O(rows · columns · log rows) — per-column sorts for NDV
     /// and the equi-depth histograms.
     pub fn analyze(&mut self) -> Result<Arc<TableStats>> {
-        let rows = self.heap.scan()?;
+        let rows = self.scan()?;
         let stats = Arc::new(TableStats::collect(&rows, self.schema.arity()));
         self.stats = Some(stats.clone());
         Ok(stats)
     }
 
     /// The statistics snapshot from the last [`Table::analyze`], if any.
-    /// May be stale relative to the live heap.
+    /// May be stale relative to the stored rows.
     pub fn stats(&self) -> Option<Arc<TableStats>> {
         self.stats.clone()
     }
 
-    /// Point lookup through an index on `column`: the encoded bytes of each
-    /// matching row, in index order, undecoded — the caller decodes them
-    /// where the values are wanted (`crate::row::decode_row_into`). Returns
-    /// `None` if no index on that column exists.
-    pub fn index_lookup_raw<'a>(
-        &'a self,
-        column: &str,
-        key: &Value,
-    ) -> Option<impl Iterator<Item = &'a [u8]> + 'a> {
-        let ids = self.index_on(column)?.lookup(std::slice::from_ref(key));
-        Some(ids.iter().filter_map(|&id| self.heap.get_raw(id)))
+    /// Point lookup through an index on `column`: the ordinals of the
+    /// matching rows, ascending (insertion order); read them with
+    /// [`Table::append_row`]. `None` if no index on that column exists.
+    pub fn index_lookup(&self, column: &str, key: &Value) -> Option<&[u32]> {
+        Some(self.index_on(column)?.lookup(std::slice::from_ref(key)))
     }
 }
 
@@ -209,6 +257,10 @@ mod tests {
             )
             .with_primary_key(&["mid"]),
         )
+    }
+
+    fn mid_is(i: i64) -> impl FnMut(&[Value]) -> Result<bool> {
+        move |r| Ok(r[0] == Value::Int(i))
     }
 
     #[test]
@@ -255,12 +307,30 @@ mod tests {
     #[test]
     fn delete_frees_key() {
         let mut t = movie_table();
-        let id = t.insert(vec![Value::Int(1), Value::str("a"), Value::Null]).unwrap();
-        assert!(t.delete(id).unwrap());
-        assert!(!t.delete(id).unwrap());
+        t.insert(vec![Value::Int(1), Value::str("a"), Value::Null]).unwrap();
+        assert_eq!(t.delete_where(mid_is(1)).unwrap(), 1);
+        assert_eq!(t.delete_where(mid_is(1)).unwrap(), 0);
         // Key 1 is reusable after delete.
         t.insert(vec![Value::Int(1), Value::str("again"), Value::Null]).unwrap();
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn failing_predicate_deletes_nothing() {
+        let mut t = movie_table();
+        t.insert(vec![Value::Int(1), Value::str("a"), Value::Null]).unwrap();
+        t.insert(vec![Value::Int(2), Value::str("b"), Value::Null]).unwrap();
+        let mut seen = 0;
+        let r = t.delete_where(|_| {
+            seen += 1;
+            if seen == 2 {
+                Err("boom")
+            } else {
+                Ok(true)
+            }
+        });
+        assert_eq!(r, Err("boom"));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -271,8 +341,14 @@ mod tests {
         t.insert(vec![Value::Int(3), Value::str("b"), Value::Int(2002)]).unwrap();
         t.create_index("title").unwrap();
         let hits = |t: &Table, key: &str| -> Vec<Row> {
-            let raw = t.index_lookup_raw("title", &Value::str(key)).unwrap();
-            raw.map(|bytes| crate::row::decode_row(bytes).unwrap()).collect()
+            let ords = t.index_lookup("title", &Value::str(key)).unwrap();
+            ords.iter()
+                .map(|&ord| {
+                    let mut row = Row::new();
+                    t.append_row(ord, &mut row);
+                    row
+                })
+                .collect()
         };
         assert_eq!(
             hits(&t, "a"),
@@ -281,19 +357,47 @@ mod tests {
                 vec![Value::Int(2), Value::str("a"), Value::Int(2001)],
             ]
         );
-        assert!(t.index_lookup_raw("year", &Value::Int(2000)).is_none(), "no index on year");
+        assert!(t.index_lookup("year", &Value::Int(2000)).is_none(), "no index on year");
         // Index maintained on later inserts and deletes.
-        let id = t.insert(vec![Value::Int(4), Value::str("a"), Value::Null]).unwrap();
+        t.insert(vec![Value::Int(4), Value::str("a"), Value::Null]).unwrap();
         assert_eq!(hits(&t, "a").len(), 3);
-        t.delete(id).unwrap();
+        t.delete_where(mid_is(1)).unwrap();
+        assert_eq!(hits(&t, "a")[0][0], Value::Int(2), "ordinals follow the compaction");
         assert_eq!(hits(&t, "a").len(), 2);
         assert!(hits(&t, "zzz").is_empty());
     }
 
     #[test]
-    fn int_widens_to_float_column() {
+    fn int_widens_to_float_column_and_negative_zero_is_stored_as_zero() {
         let mut t = Table::new(TableSchema::new("T", vec![ColumnDef::new("x", DataType::Float)]));
         t.insert(vec![Value::Int(2)]).unwrap();
-        assert_eq!(t.scan().unwrap()[0][0], Value::Float(2.0));
+        t.insert(vec![Value::Float(-0.0)]).unwrap();
+        let rows = t.scan().unwrap();
+        assert_eq!(rows[0][0], Value::Float(2.0));
+        assert_eq!(rows[1][0].to_string(), "0");
+    }
+
+    #[test]
+    fn repeated_strings_share_one_allocation() {
+        let mut t = movie_table();
+        t.insert(vec![Value::Int(1), Value::str("same"), Value::Null]).unwrap();
+        t.insert(vec![Value::Int(2), Value::str("same"), Value::Null]).unwrap();
+        let rows = t.scan().unwrap();
+        let ptr = |r: &Row| r[1].as_str().map(str::as_ptr);
+        assert_eq!(ptr(&rows[0]), ptr(&rows[1]));
+    }
+
+    #[test]
+    fn chunks_fill_to_batch_size() {
+        let mut t = movie_table();
+        for i in 0..(2 * BATCH_SIZE + 5) as i64 {
+            t.insert(vec![Value::Int(i), Value::str("t"), Value::Null]).unwrap();
+        }
+        let sizes = |t: &Table| t.chunks().unwrap().iter().map(Batch::len).collect::<Vec<_>>();
+        assert_eq!(sizes(&t), [BATCH_SIZE, BATCH_SIZE, 5]);
+        // Deleting from the first chunk packs the survivors again.
+        t.delete_where(|r| Ok::<_, StorageError>(r[0].as_i64().is_some_and(|i| i % 100 == 0)))
+            .unwrap();
+        assert_eq!(sizes(&t), [BATCH_SIZE, BATCH_SIZE - 16]);
     }
 }

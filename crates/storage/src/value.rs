@@ -95,11 +95,15 @@ impl Value {
         )
     }
 
-    /// Coerce the value to the given column type (widening `Int` → `Float`).
-    /// Callers must have checked [`Value::conforms_to`] first.
+    /// Coerce the value to the given column type (widening `Int` → `Float`),
+    /// storing `-0.0` as `0.0`: the two are equal, and a stored value should
+    /// not print as `-0`. Callers must have checked [`Value::conforms_to`]
+    /// first.
     pub fn coerce_to(self, ty: DataType) -> Value {
         match (self, ty) {
             (Value::Int(i), DataType::Float) => Value::Float(i as f64),
+            // A float pattern compares with `==`, so this matches -0.0 too.
+            (Value::Float(0.0), _) => Value::Float(0.0),
             (v, _) => v,
         }
     }
@@ -311,6 +315,7 @@ mod tests {
         assert!(!Value::Float(1.0).conforms_to(DataType::Int));
         assert!(Value::Null.conforms_to(DataType::Str));
         assert_eq!(Value::Int(2).coerce_to(DataType::Float), Value::Float(2.0));
+        assert_eq!(Value::Float(-0.0).coerce_to(DataType::Float).to_string(), "0");
     }
 
     #[test]

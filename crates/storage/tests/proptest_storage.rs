@@ -1,9 +1,10 @@
-//! Randomized tests over the storage layer: the row codec, slotted pages and
-//! heaps must preserve arbitrary rows through any interleaving of inserts
-//! and deletes. Driven by a seeded PRNG so failures reproduce exactly.
+//! Randomized tests over the storage layer: a [`Table`] must behave like a
+//! plain `Vec<Row>` through any interleaving of inserts, duplicate-key
+//! rejections, compacting deletes and index creation. Driven by a seeded
+//! PRNG so failures reproduce exactly.
 
 use pqp_obs::rng::{Rng, SmallRng};
-use pqp_storage::{decode_row, encode_row_vec, Heap, Page, RowId, Value};
+use pqp_storage::{Batch, ColumnDef, DataType, Row, Table, TableSchema, Value, BATCH_SIZE};
 
 fn arb_value(rng: &mut SmallRng) -> Value {
     match rng.gen_range(0..5u32) {
@@ -25,88 +26,159 @@ fn arb_value(rng: &mut SmallRng) -> Value {
     }
 }
 
-fn arb_row(rng: &mut SmallRng) -> Vec<Value> {
-    let n = rng.gen_range(0..8usize);
-    (0..n).map(|_| arb_value(rng)).collect()
+/// `id` is the primary key; the other columns are nullable, one per type.
+fn schema() -> TableSchema {
+    TableSchema::new(
+        "T",
+        vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::nullable("i", DataType::Int),
+            ColumnDef::nullable("f", DataType::Float),
+            ColumnDef::nullable("s", DataType::Str),
+            ColumnDef::nullable("b", DataType::Bool),
+        ],
+    )
+    .with_primary_key(&["id"])
 }
 
-#[test]
-fn codec_roundtrip() {
-    let mut rng = SmallRng::seed_from_u64(0xC0DEC);
-    for _ in 0..256 {
-        let row = arb_row(&mut rng);
-        let bytes = encode_row_vec(&row);
-        let back = decode_row(&bytes).unwrap();
-        assert_eq!(back, row);
+/// The strings a row draws from: a small pool, so strings repeat, with the
+/// empty string and embedded NULs among them.
+const STRINGS: &[&str] = &["", "a", "a\0", "\0", "κόσμε", "lead", "oscar"];
+
+/// A row for key `id` with about 25 % NULLs per nullable column. The float
+/// column sometimes gets an `Int` (widened at insert), `-0.0` or NaN.
+fn arb_row(rng: &mut SmallRng, id: i64) -> Row {
+    let mut row = vec![Value::Int(id)];
+    let cell = |rng: &mut SmallRng, v: Value| if rng.gen_bool(0.25) { Value::Null } else { v };
+    let i = Value::Int(rng.gen_range(0..8i64));
+    row.push(cell(rng, i));
+    let f = match rng.gen_range(0..5u32) {
+        0 => Value::Int(rng.gen_range(-3..3i64)),
+        1 => Value::Float(-0.0),
+        2 => Value::Float(f64::NAN),
+        _ => Value::Float(rng.gen_range(0..8i64) as f64 / 2.0),
+    };
+    row.push(cell(rng, f));
+    let s = Value::str(STRINGS[rng.gen_index(STRINGS.len())]);
+    row.push(cell(rng, s));
+    let b = Value::Bool(rng.gen_bool(0.5));
+    row.push(cell(rng, b));
+    row
+}
+
+/// What the table should hold after inserting `row`: the float column
+/// widened and `-0.0` stored as `0.0`.
+fn stored(mut row: Row) -> Row {
+    match row[2] {
+        Value::Int(i) => row[2] = Value::Float(i as f64),
+        // A float pattern compares with `==`: this arm takes -0.0.
+        Value::Float(0.0) => row[2] = Value::Float(0.0),
+        _ => {}
+    }
+    row
+}
+
+/// The table agrees with the model: the same rows in the same order, the
+/// same length, full chunks, and index hits equal to the model's filter.
+fn check(t: &Table, model: &[Row], rng: &mut SmallRng) {
+    assert_eq!(t.len(), model.len());
+    let rows = t.scan().unwrap();
+    assert_eq!(rows, model);
+    for (r, m) in rows.iter().zip(model) {
+        // Equality treats -0.0 as 0.0; the stored form must print as 0.
+        assert_eq!(r[2].to_string(), m[2].to_string());
+    }
+    let sizes: Vec<usize> = t.chunks().unwrap().iter().map(Batch::len).collect();
+    if let Some((_, full)) = sizes.split_last() {
+        assert!(full.iter().all(|&n| n == BATCH_SIZE), "chunk sizes {sizes:?}");
+    }
+    for (c, column) in t.schema().columns.iter().enumerate() {
+        // NULL, a key no row holds, and keys some rows hold.
+        let mut keys = vec![Value::Null, Value::Int(-1)];
+        let held = (0..4).filter_map(|_| model.get(rng.gen_index(model.len().max(1))));
+        keys.extend(held.map(|r| r[c].clone()));
+        for key in keys {
+            let Some(ords) = t.index_lookup(&column.name, &key) else { break };
+            let got: Vec<Row> = ords
+                .iter()
+                .map(|&ord| {
+                    let mut row = Row::new();
+                    t.append_row(ord, &mut row);
+                    row
+                })
+                .collect();
+            let want: Vec<Row> = model.iter().filter(|r| r[c] == key).cloned().collect();
+            assert_eq!(got, want, "index on `{}`, key {key:?}", column.name);
+        }
     }
 }
 
 #[test]
-fn codec_rejects_any_truncation() {
-    let mut rng = SmallRng::seed_from_u64(0x7242C);
-    for _ in 0..64 {
-        let row = arb_row(&mut rng);
-        let bytes = encode_row_vec(&row);
-        // No strict prefix may decode to the same row (either error or a
-        // different/shorter row), and none may panic.
-        for cut in 0..bytes.len() {
-            if let Ok(decoded) = decode_row(&bytes[..cut]) {
-                assert_ne!(decoded, row, "prefix of {cut} bytes decoded equal");
+fn table_matches_a_vec_model() {
+    for seed in 0..3u64 {
+        let mut rng = SmallRng::seed_from_u64(0x7AB1E + seed);
+        let mut t = Table::new(schema());
+        let mut model: Vec<Row> = Vec::new();
+        let mut next_id = 0i64;
+        let mut freed_ids: Vec<i64> = Vec::new();
+        let (mut deleted, mut reinserted) = (0, 0);
+        let mut indexed = [false; 5];
+        indexed[0] = true; // the primary-key index
+        while model.len() <= 3 * BATCH_SIZE + BATCH_SIZE / 2 {
+            let some_row = model.get(rng.gen_index(model.len().max(1))).cloned();
+            match (rng.gen_range(0..200u32), some_row) {
+                (0, Some(victim)) => {
+                    // Delete the rows holding one column's value, among
+                    // one id residue class.
+                    let c = rng.gen_range(1..5usize);
+                    let m = rng.gen_range(0..8i64);
+                    let id = |r: &[Value]| r[0].as_i64().unwrap();
+                    let doomed = |r: &[Value]| r[c] == victim[c] && id(r) % 8 == m;
+                    let n = t.delete_where(|r| Ok::<_, ()>(doomed(r))).unwrap();
+                    freed_ids.extend(model.iter().filter(|r| doomed(r)).map(|r| id(r)));
+                    let before = model.len();
+                    model.retain(|r| !doomed(r));
+                    assert_eq!(n, before - model.len());
+                    deleted += n;
+                    check(&t, &model, &mut rng);
+                }
+                (1, _) => {
+                    let c = rng.gen_range(1..5usize);
+                    if !indexed[c] {
+                        indexed[c] = true;
+                        t.create_index(&t.schema().columns[c].name.clone()).unwrap();
+                        check(&t, &model, &mut rng);
+                    }
+                }
+                (2..=7, Some(live)) => {
+                    // A live key again: rejected, and nothing changes.
+                    let id = live[0].as_i64().unwrap();
+                    assert!(t.insert(arb_row(&mut rng, id)).is_err(), "duplicate key {id}");
+                    assert_eq!(t.len(), model.len());
+                }
+                (draw, _) => {
+                    // A fresh key, or now and then a deleted one again.
+                    let id = if draw < 12 && !freed_ids.is_empty() {
+                        reinserted += 1;
+                        freed_ids.swap_remove(rng.gen_index(freed_ids.len()))
+                    } else {
+                        next_id += 1;
+                        next_id
+                    };
+                    let row = arb_row(&mut rng, id);
+                    t.insert(row.clone()).unwrap();
+                    model.push(stored(row));
+                }
             }
         }
-    }
-}
-
-#[test]
-fn page_preserves_rows() {
-    let mut rng = SmallRng::seed_from_u64(0x9A6E);
-    for _ in 0..64 {
-        let n = rng.gen_range(1..30usize);
-        let rows: Vec<_> = (0..n).map(|_| arb_row(&mut rng)).collect();
-        let mut page = Page::new();
-        let mut stored = Vec::new();
-        for row in &rows {
-            if let Some(slot) = page.insert_row(row) {
-                stored.push((slot, row.clone()));
-            }
-        }
-        for (slot, row) in &stored {
-            assert_eq!(&page.get(*slot).unwrap().unwrap(), row);
-        }
-        assert_eq!(page.iter().count(), stored.len());
-    }
-}
-
-#[test]
-fn heap_insert_delete_scan() {
-    let mut rng = SmallRng::seed_from_u64(0x48EA9);
-    for _ in 0..64 {
-        let n = rng.gen_range(1..40usize);
-        let rows: Vec<_> = (0..n).map(|_| arb_row(&mut rng)).collect();
-        let delete_mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
-        let mut heap = Heap::new();
-        let mut ids: Vec<(RowId, Vec<Value>)> = Vec::new();
-        for row in &rows {
-            // Oversized rows are legitimately rejected; skip them.
-            if let Ok(id) = heap.insert(row) {
-                ids.push((id, row.clone()));
-            }
-        }
-        let mut surviving = Vec::new();
-        for (i, (id, row)) in ids.iter().enumerate() {
-            if *delete_mask.get(i).unwrap_or(&false) {
-                assert!(heap.delete(*id));
-                assert!(heap.get(*id).is_none());
-            } else {
-                surviving.push(row.clone());
-            }
-        }
-        assert_eq!(heap.len(), surviving.len());
-        let mut scanned = heap.scan().unwrap();
-        let mut expected = surviving;
-        scanned.sort();
-        expected.sort();
-        assert_eq!(scanned, expected);
+        assert_ne!(model.len() % BATCH_SIZE, 0, "the scan ends on a short chunk");
+        assert!(deleted > 0 && reinserted > 0, "{deleted} deleted, {reinserted} re-inserted");
+        check(&t, &model, &mut rng);
+        // Deleting everything leaves an empty table that still takes rows.
+        t.delete_where(|_| Ok::<_, ()>(true)).unwrap();
+        assert!(t.is_empty() && t.chunks().unwrap().is_empty());
+        t.insert(arb_row(&mut rng, 0)).unwrap();
+        assert_eq!(t.len(), 1);
     }
 }
 

@@ -4,8 +4,8 @@
 //! reproduction of Koutrika & Ioannidis, *Personalization of Queries in
 //! Database Systems* (ICDE 2004).
 //!
-//! - [`storage`] — value model, schemas with join cardinalities, slotted
-//!   pages, heap tables, hash indexes, catalog;
+//! - [`storage`] — value model, schemas with join cardinalities, tables
+//!   stored as typed column chunks, hash indexes, catalog;
 //! - [`sql`] — lexer/parser/AST/printer for the SPJ dialect the framework
 //!   produces and consumes;
 //! - [`engine`] — binder, optimizer (predicate pushdown, greedy join order,
