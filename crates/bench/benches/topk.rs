@@ -153,13 +153,13 @@ fn binomial(n: u128, k: u128) -> u128 {
     (0..k.min(n - k)).fold(1u128, |acc, i| acc * (n - i) / (i + 1))
 }
 
-fn personalized(
+fn personalized<'g>(
     db: &Database,
-    graph: &InMemoryGraph,
+    graph: &'g InMemoryGraph,
     k: usize,
     l: usize,
     rank: bool,
-) -> Personalized {
+) -> Personalized<'g> {
     let q = parse_query(TONIGHT_SQL).unwrap();
     let opts = PersonalizeOptions::builder().k(k).l(l).build();
     let opts = if rank { opts.ranked() } else { opts };

@@ -162,7 +162,7 @@ impl Workload {
         k: usize,
         l: usize,
         rank: bool,
-    ) -> Personalized {
+    ) -> Personalized<'_> {
         let opts = if rank {
             PersonalizeOptions::builder().k(k).l(l).build().ranked()
         } else {

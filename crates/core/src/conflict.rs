@@ -20,7 +20,7 @@ use crate::query_graph::QueryGraph;
 /// the path is to-one; and the query embeds the same join chain starting at
 /// the path's anchor variable, ending at a variable with a selection on `A`
 /// carrying a *different* value.
-pub fn conflicts_with_query(path: &PreferencePath, qg: &QueryGraph) -> bool {
+pub fn conflicts_with_query(path: &PreferencePath<'_>, qg: &QueryGraph) -> bool {
     let Some(sel) = &path.selection else {
         return false;
     };
@@ -30,23 +30,22 @@ pub fn conflicts_with_query(path: &PreferencePath, qg: &QueryGraph) -> bool {
     // Walk the query graph along the path's join chain, tracking the set of
     // variables reachable by the chain so far (replicated relations can make
     // this a set).
-    let mut vars: Vec<String> = vec![path.start_var.clone()];
-    for hop in path.join_signature() {
-        let (from_tbl, from_col, to_tbl, to_col) = hop;
-        let mut next = Vec::new();
+    let mut vars: Vec<&str> = vec![&*path.start_var];
+    for hop in &path.joins {
+        let mut next: Vec<&str> = Vec::new();
         for v in &vars {
             let Some(node) = qg.node(v) else { continue };
-            if !node.table.eq_ignore_ascii_case(&from_tbl) {
+            if !node.table.eq_ignore_ascii_case(&hop.from.table) {
                 continue;
             }
             for (_, col, other_var, other_col) in qg.joins_from_var(v) {
-                let Some(other) = qg.node(&other_var) else {
+                let Some(other) = qg.node(other_var) else {
                     continue;
                 };
-                if col.eq_ignore_ascii_case(&from_col)
-                    && other.table.eq_ignore_ascii_case(&to_tbl)
-                    && other_col.eq_ignore_ascii_case(&to_col)
-                    && !next.iter().any(|x: &String| x.eq_ignore_ascii_case(&other_var))
+                if col.eq_ignore_ascii_case(&hop.from.column)
+                    && other.table.eq_ignore_ascii_case(&hop.to.table)
+                    && other_col.eq_ignore_ascii_case(&hop.to.column)
+                    && !next.iter().any(|x| x.eq_ignore_ascii_case(other_var))
                 {
                     next.push(other_var);
                 }
@@ -59,7 +58,7 @@ pub fn conflicts_with_query(path: &PreferencePath, qg: &QueryGraph) -> bool {
     }
     // Any reachable variable with a different-valued selection on the same
     // attribute conflicts.
-    vars.iter().any(|v| qg.selections_on(v, &sel.attr.column).any(|qs| qs.value != sel.value))
+    vars.iter().any(|v| qg.selections_on(v, &sel.attr.column).any(|qs| qs.value != *sel.value))
 }
 
 /// Whether two completed preference paths conflict with each other.
@@ -67,7 +66,7 @@ pub fn conflicts_with_query(path: &PreferencePath, qg: &QueryGraph) -> bool {
 /// True iff both end in selections on the same attribute with different
 /// values, share the same anchor variable and the same join chain, and the
 /// chain is all to-one (so both selections would constrain the same tuple).
-pub fn conflicts_between(a: &PreferencePath, b: &PreferencePath) -> bool {
+pub fn conflicts_between(a: &PreferencePath<'_>, b: &PreferencePath<'_>) -> bool {
     let (Some(sa), Some(sb)) = (&a.selection, &b.selection) else {
         return false;
     };
@@ -77,7 +76,7 @@ pub fn conflicts_between(a: &PreferencePath, b: &PreferencePath) -> bool {
     if !a.start_var.eq_ignore_ascii_case(&b.start_var) {
         return false;
     }
-    if a.join_signature() != b.join_signature() {
+    if !a.same_join_chain(b) {
         return false;
     }
     a.all_joins_to_one() && b.all_joins_to_one()
@@ -122,24 +121,22 @@ mod tests {
         QueryGraph::from_select(q.as_select().unwrap(), &catalog()).unwrap()
     }
 
-    fn sel_path(var: &str, table: &str, attr: (&str, &str), value: &str) -> PreferencePath {
-        PreferencePath::anchor(var, table).with_selection(
-            SelectionEdge {
-                attr: AttrRef::new(attr.0, attr.1),
-                value: Value::str(value),
-                doi: Doi::new(0.8).unwrap(),
-            },
-            &PaperCombinator,
-        )
+    fn sel_edge(attr: (&str, &str), value: &str, doi: f64) -> SelectionEdge<'static> {
+        SelectionEdge::new(AttrRef::new(attr.0, attr.1), Value::str(value), Doi::new(doi).unwrap())
     }
 
-    fn join(from: (&str, &str), to: (&str, &str), card: Cardinality) -> JoinEdge {
-        JoinEdge {
-            from: AttrRef::new(from.0, from.1),
-            to: AttrRef::new(to.0, to.1),
-            doi: Doi::new(1.0).unwrap(),
-            cardinality: card,
-        }
+    fn sel_path(
+        var: &str,
+        table: &str,
+        attr: (&str, &str),
+        value: &str,
+    ) -> PreferencePath<'static> {
+        PreferencePath::anchor(var, table)
+            .with_selection(sel_edge(attr, value, 0.8), &PaperCombinator)
+    }
+
+    fn join(from: (&str, &str), to: (&str, &str), card: Cardinality) -> JoinEdge<'static> {
+        JoinEdge::new(AttrRef::new(from.0, from.1), AttrRef::new(to.0, to.1), Doi::ONE, card)
     }
 
     #[test]
@@ -168,14 +165,7 @@ mod tests {
                 join(("PLAY", "mid"), ("MOVIE", "mid"), Cardinality::ToOne),
                 &PaperCombinator,
             )
-            .with_selection(
-                SelectionEdge {
-                    attr: AttrRef::new("MOVIE", "title"),
-                    value: Value::str("Other"),
-                    doi: Doi::new(0.9).unwrap(),
-                },
-                &PaperCombinator,
-            );
+            .with_selection(sel_edge(("MOVIE", "title"), "Other", 0.9), &PaperCombinator);
         assert!(conflicts_with_query(&p, &g));
     }
 
@@ -190,14 +180,7 @@ mod tests {
                 join(("THEATRE", "tid"), ("PLAY", "tid"), Cardinality::ToMany),
                 &PaperCombinator,
             )
-            .with_selection(
-                SelectionEdge {
-                    attr: AttrRef::new("PLAY", "mid"),
-                    value: Value::str("7"),
-                    doi: Doi::new(0.9).unwrap(),
-                },
-                &PaperCombinator,
-            );
+            .with_selection(sel_edge(("PLAY", "mid"), "7", 0.9), &PaperCombinator);
         assert!(!conflicts_with_query(&p, &g));
     }
 
@@ -211,14 +194,7 @@ mod tests {
                 join(("PLAY", "mid"), ("MOVIE", "mid"), Cardinality::ToOne),
                 &PaperCombinator,
             )
-            .with_selection(
-                SelectionEdge {
-                    attr: AttrRef::new("MOVIE", "title"),
-                    value: Value::str("X"),
-                    doi: Doi::new(0.9).unwrap(),
-                },
-                &PaperCombinator,
-            );
+            .with_selection(sel_edge(("MOVIE", "title"), "X", 0.9), &PaperCombinator);
         assert!(!conflicts_with_query(&p, &g));
     }
 
@@ -242,14 +218,7 @@ mod tests {
         let mk = |value: &str, card| {
             PreferencePath::anchor("TH", "THEATRE")
                 .with_join(join(("THEATRE", "tid"), ("PLAY", "tid"), card), &comb)
-                .with_selection(
-                    SelectionEdge {
-                        attr: AttrRef::new("PLAY", "mid"),
-                        value: Value::str(value),
-                        doi: Doi::new(0.5).unwrap(),
-                    },
-                    &comb,
-                )
+                .with_selection(sel_edge(("PLAY", "mid"), value, 0.5), &comb)
         };
         assert!(!conflicts_between(&mk("1", Cardinality::ToMany), &mk("2", Cardinality::ToMany)));
         assert!(conflicts_between(&mk("1", Cardinality::ToOne), &mk("2", Cardinality::ToOne)));

@@ -8,7 +8,8 @@
 //! Two backends implement [`GraphAccess`]:
 //!
 //! - [`InMemoryGraph`]: adjacency lists held in memory, built once from a
-//!   [`Profile`];
+//!   [`Profile`] as positions into its preference list, so the edges it
+//!   hands out borrow the profile's attributes and values;
 //! - [`StoredProfileGraph`]: preferences stored in database tables and
 //!   fetched with SQL on every adjacency lookup — the setup of the paper's
 //!   prototype ("user profiles are stored in a separate table"), whose
@@ -20,48 +21,105 @@ use crate::pref::{AtomicPreference, AttrRef};
 use crate::profile::Profile;
 use pqp_engine::Database;
 use pqp_storage::{Cardinality, Catalog, ColumnDef, DataType, StorageError, TableSchema, Value};
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A join edge of the personalization graph, labelled with a degree of
 /// interest and the cardinality of following it (into `to`).
+///
+/// An edge borrows its attributes from the graph that handed it out (`'g`);
+/// a backend that materializes edges per lookup hands out owned ones.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinEdge {
-    pub from: AttrRef,
-    pub to: AttrRef,
+pub struct JoinEdge<'g> {
+    pub from: Cow<'g, AttrRef>,
+    pub to: Cow<'g, AttrRef>,
     pub doi: Doi,
     pub cardinality: Cardinality,
 }
 
-/// A selection edge of the personalization graph.
+impl JoinEdge<'_> {
+    /// An edge that owns its attributes.
+    pub fn new(
+        from: AttrRef,
+        to: AttrRef,
+        doi: Doi,
+        cardinality: Cardinality,
+    ) -> JoinEdge<'static> {
+        JoinEdge { from: Cow::Owned(from), to: Cow::Owned(to), doi, cardinality }
+    }
+
+    /// Whether two edges join the same attributes (case-insensitively),
+    /// whatever their degrees.
+    pub fn same_hop(&self, other: &JoinEdge<'_>) -> bool {
+        self.from.same_as(&other.from) && self.to.same_as(&other.to)
+    }
+}
+
+/// A selection edge of the personalization graph; borrowed like
+/// [`JoinEdge`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectionEdge {
-    pub attr: AttrRef,
-    pub value: Value,
+pub struct SelectionEdge<'g> {
+    pub attr: Cow<'g, AttrRef>,
+    pub value: Cow<'g, Value>,
     pub doi: Doi,
+}
+
+impl SelectionEdge<'_> {
+    /// An edge that owns its attribute and value.
+    pub fn new(attr: AttrRef, value: Value, doi: Doi) -> SelectionEdge<'static> {
+        SelectionEdge { attr: Cow::Owned(attr), value: Cow::Owned(value), doi }
+    }
 }
 
 /// Read access to a user's personalization graph, as required by the
 /// preference-selection algorithm. Adjacency lists must be returned in
 /// **decreasing degree of interest** (the algorithm's expansion pruning
 /// relies on it).
+///
+/// Each call is one adjacency *fetch* — the prototype's "database access",
+/// the Figure 6 axis — and the selection algorithm counts them itself
+/// ([`crate::select::SelectStats::graph_accesses`]), so a backend keeps no
+/// per-query state and one graph can serve concurrent selections.
 pub trait GraphAccess {
     /// Join edges leaving (any attribute of) `table`.
-    fn joins_from(&self, table: &str) -> Vec<JoinEdge>;
+    fn joins_from(&self, table: &str) -> impl Iterator<Item = JoinEdge<'_>>;
     /// Selection edges on (attributes of) `table`.
-    fn selections_of(&self, table: &str) -> Vec<SelectionEdge>;
-    /// Number of adjacency fetches performed so far (a proxy for the
-    /// prototype's "database accesses"; used by the Figure 6 experiment).
-    fn access_count(&self) -> usize;
-    /// Reset the access counter.
-    fn reset_access_count(&self);
+    fn selections_of(&self, table: &str) -> impl Iterator<Item = SelectionEdge<'_>>;
 }
 
 /// In-memory personalization graph.
+///
+/// It shares its profile's preference list and stores each adjacency list
+/// as positions into it (plus, for joins, the schema-derived cardinality),
+/// so a graph costs a few bytes per preference beyond the profile it reads.
+/// The default graph has no preferences.
+#[derive(Debug, Default)]
 pub struct InMemoryGraph {
-    joins: HashMap<String, Vec<JoinEdge>>,
-    selections: HashMap<String, Vec<SelectionEdge>>,
-    accesses: Cell<usize>,
+    preferences: Arc<Vec<AtomicPreference>>,
+    /// Per table: join preferences leaving it, with their cardinalities.
+    joins: Adjacency<(usize, Cardinality)>,
+    /// Per table: selection preferences on it.
+    selections: Adjacency<usize>,
+}
+
+/// Per table (upper-cased), positions into the preference list.
+type Adjacency<T> = Vec<(Box<str>, Vec<T>)>;
+
+/// The adjacency list of `table` (matched case-insensitively).
+fn adjacency<'a, T>(lists: &'a Adjacency<T>, table: &str) -> &'a [T] {
+    lists.iter().find(|(t, _)| t.eq_ignore_ascii_case(table)).map_or(&[], |(_, list)| list)
+}
+
+/// The adjacency list of `table`, created empty on first use.
+fn adjacency_mut<'a, T>(lists: &'a mut Adjacency<T>, table: &str) -> &'a mut Vec<T> {
+    let i = match lists.iter().position(|(t, _)| t.eq_ignore_ascii_case(table)) {
+        Some(i) => i,
+        None => {
+            lists.push((table.to_ascii_uppercase().into(), Vec::new()));
+            lists.len() - 1
+        }
+    };
+    &mut lists[i].1
 }
 
 impl InMemoryGraph {
@@ -71,53 +129,60 @@ impl InMemoryGraph {
     /// a table on a key column is to-one, otherwise to-many.
     pub fn build(profile: &Profile, catalog: &Catalog) -> Result<InMemoryGraph> {
         profile.validate(catalog)?;
-        let mut joins: HashMap<String, Vec<JoinEdge>> = HashMap::new();
-        let mut selections: HashMap<String, Vec<SelectionEdge>> = HashMap::new();
-        for p in profile.preferences() {
+        let preferences = Arc::clone(profile.shared_preferences());
+        let mut joins: Adjacency<(usize, Cardinality)> = Vec::new();
+        let mut selections: Adjacency<usize> = Vec::new();
+        for (i, p) in preferences.iter().enumerate() {
             match p {
-                AtomicPreference::Join { from, to, doi } => {
+                AtomicPreference::Join { from, to, .. } => {
                     let cardinality = catalog.join_cardinality(&to.table, &to.column)?;
-                    joins.entry(from.table.to_ascii_uppercase()).or_default().push(JoinEdge {
-                        from: from.clone(),
-                        to: to.clone(),
-                        doi: *doi,
-                        cardinality,
-                    });
+                    adjacency_mut(&mut joins, &from.table).push((i, cardinality));
                 }
-                AtomicPreference::Selection { attr, value, doi } => {
-                    selections.entry(attr.table.to_ascii_uppercase()).or_default().push(
-                        SelectionEdge { attr: attr.clone(), value: value.clone(), doi: *doi },
-                    );
+                AtomicPreference::Selection { attr, .. } => {
+                    adjacency_mut(&mut selections, &attr.table).push(i);
                 }
             }
         }
-        for v in joins.values_mut() {
-            v.sort_by_key(|e| std::cmp::Reverse(e.doi));
+        // Stable sorts: equal degrees keep profile order.
+        let doi = |i: usize| std::cmp::Reverse(preferences[i].doi());
+        for (_, list) in &mut joins {
+            list.sort_by_key(|&(i, _)| doi(i));
+            list.shrink_to_fit();
         }
-        for v in selections.values_mut() {
-            v.sort_by_key(|e| std::cmp::Reverse(e.doi));
+        for (_, list) in &mut selections {
+            list.sort_by_key(|&i| doi(i));
+            list.shrink_to_fit();
         }
-        Ok(InMemoryGraph { joins, selections, accesses: Cell::new(0) })
+        joins.shrink_to_fit();
+        selections.shrink_to_fit();
+        Ok(InMemoryGraph { preferences, joins, selections })
     }
 }
 
 impl GraphAccess for InMemoryGraph {
-    fn joins_from(&self, table: &str) -> Vec<JoinEdge> {
-        self.accesses.set(self.accesses.get() + 1);
-        self.joins.get(&table.to_ascii_uppercase()).cloned().unwrap_or_default()
+    fn joins_from(&self, table: &str) -> impl Iterator<Item = JoinEdge<'_>> {
+        adjacency(&self.joins, table).iter().filter_map(|&(i, cardinality)| {
+            match &self.preferences[i] {
+                AtomicPreference::Join { from, to, doi } => Some(JoinEdge {
+                    from: Cow::Borrowed(from),
+                    to: Cow::Borrowed(to),
+                    doi: *doi,
+                    cardinality,
+                }),
+                AtomicPreference::Selection { .. } => None,
+            }
+        })
     }
 
-    fn selections_of(&self, table: &str) -> Vec<SelectionEdge> {
-        self.accesses.set(self.accesses.get() + 1);
-        self.selections.get(&table.to_ascii_uppercase()).cloned().unwrap_or_default()
-    }
-
-    fn access_count(&self) -> usize {
-        self.accesses.get()
-    }
-
-    fn reset_access_count(&self) {
-        self.accesses.set(0);
+    fn selections_of(&self, table: &str) -> impl Iterator<Item = SelectionEdge<'_>> {
+        adjacency(&self.selections, table).iter().filter_map(|&i| match &self.preferences[i] {
+            AtomicPreference::Selection { attr, value, doi } => Some(SelectionEdge {
+                attr: Cow::Borrowed(attr),
+                value: Cow::Borrowed(value),
+                doi: *doi,
+            }),
+            AtomicPreference::Join { .. } => None,
+        })
     }
 }
 
@@ -132,7 +197,6 @@ pub const PROFILE_JOINS_TABLE: &str = "PQP_PROFILE_JOINS";
 pub struct StoredProfileGraph<'a> {
     db: &'a Database,
     user: String,
-    accesses: Cell<usize>,
     /// Simulated per-access latency (see [`Self::with_access_penalty`]).
     penalty: std::time::Duration,
 }
@@ -220,12 +284,7 @@ impl<'a> StoredProfileGraph<'a> {
 
     /// Open the stored graph of a user.
     pub fn open(db: &'a Database, user: impl Into<String>) -> StoredProfileGraph<'a> {
-        StoredProfileGraph {
-            db,
-            user: user.into(),
-            accesses: Cell::new(0),
-            penalty: std::time::Duration::ZERO,
-        }
+        StoredProfileGraph { db, user: user.into(), penalty: std::time::Duration::ZERO }
     }
 
     /// Add a simulated latency to every adjacency fetch.
@@ -263,8 +322,7 @@ impl<'a> StoredProfileGraph<'a> {
 }
 
 impl GraphAccess for StoredProfileGraph<'_> {
-    fn joins_from(&self, table: &str) -> Vec<JoinEdge> {
-        self.accesses.set(self.accesses.get() + 1);
+    fn joins_from(&self, table: &str) -> impl Iterator<Item = JoinEdge<'_>> {
         self.pay_penalty();
         let sql = format!(
             "select from_tbl, from_col, to_tbl, to_col, doi, to_one \
@@ -273,28 +331,18 @@ impl GraphAccess for StoredProfileGraph<'_> {
             self.user.replace('\'', "''"),
             table.to_ascii_uppercase()
         );
-        let Ok(rs) = self.db.run(&sql) else {
-            return Vec::new();
-        };
-        rs.rows
-            .into_iter()
-            .filter_map(|r| {
-                Some(JoinEdge {
-                    from: AttrRef::new(r[0].as_str()?, r[1].as_str()?),
-                    to: AttrRef::new(r[2].as_str()?, r[3].as_str()?),
-                    doi: Doi::new(r[4].as_f64()?).ok()?,
-                    cardinality: if r[5].as_bool()? {
-                        Cardinality::ToOne
-                    } else {
-                        Cardinality::ToMany
-                    },
-                })
-            })
-            .collect()
+        let rows = self.db.run(&sql).map(|rs| rs.rows).unwrap_or_default();
+        rows.into_iter().filter_map(|r| {
+            Some(JoinEdge::new(
+                AttrRef::new(r[0].as_str()?, r[1].as_str()?),
+                AttrRef::new(r[2].as_str()?, r[3].as_str()?),
+                Doi::new(r[4].as_f64()?).ok()?,
+                if r[5].as_bool()? { Cardinality::ToOne } else { Cardinality::ToMany },
+            ))
+        })
     }
 
-    fn selections_of(&self, table: &str) -> Vec<SelectionEdge> {
-        self.accesses.set(self.accesses.get() + 1);
+    fn selections_of(&self, table: &str) -> impl Iterator<Item = SelectionEdge<'_>> {
         self.pay_penalty();
         let sql = format!(
             "select tbl, col, val, doi from {PROFILE_SELECTIONS_TABLE} \
@@ -302,27 +350,14 @@ impl GraphAccess for StoredProfileGraph<'_> {
             self.user.replace('\'', "''"),
             table.to_ascii_uppercase()
         );
-        let Ok(rs) = self.db.run(&sql) else {
-            return Vec::new();
-        };
-        rs.rows
-            .into_iter()
-            .filter_map(|r| {
-                Some(SelectionEdge {
-                    attr: AttrRef::new(r[0].as_str()?, r[1].as_str()?),
-                    value: Self::parse_literal(r[2].as_str()?),
-                    doi: Doi::new(r[3].as_f64()?).ok()?,
-                })
-            })
-            .collect()
-    }
-
-    fn access_count(&self) -> usize {
-        self.accesses.get()
-    }
-
-    fn reset_access_count(&self) {
-        self.accesses.set(0);
+        let rows = self.db.run(&sql).map(|rs| rs.rows).unwrap_or_default();
+        rows.into_iter().filter_map(|r| {
+            Some(SelectionEdge::new(
+                AttrRef::new(r[0].as_str()?, r[1].as_str()?),
+                Self::parse_literal(r[2].as_str()?),
+                Doi::new(r[3].as_f64()?).ok()?,
+            ))
+        })
     }
 }
 
@@ -340,9 +375,6 @@ pub fn is_sorted_desc(dois: impl IntoIterator<Item = Doi>) -> bool {
     }
     true
 }
-
-#[allow(unused)]
-fn _assert_object_safe(_: &dyn GraphAccess) {}
 
 #[cfg(test)]
 mod tests {
@@ -382,15 +414,15 @@ mod tests {
     #[test]
     fn build_and_adjacency() {
         let g = InMemoryGraph::build(&profile(), &catalog()).unwrap();
-        let joins = g.joins_from("movie");
+        let joins: Vec<JoinEdge> = g.joins_from("movie").collect();
         assert_eq!(joins.len(), 1);
         assert_eq!(joins[0].to.table, "GENRE");
         // GENRE.mid is not a key of GENRE → to-many.
         assert_eq!(joins[0].cardinality, Cardinality::ToMany);
         // MOVIE.mid is the primary key → to-one.
-        let back = g.joins_from("GENRE");
+        let back: Vec<JoinEdge> = g.joins_from("GENRE").collect();
         assert_eq!(back[0].cardinality, Cardinality::ToOne);
-        let sels = g.selections_of("GENRE");
+        let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
         assert_eq!(sels.len(), 2);
         assert!(is_sorted_desc(sels.iter().map(|s| s.doi)));
     }
@@ -400,19 +432,24 @@ mod tests {
         let mut p = profile();
         p.add_selection("GENRE", "genre", "adventure", 0.95).unwrap();
         let g = InMemoryGraph::build(&p, &catalog()).unwrap();
-        let sels = g.selections_of("GENRE");
-        assert_eq!(sels[0].value, Value::str("adventure"));
+        let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
+        assert_eq!(*sels[0].value, Value::str("adventure"));
         assert!(is_sorted_desc(sels.iter().map(|s| s.doi)));
     }
 
     #[test]
-    fn access_counting() {
-        let g = InMemoryGraph::build(&profile(), &catalog()).unwrap();
-        g.joins_from("MOVIE");
-        g.selections_of("GENRE");
-        assert_eq!(g.access_count(), 2);
-        g.reset_access_count();
-        assert_eq!(g.access_count(), 0);
+    fn edges_borrow_the_profile_they_were_built_from() {
+        let p = profile();
+        let g = InMemoryGraph::build(&p, &catalog()).unwrap();
+        assert!(Arc::ptr_eq(&g.preferences, p.shared_preferences()), "the list is shared");
+        let sel = g.selections_of("GENRE").next().unwrap();
+        let AtomicPreference::Selection { attr, .. } = &p.preferences()[0] else { panic!() };
+        assert!(matches!(sel.attr, Cow::Borrowed(a) if std::ptr::eq(a, attr)));
+        // A later mutation of the profile copies its list; the graph keeps
+        // reading the one it was built from.
+        let mut q = p.clone();
+        q.add_selection("GENRE", "genre", "comedy", 0.1).unwrap();
+        assert_eq!(g.selections_of("GENRE").next().unwrap().doi.value(), 0.9);
     }
 
     #[test]
@@ -427,18 +464,17 @@ mod tests {
         let mut db = Database::new(catalog());
         StoredProfileGraph::store(&mut db, &profile()).unwrap();
         let g = StoredProfileGraph::open(&db, "julie");
-        let sels = g.selections_of("GENRE");
+        let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
         assert_eq!(sels.len(), 2);
-        assert_eq!(sels[0].value, Value::str("comedy"));
+        assert_eq!(*sels[0].value, Value::str("comedy"));
         assert_eq!(sels[0].doi.value(), 0.9);
         assert!(is_sorted_desc(sels.iter().map(|s| s.doi)));
-        let joins = g.joins_from("MOVIE");
+        let joins: Vec<JoinEdge> = g.joins_from("MOVIE").collect();
         assert_eq!(joins.len(), 1);
         assert_eq!(joins[0].cardinality, Cardinality::ToMany);
-        assert!(g.access_count() >= 2);
         // Unknown user sees an empty graph.
         let other = StoredProfileGraph::open(&db, "rob");
-        assert!(other.selections_of("GENRE").is_empty());
+        assert_eq!(other.selections_of("GENRE").count(), 0);
     }
 
     #[test]
@@ -450,9 +486,9 @@ mod tests {
         updated.add_selection("GENRE", "genre", "comedy", 0.4).unwrap();
         StoredProfileGraph::store(&mut db, &updated).unwrap();
         let g = StoredProfileGraph::open(&db, "julie");
-        let sels = g.selections_of("GENRE");
+        let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
         assert_eq!(sels.len(), 2, "no duplicated rows after re-store");
-        let comedy = sels.iter().find(|s| s.value == Value::str("comedy")).unwrap();
+        let comedy = sels.iter().find(|s| *s.value == Value::str("comedy")).unwrap();
         assert_eq!(comedy.doi.value(), 0.4);
         // Other users' rows untouched.
         let mut other = Profile::new("rob");
@@ -460,7 +496,7 @@ mod tests {
         StoredProfileGraph::store(&mut db, &other).unwrap();
         StoredProfileGraph::store(&mut db, &updated).unwrap();
         let rob = StoredProfileGraph::open(&db, "rob");
-        assert_eq!(rob.selections_of("GENRE").len(), 1);
+        assert_eq!(rob.selections_of("GENRE").count(), 1);
     }
 
     #[test]
@@ -470,10 +506,9 @@ mod tests {
         let slow = StoredProfileGraph::open(&db, "julie")
             .with_access_penalty(std::time::Duration::from_millis(2));
         let start = std::time::Instant::now();
-        slow.selections_of("GENRE");
-        slow.joins_from("MOVIE");
+        slow.selections_of("GENRE").for_each(drop);
+        slow.joins_from("MOVIE").for_each(drop);
         assert!(start.elapsed() >= std::time::Duration::from_millis(4));
-        assert_eq!(slow.access_count(), 2);
     }
 
     #[test]
@@ -483,8 +518,8 @@ mod tests {
         p.add_selection("GENRE", "genre", "sci'fi", 0.5).unwrap();
         StoredProfileGraph::store(&mut db, &p).unwrap();
         let g = StoredProfileGraph::open(&db, "o'neil");
-        let sels = g.selections_of("GENRE");
+        let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
         assert_eq!(sels.len(), 1);
-        assert_eq!(sels[0].value, Value::str("sci'fi"));
+        assert_eq!(*sels[0].value, Value::str("sci'fi"));
     }
 }

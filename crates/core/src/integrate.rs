@@ -17,9 +17,11 @@ use crate::conflict::conflicts_between;
 use crate::error::{PrefError, Result};
 use crate::path::PreferencePath;
 use crate::vars::{PathVars, VarAllocator};
+use pqp_engine::planner::expr_eq_ci;
 use pqp_sql::ast::{Expr, Query, Select, SelectItem, TableFactor};
 use pqp_sql::builder as b;
 use pqp_storage::Value;
+use std::sync::Arc;
 
 /// Hard cap on the number of conjunctions SQ may enumerate.
 pub const SQ_COMBINATION_LIMIT: u128 = 100_000;
@@ -41,30 +43,60 @@ pub enum MatchSpec {
     MinDegree(f64),
 }
 
+/// The shared copies of the names one integration writes: every attribute
+/// and table name is allocated once, however many partial queries, branches
+/// and witnesses repeat it.
+#[derive(Default)]
+struct Names<'a>(Vec<(&'a str, Arc<str>)>);
+
+impl<'a> Names<'a> {
+    fn get(&mut self, name: &'a str) -> Arc<str> {
+        if let Some((_, shared)) = self.0.iter().find(|(n, _)| *n == name) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(name);
+        self.0.push((name, Arc::clone(&shared)));
+        shared
+    }
+}
+
 /// Render the atomic conditions of a path under an allocation: one equality
 /// per join hop plus the final selection.
-fn path_conditions(path: &PreferencePath, vars: &PathVars) -> Vec<Expr> {
+fn path_conditions<'a>(
+    path: &'a PreferencePath<'_>,
+    vars: &PathVars,
+    names: &mut Names<'a>,
+) -> Vec<Expr> {
     let mut out = Vec::with_capacity(path.joins.len() + 1);
-    let mut current = path.start_var.clone();
+    let mut current = &path.start_var;
     for (j, var) in path.joins.iter().zip(&vars.hop_vars) {
-        out.push(b::eq(b::col(current.clone(), &j.from.column), b::col(var.clone(), &j.to.column)));
-        current = var.clone();
+        out.push(b::eq(
+            b::col(Arc::clone(current), names.get(&j.from.column)),
+            b::col(Arc::clone(var), names.get(&j.to.column)),
+        ));
+        current = var;
     }
     if let Some(sel) = &path.selection {
-        out.push(b::eq(b::col(current, &sel.attr.column), Expr::Literal(sel.value.clone())));
+        out.push(b::eq(
+            b::col(Arc::clone(current), names.get(&sel.attr.column)),
+            Expr::Literal(Value::clone(&sel.value)),
+        ));
     }
     out
 }
 
 /// FROM factors for the variables a set of conditions introduces.
-fn factors_for(paths: &[(&PreferencePath, &PathVars)]) -> Vec<TableFactor> {
-    let mut seen: Vec<String> = Vec::new();
+fn factors_for<'a>(
+    paths: &[(&'a PreferencePath<'_>, &PathVars)],
+    names: &mut Names<'a>,
+) -> Vec<TableFactor> {
+    let mut seen: Vec<&Arc<str>> = Vec::new();
     let mut out = Vec::new();
-    for (path, vars) in paths {
+    for &(path, vars) in paths {
         for (j, var) in path.joins.iter().zip(&vars.hop_vars) {
             if !seen.iter().any(|v| v.eq_ignore_ascii_case(var)) {
-                seen.push(var.clone());
-                out.push(b::table(j.to.table.clone(), var.clone()));
+                seen.push(var);
+                out.push(b::table(names.get(&j.to.table), Arc::clone(var)));
             }
         }
     }
@@ -72,27 +104,14 @@ fn factors_for(paths: &[(&PreferencePath, &PathVars)]) -> Vec<TableFactor> {
 }
 
 /// Deduplicating conjunct accumulator (repeated conditions are removed, §6).
+#[derive(Default)]
 struct ConjunctSet {
     exprs: Vec<Expr>,
 }
 
 impl ConjunctSet {
-    fn new() -> ConjunctSet {
-        ConjunctSet { exprs: Vec::new() }
-    }
-
-    fn from_selection(selection: &Option<Expr>) -> ConjunctSet {
-        let mut s = ConjunctSet::new();
-        if let Some(w) = selection {
-            for c in w.conjuncts() {
-                s.push(c.clone());
-            }
-        }
-        s
-    }
-
     fn contains(&self, e: &Expr) -> bool {
-        self.exprs.iter().any(|x| pqp_engine::planner::expr_eq_ci(x, e))
+        self.exprs.iter().any(|x| expr_eq_ci(x, e))
     }
 
     fn push(&mut self, e: Expr) {
@@ -100,6 +119,28 @@ impl ConjunctSet {
             self.exprs.push(e);
         }
     }
+}
+
+/// The top-level conjuncts of a query's own qualification.
+fn initial_conjuncts(select: &Select) -> Vec<&Expr> {
+    select.selection.as_ref().map(Expr::conjuncts).unwrap_or_default()
+}
+
+/// Whether `e` is one of `conjuncts` (conditions the query already states
+/// are not repeated, §6).
+fn mentions(conjuncts: &[&Expr], e: &Expr) -> bool {
+    conjuncts.iter().any(|x| expr_eq_ci(x, e))
+}
+
+/// The tuple variables of the query's own FROM clause, which generated
+/// variables must avoid.
+fn query_vars(select: &Select) -> impl Iterator<Item = &str> {
+    select.from.iter().map(TableFactor::binding_name)
+}
+
+/// The query's conditions plus the integrated ones, as one qualification.
+fn qualification(select: &Select, integrated: impl IntoIterator<Item = Expr>) -> Option<Expr> {
+    b::and_all(select.selection.iter().cloned().chain(integrated))
 }
 
 /// Validate and normalize (m, l) against the number of selected preferences.
@@ -143,7 +184,7 @@ fn binomial(n: usize, l: usize) -> u128 {
 /// [`MatchSpec::AtLeast`] — the degree-threshold variant needs the MQ shape.
 pub fn integrate_sq(
     select: &Select,
-    paths: &[PreferencePath],
+    paths: &[PreferencePath<'_>],
     m: usize,
     spec: MatchSpec,
 ) -> Result<Query> {
@@ -157,23 +198,19 @@ pub fn integrate_sq(
     };
     let l = check_params(paths.len(), m, spec).map(|_| l)?;
 
-    let query_vars: Vec<String> =
-        select.from.iter().map(|f| f.binding_name().to_string()).collect();
-    let mut alloc = VarAllocator::new(query_vars);
-    let all_vars = alloc.allocate(paths);
-
-    let initial = ConjunctSet::from_selection(&select.selection);
+    let mut names = Names::default();
+    let all_vars = VarAllocator::new(query_vars(select)).allocate(paths);
+    let initial = initial_conjuncts(select);
 
     // Mandatory part.
-    let mut conjuncts = ConjunctSet::new();
+    let mut mandatory = ConjunctSet::default();
     for (p, v) in paths[..m].iter().zip(&all_vars[..m]) {
-        for c in path_conditions(p, v) {
-            if !initial.contains(&c) {
-                conjuncts.push(c);
+        for c in path_conditions(p, v, &mut names) {
+            if !mentions(&initial, &c) {
+                mandatory.push(c);
             }
         }
     }
-    let mandatory_exprs = conjuncts.exprs.clone();
 
     // Optional part: the disjunction of all conflict-free L-subsets.
     let optional: Vec<(&PreferencePath, &PathVars)> =
@@ -198,16 +235,22 @@ pub fn integrate_sq(
                 }
             }
         }
+        // Each optional preference's new conditions, rendered once and
+        // copied into every combination that includes it.
+        let conditions: Vec<Vec<Expr>> = (optional.iter())
+            .map(|(p, v)| {
+                let mut conds = path_conditions(p, v, &mut names);
+                conds.retain(|c| !mentions(&initial, c) && !mandatory.contains(c));
+                conds
+            })
+            .collect();
         let mut subset: Vec<usize> = Vec::with_capacity(l);
         enumerate_subsets(n, l, 0, &mut subset, &conflict, &mut |chosen| {
-            let mut cs = ConjunctSet::new();
+            let mut cs = ConjunctSet::default();
             for &i in chosen {
-                let (p, v) = optional[i];
-                for c in path_conditions(p, v) {
-                    if !initial.contains(&c)
-                        && !mandatory_exprs.iter().any(|x| pqp_engine::planner::expr_eq_ci(x, &c))
-                    {
-                        cs.push(c);
+                for c in &conditions[i] {
+                    if !cs.contains(c) {
+                        cs.exprs.push(c.clone());
                     }
                 }
             }
@@ -225,24 +268,14 @@ pub fn integrate_sq(
     // FROM: original factors plus the variables the included conditions
     // actually reference (with L = 0 no optional condition is included, so
     // no optional variable may appear — it would cross-product).
-    let mut referenced: Vec<String> = Vec::new();
-    for e in mandatory_exprs.iter().chain(or_branches.iter()) {
+    let mut referenced: Vec<&str> = Vec::new();
+    for e in mandatory.exprs.iter().chain(&or_branches) {
         e.referenced_qualifiers(&mut referenced);
-    }
-
-    // Assemble WHERE.
-    let mut where_parts: Vec<Expr> = Vec::new();
-    if let Some(w) = &select.selection {
-        where_parts.push(w.clone());
-    }
-    where_parts.extend(mandatory_exprs.iter().cloned());
-    if let Some(or_part) = b::or_all(or_branches) {
-        where_parts.push(or_part);
     }
     let used: Vec<(&PreferencePath, &PathVars)> = paths.iter().zip(&all_vars).collect();
     let mut from = select.from.clone();
     from.extend(
-        factors_for(&used)
+        factors_for(&used, &mut names)
             .into_iter()
             .filter(|f| referenced.iter().any(|q| q.eq_ignore_ascii_case(f.binding_name()))),
     );
@@ -251,7 +284,7 @@ pub fn integrate_sq(
         distinct: true,
         projection: select.projection.clone(),
         from,
-        selection: b::and_all(where_parts),
+        selection: qualification(select, mandatory.exprs.into_iter().chain(b::or_all(or_branches))),
         group_by: Vec::new(),
         having: None,
     }))
@@ -285,7 +318,7 @@ fn enumerate_subsets(
 /// result by it (descending) — the paper's ranking option.
 pub fn integrate_mq(
     select: &Select,
-    paths: &[PreferencePath],
+    paths: &[PreferencePath<'_>],
     m: usize,
     spec: MatchSpec,
     rank: bool,
@@ -295,39 +328,47 @@ pub fn integrate_mq(
     pqp_obs::record("mandatory", m);
     check_params(paths.len(), m, spec)?;
     let proj = mq_projection(select)?;
-
-    let query_vars: Vec<String> =
-        select.from.iter().map(|f| f.binding_name().to_string()).collect();
+    let columns: Vec<Arc<str>> = (0..proj.len()).map(|i| format!("pqp_c{i}").into()).collect();
+    let doi_column: Arc<str> = Arc::from(DOI_COLUMN);
+    let partial =
+        Partial { select, initial: initial_conjuncts(select), proj: &proj, columns: &columns };
 
     let optional = &paths[m..];
     let mut partials: Vec<Select> = Vec::new();
+    let mut names = Names::default();
 
     // With L = 0 (or a pure degree threshold) rows satisfying only the
     // mandatory part must also appear: emit a preference-free partial whose
     // doi is NULL (ignored by the DEGREE aggregates).
     let include_bare = matches!(spec, MatchSpec::AtLeast(0)) || optional.is_empty();
     if include_bare {
-        partials.push(build_partial(select, paths, m, None, &proj, &query_vars));
+        let mut bare = partial.build(&paths[..m], &mut names);
+        bare.projection.push(b::item_as(Expr::Literal(Value::Null), Arc::clone(&doi_column)));
+        partials.push(bare);
     }
-    for (i, p) in optional.iter().enumerate() {
-        partials.push(build_partial(select, paths, m, Some((m + i, p)), &proj, &query_vars));
+    for p in optional {
+        let mut arm = partial.build(paths[..m].iter().chain([p]), &mut names);
+        let doi = Expr::Literal(Value::Float(p.doi.value()));
+        arm.projection.push(b::item_as(doi, Arc::clone(&doi_column)));
+        partials.push(arm);
     }
 
     pqp_obs::record("partials", partials.len());
     pqp_obs::counter_add("integrate.partials", partials.len() as i64);
-    let union = b::union_all(partials).expect("at least one partial");
+    let union = b::union_all(partials)
+        .ok_or_else(|| PrefError::Internal("MQ integration built no partial query".into()))?;
     let temp = b::derived(Query { body: union, order_by: Vec::new(), limit: None }, "PQP_TEMP");
 
     // Outer query: group by the projected columns, filter by L or degree,
     // optionally rank.
-    let mut projection: Vec<SelectItem> = proj
-        .iter()
-        .enumerate()
-        .map(|(i, (_, display))| b::item_as(b::bare_col(format!("pqp_c{i}")), display.clone()))
+    let mut projection: Vec<SelectItem> = (proj.iter().zip(&columns))
+        .map(|((_, display), column)| {
+            b::item_as(b::bare_col(Arc::clone(column)), Arc::clone(display))
+        })
         .collect();
     if rank {
         projection.push(b::item_as(
-            b::func("DEGREE_OF_CONJUNCTION", vec![b::bare_col(DOI_COLUMN)]),
+            b::func("DEGREE_OF_CONJUNCTION", vec![b::bare_col(Arc::clone(&doi_column))]),
             INTEREST_COLUMN,
         ));
     }
@@ -339,16 +380,17 @@ pub fn integrate_mq(
                 Some(b::gte(b::count_star(), b::lit(l as i64)))
             }
         }
-        MatchSpec::MinDegree(d) => {
-            Some(b::gt(b::func("DEGREE_OF_CONJUNCTION", vec![b::bare_col(DOI_COLUMN)]), b::lit(d)))
-        }
+        MatchSpec::MinDegree(d) => Some(b::gt(
+            b::func("DEGREE_OF_CONJUNCTION", vec![b::bare_col(Arc::clone(&doi_column))]),
+            b::lit(d),
+        )),
     };
     let outer = Select {
         distinct: false,
         projection,
         from: vec![temp],
         selection: None,
-        group_by: (0..proj.len()).map(|i| b::bare_col(format!("pqp_c{i}"))).collect(),
+        group_by: columns.iter().map(|c| b::bare_col(Arc::clone(c))).collect(),
         having,
     };
     let order_by =
@@ -378,7 +420,7 @@ pub fn integrate_mq(
 /// - a preference path with no condition at all.
 pub fn integrate_native(
     select: &Select,
-    paths: &[PreferencePath],
+    paths: &[PreferencePath<'_>],
     m: usize,
     spec: MatchSpec,
     rank: bool,
@@ -390,7 +432,7 @@ pub fn integrate_native(
     pqp_obs::record("mandatory", m);
     check_params(paths.len(), m, spec)?;
     let proj = mq_projection(select)?;
-    let optional = &paths[m..];
+    let (mandatory, optional) = paths.split_at(m);
     if optional.len() > MAX_PROBES {
         return Err(PrefError::UnsupportedQuery(format!(
             "native rank supports at most {MAX_PROBES} optional preferences, got {}",
@@ -398,18 +440,12 @@ pub fn integrate_native(
         )));
     }
 
-    let query_vars: Vec<String> =
-        select.from.iter().map(|f| f.binding_name().to_string()).collect();
-
     // Var-sharing hazard check: MQ allocates each partial's variables over
     // (mandatory ++ optional) together, sharing common to-one prefixes. A
     // witness query runs the optional chain on its own and cannot observe
     // the shared variable, so such shapes must keep the MQ rewrite.
     for p in optional {
-        let mut alloc = VarAllocator::new(query_vars.clone());
-        let mut involved: Vec<PreferencePath> = paths[..m].to_vec();
-        involved.push(p.clone());
-        let vars = alloc.allocate(&involved);
+        let vars = VarAllocator::new(query_vars(select)).allocate(mandatory.iter().chain([p]));
         let (mand_vars, opt_vars) = vars.split_at(m);
         let shared = opt_vars[0].hop_vars.iter().any(|v| {
             mand_vars.iter().any(|mv| mv.hop_vars.iter().any(|x| x.eq_ignore_ascii_case(v)))
@@ -427,40 +463,17 @@ pub fn integrate_native(
     // (the same construction as an optional-free MQ partial), projecting
     // the visible columns followed by one probe column per optional
     // preference.
-    let mut alloc = VarAllocator::new(query_vars);
-    let mandatory: Vec<PreferencePath> = paths[..m].to_vec();
-    let mand_vars = alloc.allocate(&mandatory);
-
-    let initial = ConjunctSet::from_selection(&select.selection);
-    let mut conjuncts = ConjunctSet::new();
-    for (p, v) in mandatory.iter().zip(&mand_vars) {
-        for c in path_conditions(p, v) {
-            if !initial.contains(&c) {
-                conjuncts.push(c);
-            }
-        }
-    }
-    let mut where_parts: Vec<Expr> = Vec::new();
-    if let Some(w) = &select.selection {
-        where_parts.push(w.clone());
-    }
-    where_parts.extend(conjuncts.exprs);
-
-    let pairs: Vec<(&PreferencePath, &PathVars)> = mandatory.iter().zip(mand_vars.iter()).collect();
-    let mut from = select.from.clone();
-    from.extend(factors_for(&pairs));
-
-    let mut projection: Vec<SelectItem> = proj
-        .iter()
-        .enumerate()
-        .map(|(i, (e, _))| b::item_as(e.clone(), format!("pqp_c{i}")))
-        .collect();
+    let columns: Vec<Arc<str>> = (0..proj.len()).map(|i| format!("pqp_c{i}").into()).collect();
+    let partial =
+        Partial { select, initial: initial_conjuncts(select), proj: &proj, columns: &columns };
+    let mut names = Names::default();
+    let mut base = partial.build(mandatory, &mut names);
     let mut probes: Vec<ProbeSpec> = Vec::with_capacity(optional.len());
     for (j, p) in optional.iter().enumerate() {
         let (anchor_col, source) = match p.joins.first() {
             Some(first) => (
-                b::col(p.start_var.clone(), &first.from.column),
-                ProbeSource::Witness(witness_query(p)),
+                b::col(Arc::clone(&p.start_var), names.get(&first.from.column)),
+                ProbeSource::Witness(witness_query(p, &mut names)),
             ),
             None => {
                 let Some(sel) = &p.selection else {
@@ -469,31 +482,23 @@ pub fn integrate_native(
                     ));
                 };
                 (
-                    b::col(p.start_var.clone(), &sel.attr.column),
-                    ProbeSource::Literal(sel.value.clone()),
+                    b::col(Arc::clone(&p.start_var), names.get(&sel.attr.column)),
+                    ProbeSource::Literal(Value::clone(&sel.value)),
                 )
             }
         };
-        projection.push(b::item_as(anchor_col, format!("pqp_p{j}")));
+        base.projection.push(b::item_as(anchor_col, format!("pqp_p{j}")));
         probes.push(ProbeSpec { doi: p.doi.value(), source });
     }
     pqp_obs::record("probes", probes.len());
 
-    let base = Select {
-        distinct: true,
-        projection,
-        from,
-        selection: b::and_all(where_parts),
-        group_by: Vec::new(),
-        having: None,
-    };
     let matching = match spec {
         MatchSpec::AtLeast(l) => pqp_engine::plan::TopKMatching::AtLeast(l),
         MatchSpec::MinDegree(d) => pqp_engine::plan::TopKMatching::MinDegree(d),
     };
     Ok(TopKSpec {
         base: Query::from_select(base),
-        columns: proj.into_iter().map(|(_, display)| display).collect(),
+        columns: proj.iter().map(|(_, display)| display.to_string()).collect(),
         probes,
         matching,
         rank,
@@ -505,20 +510,20 @@ pub fn integrate_native(
 /// join: the path's own chain (hop equalities past the first one, plus the
 /// final selection), projecting the DISTINCT values the anchor column must
 /// hit.
-fn witness_query(p: &PreferencePath) -> Query {
-    let mut alloc = VarAllocator::new(Vec::new());
-    let vars = alloc.allocate(std::slice::from_ref(p));
-    let conds = path_conditions(p, &vars[0]);
-    let from = factors_for(&[(p, &vars[0])]);
+fn witness_query<'a>(p: &'a PreferencePath<'_>, names: &mut Names<'a>) -> Query {
+    let vars = VarAllocator::new([]).allocate([p]);
+    let conds = path_conditions(p, &vars[0], names);
+    let from = factors_for(&[(p, &vars[0])], names);
     let first = &p.joins[0];
-    let projection = vec![b::item(b::col(vars[0].hop_vars[0].clone(), &first.to.column))];
+    let projection =
+        vec![b::item(b::col(Arc::clone(&vars[0].hop_vars[0]), names.get(&first.to.column)))];
     Query::from_select(Select {
         distinct: true,
         projection,
         from,
         // conds[0] is the anchor equality (query var = first hop var); the
         // witness projects the hop side instead of constraining it.
-        selection: b::and_all(conds.into_iter().skip(1).collect::<Vec<_>>()),
+        selection: b::and_all(conds.into_iter().skip(1)),
         group_by: Vec::new(),
         having: None,
     })
@@ -526,12 +531,12 @@ fn witness_query(p: &PreferencePath) -> Query {
 
 /// The projected columns of the original query as
 /// `(column expr, display name)`; MQ needs plain columns to group by.
-fn mq_projection(select: &Select) -> Result<Vec<(Expr, String)>> {
+fn mq_projection(select: &Select) -> Result<Vec<(&Expr, Arc<str>)>> {
     let mut out = Vec::new();
     for item in &select.projection {
         match item {
             SelectItem::Expr { expr: e @ Expr::Column { name, .. }, alias } => {
-                out.push((e.clone(), alias.clone().unwrap_or_else(|| name.clone())));
+                out.push((e, Arc::clone(alias.as_ref().unwrap_or(name))));
             }
             _ => {
                 return Err(PrefError::UnsupportedQuery(
@@ -546,62 +551,51 @@ fn mq_projection(select: &Select) -> Result<Vec<(Expr, String)>> {
     Ok(out)
 }
 
-fn build_partial(
-    select: &Select,
-    paths: &[PreferencePath],
-    m: usize,
-    optional: Option<(usize, &PreferencePath)>,
-    proj: &[(Expr, String)],
-    query_vars: &[String],
-) -> Select {
-    // Variables are allocated per partial query (sharing only matters within
-    // one conjunction).
-    let mut alloc = VarAllocator::new(query_vars.to_vec());
-    let mut involved: Vec<&PreferencePath> = paths[..m].iter().collect();
-    if let Some((_, p)) = optional {
-        involved.push(p);
-    }
-    let involved_owned: Vec<PreferencePath> = involved.iter().map(|p| (*p).clone()).collect();
-    let vars = alloc.allocate(&involved_owned);
+/// What every partial query of one MQ (or native) integration shares: the
+/// original block, its own conditions, and the projected columns with their
+/// positional aliases.
+struct Partial<'s> {
+    select: &'s Select,
+    initial: Vec<&'s Expr>,
+    proj: &'s [(&'s Expr, Arc<str>)],
+    columns: &'s [Arc<str>],
+}
 
-    let initial = ConjunctSet::from_selection(&select.selection);
-    let mut conjuncts = ConjunctSet::new();
-    for (p, v) in involved_owned.iter().zip(&vars) {
-        for c in path_conditions(p, v) {
-            if !initial.contains(&c) {
-                conjuncts.push(c);
+impl Partial<'_> {
+    /// The partial query integrating `involved`: the original block plus
+    /// their conditions, projecting the original columns as `pqp_c{i}`.
+    fn build<'a, 'g: 'a>(
+        &self,
+        involved: impl IntoIterator<Item = &'a PreferencePath<'g>> + Clone,
+        names: &mut Names<'a>,
+    ) -> Select {
+        // Variables are allocated per partial query (sharing only matters
+        // within one conjunction).
+        let vars = VarAllocator::new(query_vars(self.select)).allocate(involved.clone());
+        let pairs: Vec<(&PreferencePath, &PathVars)> = involved.into_iter().zip(&vars).collect();
+
+        let mut conjuncts = ConjunctSet::default();
+        for &(p, v) in &pairs {
+            for c in path_conditions(p, v, names) {
+                if !mentions(&self.initial, &c) {
+                    conjuncts.push(c);
+                }
             }
         }
-    }
+        let mut from = self.select.from.clone();
+        from.extend(factors_for(&pairs, names));
 
-    let mut where_parts: Vec<Expr> = Vec::new();
-    if let Some(w) = &select.selection {
-        where_parts.push(w.clone());
-    }
-    where_parts.extend(conjuncts.exprs);
-
-    let pairs: Vec<(&PreferencePath, &PathVars)> = involved_owned.iter().zip(vars.iter()).collect();
-    let mut from = select.from.clone();
-    from.extend(factors_for(&pairs));
-
-    let mut projection: Vec<SelectItem> = proj
-        .iter()
-        .enumerate()
-        .map(|(i, (e, _))| b::item_as(e.clone(), format!("pqp_c{i}")))
-        .collect();
-    let doi_lit = match optional {
-        Some((_, p)) => Expr::Literal(Value::Float(p.doi.value())),
-        None => Expr::Literal(Value::Null),
-    };
-    projection.push(b::item_as(doi_lit, DOI_COLUMN));
-
-    Select {
-        distinct: true,
-        projection,
-        from,
-        selection: b::and_all(where_parts),
-        group_by: Vec::new(),
-        having: None,
+        let projection = (self.proj.iter().zip(self.columns))
+            .map(|((e, _), column)| b::item_as((*e).clone(), Arc::clone(column)))
+            .collect();
+        Select {
+            distinct: true,
+            projection,
+            from,
+            selection: qualification(self.select, conjuncts.exprs),
+            group_by: Vec::new(),
+            having: None,
+        }
     }
 }
 
@@ -624,31 +618,32 @@ mod tests {
         .clone()
     }
 
-    fn join(from: (&str, &str), to: (&str, &str), doi: f64, card: Cardinality) -> JoinEdge {
-        JoinEdge {
-            from: AttrRef::new(from.0, from.1),
-            to: AttrRef::new(to.0, to.1),
-            doi: Doi::new(doi).unwrap(),
-            cardinality: card,
-        }
+    fn join(
+        from: (&str, &str),
+        to: (&str, &str),
+        doi: f64,
+        card: Cardinality,
+    ) -> JoinEdge<'static> {
+        JoinEdge::new(
+            AttrRef::new(from.0, from.1),
+            AttrRef::new(to.0, to.1),
+            Doi::new(doi).unwrap(),
+            card,
+        )
     }
 
-    fn sel(attr: (&str, &str), value: &str, doi: f64) -> SelectionEdge {
-        SelectionEdge {
-            attr: AttrRef::new(attr.0, attr.1),
-            value: Value::str(value),
-            doi: Doi::new(doi).unwrap(),
-        }
+    fn sel(attr: (&str, &str), value: &str, doi: f64) -> SelectionEdge<'static> {
+        SelectionEdge::new(AttrRef::new(attr.0, attr.1), Value::str(value), Doi::new(doi).unwrap())
     }
 
-    fn comedy() -> PreferencePath {
+    fn comedy() -> PreferencePath<'static> {
         let c = PaperCombinator;
         PreferencePath::anchor("MV", "MOVIE")
             .with_join(join(("MOVIE", "mid"), ("GENRE", "mid"), 0.9, Cardinality::ToMany), &c)
             .with_selection(sel(("GENRE", "genre"), "comedy", 0.9), &c)
     }
 
-    fn kidman() -> PreferencePath {
+    fn kidman() -> PreferencePath<'static> {
         let c = PaperCombinator;
         PreferencePath::anchor("MV", "MOVIE")
             .with_join(join(("MOVIE", "mid"), ("CAST", "mid"), 0.8, Cardinality::ToMany), &c)
@@ -656,7 +651,7 @@ mod tests {
             .with_selection(sel(("ACTOR", "name"), "N. Kidman", 0.9), &c)
     }
 
-    fn lynch() -> PreferencePath {
+    fn lynch() -> PreferencePath<'static> {
         let c = PaperCombinator;
         PreferencePath::anchor("MV", "MOVIE")
             .with_join(join(("MOVIE", "mid"), ("DIRECTED", "mid"), 1.0, Cardinality::ToMany), &c)
@@ -664,7 +659,7 @@ mod tests {
             .with_selection(sel(("DIRECTOR", "name"), "D. Lynch", 0.9), &c)
     }
 
-    fn region(val: &str) -> PreferencePath {
+    fn region(val: &str) -> PreferencePath<'static> {
         let c = PaperCombinator;
         PreferencePath::anchor("PL", "PLAY")
             .with_join(join(("PLAY", "tid"), ("THEATRE", "tid"), 1.0, Cardinality::ToOne), &c)

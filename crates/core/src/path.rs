@@ -5,6 +5,7 @@ use crate::doi::{Combinator, Doi, PaperCombinator};
 use crate::graph::{JoinEdge, SelectionEdge};
 use pqp_storage::Cardinality;
 use std::fmt;
+use std::sync::Arc;
 
 /// A (partial or complete) preference path.
 ///
@@ -13,19 +14,25 @@ use std::fmt;
 /// when complete — ends with a selection edge. A path with `selection: None`
 /// is a transitive join still under expansion; a path with a selection is a
 /// (transitive) selection preference ready for integration.
+///
+/// Its edges borrow from the personalization graph they were read from
+/// (`'g`), so extending a path copies no attribute or value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PreferencePath {
-    pub start_var: String,
-    pub start_table: String,
-    pub joins: Vec<JoinEdge>,
-    pub selection: Option<SelectionEdge>,
+pub struct PreferencePath<'g> {
+    pub start_var: Arc<str>,
+    pub start_table: Arc<str>,
+    pub joins: Vec<JoinEdge<'g>>,
+    pub selection: Option<SelectionEdge<'g>>,
     /// Degree of interest: the transitive combination of all edge degrees.
     pub doi: Doi,
 }
 
-impl PreferencePath {
+impl<'g> PreferencePath<'g> {
     /// A length-zero path anchored at a query node.
-    pub fn anchor(start_var: impl Into<String>, start_table: impl Into<String>) -> PreferencePath {
+    pub fn anchor(
+        start_var: impl Into<Arc<str>>,
+        start_table: impl Into<Arc<str>>,
+    ) -> PreferencePath<'g> {
         PreferencePath {
             start_var: start_var.into(),
             start_table: start_table.into(),
@@ -35,30 +42,41 @@ impl PreferencePath {
         }
     }
 
+    /// The degrees of the edges in path order, followed by `last`.
+    fn degrees_with(&self, last: Doi) -> Vec<Doi> {
+        let mut degrees = Vec::with_capacity(self.joins.len() + 1);
+        degrees.extend(self.joins.iter().map(|j| j.doi));
+        degrees.push(last);
+        degrees
+    }
+
     /// Extend with a join edge, recomputing the degree with `comb`.
-    pub fn with_join(&self, edge: JoinEdge, comb: &impl Combinator) -> PreferencePath {
-        let mut joins = self.joins.clone();
+    pub fn with_join(&self, edge: JoinEdge<'g>, comb: &impl Combinator) -> PreferencePath<'g> {
+        let doi = comb.transitive(&self.degrees_with(edge.doi));
+        let mut joins = Vec::with_capacity(self.joins.len() + 1);
+        joins.extend(self.joins.iter().cloned());
         joins.push(edge);
-        let degrees: Vec<Doi> = joins.iter().map(|j| j.doi).collect();
         PreferencePath {
-            start_var: self.start_var.clone(),
-            start_table: self.start_table.clone(),
-            doi: comb.transitive(&degrees),
+            start_var: Arc::clone(&self.start_var),
+            start_table: Arc::clone(&self.start_table),
             joins,
             selection: None,
+            doi,
         }
     }
 
     /// Complete with a selection edge, recomputing the degree with `comb`.
-    pub fn with_selection(&self, sel: SelectionEdge, comb: &impl Combinator) -> PreferencePath {
-        let mut degrees: Vec<Doi> = self.joins.iter().map(|j| j.doi).collect();
-        degrees.push(sel.doi);
+    pub fn with_selection(
+        &self,
+        sel: SelectionEdge<'g>,
+        comb: &impl Combinator,
+    ) -> PreferencePath<'g> {
         PreferencePath {
-            start_var: self.start_var.clone(),
-            start_table: self.start_table.clone(),
+            start_var: Arc::clone(&self.start_var),
+            start_table: Arc::clone(&self.start_table),
             joins: self.joins.clone(),
+            doi: comb.transitive(&self.degrees_with(sel.doi)),
             selection: Some(sel),
-            doi: comb.transitive(&degrees),
         }
     }
 
@@ -92,14 +110,11 @@ impl PreferencePath {
         self.joins.last().map(|j| j.to.table.as_str()).unwrap_or(&self.start_table)
     }
 
-    /// Upper-cased names of every relation the path visits (including the
-    /// start), for cycle pruning.
-    pub fn visited_tables(&self) -> Vec<String> {
-        let mut out = vec![self.start_table.to_ascii_uppercase()];
-        for j in &self.joins {
-            out.push(j.to.table.to_ascii_uppercase());
-        }
-        out
+    /// Whether the path visits `table` (its start or any join target),
+    /// case-insensitively — the cycle-pruning test.
+    pub fn visits(&self, table: &str) -> bool {
+        self.start_table.eq_ignore_ascii_case(table)
+            || self.joins.iter().any(|j| j.to.table.eq_ignore_ascii_case(table))
     }
 
     /// Whether every join, in the direction of the selection, is to-one
@@ -109,24 +124,16 @@ impl PreferencePath {
         self.joins.iter().all(|j| j.cardinality == Cardinality::ToOne)
     }
 
-    /// A stable signature of the join chain at the relation/attribute level:
-    /// `(from_table, from_col, to_table, to_col)` per hop, upper-cased.
-    pub fn join_signature(&self) -> Vec<(String, String, String, String)> {
-        self.joins
-            .iter()
-            .map(|j| {
-                (
-                    j.from.table.to_ascii_uppercase(),
-                    j.from.column.to_ascii_lowercase(),
-                    j.to.table.to_ascii_uppercase(),
-                    j.to.column.to_ascii_lowercase(),
-                )
-            })
-            .collect()
+    /// Whether both paths follow the same join chain, hop by hop, at the
+    /// relation/attribute level (case-insensitively; degrees and
+    /// cardinalities aside).
+    pub fn same_join_chain(&self, other: &PreferencePath<'_>) -> bool {
+        self.joins.len() == other.joins.len()
+            && self.joins.iter().zip(&other.joins).all(|(a, b)| a.same_hop(b))
     }
 }
 
-impl fmt::Display for PreferencePath {
+impl fmt::Display for PreferencePath<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut parts: Vec<String> = Vec::new();
         for j in &self.joins {
@@ -145,21 +152,22 @@ mod tests {
     use crate::pref::AttrRef;
     use pqp_storage::Value;
 
-    fn join(from: (&str, &str), to: (&str, &str), doi: f64, card: Cardinality) -> JoinEdge {
-        JoinEdge {
-            from: AttrRef::new(from.0, from.1),
-            to: AttrRef::new(to.0, to.1),
-            doi: Doi::new(doi).unwrap(),
-            cardinality: card,
-        }
+    fn join(
+        from: (&str, &str),
+        to: (&str, &str),
+        doi: f64,
+        card: Cardinality,
+    ) -> JoinEdge<'static> {
+        JoinEdge::new(
+            AttrRef::new(from.0, from.1),
+            AttrRef::new(to.0, to.1),
+            Doi::new(doi).unwrap(),
+            card,
+        )
     }
 
-    fn sel(attr: (&str, &str), value: &str, doi: f64) -> SelectionEdge {
-        SelectionEdge {
-            attr: AttrRef::new(attr.0, attr.1),
-            value: Value::str(value),
-            doi: Doi::new(doi).unwrap(),
-        }
+    fn sel(attr: (&str, &str), value: &str, doi: f64) -> SelectionEdge<'static> {
+        SelectionEdge::new(AttrRef::new(attr.0, attr.1), Value::str(value), Doi::new(doi).unwrap())
     }
 
     #[test]
@@ -174,7 +182,8 @@ mod tests {
         assert!(p.is_selection());
         assert_eq!(p.len(), 3);
         assert_eq!(p.end_table(), "ACTOR");
-        assert_eq!(p.visited_tables(), vec!["MOVIE", "CAST", "ACTOR"]);
+        assert!(["movie", "CAST", "Actor"].iter().all(|t| p.visits(t)));
+        assert!(!p.visits("GENRE"));
         assert!(!p.all_joins_to_one());
     }
 
@@ -196,14 +205,17 @@ mod tests {
     }
 
     #[test]
-    fn join_signature_is_case_normalized() {
+    fn join_chains_compare_case_insensitively() {
         let comb = PaperCombinator;
         let p = PreferencePath::anchor("mv", "Movie")
             .with_join(join(("Movie", "Mid"), ("Genre", "MID"), 0.5, Cardinality::ToMany), &comb);
-        assert_eq!(
-            p.join_signature(),
-            vec![("MOVIE".into(), "mid".into(), "GENRE".into(), "mid".into())]
-        );
+        let q = PreferencePath::anchor("MV", "MOVIE")
+            .with_join(join(("MOVIE", "mid"), ("GENRE", "mid"), 0.9, Cardinality::ToOne), &comb);
+        assert!(p.same_join_chain(&q));
+        let r = PreferencePath::anchor("MV", "MOVIE")
+            .with_join(join(("MOVIE", "mid"), ("CAST", "mid"), 0.9, Cardinality::ToOne), &comb);
+        assert!(!p.same_join_chain(&r));
+        assert!(!p.same_join_chain(&PreferencePath::anchor("MV", "MOVIE")));
     }
 
     #[test]

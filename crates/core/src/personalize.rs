@@ -201,12 +201,13 @@ impl PersonalizeOptionsBuilder {
 ///
 /// Integration is deliberately separate (and lazy): the experiments measure
 /// selection time, SQ integration time and MQ integration time
-/// independently.
+/// independently. The selected paths borrow from the personalization graph
+/// they were read from (`'g`).
 #[derive(Debug, Clone)]
-pub struct Personalized {
+pub struct Personalized<'g> {
     select: Select,
     /// Selected preferences, decreasing degree.
-    pub paths: Vec<PreferencePath>,
+    pub paths: Vec<PreferencePath<'g>>,
     /// Number of mandatory preferences (a prefix of `paths`).
     pub m: usize,
     /// The match requirement, clamped to `K − M`.
@@ -217,7 +218,7 @@ pub struct Personalized {
     pub stats: SelectStats,
 }
 
-impl Personalized {
+impl Personalized<'_> {
     /// K: the number of selected preferences.
     pub fn k(&self) -> usize {
         self.paths.len()
@@ -280,12 +281,12 @@ impl Personalized {
 /// requested `L` is clamped to `K − M` when the profile yields fewer
 /// preferences than asked for (the experiments sweep L independently of how
 /// many preferences each profile/query pair produces).
-pub fn personalize(
+pub fn personalize<'g>(
     query: &Query,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     catalog: &Catalog,
     opts: PersonalizeOptions,
-) -> Result<Personalized> {
+) -> Result<Personalized<'g>> {
     let _span = pqp_obs::span("personalize");
     let select = query
         .as_select()
@@ -301,12 +302,12 @@ pub fn personalize(
 /// [`QueryGraph`] — the serving layer's fast path: the parse and the query
 /// graph are user-independent, so a prepared-query cache can reuse them
 /// across users while the per-user selection still runs fresh.
-pub fn personalize_prepared(
+pub fn personalize_prepared<'g>(
     select: &Select,
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     opts: PersonalizeOptions,
-) -> Result<Personalized> {
+) -> Result<Personalized<'g>> {
     let _span = pqp_obs::span("personalize");
     personalize_with_graph(select.clone(), qg, graph, opts, &QueryCtx::unlimited())
 }
@@ -317,24 +318,24 @@ pub fn personalize_prepared(
 /// [`PrefError::Budget`] — the serving layer uses this to degrade
 /// gracefully instead of letting the personalization phase eat the whole
 /// query budget.
-pub fn personalize_prepared_ctx(
+pub fn personalize_prepared_ctx<'g>(
     select: &Select,
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     opts: PersonalizeOptions,
     ctx: &QueryCtx,
-) -> Result<Personalized> {
+) -> Result<Personalized<'g>> {
     let _span = pqp_obs::span("personalize");
     personalize_with_graph(select.clone(), qg, graph, opts, ctx)
 }
 
-fn personalize_with_graph(
+fn personalize_with_graph<'g>(
     select: Select,
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     opts: PersonalizeOptions,
     ctx: &QueryCtx,
-) -> Result<Personalized> {
+) -> Result<Personalized<'g>> {
     let outcome =
         select_preferences_ctx(qg, graph, &opts.criterion, &crate::doi::PaperCombinator, ctx)?;
     let paths = outcome.selected;

@@ -7,15 +7,20 @@ use crate::pref::{AtomicPreference, AttrRef};
 use pqp_obs::json::Json;
 use pqp_storage::{Catalog, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A user profile: the stored atomic preferences of one user.
 ///
 /// Zero-valued degrees are never stored (§3.1); adding a preference with the
 /// same condition replaces its degree (profiles evolve over time, §3.1).
+///
+/// The preference list is shared: a clone of the profile, and every
+/// [`crate::graph::InMemoryGraph`] built from it, point at one list, and a
+/// mutation copies it only while someone else still holds it.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     pub user: String,
-    preferences: Vec<AtomicPreference>,
+    preferences: Arc<Vec<AtomicPreference>>,
     /// Mutation epoch: bumped on every successful mutating call (including
     /// degree-identical replacement), so caches keyed on profile contents can
     /// invalidate without diffing preference lists. Not part of equality and
@@ -34,7 +39,7 @@ impl PartialEq for Profile {
 impl Profile {
     /// An empty profile for a named user.
     pub fn new(user: impl Into<String>) -> Profile {
-        Profile { user: user.into(), preferences: Vec::new(), revision: 0 }
+        Profile { user: user.into(), preferences: Arc::default(), revision: 0 }
     }
 
     /// The mutation epoch: how many mutating calls this profile value has
@@ -54,14 +59,15 @@ impl Profile {
         let doi = Doi::new(doi)?;
         let attr = AttrRef::new(table, column);
         let value = value.into();
-        self.preferences.retain(|p| match p {
+        let preferences = Arc::make_mut(&mut self.preferences);
+        preferences.retain(|p| match p {
             AtomicPreference::Selection { attr: a, value: v, .. } => {
                 !(a.same_as(&attr) && *v == value)
             }
             _ => true,
         });
         if doi > Doi::ZERO {
-            self.preferences.push(AtomicPreference::Selection { attr, value, doi });
+            preferences.push(AtomicPreference::Selection { attr, value, doi });
         }
         self.revision += 1;
         Ok(self)
@@ -81,12 +87,13 @@ impl Profile {
         let doi = Doi::new(doi)?;
         let from = AttrRef::new(from_table, from_column);
         let to = AttrRef::new(to_table, to_column);
-        self.preferences.retain(|p| match p {
+        let preferences = Arc::make_mut(&mut self.preferences);
+        preferences.retain(|p| match p {
             AtomicPreference::Join { from: f, to: t, .. } => !(f.same_as(&from) && t.same_as(&to)),
             _ => true,
         });
         if doi > Doi::ZERO {
-            self.preferences.push(AtomicPreference::Join { from, to, doi });
+            preferences.push(AtomicPreference::Join { from, to, doi });
         }
         self.revision += 1;
         Ok(self)
@@ -110,6 +117,12 @@ impl Profile {
         &self.preferences
     }
 
+    /// The shared preference list itself, for structures that index into it
+    /// instead of copying it.
+    pub(crate) fn shared_preferences(&self) -> &Arc<Vec<AtomicPreference>> {
+        &self.preferences
+    }
+
     /// Stored selection preferences.
     pub fn selections(&self) -> impl Iterator<Item = &AtomicPreference> {
         self.preferences.iter().filter(|p| p.is_selection())
@@ -129,11 +142,10 @@ impl Profile {
     /// columns must exist, and selection values must conform to column types.
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {
         let check_attr = |a: &AttrRef| -> Result<()> {
-            let schema = catalog.schema_of(&a.table).map_err(|_| PrefError::UnknownAttribute {
-                table: a.table.clone(),
-                column: a.column.clone(),
-            })?;
-            if schema.column_index(&a.column).is_none() {
+            let known = catalog
+                .table(&a.table)
+                .is_ok_and(|t| t.read().schema().column_index(&a.column).is_some());
+            if !known {
                 return Err(PrefError::UnknownAttribute {
                     table: a.table.clone(),
                     column: a.column.clone(),
@@ -141,7 +153,7 @@ impl Profile {
             }
             Ok(())
         };
-        for p in &self.preferences {
+        for p in self.preferences.iter() {
             match p {
                 AtomicPreference::Selection { attr, .. } => check_attr(attr)?,
                 AtomicPreference::Join { from, to, .. } => {
@@ -180,13 +192,13 @@ impl Profile {
             .ok_or_else(|| json_err("missing `preferences` array"))?
             .iter()
             .map(pref_from_json)
-            .collect::<Result<_>>()?;
+            .collect::<Result<Vec<_>>>()?;
         // Negative preferences are not part of the model; ignoring a
         // document's would serve its user answers the profile excludes.
         if j.get("negatives").is_some_and(|n| n.as_array() != Some(&[])) {
             return Err(json_err("`negatives` are not supported"));
         }
-        Ok(Profile { user, preferences, revision: 0 })
+        Ok(Profile { user, preferences: Arc::new(preferences), revision: 0 })
     }
 }
 
@@ -280,7 +292,7 @@ fn pref_from_json(j: &Json) -> Result<AtomicPreference> {
 impl fmt::Display for Profile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "profile `{}`:", self.user)?;
-        for p in &self.preferences {
+        for p in self.preferences.iter() {
             writeln!(f, "  {p}")?;
         }
         Ok(())

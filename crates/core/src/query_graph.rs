@@ -8,12 +8,16 @@ use crate::error::{PrefError, Result};
 use pqp_sql::ast::{BinaryOp, Expr, Select, SelectItem, TableFactor};
 use pqp_storage::{Catalog, Value};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A tuple variable of the query: `var` ranges over `table`.
+///
+/// Both names are shared with the AST and the catalog, and every preference
+/// path anchored at this node shares them too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryNode {
-    pub var: String,
-    pub table: String,
+    pub var: Arc<str>,
+    pub table: Arc<str>,
 }
 
 /// A selection condition of the query: `var.column = value`.
@@ -39,9 +43,6 @@ pub struct QueryGraph {
     pub nodes: Vec<QueryNode>,
     pub selections: Vec<QuerySelection>,
     pub joins: Vec<QueryJoin>,
-    /// Upper-cased names of relations appearing in the query (for the cycle
-    /// pruning rule: preference paths must not re-enter the query).
-    tables: HashSet<String>,
 }
 
 impl QueryGraph {
@@ -61,9 +62,8 @@ impl QueryGraph {
                     let schema = catalog.schema_of(name).map_err(|_| {
                         PrefError::UnsupportedQuery(format!("unknown table `{name}`"))
                     })?;
-                    let var = alias.clone().unwrap_or_else(|| name.clone());
-                    g.tables.insert(schema.name.to_ascii_uppercase());
-                    g.nodes.push(QueryNode { var, table: schema.name.to_string() });
+                    let var = Arc::clone(alias.as_ref().unwrap_or(name));
+                    g.nodes.push(QueryNode { var, table: Arc::clone(&schema.name) });
                 }
                 TableFactor::Derived { .. } => {
                     return Err(PrefError::UnsupportedQuery(
@@ -134,13 +134,13 @@ impl QueryGraph {
                     self.nodes.iter().find(|n| n.var.eq_ignore_ascii_case(q)).ok_or_else(|| {
                         PrefError::UnsupportedQuery(format!("unknown tuple variable `{q}`"))
                     })?;
-                Ok(Some((node.var.clone(), name.clone())))
+                Ok(Some((node.var.to_string(), name.to_string())))
             }
             None => {
                 // Without schema info per node we cannot disambiguate here;
                 // accept only the single-node case.
                 if self.nodes.len() == 1 {
-                    Ok(Some((self.nodes[0].var.clone(), name.clone())))
+                    Ok(Some((self.nodes[0].var.to_string(), name.to_string())))
                 } else {
                     Ok(None)
                 }
@@ -148,9 +148,11 @@ impl QueryGraph {
         }
     }
 
-    /// Whether a relation (by name) participates in the query.
+    /// Whether a relation (by name, case-insensitively) participates in the
+    /// query — the cycle-pruning rule: preference paths must not re-enter
+    /// the query.
     pub fn contains_table(&self, table: &str) -> bool {
-        self.tables.contains(&table.to_ascii_uppercase())
+        self.nodes.iter().any(|n| n.table.eq_ignore_ascii_case(table))
     }
 
     /// The node of a tuple variable.
@@ -171,26 +173,19 @@ impl QueryGraph {
 
     /// Join edges leaving `var` (in either syntactic direction), normalized
     /// so the returned tuples read (var, col, other_var, other_col).
-    pub fn joins_from_var(&self, var: &str) -> Vec<(String, String, String, String)> {
-        let mut out = Vec::new();
-        for j in &self.joins {
+    pub fn joins_from_var<'a>(
+        &'a self,
+        var: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a str, &'a str, &'a str)> + 'a {
+        self.joins.iter().filter_map(move |j| {
             if j.left_var.eq_ignore_ascii_case(var) {
-                out.push((
-                    j.left_var.clone(),
-                    j.left_col.clone(),
-                    j.right_var.clone(),
-                    j.right_col.clone(),
-                ));
+                Some((&*j.left_var, &*j.left_col, &*j.right_var, &*j.right_col))
             } else if j.right_var.eq_ignore_ascii_case(var) {
-                out.push((
-                    j.right_var.clone(),
-                    j.right_col.clone(),
-                    j.left_var.clone(),
-                    j.left_col.clone(),
-                ));
+                Some((&*j.right_var, &*j.right_col, &*j.left_var, &*j.left_col))
+            } else {
+                None
             }
-        }
-        out
+        })
     }
 
     /// Whether the query graph is connected (the paper notes all but the
@@ -224,7 +219,7 @@ impl QueryGraph {
         for item in &s.projection {
             match item {
                 SelectItem::Expr { expr: Expr::Column { qualifier, name }, .. } => {
-                    out.push((qualifier.clone(), name.clone()));
+                    out.push((qualifier.as_deref().map(str::to_string), name.to_string()));
                 }
                 _ => return None,
             }
@@ -270,6 +265,7 @@ mod tests {
         assert_eq!(g.joins.len(), 1);
         assert_eq!(g.selections.len(), 1);
         assert_eq!(g.selections[0].var, "PL");
+        assert_eq!(&*g.nodes[1].var, "PL");
         assert!(g.contains_table("movie"));
         assert!(!g.contains_table("GENRE"));
         assert!(g.is_connected());
@@ -288,7 +284,7 @@ mod tests {
     fn joins_from_var_normalizes_direction() {
         let s = parse_select("select MV.title from MOVIE MV, PLAY PL where PL.mid = MV.mid");
         let g = QueryGraph::from_select(&s, &catalog()).unwrap();
-        let from_mv = g.joins_from_var("MV");
+        let from_mv: Vec<_> = g.joins_from_var("MV").collect();
         assert_eq!(from_mv.len(), 1);
         assert_eq!(from_mv[0].0, "MV");
         assert_eq!(from_mv[0].2, "PL");

@@ -25,7 +25,7 @@ pub fn estimate_interest(satisfied: &[Doi]) -> Doi {
 /// The cheapest execution delivering the `n` most interesting results:
 /// ranking is forced on, then the strategy layer picks between the ranked
 /// MQ rewrite and the native rank operator by estimated cost.
-pub fn top_n(db: &Database, p: &Personalized, n: u64) -> Result<StrategyChoice> {
+pub fn top_n(db: &Database, p: &Personalized<'_>, n: u64) -> Result<StrategyChoice> {
     let mut ranked = p.clone();
     ranked.rank = true;
     crate::strategy::choose(db, &ranked, Some(n))
@@ -36,7 +36,7 @@ pub fn top_n(db: &Database, p: &Personalized, n: u64) -> Result<StrategyChoice> 
 /// This is the SQL-only form, kept for callers that need a query string
 /// (wire clients, logs); [`top_n`] is the planner-routed entry point that
 /// may pick the native rank operator instead.
-pub fn top_n_query(p: &Personalized, n: u64) -> Result<Query> {
+pub fn top_n_query(p: &Personalized<'_>, n: u64) -> Result<Query> {
     let mut ranked = p.clone();
     ranked.rank = true;
     let mut q = ranked.mq()?;

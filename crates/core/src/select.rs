@@ -18,12 +18,13 @@ use crate::conflict::conflicts_with_query;
 use crate::criteria::InterestCriterion;
 use crate::doi::{Combinator, Doi, PaperCombinator};
 use crate::error::{PrefError, Result};
-use crate::graph::GraphAccess;
+use crate::graph::{GraphAccess, JoinEdge, SelectionEdge};
 use crate::path::PreferencePath;
 use crate::query_graph::QueryGraph;
 use pqp_obs::{BudgetReason, QueryCtx};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Statistics of one run of the algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,38 +37,40 @@ pub struct SelectStats {
     pub pruned_cycles: usize,
     /// Candidates pruned as conflicting with the query.
     pub pruned_conflicts: usize,
-    /// Adjacency fetches performed against the graph backend.
+    /// Adjacency fetches performed against the graph backend (each
+    /// `joins_from` / `selections_of` call; the paper's Figure 6 axis).
     pub graph_accesses: usize,
 }
 
-/// The outcome: the ordered set `P_K` plus run statistics.
+/// The outcome: the ordered set `P_K` plus run statistics. The selected
+/// paths borrow from the graph they were read from.
 #[derive(Debug, Clone)]
-pub struct SelectionOutcome {
+pub struct SelectionOutcome<'g> {
     /// Selected transitive selections, in decreasing degree of interest.
-    pub selected: Vec<PreferencePath>,
+    pub selected: Vec<PreferencePath<'g>>,
     pub stats: SelectStats,
 }
 
 /// Queue entry ordered by (degree desc, length asc, insertion seq asc).
-struct Entry {
-    path: PreferencePath,
+struct Entry<'g> {
+    path: PreferencePath<'g>,
     seq: usize,
 }
 
-impl PartialEq for Entry {
+impl PartialEq for Entry<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Entry {}
+impl Eq for Entry<'_> {}
 
-impl PartialOrd for Entry {
+impl PartialOrd for Entry<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Entry {
+impl Ord for Entry<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: greater = popped first.
         self.path
@@ -79,21 +82,21 @@ impl Ord for Entry {
 }
 
 /// Run preference selection with the paper's combination semantics.
-pub fn select_preferences(
+pub fn select_preferences<'g>(
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     criterion: &InterestCriterion,
-) -> SelectionOutcome {
+) -> SelectionOutcome<'g> {
     select_preferences_with(qg, graph, criterion, &PaperCombinator)
 }
 
 /// Run preference selection with custom combination semantics (ablations).
-pub fn select_preferences_with(
+pub fn select_preferences_with<'g>(
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     criterion: &InterestCriterion,
     comb: &impl Combinator,
-) -> SelectionOutcome {
+) -> SelectionOutcome<'g> {
     match run_selection(qg, graph, criterion, comb, &QueryCtx::unlimited()) {
         Ok(out) => out,
         // An unlimited context has no deadline, caps or cancel signal, and
@@ -108,13 +111,13 @@ pub fn select_preferences_with(
 /// profile, permissive criterion) is cut off with
 /// [`PrefError::Budget`] instead of running away. This is also where the
 /// `select.pref` / `select.budget` failpoints hook in for chaos testing.
-pub fn select_preferences_ctx(
+pub fn select_preferences_ctx<'g>(
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     criterion: &InterestCriterion,
     comb: &impl Combinator,
     ctx: &QueryCtx,
-) -> Result<SelectionOutcome> {
+) -> Result<SelectionOutcome<'g>> {
     if let Some(msg) = pqp_obs::failpoint::fire("select.pref") {
         return Err(PrefError::Internal(format!("failpoint select.pref: {msg}")));
     }
@@ -124,22 +127,22 @@ pub fn select_preferences_ctx(
     run_selection(qg, graph, criterion, comb, ctx)
 }
 
-fn run_selection(
+fn run_selection<'g>(
     qg: &QueryGraph,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     criterion: &InterestCriterion,
     comb: &impl Combinator,
     ctx: &QueryCtx,
-) -> Result<SelectionOutcome> {
+) -> Result<SelectionOutcome<'g>> {
     let _span = pqp_obs::span("selection");
     let mut stats = SelectStats::default();
-    graph.reset_access_count();
-    let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
+    let mut queue: BinaryHeap<Entry<'g>> = BinaryHeap::new();
     let mut seq = 0usize;
 
     // Seed: atomic elements attached to each query node (step 1 of Fig. 5).
     for node in &qg.nodes {
-        let anchor = PreferencePath::anchor(&node.var, &node.table);
+        let anchor = PreferencePath::anchor(Arc::clone(&node.var), Arc::clone(&node.table));
+        stats.graph_accesses += 1;
         for sel in graph.selections_of(&node.table) {
             let p = anchor.with_selection(sel, comb);
             if conflicts_with_query(&p, qg) {
@@ -149,6 +152,7 @@ fn run_selection(
             queue.push(Entry { path: p, seq });
             seq += 1;
         }
+        stats.graph_accesses += 1;
         for join in graph.joins_from(&node.table) {
             // Rule (i): a join into a relation of the query forms a cycle.
             if qg.contains_table(&join.to.table) {
@@ -160,8 +164,9 @@ fn run_selection(
         }
     }
 
-    let mut selected: Vec<PreferencePath> = Vec::new();
+    let mut selected: Vec<PreferencePath<'g>> = Vec::new();
     let mut selected_dois: Vec<Doi> = Vec::new();
+    let mut candidates: Vec<Candidate<'g>> = Vec::new();
 
     // Eager pruning (paper rule iv and the join-path termination of
     // Theorem 1) is exact only when a rejection can never be undone by a
@@ -192,31 +197,25 @@ fn run_selection(
         if eager && !criterion.accepts(&selected_dois, path.doi) {
             break 'outer;
         }
-        let end = path.end_table().to_string();
-        let visited = path.visited_tables();
 
         // Composable atomic elements, merged in decreasing degree order so
         // criterion failure prunes the whole tail.
-        let sels = graph.selections_of(&end);
-        let joins = graph.joins_from(&end);
-        let mut candidates: Vec<Candidate> = Vec::with_capacity(sels.len() + joins.len());
-        for s in sels {
-            candidates.push(Candidate { doi: s.doi, kind: CandidateKind::Selection(s) });
-        }
-        for j in joins {
-            candidates.push(Candidate { doi: j.doi, kind: CandidateKind::Join(j) });
-        }
-        candidates.sort_by_key(|c| std::cmp::Reverse(c.doi));
+        let end = path.end_table();
+        stats.graph_accesses += 2;
+        candidates.clear();
+        candidates.extend(graph.selections_of(end).map(Candidate::Selection));
+        candidates.extend(graph.joins_from(end).map(Candidate::Join));
+        candidates.sort_by_key(|c| std::cmp::Reverse(c.doi()));
 
-        for c in candidates {
-            let extended_doi = comb.transitive(&[path.doi, c.doi]);
+        for c in candidates.drain(..) {
+            let extended_doi = comb.transitive(&[path.doi, c.doi()]);
             // Rule (iv): once a candidate fails the criterion, all remaining
             // ones (lower degree) fail too.
             if eager && !criterion.accepts(&selected_dois, extended_doi) {
                 break;
             }
-            match c.kind {
-                CandidateKind::Selection(s) => {
+            match c {
+                Candidate::Selection(s) => {
                     let p = path.with_selection(s, comb);
                     if conflicts_with_query(&p, qg) {
                         stats.pruned_conflicts += 1;
@@ -226,10 +225,9 @@ fn run_selection(
                     seq += 1;
                     stats.expansions += 1;
                 }
-                CandidateKind::Join(j) => {
-                    let target = j.to.table.to_ascii_uppercase();
+                Candidate::Join(j) => {
                     // Rule (i): cycles into the path or the query.
-                    if visited.contains(&target) || qg.contains_table(&target) {
+                    if path.visits(&j.to.table) || qg.contains_table(&j.to.table) {
                         stats.pruned_cycles += 1;
                         continue;
                     }
@@ -255,7 +253,6 @@ fn run_selection(
         selected.truncate(best);
     }
 
-    stats.graph_accesses = graph.access_count();
     pqp_obs::record("selected", selected.len());
     pqp_obs::record("rounds", stats.rounds);
     pqp_obs::counter_add("selection.rounds", stats.rounds as i64);
@@ -266,14 +263,19 @@ fn run_selection(
     Ok(SelectionOutcome { selected, stats })
 }
 
-struct Candidate {
-    doi: Doi,
-    kind: CandidateKind,
+/// A composable atomic element of an expansion round.
+enum Candidate<'g> {
+    Selection(SelectionEdge<'g>),
+    Join(JoinEdge<'g>),
 }
 
-enum CandidateKind {
-    Selection(crate::graph::SelectionEdge),
-    Join(crate::graph::JoinEdge),
+impl Candidate<'_> {
+    fn doi(&self) -> Doi {
+        match self {
+            Candidate::Selection(s) => s.doi,
+            Candidate::Join(j) => j.doi,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -375,7 +377,7 @@ mod tests {
         QueryGraph::from_select(q.as_select().unwrap(), c).unwrap()
     }
 
-    fn rendered(p: &PreferencePath) -> String {
+    fn rendered(p: &PreferencePath<'_>) -> String {
         p.to_string()
     }
 
@@ -553,7 +555,7 @@ mod tests {
         let g = InMemoryGraph::build(&p, &c).unwrap();
         let qg = initial_query_graph(&c);
         let out = select_preferences(&qg, &g, &InterestCriterion::TopK(10));
-        let anchors: Vec<&str> = out.selected.iter().map(|p| p.start_var.as_str()).collect();
+        let anchors: Vec<&str> = out.selected.iter().map(|p| &*p.start_var).collect();
         assert!(anchors.contains(&"MV"));
         assert!(anchors.contains(&"PL"));
     }

@@ -84,7 +84,7 @@ impl StrategyChoice {
 /// (SQL `LIMIT` or the operator's limit).
 pub fn build_execution(
     db: &Database,
-    p: &Personalized,
+    p: &Personalized<'_>,
     rewrite: Rewrite,
     limit: Option<u64>,
 ) -> Result<StrategyChoice> {
@@ -106,7 +106,7 @@ pub fn build_execution(
 }
 
 /// Pick the cheapest buildable candidate for this personalized query.
-pub fn choose(db: &Database, p: &Personalized, limit: Option<u64>) -> Result<StrategyChoice> {
+pub fn choose(db: &Database, p: &Personalized<'_>, limit: Option<u64>) -> Result<StrategyChoice> {
     let _span = pqp_obs::span("strategy.choose");
     // MQ first: ties keep it. SQ only competes where it is expressive
     // enough (no ranking, no degree threshold, no top-N cut).
@@ -155,7 +155,7 @@ pub fn choose(db: &Database, p: &Personalized, limit: Option<u64>) -> Result<Str
 /// Build one candidate's execution and plan.
 fn build_one(
     db: &Database,
-    p: &Personalized,
+    p: &Personalized<'_>,
     rw: Rewrite,
     limit: Option<u64>,
 ) -> Result<(Execution, Plan)> {
@@ -250,12 +250,15 @@ mod tests {
         p
     }
 
-    fn personalized(db: &Database, rank: bool) -> Personalized {
-        let g = InMemoryGraph::build(&profile(), db.catalog()).unwrap();
+    fn personalized<'g>(db: &Database, g: &'g InMemoryGraph, rank: bool) -> Personalized<'g> {
         let q = pqp_sql::parse_query("select MV.title from MOVIE MV").unwrap();
         let mut opts = PersonalizeOptions::builder().k(3).l(1).build();
         opts.rank = rank;
-        personalize(&q, &g, db.catalog(), opts).unwrap()
+        personalize(&q, g, db.catalog(), opts).unwrap()
+    }
+
+    fn graph(db: &Database) -> InMemoryGraph {
+        InMemoryGraph::build(&profile(), db.catalog()).unwrap()
     }
 
     /// Canonical order: interest descending (NULL last), title ascending.
@@ -273,7 +276,8 @@ mod tests {
     #[test]
     fn native_matches_ranked_mq() {
         let db = movie_db();
-        let p = personalized(&db, true);
+        let g = graph(&db);
+        let p = personalized(&db, &g, true);
         let native = build_execution(&db, &p, Rewrite::NativeRank, None).unwrap();
         assert_eq!(native.rewrite, Rewrite::NativeRank);
         let got = db.run_plan(&native.plan).unwrap();
@@ -285,7 +289,8 @@ mod tests {
     #[test]
     fn native_top_n_truncates_after_ranking() {
         let db = movie_db();
-        let p = personalized(&db, true);
+        let g = graph(&db);
+        let p = personalized(&db, &g, true);
         let choice = crate::rank::top_n(&db, &p, 2).unwrap();
         let got = db.run_plan(&choice.plan).unwrap();
         assert_eq!(got.rows.len(), 2);
@@ -297,7 +302,8 @@ mod tests {
     #[test]
     fn auto_resolves_and_reports_candidates() {
         let db = movie_db();
-        let p = personalized(&db, false);
+        let g = graph(&db);
+        let p = personalized(&db, &g, false);
         let choice = choose(&db, &p, None).unwrap();
         assert_ne!(choice.rewrite, Rewrite::Auto);
         // Unranked: SQ, MQ and native all compete.
@@ -305,14 +311,15 @@ mod tests {
         assert!(choice.alternatives.iter().all(|(_, c)| *c >= choice.cost));
         assert!(choice.summary().contains("strategy: "));
         // Ranked: SQ drops out.
-        let ranked = choose(&db, &personalized(&db, true), None).unwrap();
+        let ranked = choose(&db, &personalized(&db, &g, true), None).unwrap();
         assert_eq!(ranked.alternatives.len(), 2);
     }
 
     #[test]
     fn explicit_native_falls_back_to_mq_when_unsupported() {
         let db = movie_db();
-        let mut p = personalized(&db, true);
+        let g = graph(&db);
+        let mut p = personalized(&db, &g, true);
         // Force an unsupported shape: a path with no condition at all.
         p.paths.push(crate::path::PreferencePath::anchor("MV", "MOVIE"));
         let choice = build_execution(&db, &p, Rewrite::NativeRank, None).unwrap();

@@ -14,59 +14,62 @@
 //! The allocator realizes this with a trie over join-edge signatures whose
 //! to-one children are shared and whose to-many children are always fresh.
 
+use crate::graph::JoinEdge;
 use crate::path::PreferencePath;
 use pqp_storage::Cardinality;
-use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// The variables assigned to one path's hops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathVars {
     /// `hop_vars[i]` is the tuple variable of `joins[i].to`; empty when the
     /// path has no joins.
-    pub hop_vars: Vec<String>,
+    pub hop_vars: Vec<Arc<str>>,
 }
 
 impl PathVars {
     /// The variable holding the path's final relation (where the selection
     /// applies): the last hop, or the anchor when the path has no joins.
     pub fn selection_var<'a>(&'a self, anchor: &'a str) -> &'a str {
-        self.hop_vars.last().map(String::as_str).unwrap_or(anchor)
+        self.hop_vars.last().map_or(anchor, |v| &**v)
     }
 }
 
 /// Allocates tuple variables for a set of paths, avoiding the query's own
 /// variables.
-pub struct VarAllocator {
-    taken: HashSet<String>,
+pub struct VarAllocator<'a> {
+    reserved: Vec<&'a str>,
     counter: usize,
 }
 
+/// A trie node: its to-one children by hop, for reuse (to-many hops are
+/// never shared, so never recorded).
 #[derive(Default)]
-struct TrieNode {
-    /// Children by (hop signature); only to-one hops are recorded here for
-    /// reuse.
-    shared: HashMap<(String, String, String, String), usize>,
+struct TrieNode<'p, 'g> {
+    shared: Vec<(&'p JoinEdge<'g>, usize)>,
 }
 
-impl VarAllocator {
+impl<'a> VarAllocator<'a> {
     /// A new allocator that will never emit any of `reserved` (the query's
     /// tuple variables), case-insensitively.
-    pub fn new(reserved: impl IntoIterator<Item = String>) -> VarAllocator {
-        VarAllocator {
-            taken: reserved.into_iter().map(|s| s.to_ascii_uppercase()).collect(),
-            counter: 0,
-        }
+    pub fn new(reserved: impl IntoIterator<Item = &'a str>) -> VarAllocator<'a> {
+        VarAllocator { reserved: reserved.into_iter().collect(), counter: 0 }
     }
 
-    fn fresh(&mut self, table: &str) -> String {
+    fn fresh(&mut self, table: &str) -> Arc<str> {
         loop {
             self.counter += 1;
-            // A short table-derived prefix keeps generated SQL readable.
-            let prefix: String =
-                table.chars().filter(|c| c.is_ascii_alphabetic()).take(2).collect();
-            let name = format!("{}_{}", prefix.to_ascii_uppercase(), self.counter);
-            if self.taken.insert(name.to_ascii_uppercase()) {
-                return name;
+            // A short table-derived prefix keeps generated SQL readable. The
+            // counter never repeats, so only the reserved names can collide.
+            let mut name: String = (table.chars())
+                .filter(|c| c.is_ascii_alphabetic())
+                .take(2)
+                .map(|c| c.to_ascii_uppercase())
+                .collect();
+            let _ = write!(name, "_{}", self.counter);
+            if !self.reserved.iter().any(|r| r.eq_ignore_ascii_case(&name)) {
+                return name.into();
             }
         }
     }
@@ -76,32 +79,39 @@ impl VarAllocator {
     /// Paths are grouped by anchor variable; within a group, a trie over
     /// to-one hops shares variables, while a to-many hop always allocates a
     /// fresh chain for the remainder of the path.
-    pub fn allocate(&mut self, paths: &[PreferencePath]) -> Vec<PathVars> {
-        // node id → trie node; node 0.. per (anchor, root).
-        let mut nodes: Vec<TrieNode> = Vec::new();
-        let mut node_vars: Vec<String> = Vec::new();
-        let mut roots: HashMap<String, usize> = HashMap::new();
+    pub fn allocate<'p, 'g: 'p>(
+        &mut self,
+        paths: impl IntoIterator<Item = &'p PreferencePath<'g>>,
+    ) -> Vec<PathVars> {
+        // node id → trie node; one root per anchor variable.
+        let mut nodes: Vec<TrieNode<'p, 'g>> = Vec::new();
+        let mut node_vars: Vec<Arc<str>> = Vec::new();
+        let mut roots: Vec<(&'p str, usize)> = Vec::new();
 
-        let mut out = Vec::with_capacity(paths.len());
+        let mut out = Vec::new();
         for p in paths {
-            let anchor_key = p.start_var.to_ascii_uppercase();
-            let root = *roots.entry(anchor_key).or_insert_with(|| {
-                nodes.push(TrieNode::default());
-                node_vars.push(p.start_var.clone());
-                nodes.len() - 1
-            });
+            let root = match roots.iter().find(|(var, _)| var.eq_ignore_ascii_case(&p.start_var)) {
+                Some(&(_, root)) => root,
+                None => {
+                    nodes.push(TrieNode::default());
+                    node_vars.push(Arc::clone(&p.start_var));
+                    roots.push((&p.start_var, nodes.len() - 1));
+                    nodes.len() - 1
+                }
+            };
             let mut at = root;
             let mut shared_prefix = true;
             let mut hop_vars = Vec::with_capacity(p.joins.len());
-            for (hop, edge) in p.join_signature().into_iter().zip(&p.joins) {
+            for edge in &p.joins {
                 let next = if shared_prefix && edge.cardinality == Cardinality::ToOne {
-                    match nodes[at].shared.get(&hop) {
-                        Some(&n) => n,
+                    let known = nodes[at].shared.iter().find(|(hop, _)| hop.same_hop(edge));
+                    match known {
+                        Some(&(_, n)) => n,
                         None => {
                             nodes.push(TrieNode::default());
                             node_vars.push(self.fresh(&edge.to.table));
                             let n = nodes.len() - 1;
-                            nodes[at].shared.insert(hop, n);
+                            nodes[at].shared.push((edge, n));
                             n
                         }
                     }
@@ -113,7 +123,7 @@ impl VarAllocator {
                     node_vars.push(self.fresh(&edge.to.table));
                     nodes.len() - 1
                 };
-                hop_vars.push(node_vars[next].clone());
+                hop_vars.push(Arc::clone(&node_vars[next]));
                 at = next;
             }
             out.push(PathVars { hop_vars });
@@ -130,24 +140,20 @@ mod tests {
     use crate::pref::AttrRef;
     use pqp_storage::Value;
 
-    fn join(from: (&str, &str), to: (&str, &str), card: Cardinality) -> JoinEdge {
-        JoinEdge {
-            from: AttrRef::new(from.0, from.1),
-            to: AttrRef::new(to.0, to.1),
-            doi: Doi::new(0.9).unwrap(),
-            cardinality: card,
-        }
+    fn join(from: (&str, &str), to: (&str, &str), card: Cardinality) -> JoinEdge<'static> {
+        JoinEdge::new(
+            AttrRef::new(from.0, from.1),
+            AttrRef::new(to.0, to.1),
+            Doi::new(0.9).unwrap(),
+            card,
+        )
     }
 
-    fn sel(attr: (&str, &str), value: &str) -> SelectionEdge {
-        SelectionEdge {
-            attr: AttrRef::new(attr.0, attr.1),
-            value: Value::str(value),
-            doi: Doi::new(0.9).unwrap(),
-        }
+    fn sel(attr: (&str, &str), value: &str) -> SelectionEdge<'static> {
+        SelectionEdge::new(AttrRef::new(attr.0, attr.1), Value::str(value), Doi::new(0.9).unwrap())
     }
 
-    fn actor_path(name: &str) -> PreferencePath {
+    fn actor_path(name: &str) -> PreferencePath<'static> {
         let comb = PaperCombinator;
         PreferencePath::anchor("MV", "MOVIE")
             .with_join(join(("MOVIE", "mid"), ("CAST", "mid"), Cardinality::ToMany), &comb)
@@ -155,7 +161,7 @@ mod tests {
             .with_selection(sel(("ACTOR", "name"), name), &comb)
     }
 
-    fn director_path(name: &str) -> PreferencePath {
+    fn director_path(name: &str) -> PreferencePath<'static> {
         let comb = PaperCombinator;
         PreferencePath::anchor("MV", "MOVIE")
             .with_join(join(("MOVIE", "mid"), ("DIRECTED", "mid"), Cardinality::ToOne), &comb)
@@ -169,7 +175,7 @@ mod tests {
         // different CAST and ACTOR variables so a movie starring both
         // qualifies via different cast tuples (§6 Rossellini/Hopkins case).
         let paths = vec![actor_path("I. Rossellini"), actor_path("A. Hopkins")];
-        let mut alloc = VarAllocator::new(vec!["MV".to_string(), "PL".to_string()]);
+        let mut alloc = VarAllocator::new(["MV", "PL"]);
         let vars = alloc.allocate(&paths);
         assert_ne!(vars[0].hop_vars[0], vars[1].hop_vars[0], "CAST vars must differ");
         assert_ne!(vars[0].hop_vars[1], vars[1].hop_vars[1], "ACTOR vars must differ");
@@ -180,7 +186,7 @@ mod tests {
         // Two director preferences via all-to-one joins must share variables
         // (the only option, per §6 case 2).
         let paths = vec![director_path("D. Lynch"), director_path("W. Allen")];
-        let mut alloc = VarAllocator::new(vec!["MV".to_string()]);
+        let mut alloc = VarAllocator::new(["MV"]);
         let vars = alloc.allocate(&paths);
         assert_eq!(vars[0].hop_vars, vars[1].hop_vars, "to-one chains share variables");
     }
@@ -197,7 +203,7 @@ mod tests {
                 .with_selection(sel(("TD", "v"), val), &comb)
         };
         let paths = vec![mk("1"), mk("2")];
-        let mut alloc = VarAllocator::new(Vec::new());
+        let mut alloc = VarAllocator::new([]);
         let vars = alloc.allocate(&paths);
         assert_eq!(vars[0].hop_vars[0], vars[1].hop_vars[0], "to-one hop shared");
         assert_ne!(vars[0].hop_vars[1], vars[1].hop_vars[1], "split at to-many");
@@ -212,7 +218,7 @@ mod tests {
             .with_selection(sel(("TB", "v"), "1"), &comb);
         let mut b = a.clone();
         b.start_var = "A2".into();
-        let mut alloc = VarAllocator::new(Vec::new());
+        let mut alloc = VarAllocator::new([]);
         let vars = alloc.allocate(&[a, b]);
         assert_ne!(vars[0].hop_vars[0], vars[1].hop_vars[0]);
     }
@@ -223,9 +229,10 @@ mod tests {
         let p = PreferencePath::anchor("MV", "MOVIE")
             .with_join(join(("MOVIE", "mid"), ("GENRE", "mid"), Cardinality::ToMany), &comb)
             .with_selection(sel(("GENRE", "genre"), "comedy"), &comb);
-        let mut alloc = VarAllocator::new(vec!["GE_1".to_string()]);
+        let mut alloc = VarAllocator::new(["GE_1"]);
         let vars = alloc.allocate(&[p]);
         assert_ne!(vars[0].hop_vars[0].to_ascii_uppercase(), "GE_1");
+        assert_eq!(&*vars[0].hop_vars[0], "GE_2");
     }
 
     #[test]
@@ -233,7 +240,7 @@ mod tests {
         let comb = PaperCombinator;
         let p = PreferencePath::anchor("GN", "GENRE")
             .with_selection(sel(("GENRE", "genre"), "comedy"), &comb);
-        let mut alloc = VarAllocator::new(Vec::new());
+        let mut alloc = VarAllocator::new([]);
         let vars = alloc.allocate(std::slice::from_ref(&p));
         assert_eq!(vars[0].selection_var("GN"), "GN");
     }

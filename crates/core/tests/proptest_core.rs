@@ -23,7 +23,7 @@ fn arb_str(rng: &mut SmallRng) -> String {
 
 /// A random acyclic path of 0..4 joins anchored at `A@TA`, ending in a
 /// selection.
-fn arb_path(rng: &mut SmallRng) -> PreferencePath {
+fn arb_path(rng: &mut SmallRng) -> PreferencePath<'static> {
     let comb = PaperCombinator;
     let mut path = PreferencePath::anchor("A", "TA");
     let mut current = "TA".to_string();
@@ -38,28 +38,21 @@ fn arb_path(rng: &mut SmallRng) -> PreferencePath {
         }
         let next = candidates[rng.gen_index(candidates.len())].to_string();
         let doi = arb_doi(rng);
+        let cardinality = if rng.gen_bool(0.5) { Cardinality::ToOne } else { Cardinality::ToMany };
         path = path.with_join(
-            JoinEdge {
-                from: AttrRef::new(current.clone(), "x"),
-                to: AttrRef::new(next.clone(), "x"),
+            JoinEdge::new(
+                AttrRef::new(current.clone(), "x"),
+                AttrRef::new(next.clone(), "x"),
                 doi,
-                cardinality: if rng.gen_bool(0.5) {
-                    Cardinality::ToOne
-                } else {
-                    Cardinality::ToMany
-                },
-            },
+                cardinality,
+            ),
             &comb,
         );
         visited.push(next.clone());
         current = next;
     }
     path.with_selection(
-        SelectionEdge {
-            attr: AttrRef::new(current, "v"),
-            value: Value::str(arb_str(rng)),
-            doi: arb_doi(rng),
-        },
+        SelectionEdge::new(AttrRef::new(current, "v"), Value::str(arb_str(rng)), arb_doi(rng)),
         &comb,
     )
 }
@@ -88,7 +81,7 @@ fn allocation_invariants() {
     for _ in 0..256 {
         let n = rng.gen_range(1..8usize);
         let paths: Vec<PreferencePath> = (0..n).map(|_| arb_path(&mut rng)).collect();
-        let mut alloc = VarAllocator::new(vec!["A".to_string()]);
+        let mut alloc = VarAllocator::new(["A"]);
         let vars = alloc.allocate(&paths);
         assert_eq!(vars.len(), paths.len());
 
@@ -116,7 +109,7 @@ fn allocation_invariants() {
                 let hops = pa.joins.len().min(pb.joins.len());
                 let mut forced = true;
                 for h in 0..hops {
-                    let same_edge = pa.join_signature()[h] == pb.join_signature()[h];
+                    let same_edge = pa.joins[h].same_hop(&pb.joins[h]);
                     let to_one = pa.joins[h].cardinality == Cardinality::ToOne
                         && pb.joins[h].cardinality == Cardinality::ToOne;
                     forced = forced && same_edge && to_one;
@@ -138,8 +131,8 @@ fn allocation_is_deterministic() {
     for _ in 0..128 {
         let n = rng.gen_range(1..6usize);
         let paths: Vec<PreferencePath> = (0..n).map(|_| arb_path(&mut rng)).collect();
-        let a = VarAllocator::new(vec!["A".to_string()]).allocate(&paths);
-        let b = VarAllocator::new(vec!["A".to_string()]).allocate(&paths);
+        let a = VarAllocator::new(["A"]).allocate(&paths);
+        let b = VarAllocator::new(["A"]).allocate(&paths);
         assert_eq!(a, b);
     }
 }

@@ -54,29 +54,25 @@ pub fn naive_execute_ctx(q: &Query, catalog: &Catalog, ctx: &QueryCtx) -> Result
     Ok(ResultSet { columns: schema.columns.iter().map(|c| c.name.to_string()).collect(), rows })
 }
 
-fn resolve_order_key(
-    e: &Expr,
-    schema: &OutputSchema,
-    proj: &[(Option<String>, Expr)],
-) -> Result<usize> {
+fn resolve_order_key(e: &Expr, schema: &OutputSchema, proj: &[&Expr]) -> Result<usize> {
     if let Expr::Column { qualifier, name } = e {
         if let Ok(i) = schema.resolve(qualifier.as_deref(), name) {
             return Ok(i);
         }
     }
-    if let Some(i) = proj.iter().position(|(_, p)| expr_eq_ci(p, e)) {
+    if let Some(i) = proj.iter().position(|p| expr_eq_ci(p, e)) {
         return Ok(i);
     }
     bind_err(format!("ORDER BY `{e}` does not match any output column"))
 }
 
-fn first_projection(s: &SetExpr) -> Vec<(Option<String>, Expr)> {
+fn first_projection(s: &SetExpr) -> Vec<&Expr> {
     match s {
         SetExpr::Select(sel) => sel
             .projection
             .iter()
             .filter_map(|it| match it {
-                SelectItem::Expr { expr, alias } => Some((alias.clone(), expr.clone())),
+                SelectItem::Expr { expr, .. } => Some(expr),
                 SelectItem::Wildcard => None,
             })
             .collect(),

@@ -61,6 +61,26 @@ impl<'a> Planner<'a> {
         shared
     }
 
+    /// [`Self::intern`] for a name the AST already shares: the first
+    /// sighting keeps the AST's allocation instead of copying it.
+    fn intern_shared(&self, name: &Arc<str>) -> Arc<str> {
+        if let Some(shared) = self.names.borrow().get(&**name) {
+            return shared.clone();
+        }
+        self.names.borrow_mut().insert(name.clone());
+        name.clone()
+    }
+
+    /// The tuple variable a FROM factor binds.
+    fn binding(&self, f: &TableFactor) -> Arc<str> {
+        match f {
+            TableFactor::Table { name, alias } => {
+                self.intern_shared(alias.as_ref().unwrap_or(name))
+            }
+            TableFactor::Derived { alias, .. } => self.intern_shared(alias),
+        }
+    }
+
     /// The pass-wide shared handle to a schema: the partial queries and
     /// witness queries of one rewrite repeat the same few shapes, so only
     /// the first of each is kept.
@@ -73,16 +93,24 @@ impl<'a> Planner<'a> {
         shared
     }
 
-    fn column(&self, qualifier: Option<&str>, name: &str) -> OutputColumn {
-        OutputColumn { qualifier: qualifier.map(|q| self.intern(q)), name: self.intern(name) }
+    fn column(&self, qualifier: Option<&Arc<str>>, name: &Arc<str>) -> OutputColumn {
+        OutputColumn {
+            qualifier: qualifier.map(|q| self.intern_shared(q)),
+            name: self.intern_shared(name),
+        }
+    }
+
+    /// An unqualified output column the planner names itself.
+    fn named_column(&self, name: &str) -> OutputColumn {
+        OutputColumn { qualifier: None, name: self.intern(name) }
     }
 
     /// Output column for a projected expression.
-    fn projected_column(&self, expr: &Expr, alias: Option<&str>) -> OutputColumn {
+    fn projected_column(&self, expr: &Expr, alias: Option<&Arc<str>>) -> OutputColumn {
         match (alias, expr) {
             (Some(a), _) => self.column(None, a),
-            (None, Expr::Column { qualifier, name }) => self.column(qualifier.as_deref(), name),
-            (None, other) => self.column(None, &other.to_string()),
+            (None, Expr::Column { qualifier, name }) => self.column(qualifier.as_ref(), name),
+            (None, other) => self.named_column(&other.to_string()),
         }
     }
 
@@ -130,7 +158,7 @@ impl<'a> Planner<'a> {
             let bound = self.bind_expr(&item.expr, input.schema())?;
             let idx = exprs.len();
             exprs.push(bound);
-            extended.columns.push(self.column(None, &format!("__sort_{idx}")));
+            extended.columns.push(self.named_column(&format!("__sort_{idx}")));
             keys.push((idx, item.desc));
         }
         let extended = Plan::Project { input, exprs, schema: self.share(extended) };
@@ -185,7 +213,7 @@ impl<'a> Planner<'a> {
         // 1. Bind FROM factors.
         let mut factors: Vec<BoundFactor> = Vec::with_capacity(s.from.len());
         for f in &s.from {
-            let binding = self.intern(f.binding_name());
+            let binding = self.binding(f);
             if factors.iter().any(|seen| seen.binding.eq_ignore_ascii_case(&binding)) {
                 return bind_err(format!("duplicate tuple variable `{binding}`"));
             }
@@ -245,8 +273,8 @@ impl<'a> Planner<'a> {
 
     fn plan_table_factor(&self, f: &TableFactor) -> Result<Plan> {
         match f {
-            TableFactor::Table { name, alias } => {
-                let binding = self.intern(alias.as_deref().unwrap_or(name));
+            TableFactor::Table { name, .. } => {
+                let binding = self.binding(f);
                 let t = self.catalog.table(name)?;
                 let t = t.read();
                 let columns = t
@@ -264,11 +292,11 @@ impl<'a> Planner<'a> {
                     schema: self.share(OutputSchema::new(columns)),
                 })
             }
-            TableFactor::Derived { query, alias } => {
+            TableFactor::Derived { query, .. } => {
                 let inner = self.plan_query(query)?;
                 // Re-qualify the derived table's output columns with its
                 // alias so references like `TEMP.title` resolve.
-                let alias = self.intern(alias);
+                let alias = self.binding(f);
                 let columns: Vec<OutputColumn> = inner
                     .schema()
                     .columns
@@ -743,7 +771,7 @@ impl<'a> Planner<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     exprs.push(self.bind_expr(expr, schema)?);
-                    cols.push(self.projected_column(expr, alias.as_deref()));
+                    cols.push(self.projected_column(expr, alias.as_ref()));
                 }
             }
         }
@@ -776,8 +804,8 @@ impl<'a> Planner<'a> {
         for (i, g) in s.group_by.iter().enumerate() {
             group_bound.push(self.bind_expr(g, &input_schema)?);
             agg_schema_cols.push(match g {
-                Expr::Column { qualifier, name } => self.column(qualifier.as_deref(), name),
-                other => self.column(None, &format!("group_{i}__{other}")),
+                Expr::Column { qualifier, name } => self.column(qualifier.as_ref(), name),
+                other => self.named_column(&format!("group_{i}__{other}")),
             });
         }
 
@@ -799,7 +827,7 @@ impl<'a> Planner<'a> {
                 Some(self.bind_expr(&args[0], &input_schema)?)
             };
             aggs.push(AggCall::new(func, arg)?);
-            agg_schema_cols.push(self.column(None, &format!("agg_{i}")));
+            agg_schema_cols.push(self.named_column(&format!("agg_{i}")));
         }
 
         let agg_out = self.share(OutputSchema::new(agg_schema_cols));
@@ -821,7 +849,7 @@ impl<'a> Planner<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     exprs.push(self.rebind_post_agg(expr, &ctx, &agg_out)?);
-                    cols.push(self.projected_column(expr, alias.as_deref()));
+                    cols.push(self.projected_column(expr, alias.as_ref()));
                 }
             }
         }

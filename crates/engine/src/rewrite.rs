@@ -25,34 +25,67 @@
 
 use pqp_sql::ast::*;
 use pqp_storage::{Catalog, Value};
+use std::borrow::Cow;
 
 /// Recursively apply OR-expansion to every select block of the query.
-pub fn or_expand(q: &Query, catalog: &Catalog) -> Query {
-    Query { body: expand_set_expr(&q.body, catalog), order_by: q.order_by.clone(), limit: q.limit }
+///
+/// A query the rewrite leaves unchanged — no factor to drop, no disjunction
+/// to split, as in every MQ partial — comes back borrowed, so it is planned
+/// in place rather than copied.
+pub fn or_expand<'q>(q: &'q Query, catalog: &Catalog) -> Cow<'q, Query> {
+    match expand_set_expr(&q.body, catalog) {
+        Some(body) => Cow::Owned(Query { body, order_by: q.order_by.clone(), limit: q.limit }),
+        None => Cow::Borrowed(q),
+    }
 }
 
-fn expand_set_expr(s: &SetExpr, catalog: &Catalog) -> SetExpr {
+/// The rewritten body, or `None` when the rewrite leaves `s` unchanged.
+fn expand_set_expr(s: &SetExpr, catalog: &Catalog) -> Option<SetExpr> {
     match s {
-        SetExpr::Union { left, right, all } => SetExpr::Union {
-            left: Box::new(expand_set_expr(left, catalog)),
-            right: Box::new(expand_set_expr(right, catalog)),
-            all: *all,
-        },
+        SetExpr::Union { left, right, all } => {
+            let (l, r) = (expand_set_expr(left, catalog), expand_set_expr(right, catalog));
+            if l.is_none() && r.is_none() {
+                return None;
+            }
+            Some(SetExpr::Union {
+                left: Box::new(l.unwrap_or_else(|| (**left).clone())),
+                right: Box::new(r.unwrap_or_else(|| (**right).clone())),
+                all: *all,
+            })
+        }
         SetExpr::Select(sel) => expand_select(sel, catalog),
     }
 }
 
-fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
-    // First, recurse into derived tables.
-    let mut sel = sel.clone();
-    for f in &mut sel.from {
-        if let TableFactor::Derived { query, .. } = f {
-            **query = or_expand(query, catalog);
+/// `Some` of the block if the rewrite had to copy it.
+fn changed(sel: Cow<'_, Select>) -> Option<SetExpr> {
+    match sel {
+        Cow::Owned(sel) => Some(SetExpr::Select(Box::new(sel))),
+        Cow::Borrowed(_) => None,
+    }
+}
+
+fn expand_select(sel: &Select, catalog: &Catalog) -> Option<SetExpr> {
+    // First, recurse into derived tables; a block is copied only once
+    // something in it changes.
+    let mut sel = Cow::Borrowed(sel);
+    let expanded: Vec<(usize, Query)> = (sel.from.iter().enumerate())
+        .filter_map(|(i, f)| match f {
+            TableFactor::Derived { query, .. } => match or_expand(query, catalog) {
+                Cow::Owned(q) => Some((i, q)),
+                Cow::Borrowed(_) => None,
+            },
+            TableFactor::Table { .. } => None,
+        })
+        .collect();
+    for (i, q) in expanded {
+        if let TableFactor::Derived { query, .. } = &mut sel.to_mut().from[i] {
+            **query = q;
         }
     }
 
     if !sel.distinct || !sel.group_by.is_empty() || sel.having.is_some() {
-        return SetExpr::Select(Box::new(sel));
+        return changed(sel);
     }
 
     // General unreferenced-table elimination under DISTINCT (independent of
@@ -62,7 +95,7 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
     if !sel.projection.iter().any(|i| matches!(i, SelectItem::Wildcard))
         && !select_has_unqualified(&sel)
     {
-        let mut needed: Vec<String> = Vec::new();
+        let mut needed: Vec<&str> = Vec::new();
         for item in &sel.projection {
             if let SelectItem::Expr { expr, .. } = item {
                 expr.referenced_qualifiers(&mut needed);
@@ -72,27 +105,36 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
             w.referenced_qualifiers(&mut needed);
         }
         let mut empty_dropped = false;
-        sel.from.retain(|f| {
-            if needed.iter().any(|q| q.eq_ignore_ascii_case(f.binding_name())) {
-                return true;
-            }
-            match f {
-                TableFactor::Table { name, .. } => match catalog.table(name) {
-                    Ok(t) => {
-                        if t.read().is_empty() {
-                            empty_dropped = true;
+        let dropped: Vec<usize> = (0..sel.from.len())
+            .filter(|&i| {
+                let f = &sel.from[i];
+                if needed.iter().any(|q| q.eq_ignore_ascii_case(f.binding_name())) {
+                    return false;
+                }
+                match f {
+                    TableFactor::Table { name, .. } => match catalog.table(name) {
+                        Ok(t) => {
+                            if t.read().is_empty() {
+                                empty_dropped = true;
+                            }
+                            true
                         }
-                        false
-                    }
-                    Err(_) => true, // let the planner report the bind error
-                },
-                TableFactor::Derived { .. } => true,
+                        Err(_) => false, // let the planner report the bind error
+                    },
+                    TableFactor::Derived { .. } => false,
+                }
+            })
+            .collect();
+        if !dropped.is_empty() {
+            let from = &mut sel.to_mut().from;
+            for &i in dropped.iter().rev() {
+                from.remove(i);
             }
-        });
+        }
         if empty_dropped {
             // A cross product with an empty table empties the whole result.
-            sel.selection = Some(Expr::Literal(Value::Bool(false)));
-            return SetExpr::Select(Box::new(sel));
+            sel.to_mut().selection = Some(Expr::Literal(Value::Bool(false)));
+            return changed(sel);
         }
     }
 
@@ -102,7 +144,7 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
     // could only see as a post-cross-product filter. Most blocks have none,
     // so the search borrows; only an expansion copies the conjuncts.
     let Some(selection) = &sel.selection else {
-        return SetExpr::Select(Box::new(sel));
+        return changed(sel);
     };
     let conjuncts = selection.conjuncts();
     let chosen = (0..conjuncts.len()).find(|&i| {
@@ -112,20 +154,16 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
                 || disjuncts.iter().any(|d| contains_join_predicate(d)))
     });
     let Some(idx) = chosen else {
-        return SetExpr::Select(Box::new(sel));
+        return changed(sel);
     };
-    let disjuncts: Vec<Expr> = conjuncts[idx].disjuncts().into_iter().cloned().collect();
-    let core: Vec<Expr> = conjuncts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != idx)
-        .map(|(_, c)| (*c).clone())
-        .collect();
+    let disjuncts = conjuncts[idx].disjuncts();
+    let core: Vec<&Expr> =
+        conjuncts.iter().enumerate().filter(|(i, _)| *i != idx).map(|(_, c)| *c).collect();
 
     let mut branches: Vec<SetExpr> = Vec::new();
-    for d in &disjuncts {
+    for d in disjuncts {
         // Factors needed by this branch: projection + core conjuncts + d.
-        let mut needed: Vec<String> = Vec::new();
+        let mut needed: Vec<&str> = Vec::new();
         for item in &sel.projection {
             if let SelectItem::Expr { expr, .. } = item {
                 expr.referenced_qualifiers(&mut needed);
@@ -171,39 +209,42 @@ fn expand_select(sel: &Select, catalog: &Catalog) -> SetExpr {
         if dropped_empty {
             continue;
         }
-        let mut branch_conjs = core.clone();
-        branch_conjs.push(d.clone());
         let branch = Select {
             distinct: true,
             projection: sel.projection.clone(),
             from,
-            selection: pqp_sql::builder::and_all(branch_conjs),
+            selection: pqp_sql::builder::and_all(core.iter().chain([&d]).map(|&c| c.clone())),
             group_by: Vec::new(),
             having: None,
         };
         // A branch may itself still contain an expandable disjunction.
-        branches.push(expand_select(&branch, catalog));
+        branches.push(match expand_select(&branch, catalog) {
+            Some(expanded) => expanded,
+            None => SetExpr::Select(Box::new(branch)),
+        });
     }
 
-    match branches.into_iter().reduce(|l, r| SetExpr::Union {
-        left: Box::new(l),
-        right: Box::new(r),
-        all: false,
-    }) {
-        Some(b) => b,
-        None => {
-            // Every branch crossed an empty table: the query is empty.
-            let mut empty = sel.clone();
-            empty.selection = Some(Expr::Literal(Value::Bool(false)));
-            SetExpr::Select(Box::new(empty))
-        }
-    }
+    Some(
+        match branches.into_iter().reduce(|l, r| SetExpr::Union {
+            left: Box::new(l),
+            right: Box::new(r),
+            all: false,
+        }) {
+            Some(b) => b,
+            None => {
+                // Every branch crossed an empty table: the query is empty.
+                let mut empty = sel.into_owned();
+                empty.selection = Some(Expr::Literal(Value::Bool(false)));
+                SetExpr::Select(Box::new(empty))
+            }
+        },
+    )
 }
 
 /// Whether expanding conjunct `idx` lets at least one branch drop at least
 /// one FROM factor.
 fn expansion_enables_elimination(sel: &Select, conjuncts: &[&Expr], idx: usize) -> bool {
-    let mut outside: Vec<String> = Vec::new();
+    let mut outside: Vec<&str> = Vec::new();
     for item in &sel.projection {
         if let SelectItem::Expr { expr, .. } = item {
             expr.referenced_qualifiers(&mut outside);
@@ -271,7 +312,7 @@ fn select_has_unqualified(sel: &Select) -> bool {
     }) || sel.selection.as_ref().is_some_and(expr_has)
 }
 
-fn has_unqualified(sel: &Select, core: &[Expr], branch: &Expr) -> bool {
+fn has_unqualified(sel: &Select, core: &[&Expr], branch: &Expr) -> bool {
     fn expr_has(e: &Expr) -> bool {
         match e {
             Expr::Column { qualifier: None, .. } => true,
@@ -286,6 +327,6 @@ fn has_unqualified(sel: &Select, core: &[Expr], branch: &Expr) -> bool {
     sel.projection.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => expr_has(expr),
         SelectItem::Wildcard => false,
-    }) || core.iter().any(expr_has)
+    }) || core.iter().any(|c| expr_has(c))
         || expr_has(branch)
 }

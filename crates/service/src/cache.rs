@@ -6,18 +6,21 @@
 //! lock. Eviction order only matters under capacity pressure, where both
 //! caches tolerate recomputing a dropped entry.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// A bounded map evicting its oldest-inserted entry on overflow.
 ///
-/// Each key is stored once: the map and the eviction queue share it.
+/// The map and the eviction queue each hold a clone of every key, so keys
+/// should be cheap to clone (`Arc<str>`, `Arc<PlanKey>`). A lookup takes any
+/// borrowed form of the key (`&str` for an `Arc<str>` key), so probing the
+/// cache never builds an owned key.
 #[derive(Debug)]
 pub struct FifoCache<K, V> {
     capacity: usize,
-    map: HashMap<Arc<K>, V>,
-    order: VecDeque<Arc<K>>,
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
 }
 
 /// What an insert pushed out of the cache. The displaced value is handed
@@ -34,14 +37,17 @@ pub enum Inserted<V> {
     Evicted(V),
 }
 
-impl<K: Hash + Eq, V> FifoCache<K, V> {
+impl<K: Hash + Eq + Clone, V> FifoCache<K, V> {
     /// A cache holding at most `capacity` entries (clamped to at least 1).
     pub fn new(capacity: usize) -> FifoCache<K, V> {
         FifoCache { capacity: capacity.max(1), map: HashMap::new(), order: VecDeque::new() }
     }
 
     /// Look up a key. A pure read: no recency bookkeeping.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         self.map.get(key)
     }
 
@@ -50,11 +56,10 @@ impl<K: Hash + Eq, V> FifoCache<K, V> {
         if let Some(slot) = self.map.get_mut(&key) {
             return Inserted::Replaced(std::mem::replace(slot, value));
         }
-        let key = Arc::new(key);
-        self.map.insert(Arc::clone(&key), value);
+        self.map.insert(key.clone(), value);
         self.order.push_back(key);
         if self.map.len() > self.capacity {
-            if let Some(evicted) = self.order.pop_front().and_then(|k| self.map.remove(&*k)) {
+            if let Some(evicted) = self.order.pop_front().and_then(|k| self.map.remove(&k)) {
                 return Inserted::Evicted(evicted);
             }
         }
@@ -67,7 +72,7 @@ impl<K: Hash + Eq, V> FifoCache<K, V> {
         let before = self.map.len();
         self.map.retain(|k, v| f(k, &*v));
         if self.map.len() != before {
-            self.order.retain(|k| self.map.contains_key(&**k));
+            self.order.retain(|k| self.map.contains_key(k));
         }
         before - self.map.len()
     }
@@ -131,6 +136,14 @@ mod tests {
         c.insert("e", 6);
         assert_eq!(c.get(&"b"), None, "b evicted first after the sweep");
         assert_eq!(c.retain(|_, _| true), 0);
+    }
+
+    #[test]
+    fn shared_keys_are_probed_by_their_borrowed_form() {
+        let mut c: FifoCache<std::sync::Arc<str>, i32> = FifoCache::new(2);
+        c.insert("select 1".into(), 1);
+        assert_eq!(c.get("select 1"), Some(&1), "a &str finds an Arc<str> key");
+        assert_eq!(c.get("select 2"), None);
     }
 
     #[test]

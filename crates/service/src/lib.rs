@@ -72,10 +72,11 @@ use pqp_obs::{Budget, CacheSnapshot, CacheStats, QueryCtx};
 use pqp_sql::ast::{Query, Select};
 use pqp_sql::{ShowStmt, Statement};
 use pqp_storage::sync::RwLock;
+use pqp_storage::Catalog;
 use pqp_storage::{ShardedMap, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A user identifier: the key of the sharded profile store.
@@ -399,11 +400,37 @@ pub trait QueryApi {
     fn remove_profile(&mut self) -> Result<bool>;
 }
 
-/// One user's stored state: the profile plus its invalidation epoch.
-#[derive(Debug, Clone)]
+/// One user's stored state for one epoch: the profile, its invalidation
+/// epoch, and the personalization graph of that profile.
+///
+/// The store holds entries behind an `Arc`, so a plan-cache miss snapshots a
+/// user by reference count. The graph is built by the first miss that needs
+/// it and then serves every miss of the epoch; it shares the profile's
+/// preference list instead of copying it. A mutation never edits an entry —
+/// it mints a new one — so a graph can only be published to, and read from,
+/// the epoch it was built for, and it is dropped with that epoch's last
+/// snapshot.
+#[derive(Debug)]
 struct ProfileEntry {
     profile: Profile,
     epoch: u64,
+    graph: OnceLock<InMemoryGraph>,
+}
+
+impl ProfileEntry {
+    fn new(profile: Profile, epoch: u64) -> Arc<ProfileEntry> {
+        Arc::new(ProfileEntry { profile, epoch, graph: OnceLock::new() })
+    }
+
+    /// This epoch's personalization graph, built on first use. Racing
+    /// misses may each build one; the first to publish is kept.
+    fn graph(&self, catalog: &Catalog) -> Result<&InMemoryGraph> {
+        if let Some(graph) = self.graph.get() {
+            return Ok(graph);
+        }
+        let built = InMemoryGraph::build(&self.profile, catalog)?;
+        Ok(self.graph.get_or_init(|| built))
+    }
 }
 
 /// A parsed, graphed query — user-independent, shared across users.
@@ -522,13 +549,15 @@ pub struct Service {
     /// Queries currently inside [`Service::query`]; admission control
     /// compares it against `config.max_in_flight`.
     in_flight: AtomicUsize,
-    profiles: ShardedMap<UserId, ProfileEntry>,
+    profiles: ShardedMap<UserId, Arc<ProfileEntry>>,
+    /// The graph of a user with no stored profile: no preferences.
+    no_profile: InMemoryGraph,
     /// Source of profile epochs: globally monotonic per service, so a
     /// removed-and-reinstalled user can never collide with plans cached
     /// under an earlier epoch (no ABA).
     epoch_source: AtomicU64,
-    prepared: RwLock<FifoCache<String, Arc<Prepared>>>,
-    plans: RwLock<FifoCache<PlanKey, Arc<CachedPlan>>>,
+    prepared: RwLock<FifoCache<Arc<str>, Arc<Prepared>>>,
+    plans: RwLock<FifoCache<Arc<PlanKey>, Arc<CachedPlan>>>,
     prepared_stats: CacheStats,
     plan_stats: CacheStats,
     telemetry: Telemetry,
@@ -555,6 +584,7 @@ impl Service {
             db,
             in_flight: AtomicUsize::new(0),
             profiles: ShardedMap::new(config.shards),
+            no_profile: InMemoryGraph::default(),
             epoch_source: AtomicU64::new(0),
             prepared: RwLock::new(FifoCache::new(config.prepared_capacity)),
             plans: RwLock::new(FifoCache::new(config.plan_capacity)),
@@ -598,7 +628,7 @@ impl Service {
         // one user are strictly increasing even across racing installs.
         self.profiles.write(&user, |shard| {
             let epoch = self.next_epoch();
-            shard.insert(user.clone(), ProfileEntry { profile, epoch });
+            shard.insert(user.clone(), ProfileEntry::new(profile, epoch));
         });
         Ok(())
     }
@@ -663,7 +693,7 @@ impl Service {
                     return false;
                 }
                 let epoch = self.next_epoch();
-                shard.insert(user.clone(), ProfileEntry { profile, epoch });
+                shard.insert(user.clone(), ProfileEntry::new(profile, epoch));
                 true
             });
             if committed {
@@ -709,12 +739,16 @@ impl Service {
 
     /// A snapshot of a user's profile (`None` when nothing is stored).
     pub fn profile(&self, user: impl Into<UserId>) -> Option<Profile> {
-        self.profiles.get_cloned(&user.into()).map(|e| e.profile)
+        self.profiles.read(&user.into(), |e| e.map(|e| e.profile.clone()))
     }
 
     /// The user's current invalidation epoch (0 when no profile is stored).
     pub fn epoch(&self, user: impl Into<UserId>) -> u64 {
-        self.profiles.read(&user.into(), |e| e.map_or(0, |e| e.epoch))
+        self.epoch_of(&user.into())
+    }
+
+    fn epoch_of(&self, user: &UserId) -> u64 {
+        self.profiles.read(user, |e| e.map_or(0, |e| e.epoch))
     }
 
     /// All users with a stored profile.
@@ -730,7 +764,7 @@ impl Service {
     /// The flag reports whether the cache served it (for the query log).
     fn prepare(&self, sql: &str) -> Result<(Arc<Prepared>, bool)> {
         let key = sql.trim();
-        if let Some(p) = self.prepared.read().get(&key.to_string()) {
+        if let Some(p) = self.prepared.read().get(key) {
             self.prepared_stats.hit();
             return Ok((Arc::clone(p), true));
         }
@@ -742,7 +776,7 @@ impl Service {
             .clone();
         let graph = QueryGraph::from_select(&select, self.db.catalog())?;
         let prepared = Arc::new(Prepared { select, graph, canonical: query.to_string().into() });
-        let displaced = self.prepared.write().insert(key.to_string(), Arc::clone(&prepared));
+        let displaced = self.prepared.write().insert(key.into(), Arc::clone(&prepared));
         if matches!(displaced, Inserted::Evicted(_)) {
             self.prepared_stats.eviction();
         }
@@ -1021,7 +1055,7 @@ impl Service {
         // Fast path: a cached plan built under the user's current epoch. An
         // injected `plan.cache` fault degrades to a recompute (a cache must
         // never be load-bearing for correctness), so it counts as a miss.
-        let epoch_now = self.epoch(user.clone());
+        let epoch_now = self.epoch_of(user);
         enum Lookup {
             Hit(Arc<CachedPlan>),
             Stale,
@@ -1069,16 +1103,16 @@ impl Service {
             }
         };
 
-        // Slow path: snapshot the profile and its epoch atomically (one
-        // shard read), personalize, plan, execute, then publish the plan
-        // under the snapshot epoch. A concurrent mutation between snapshot
-        // and publish simply leaves a stale entry that the next lookup
-        // recomputes — never a wrong answer.
-        let (profile, epoch) = self.profiles.read(user, |e| match e {
-            Some(e) => (e.profile.clone(), e.epoch),
-            None => (Profile::new(user.as_str()), 0),
-        });
-        let graph = InMemoryGraph::build(&profile, self.db.catalog())?;
+        // Slow path: snapshot the user's entry (one shard read, one
+        // reference count), personalize over its graph, plan, execute, then
+        // publish the plan under the snapshot epoch. A concurrent mutation
+        // between snapshot and publish simply leaves a stale entry that the
+        // next lookup recomputes — never a wrong answer.
+        let entry = self.profiles.read(user, |e| e.cloned());
+        let (graph, epoch) = match &entry {
+            Some(e) => (e.graph(self.db.catalog())?, e.epoch),
+            None => (&self.no_profile, 0),
+        };
 
         // The degradation ladder. Personalization runs under a *slice* of
         // the remaining budget (a quarter — execution is the expensive
@@ -1105,7 +1139,7 @@ impl Service {
                 let personalized = personalize_prepared_ctx(
                     &prepared.select,
                     &prepared.graph,
-                    &graph,
+                    graph,
                     level.apply(options),
                     &slice,
                 );
@@ -1151,7 +1185,7 @@ impl Service {
                 let cached = CachedPlan { epoch, plan, est_rows, rewrite: ran, k, m };
                 // The write guard is released at the end of this statement;
                 // whatever plan the insert displaced is freed after it.
-                let displaced = self.plans.write().insert(key, Arc::new(cached));
+                let displaced = self.plans.write().insert(Arc::new(key), Arc::new(cached));
                 if matches!(displaced, Inserted::Evicted(_)) {
                     self.plan_stats.eviction();
                 }

@@ -1,14 +1,38 @@
 //! Concurrency guarantees of the serving layer: two threads mutating the
 //! same user's profile while a third queries it never deadlock, no update is
 //! lost, and epoch-based plan-cache invalidation is observed — per user.
+//! A user's personalization graph is built once per profile epoch, by the
+//! first plan-cache miss that needs it; the last three tests race that
+//! build against mutations.
 //!
 //! `scripts/verify.sh` runs this file both under the default test
 //! parallelism and with `RUST_TEST_THREADS=1`.
 
 use pqp_core::Profile;
-use pqp_engine::Database;
+use pqp_engine::{Database, ResultSet};
+use pqp_obs::failpoint;
 use pqp_service::Service;
-use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
+use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
+use std::sync::{Barrier, Mutex, MutexGuard};
+use std::time::Duration;
+
+/// The failpoint registry is process-global, and a one-shot failpoint is
+/// used up by whichever selection reaches it first: every test here runs
+/// under this guard.
+static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Arm `select.pref` with `spec` while `f` runs: a `delay` holds a plan-cache
+/// miss between its profile snapshot and its plan publish.
+fn with_slow_selection<R>(spec: &str, f: impl FnOnce() -> R) -> R {
+    failpoint::configure("select.pref", spec).unwrap();
+    let out = f();
+    failpoint::remove("select.pref");
+    out
+}
 
 fn movie_db() -> Database {
     let mut c = Catalog::new();
@@ -56,6 +80,7 @@ const Q: &str = "select MV.title from MOVIE MV";
 /// mutation (none lost, none coalesced).
 #[test]
 fn concurrent_mutation_and_query_same_user() {
+    let _serial = serial();
     let service = Service::new(movie_db());
     service.install_profile(profile_for("ana", "comedy")).unwrap();
     let epoch_at_install = service.epoch("ana");
@@ -129,6 +154,7 @@ fn concurrent_mutation_and_query_same_user() {
 /// observe a torn or rolled-back profile.
 #[test]
 fn concurrent_updates_to_one_user_lose_nothing() {
+    let _serial = serial();
     let service = Service::new(movie_db());
     const THREADS: usize = 8;
     std::thread::scope(|scope| {
@@ -156,6 +182,7 @@ fn concurrent_updates_to_one_user_lose_nothing() {
 /// invalidate another user's cached plans.
 #[test]
 fn mutations_do_not_invalidate_other_users() {
+    let _serial = serial();
     let service = Service::new(movie_db());
     service.install_profile(profile_for("ana", "comedy")).unwrap();
     service.install_profile(profile_for("bob", "drama")).unwrap();
@@ -178,4 +205,155 @@ fn mutations_do_not_invalidate_other_users() {
             }
         });
     });
+}
+
+/// The rows `Q` returns, sorted, for a service holding only `profile`.
+fn rows_for(profile: Option<Profile>) -> Vec<Vec<Value>> {
+    let service = Service::new(movie_db());
+    let user = profile.as_ref().map_or_else(|| "nobody".to_string(), |p| p.user.clone());
+    if let Some(p) = profile {
+        service.install_profile(p).unwrap();
+    }
+    sorted(service.session(user.as_str()).query(Q).unwrap().rows)
+}
+
+fn sorted(answer: ResultSet) -> Vec<Vec<Value>> {
+    let mut rows = answer.rows;
+    rows.sort();
+    rows
+}
+
+/// A mutation racing a plan-cache miss — landing before the miss snapshots
+/// the profile, between the snapshot and the graph build, or after it — is
+/// seen by the next query: a miss personalizes over the graph of the epoch
+/// it snapshotted and publishes its plan under that epoch, so a graph built
+/// for the old profile can never answer for the new one.
+#[test]
+fn a_mutation_racing_a_miss_is_seen_by_the_next_query() {
+    let _serial = serial();
+    let comedy = rows_for(Some(profile_for("ana", "comedy")));
+    let mut both = profile_for("ana", "comedy");
+    both.add_selection("GENRE", "genre", "drama", 0.95).unwrap();
+    let both = rows_for(Some(both));
+    assert_ne!(comedy, both, "the mutation changes the answer");
+
+    for round in 0..50u32 {
+        let service = Service::new(movie_db());
+        service.install_profile(profile_for("ana", "comedy")).unwrap();
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                // Either profile is a correct answer for a query that races
+                // the mutation.
+                let rows = sorted(service.session("ana").query(Q).unwrap().rows);
+                assert!(rows == comedy || rows == both, "round {round}: a torn answer");
+            });
+            start.wait();
+            // Spread the mutation over the miss: some rounds land before its
+            // snapshot, some inside the graph build, some after.
+            std::thread::sleep(Duration::from_micros(u64::from(round) * 20));
+            service.add_selection("ana", "GENRE", "genre", "drama", 0.95).unwrap();
+        });
+        let session = service.session("ana");
+        assert_eq!(sorted(session.query(Q).unwrap().rows), both, "round {round}: next query");
+        let again = session.query(Q).unwrap();
+        assert!(again.meta.cache.is_hit(), "round {round}: the new epoch's plan is cached");
+        assert_eq!(sorted(again.rows), both, "round {round}: the cached plan");
+    }
+
+    // The same race with the window held open: the miss snapshots the
+    // profile and builds its graph, then sleeps in selection while the
+    // mutation lands. Which side of the mutation the miss snapshotted is
+    // read off its answer, so nothing below depends on the host's timing.
+    with_slow_selection("delay(100)", || {
+        let service = Service::new(movie_db());
+        service.install_profile(profile_for("ana", "comedy")).unwrap();
+        let seen = std::thread::scope(|scope| {
+            let miss = scope.spawn(|| sorted(service.session("ana").query(Q).unwrap().rows));
+            std::thread::sleep(Duration::from_millis(30));
+            service.add_selection("ana", "GENRE", "genre", "drama", 0.95).unwrap();
+            miss.join().unwrap()
+        });
+        assert!(seen == comedy || seen == both);
+        let next = service.session("ana").query(Q).unwrap();
+        if seen == comedy {
+            assert!(!next.meta.cache.is_hit(), "the racing miss's plan is stale");
+        }
+        assert_eq!(sorted(next.rows), both);
+    });
+}
+
+/// Removing a profile drops its epoch's graph with it: a reinstall under
+/// the same user builds a fresh graph from the new profile.
+#[test]
+fn remove_then_reinstall_builds_a_fresh_graph() {
+    let _serial = serial();
+    let (comedy, drama, none) = (
+        rows_for(Some(profile_for("ana", "comedy"))),
+        rows_for(Some(profile_for("ana", "drama"))),
+        rows_for(None),
+    );
+    assert!(comedy != drama && drama != none, "the three states answer differently");
+
+    let service = Service::new(movie_db());
+    service.install_profile(profile_for("ana", "comedy")).unwrap();
+    let session = service.session("ana");
+    assert_eq!(sorted(session.query(Q).unwrap().rows), comedy);
+    assert!(service.remove_profile("ana"));
+    assert_eq!(sorted(session.query(Q).unwrap().rows), none, "no profile, no preferences");
+    service.install_profile(profile_for("ana", "drama")).unwrap();
+    assert_eq!(sorted(session.query(Q).unwrap().rows), drama, "the reinstalled profile's graph");
+
+    // The same sequence racing a reader: every answer belongs to one of
+    // the three states, and the last state wins once the writer stops.
+    for round in 0..20 {
+        service.install_profile(profile_for("ana", "comedy")).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..10 {
+                    let rows = sorted(service.session("ana").query(Q).unwrap().rows);
+                    assert!(
+                        rows == comedy || rows == drama || rows == none,
+                        "round {round}: an answer from no profile the user ever had"
+                    );
+                }
+            });
+            service.remove_profile("ana");
+            service.install_profile(profile_for("ana", "drama")).unwrap();
+        });
+        assert_eq!(sorted(session.query(Q).unwrap().rows), drama, "round {round}");
+    }
+}
+
+/// Two misses of one user in flight across a mutation: the older one
+/// personalizes over the older epoch's graph and answers for it, the newer
+/// one over a graph built for the newer epoch. Whichever publishes last, the
+/// cache never serves the older graph's plan for the newer epoch.
+#[test]
+fn an_older_epochs_graph_never_plans_for_a_newer_epoch() {
+    let _serial = serial();
+    let comedy = rows_for(Some(profile_for("ana", "comedy")));
+    let drama = rows_for(Some(profile_for("ana", "drama")));
+    assert_ne!(comedy, drama);
+
+    let service = Service::new(movie_db());
+    service.install_profile(profile_for("ana", "comedy")).unwrap();
+    let query = || sorted(service.session("ana").query(Q).unwrap().rows);
+    // The one-shot delay is the older miss's: it holds its comedy snapshot
+    // while the install lands and the newer miss builds, publishes and
+    // answers, then publishes its own plan last.
+    with_slow_selection("1*delay(150)", || {
+        std::thread::scope(|scope| {
+            let older = scope.spawn(query);
+            std::thread::sleep(Duration::from_millis(30));
+            // Swap the whole preference: the comedy selection goes.
+            service.install_profile(profile_for("ana", "drama")).unwrap();
+            assert_eq!(query(), drama, "the newer miss answers for its epoch");
+            let seen = older.join().unwrap();
+            assert!(seen == comedy || seen == drama, "the older miss answers for an epoch");
+        });
+    });
+    assert_eq!(query(), drama, "the next lookup serves or rebuilds the drama plan");
+    assert_eq!(query(), drama, "and the plan it caches is the drama one");
 }

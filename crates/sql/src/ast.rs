@@ -7,6 +7,7 @@
 //! `DEGREE_OF_DISJUNCTION`), `ORDER BY` and `LIMIT`.
 
 use pqp_storage::Value;
+use std::sync::Arc;
 
 /// A full query: a set expression plus optional ordering and limit.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,16 +81,20 @@ pub enum SelectItem {
     /// `*`
     Wildcard,
     /// `expr [AS alias]`
-    Expr { expr: Expr, alias: Option<String> },
+    Expr { expr: Expr, alias: Option<Arc<str>> },
 }
 
 /// A FROM-clause factor.
+///
+/// Identifiers here and in [`Expr::Column`] are shared strings: the
+/// personalization rewrites copy the query's names into every partial query
+/// and branch, and a copy is a reference-count bump.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableFactor {
     /// `name [alias]` — a base table with an optional tuple variable.
-    Table { name: String, alias: Option<String> },
+    Table { name: Arc<str>, alias: Option<Arc<str>> },
     /// `( query ) alias` — a derived table.
-    Derived { query: Box<Query>, alias: String },
+    Derived { query: Box<Query>, alias: Arc<str> },
 }
 
 impl TableFactor {
@@ -140,7 +145,7 @@ impl BinaryOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// `[qualifier.]name`
-    Column { qualifier: Option<String>, name: String },
+    Column { qualifier: Option<Arc<str>>, name: Arc<str> },
     /// A literal value.
     Literal(Value),
     /// `left op right`
@@ -189,12 +194,13 @@ impl Expr {
         out
     }
 
-    /// Collect the qualifiers of every column referenced in this expression.
-    pub fn referenced_qualifiers(&self, out: &mut Vec<String>) {
+    /// Collect the qualifiers of every column referenced in this expression
+    /// (case-insensitively distinct, in first-reference order).
+    pub fn referenced_qualifiers<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Expr::Column { qualifier: Some(q), .. } => {
                 if !out.iter().any(|x| x.eq_ignore_ascii_case(q)) {
-                    out.push(q.clone());
+                    out.push(q);
                 }
             }
             Expr::Column { qualifier: None, .. } | Expr::Literal(_) => {}
@@ -266,7 +272,7 @@ mod tests {
         let e = and(eq(col("MV", "mid"), col("PL", "mid")), eq(col("mv", "year"), lit(2000i64)));
         let mut qs = Vec::new();
         e.referenced_qualifiers(&mut qs);
-        assert_eq!(qs, vec!["MV".to_string(), "PL".to_string()]);
+        assert_eq!(qs, vec!["MV", "PL"]);
     }
 
     #[test]

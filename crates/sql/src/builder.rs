@@ -6,14 +6,15 @@
 
 use crate::ast::{BinaryOp, Expr, OrderByItem, Query, Select, SelectItem, SetExpr, TableFactor};
 use pqp_storage::Value;
+use std::sync::Arc;
 
 /// A qualified column reference `qualifier.name`.
-pub fn col(qualifier: impl Into<String>, name: impl Into<String>) -> Expr {
+pub fn col(qualifier: impl Into<Arc<str>>, name: impl Into<Arc<str>>) -> Expr {
     Expr::Column { qualifier: Some(qualifier.into()), name: name.into() }
 }
 
 /// An unqualified column reference.
-pub fn bare_col(name: impl Into<String>) -> Expr {
+pub fn bare_col(name: impl Into<Arc<str>>) -> Expr {
     Expr::Column { qualifier: None, name: name.into() }
 }
 
@@ -88,17 +89,17 @@ pub fn item(expr: Expr) -> SelectItem {
 }
 
 /// A projection item with an alias.
-pub fn item_as(expr: Expr, alias: impl Into<String>) -> SelectItem {
+pub fn item_as(expr: Expr, alias: impl Into<Arc<str>>) -> SelectItem {
     SelectItem::Expr { expr, alias: Some(alias.into()) }
 }
 
 /// A base-table FROM factor with an alias (tuple variable).
-pub fn table(name: impl Into<String>, alias: impl Into<String>) -> TableFactor {
+pub fn table(name: impl Into<Arc<str>>, alias: impl Into<Arc<str>>) -> TableFactor {
     TableFactor::Table { name: name.into(), alias: Some(alias.into()) }
 }
 
 /// A derived-table FROM factor.
-pub fn derived(query: Query, alias: impl Into<String>) -> TableFactor {
+pub fn derived(query: Query, alias: impl Into<Arc<str>>) -> TableFactor {
     TableFactor::Derived { query: Box::new(query), alias: alias.into() }
 }
 

@@ -5,6 +5,7 @@ use crate::error::{ParseError, Result};
 use crate::lexer::tokenize;
 use crate::token::{Keyword, Spanned, Token};
 use pqp_storage::Value;
+use std::sync::Arc;
 
 /// Parse a complete query from source text.
 pub fn parse_query(src: &str) -> Result<Query> {
@@ -212,12 +213,9 @@ impl Parser {
         Ok(Select { distinct, projection, from, selection, group_by, having })
     }
 
-    fn alias_opt(&mut self) -> Result<Option<String>> {
-        if self.eat_kw(Keyword::As) {
-            return Ok(Some(self.ident()?));
-        }
-        if matches!(self.peek(), Token::Ident(_)) {
-            return Ok(Some(self.ident()?));
+    fn alias_opt(&mut self) -> Result<Option<Arc<str>>> {
+        if self.eat_kw(Keyword::As) || matches!(self.peek(), Token::Ident(_)) {
+            return Ok(Some(self.ident()?.into()));
         }
         Ok(None)
     }
@@ -233,7 +231,7 @@ impl Parser {
             };
             return Ok(TableFactor::Derived { query: Box::new(query), alias });
         }
-        let name = self.ident()?;
+        let name = self.ident()?.into();
         let alias = self.alias_opt()?;
         Ok(TableFactor::Table { name, alias })
     }
@@ -405,10 +403,10 @@ impl Parser {
                     return self.function_call(name);
                 }
                 if self.eat(&Token::Dot) {
-                    let col = self.ident()?;
-                    return Ok(Expr::Column { qualifier: Some(name), name: col });
+                    let col = self.ident()?.into();
+                    return Ok(Expr::Column { qualifier: Some(name.into()), name: col });
                 }
-                Ok(Expr::Column { qualifier: None, name })
+                Ok(Expr::Column { qualifier: None, name: name.into() })
             }
             other => Err(self.err(format!("expected expression, found `{other}`"))),
         }
@@ -521,7 +519,7 @@ mod tests {
         .unwrap();
         let s = q.as_select().unwrap();
         let TableFactor::Derived { query, alias } = &s.from[0] else { panic!() };
-        assert_eq!(alias, "TEMP");
+        assert_eq!(&**alias, "TEMP");
         assert!(matches!(query.body, SetExpr::Union { all: true, .. }));
     }
 

@@ -48,9 +48,9 @@ fn leaf_expr(rng: &mut SmallRng) -> Expr {
         0 => Expr::Literal(literal(rng)),
         1 => {
             let q = ident(rng);
-            Expr::Column { qualifier: Some(q), name: ident(rng) }
+            Expr::Column { qualifier: Some(q.into()), name: ident(rng).into() }
         }
-        2 => Expr::Column { qualifier: None, name: ident(rng) },
+        2 => Expr::Column { qualifier: None, name: ident(rng).into() },
         _ => Expr::Function { name: "COUNT".into(), args: vec![], wildcard: true },
     }
 }
@@ -110,7 +110,7 @@ fn arb_select(rng: &mut SmallRng) -> Select {
                 SelectItem::Wildcard
             } else {
                 let expr = arb_expr(rng, 3);
-                let alias = if rng.gen_bool(0.5) { Some(ident(rng)) } else { None };
+                let alias = if rng.gen_bool(0.5) { Some(ident(rng).into()) } else { None };
                 SelectItem::Expr { expr, alias }
             }
         })
@@ -118,8 +118,8 @@ fn arb_select(rng: &mut SmallRng) -> Select {
     let n_from = rng.gen_range(0..3usize);
     let from = (0..n_from)
         .map(|_| {
-            let name = ident(rng);
-            let alias = if rng.gen_bool(0.5) { Some(ident(rng)) } else { None };
+            let name = ident(rng).into();
+            let alias = if rng.gen_bool(0.5) { Some(ident(rng).into()) } else { None };
             TableFactor::Table { name, alias }
         })
         .collect();

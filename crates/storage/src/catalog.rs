@@ -203,7 +203,7 @@ impl Catalog {
     /// the target table. Works for arbitrary equi-joins, not just declared
     /// foreign keys.
     pub fn join_cardinality(&self, to_table: &str, to_column: &str) -> Result<Cardinality> {
-        Ok(self.schema_of(to_table)?.join_cardinality_into(to_column))
+        Ok(self.table(to_table)?.read().schema().join_cardinality_into(to_column))
     }
 }
 

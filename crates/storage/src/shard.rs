@@ -125,13 +125,6 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
-    /// Clone the value mapped to `key`.
-    pub fn get_cloned(&self, key: &K) -> Option<V> {
-        self.read(key, |v| v.cloned())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +136,10 @@ mod tests {
     fn serial() -> MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
         GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn get_cloned<K: Hash + Eq, V: Clone>(m: &ShardedMap<K, V>, key: &K) -> Option<V> {
+        m.read(key, |v| v.cloned())
     }
 
     #[test]
@@ -166,9 +163,9 @@ mod tests {
         m.insert("b".into(), 3);
         assert_eq!(m.len(), 2);
         assert!(m.contains(&"a".into()));
-        assert_eq!(m.get_cloned(&"a".into()), Some(2));
+        assert_eq!(get_cloned(&m, &"a".into()), Some(2));
         assert_eq!(m.remove(&"b".into()), Some(3));
-        assert_eq!(m.get_cloned(&"b".into()), None);
+        assert_eq!(get_cloned(&m, &"b".into()), None);
         let mut keys = m.keys();
         keys.sort();
         assert_eq!(keys, vec!["a".to_string()]);
@@ -182,7 +179,7 @@ mod tests {
         let m: ShardedMap<String, Vec<i32>> = ShardedMap::new(2);
         m.insert("k".into(), vec![1]);
         m.write(&"k".into(), |shard| shard.get_mut("k").unwrap().push(2));
-        assert_eq!(m.get_cloned(&"k".into()), Some(vec![1, 2]));
+        assert_eq!(get_cloned(&m, &"k".into()), Some(vec![1, 2]));
     }
 
     #[test]
@@ -213,9 +210,9 @@ mod tests {
         assert!(panicked.is_err(), "worker must have panicked");
         // Reads and writes on the poisoned shard recover, seeing the state
         // as of the poisoning write.
-        assert_eq!(m.get_cloned(&"k".into()), Some(2));
+        assert_eq!(get_cloned(&m, &"k".into()), Some(2));
         m.insert("k".into(), 3);
-        assert_eq!(m.get_cloned(&"k".into()), Some(3));
+        assert_eq!(get_cloned(&m, &"k".into()), Some(3));
         assert_eq!(m.len(), 1);
     }
 
@@ -231,9 +228,9 @@ mod tests {
         assert!(r.is_err(), "failpoint must panic the mutating thread");
         // The poisoned shard recovers and the pre-panic value is intact
         // (the panic fired before the insert mutated the map).
-        assert_eq!(m.get_cloned(&"a".into()), Some(1));
+        assert_eq!(get_cloned(&m, &"a".into()), Some(1));
         m.insert("a".into(), 5);
-        assert_eq!(m.get_cloned(&"a".into()), Some(5));
+        assert_eq!(get_cloned(&m, &"a".into()), Some(5));
     }
 
     #[test]
@@ -247,7 +244,7 @@ mod tests {
                     for i in 0..200u32 {
                         let k = t * 1000 + i;
                         m.insert(k, u64::from(k));
-                        assert_eq!(m.get_cloned(&k), Some(u64::from(k)));
+                        assert_eq!(get_cloned(&m, &k), Some(u64::from(k)));
                     }
                 });
             }

@@ -21,7 +21,7 @@ pub use pqp_core::Rewrite;
 
 /// The outcome of an `EXPLAIN ANALYZE` run.
 #[derive(Debug, Clone)]
-pub struct Analysis {
+pub struct Analysis<'g> {
     /// The executed rewrite, as resolved by the strategy layer: an `Auto`
     /// request reports the strategy the cost model picked, an unsupported
     /// `NativeRank` request reports its MQ fallback.
@@ -30,15 +30,16 @@ pub struct Analysis {
     /// estimated cost of every buildable candidate
     /// ([`pqp_core::StrategyChoice::summary`]).
     pub strategy: String,
-    /// The personalization outcome (selected preferences, K/M/L).
-    pub personalized: Personalized,
+    /// The personalization outcome (selected preferences, K/M/L), borrowing
+    /// the graph it was selected from.
+    pub personalized: Personalized<'g>,
     /// The rows the executed query returned.
     pub result: ResultSet,
     /// The span tree + metrics captured across the pipeline.
     pub trace: PipelineTrace,
 }
 
-impl Analysis {
+impl Analysis<'_> {
     /// The `EXPLAIN ANALYZE` text report: span tree with timings and
     /// operator cardinalities, followed by the selected preferences.
     pub fn report(&self) -> String {
@@ -82,15 +83,15 @@ impl Analysis {
 ///
 /// The trace is thread-local; any trace already active on the calling
 /// thread is replaced.
-pub fn explain_analyze(
+pub fn explain_analyze<'g>(
     sql: &str,
-    graph: &impl GraphAccess,
+    graph: &'g impl GraphAccess,
     db: &Database,
     opts: PersonalizeOptions,
     rewrite: Rewrite,
-) -> Result<Analysis> {
+) -> Result<Analysis<'g>> {
     pqp_obs::trace_begin("explain_analyze");
-    let run = || -> Result<(Personalized, Rewrite, String, ResultSet)> {
+    let run = || -> Result<(Personalized<'g>, Rewrite, String, ResultSet)> {
         let query =
             pqp_sql::parse_query(sql).map_err(|e| PrefError::UnsupportedQuery(e.to_string()))?;
         let p = personalize(&query, graph, db.catalog(), opts)?;

@@ -21,7 +21,7 @@ use pqp_engine::bound::BoundExpr;
 use pqp_engine::plan::{Plan, TopKProbeSource};
 use pqp_engine::{Database, Estimator, ExecOptions};
 use pqp_obs::QueryCtx;
-use pqp_sql::BinaryOp;
+use pqp_sql::{BinaryOp, Select};
 use pqp_storage::{Catalog, TableStats, Value};
 use std::sync::Arc;
 
@@ -442,8 +442,26 @@ fn for_each_node<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
 /// A fixed (user, query, K/L) corpus over a small generated movie database.
 struct Corpus {
     db: Database,
-    /// `(label, personalized query)`.
-    cases: Vec<(String, Personalized)>,
+    /// `(user, personalization graph)`.
+    graphs: Vec<(String, InMemoryGraph)>,
+    queries: Vec<(Select, QueryGraph)>,
+    option_sets: [(&'static str, PersonalizeOptions); 3],
+}
+
+impl Corpus {
+    /// `(label, personalized query)`, borrowing the corpus' graphs.
+    fn cases(&self) -> Vec<(String, Personalized<'_>)> {
+        let mut cases = Vec::new();
+        for (user, graph) in &self.graphs {
+            for (qi, (select, qg)) in self.queries.iter().enumerate() {
+                for (name, options) in &self.option_sets {
+                    let p = personalize_prepared(select, qg, graph, *options).expect("personalize");
+                    cases.push((format!("{user}/q{qi}/{name}"), p));
+                }
+            }
+        }
+        cases
+    }
 }
 
 fn corpus(analyzed: bool) -> Corpus {
@@ -466,24 +484,22 @@ fn corpus(analyzed: bool) -> Corpus {
     );
     let mut queries = generate_queries(8, &movies.pools, &QueryGenConfig::default());
     queries.extend(generate_queries(4, &movies.pools, &QueryGenConfig::broad()));
+    let graphs = (profiles.iter())
+        .map(|p| (p.user.clone(), InMemoryGraph::build(p, db.catalog()).expect("profile graph")))
+        .collect();
+    let queries = (queries.iter())
+        .map(|query| {
+            let select = query.as_select().expect("plain SELECT").clone();
+            let qg = QueryGraph::from_select(&select, db.catalog()).expect("query graph");
+            (select, qg)
+        })
+        .collect();
     let option_sets = [
         ("k4l1", PersonalizeOptions::builder().k(4).l(1).build()),
         ("k6l2", PersonalizeOptions::builder().k(6).l(2).build()),
         ("k5l1r", PersonalizeOptions::builder().k(5).l(1).ranked().build()),
     ];
-    let mut cases = Vec::new();
-    for profile in &profiles {
-        let graph = InMemoryGraph::build(profile, db.catalog()).expect("profile graph");
-        for (qi, query) in queries.iter().enumerate() {
-            let select = query.as_select().expect("plain SELECT").clone();
-            let qg = QueryGraph::from_select(&select, db.catalog()).expect("query graph");
-            for (name, options) in &option_sets {
-                let p = personalize_prepared(&select, &qg, &graph, *options).expect("personalize");
-                cases.push((format!("{}/q{qi}/{name}", profile.user), p));
-            }
-        }
-    }
-    Corpus { db, cases }
+    Corpus { db, graphs, queries, option_sets }
 }
 
 const REWRITES: [Rewrite; 3] = [Rewrite::Sq, Rewrite::Mq, Rewrite::NativeRank];
@@ -495,7 +511,7 @@ fn one_pass_estimates_equal_the_recursive_reference_bit_for_bit() {
         let reference = Reference { catalog: corpus.db.catalog() };
         let mut plans = 0usize;
         let mut nodes = 0usize;
-        for (label, p) in &corpus.cases {
+        for (label, p) in &corpus.cases() {
             for rw in REWRITES {
                 // SQ cannot express ranked queries; a refusal is not a case.
                 let Ok(choice) = build_execution(&corpus.db, p, rw, None) else { continue };
@@ -551,7 +567,7 @@ fn digests(analyzed: bool) -> (u64, u64) {
     let corpus = corpus(analyzed);
     let mut plans = Fnv(0xCBF2_9CE4_8422_2325);
     let mut answers = Fnv(0xCBF2_9CE4_8422_2325);
-    for (label, p) in &corpus.cases {
+    for (label, p) in &corpus.cases() {
         for rw in REWRITES.into_iter().chain([Rewrite::Auto]) {
             plans.eat(label);
             let choice = match build_execution(&corpus.db, p, rw, None) {

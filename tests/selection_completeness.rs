@@ -17,15 +17,15 @@ use pqp_obs::rng::{Rng, SmallRng};
 /// Enumerate ALL completed, non-conflicting preference paths by depth-first
 /// search (no pruning other than the cycle rule), sorted by
 /// (degree desc, length asc).
-fn brute_force_paths(qg: &QueryGraph, graph: &InMemoryGraph) -> Vec<PreferencePath> {
+fn brute_force_paths<'g>(qg: &QueryGraph, graph: &'g InMemoryGraph) -> Vec<PreferencePath<'g>> {
     let comb = PaperCombinator;
     let mut out = Vec::new();
-    fn expand(
-        path: &PreferencePath,
+    fn expand<'g>(
+        path: &PreferencePath<'g>,
         qg: &QueryGraph,
-        graph: &InMemoryGraph,
+        graph: &'g InMemoryGraph,
         comb: &PaperCombinator,
-        out: &mut Vec<PreferencePath>,
+        out: &mut Vec<PreferencePath<'g>>,
     ) {
         let end = path.end_table().to_string();
         for sel in graph.selections_of(&end) {
@@ -35,8 +35,7 @@ fn brute_force_paths(qg: &QueryGraph, graph: &InMemoryGraph) -> Vec<PreferencePa
             }
         }
         for join in graph.joins_from(&end) {
-            let target = join.to.table.to_ascii_uppercase();
-            if path.visited_tables().contains(&target) || qg.contains_table(&target) {
+            if path.visits(&join.to.table) || qg.contains_table(&join.to.table) {
                 continue;
             }
             let p = path.with_join(join, comb);
@@ -44,7 +43,7 @@ fn brute_force_paths(qg: &QueryGraph, graph: &InMemoryGraph) -> Vec<PreferencePa
         }
     }
     for node in &qg.nodes {
-        let anchor = PreferencePath::anchor(&node.var, &node.table);
+        let anchor = PreferencePath::anchor(node.var.clone(), node.table.clone());
         expand(&anchor, qg, graph, &comb, &mut out);
     }
     out.sort_by(|a, b| b.doi.cmp(&a.doi).then(a.len().cmp(&b.len())));
@@ -52,7 +51,7 @@ fn brute_force_paths(qg: &QueryGraph, graph: &InMemoryGraph) -> Vec<PreferencePa
 }
 
 /// Apply an interest criterion greedily to a (degree desc)-ordered list.
-fn greedy_cut(all: &[PreferencePath], ci: &InterestCriterion) -> Vec<PreferencePath> {
+fn greedy_cut<'g>(all: &[PreferencePath<'g>], ci: &InterestCriterion) -> Vec<PreferencePath<'g>> {
     let mut selected = Vec::new();
     let mut dois = Vec::new();
     for p in all {
