@@ -245,6 +245,9 @@ pub fn integrate_sq(
             })
             .collect();
         let mut subset: Vec<usize> = Vec::with_capacity(l);
+        // A combination whose every condition the query (or the mandatory
+        // part) already states is TRUE, and so is the whole disjunction.
+        let mut implied = false;
         enumerate_subsets(n, l, 0, &mut subset, &conflict, &mut |chosen| {
             let mut cs = ConjunctSet::default();
             for &i in chosen {
@@ -254,11 +257,14 @@ pub fn integrate_sq(
                     }
                 }
             }
-            if let Some(e) = b::and_all(cs.exprs) {
-                or_branches.push(e);
+            match b::and_all(cs.exprs) {
+                Some(e) => or_branches.push(e),
+                None => implied = true,
             }
         });
-        if or_branches.is_empty() {
+        if implied {
+            or_branches.clear();
+        } else if or_branches.is_empty() {
             // No conflict-free combination exists: nothing can satisfy L
             // preferences simultaneously.
             or_branches.push(Expr::Literal(Value::Bool(false)));
@@ -729,6 +735,21 @@ mod tests {
         let s = q.as_select().unwrap();
         // No OR part: just the initial conjuncts.
         assert_eq!(s.selection.as_ref().unwrap().conjuncts().len(), 2, "{q}");
+    }
+
+    #[test]
+    fn sq_implied_preference_keeps_every_row() {
+        // The query already states the date preference's only condition, so
+        // at L = 1 every row satisfies a preference: the disjunction is TRUE,
+        // not the comedy branch alone (MQ's date partial is the query).
+        let c = PaperCombinator;
+        let date = PreferencePath::anchor("PL", "PLAY")
+            .with_selection(sel(("PLAY", "date"), "2/7/2003", 0.6), &c);
+        let q =
+            integrate_sq(&initial_select(), &[comedy(), date], 0, MatchSpec::AtLeast(1)).unwrap();
+        let s = q.as_select().unwrap();
+        assert_eq!(s.selection.as_ref().unwrap().conjuncts().len(), 2, "{q}");
+        assert_eq!(s.from.len(), 2, "no optional variable joins in: {q}");
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use select::{
     select_preferences, select_preferences_ctx, select_preferences_with, SelectStats,
     SelectionOutcome,
 };
-pub use strategy::{build_execution, choose, Execution, StrategyChoice};
+pub use strategy::{build_execution, choose, CandidateCost, Execution, StrategyChoice};
 
 /// Convenience prelude.
 pub mod prelude {
@@ -101,5 +101,5 @@ pub mod prelude {
     };
     pub use crate::profile::Profile;
     pub use crate::rank::{top_n, top_n_query};
-    pub use crate::strategy::{build_execution, choose, Execution, StrategyChoice};
+    pub use crate::strategy::{build_execution, choose, CandidateCost, Execution, StrategyChoice};
 }

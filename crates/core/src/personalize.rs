@@ -33,8 +33,8 @@ pub enum Rewrite {
     /// (`pqp_engine::topk`). Not expressible as a SQL string — execute via
     /// [`crate::strategy::build_execution`].
     NativeRank,
-    /// Pick the cheapest of SQ / MQ / native rank per query with the cost
-    /// estimator ([`crate::strategy::choose`]).
+    /// Price SQ / MQ / native rank per query and build the cheapest
+    /// ([`crate::strategy::choose`]).
     Auto,
 }
 
@@ -227,6 +227,11 @@ impl Personalized<'_> {
     /// The degrees of the selected preferences, decreasing.
     pub fn degrees(&self) -> Vec<Doi> {
         self.paths.iter().map(|p| p.doi).collect()
+    }
+
+    /// The query block being personalized.
+    pub(crate) fn select(&self) -> &Select {
+        &self.select
     }
 
     /// Build the SQ (single-query) personalized query.

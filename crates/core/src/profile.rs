@@ -419,6 +419,27 @@ mod tests {
     }
 
     #[test]
+    fn json_roundtrip_of_a_150_selection_profile() {
+        // The size of a benchmark profile, with non-ASCII values and
+        // strings that need escaping.
+        let mut p = Profile::new("user 150");
+        for i in 0..150 {
+            let value = match i % 3 {
+                0 => format!("Ståhlberg-Østergård {i}"),
+                1 => format!("\"quoted\" \\ name {i}"),
+                _ => format!("Müller 日本 {i}"),
+            };
+            p.add_selection("ACTOR", "name", value.as_str(), 0.5 + (i % 50) as f64 / 100.0)
+                .unwrap();
+        }
+        p.add_join("MOVIE", "mid", "CAST", "mid", 0.8).unwrap();
+        p.add_join("CAST", "aid", "ACTOR", "aid", 1.0).unwrap();
+        let back = Profile::from_json(&p.to_json()).unwrap();
+        assert_eq!(back.size(), 150);
+        assert_eq!(back, p);
+    }
+
+    #[test]
     fn json_rejects_invalid_degree() {
         let j = r#"{"user":"x","preferences":[
             {"kind":"selection","attr":{"table":"T","column":"c"},"value":{"Str":"v"},"doi":7.0}

@@ -34,6 +34,18 @@
 //! resolved against the catalog once per estimator and referred to by a
 //! small integer from then on, so an origin is two machine words and a
 //! statistics lookup is an index, not a string hash.
+//!
+//! # Prices
+//!
+//! [`Estimator::price_join`] gives the `(rows, cost)` the walk would derive
+//! for the join tree the planner would build over a set of FROM factors —
+//! from the factors' tables, local selectivities and equi-join edges alone,
+//! without binding or building a plan. It replays the planner's greedy
+//! order (smallest factor first, then the smallest connected join output)
+//! and its access-path rules (an indexed equality is an `IndexScan`, a scan
+//! with an indexed join column under the 4× guard is an `IndexJoin`), and
+//! prices each step with the walk's arithmetic. The strategy layer prices
+//! its rewrite candidates with it before building any of them.
 
 use crate::bound::BoundExpr;
 use crate::plan::{Plan, TopKProbeSource};
@@ -83,6 +95,21 @@ pub struct Estimate {
     pub(crate) origins: Vec<ColumnOrigin>,
 }
 
+/// A FROM factor as [`Estimator::price_join`] sees it: a base table, the
+/// combined selectivity of the conjuncts local to it, and whether one of
+/// them is an indexed `column = literal` (so the planner reads the factor
+/// through an `IndexScan`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PricedFactor<'a> {
+    pub table: &'a str,
+    pub selectivity: f64,
+    pub index_scan: bool,
+}
+
+/// An equi-join conjunct between two factors of a priced join, as
+/// `(factor position, column)` on each side.
+pub type PricedEdge<'a> = ((usize, &'a str), (usize, &'a str));
+
 /// A cardinality estimator over one catalog. Keeps per-table row counts and
 /// statistics snapshots for as long as it lives: one planning pass, or one
 /// strategy choice across all its candidates.
@@ -125,6 +152,158 @@ impl<'a> Estimator<'a> {
         plan.explain_annotated(&mut |p| {
             rows.get(&(p as *const Plan)).map(|r| format!("est_rows={:.0}", r.round()))
         })
+    }
+
+    /// Selectivity of the conjunct `table.column = value`, as the walk
+    /// prices it.
+    pub fn eq_selectivity(&self, table: &str, column: &str, value: &Value) -> f64 {
+        let t = self.table_id(table);
+        let origin = self.column_index(t, column).map(|c| (t, c));
+        self.stats_eq_value(&origin, value).unwrap_or(EQ_FALLBACK).clamp(0.0, 1.0)
+    }
+
+    /// Whether `table` has a hash index on `column`.
+    pub fn has_index(&self, table: &str, column: &str) -> bool {
+        let t = self.table_id(table);
+        self.column_index(t, column).is_some_and(|c| self.indexed(t, c))
+    }
+
+    /// `(rows, cost)` of the join tree the planner would build over
+    /// `factors` joined along `edges`, priced as the walk would price that
+    /// tree (see the module's "Prices"). Conjuncts that are neither local to
+    /// a factor nor equi-join edges are the caller's to apply.
+    pub fn price_join(&self, factors: &[PricedFactor<'_>], edges: &[PricedEdge<'_>]) -> (f64, f64) {
+        struct Side {
+            t: TableId,
+            len: f64,
+            rows: f64,
+            cost: f64,
+            /// Read by a (filtered) `Scan`, so an index join may probe it.
+            scan: bool,
+        }
+        let sides: Vec<Side> = (factors.iter())
+            .map(|f| {
+                let t = self.table_id(f.table);
+                let len = self.table_rows(t);
+                let rows = len * f.selectivity;
+                let cost = if f.index_scan { rows.max(1.0) } else { len.max(1.0) };
+                Side { t, len, rows, cost, scan: !f.index_scan }
+            })
+            .collect();
+        let Some(start) = (0..sides.len()).min_by(|&a, &b| sides[a].rows.total_cmp(&sides[b].rows))
+        else {
+            return (0.0, 0.0);
+        };
+        let origin = |(f, column): (usize, &str)| -> ColumnOrigin {
+            let t = sides[f].t;
+            self.column_index(t, column).map(|c| (t, c))
+        };
+        let indexed = |(f, column): (usize, &str)| {
+            self.column_index(sides[f].t, column).is_some_and(|c| self.indexed(sides[f].t, c))
+        };
+        // An index join needs the scan side's index and, with statistics,
+        // a probe side at most a quarter of the table.
+        let guard =
+            |probe_est: f64, side: &Side| !self.analyzed(side.t) || probe_est * 4.0 <= side.len;
+
+        let mut joined = vec![false; sides.len()];
+        joined[start] = true;
+        let mut used = vec![false; edges.len()];
+        // The walk's rows and cost of the tree so far, and the planner's own
+        // running estimate (floored at one row after every join).
+        let (mut rows, mut cost, mut est) =
+            (sides[start].rows, sides[start].cost, sides[start].rows);
+        for step in 1..sides.len() {
+            let mut best: Option<(usize, f64)> = None;
+            for i in (0..sides.len()).filter(|&i| !joined[i]) {
+                let mut denom = 1.0f64;
+                let mut touches = false;
+                for (e, &edge) in edges.iter().enumerate() {
+                    let Some((near, far)) = towards(edge, &joined, i).filter(|_| !used[e]) else {
+                        continue;
+                    };
+                    touches = true;
+                    denom *= self
+                        .ndv(&origin(near), est)
+                        .max(self.ndv(&origin(far), sides[i].rows))
+                        .max(1.0);
+                }
+                let out = est * sides[i].rows / denom;
+                if touches && out < best.map_or(f64::INFINITY, |(_, o)| o) {
+                    best = Some((i, out));
+                }
+            }
+            let Some((i, out_est)) = best else {
+                // Disconnected: a cross join with the smallest factor left.
+                let Some(i) = (0..sides.len())
+                    .filter(|&i| !joined[i])
+                    .min_by(|&a, &b| sides[a].rows.total_cmp(&sides[b].rows))
+                else {
+                    break;
+                };
+                joined[i] = true;
+                rows *= sides[i].rows;
+                cost += rows + sides[i].cost;
+                est = (est * sides[i].rows).max(1.0);
+                continue;
+            };
+            let side = &sides[i];
+            let mut keys: Vec<PricedEdge<'_>> = Vec::with_capacity(1);
+            for (e, &edge) in edges.iter().enumerate() {
+                if let Some(key) = towards(edge, &joined, i).filter(|_| !used[e]) {
+                    used[e] = true;
+                    keys.push(key);
+                }
+            }
+            let single = if let [key] = keys[..] { Some(key) } else { None };
+            match single {
+                Some((near, far)) if side.scan && indexed(far) && guard(est, side) => {
+                    let np = self.ndv(&origin(near), rows);
+                    let nt = self.ndv(&origin(far), side.len);
+                    rows = rows * side.rows / np.max(nt).max(1.0);
+                    cost += rows;
+                }
+                Some((near, far))
+                    if step == 1
+                        && sides[start].scan
+                        && indexed(near)
+                        && guard(side.rows, &sides[start]) =>
+                {
+                    // The start factor is still a bare scan: it is the
+                    // indexed side, probed by the new one.
+                    let np = self.ndv(&origin(far), side.rows);
+                    let nt = self.ndv(&origin(near), sides[start].len);
+                    rows = side.rows * sides[start].rows / np.max(nt).max(1.0);
+                    cost = rows + side.cost;
+                }
+                _ => {
+                    let mut denom = 1.0;
+                    for &(near, far) in &keys {
+                        denom *= self
+                            .ndv(&origin(near), rows)
+                            .max(self.ndv(&origin(far), side.rows))
+                            .max(1.0);
+                    }
+                    rows = rows * side.rows / denom;
+                    cost += rows + side.cost;
+                }
+            }
+            joined[i] = true;
+            est = out_est.max(1.0);
+            // Edges closing a cycle among joined factors become filters.
+            for (e, &(a, b)) in edges.iter().enumerate() {
+                if !used[e] && joined[a.0] && joined[b.0] {
+                    used[e] = true;
+                    let sel = match (self.stats_ndv(&origin(a)), self.stats_ndv(&origin(b))) {
+                        (Some(na), Some(nb)) => 1.0 / na.max(nb).max(1.0),
+                        _ => DEFAULT_FALLBACK,
+                    };
+                    rows *= sel;
+                    cost += rows;
+                }
+            }
+        }
+        (rows, cost)
     }
 
     /// The post-order walk: estimate the children, derive this node's
@@ -502,6 +681,32 @@ impl<'a> Estimator<'a> {
 
     fn column_index(&self, t: TableId, column: &str) -> Option<usize> {
         self.tables.borrow()[t].columns.iter().position(|c| c.eq_ignore_ascii_case(column))
+    }
+
+    /// Whether column `c` of table `t` has a hash index.
+    fn indexed(&self, t: TableId, c: usize) -> bool {
+        let tables = self.tables.borrow();
+        let facts = &tables[t];
+        match (&facts.table, facts.columns.get(c)) {
+            (Some(table), Some(name)) => table.read().index_on(name).is_some(),
+            _ => false,
+        }
+    }
+
+    fn analyzed(&self, t: TableId) -> bool {
+        self.tables.borrow()[t].stats.is_some()
+    }
+}
+
+/// `edge` as `(near, far)` when it connects a joined factor to factor `i`.
+fn towards<'a>(edge: PricedEdge<'a>, joined: &[bool], i: usize) -> Option<PricedEdge<'a>> {
+    let (a, b) = edge;
+    if joined[a.0] && b.0 == i {
+        Some((a, b))
+    } else if joined[b.0] && a.0 == i {
+        Some((b, a))
+    } else {
+        None
     }
 }
 

@@ -56,7 +56,7 @@ pub mod topk;
 pub mod types;
 mod vexpr;
 
-pub use cost::{Estimate, Estimator};
+pub use cost::{Estimate, Estimator, PricedEdge, PricedFactor};
 pub use error::{EngineError, Result};
 pub use exec::ExecOptions;
 pub use types::{OutputColumn, OutputSchema, ResultSet, SchemaRef};

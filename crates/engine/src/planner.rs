@@ -314,6 +314,11 @@ impl<'a> Planner<'a> {
     }
 
     /// Greedy bushy-free join planning over the FROM factors.
+    ///
+    /// [`Estimator::price_join`] replays this order and the access-path
+    /// rules of [`Self::push_predicate`] and [`Self::choose_join`] to price
+    /// a join before it is planned; a change here must be made there too
+    /// (the strategy layer's tests compare its prices with plan costs).
     fn plan_joins(&self, factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Plan> {
         // Classify conjuncts by the set of factors they reference.
         let mut single: Vec<Vec<&Expr>> = vec![Vec::new(); factors.len()];

@@ -163,7 +163,7 @@ impl Json {
 
     /// Parse a JSON document (the whole string must be one value).
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -255,6 +255,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -274,7 +275,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn expect_byte(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -307,7 +308,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -330,7 +331,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.expect_byte(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -341,7 +342,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.expect_byte(b':')?;
             self.skip_ws();
             let value = self.value()?;
             pairs.push((key, value));
@@ -358,7 +359,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -407,13 +408,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash. Both are ASCII, so the run ends on a
+                    // character boundary of the `&str` input.
+                    let run = (self.bytes[self.pos..].iter())
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let end = self.pos + run;
+                    out.push_str(
+                        self.text.get(self.pos..end).ok_or_else(|| self.err("invalid utf-8"))?,
+                    );
+                    self.pos = end;
                 }
             }
         }
@@ -456,7 +461,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = self.text.get(start..self.pos).ok_or_else(|| self.err("invalid number"))?;
         if integral {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -488,6 +493,37 @@ mod tests {
     #[test]
     fn string_escapes_roundtrip() {
         let j = Json::Str("a\"b\\c\nd\tκόσμε \u{1}".to_string());
+        assert_eq!(Json::parse(&j.render()).unwrap(), j);
+    }
+
+    #[test]
+    fn multi_byte_scalars_end_a_string() {
+        for text in ["é", "aé", "日本", "a😀", "κόσμε", "x\u{10FFFF}"] {
+            let j = Json::Str(text.to_string());
+            assert_eq!(Json::parse(&j.render()).unwrap(), j, "{text}");
+            // ...inside a document that goes on after it...
+            assert_eq!(Json::parse(&format!("[\"{text}\"]")).unwrap(), Json::Arr(vec![j]));
+            // ...and at the end of the input, unterminated.
+            assert!(Json::parse(&format!("\"{text}")).is_err(), "{text}");
+        }
+        // A multi-byte scalar right before an escape.
+        assert_eq!(Json::parse(r#""é\n""#).unwrap(), Json::Str("é\n".into()));
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_one_pass() {
+        // Plain runs are copied, not re-validated to the end of the input
+        // once per character: 1 MB of text (a multi-byte scalar every 64
+        // bytes, an escape every 4 KiB) parses back unchanged.
+        let mut text = String::with_capacity(1 << 20);
+        while text.len() < 1 << 20 {
+            text.push_str(&"a".repeat(61));
+            text.push('é');
+            if text.len() % 4096 < 64 {
+                text.push('"');
+            }
+        }
+        let j = Json::Str(text);
         assert_eq!(Json::parse(&j.render()).unwrap(), j);
     }
 

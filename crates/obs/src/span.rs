@@ -191,13 +191,12 @@ pub fn trace_end() -> Option<PipelineTrace> {
         let TraceState { mut stack, metrics, .. } = state;
         let now = Instant::now();
         // Close open spans innermost-first, folding each into its parent.
-        while stack.len() > 1 {
-            let open = stack.pop().expect("non-empty");
-            let node = close_span(open, now);
-            stack.last_mut().expect("parent").children.push(node);
+        let mut closed: Option<SpanNode> = None;
+        while let Some(mut open) = stack.pop() {
+            open.children.extend(closed.take());
+            closed = Some(close_span(open, now));
         }
-        let root = close_span(stack.pop()?, now);
-        Some(PipelineTrace { root, metrics })
+        Some(PipelineTrace { root: closed?, metrics })
     })
 }
 
@@ -255,7 +254,7 @@ impl Drop for SpanGuard {
             }
             let now = Instant::now();
             while state.stack.len() > depth {
-                let open = state.stack.pop().expect("non-empty");
+                let Some(open) = state.stack.pop() else { break };
                 let node = close_span(open, now);
                 if let Some(parent) = state.stack.last_mut() {
                     parent.children.push(node);

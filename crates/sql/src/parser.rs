@@ -85,7 +85,7 @@ impl Parser {
         self.eat(&Token::Keyword(k))
     }
 
-    fn expect(&mut self, t: &Token) -> Result<()> {
+    fn expect_token(&mut self, t: &Token) -> Result<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -94,7 +94,7 @@ impl Parser {
     }
 
     fn expect_kw(&mut self, k: Keyword) -> Result<()> {
-        self.expect(&Token::Keyword(k))
+        self.expect_token(&Token::Keyword(k))
     }
 
     fn expect_eof(&mut self) -> Result<()> {
@@ -165,7 +165,7 @@ impl Parser {
     fn set_primary(&mut self) -> Result<SetExpr> {
         if self.eat(&Token::LParen) {
             let inner = self.set_expr()?;
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             Ok(inner)
         } else {
             Ok(SetExpr::Select(Box::new(self.select()?)))
@@ -224,7 +224,7 @@ impl Parser {
     fn table_factor(&mut self) -> Result<TableFactor> {
         if self.eat(&Token::LParen) {
             let query = self.query()?;
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             let alias = match self.alias_opt()? {
                 Some(a) => a,
                 None => return Err(self.err("derived table requires an alias")),
@@ -298,7 +298,7 @@ impl Parser {
             false
         };
         if self.eat_kw(Keyword::In) {
-            self.expect(&Token::LParen)?;
+            self.expect_token(&Token::LParen)?;
             let mut list = Vec::new();
             loop {
                 list.push(self.expr()?);
@@ -306,7 +306,7 @@ impl Parser {
                     break;
                 }
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             return Ok(Expr::InList { expr: Box::new(left), list, negated });
         }
         if negated {
@@ -394,7 +394,7 @@ impl Parser {
             Token::LParen => {
                 self.next();
                 let e = self.expr()?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 Ok(e)
             }
             Token::Ident(_) => {
@@ -413,9 +413,9 @@ impl Parser {
     }
 
     fn function_call(&mut self, name: String) -> Result<Expr> {
-        self.expect(&Token::LParen)?;
+        self.expect_token(&Token::LParen)?;
         if self.eat(&Token::Star) {
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             return Ok(Expr::Function { name, args: Vec::new(), wildcard: true });
         }
         let mut args = Vec::new();
@@ -427,7 +427,7 @@ impl Parser {
                 }
             }
         }
-        self.expect(&Token::RParen)?;
+        self.expect_token(&Token::RParen)?;
         Ok(Expr::Function { name, args, wildcard: false })
     }
 }

@@ -124,7 +124,7 @@ impl StmtParser {
         self.eat(&Token::Keyword(k))
     }
 
-    fn expect(&mut self, t: &Token) -> Result<()> {
+    fn expect_token(&mut self, t: &Token) -> Result<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -133,7 +133,7 @@ impl StmtParser {
     }
 
     fn expect_kw(&mut self, k: Keyword) -> Result<()> {
-        self.expect(&Token::Keyword(k))
+        self.expect_token(&Token::Keyword(k))
     }
 
     fn ident(&mut self) -> Result<String> {
@@ -188,14 +188,14 @@ impl StmtParser {
             }
             self.expect_kw(Keyword::On)?;
             let table = self.ident()?;
-            self.expect(&Token::LParen)?;
+            self.expect_token(&Token::LParen)?;
             let column = self.ident()?;
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             return Ok(Statement::CreateIndex { table, column });
         }
         self.expect_kw(Keyword::Table)?;
         let name = self.ident()?;
-        self.expect(&Token::LParen)?;
+        self.expect_token(&Token::LParen)?;
         let mut columns = Vec::new();
         let mut constraints = Vec::new();
         loop {
@@ -255,7 +255,7 @@ impl StmtParser {
                 break;
             }
         }
-        self.expect(&Token::RParen)?;
+        self.expect_token(&Token::RParen)?;
         if columns.is_empty() {
             return Err(self.err("a table needs at least one column"));
         }
@@ -263,12 +263,12 @@ impl StmtParser {
     }
 
     fn column_list(&mut self) -> Result<Vec<String>> {
-        self.expect(&Token::LParen)?;
+        self.expect_token(&Token::LParen)?;
         let mut out = vec![self.ident()?];
         while self.eat(&Token::Comma) {
             out.push(self.ident()?);
         }
-        self.expect(&Token::RParen)?;
+        self.expect_token(&Token::RParen)?;
         Ok(out)
     }
 
@@ -287,7 +287,7 @@ impl StmtParser {
                 Token::Int(_) => {}
                 other => return Err(self.err(format!("expected length, found `{other}`"))),
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
         }
         Ok(ty)
     }
@@ -300,7 +300,7 @@ impl StmtParser {
         self.expect_kw(Keyword::Values)?;
         let mut rows = Vec::new();
         loop {
-            self.expect(&Token::LParen)?;
+            self.expect_token(&Token::LParen)?;
             let mut row = Vec::new();
             loop {
                 row.push(self.value_expr()?);
@@ -308,7 +308,7 @@ impl StmtParser {
                     break;
                 }
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             rows.push(row);
             if !self.eat(&Token::Comma) {
                 break;

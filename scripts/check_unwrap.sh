@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Robustness gate: no `.unwrap()` / `.expect(` in non-test code of the
 # crates that sit on the serving path (`crates/service`, `crates/core`,
-# `crates/engine`, `crates/storage`, `crates/wire`, `crates/server`).
-# `crates/sql` is left out: its parser has a method named `expect`.
+# `crates/engine`, `crates/storage`, `crates/wire`, `crates/server`,
+# `crates/sql`, `crates/obs`).
 #
 #   ./scripts/check_unwrap.sh
 #
@@ -15,7 +15,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
-for crate in crates/service crates/core crates/engine crates/storage crates/wire crates/server; do
+for crate in crates/service crates/core crates/engine crates/storage crates/wire crates/server \
+    crates/sql crates/obs; do
     while IFS= read -r file; do
         # Strip the `#[cfg(test)]` module (convention: last item in the
         # file) and comment lines, then look for panicking calls.
@@ -33,4 +34,4 @@ if [ "$fail" -ne 0 ]; then
     echo "use typed errors (or the poison-recovering pqp_storage::sync locks) instead" >&2
     exit 1
 fi
-echo "OK: no unwrap/expect in non-test service/core/engine/storage/wire/server code"
+echo "OK: no unwrap/expect in non-test service/core/engine/storage/wire/server/sql/obs code"

@@ -37,7 +37,7 @@ RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-server -q
 
 # No new unwrap()/expect() in non-test serving-path code (panics there
 # take lock-holding threads down mid-query; use typed errors instead).
-echo "==> unwrap/expect gate (service, engine, storage, wire, server)"
+echo "==> unwrap/expect gate (service, core, engine, storage, wire, server, sql, obs)"
 ./scripts/check_unwrap.sh
 
 # The cost of a plan-cache miss, counted exactly: a counting allocator

@@ -10,9 +10,10 @@
 //! property is that both produce the same `f64`s **bit for bit** on every
 //! plan the personalization layer builds.
 
-use pqp_core::strategy::build_execution;
+use pqp_core::strategy::{build_execution, CandidateCost};
 use pqp_core::{
-    personalize_prepared, InMemoryGraph, PersonalizeOptions, Personalized, QueryGraph, Rewrite,
+    personalize_prepared, InMemoryGraph, MatchSpec, PersonalizeOptions, Personalized, QueryGraph,
+    Rewrite,
 };
 use pqp_datagen::{
     generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
@@ -23,6 +24,7 @@ use pqp_engine::{Database, Estimator, ExecOptions};
 use pqp_obs::QueryCtx;
 use pqp_sql::{BinaryOp, Select};
 use pqp_storage::{Catalog, TableStats, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 // ---- the recursive reference ---------------------------------------------
@@ -555,80 +557,136 @@ impl Fnv {
     }
 }
 
-/// Two FNV-1a digests over the corpus. **(a) plans**: for every case and
-/// every requested rewrite (the three explicit ones and `Auto`) the resolved
-/// rewrite, the estimated costs of every candidate (bit patterns),
-/// `Plan::explain()` and `Estimator::explain()` — what the optimizer
-/// decided. **(b) answers**: for every case and each explicit rewrite the
-/// executed answer and the rows the run scanned — what the executor did.
-/// Kept apart so a change to who picks an access path shows as (a) moving
-/// while (b) proves the same rows were read and returned.
-fn digests(analyzed: bool) -> (u64, u64) {
+/// Three FNV-1a digests over the corpus. **(a) plans**: for every case and
+/// each explicit rewrite (SQ, MQ, native) the resolved rewrite, its
+/// estimated cost (bit pattern), `Plan::explain()` and
+/// `Estimator::explain()` — what the optimizer decided. **(a′) auto**: the
+/// same for `Auto`, plus every candidate's plan cost or price. **(b)
+/// answers**: for every case and each explicit rewrite the executed answer
+/// and the rows the run scanned — what the executor did. Kept apart so a
+/// change to who picks an access path shows as (a) moving while (b) proves
+/// the same rows were read and returned, and a change to how `Auto` chooses
+/// shows in (a′) alone.
+///
+/// On every case `Auto`'s answer must also be MQ's, as a set: a strategy
+/// choice may change what a query costs, never what it returns. And on this
+/// corpus its prices must pick what building every candidate picks: the
+/// cheapest plan, MQ then SQ on equal costs.
+fn digests(analyzed: bool) -> (u64, u64, u64) {
     let corpus = corpus(analyzed);
     let mut plans = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut auto = Fnv(0xCBF2_9CE4_8422_2325);
     let mut answers = Fnv(0xCBF2_9CE4_8422_2325);
     for (label, p) in &corpus.cases() {
+        let mut mq_answer = None;
+        // `(tie rank, rewrite, plan cost)` of the cheapest candidate built.
+        let mut cheapest: Option<(usize, Rewrite, f64)> = None;
+        let sq_competes = !p.rank && matches!(p.matching, MatchSpec::AtLeast(l) if l <= 1);
         for rw in REWRITES.into_iter().chain([Rewrite::Auto]) {
-            plans.eat(label);
+            let digest = if rw == Rewrite::Auto { &mut auto } else { &mut plans };
+            digest.eat(label);
             let choice = match build_execution(&corpus.db, p, rw, None) {
                 Ok(choice) => choice,
                 Err(e) => {
-                    plans.eat(&format!("refused: {e}"));
+                    digest.eat(&format!("refused: {e}"));
                     continue;
                 }
             };
-            plans.eat(choice.rewrite.label());
-            plans.eat(&format!("{:016x}", choice.cost.to_bits()));
+            digest.eat(choice.rewrite.label());
+            digest.eat(&format!("{:016x}", choice.cost.to_bits()));
             for (alt, cost) in &choice.alternatives {
-                plans.eat(&format!("{}={:016x}", alt.label(), cost.to_bits()));
+                let priced = if matches!(cost, CandidateCost::Price(_)) { "~" } else { "" };
+                digest.eat(&format!("{}{priced}={:016x}", alt.label(), cost.value().to_bits()));
             }
-            plans.eat(&choice.plan.explain());
-            plans.eat(&Estimator::new(corpus.db.catalog()).explain(&choice.plan));
-            if rw == Rewrite::Auto {
-                continue;
-            }
+            digest.eat(&choice.plan.explain());
+            digest.eat(&Estimator::new(corpus.db.catalog()).explain(&choice.plan));
             let ctx = QueryCtx::unlimited();
             let answer = corpus
                 .db
                 .run_plan_ctx(&choice.plan, &ExecOptions::default(), &ctx)
                 .expect("execute");
+            if rw == Rewrite::Auto {
+                let mq = mq_answer.as_ref().expect("MQ builds on every case");
+                assert_eq!(
+                    &as_set(&answer.rows),
+                    mq,
+                    "{label} analyzed={analyzed}: Auto chose {} and its answer is not MQ's",
+                    choice.rewrite
+                );
+                let built_all = cheapest.map(|(_, rw, _)| rw);
+                assert_eq!(
+                    Some(choice.rewrite),
+                    built_all,
+                    "{label} analyzed={analyzed}: {}",
+                    choice.summary()
+                );
+                continue;
+            }
+            let rank =
+                [Rewrite::Mq, Rewrite::Sq, Rewrite::NativeRank].iter().position(|c| *c == rw);
+            if let Some(rank) =
+                rank.filter(|_| choice.rewrite == rw && (rw != Rewrite::Sq || sq_competes))
+            {
+                let cost = choice.cost;
+                if cheapest.is_none_or(|(r, _, c)| cost < c || (cost == c && rank < r)) {
+                    cheapest = Some((rank, rw, cost));
+                }
+            }
             answers.eat(label);
             answers.eat(rw.label());
             answers.eat(&format!("{:?}", answer.columns));
             answers.eat(&format!("{:?}", answer.rows));
             answers.eat(&format!("rows_scanned={}", ctx.progress().rows_scanned));
+            if rw == Rewrite::Mq {
+                mq_answer = Some(as_set(&answer.rows));
+            }
         }
     }
-    (plans.0, answers.0)
+    (plans.0, auto.0, answers.0)
 }
 
-/// Recorded by running this very function on the parent commit (PR 16,
-/// `a82e59e`) — except `PLANS_UNANALYZED`, re-recorded in the PR that moved
-/// the un-analyzed index-join decision from the executor's run-time sniff
-/// into the planner (parent: `0xff60_eeef_3328_cec0`): the joins the sniff
-/// used to probe now read `IndexJoin` in `explain()` and are priced as such,
-/// which also moves `Auto`'s choices. The answers digest did not move.
-const PARENT_PLANS_ANALYZED: u64 = 0x074b_eb80_35bc_2eaf;
-const PLANS_UNANALYZED: u64 = 0xa34a_7712_ac99_022c;
-const PARENT_ANSWERS_ANALYZED: u64 = 0xbf86_239a_a0df_4b41;
-const PARENT_ANSWERS_UNANALYZED: u64 = 0xca7b_4445_e7ca_b6a1;
+/// An answer's rows, order aside.
+fn as_set(rows: &[Vec<Value>]) -> BTreeSet<String> {
+    rows.iter().map(|row| format!("{row:?}")).collect()
+}
+
+/// Recorded by running this very function. (a) and (b) last moved in the
+/// change that made SQ keep a TRUE branch: when the query already states a
+/// selected preference's only condition, SQ used to drop that branch from
+/// its disjunction, so at L = 1 it could return a strict subset of MQ's
+/// answer. 24 of the 1 080 explicit entries moved, every one of them SQ at
+/// L = 1 on such a case (14 returned fewer rows than MQ, the other 10 now
+/// scan fewer rows); leaving those 24 entries out, both digests are the
+/// same before and after it (plans `0x0490_fa9b_016f_408e` /
+/// `0x2e92_ec8c_84d7_7dab`, answers `0xb2d0_c681_7b88_fa07` /
+/// `0x2162_6476_0501_f833`). (a′) was re-recorded in the same change for
+/// two reasons: `Auto` now reports the candidates it did not build with
+/// their prices (`SQ~=`), and SQ no longer competes at L ≥ 2.
+const PLANS_ANALYZED: u64 = 0x7bf8_f214_139d_e477;
+const PLANS_UNANALYZED: u64 = 0xa2f5_4c1e_a52d_485d;
+const AUTO_ANALYZED: u64 = 0xcf2d_5a46_8c29_7e5b;
+const AUTO_UNANALYZED: u64 = 0xf3e0_42dc_e5e1_60e5;
+const ANSWERS_ANALYZED: u64 = 0xd815_3550_5533_a9a9;
+const ANSWERS_UNANALYZED: u64 = 0x940f_0ebc_b089_4381;
 
 #[test]
 fn plans_estimates_choices_and_answers_match_the_parent_commit() {
-    let (plans_a, answers_a) = digests(true);
-    let (plans_u, answers_u) = digests(false);
+    let (plans_a, auto_a, answers_a) = digests(true);
+    let (plans_u, auto_u, answers_u) = digests(false);
     println!(
         "plans analyzed={plans_a:#018x} unanalyzed={plans_u:#018x}; \
+         auto analyzed={auto_a:#018x} unanalyzed={auto_u:#018x}; \
          answers analyzed={answers_a:#018x} unanalyzed={answers_u:#018x}"
     );
     assert_eq!(
         (answers_a, answers_u),
-        (PARENT_ANSWERS_ANALYZED, PARENT_ANSWERS_UNANALYZED),
+        (ANSWERS_ANALYZED, ANSWERS_UNANALYZED),
         "an answer or the rows scanned to produce it changed"
     );
     assert_eq!(
         (plans_a, plans_u),
-        (PARENT_PLANS_ANALYZED, PLANS_UNANALYZED),
-        "a plan, an estimate or a strategy choice changed"
+        (PLANS_ANALYZED, PLANS_UNANALYZED),
+        "a plan or an estimate of an explicit rewrite changed"
     );
+    assert_eq!((auto_a, auto_u), (AUTO_ANALYZED, AUTO_UNANALYZED), "a strategy choice changed");
 }

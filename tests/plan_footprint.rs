@@ -30,7 +30,7 @@
 //! a regression gate, not a timing. Everything runs in one `#[test]` so no
 //! other test thread allocates while the counters are on.
 
-use pqp_core::strategy::build_execution;
+use pqp_core::strategy::{build_execution, CandidateCost};
 use pqp_core::{personalize_prepared, InMemoryGraph, PersonalizeOptions, QueryGraph, Rewrite};
 use pqp_datagen::{
     generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
@@ -46,9 +46,15 @@ const TEXTS: usize = 32;
 /// Ceilings on a build: owned-`String` schemas and the per-node
 /// re-deriving estimator measured 20 219 / 405 / 14.4 kB here, and
 /// `String`-named ASTs copied per partial query and per OR-expansion 5 884
-/// allocations per build. With shared names it is 2 513; the ceiling is
-/// that + 5 %.
-const MAX_ALLOCS_PER_BUILD: u64 = 2_639;
+/// allocations per build. With shared names it was 2 513 while `Auto`
+/// built all three candidates; priced first, it builds 1.15 of them and
+/// makes 916. The ceiling is that + 5 %.
+const MAX_ALLOCS_PER_BUILD: u64 = 962;
+
+/// Ceiling on the candidates `Rewrite::Auto` integrates and plans per
+/// choice, in tenths: it prices SQ, MQ and native first and builds the
+/// cheapest, plus any other priced within `BUILD_WITHIN` of it.
+const MAX_TENTHS_BUILT_PER_CHOICE: u64 = 14;
 const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 150;
 const MAX_LIVE_BYTES_PER_PLAN: i64 = 8 * 1024;
 
@@ -175,6 +181,7 @@ fn miss_side(db: &Database, pools: &ValuePools) {
     let options = PersonalizeOptions::builder().k(10).l(1).build();
 
     let (mut builds, mut allocs, mut live_allocs, mut live_bytes) = (0u64, 0u64, 0i64, 0i64);
+    let mut candidates_built = 0u64;
     let (mut select_allocs, mut graph_bytes) = (0u64, 0i64);
     for profile in &profiles {
         let before = counters();
@@ -198,14 +205,18 @@ fn miss_side(db: &Database, pools: &ValuePools) {
             let before = counters();
             ENABLED.store(true, Ordering::Relaxed);
             // The serving layer keeps the plan and drops the rest.
-            let plan = {
+            let (plan, built) = {
                 let choice =
                     build_execution(db, &personalized, Rewrite::Auto, None).expect("build");
-                choice.plan
+                let built = (choice.alternatives.iter())
+                    .filter(|(_, cost)| matches!(cost, CandidateCost::Plan(_)))
+                    .count();
+                (choice.plan, built)
             };
             ENABLED.store(false, Ordering::Relaxed);
             let after = counters();
             builds += 1;
+            candidates_built += built as u64;
             allocs += after.0 - before.0;
             live_allocs += after.1 - before.1;
             live_bytes += after.2 - before.2;
@@ -221,7 +232,7 @@ fn miss_side(db: &Database, pools: &ValuePools) {
     let per_graph = graph_bytes / profiles.len() as i64;
     println!(
         "{builds} builds: {per_build} allocations per build_execution; a retained plan holds \
-         {plan_allocs} live allocations / {plan_bytes} B"
+         {plan_allocs} live allocations / {plan_bytes} B; {candidates_built} candidates built"
     );
     println!(
         "{per_select} allocations per personalize_prepared; a user's graph holds {per_graph} B \
@@ -234,6 +245,12 @@ fn miss_side(db: &Database, pools: &ValuePools) {
     assert!(
         per_graph <= MAX_GRAPH_BYTES,
         "a user's graph holds {per_graph} B beyond its profile (ceiling {MAX_GRAPH_BYTES})"
+    );
+    assert!(
+        candidates_built * 10 <= builds * MAX_TENTHS_BUILT_PER_CHOICE,
+        "{candidates_built} candidates built over {builds} Auto choices (ceiling {}.{} each)",
+        MAX_TENTHS_BUILT_PER_CHOICE / 10,
+        MAX_TENTHS_BUILT_PER_CHOICE % 10
     );
     assert!(
         per_build <= MAX_ALLOCS_PER_BUILD,

@@ -8,7 +8,8 @@
 
 use pqp_core::prelude::*;
 use pqp_datagen::{
-    generate, generate_profile, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
+    generate, generate_profile, generate_profiles, generate_queries, MovieDbConfig,
+    ProfileGenConfig, QueryGenConfig,
 };
 use std::collections::BTreeSet;
 
@@ -154,4 +155,55 @@ fn sq_and_mq_agree_on_result_degrees_when_ranked() {
             "row {key:?}: engine says {got}, client-side estimate {expect}"
         );
     }
+}
+
+#[test]
+fn auto_answers_what_mq_answers_whatever_it_picks() {
+    // `Rewrite::Auto` picks SQ, MQ or native rank by price; the answer must
+    // not depend on the pick. SQ ⊆ MQ with equality only at L ≤ 1, so SQ may
+    // compete there and nowhere else.
+    let mut m = generate(MovieDbConfig {
+        movies: 400,
+        theatres: 10,
+        days: 6,
+        plays_per_day: 4,
+        ..MovieDbConfig::default()
+    });
+    m.db.execute("ANALYZE").unwrap();
+    let queries = generate_queries(16, &m.pools, &QueryGenConfig::default());
+    let profiles = generate_profiles(
+        "u",
+        6,
+        &m.pools,
+        &ProfileGenConfig { selections: 40, join_coverage: 1.0, seed: 11 },
+    );
+    let (mut cases, mut sq_narrower) = (0, 0);
+    for profile in &profiles {
+        let graph = InMemoryGraph::build(profile, m.db.catalog()).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            for (k, l) in [(6, 1), (6, 2), (10, 2), (10, 3)] {
+                let opts = PersonalizeOptions::builder().k(k).l(l).build();
+                let p = personalize(q, &graph, m.db.catalog(), opts).unwrap();
+                let mq = rows_of(&m.db, &p.mq().unwrap());
+                let auto = build_execution(&m.db, &p, Rewrite::Auto, None).unwrap();
+                let got: BTreeSet<Vec<String>> = (m.db.run_plan(&auto.plan).unwrap().rows)
+                    .into_iter()
+                    .map(|r| r.into_iter().map(|v| v.to_string()).collect())
+                    .collect();
+                assert_eq!(
+                    got,
+                    mq,
+                    "{}/q{i} K={k} L={l}: Auto ran {} and its answer is not MQ's\n{}",
+                    profile.user,
+                    auto.rewrite,
+                    auto.summary()
+                );
+                cases += 1;
+                sq_narrower += usize::from(l >= 2 && rows_of(&m.db, &p.sq().unwrap()) != mq);
+            }
+        }
+    }
+    // The corpus must hold cases where picking SQ would have changed the
+    // answer, or the check above is vacuous.
+    assert!(sq_narrower > 0, "no case of {cases} has SQ ⊊ MQ");
 }
