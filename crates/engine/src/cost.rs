@@ -21,7 +21,10 @@
 //!
 //! Selectivities apply to *base-table columns*, so the estimator maps a plan
 //! node's output columns back to their originating `(table, column)`; that
-//! mapping survives scans, filters, joins and pass-through projections.
+//! mapping survives scans, filters, joins and pass-through projections. An
+//! access path's output origins are those of the columns it emits; its own
+//! filter reads the stored row, so it is priced against every column of
+//! the table.
 //!
 //! # One pass
 //!
@@ -50,7 +53,7 @@
 use crate::bound::BoundExpr;
 use crate::plan::{Plan, TopKProbeSource};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, ColumnStats, TableRef, TableStats, Value};
+use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableRef, TableStats, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -317,21 +320,22 @@ impl<'a> Estimator<'a> {
             Plan::Empty { schema } => {
                 Estimate { rows: 0.0, cost: 0.0, origins: vec![None; schema.arity()] }
             }
-            Plan::Scan { table, filter, schema } => {
+            Plan::Scan { table, filter, columns, .. } => {
                 let t = self.table_id(table);
                 let len = self.table_rows(t);
-                let origins = scan_origins(t, schema.arity());
+                let arity = self.table_arity(t);
                 let rows = match filter {
-                    Some(f) => len * self.selectivity(f, &origins),
+                    Some(f) => len * self.selectivity(f, Origins::Table(t, arity)),
                     None => len,
                 };
+                let origins = emitted_origins(t, *columns, arity);
                 // Leaves pay for the rows they read, not just those they emit.
                 Estimate { rows, cost: len.max(1.0), origins }
             }
-            Plan::IndexScan { table, column, key, residual, schema } => {
+            Plan::IndexScan { table, column, key, residual, columns, .. } => {
                 let t = self.table_id(table);
                 let len = self.table_rows(t);
-                let origins = scan_origins(t, schema.arity());
+                let arity = self.table_arity(t);
                 let origin = self.column_index(t, column).map(|c| (t, c));
                 let eq = self.stats_eq_value(&origin, key).unwrap_or(if key.is_null() {
                     0.0
@@ -339,15 +343,15 @@ impl<'a> Estimator<'a> {
                     EQ_FALLBACK
                 });
                 let res = match residual {
-                    Some(f) => self.selectivity(f, &origins),
+                    Some(f) => self.selectivity(f, Origins::Table(t, arity)),
                     None => 1.0,
                 };
                 let rows = len * eq * res;
-                Estimate { rows, cost: rows.max(1.0), origins }
+                Estimate { rows, cost: rows.max(1.0), origins: emitted_origins(t, *columns, arity) }
             }
             Plan::Filter { input, predicate } => {
                 let i = self.walk(input, visit);
-                let rows = i.rows * self.selectivity(predicate, &i.origins);
+                let rows = i.rows * self.selectivity(predicate, Origins::Output(&i.origins));
                 Estimate { rows, cost: rows + i.cost, origins: i.origins }
             }
             Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
@@ -366,18 +370,28 @@ impl<'a> Estimator<'a> {
                     origins: concat(l.origins, r.origins),
                 }
             }
-            Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, schema } => {
+            Plan::IndexJoin {
+                probe,
+                probe_key,
+                table,
+                column,
+                filter,
+                probe_is_left,
+                columns,
+                ..
+            } => {
                 let p = self.walk(probe, visit);
                 let t = self.table_id(table);
                 let len = self.table_rows(t);
+                let arity = self.table_arity(t);
                 let fsel = match filter {
-                    Some(f) => self.selectivity(f, &scan_origins(t, self.table_arity(t))),
+                    Some(f) => self.selectivity(f, Origins::Table(t, arity)),
                     None => 1.0,
                 };
                 let np = self.ndv(p.origins.get(*probe_key).unwrap_or(&None), p.rows);
                 let nt = self.ndv(&self.column_index(t, column).map(|c| (t, c)), len);
                 let rows = p.rows * (len * fsel) / np.max(nt).max(1.0);
-                let fetched = scan_origins(t, schema.arity().saturating_sub(p.origins.len()));
+                let fetched = emitted_origins(t, *columns, arity);
                 let origins = if *probe_is_left {
                     concat(p.origins, fetched)
                 } else {
@@ -482,7 +496,7 @@ impl<'a> Estimator<'a> {
 
     /// Estimated selectivity (in `[0, 1]`) of a bound predicate over rows
     /// whose columns originate as described by `origins`.
-    fn selectivity(&self, e: &BoundExpr, origins: &[ColumnOrigin]) -> f64 {
+    fn selectivity(&self, e: &BoundExpr, origins: Origins<'_>) -> f64 {
         let s = match e {
             BoundExpr::Literal(v) => match v {
                 Value::Bool(true) => 1.0,
@@ -493,9 +507,9 @@ impl<'a> Estimator<'a> {
             BoundExpr::Not(inner) => 1.0 - self.selectivity(inner, origins),
             BoundExpr::IsNull { expr, negated } => {
                 let s = match &**expr {
-                    BoundExpr::Column(i) => self
-                        .null_fraction(origins.get(*i).unwrap_or(&None))
-                        .unwrap_or(IS_NULL_FALLBACK),
+                    BoundExpr::Column(i) => {
+                        self.null_fraction(&origins.get(*i)).unwrap_or(IS_NULL_FALLBACK)
+                    }
                     _ => IS_NULL_FALLBACK,
                 };
                 if *negated {
@@ -568,17 +582,17 @@ impl<'a> Estimator<'a> {
     }
 
     /// Statistics-backed equality selectivity, `None` when stats can't help.
-    fn stats_eq(&self, a: &BoundExpr, b: &BoundExpr, origins: &[ColumnOrigin]) -> Option<f64> {
+    fn stats_eq(&self, a: &BoundExpr, b: &BoundExpr, origins: Origins<'_>) -> Option<f64> {
         match (a, b) {
             (BoundExpr::Column(i), BoundExpr::Literal(v))
             | (BoundExpr::Literal(v), BoundExpr::Column(i)) => {
-                self.stats_eq_value(origins.get(*i)?, v)
+                self.stats_eq_value(&origins.get(*i), v)
             }
             // col = col within one row set: 1/max NDV, only when both sides
             // have real statistics.
             (BoundExpr::Column(i), BoundExpr::Column(j)) => {
-                let ni = self.stats_ndv(origins.get(*i)?)?;
-                let nj = self.stats_ndv(origins.get(*j)?)?;
+                let ni = self.stats_ndv(&origins.get(*i))?;
+                let nj = self.stats_ndv(&origins.get(*j))?;
                 Some(1.0 / ni.max(nj).max(1.0))
             }
             _ => None,
@@ -596,7 +610,7 @@ impl<'a> Estimator<'a> {
         a: &BoundExpr,
         op: BinaryOp,
         b: &BoundExpr,
-        origins: &[ColumnOrigin],
+        origins: Origins<'_>,
     ) -> Option<f64> {
         // Normalize to column-on-the-left; flipping sides flips the operator.
         let (i, v, op) = match (a, b) {
@@ -613,7 +627,7 @@ impl<'a> Estimator<'a> {
             }
             _ => return None,
         };
-        self.with_stats(origins.get(*i)?, |c| match op {
+        self.with_stats(&origins.get(*i), |c| match op {
             BinaryOp::Lt => Some(c.lt_selectivity(v, false)),
             BinaryOp::LtEq => Some(c.lt_selectivity(v, true)),
             BinaryOp::Gt => Some(c.gt_selectivity(v, false)),
@@ -710,9 +724,30 @@ fn towards<'a>(edge: PricedEdge<'a>, joined: &[bool], i: usize) -> Option<Priced
     }
 }
 
-/// Origins of `arity` columns read straight off table `t`.
-fn scan_origins(t: TableId, arity: usize) -> Vec<ColumnOrigin> {
-    (0..arity).map(|i| Some((t, i))).collect()
+/// The column positions a predicate reads, mapped to where they come from.
+#[derive(Clone, Copy)]
+enum Origins<'o> {
+    /// A plan node's output columns.
+    Output(&'o [ColumnOrigin]),
+    /// Every column of table `t`, of the given arity, by position: what a
+    /// base-table access path's own filter reads.
+    Table(TableId, usize),
+}
+
+impl Origins<'_> {
+    fn get(self, i: usize) -> ColumnOrigin {
+        match self {
+            Origins::Output(origins) => origins.get(i).copied().flatten(),
+            Origins::Table(t, arity) => (i < arity).then_some((t, i)),
+        }
+    }
+}
+
+/// Origins of the `columns` an access path of table `t` emits.
+fn emitted_origins(t: TableId, columns: ColumnSet, arity: usize) -> Vec<ColumnOrigin> {
+    let mut origins = Vec::with_capacity(columns.len(arity));
+    origins.extend(columns.iter(arity).map(|c| Some((t, c))));
+    origins
 }
 
 fn concat(mut left: Vec<ColumnOrigin>, right: Vec<ColumnOrigin>) -> Vec<ColumnOrigin> {

@@ -27,7 +27,10 @@
 //! stored chunk in place as a selection vector (`crate::vexpr`), then
 //! materializes only the surviving rows. An index probe copies each hit's
 //! values straight into its output row. Neither allocates a string. Every
-//! operator that emits a row builds it once, at its final width.
+//! operator that emits a row builds it once, at its final width, holding
+//! only the columns read above it: a base-table access path emits just the
+//! columns the planner found some operator above it reading (its own filter
+//! reads the stored row), so no join copies a column that nothing reads.
 //!
 //! ## Keys without key vectors
 //!
@@ -56,17 +59,17 @@
 //! every [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations, and
 //! row-materializing operators (joins, cross products, projections) charge
 //! an estimated [`pqp_obs::approx_row_bytes`] per output row. A tripped
-//! budget aborts the query with [`EngineError::Budget`](crate::EngineError::Budget) carrying
+//! budget aborts the query with [`EngineError::Budget`] carrying
 //! partial-progress counters.
 
 use crate::bound::BoundExpr;
-use crate::error::{bind_err, failpoint, Result};
+use crate::error::{bind_err, failpoint, EngineError, Result};
 use crate::plan::Plan;
 use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, Row, Table, Value};
+use pqp_storage::{Catalog, ColumnSet, HashIndex, Row, Table, Value};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -86,7 +89,7 @@ pub(crate) struct Env<'a> {
 
 /// Execute a plan under a query-governor context, materializing all rows: deadline / rows-scanned / memory limits are
 /// checked cooperatively at operator loop boundaries, and an exceeded budget
-/// aborts with [`EngineError::Budget`](crate::EngineError::Budget).
+/// aborts with [`EngineError::Budget`].
 ///
 /// Every operator runs under an observability span named `exec.<op>` with
 /// its output cardinality recorded, so a traced run yields per-operator
@@ -136,17 +139,20 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     match plan {
         Plan::Empty { .. } => Ok(Vec::new()),
-        Plan::Scan { table, filter, .. } => {
+        Plan::Scan { table, filter, columns, .. } => {
             pqp_obs::record("table", &**table);
-            scan(env, table, filter.as_ref())
+            scan(env, table, filter.as_ref(), *columns)
         }
-        Plan::IndexScan { table, column, key, residual, .. } => {
+        Plan::IndexScan { table, column, key, residual, columns, .. } => {
             pqp_obs::record("table", &**table);
-            index_scan(env, table, column, key, residual.as_ref())
+            index_scan(env, table, column, key, residual.as_ref(), *columns)
         }
-        Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, .. } => {
+        Plan::IndexJoin {
+            probe, probe_key, table, column, filter, probe_is_left, columns, ..
+        } => {
             let probe_rows = run(env, probe)?;
-            index_join(env, probe_rows, *probe_key, table, column, filter.as_ref(), *probe_is_left)
+            let scan_side = IndexSide { table, column, filter: filter.as_ref(), columns: *columns };
+            index_join(env, probe_rows, *probe_key, &scan_side, *probe_is_left)
         }
         Plan::Filter { input, predicate } => {
             let rows = run(env, input)?;
@@ -169,6 +175,10 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
         }
         Plan::Project { input, exprs, .. } => {
             let rows = run(env, input)?;
+            if is_identity(exprs, input.schema().arity()) {
+                // A derived table's re-qualification: the rows as they are.
+                return Ok(rows);
+            }
             project_rows(ctx, rows, exprs)
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
@@ -217,11 +227,12 @@ fn index_scan(
     column: &str,
     key: &Value,
     residual: Option<&BoundExpr>,
+    columns: ColumnSet,
 ) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    let Some(hits) = t.index_lookup(column, key) else {
+    let Some(index) = t.index_on(column) else {
         // The index was dropped after planning: reconstruct the full
         // pushed-down predicate and fall back to a scan.
         let Some(col) = t.schema().column_index(column) else {
@@ -241,30 +252,23 @@ fn index_scan(
             None => eq,
         };
         drop(t);
-        return scan(env, table, Some(&pred));
+        return scan(env, table, Some(&pred), columns);
     };
     pqp_obs::record("strategy", "index_scan");
-    let width = t.schema().arity();
+    let mut hits = Hits::new(&t, residual, columns);
     let mut out = Vec::new();
-    // Each hit is copied into `row`; a hit the residual rejects leaves its
-    // allocation to the next one.
-    let mut row = Row::new();
     let mut pending = 0u64;
-    for &ord in hits {
+    for &ord in index.lookup(std::slice::from_ref(key)) {
         pending += 1;
         if pending == CHARGE_BATCH_ROWS {
             ctx.charge_rows(pending)?;
             pending = 0;
         }
-        row.clear();
-        row.reserve_exact(width);
-        t.append_row(ord, &mut row);
-        if let Some(f) = residual {
-            if !f.eval_predicate(&row)? {
-                continue;
-            }
+        if hits.accept(ord)? {
+            let mut row = Row::with_capacity(hits.width);
+            hits.append(ord, &mut row);
+            out.push(row);
         }
-        out.push(std::mem::take(&mut row));
     }
     ctx.charge_rows(pending)?;
     Ok(out)
@@ -275,20 +279,31 @@ fn index_scan(
 /// stored chunk: per chunk of [`pqp_storage::BATCH_SIZE`] rows, charge the
 /// governor (the chunk boundary is the scan's charge point), evaluate the
 /// pushed-down filter over the stored columns as a selection vector and
-/// materialize the surviving rows.
-fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
+/// materialize the surviving rows' `columns`.
+fn scan(
+    env: &Env,
+    table: &str,
+    filter: Option<&BoundExpr>,
+    columns: ColumnSet,
+) -> Result<Vec<Row>> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
+    let width = columns.len(t.schema().arity());
     let mut out = Vec::new();
     for chunk in t.chunks()? {
         ctx.charge_rows(chunk.len() as u64)?;
+        let row = |i: usize| {
+            let mut row = Row::with_capacity(width);
+            chunk.append_columns(i, columns, &mut row);
+            row
+        };
         match filter {
             Some(f) => {
                 let selected = vexpr::select_true(f, chunk)?;
-                out.extend(selected.into_iter().map(|i| chunk.row(i as usize)));
+                out.extend(selected.into_iter().map(|i| row(i as usize)));
             }
-            None => chunk.append_rows(&mut out),
+            None => out.extend((0..chunk.len()).map(row)),
         }
     }
     Ok(out)
@@ -306,6 +321,13 @@ fn filter_rows(ctx: &QueryCtx, rows: Vec<Row>, predicate: &BoundExpr) -> Result<
         }
     }
     Ok(out)
+}
+
+/// Whether `exprs` over an input of `arity` columns return each row as
+/// it is.
+fn is_identity(exprs: &[BoundExpr], arity: usize) -> bool {
+    exprs.len() == arity
+        && exprs.iter().enumerate().all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i))
 }
 
 /// The projection loop over materialized rows.
@@ -395,37 +417,48 @@ pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
     });
 }
 
+/// The base-table side of a [`Plan::IndexJoin`].
+struct IndexSide<'p> {
+    table: &'p str,
+    column: &'p str,
+    filter: Option<&'p BoundExpr>,
+    columns: ColumnSet,
+}
+
 /// Execute a [`Plan::IndexJoin`]'s scan side against already-materialized
 /// probe rows. The planner chose the path from estimates (or, on an
 /// un-analyzed table, from the plan's shape alone); this guard holds it to
 /// the actual rows: a probe side that turned out large relative to the
 /// table, or an index dropped since planning, degrades to a hash join over
 /// a table scan, un-swapping the sides so output stays `left ++ right`.
+///
+/// The index is resolved once, under the read guard the whole probe holds,
+/// so it cannot go away mid-probe.
 fn index_join(
     env: &Env,
     probe_rows: Vec<Row>,
     probe_key: usize,
-    table: &str,
-    column: &str,
-    filter: Option<&BoundExpr>,
+    side: &IndexSide,
     probe_is_left: bool,
 ) -> Result<Vec<Row>> {
+    let IndexSide { table, column, filter, columns } = *side;
     pqp_obs::record("table", table);
     let tref = env.catalog.table(table)?;
     let t = tref.read();
-    let Some(scan_key) = t.schema().column_index(column) else {
+    let Some(join_column) = t.schema().column_index(column) else {
         return bind_err(format!("unknown column `{column}` in `{table}`"));
     };
-    if t.index_on(column).is_some() && probe_rows.len() * 4 <= t.len() {
-        if let Some(rows) =
-            index_probe(env.ctx, &t, column, &probe_rows, probe_key, filter, probe_is_left)?
-        {
-            return Ok(rows);
-        }
+    if let Some(index) = t.index_on(column).filter(|_| probe_rows.len() * 4 <= t.len()) {
+        let hits = Hits::new(&t, filter, columns);
+        return index_probe(env.ctx, index, hits, &probe_rows, probe_key, probe_is_left);
     }
     drop(t);
+    // The scan emits `columns` only: the join column's place among them.
+    let Some(scan_key) = columns.position(join_column) else {
+        return Err(EngineError::Internal(format!("join column `{table}.{column}` not emitted")));
+    };
     pqp_obs::record("strategy", "hash_fallback");
-    let scan_rows = scan(env, table, filter)?;
+    let scan_rows = scan(env, table, filter, columns)?;
     if probe_is_left {
         join_rows(env.ctx, probe_rows, scan_rows, &[probe_key], &[scan_key])
     } else {
@@ -433,27 +466,21 @@ fn index_join(
     }
 }
 
-/// Probe `t`'s hash index on `column` with each probe row's `probe_key`
-/// value, assembling output rows in the engine's fixed `left ++ right`
-/// column order. Returns `Ok(None)` if the index disappears mid-probe.
+/// Probe `index` with each probe row's `probe_key` value, assembling output
+/// rows in the engine's fixed `left ++ right` column order: the kept hit's
+/// columns after the probe row's values when the probe side is the left
+/// one, before them otherwise.
 fn index_probe(
     ctx: &QueryCtx,
-    t: &Table,
-    column: &str,
+    index: &HashIndex,
+    mut hits: Hits,
     probe_rows: &[Row],
     probe_key: usize,
-    filter: Option<&BoundExpr>,
     probe_is_left: bool,
-) -> Result<Option<Vec<Row>>> {
+) -> Result<Vec<Row>> {
     pqp_obs::record("strategy", "index_nested_loop");
     pqp_obs::record("probe_rows", probe_rows.len());
-    let width = t.schema().arity();
     let mut out = Vec::new();
-    // The hit is copied straight into the output row — after the probe
-    // row's values when the probe side is the left one, before them
-    // otherwise — and a hit the filter rejects leaves its allocation to the
-    // next one.
-    let mut row = Row::new();
     let mut pending = 0u64;
     for (i, prow) in probe_rows.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -463,36 +490,73 @@ fn index_probe(
         if key.is_null() {
             continue;
         }
-        let Some(hits) = t.index_lookup(column, key) else {
-            return Ok(None);
-        };
-        for &ord in hits {
+        for &ord in index.lookup(std::slice::from_ref(key)) {
             // Index probes read base-table rows: charge them like a scan.
             pending += 1;
             if pending == CHARGE_BATCH_ROWS {
                 ctx.charge_rows(pending)?;
                 pending = 0;
             }
-            row.clear();
-            row.reserve_exact(prow.len() + width);
+            if !hits.accept(ord)? {
+                continue;
+            }
+            let mut row = Row::with_capacity(prow.len() + hits.width);
             if probe_is_left {
                 row.extend_from_slice(prow);
             }
-            let hit = row.len();
-            t.append_row(ord, &mut row);
-            if let Some(f) = filter {
-                if !f.eval_predicate(&row[hit..])? {
-                    continue;
-                }
-            }
+            hits.append(ord, &mut row);
             if !probe_is_left {
                 row.extend_from_slice(prow);
             }
-            out.push(std::mem::take(&mut row));
+            out.push(row);
         }
     }
     ctx.charge_rows(pending)?;
-    Ok(Some(out))
+    Ok(out)
+}
+
+/// How the index operators read a hit: the access path's filter, bound to
+/// table positions, runs on the stored row first, and a kept hit then
+/// contributes its emitted columns only. A rejected hit allocates nothing.
+struct Hits<'t> {
+    table: &'t Table,
+    filter: Option<&'t BoundExpr>,
+    columns: ColumnSet,
+    /// How many columns a kept hit contributes.
+    width: usize,
+    /// The stored row the filter reads, reused from hit to hit.
+    stored: Row,
+}
+
+impl<'t> Hits<'t> {
+    fn new(table: &'t Table, filter: Option<&'t BoundExpr>, columns: ColumnSet) -> Hits<'t> {
+        let width = columns.len(table.schema().arity());
+        Hits { table, filter, columns, width, stored: Row::new() }
+    }
+
+    /// Whether the hit at `ord` passes the filter.
+    fn accept(&mut self, ord: u32) -> Result<bool> {
+        let Some(f) = self.filter else {
+            return Ok(true);
+        };
+        self.stored.clear();
+        self.table.append_row(ord, &mut self.stored);
+        f.eval_predicate(&self.stored)
+    }
+
+    /// Append the emitted columns of the hit [`Hits::accept`] just kept to
+    /// `out`: moved out of the stored row the filter read, or copied from
+    /// the table when there is no filter.
+    fn append(&mut self, ord: u32, out: &mut Row) {
+        if self.filter.is_none() {
+            self.table.append_columns(ord, self.columns, out);
+            return;
+        }
+        let stored = &mut self.stored;
+        out.extend(
+            self.columns.iter(stored.len()).map(|c| std::mem::replace(&mut stored[c], Value::Null)),
+        );
+    }
 }
 
 /// Hash-join two materialized sides into `left ++ right` rows in (probe

@@ -3,8 +3,8 @@
 
 use crate::aggregate::AggCall;
 use crate::bound::BoundExpr;
-use crate::types::{OutputSchema, SchemaRef};
-use pqp_storage::Value;
+use crate::types::{OutputColumn, OutputSchema, SchemaRef};
+use pqp_storage::{ColumnSet, Value};
 use std::sync::Arc;
 
 /// A query plan node. Plans are produced fully bound: every expression
@@ -20,17 +20,24 @@ pub enum Plan {
     Empty { schema: SchemaRef },
     /// Full scan of a base table, with an optional pushed-down filter.
     /// Always reads every row: index access is [`Plan::IndexScan`].
-    Scan { table: Arc<str>, filter: Option<BoundExpr>, schema: SchemaRef },
+    ///
+    /// Like the other two base-table access paths it emits only `columns`,
+    /// the table columns some operator above reads (every one under
+    /// `SELECT *`), in table order; `schema` names just those. Its filter
+    /// reads the stored row: it is bound to table positions.
+    Scan { table: Arc<str>, filter: Option<BoundExpr>, columns: ColumnSet, schema: SchemaRef },
     /// Index point lookup on a base table: the rows where `column = key`
     /// (fetched through the table's hash index), then filtered by the
-    /// remaining pushed-down conjuncts. Chosen at plan time when a
-    /// pushed-down equality conjunct hits a `HashIndex`; the executor falls
-    /// back to a full scan if the index is missing at runtime.
+    /// remaining pushed-down conjuncts (bound to table positions). Chosen at
+    /// plan time when a pushed-down equality conjunct hits a `HashIndex`;
+    /// the executor falls back to a full scan if the index is missing at
+    /// runtime.
     IndexScan {
         table: Arc<str>,
         column: Arc<str>,
         key: Value,
         residual: Option<BoundExpr>,
+        columns: ColumnSet,
         schema: SchemaRef,
     },
     /// σ: keep rows whose predicate evaluates to TRUE.
@@ -47,11 +54,13 @@ pub enum Plan {
     },
     /// Index nested-loop join chosen at plan time: execute `probe`, then for
     /// each probe row fetch `table` rows with `column = probe[probe_key]`
-    /// through the table's hash index, applying the pushed-down `filter` to
-    /// fetched rows. Output columns are in the engine's fixed `left ++
-    /// right` order: probe columns first when `probe_is_left`, table columns
-    /// first otherwise. The executor keeps a size guard and falls back to a
-    /// hash join when the probe side turns out large (or the index is gone).
+    /// through the table's hash index, applying the pushed-down `filter`
+    /// (bound to table positions) to fetched rows, which then contribute
+    /// their `columns` only. Output columns are in the engine's fixed `left
+    /// ++ right` order: probe columns first when `probe_is_left`, table
+    /// columns first otherwise. The executor keeps a size guard and falls
+    /// back to a hash join when the probe side turns out large (or the index
+    /// is gone).
     IndexJoin {
         probe: Box<Plan>,
         probe_key: usize,
@@ -59,6 +68,7 @@ pub enum Plan {
         column: Arc<str>,
         filter: Option<BoundExpr>,
         probe_is_left: bool,
+        columns: ColumnSet,
         schema: SchemaRef,
     },
     /// Cartesian product (kept for predicates the join planner cannot turn
@@ -185,15 +195,17 @@ impl Plan {
         };
         match self {
             Plan::Empty { .. } => out.push_str(&format!("{pad}Empty{suffix}\n")),
-            Plan::Scan { table, filter, .. } => {
+            Plan::Scan { table, filter, schema, .. } => {
                 out.push_str(&format!(
-                    "{pad}Scan {table}{}{suffix}\n",
+                    "{pad}Scan {table} [{}]{}{suffix}\n",
+                    names(&schema.columns),
                     if filter.is_some() { " [filtered]" } else { "" }
                 ));
             }
-            Plan::IndexScan { table, column, key, residual, .. } => {
+            Plan::IndexScan { table, column, key, residual, schema, .. } => {
                 out.push_str(&format!(
-                    "{pad}IndexScan {table}.{column}={key}{}{suffix}\n",
+                    "{pad}IndexScan {table}.{column}={key} [{}]{}{suffix}\n",
+                    names(&schema.columns),
                     if residual.is_some() { " [filtered]" } else { "" }
                 ));
             }
@@ -206,9 +218,17 @@ impl Plan {
                 left.explain_into(depth + 1, out, annot);
                 right.explain_into(depth + 1, out, annot);
             }
-            Plan::IndexJoin { probe, table, column, filter, probe_is_left, .. } => {
+            Plan::IndexJoin { probe, table, column, filter, probe_is_left, schema, .. } => {
+                // The fetched columns follow the probe's, or precede them.
+                let probed = probe.schema().arity().min(schema.arity());
+                let fetched = if *probe_is_left {
+                    &schema.columns[probed..]
+                } else {
+                    &schema.columns[..schema.arity() - probed]
+                };
                 out.push_str(&format!(
-                    "{pad}IndexJoin {table}.{column}{} [probe={}]{suffix}\n",
+                    "{pad}IndexJoin {table}.{column} [{}]{} [probe={}]{suffix}\n",
+                    names(fetched),
                     if filter.is_some() { " [filtered]" } else { "" },
                     if *probe_is_left { "left" } else { "right" }
                 ));
@@ -284,4 +304,10 @@ impl Plan {
             }
         }
     }
+}
+
+/// `a, b, c`: the names an access path's explain line lists as emitted.
+fn names(columns: &[OutputColumn]) -> String {
+    let names: Vec<&str> = columns.iter().map(|c| &*c.name).collect();
+    names.join(", ")
 }

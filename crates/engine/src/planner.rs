@@ -7,7 +7,9 @@
 //! - single-table predicates are pushed into scans;
 //! - equi-join conjuncts drive a greedy join-order search producing hash
 //!   joins (cross joins only remain for genuinely disconnected factors);
-//! - constant folding short-circuits `WHERE FALSE` branches to `Empty`.
+//! - constant folding short-circuits `WHERE FALSE` branches to `Empty`;
+//! - every base-table access path emits only the columns some operator
+//!   above it reads (`Planner::plan_select` says which those are).
 //!
 //! The OR-expansion rewrite (see [`crate::rewrite`]) runs before planning.
 //!
@@ -24,9 +26,9 @@ use crate::bound::BoundExpr;
 use crate::cost::{ColumnOrigin, Estimator};
 use crate::error::{bind_err, EngineError, Result};
 use crate::plan::Plan;
-use crate::types::{OutputColumn, OutputSchema, SchemaRef};
+use crate::types::{unresolved, OutputColumn, OutputSchema, SchemaRef};
 use pqp_sql::ast::*;
-use pqp_storage::{Catalog, Value};
+use pqp_storage::{Catalog, ColumnDef, ColumnSet, TableRef, Value};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -116,7 +118,12 @@ impl<'a> Planner<'a> {
 
     /// Plan a full query (set expression + order by + limit).
     pub fn plan_query(&self, q: &Query) -> Result<Plan> {
-        let mut plan = self.plan_set_expr(&q.body)?;
+        let mut plan = match &q.body {
+            // ORDER BY may bind below the projection (the hidden-column
+            // path), so the select block must keep what it names.
+            SetExpr::Select(sel) => self.plan_select(sel, &q.order_by)?,
+            body => self.plan_set_expr(body)?,
+        };
         if !q.order_by.is_empty() {
             match self.bind_order_by(&q.order_by, &q.body, plan.schema()) {
                 Ok(keys) => plan = Plan::Sort { input: Box::new(plan), keys },
@@ -173,7 +180,7 @@ impl<'a> Planner<'a> {
 
     fn plan_set_expr(&self, s: &SetExpr) -> Result<Plan> {
         match s {
-            SetExpr::Select(sel) => self.plan_select(sel),
+            SetExpr::Select(sel) => self.plan_select(sel, &[]),
             SetExpr::Union { left, right, all } => {
                 // Flatten nested unions of the same kind into one n-ary node.
                 let mut inputs = Vec::new();
@@ -209,7 +216,19 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn plan_select(&self, s: &Select) -> Result<Plan> {
+    /// Plan one select block. `order_by` is the query's ORDER BY when this
+    /// block is the whole query body, empty otherwise.
+    ///
+    /// Column pruning: a base table's access path emits only the columns
+    /// read *above* it — those named by the projection, GROUP BY, HAVING,
+    /// `order_by`, the equi-join edges and the residual conjuncts (multi-
+    /// factor or constant); `SELECT *` reads them all. A column that only a
+    /// single-factor conjunct reads is not emitted: that conjunct is the
+    /// access path's own filter and binds to table positions. A qualified
+    /// name marks its factor's column, an unqualified one the column on
+    /// every factor that has it, so a name ambiguous over the whole tables
+    /// stays ambiguous over the emitted ones.
+    fn plan_select(&self, s: &Select, order_by: &[OrderByItem]) -> Result<Plan> {
         // 1. Bind FROM factors.
         let mut factors: Vec<BoundFactor> = Vec::with_capacity(s.from.len());
         for f in &s.from {
@@ -217,8 +236,30 @@ impl<'a> Planner<'a> {
             if factors.iter().any(|seen| seen.binding.eq_ignore_ascii_case(&binding)) {
                 return bind_err(format!("duplicate tuple variable `{binding}`"));
             }
-            let plan = self.plan_table_factor(f)?;
-            factors.push(BoundFactor { binding, plan });
+            let source = match f {
+                TableFactor::Table { name, .. } => {
+                    FactorSource::Table { table: self.catalog.table(name)?, read: ColumnSet::EMPTY }
+                }
+                TableFactor::Derived { query, .. } => {
+                    FactorSource::Derived(self.plan_derived(query, &binding)?)
+                }
+            };
+            factors.push(BoundFactor { binding, source });
+        }
+        for item in &s.projection {
+            match item {
+                SelectItem::Wildcard => {
+                    for f in &mut factors {
+                        if let FactorSource::Table { read, .. } = &mut f.source {
+                            *read = ColumnSet::ALL;
+                        }
+                    }
+                }
+                SelectItem::Expr { expr, .. } => mark_read(expr, &mut factors),
+            }
+        }
+        for e in s.group_by.iter().chain(&s.having).chain(order_by.iter().map(|o| &o.expr)) {
+            mark_read(e, &mut factors);
         }
 
         // 2. Decompose WHERE into conjuncts and plan the join tree.
@@ -271,46 +312,80 @@ impl<'a> Planner<'a> {
         Ok(plan)
     }
 
-    fn plan_table_factor(&self, f: &TableFactor) -> Result<Plan> {
-        match f {
-            TableFactor::Table { name, .. } => {
-                let binding = self.binding(f);
-                let t = self.catalog.table(name)?;
-                let t = t.read();
-                let columns = t
-                    .schema()
-                    .columns
-                    .iter()
-                    .map(|c| OutputColumn {
-                        qualifier: Some(binding.clone()),
-                        name: c.name.clone(),
-                    })
-                    .collect();
-                Ok(Plan::Scan {
-                    table: t.schema().name.clone(),
+    /// A derived table: its query planned, then its output columns
+    /// re-qualified with the alias so references like `TEMP.title` resolve.
+    /// The re-qualifying projection is the identity on rows, and the
+    /// executor passes them through.
+    fn plan_derived(&self, query: &Query, alias: &Arc<str>) -> Result<Plan> {
+        let inner = self.plan_query(query)?;
+        let columns: Vec<OutputColumn> = inner
+            .schema()
+            .columns
+            .iter()
+            .map(|c| OutputColumn { qualifier: Some(alias.clone()), name: c.name.clone() })
+            .collect();
+        let exprs = (0..columns.len()).map(BoundExpr::Column).collect();
+        Ok(Plan::Project {
+            input: Box::new(inner),
+            exprs,
+            schema: self.share(OutputSchema::new(columns)),
+        })
+    }
+
+    /// A factor's access path: its single-factor conjuncts bound to what
+    /// the factor reads — a base table's stored row, by table position, or
+    /// a derived table's output — and pushed into a scan that emits the
+    /// columns read above it.
+    fn access_path(
+        &self,
+        binding: &Arc<str>,
+        source: FactorSource,
+        preds: &[&Expr],
+    ) -> Result<Plan> {
+        let (plan, pred) = match source {
+            FactorSource::Table { table, read } => {
+                let t = table.read();
+                let schema = t.schema();
+                let pred = self.conjunction(preds, Scope::Table(binding, &schema.columns))?;
+                // Sized exactly: the schema lives as long as the plan.
+                let mut columns = Vec::with_capacity(read.len(schema.arity()));
+                columns.extend(read.iter(schema.arity()).map(|c| OutputColumn {
+                    qualifier: Some(binding.clone()),
+                    name: schema.columns[c].name.clone(),
+                }));
+                let scan = Plan::Scan {
+                    table: schema.name.clone(),
                     filter: None,
+                    columns: read,
                     schema: self.share(OutputSchema::new(columns)),
-                })
+                };
+                (scan, pred)
             }
-            TableFactor::Derived { query, .. } => {
-                let inner = self.plan_query(query)?;
-                // Re-qualify the derived table's output columns with its
-                // alias so references like `TEMP.title` resolve.
-                let alias = self.binding(f);
-                let columns: Vec<OutputColumn> = inner
-                    .schema()
-                    .columns
-                    .iter()
-                    .map(|c| OutputColumn { qualifier: Some(alias.clone()), name: c.name.clone() })
-                    .collect();
-                let exprs = (0..columns.len()).map(BoundExpr::Column).collect();
-                Ok(Plan::Project {
-                    input: Box::new(inner),
-                    exprs,
-                    schema: self.share(OutputSchema::new(columns)),
-                })
+            FactorSource::Derived(plan) => {
+                let pred = self.conjunction(preds, Scope::Output(plan.schema()))?;
+                (plan, pred)
             }
+        };
+        Ok(match pred {
+            Some(p) if p.is_const_false() => Plan::Empty { schema: plan.schema_ref().clone() },
+            Some(p) if !p.is_const_true() => self.push_predicate(plan, p),
+            _ => plan,
+        })
+    }
+
+    /// The conjuncts bound in `scope`, folded and ANDed in order.
+    fn conjunction(&self, conjuncts: &[&Expr], scope: Scope<'_>) -> Result<Option<BoundExpr>> {
+        let mut pred: Option<BoundExpr> = None;
+        for c in conjuncts {
+            let b = self.bind(c, scope)?.fold();
+            pred = Some(match pred {
+                None => b,
+                Some(p) => {
+                    BoundExpr::Binary { left: Box::new(p), op: BinaryOp::And, right: Box::new(b) }
+                }
+            });
         }
+        Ok(pred)
     }
 
     /// Greedy bushy-free join planning over the FROM factors.
@@ -319,7 +394,7 @@ impl<'a> Planner<'a> {
     /// rules of [`Self::push_predicate`] and [`Self::choose_join`] to price
     /// a join before it is planned; a change here must be made there too
     /// (the strategy layer's tests compare its prices with plan costs).
-    fn plan_joins(&self, factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Plan> {
+    fn plan_joins(&self, mut factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Plan> {
         // Classify conjuncts by the set of factors they reference.
         let mut single: Vec<Vec<&Expr>> = vec![Vec::new(); factors.len()];
         let mut join_edges: Vec<JoinEdge<'_>> = Vec::new();
@@ -336,6 +411,14 @@ impl<'a> Planner<'a> {
                 _ => residual.push(Some(c)),
             }
         }
+        // Join edges and residuals are evaluated above the access paths.
+        for e in &join_edges {
+            mark_read(e.cols.0, &mut factors);
+            mark_read(e.cols.1, &mut factors);
+        }
+        for r in residual.iter().flatten() {
+            mark_read(r, &mut factors);
+        }
 
         // Attach single-factor predicates, pushing them into the access path
         // (an IndexScan when an equality conjunct hits a hash index, a
@@ -345,26 +428,7 @@ impl<'a> Planner<'a> {
         let estimator = &self.estimator;
         let mut nodes: Vec<Option<FactorNode>> = Vec::with_capacity(factors.len());
         for (f, preds) in factors.into_iter().zip(&single) {
-            let mut plan = f.plan;
-            let mut pred: Option<BoundExpr> = None;
-            for c in preds {
-                let b = self.bind_expr(c, plan.schema())?.fold();
-                pred = Some(match pred {
-                    None => b,
-                    Some(p) => BoundExpr::Binary {
-                        left: Box::new(p),
-                        op: BinaryOp::And,
-                        right: Box::new(b),
-                    },
-                });
-            }
-            if let Some(pred) = pred {
-                if pred.is_const_false() {
-                    plan = Plan::Empty { schema: plan.schema_ref().clone() };
-                } else if !pred.is_const_true() {
-                    plan = self.push_predicate(plan, pred);
-                }
-            }
+            let plan = self.access_path(&f.binding, f.source, preds)?;
             let est = estimator.estimate(&plan);
             nodes.push(Some(FactorNode {
                 binding: f.binding,
@@ -519,11 +583,11 @@ impl<'a> Planner<'a> {
     /// a bare scan.
     fn push_predicate(&self, plan: Plan, pred: BoundExpr) -> Plan {
         match plan {
-            Plan::Scan { table, filter: None, schema } => {
+            Plan::Scan { table, filter: None, columns, schema } => {
                 if let Some((column, key, residual)) = self.index_split(&table, &pred) {
-                    return Plan::IndexScan { table, column, key, residual, schema };
+                    return Plan::IndexScan { table, column, key, residual, columns, schema };
                 }
-                Plan::Scan { table, filter: Some(pred), schema }
+                Plan::Scan { table, filter: Some(pred), columns, schema }
             }
             other => Plan::Filter { input: Box::new(other), predicate: pred },
         }
@@ -597,7 +661,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The indexed join column, when `scan_side` is a bare scan of a table
-    /// with a hash index on its join column. With statistics the probe
+    /// with a hash index on its join column (`scan_key` is a position in
+    /// the scan's output). With statistics the probe
     /// side's estimate must also clear the 4× size guard at plan time.
     /// Without them the estimate is too crude to rule the path out, so the
     /// shape alone promotes and the executor's guard — the same 4× test on
@@ -613,7 +678,7 @@ impl<'a> Planner<'a> {
         };
         let t = self.catalog.table(table).ok()?;
         let t = t.read();
-        let column = &t.schema().columns.get(scan_key)?.name;
+        let column = &scan_side.schema().columns.get(scan_key)?.name;
         t.index_on(column)?;
         if t.stats().is_some_and(|stats| probe_est * 4.0 > stats.rows as f64) {
             return None;
@@ -637,12 +702,12 @@ impl<'a> Planner<'a> {
                     hit
                 }
                 None => {
-                    let mut hits = factors.iter().enumerate().flat_map(|(i, f)| {
-                        let columns = f.plan.schema().columns.iter();
-                        columns.filter(|c| c.matches(None, name)).map(move |_| i)
-                    });
+                    let mut hits = factors
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, f)| Some((i, f.count(name))).filter(|&(_, n)| n > 0));
                     match (hits.next(), hits.next()) {
-                        (Some(i), None) => Some(i),
+                        (Some((i, 1)), None) => Some(i),
                         _ => None,
                     }
                 }
@@ -705,7 +770,7 @@ impl<'a> Planner<'a> {
                 // Unqualified: find the unique factor having this column.
                 let mut hit = None;
                 for (i, f) in factors.iter().enumerate() {
-                    if f.plan.schema().position(None, name).is_some() {
+                    if f.count(name) == 1 {
                         if hit.is_some() {
                             return bind_err(format!("ambiguous column `{name}`"));
                         }
@@ -726,25 +791,27 @@ impl<'a> Planner<'a> {
 
     /// Bind a scalar expression (no aggregates allowed here).
     pub fn bind_expr(&self, e: &Expr, schema: &OutputSchema) -> Result<BoundExpr> {
+        self.bind(e, Scope::Output(schema))
+    }
+
+    fn bind(&self, e: &Expr, scope: Scope<'_>) -> Result<BoundExpr> {
         match e {
             Expr::Column { qualifier, name } => {
-                let i = schema.resolve(qualifier.as_deref(), name).map_err(EngineError::Bind)?;
-                Ok(BoundExpr::Column(i))
+                Ok(BoundExpr::Column(scope.resolve(qualifier.as_deref(), name)?))
             }
             Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
             Expr::Binary { left, op, right } => Ok(BoundExpr::Binary {
-                left: Box::new(self.bind_expr(left, schema)?),
+                left: Box::new(self.bind(left, scope)?),
                 op: *op,
-                right: Box::new(self.bind_expr(right, schema)?),
+                right: Box::new(self.bind(right, scope)?),
             }),
-            Expr::Not(inner) => Ok(BoundExpr::Not(Box::new(self.bind_expr(inner, schema)?))),
-            Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-                expr: Box::new(self.bind_expr(expr, schema)?),
-                negated: *negated,
-            }),
+            Expr::Not(inner) => Ok(BoundExpr::Not(Box::new(self.bind(inner, scope)?))),
+            Expr::IsNull { expr, negated } => {
+                Ok(BoundExpr::IsNull { expr: Box::new(self.bind(expr, scope)?), negated: *negated })
+            }
             Expr::InList { expr, list, negated } => Ok(BoundExpr::InList {
-                expr: Box::new(self.bind_expr(expr, schema)?),
-                list: list.iter().map(|x| self.bind_expr(x, schema)).collect::<Result<_>>()?,
+                expr: Box::new(self.bind(expr, scope)?),
+                list: list.iter().map(|x| self.bind(x, scope)).collect::<Result<_>>()?,
                 negated: *negated,
             }),
             Expr::Function { name, .. } => {
@@ -963,7 +1030,82 @@ impl<'a> Planner<'a> {
 
 struct BoundFactor {
     binding: Arc<str>,
-    plan: Plan,
+    source: FactorSource,
+}
+
+/// What a FROM factor reads.
+enum FactorSource {
+    /// A base table, and the columns read above its access path (see
+    /// [`Planner::plan_select`]).
+    Table { table: TableRef, read: ColumnSet },
+    /// A derived table, planned.
+    Derived(Plan),
+}
+
+impl BoundFactor {
+    /// How many of the factor's columns the unqualified `name` matches.
+    fn count(&self, name: &str) -> usize {
+        match &self.source {
+            FactorSource::Table { table, .. } => {
+                let t = table.read();
+                t.schema().columns.iter().filter(|c| c.name.eq_ignore_ascii_case(name)).count()
+            }
+            FactorSource::Derived(plan) => {
+                plan.schema().columns.iter().filter(|c| c.matches(None, name)).count()
+            }
+        }
+    }
+}
+
+/// Mark the base-table columns `e` reads as read above the access paths: a
+/// qualified name on its own factor, an unqualified one on every factor
+/// that has it.
+fn mark_read(e: &Expr, factors: &mut [BoundFactor]) {
+    for_each_column(e, &mut |qualifier, name| {
+        for f in factors.iter_mut() {
+            if qualifier.is_some_and(|q| !f.binding.eq_ignore_ascii_case(q)) {
+                continue;
+            }
+            if let FactorSource::Table { table, read } = &mut f.source {
+                let t = table.read();
+                for (c, column) in t.schema().columns.iter().enumerate() {
+                    if column.name.eq_ignore_ascii_case(name) {
+                        read.insert(c);
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// What column references bind against.
+#[derive(Clone, Copy)]
+enum Scope<'s> {
+    /// The columns of an intermediate result.
+    Output(&'s OutputSchema),
+    /// Every column of a base table under a tuple variable, by table
+    /// position: what a single-factor conjunct reads, because its access
+    /// path evaluates it on the stored row.
+    Table(&'s str, &'s [ColumnDef]),
+}
+
+impl Scope<'_> {
+    fn resolve(self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        let resolved = match self {
+            Scope::Output(schema) => schema.resolve(qualifier, name),
+            Scope::Table(binding, columns) => {
+                let mut hits = (0..columns.len()).filter(|&c| {
+                    columns[c].name.eq_ignore_ascii_case(name)
+                        && qualifier.is_none_or(|q| binding.eq_ignore_ascii_case(q))
+                });
+                match (hits.next(), hits.next()) {
+                    (Some(c), None) => Ok(c),
+                    (first, _) => Err(unresolved(qualifier, name, first.is_some())),
+                }
+            }
+        };
+        resolved.map_err(EngineError::Bind)
+    }
 }
 
 /// One side of the greedy join search: a FROM factor, or the factors joined
@@ -1025,7 +1167,7 @@ fn index_join(
     probe_is_left: bool,
     schema: SchemaRef,
 ) -> Plan {
-    let Plan::Scan { table, filter, .. } = scan_side else {
+    let Plan::Scan { table, filter, columns, .. } = scan_side else {
         unreachable!("index_join_column accepts bare scans only");
     };
     Plan::IndexJoin {
@@ -1035,6 +1177,7 @@ fn index_join(
         column,
         filter,
         probe_is_left,
+        columns,
         schema,
     }
 }

@@ -88,15 +88,22 @@ impl OutputSchema {
         if let Some(i) = self.position(qualifier, name) {
             return Ok(i);
         }
-        let display = match qualifier {
-            Some(q) => format!("{q}.{name}"),
-            None => name.to_string(),
-        };
-        if self.columns.iter().any(|c| c.matches(qualifier, name)) {
-            Err(format!("ambiguous column reference `{display}`"))
-        } else {
-            Err(format!("unknown column `{display}`"))
-        }
+        let ambiguous = self.columns.iter().any(|c| c.matches(qualifier, name));
+        Err(unresolved(qualifier, name, ambiguous))
+    }
+}
+
+/// The message for a reference `[qualifier.]name` that resolves to no
+/// column, or (`ambiguous`) to more than one.
+pub(crate) fn unresolved(qualifier: Option<&str>, name: &str, ambiguous: bool) -> String {
+    let display = match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.to_string(),
+    };
+    if ambiguous {
+        format!("ambiguous column reference `{display}`")
+    } else {
+        format!("unknown column `{display}`")
     }
 }
 

@@ -453,10 +453,132 @@ fn explain_shows_join_access_paths() {
         .unwrap();
     assert_eq!(explain.matches("IndexJoin").count(), 2, "plan:\n{explain}");
     assert!(!explain.contains("HashJoin") && !explain.contains("CrossJoin"), "plan:\n{explain}");
+    // Each access path lists what it emits: TH.region is read by its own
+    // filter only, PL.date by nothing.
+    for path in [
+        "IndexJoin MOVIE.mid [mid, title] [probe=left]",
+        "IndexJoin THEATRE.tid [tid] [filtered] [probe=right]",
+        "Scan PLAY [tid, mid] (",
+    ] {
+        assert!(explain.contains(path), "no `{path}` in plan:\n{explain}");
+    }
     // PLAY has no index: an equi-join of it with itself hashes.
     let explain = db.explain("select P1.tid from PLAY P1, PLAY P2 where P1.mid = P2.mid").unwrap();
     assert_eq!(explain.matches("HashJoin").count(), 1, "plan:\n{explain}");
     assert!(!explain.contains("IndexJoin"), "plan:\n{explain}");
+    assert!(explain.contains("Scan PLAY [tid, mid] (") && explain.contains("Scan PLAY [mid] ("));
+}
+
+#[test]
+fn select_star_keeps_every_column() {
+    let db = movies_db();
+    let sql = "select * from PLAY PL, MOVIE MV where MV.mid = PL.mid and PL.date = 'd1'";
+    let rs = db.run(sql).unwrap();
+    assert_eq!(rs.columns, ["tid", "mid", "date", "mid", "title", "year"].map(String::from));
+    assert!(rs.rows.iter().all(|r| r.len() == 6), "{rs}");
+    check_against_naive(&db, sql);
+    let explain = db.explain(sql).unwrap();
+    assert!(explain.contains("Scan PLAY [tid, mid, date] [filtered]"), "plan:\n{explain}");
+    assert!(explain.contains("MOVIE.mid [mid, title, year]"), "plan:\n{explain}");
+}
+
+#[test]
+fn a_column_only_a_filter_reads_is_not_emitted() {
+    let db = movies_db();
+    let sql = "select MV.title from MOVIE MV, PLAY PL where MV.mid = PL.mid and PL.date = 'd1' \
+               and MV.year < 2003";
+    assert_eq!(titles(&db, sql), vec!["Alpha", "Beta"]);
+    check_against_naive(&db, sql);
+    // PL.date and MV.year are read by their access paths' filters only.
+    let explain = db.explain(sql).unwrap();
+    assert!(explain.contains("Scan PLAY [mid] [filtered]"), "plan:\n{explain}");
+    assert!(explain.contains("IndexJoin MOVIE.mid [mid, title] [filtered]"), "plan:\n{explain}");
+    // A column a residual reads is emitted, even next to a filter on it.
+    let sql = "select MV.title from MOVIE MV, PLAY PL where MV.mid = PL.mid and PL.date = 'd1' \
+               and (MV.year = 2001 or PL.date = 'd2')";
+    assert_eq!(titles(&db, sql), vec!["Alpha"]);
+    check_against_naive(&db, sql);
+}
+
+#[test]
+fn order_by_a_column_the_projection_drops_still_sorts() {
+    let db = movies_db();
+    let sql = "select MV.title from MOVIE MV, PLAY PL where MV.mid = PL.mid \
+               order by MV.year desc, PL.date desc";
+    let rs = db.run(sql).unwrap();
+    let got: Vec<Value> = rs.rows.into_iter().map(|mut r| r.remove(0)).collect();
+    assert_eq!(got, ["Gamma", "Beta", "Alpha", "Alpha"].map(Value::str));
+    // The rows, order aside, are the oracle's.
+    check_against_naive(&db, "select MV.title from MOVIE MV, PLAY PL where MV.mid = PL.mid");
+    let explain = db.explain(sql).unwrap();
+    assert!(explain.contains("[mid, title, year]"), "plan:\n{explain}");
+    assert!(explain.contains("Scan PLAY [mid, date]"), "plan:\n{explain}");
+}
+
+#[test]
+fn an_ambiguous_unqualified_column_still_errors() {
+    let db = movies_db();
+    // THEATRE and ACTOR both have a `name` that nothing else reads: both
+    // factors emit it, so the name stays ambiguous over the emitted columns
+    // wherever it is read above the access paths.
+    for (sql, error) in [
+        (
+            "select TH.tid from THEATRE TH, ACTOR AC where name = 'Odeon'",
+            "ambiguous column reference `name`",
+        ),
+        ("select name from THEATRE TH, ACTOR AC", "ambiguous column reference `name`"),
+        (
+            "select MV.title from MOVIE MV, PLAY PL where MV.mid = PL.mid and mid = 10",
+            "ambiguous column reference `mid`",
+        ),
+        // The hidden-sort path fails on the ambiguity and reports why the
+        // projection could not serve.
+        (
+            "select TH.tid from THEATRE TH, ACTOR AC order by name",
+            "ORDER BY expression `name` does not match any output column",
+        ),
+    ] {
+        let err = db.run(sql).unwrap_err().to_string();
+        assert!(err.contains(error), "`{sql}`: {err}");
+        assert!(naive_execute(&parse_query(sql).unwrap(), db.catalog()).is_err(), "{sql}");
+    }
+}
+
+#[test]
+fn index_join_hash_fallback_maps_the_join_column_through_the_emitted_set() {
+    let db = movies_db();
+    // PLAY.mid is table column 1, but PLAY emits [mid, date]: position 0.
+    db.catalog().table("PLAY").unwrap().write().create_index("mid").unwrap();
+    let sql = "select MV.title, PL.date from MOVIE MV, PLAY PL where MV.mid = PL.mid";
+    let explain = db.explain(sql).unwrap();
+    assert!(explain.contains("IndexJoin PLAY.mid [mid, date] [probe=left]"), "plan:\n{explain}");
+    // Three probe rows into a four-row table fail the executor's 4x guard:
+    // the join runs as a hash join over a scan of the emitted columns.
+    pqp_obs::trace_begin("test");
+    db.run(sql).unwrap();
+    let trace = pqp_obs::trace_end().unwrap();
+    let join = trace.root.find("exec.index_join").expect("an index join span");
+    assert_eq!(join.field("strategy"), Some(&pqp_obs::Field::Str("hash_fallback".into())));
+    check_against_naive(&db, sql);
+}
+
+#[test]
+fn index_scan_falls_back_to_a_narrow_scan_when_its_index_is_gone() {
+    let mut db = movies_db();
+    let sql = "select MV.title from MOVIE MV where MV.mid = 11 and MV.year > 2000";
+    let plan = db.plan(&parse_query(sql).unwrap()).unwrap();
+    assert!(plan.explain().contains("IndexScan MOVIE.mid=11 [title] [filtered]"), "{plan:?}");
+    // Re-create MOVIE without its primary key: the planned index is gone.
+    let rows = db.catalog().table("MOVIE").unwrap().read().scan().unwrap();
+    let mut schema = db.catalog().schema_of("MOVIE").unwrap();
+    schema.primary_key.clear();
+    db.catalog_mut().drop_table("MOVIE").unwrap();
+    let movie = db.catalog_mut().create_table(schema).unwrap();
+    for row in rows {
+        movie.write().insert(row).unwrap();
+    }
+    assert_eq!(db.run_plan(&plan).unwrap().rows, vec![vec![Value::str("Beta")]]);
+    check_against_naive(&db, sql);
 }
 
 #[test]

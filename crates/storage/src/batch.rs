@@ -9,6 +9,7 @@
 //! bump to read.
 
 use crate::row::Row;
+use crate::schema::ColumnSet;
 use crate::value::{DataType, Value};
 use std::sync::{Arc, OnceLock};
 
@@ -162,6 +163,12 @@ impl Batch {
         out.extend(self.columns.iter().map(|c| c.value(i)));
     }
 
+    /// Append the values of row `i`'s columns in `columns` to `out`: the
+    /// narrow copy a scan makes of the columns its query reads.
+    pub fn append_columns(&self, i: usize, columns: ColumnSet, out: &mut Row) {
+        out.extend(columns.iter(self.columns.len()).map(|c| self.columns[c].value(i)));
+    }
+
     /// Materialize row `i`.
     pub fn row(&self, i: usize) -> Row {
         let mut row = Row::with_capacity(self.columns.len());
@@ -215,6 +222,12 @@ mod tests {
         let mut out = vec![Value::str("kept")];
         b.append_row(0, &mut out);
         assert_eq!(out, [vec![Value::str("kept")], rows[0].clone()].concat());
+        let mut narrow = Vec::new();
+        let mut columns = ColumnSet::EMPTY;
+        columns.insert(1);
+        columns.insert(3);
+        b.append_columns(3, columns, &mut narrow);
+        assert_eq!(narrow, [rows[3][1].clone(), rows[3][3].clone()]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use catalog::{Catalog, SchemaJoin, TableRef};
 pub use error::{Result, StorageError};
 pub use index::HashIndex;
 pub use row::Row;
-pub use schema::{Cardinality, ColumnDef, ForeignKey, TableSchema};
+pub use schema::{Cardinality, ColumnDef, ColumnSet, ForeignKey, TableSchema};
 pub use shard::ShardedMap;
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::Table;

@@ -61,6 +61,51 @@ impl fmt::Display for Cardinality {
     }
 }
 
+/// A set of a table's column positions, held inline in one word: bit `c`
+/// stands for column `c`, and the last bit for every column from 63 on, so
+/// a set over a wider table names those columns all together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ColumnSet(u64);
+
+impl ColumnSet {
+    /// Every column of any table.
+    pub const ALL: ColumnSet = ColumnSet(u64::MAX);
+    /// No column.
+    pub const EMPTY: ColumnSet = ColumnSet(0);
+
+    fn bit(c: usize) -> u64 {
+        1 << c.min(63)
+    }
+
+    /// Add column `c`.
+    pub fn insert(&mut self, c: usize) {
+        self.0 |= Self::bit(c);
+    }
+
+    /// Whether column `c` is in the set.
+    pub fn contains(self, c: usize) -> bool {
+        self.0 & Self::bit(c) != 0
+    }
+
+    /// The set's columns of a table of `arity` columns, ascending.
+    pub fn iter(self, arity: usize) -> impl Iterator<Item = usize> {
+        (0..arity).filter(move |&c| self.contains(c))
+    }
+
+    /// How many of a table's `arity` columns are in the set.
+    pub fn len(self, arity: usize) -> usize {
+        let low = arity.min(63);
+        let below = (self.0 & ((1u64 << low) - 1)).count_ones() as usize;
+        below + if self.contains(63) { arity - low } else { 0 }
+    }
+
+    /// Where column `c` sits in a row holding only the set's columns.
+    pub fn position(self, c: usize) -> Option<usize> {
+        let low = c.min(63);
+        self.contains(c).then(|| (self.0 & ((1u64 << low) - 1)).count_ones() as usize + c - low)
+    }
+}
+
 /// Schema of a single table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
@@ -225,6 +270,26 @@ mod tests {
     fn empty_key_is_not_a_key() {
         let s = TableSchema::new("T", vec![ColumnDef::new("a", DataType::Int)]);
         assert!(!s.is_key(&[0]));
+    }
+
+    #[test]
+    fn column_set_maps_positions_through_the_set() {
+        let mut s = ColumnSet::EMPTY;
+        s.insert(1);
+        s.insert(3);
+        assert_eq!(s.iter(5).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(s.len(5), 2);
+        assert_eq!((s.position(3), s.position(2)), (Some(1), None));
+        assert_eq!(ColumnSet::ALL.len(4), 4);
+        assert_eq!(ColumnSet::EMPTY.iter(4).count(), 0);
+        // From column 63 on, one bit stands for every column.
+        let mut wide = ColumnSet::EMPTY;
+        wide.insert(0);
+        wide.insert(70);
+        assert_eq!(wide.len(80), 1 + 17);
+        assert!(wide.contains(63) && wide.contains(79) && !wide.contains(62));
+        assert_eq!(wide.position(70), Some(1 + 7));
+        assert_eq!(ColumnSet::ALL.position(79), Some(79));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::batch::{Batch, BATCH_SIZE};
 use crate::error::{Result, StorageError};
 use crate::index::HashIndex;
 use crate::row::Row;
-use crate::schema::TableSchema;
+use crate::schema::{ColumnSet, TableSchema};
 use crate::stats::TableStats;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -213,6 +213,12 @@ impl Table {
     pub fn append_row(&self, ord: u32, out: &mut Row) {
         let ord = ord as usize;
         self.chunks[ord / BATCH_SIZE].append_row(ord % BATCH_SIZE, out);
+    }
+
+    /// [`Table::append_row`] for the row's columns in `columns` only.
+    pub fn append_columns(&self, ord: u32, columns: ColumnSet, out: &mut Row) {
+        let ord = ord as usize;
+        self.chunks[ord / BATCH_SIZE].append_columns(ord % BATCH_SIZE, columns, out);
     }
 
     /// Scan the table and (re)collect its statistics snapshot. Returns the

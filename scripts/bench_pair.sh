@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Paired before/after runs of one benchmark workload.
 #
-#   scripts/bench_pair.sh <ref-a> <ref-b> <workload> [pairs]
+#   scripts/bench_pair.sh [--seed N] <ref-a> <ref-b> <workload> [pairs]
 #
 # Checks each ref out into its own `git worktree`, builds both once, then
-# runs `benchmark/run.sh --workload W --trace 0` in alternating order
+# runs `benchmark/run.sh --workload W --trace 0` (with `--seed N` when
+# given; the benchmark's own default otherwise) in alternating order
 # (A B, B A, A B, ...) so drift of the host hits both sides alike. A side
 # may also be a directory holding a checkout (an uncommitted tree has no
 # ref); it is used in place, with its build output kept outside it.
@@ -20,8 +21,24 @@
 # fresh temporary directory) as <metric>.tsv.
 set -euo pipefail
 
+seed=
+args=()
+while [[ $# -gt 0 ]]; do
+    case $1 in
+        --seed)
+            [[ $# -ge 2 ]] || { echo "--seed needs a value" >&2; exit 2; }
+            seed=$2
+            shift 2
+            ;;
+        *)
+            args+=("$1")
+            shift
+            ;;
+    esac
+done
+set -- "${args[@]}"
 if [[ $# -lt 3 || $# -gt 4 ]]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 ref_a=$1 ref_b=$2 workload=$3 pairs=${4:-10}
@@ -55,7 +72,7 @@ checkout b "$ref_b" && dir_b=$dir
 run_side() {
     local side=$1 dir=$2 log=$work/run-$1-$3.log
     CARGO_TARGET_DIR=$work/target-$side bash "$dir/benchmark/run.sh" \
-        --workload "$workload" --trace 0 >"$log"
+        --workload "$workload" ${seed:+--seed "$seed"} --trace 0 >"$log"
     grep -q '"correct":true' "$log" || { echo "run $side/$3 failed its checks: $log" >&2; exit 1; }
     # Metric lines read "<name> <value> <unit>", optionally "(reported, ...)".
     awk '$1 ~ /^[a-z_0-9.]+$/ && $2 ~ /^-?[0-9.]+$/ && (NF == 3 || $4 ~ /^\(/) { print $1, $2 }' "$log" |
@@ -83,7 +100,7 @@ awk_lib='
         for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
     }'
 
-echo "workload $workload, $pairs pairs, A = $ref_a, B = $ref_b"
+echo "workload $workload, $pairs pairs, seed ${seed:-default}, A = $ref_a, B = $ref_b"
 printf '%-16s %-34s %-34s %-14s %s\n' metric "A median [q1, q3]" "B median [q1, q3]" "B wins/ties" verdict
 for file_a in "$work"/*.a; do
     name=$(basename "$file_a" .a)

@@ -17,11 +17,11 @@
 //!   builds the graph once per profile epoch, and so does this test).
 //!
 //! The same binary counts the execution side of a plan-cache *hit*:
-//! allocations per `Database::run_plan` of each built plan over a population
-//! shaped like the `rank_exec` workload — broad query texts, 60-selection
-//! profiles with every join preference, K=12, L=2, ranked, `Rewrite::Mq` —
-//! where the executor's per-row cost (string copies, join rows, key vectors)
-//! is what the count sees.
+//! allocations and requested bytes per `Database::run_plan` of each built
+//! plan over a population shaped like the `rank_exec` workload — broad
+//! query texts, 60-selection profiles with every join preference, K=12,
+//! L=2, ranked, `Rewrite::Mq` — where the executor's per-row cost (string
+//! copies, join rows and their width, key vectors) is what the count sees.
 //!
 //! It also counts what the generated database itself keeps live — the
 //! stored base data every workload starts from.
@@ -48,15 +48,20 @@ const TEXTS: usize = 32;
 /// `String`-named ASTs copied per partial query and per OR-expansion 5 884
 /// allocations per build. With shared names it was 2 513 while `Auto`
 /// built all three candidates; priced first, it builds 1.15 of them and
-/// makes 916. The ceiling is that + 5 %.
+/// makes 916. The ceiling is that + 5 %. Access paths that emit only the
+/// columns read above them bind their filters to the table's own columns
+/// instead of building a whole-table schema, and measure 910.
 const MAX_ALLOCS_PER_BUILD: u64 = 962;
 
 /// Ceiling on the candidates `Rewrite::Auto` integrates and plans per
 /// choice, in tenths: it prices SQ, MQ and native first and builds the
 /// cheapest, plus any other priced within `BUILD_WITHIN` of it.
 const MAX_TENTHS_BUILT_PER_CHOICE: u64 = 14;
-const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 150;
-const MAX_LIVE_BYTES_PER_PLAN: i64 = 8 * 1024;
+/// Ceilings on the plan a build leaves behind: 74 live allocations / 6 476
+/// B while every access path emitted its whole table; 73 / 6 152 B with
+/// narrowed schemas. The ceilings are the former.
+const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 74;
+const MAX_LIVE_BYTES_PER_PLAN: i64 = 6_476;
 
 /// Ceiling on allocations per `personalize_prepared`: edges cloned out of
 /// the graph on every adjacency fetch measured 1 208 here; edges borrowed
@@ -72,11 +77,16 @@ const MAX_GRAPH_BYTES: i64 = 2_121;
 /// The `rank_exec` population: 16 users x 8 broad texts.
 const EXEC_USERS: usize = 16;
 const EXEC_TEXTS: usize = 8;
-/// Ceiling on allocations per `run_plan`: `String`-holding values, key
-/// vectors and clone-then-grow join rows measured 89 057 here; shared
-/// strings brought it to 23 801, and scans and index hits that read stored
-/// columns instead of decoding rows to 15 138. The ceiling is that + 5 %.
-const MAX_ALLOCS_PER_RUN: u64 = 15_894;
+/// Ceilings on allocations and requested bytes per `run_plan`:
+/// `String`-holding values, key vectors and clone-then-grow join rows
+/// measured 89 057 allocations here; shared strings brought it to 23 801,
+/// and scans and index hits that read stored columns instead of decoding
+/// rows to 15 138 (3 215 949 B). Derived tables passed through instead of
+/// re-projected, and access paths that emit only the columns read above
+/// them, measure 14 600 allocations / 2 221 195 B. The ceilings are that
+/// + 5 %.
+const MAX_ALLOCS_PER_RUN: u64 = 15_330;
+const MAX_BYTES_PER_RUN: u64 = 2_332_255;
 
 /// Ceiling on the bytes the generated database keeps live: 1.05 x the
 /// 3 134 773 B (30 902 allocations) of rows encoded into 8 KiB heap pages.
@@ -90,6 +100,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE_ALLOCS: AtomicI64 = AtomicI64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static REQUESTED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards to `System` unchanged; the counters are
 // plain atomics and never allocate.
@@ -99,6 +110,7 @@ unsafe impl GlobalAlloc for Counting {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             LIVE_ALLOCS.fetch_add(1, Ordering::Relaxed);
             LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+            REQUESTED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
@@ -115,6 +127,7 @@ unsafe impl GlobalAlloc for Counting {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+            REQUESTED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -278,7 +291,7 @@ fn execution_side(db: &Database, pools: &ValuePools) {
     let sqls = distinct_texts(EXEC_TEXTS, pools, &QueryGenConfig::broad());
     let options = PersonalizeOptions::builder().k(12).l(2).ranked().build();
 
-    let (mut runs, mut allocs, mut rows) = (0u64, 0u64, 0usize);
+    let (mut runs, mut allocs, mut requested, mut rows) = (0u64, 0u64, 0u64, 0usize);
     for profile in &profiles {
         let graph = InMemoryGraph::build(profile, db.catalog()).expect("profile graph");
         for sql in &sqls {
@@ -289,21 +302,30 @@ fn execution_side(db: &Database, pools: &ValuePools) {
                 .expect("personalization");
             let plan = build_execution(db, &personalized, Rewrite::Mq, None).expect("build").plan;
 
-            let before = counters();
+            let before = (counters(), REQUESTED_BYTES.load(Ordering::Relaxed));
             ENABLED.store(true, Ordering::Relaxed);
             let answer = db.run_plan(&plan).expect("execution");
             ENABLED.store(false, Ordering::Relaxed);
-            let after = counters();
+            let after = (counters(), REQUESTED_BYTES.load(Ordering::Relaxed));
             runs += 1;
-            allocs += after.0 - before.0;
+            allocs += after.0 .0 - before.0 .0;
+            requested += after.1 - before.1;
             rows += answer.rows.len();
         }
     }
 
     let per_run = allocs / runs;
-    println!("{runs} runs ({rows} rows out): {per_run} allocations per run_plan");
+    let bytes_per_run = requested / runs;
+    println!(
+        "{runs} runs ({rows} rows out): {per_run} allocations / {bytes_per_run} B requested \
+         per run_plan"
+    );
     assert!(
         per_run <= MAX_ALLOCS_PER_RUN,
         "{per_run} allocations per run_plan (ceiling {MAX_ALLOCS_PER_RUN})"
+    );
+    assert!(
+        bytes_per_run <= MAX_BYTES_PER_RUN,
+        "{bytes_per_run} B requested per run_plan (ceiling {MAX_BYTES_PER_RUN})"
     );
 }
