@@ -43,12 +43,12 @@
 //! [`Estimator::price_join`] gives the `(rows, cost)` the walk would derive
 //! for the join tree the planner would build over a set of FROM factors —
 //! from the factors' tables, local selectivities and equi-join edges alone,
-//! without binding or building a plan. It replays the planner's greedy
-//! order (smallest factor first, then the smallest connected join output)
-//! and its access-path rules (an indexed equality is an `IndexScan`, a scan
-//! with an indexed join column under the 4× guard is an `IndexJoin`), and
-//! prices each step with the walk's arithmetic. The strategy layer prices
-//! its rewrite candidates with it before building any of them.
+//! without binding or building a plan. `Estimator::join_order`, the one
+//! greedy join search and index-join rule, reports its steps to both: the
+//! planner builds its join tree from them, `price_join` adds them up with
+//! the walk's join arithmetic (an indexed equality makes a factor an
+//! `IndexScan`, not a bare scan). The strategy layer prices its rewrite
+//! candidates with it before building any of them.
 
 use crate::bound::BoundExpr;
 use crate::plan::{Plan, TopKProbeSource};
@@ -56,6 +56,7 @@ use pqp_sql::BinaryOp;
 use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableRef, TableStats, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Selectivity assumed for `col = literal` without statistics. Matches the
@@ -67,6 +68,10 @@ pub const DEFAULT_FALLBACK: f64 = 0.5;
 pub const IS_NULL_FALLBACK: f64 = 0.1;
 /// Row estimate for a table the estimator cannot resolve at all.
 const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
+/// An index nested-loop join probes at most one row per this many rows of
+/// the indexed table: with statistics the join order holds the probe side's
+/// estimate to it, and the executor the probe rows it actually has.
+pub const INDEX_JOIN_RATIO: usize = 4;
 
 /// A table as one [`Estimator`] knows it: an index into its fact list.
 type TableId = usize;
@@ -112,6 +117,43 @@ pub struct PricedFactor<'a> {
 /// An equi-join conjunct between two factors of a priced join, as
 /// `(factor position, column)` on each side.
 pub type PricedEdge<'a> = ((usize, &'a str), (usize, &'a str));
+
+/// A FROM factor as [`Estimator::join_order`] sees it.
+pub(crate) struct JoinFactor {
+    /// Estimated rows of the factor's access path.
+    pub rows: f64,
+    /// Whether that path is a (filtered) `Scan`: the only side an index
+    /// join can read through its table's hash index.
+    pub scan: bool,
+}
+
+/// An equi-join conjunct between two factors, as each end's factor and the
+/// origin of its column.
+pub(crate) type JoinEdge = [(usize, ColumnOrigin); 2];
+
+/// How a step of [`Estimator::join_order`] joins its factor in.
+pub(crate) enum Join<'s> {
+    /// No factor left is connected to the joined ones.
+    Cross,
+    /// A hash join along every edge between the new factor and the joined
+    /// ones, in edge order. A second edge into the same factor closes a
+    /// cycle of the join graph; it is a key like the first.
+    Hash(&'s [usize]),
+    /// An index nested-loop join along one edge. With `probe_is_left` the
+    /// new factor is the bare scan and the joined side probes it; otherwise
+    /// the joined side is the start factor's bare scan, probed by the new
+    /// factor.
+    Index { edge: usize, probe_is_left: bool },
+}
+
+/// An edge's `[near, far]` ends when it joins factor `far` in.
+pub(crate) fn near_far<T: Copy>([a, b]: [(usize, T); 2], far: usize) -> [(usize, T); 2] {
+    if b.0 == far {
+        [a, b]
+    } else {
+        [b, a]
+    }
+}
 
 /// A cardinality estimator over one catalog. Keeps per-table row counts and
 /// statistics snapshots for as long as it lives: one planning pass, or one
@@ -176,137 +218,203 @@ impl<'a> Estimator<'a> {
     /// tree (see the module's "Prices"). Conjuncts that are neither local to
     /// a factor nor equi-join edges are the caller's to apply.
     pub fn price_join(&self, factors: &[PricedFactor<'_>], edges: &[PricedEdge<'_>]) -> (f64, f64) {
-        struct Side {
-            t: TableId,
-            len: f64,
-            rows: f64,
-            cost: f64,
-            /// Read by a (filtered) `Scan`, so an index join may probe it.
-            scan: bool,
-        }
-        let sides: Vec<Side> = (factors.iter())
-            .map(|f| {
-                let t = self.table_id(f.table);
-                let len = self.table_rows(t);
-                let rows = len * f.selectivity;
-                let cost = if f.index_scan { rows.max(1.0) } else { len.max(1.0) };
-                Side { t, len, rows, cost, scan: !f.index_scan }
-            })
+        let table = |f: usize| {
+            let t = self.table_id(factors[f].table);
+            (t, self.table_rows(t))
+        };
+        let sides: Vec<JoinFactor> = (factors.iter().enumerate())
+            .map(|(f, p)| JoinFactor { rows: table(f).1 * p.selectivity, scan: !p.index_scan })
             .collect();
-        let Some(start) = (0..sides.len()).min_by(|&a, &b| sides[a].rows.total_cmp(&sides[b].rows))
-        else {
-            return (0.0, 0.0);
+        let end = |(f, column): (usize, &str)| {
+            let t = table(f).0;
+            (f, self.column_index(t, column).map(|c| (t, c)))
         };
-        let origin = |(f, column): (usize, &str)| -> ColumnOrigin {
-            let t = sides[f].t;
-            self.column_index(t, column).map(|c| (t, c))
-        };
-        let indexed = |(f, column): (usize, &str)| {
-            self.column_index(sides[f].t, column).is_some_and(|c| self.indexed(sides[f].t, c))
-        };
-        // An index join needs the scan side's index and, with statistics,
-        // a probe side at most a quarter of the table.
-        let guard =
-            |probe_est: f64, side: &Side| !self.analyzed(side.t) || probe_est * 4.0 <= side.len;
-
-        let mut joined = vec![false; sides.len()];
-        joined[start] = true;
-        let mut used = vec![false; edges.len()];
-        // The walk's rows and cost of the tree so far, and the planner's own
-        // running estimate (floored at one row after every join).
-        let (mut rows, mut cost, mut est) =
-            (sides[start].rows, sides[start].cost, sides[start].rows);
-        for step in 1..sides.len() {
-            let mut best: Option<(usize, f64)> = None;
-            for i in (0..sides.len()).filter(|&i| !joined[i]) {
-                let mut denom = 1.0f64;
-                let mut touches = false;
-                for (e, &edge) in edges.iter().enumerate() {
-                    let Some((near, far)) = towards(edge, &joined, i).filter(|_| !used[e]) else {
-                        continue;
-                    };
-                    touches = true;
-                    denom *= self
-                        .ndv(&origin(near), est)
-                        .max(self.ndv(&origin(far), sides[i].rows))
-                        .max(1.0);
+        let ends: Vec<JoinEdge> = edges.iter().map(|&(a, b)| [end(a), end(b)]).collect();
+        // The walk's rows and cost of the tree so far. The cost sums
+        // associate as prices always have, which is not the walk's
+        // `rows + left + right` to the last bit.
+        let (mut rows, mut cost) = (0.0, 0.0);
+        let Ok(()) = self.join_order(&sides, &ends, |f, join| -> Result<bool, Infallible> {
+            let (side_rows, len) = (sides[f].rows, table(f).1);
+            let side_cost = if factors[f].index_scan { side_rows.max(1.0) } else { len.max(1.0) };
+            match join {
+                None => (rows, cost) = (side_rows, side_cost),
+                Some(Join::Cross) => {
+                    rows *= side_rows;
+                    cost += rows + side_cost;
                 }
-                let out = est * sides[i].rows / denom;
-                if touches && out < best.map_or(f64::INFINITY, |(_, o)| o) {
+                Some(Join::Hash(keys)) => {
+                    let keys = keys.iter().map(|&e| near_far(ends[e], f)).map(|[n, r]| (n.1, r.1));
+                    rows = self.hash_join_rows(rows, side_rows, keys);
+                    cost += rows + side_cost;
+                }
+                Some(Join::Index { edge, probe_is_left: true }) => {
+                    let [near, far] = near_far(ends[edge], f);
+                    rows = self.index_join_rows(rows, near.1, side_rows, far.1, len);
+                    cost += rows;
+                }
+                Some(Join::Index { edge, probe_is_left: false }) => {
+                    let [start, far] = near_far(ends[edge], f);
+                    rows = self.index_join_rows(side_rows, far.1, rows, start.1, table(start.0).1);
+                    cost = rows + side_cost;
+                }
+            }
+            Ok(false)
+        });
+        (rows, cost)
+    }
+
+    /// The greedy join order over `factors` joined along `edges`, handed to
+    /// `take` one step at a time as the factor it adds and how it joins it
+    /// (`None` for the start factor). The planner builds its join tree from
+    /// the steps and [`Self::price_join`] prices them, so a plan and its
+    /// price follow one order.
+    ///
+    /// The start factor is the one with the fewest rows. Each step then joins
+    /// the connected factor whose estimated join output
+    /// ([`Self::hash_join_rows`] of the running estimate, floored at one row,
+    /// and the factor's rows) is smallest, along every edge between it and
+    /// the joined factors, or cross-joins the smallest factor left when none
+    /// is connected.
+    ///
+    /// A join along a single edge is an index join when its scan side is a
+    /// bare scan with a hash index on the join column and, on an analyzed
+    /// table, the probe side's estimate times [`INDEX_JOIN_RATIO`] is at most
+    /// the table's rows. The new factor is tried as the scan side first; the
+    /// start factor is the other candidate, at the first step only, while it
+    /// is still a bare scan. Without statistics the estimate is too crude to
+    /// rule the path out, so the shape alone promotes it, and the executor
+    /// holds the actual probe rows to the same ratio (hash join if they fail).
+    ///
+    /// `take` returns whether its step emptied the joined side (a
+    /// constant-false filter): an `Empty` node's columns come from nowhere,
+    /// so later steps estimate the edges out of it without statistics, as the
+    /// walk does.
+    pub(crate) fn join_order<E>(
+        &self,
+        factors: &[JoinFactor],
+        edges: &[JoinEdge],
+        mut take: impl FnMut(usize, Option<Join<'_>>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum State {
+            Left,
+            Joined,
+            /// Joined, in a side that a step has emptied since.
+            Emptied,
+        }
+        let smallest = |a: &usize, b: &usize| factors[*a].rows.total_cmp(&factors[*b].rows);
+        let Some(start) = (0..factors.len()).min_by(smallest) else { return Ok(()) };
+        let mut state = vec![State::Left; factors.len()];
+        let mut keys: Vec<usize> = Vec::new();
+        let mut emptied = take(start, None)?;
+        state[start] = State::Joined;
+        let mut est = factors[start].rows;
+        for step in 1..factors.len() {
+            if emptied {
+                for s in state.iter_mut().filter(|s| **s == State::Joined) {
+                    *s = State::Emptied;
+                }
+            }
+            let joined = &state;
+            let origin = |(f, o): (usize, ColumnOrigin)| o.filter(|_| joined[f] != State::Emptied);
+            // The edges that join factor `i` in: every edge between `i` and a
+            // joined factor (an edge is used once both its ends are joined).
+            let connecting = move |i: usize| {
+                (0..edges.len()).filter(move |&e| {
+                    let [a, b] = edges[e];
+                    (b.0 == i && joined[a.0] != State::Left)
+                        || (a.0 == i && joined[b.0] != State::Left)
+                })
+            };
+            let mut best: Option<(usize, f64)> = None;
+            for i in (0..factors.len()).filter(|&i| joined[i] == State::Left) {
+                let mut on = connecting(i).peekable();
+                if on.peek().is_none() {
+                    continue;
+                }
+                let on = on.map(|e| near_far(edges[e], i)).map(|[n, f]| (origin(n), f.1));
+                let out = self.hash_join_rows(est, factors[i].rows, on);
+                if out < best.map_or(f64::INFINITY, |(_, o)| o) {
                     best = Some((i, out));
                 }
             }
-            let Some((i, out_est)) = best else {
-                // Disconnected: a cross join with the smallest factor left.
-                let Some(i) = (0..sides.len())
-                    .filter(|&i| !joined[i])
-                    .min_by(|&a, &b| sides[a].rows.total_cmp(&sides[b].rows))
-                else {
-                    break;
-                };
-                joined[i] = true;
-                rows *= sides[i].rows;
-                cost += rows + sides[i].cost;
-                est = (est * sides[i].rows).max(1.0);
-                continue;
+            keys.clear();
+            let (i, out) = match best {
+                Some((i, out)) => {
+                    keys.extend(connecting(i));
+                    (i, out)
+                }
+                None => {
+                    let left = (0..factors.len()).filter(|&i| joined[i] == State::Left);
+                    let Some(i) = left.min_by(smallest) else { break };
+                    (i, est * factors[i].rows)
+                }
             };
-            let side = &sides[i];
-            let mut keys: Vec<PricedEdge<'_>> = Vec::with_capacity(1);
-            for (e, &edge) in edges.iter().enumerate() {
-                if let Some(key) = towards(edge, &joined, i).filter(|_| !used[e]) {
-                    used[e] = true;
-                    keys.push(key);
-                }
-            }
-            let single = if let [key] = keys[..] { Some(key) } else { None };
-            match single {
-                Some((near, far)) if side.scan && indexed(far) && guard(est, side) => {
-                    let np = self.ndv(&origin(near), rows);
-                    let nt = self.ndv(&origin(far), side.len);
-                    rows = rows * side.rows / np.max(nt).max(1.0);
-                    cost += rows;
-                }
-                Some((near, far))
-                    if step == 1
-                        && sides[start].scan
-                        && indexed(near)
-                        && guard(side.rows, &sides[start]) =>
-                {
-                    // The start factor is still a bare scan: it is the
-                    // indexed side, probed by the new one.
-                    let np = self.ndv(&origin(far), side.rows);
-                    let nt = self.ndv(&origin(near), sides[start].len);
-                    rows = side.rows * sides[start].rows / np.max(nt).max(1.0);
-                    cost = rows + side.cost;
-                }
-                _ => {
-                    let mut denom = 1.0;
-                    for &(near, far) in &keys {
-                        denom *= self
-                            .ndv(&origin(near), rows)
-                            .max(self.ndv(&origin(far), side.rows))
-                            .max(1.0);
+            let join = match keys[..] {
+                [] => Join::Cross,
+                [e] => {
+                    let [near, far] = near_far(edges[e], i);
+                    if factors[i].scan && self.index_probe(far.1, est) {
+                        Join::Index { edge: e, probe_is_left: true }
+                    } else if step == 1
+                        && factors[start].scan
+                        && self.index_probe(near.1, factors[i].rows)
+                    {
+                        Join::Index { edge: e, probe_is_left: false }
+                    } else {
+                        Join::Hash(&keys)
                     }
-                    rows = rows * side.rows / denom;
-                    cost += rows + side.cost;
                 }
-            }
-            joined[i] = true;
-            est = out_est.max(1.0);
-            // Edges closing a cycle among joined factors become filters.
-            for (e, &(a, b)) in edges.iter().enumerate() {
-                if !used[e] && joined[a.0] && joined[b.0] {
-                    used[e] = true;
-                    let sel = match (self.stats_ndv(&origin(a)), self.stats_ndv(&origin(b))) {
-                        (Some(na), Some(nb)) => 1.0 / na.max(nb).max(1.0),
-                        _ => DEFAULT_FALLBACK,
-                    };
-                    rows *= sel;
-                    cost += rows;
-                }
-            }
+                _ => Join::Hash(&keys),
+            };
+            state[i] = State::Joined;
+            est = out.max(1.0);
+            emptied = take(i, Some(join))?;
         }
-        (rows, cost)
+        Ok(())
+    }
+
+    /// Whether an index join may read the bare scan whose join column
+    /// originates at `column` with `probe_est` probe rows: the column has a
+    /// hash index and, on an analyzed table, the probe side holds to
+    /// [`INDEX_JOIN_RATIO`].
+    fn index_probe(&self, column: ColumnOrigin, probe_est: f64) -> bool {
+        column.is_some_and(|(t, c)| {
+            self.indexed(t, c)
+                && (!self.analyzed(t) || probe_est * INDEX_JOIN_RATIO as f64 <= self.table_rows(t))
+        })
+    }
+
+    /// Rows out of an equi-join of `left_rows` and `right_rows` rows along
+    /// key columns of the given origins: `|L|·|R| / Π max(ndv_L, ndv_R)`.
+    fn hash_join_rows(
+        &self,
+        left_rows: f64,
+        right_rows: f64,
+        keys: impl Iterator<Item = (ColumnOrigin, ColumnOrigin)>,
+    ) -> f64 {
+        let mut denom = 1.0f64;
+        for (l, r) in keys {
+            denom *= self.ndv(&l, left_rows).max(self.ndv(&r, right_rows)).max(1.0);
+        }
+        left_rows * right_rows / denom
+    }
+
+    /// Rows out of an index join: `probe_rows` rows, keyed by a column from
+    /// `probe`, probing a table of `table_rows` rows on its column `column`,
+    /// of which the scan's filter keeps `kept`.
+    fn index_join_rows(
+        &self,
+        probe_rows: f64,
+        probe: ColumnOrigin,
+        kept: f64,
+        column: ColumnOrigin,
+        table_rows: f64,
+    ) -> f64 {
+        let np = self.ndv(&probe, probe_rows);
+        let nt = self.ndv(&column, table_rows);
+        probe_rows * kept / np.max(nt).max(1.0)
     }
 
     /// The post-order walk: estimate the children, derive this node's
@@ -357,13 +465,10 @@ impl<'a> Estimator<'a> {
             Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
                 let l = self.walk(left, visit);
                 let r = self.walk(right, visit);
-                let mut denom = 1.0;
-                for (lk, rk) in left_keys.iter().zip(right_keys) {
-                    let nl = self.ndv(l.origins.get(*lk).unwrap_or(&None), l.rows);
-                    let nr = self.ndv(r.origins.get(*rk).unwrap_or(&None), r.rows);
-                    denom *= nl.max(nr).max(1.0);
-                }
-                let rows = l.rows * r.rows / denom;
+                let (lo, ro) = (Origins::Output(&l.origins), Origins::Output(&r.origins));
+                let keys =
+                    left_keys.iter().zip(right_keys).map(|(lk, rk)| (lo.get(*lk), ro.get(*rk)));
+                let rows = self.hash_join_rows(l.rows, r.rows, keys);
                 Estimate {
                     rows,
                     cost: rows + l.cost + r.cost,
@@ -388,9 +493,9 @@ impl<'a> Estimator<'a> {
                     Some(f) => self.selectivity(f, Origins::Table(t, arity)),
                     None => 1.0,
                 };
-                let np = self.ndv(p.origins.get(*probe_key).unwrap_or(&None), p.rows);
-                let nt = self.ndv(&self.column_index(t, column).map(|c| (t, c)), len);
-                let rows = p.rows * (len * fsel) / np.max(nt).max(1.0);
+                let probe_origin = Origins::Output(&p.origins).get(*probe_key);
+                let column = self.column_index(t, column).map(|c| (t, c));
+                let rows = self.index_join_rows(p.rows, probe_origin, len * fsel, column, len);
                 let fetched = emitted_origins(t, *columns, arity);
                 let origins = if *probe_is_left {
                     concat(p.origins, fetched)
@@ -709,18 +814,6 @@ impl<'a> Estimator<'a> {
 
     fn analyzed(&self, t: TableId) -> bool {
         self.tables.borrow()[t].stats.is_some()
-    }
-}
-
-/// `edge` as `(near, far)` when it connects a joined factor to factor `i`.
-fn towards<'a>(edge: PricedEdge<'a>, joined: &[bool], i: usize) -> Option<PricedEdge<'a>> {
-    let (a, b) = edge;
-    if joined[a.0] && b.0 == i {
-        Some((a, b))
-    } else if joined[b.0] && a.0 == i {
-        Some((b, a))
-    } else {
-        None
     }
 }
 

@@ -6,12 +6,13 @@
 //! one operator here: a `Scan` reads the table, an `IndexScan` probes an
 //! index, a `HashJoin` hashes, an `IndexJoin` probes per row. Whether a scan
 //! or a join goes through an index was decided at plan time
-//! (`Planner::{push_predicate, choose_join}`), where EXPLAIN and the cost
-//! model can see it; nothing in this file looks for an index the plan did
-//! not name. The two index operators keep a run-time *guard* each — the
-//! index was dropped since planning, or the actual probe side is too large
-//! for the 4× rule — and degrade to a table scan / hash join, so a stale or
-//! mis-estimated plan still answers, correctly.
+//! (`Planner::push_predicate` and the join order, `Estimator::join_order`),
+//! where EXPLAIN and the cost model can see it; nothing in this file looks
+//! for an index the plan did not name. The two index operators keep a
+//! run-time *guard* each — the index was dropped since planning, or the
+//! actual probe side is too large for [`INDEX_JOIN_RATIO`] — and degrade to
+//! a table scan / hash join, so a stale or mis-estimated plan still
+//! answers, correctly.
 //!
 //! Execution is operator-at-a-time over materialized intermediates — the
 //! right trade-off for an in-memory engine whose workloads (the paper's
@@ -63,6 +64,7 @@
 //! partial-progress counters.
 
 use crate::bound::BoundExpr;
+use crate::cost::INDEX_JOIN_RATIO;
 use crate::error::{bind_err, failpoint, EngineError, Result};
 use crate::plan::Plan;
 use crate::vexpr;
@@ -448,7 +450,8 @@ fn index_join(
     let Some(join_column) = t.schema().column_index(column) else {
         return bind_err(format!("unknown column `{column}` in `{table}`"));
     };
-    if let Some(index) = t.index_on(column).filter(|_| probe_rows.len() * 4 <= t.len()) {
+    let fits = probe_rows.len() * INDEX_JOIN_RATIO <= t.len();
+    if let Some(index) = t.index_on(column).filter(|_| fits) {
         let hits = Hits::new(&t, filter, columns);
         return index_probe(env.ctx, index, hits, &probe_rows, probe_key, probe_is_left);
     }

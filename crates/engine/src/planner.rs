@@ -6,7 +6,9 @@
 //!
 //! - single-table predicates are pushed into scans;
 //! - equi-join conjuncts drive a greedy join-order search producing hash
-//!   joins (cross joins only remain for genuinely disconnected factors);
+//!   and index joins (cross joins only remain for genuinely disconnected
+//!   factors); the search and the index-join rule are
+//!   `Estimator::join_order` (`crate::cost`), which prices run too;
 //! - constant folding short-circuits `WHERE FALSE` branches to `Empty`;
 //! - every base-table access path emits only the columns some operator
 //!   above it reads (`Planner::plan_select` says which those are).
@@ -23,7 +25,7 @@
 
 use crate::aggregate::{AggCall, AggFunc};
 use crate::bound::BoundExpr;
-use crate::cost::{ColumnOrigin, Estimator};
+use crate::cost::{near_far, Estimator, Join, JoinEdge, JoinFactor};
 use crate::error::{bind_err, EngineError, Result};
 use crate::plan::Plan;
 use crate::types::{unresolved, OutputColumn, OutputSchema, SchemaRef};
@@ -388,16 +390,15 @@ impl<'a> Planner<'a> {
         Ok(pred)
     }
 
-    /// Greedy bushy-free join planning over the FROM factors.
-    ///
-    /// [`Estimator::price_join`] replays this order and the access-path
-    /// rules of [`Self::push_predicate`] and [`Self::choose_join`] to price
-    /// a join before it is planned; a change here must be made there too
-    /// (the strategy layer's tests compare its prices with plan costs).
+    /// The join tree over the FROM factors, in the order
+    /// [`Estimator::join_order`] gives (the one greedy search and index-join
+    /// rule, which [`Estimator::price_join`] runs too): each step's hash,
+    /// index or cross join, then every residual conjunct whose factors are
+    /// all joined.
     fn plan_joins(&self, mut factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Plan> {
         // Classify conjuncts by the set of factors they reference.
         let mut single: Vec<Vec<&Expr>> = vec![Vec::new(); factors.len()];
-        let mut join_edges: Vec<JoinEdge<'_>> = Vec::new();
+        let mut edges: Vec<[(usize, &Expr); 2]> = Vec::new();
         let mut residual: Vec<Option<&Expr>> = Vec::new();
         for c in conjuncts {
             let refs = self.factor_refs(c, &factors)?;
@@ -405,16 +406,16 @@ impl<'a> Planner<'a> {
                 [] => residual.push(Some(c)), // constant predicate
                 [i] => single[i].push(c),
                 [_, _] => match self.join_edge(c, &factors)? {
-                    Some(edge) => join_edges.push(edge),
+                    Some(edge) => edges.push(edge),
                     None => residual.push(Some(c)),
                 },
                 _ => residual.push(Some(c)),
             }
         }
         // Join edges and residuals are evaluated above the access paths.
-        for e in &join_edges {
-            mark_read(e.cols.0, &mut factors);
-            mark_read(e.cols.1, &mut factors);
+        for [(_, l), (_, r)] in &edges {
+            mark_read(l, &mut factors);
+            mark_read(r, &mut factors);
         }
         for r in residual.iter().flatten() {
             mark_read(r, &mut factors);
@@ -422,159 +423,121 @@ impl<'a> Planner<'a> {
 
         // Attach single-factor predicates, pushing them into the access path
         // (an IndexScan when an equality conjunct hits a hash index, a
-        // filtered scan otherwise). Each factor's cardinality comes from the
-        // statistics-backed estimator; un-analyzed tables fall back to the
-        // fixed per-conjunct selectivities inside `crate::cost`.
+        // filtered scan otherwise). Each factor's cardinality and the origins
+        // of its join columns come from the statistics-backed estimator;
+        // un-analyzed tables fall back to the fixed per-conjunct
+        // selectivities inside `crate::cost`.
         let estimator = &self.estimator;
-        let mut nodes: Vec<Option<FactorNode>> = Vec::with_capacity(factors.len());
-        for (f, preds) in factors.into_iter().zip(&single) {
-            let plan = self.access_path(&f.binding, f.source, preds)?;
+        let mut nodes: Vec<Option<(Arc<str>, Plan)>> = Vec::with_capacity(factors.len());
+        let mut sizes: Vec<JoinFactor> = Vec::with_capacity(factors.len());
+        let mut ends: Vec<JoinEdge> =
+            edges.iter().map(|&[(a, _), (b, _)]| [(a, None), (b, None)]).collect();
+        for (f, (factor, preds)) in factors.into_iter().zip(&single).enumerate() {
+            let plan = self.access_path(&factor.binding, factor.source, preds)?;
             let est = estimator.estimate(&plan);
-            nodes.push(Some(FactorNode {
-                binding: f.binding,
-                plan,
-                est: est.rows,
-                origins: est.origins,
-            }));
+            for (edge, ends) in edges.iter().zip(&mut ends) {
+                for (&(g, column), (_, origin)) in edge.iter().zip(ends) {
+                    if g == f {
+                        let c = self.bind_column_index(column, plan.schema())?;
+                        *origin = est.origins.get(c).copied().flatten();
+                    }
+                }
+            }
+            sizes.push(JoinFactor { rows: est.rows, scan: matches!(plan, Plan::Scan { .. }) });
+            nodes.push(Some((factor.binding, plan)));
         }
 
-        // Greedy ordering: start from the cheapest node, then repeatedly
-        // join the connected candidate whose estimated join *output* is
-        // smallest (|L|·|R| / Π max(ndv_L, ndv_R) over the connecting
-        // edges); cross join when disconnected.
-        let n = nodes.len();
-        let est_of = |nodes: &[Option<FactorNode>], i: usize| {
-            nodes[i].as_ref().map_or(f64::INFINITY, |node| node.est)
-        };
-        // Every index chosen below names a factor not yet taken; an empty
-        // FROM never reaches here (the binder rejects it).
         let lost = |what: &str| EngineError::Internal(format!("join ordering: {what}"));
-        let start = (0..n)
-            .min_by(|&a, &b| est_of(&nodes, a).total_cmp(&est_of(&nodes, b)))
-            .ok_or_else(|| lost("no factors"))?;
-        // The joined side so far. Its column origins are carried forward
-        // from step to step: a join concatenates them, filters keep them.
-        let mut current = nodes[start].take().ok_or_else(|| lost("start factor taken"))?;
-        let mut joined: HashSet<usize> = HashSet::from([start]);
-        let mut used_edges: HashSet<usize> = HashSet::new();
-        let mut bindings_in: Vec<Arc<str>> = vec![current.binding.clone()];
-
-        for _ in 1..n {
-            // Cost each connected candidate by the cardinality of the join
-            // it would produce, propagating estimates through
-            // |L|·|R| / Π max(ndv_L, ndv_R) over its connecting edges.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, node) in nodes.iter().enumerate() {
-                let Some(node) = node else { continue };
-                let mut denom = 1.0f64;
-                let mut touches = false;
-                for (ei, e) in join_edges.iter().enumerate() {
-                    if used_edges.contains(&ei) {
-                        continue;
-                    }
-                    let Some((near, far)) = e.towards(&joined, i) else { continue };
-                    touches = true;
-                    let lk = self.bind_column_index(near, current.plan.schema())?;
-                    let rk = self.bind_column_index(far, node.plan.schema())?;
-                    let ndv_l = estimator.ndv(&current.origins[lk], current.est);
-                    let ndv_r = estimator.ndv(&node.origins[rk], node.est);
-                    denom *= ndv_l.max(ndv_r).max(1.0);
+        let mut current: Option<Plan> = None;
+        let mut bindings_in: Vec<Arc<str>> = Vec::with_capacity(nodes.len());
+        estimator.join_order(&sizes, &ends, |factor, join| {
+            let (binding, right) = nodes[factor].take().ok_or_else(|| lost("joined twice"))?;
+            bindings_in.push(binding);
+            let mut plan = match (current.take(), join) {
+                (None, None) => {
+                    current = Some(right);
+                    return Ok(false);
                 }
-                if !touches {
-                    continue;
-                }
-                let out = current.est * node.est / denom;
-                if out < best.map_or(f64::INFINITY, |(_, o)| o) {
-                    best = Some((i, out));
-                }
-            }
-            let (idx, connected, out_est) = match best {
-                Some((i, o)) => (i, true, o),
-                None => {
-                    let i = (0..n)
-                        .filter(|i| nodes[*i].is_some())
-                        .min_by(|&a, &b| est_of(&nodes, a).total_cmp(&est_of(&nodes, b)))
-                        .ok_or_else(|| lost("no factor left to join"))?;
-                    (i, false, current.est * est_of(&nodes, i))
-                }
+                (Some(left), Some(join)) => self.join(left, right, join, factor, &edges)?,
+                _ => return Err(lost("a start factor mid-way")),
             };
-            let node = nodes[idx].take().ok_or_else(|| lost("chosen factor taken"))?;
-            let out_schema = self.share(current.plan.schema().join(node.plan.schema()));
-
-            if connected {
-                let mut left_keys = Vec::with_capacity(1);
-                let mut right_keys = Vec::with_capacity(1);
-                for (ei, e) in join_edges.iter().enumerate() {
-                    if used_edges.contains(&ei) {
-                        continue;
-                    }
-                    let Some((near, far)) = e.towards(&joined, idx) else { continue };
-                    left_keys.push(self.bind_column_index(near, current.plan.schema())?);
-                    right_keys.push(self.bind_column_index(far, node.plan.schema())?);
-                    used_edges.insert(ei);
-                }
-                debug_assert!(!left_keys.is_empty());
-                current.plan = self.choose_join(
-                    current.plan,
-                    node.plan,
-                    left_keys,
-                    right_keys,
-                    out_schema,
-                    current.est,
-                    node.est,
-                );
-            } else {
-                current.plan = Plan::CrossJoin {
-                    left: Box::new(current.plan),
-                    right: Box::new(node.plan),
-                    schema: out_schema,
-                };
-            }
-            // Every join form emits `left ++ right`.
-            current.origins.extend(node.origins);
-            current.est = out_est.max(1.0);
-            joined.insert(idx);
-            bindings_in.push(node.binding);
-
-            // Any join edges between already-joined factors that were not
-            // used as hash keys become filters (e.g. cycles in the join
-            // graph).
-            for (ei, e) in join_edges.iter().enumerate() {
-                if used_edges.contains(&ei) {
-                    continue;
-                }
-                if joined.contains(&e.factors.0) && joined.contains(&e.factors.1) {
-                    let l = self.bind_expr(e.cols.0, current.plan.schema())?;
-                    let r = self.bind_expr(e.cols.1, current.plan.schema())?;
-                    current.plan = Plan::Filter {
-                        input: Box::new(current.plan),
-                        predicate: BoundExpr::Binary {
-                            left: Box::new(l),
-                            op: BinaryOp::Eq,
-                            right: Box::new(r),
-                        },
-                    };
-                    used_edges.insert(ei);
-                }
-            }
-
             // Apply residual predicates whose factors are all available.
+            let mut emptied = false;
             for r in residual.iter_mut() {
                 let Some(expr) = *r else { continue };
-                if self.refers_only_to(expr, current.plan.schema(), &bindings_in) {
+                if self.refers_only_to(expr, plan.schema(), &bindings_in) {
                     *r = None;
-                    let pred = self.bind_expr(expr, current.plan.schema())?.fold();
-                    current = current.filtered(pred);
+                    let pred = self.bind_expr(expr, plan.schema())?.fold();
+                    emptied |= pred.is_const_false();
+                    plan = filtered(plan, pred);
                 }
             }
-        }
+            current = Some(plan);
+            Ok(emptied)
+        })?;
+        // An empty FROM never reaches here (the binder rejects it).
+        let mut plan = current.ok_or_else(|| lost("no factors"))?;
 
         // Leftover residuals (constant predicates, or anything unresolved).
         for r in residual.into_iter().flatten() {
-            let pred = self.bind_expr(r, current.plan.schema())?.fold();
-            current = current.filtered(pred);
+            let pred = self.bind_expr(r, plan.schema())?.fold();
+            plan = filtered(plan, pred);
         }
-        Ok(current.plan)
+        Ok(plan)
+    }
+
+    /// The joined side `left` joined with factor `factor`'s access path
+    /// `right` as a step of the join order says: every form emits
+    /// `left ++ right`.
+    fn join(
+        &self,
+        left: Plan,
+        right: Plan,
+        join: Join<'_>,
+        factor: usize,
+        edges: &[[(usize, &Expr); 2]],
+    ) -> Result<Plan> {
+        let schema = self.share(left.schema().join(right.schema()));
+        Ok(match join {
+            Join::Cross => Plan::CrossJoin { left: Box::new(left), right: Box::new(right), schema },
+            Join::Hash(keys) => {
+                let mut left_keys = Vec::with_capacity(keys.len());
+                let mut right_keys = Vec::with_capacity(keys.len());
+                for &e in keys {
+                    let [(_, near), (_, far)] = near_far(edges[e], factor);
+                    left_keys.push(self.bind_column_index(near, left.schema())?);
+                    right_keys.push(self.bind_column_index(far, right.schema())?);
+                }
+                Plan::HashJoin {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    left_keys,
+                    right_keys,
+                    schema,
+                }
+            }
+            Join::Index { edge, probe_is_left } => {
+                let [(_, near), (_, far)] = near_far(edges[edge], factor);
+                let (probe, probe_column, scan, column) =
+                    if probe_is_left { (left, near, right, far) } else { (right, far, left, near) };
+                let probe_key = self.bind_column_index(probe_column, probe.schema())?;
+                let scan_key = self.bind_column_index(column, scan.schema())?;
+                let column = scan.schema().columns[scan_key].name.clone();
+                let Plan::Scan { table, filter, columns, .. } = scan else {
+                    return Err(EngineError::Internal("index join into a non-scan".into()));
+                };
+                Plan::IndexJoin {
+                    probe: Box::new(probe),
+                    probe_key,
+                    table,
+                    column,
+                    filter,
+                    probe_is_left,
+                    columns,
+                    schema,
+                }
+            }
+        })
     }
 
     /// Push a bound single-table predicate into a base-table access path:
@@ -624,66 +587,6 @@ impl<'a> Planner<'a> {
                 right: Box::new(b),
             });
         Some((column, key, residual))
-    }
-
-    /// Build the physical join for the chosen factor pair: an index
-    /// nested-loop join when one side is a bare scan of a base table with a
-    /// hash index on its single join column ([`Self::index_join_column`];
-    /// the right side is tried first), a hash join otherwise. With
-    /// [`Self::push_predicate`] this is the only code that turns a scan or
-    /// a join into an index path — the executor runs what it is given.
-    #[allow(clippy::too_many_arguments)]
-    fn choose_join(
-        &self,
-        left: Plan,
-        right: Plan,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        schema: SchemaRef,
-        left_est: f64,
-        right_est: f64,
-    ) -> Plan {
-        if let ([lk], [rk]) = (&left_keys[..], &right_keys[..]) {
-            if let Some(column) = self.index_join_column(&right, *rk, left_est) {
-                return index_join(left, *lk, right, column, /*probe_is_left=*/ true, schema);
-            }
-            if let Some(column) = self.index_join_column(&left, *lk, right_est) {
-                return index_join(right, *rk, left, column, /*probe_is_left=*/ false, schema);
-            }
-        }
-        Plan::HashJoin {
-            left: Box::new(left),
-            right: Box::new(right),
-            left_keys,
-            right_keys,
-            schema,
-        }
-    }
-
-    /// The indexed join column, when `scan_side` is a bare scan of a table
-    /// with a hash index on its join column (`scan_key` is a position in
-    /// the scan's output). With statistics the probe
-    /// side's estimate must also clear the 4× size guard at plan time.
-    /// Without them the estimate is too crude to rule the path out, so the
-    /// shape alone promotes and the executor's guard — the same 4× test on
-    /// the actual probe rows, hash join if it fails — settles it per run.
-    fn index_join_column(
-        &self,
-        scan_side: &Plan,
-        scan_key: usize,
-        probe_est: f64,
-    ) -> Option<Arc<str>> {
-        let Plan::Scan { table, .. } = scan_side else {
-            return None;
-        };
-        let t = self.catalog.table(table).ok()?;
-        let t = t.read();
-        let column = &scan_side.schema().columns.get(scan_key)?.name;
-        t.index_on(column)?;
-        if t.stats().is_some_and(|stats| probe_est * 4.0 > stats.rows as f64) {
-            return None;
-        }
-        Some(column.clone())
     }
 
     /// Which factors an expression references, each once. An unqualified
@@ -742,8 +645,13 @@ impl<'a> Planner<'a> {
         all
     }
 
-    /// `a.x = b.y` between two different factors, as a join edge.
-    fn join_edge<'e>(&self, c: &'e Expr, factors: &[BoundFactor]) -> Result<Option<JoinEdge<'e>>> {
+    /// `a.x = b.y` between two different factors, as a join edge: each
+    /// side's factor and column.
+    fn join_edge<'e>(
+        &self,
+        c: &'e Expr,
+        factors: &[BoundFactor],
+    ) -> Result<Option<[(usize, &'e Expr); 2]>> {
         let Expr::Binary { left, op: BinaryOp::Eq, right } = c else {
             return Ok(None);
         };
@@ -753,9 +661,7 @@ impl<'a> Planner<'a> {
         let li = self.factor_of_column(left, factors)?;
         let ri = self.factor_of_column(right, factors)?;
         Ok(match (li, ri) {
-            (Some(li), Some(ri)) if li != ri => {
-                Some(JoinEdge { factors: (li, ri), cols: (&**left, &**right) })
-            }
+            (Some(li), Some(ri)) if li != ri => Some([(li, &**left), (ri, &**right)]),
             _ => None,
         })
     }
@@ -1108,78 +1014,20 @@ impl Scope<'_> {
     }
 }
 
-/// One side of the greedy join search: a FROM factor, or the factors joined
-/// so far, with its estimated rows and the origins of its output columns.
-struct FactorNode {
-    binding: Arc<str>,
-    plan: Plan,
-    est: f64,
-    origins: Vec<ColumnOrigin>,
-}
-
-impl FactorNode {
-    /// This side filtered by a folded predicate; a constant-false one
-    /// empties it (and an `Empty` node's columns come from nowhere).
-    fn filtered(mut self, pred: BoundExpr) -> FactorNode {
-        if pred.is_const_false() {
-            let schema = self.plan.schema_ref().clone();
-            self.origins = vec![None; schema.arity()];
-            self.plan = Plan::Empty { schema };
-        } else if !pred.is_const_true() {
-            self.plan = Plan::Filter { input: Box::new(self.plan), predicate: pred };
-        }
-        self
-    }
-}
-
-struct JoinEdge<'e> {
-    factors: (usize, usize),
-    cols: (&'e Expr, &'e Expr),
-}
-
-impl<'e> JoinEdge<'e> {
-    /// `(near, far)` columns when this edge connects an already-joined
-    /// factor to factor `i`.
-    fn towards(&self, joined: &HashSet<usize>, i: usize) -> Option<(&'e Expr, &'e Expr)> {
-        let (a, b) = self.factors;
-        if joined.contains(&a) && b == i {
-            Some(self.cols)
-        } else if joined.contains(&b) && a == i {
-            Some((self.cols.1, self.cols.0))
-        } else {
-            None
-        }
+/// `plan` filtered by a folded predicate; a constant-false one empties it.
+fn filtered(plan: Plan, pred: BoundExpr) -> Plan {
+    if pred.is_const_false() {
+        Plan::Empty { schema: plan.schema_ref().clone() }
+    } else if pred.is_const_true() {
+        plan
+    } else {
+        Plan::Filter { input: Box::new(plan), predicate: pred }
     }
 }
 
 struct AggContext<'a> {
     group_asts: &'a [Expr],
     agg_asts: &'a [Expr],
-}
-
-/// An index nested-loop join of `probe` into the bare scan `scan_side`
-/// (see [`Planner::index_join_column`], which vets the pair).
-fn index_join(
-    probe: Plan,
-    probe_key: usize,
-    scan_side: Plan,
-    column: Arc<str>,
-    probe_is_left: bool,
-    schema: SchemaRef,
-) -> Plan {
-    let Plan::Scan { table, filter, columns, .. } = scan_side else {
-        unreachable!("index_join_column accepts bare scans only");
-    };
-    Plan::IndexJoin {
-        probe: Box::new(probe),
-        probe_key,
-        table,
-        column,
-        filter,
-        probe_is_left,
-        columns,
-        schema,
-    }
 }
 
 /// Top-level conjuncts of a bound expression.
