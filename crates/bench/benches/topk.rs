@@ -99,7 +99,7 @@ fn fixture() -> Database {
         for mid in 0..MOVIES {
             t.insert(vec![Value::Int(mid as i64), Value::str(format!("Movie {mid:05}"))]).unwrap();
         }
-        t.analyze().unwrap();
+        t.analyze();
     }
     {
         let t = c.table("PLAY").unwrap();
@@ -109,7 +109,7 @@ fn fixture() -> Database {
             let date = rng.next_u32() as usize % DATES;
             t.insert(vec![Value::Int(mid as i64), Value::str(format!("d{date:02}"))]).unwrap();
         }
-        t.analyze().unwrap();
+        t.analyze();
     }
     {
         let t = c.table("GENRE").unwrap();
@@ -125,7 +125,7 @@ fn fixture() -> Database {
                 t.insert(vec![Value::Int(mid as i64), Value::str(g)]).unwrap();
             }
         }
-        t.analyze().unwrap();
+        t.analyze();
     }
     Database::new(c)
 }

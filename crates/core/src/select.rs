@@ -17,11 +17,11 @@
 use crate::conflict::conflicts_with_query;
 use crate::criteria::InterestCriterion;
 use crate::doi::{Combinator, Doi, PaperCombinator};
-use crate::error::{PrefError, Result};
+use crate::error::Result;
 use crate::graph::{GraphAccess, JoinEdge, SelectionEdge};
 use crate::path::PreferencePath;
 use crate::query_graph::QueryGraph;
-use pqp_obs::{BudgetReason, QueryCtx};
+use pqp_obs::QueryCtx;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -99,9 +99,8 @@ pub fn select_preferences_with<'g>(
 ) -> SelectionOutcome<'g> {
     match run_selection(qg, graph, criterion, comb, &QueryCtx::unlimited()) {
         Ok(out) => out,
-        // An unlimited context has no deadline, caps or cancel signal, and
-        // the governed entry point (`select_preferences_ctx`) owns the
-        // failpoints — nothing here can fail.
+        // An unlimited context has no deadline, caps or cancel signal —
+        // nothing here can fail.
         Err(_) => unreachable!("selection under an unlimited governor context cannot trip"),
     }
 }
@@ -109,8 +108,7 @@ pub fn select_preferences_with<'g>(
 /// Run preference selection under a query-governor context: the best-first
 /// loop checkpoints the budget every round, so an exploding queue (large
 /// profile, permissive criterion) is cut off with
-/// [`PrefError::Budget`] instead of running away. This is also where the
-/// `select.pref` / `select.budget` failpoints hook in for chaos testing.
+/// [`PrefError::Budget`](crate::PrefError::Budget) instead of running away.
 pub fn select_preferences_ctx<'g>(
     qg: &QueryGraph,
     graph: &'g impl GraphAccess,
@@ -118,12 +116,6 @@ pub fn select_preferences_ctx<'g>(
     comb: &impl Combinator,
     ctx: &QueryCtx,
 ) -> Result<SelectionOutcome<'g>> {
-    if let Some(msg) = pqp_obs::failpoint::fire("select.pref") {
-        return Err(PrefError::Internal(format!("failpoint select.pref: {msg}")));
-    }
-    if pqp_obs::failpoint::fire("select.budget").is_some() {
-        return Err(PrefError::Budget(ctx.exceeded(BudgetReason::Injected)));
-    }
     run_selection(qg, graph, criterion, comb, ctx)
 }
 
@@ -281,8 +273,10 @@ impl Candidate<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PrefError;
     use crate::graph::InMemoryGraph;
     use crate::profile::Profile;
+    use pqp_obs::BudgetReason;
     use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
 
     /// The paper's movies schema (keys included so cardinalities work out).

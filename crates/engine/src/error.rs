@@ -68,15 +68,6 @@ impl From<BudgetExceeded> for EngineError {
     }
 }
 
-/// Evaluate the failpoint at `site`; an injected `error` action surfaces as
-/// [`EngineError::Internal`].
-pub(crate) fn failpoint(site: &str) -> Result<()> {
-    match pqp_obs::failpoint::fire(site) {
-        Some(msg) => Err(EngineError::Internal(format!("failpoint {site}: {msg}"))),
-        None => Ok(()),
-    }
-}
-
 /// Result alias for the engine.
 pub type Result<T> = std::result::Result<T, EngineError>;
 

@@ -65,13 +65,13 @@
 
 use crate::bound::BoundExpr;
 use crate::cost::INDEX_JOIN_RATIO;
-use crate::error::{bind_err, failpoint, EngineError, Result};
+use crate::error::{bind_err, EngineError, Result};
 use crate::plan::Plan;
 use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, ColumnSet, HashIndex, Row, Table, Value};
+use pqp_storage::{Catalog, ColumnSet, HashIndex, Row, StorageError, Table, Value};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -166,7 +166,7 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
             let rrows = run(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
-            join_rows(ctx, lrows, rrows, left_keys, right_keys)
+            join_rows(env, lrows, rrows, left_keys, right_keys)
         }
         Plan::CrossJoin { left, right, .. } => {
             let lrows = run(env, left)?;
@@ -293,7 +293,10 @@ fn scan(
     let t = t.read();
     let width = columns.len(t.schema().arity());
     let mut out = Vec::new();
-    for chunk in t.chunks()? {
+    if let Some(msg) = env.catalog.failpoints().fire("storage.scan") {
+        return Err(StorageError::Corrupt(format!("injected: {msg}")).into());
+    }
+    for chunk in t.chunks() {
         ctx.charge_rows(chunk.len() as u64)?;
         let row = |i: usize| {
             let mut row = Row::with_capacity(width);
@@ -463,9 +466,9 @@ fn index_join(
     pqp_obs::record("strategy", "hash_fallback");
     let scan_rows = scan(env, table, filter, columns)?;
     if probe_is_left {
-        join_rows(env.ctx, probe_rows, scan_rows, &[probe_key], &[scan_key])
+        join_rows(env, probe_rows, scan_rows, &[probe_key], &[scan_key])
     } else {
-        join_rows(env.ctx, scan_rows, probe_rows, &[scan_key], &[probe_key])
+        join_rows(env, scan_rows, probe_rows, &[scan_key], &[probe_key])
     }
 }
 
@@ -566,13 +569,16 @@ impl<'t> Hits<'t> {
 /// order, then build-insertion order within one key): build one table on
 /// the smaller side, then probe it with the other.
 fn join_rows(
-    ctx: &QueryCtx,
+    env: &Env,
     lrows: Vec<Row>,
     rrows: Vec<Row>,
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> Result<Vec<Row>> {
-    failpoint("join.build")?;
+    if let Some(msg) = env.catalog.failpoints().fire("join.build") {
+        return Err(EngineError::Internal(format!("failpoint join.build: {msg}")));
+    }
+    let ctx = env.ctx;
     let build_left = lrows.len() <= rrows.len();
     let (build, probe, build_keys, probe_keys) = if build_left {
         (&lrows, &rrows, left_keys, right_keys)
@@ -771,7 +777,8 @@ mod tests {
     }
 
     fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
-        join_rows(&QueryCtx::unlimited(), l, r, lk, rk).unwrap()
+        let env = Env { catalog: &Catalog::new(), ctx: &QueryCtx::unlimited() };
+        join_rows(&env, l, r, lk, rk).unwrap()
     }
 
     #[test]

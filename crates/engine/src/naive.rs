@@ -124,7 +124,7 @@ fn exec_select(
                     .iter()
                     .map(|c| OutputColumn::new(Some(binding), &c.name))
                     .collect();
-                let frows = t.scan()?;
+                let frows = t.scan();
                 ctx.charge_rows(frows.len() as u64)?;
                 (OutputSchema::new(cols), frows)
             }

@@ -1,27 +1,14 @@
 //! Engine-level query-governor tests: budgets trip cooperatively at
 //! operator loop boundaries with typed errors and partial-progress
-//! counters, and the engine failpoint sites inject cleanly.
-//!
-//! The failpoint registry is process-global, so every test that arms one
-//! serializes on a shared mutex and clears the registry before returning.
+//! counters, and the engine failpoint sites — armed on the database's own
+//! catalog registry — inject cleanly.
 
 use pqp_engine::naive::naive_execute_ctx;
 use pqp_engine::{Database, EngineError, ExecOptions};
 use pqp_obs::rng::{Rng, SmallRng};
-use pqp_obs::{failpoint, Budget, BudgetReason, QueryCtx};
+use pqp_obs::{Budget, BudgetReason, QueryCtx};
 use pqp_sql::parse_query;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
-use std::sync::Mutex;
-
-static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
-
-fn with_failpoints<R>(f: impl FnOnce() -> R) -> R {
-    let _g = FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::clear();
-    let r = f();
-    failpoint::clear();
-    r
-}
 
 /// A two-table database big enough for multi-page heaps and real joins.
 fn fixture(rows: usize) -> Database {
@@ -161,55 +148,49 @@ fn unlimited_ctx_answers_match_plain_execution() {
 
 #[test]
 fn deadline_trips_inside_join() {
-    with_failpoints(|| {
-        let db = fixture(900);
-        let plan = db.plan(&parse_query(JOIN_SQL).unwrap()).unwrap();
-        // Stall the join past a deadline the two scans before it meet with
-        // room to spare: the trip happens *inside* the operator, at the
-        // build loop's first checkpoint, not at its entry checkpoint. (An
-        // un-stalled run would answer in time and fail `budget_err`, so the
-        // plan is shown to reach `join.build`.)
-        failpoint::configure("join.build", "delay(300)").unwrap();
-        let ctx = QueryCtx::new(Budget::unlimited().deadline_ms(200));
-        let err = budget_err(db.run_plan_ctx(&plan, &ExecOptions::default(), &ctx));
-        assert_eq!(err.reason, BudgetReason::Deadline);
-        assert_eq!(err.rows_scanned, 900 + 1800, "both scans finished before the trip: {err:?}");
-        failpoint::clear();
-        // The same database serves the next query normally: every B row
-        // joins its one A row.
-        assert_eq!(db.run_plan(&plan).unwrap().rows.len(), 1800);
-    });
+    let db = fixture(900);
+    let plan = db.plan(&parse_query(JOIN_SQL).unwrap()).unwrap();
+    // Stall the join past a deadline the two scans before it meet with
+    // room to spare: the trip happens *inside* the operator, at the
+    // build loop's first checkpoint, not at its entry checkpoint. (An
+    // un-stalled run would answer in time and fail `budget_err`, so the
+    // plan is shown to reach `join.build`.)
+    db.catalog().failpoints().configure("join.build", "delay(300)").unwrap();
+    let ctx = QueryCtx::new(Budget::unlimited().deadline_ms(200));
+    let err = budget_err(db.run_plan_ctx(&plan, &ExecOptions::default(), &ctx));
+    assert_eq!(err.reason, BudgetReason::Deadline);
+    assert_eq!(err.rows_scanned, 900 + 1800, "both scans finished before the trip: {err:?}");
+    db.catalog().failpoints().clear();
+    // The same database serves the next query normally: every B row
+    // joins its one A row.
+    assert_eq!(db.run_plan(&plan).unwrap().rows.len(), 1800);
 }
 
 #[test]
 fn storage_scan_failpoint_surfaces_as_storage_error() {
-    with_failpoints(|| {
-        let db = fixture(200);
-        let plan = db.plan(&parse_query("select A.id from A").unwrap()).unwrap();
-        failpoint::configure("storage.scan", "1*error(disk gremlin)").unwrap();
-        let err = db.run_plan(&plan).unwrap_err();
-        match err {
-            EngineError::Storage(s) => assert!(s.to_string().contains("disk gremlin"), "{s}"),
-            other => panic!("expected Storage, got {other:?}"),
-        }
-        // Self-healing: the count-limited failpoint is spent.
-        assert!(db.run_plan(&plan).is_ok());
-    });
+    let db = fixture(200);
+    let plan = db.plan(&parse_query("select A.id from A").unwrap()).unwrap();
+    db.catalog().failpoints().configure("storage.scan", "1*error(disk gremlin)").unwrap();
+    let err = db.run_plan(&plan).unwrap_err();
+    match err {
+        EngineError::Storage(s) => assert!(s.to_string().contains("disk gremlin"), "{s}"),
+        other => panic!("expected Storage, got {other:?}"),
+    }
+    // Self-healing: the count-limited failpoint is spent.
+    assert!(db.run_plan(&plan).is_ok());
 }
 
 #[test]
 fn join_build_failpoint_fails_the_join() {
-    with_failpoints(|| {
-        let db = fixture(300);
-        let plan = db.plan(&parse_query(JOIN_SQL).unwrap()).unwrap();
-        failpoint::configure("join.build", "1*error(no memory for build)").unwrap();
-        let err = db.run_plan(&plan).unwrap_err();
-        match err {
-            EngineError::Internal(msg) => assert!(msg.contains("join.build"), "{msg}"),
-            other => panic!("expected Internal, got {other:?}"),
-        }
-        assert!(db.run_plan(&plan).is_ok());
-    });
+    let db = fixture(300);
+    let plan = db.plan(&parse_query(JOIN_SQL).unwrap()).unwrap();
+    db.catalog().failpoints().configure("join.build", "1*error(no memory for build)").unwrap();
+    let err = db.run_plan(&plan).unwrap_err();
+    match err {
+        EngineError::Internal(msg) => assert!(msg.contains("join.build"), "{msg}"),
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    assert!(db.run_plan(&plan).is_ok());
 }
 
 #[test]

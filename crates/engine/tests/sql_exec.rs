@@ -569,7 +569,7 @@ fn index_scan_falls_back_to_a_narrow_scan_when_its_index_is_gone() {
     let plan = db.plan(&parse_query(sql).unwrap()).unwrap();
     assert!(plan.explain().contains("IndexScan MOVIE.mid=11 [title] [filtered]"), "{plan:?}");
     // Re-create MOVIE without its primary key: the planned index is gone.
-    let rows = db.catalog().table("MOVIE").unwrap().read().scan().unwrap();
+    let rows = db.catalog().table("MOVIE").unwrap().read().scan();
     let mut schema = db.catalog().schema_of("MOVIE").unwrap();
     schema.primary_key.clear();
     db.catalog_mut().drop_table("MOVIE").unwrap();

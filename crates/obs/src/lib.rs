@@ -29,8 +29,9 @@
 //!   threaded through execution: deadline / rows-scanned / memory limits
 //!   checked at operator loop boundaries, typed [`BudgetExceeded`] with
 //!   partial-progress counters.
-//! - [`failpoint`] — a zero-dep fault-injection registry: named sites fire
-//!   errors, panics or delays, configured programmatically or via
+//! - [`failpoint`] — a zero-dep fault-injection registry, one per node
+//!   (each catalog owns a [`failpoint::Failpoints`] handle): named sites
+//!   fire errors, panics or delays, configured programmatically or via
 //!   `PQP_FAILPOINTS`, deterministic through the in-tree xoshiro RNG.
 
 pub mod failpoint;

@@ -153,10 +153,10 @@ fn session(shared: &Shared, stream: TcpStream) -> std::io::Result<Close> {
 }
 
 fn dispatch(shared: &Shared, user: &UserId, request: Request) -> Response {
-    if let Some(msg) = pqp_obs::failpoint::fire("server.frame") {
+    let service = &shared.service;
+    if let Some(msg) = service.failpoints().fire("server.frame") {
         return Response::Error(WireError::from_error(&Error::Internal(msg)));
     }
-    let service = &shared.service;
     match request {
         Request::Query { sql, options, rewrite } => {
             let options = options.unwrap_or_else(|| service.config().options);

@@ -40,8 +40,6 @@ use pqp_server::{ReplConfig, ReplNode, Router, RouterConfig, Server, ServerConfi
 use pqp_service::{Service, ServiceConfig};
 
 fn main() {
-    pqp_obs::failpoint::init_from_env();
-
     // Router mode: no database, no service — just health checks and
     // byte proxying to the current leader.
     if let Some(router_config) = RouterConfig::from_env() {
@@ -77,6 +75,10 @@ fn main() {
 
     let movie_db = generate(MovieDbConfig::default());
     let service = Arc::new(Service::with_config(movie_db.db, ServiceConfig::from_env()));
+    // A bad fault spec is reported, arms nothing, and never stops the node.
+    if let Err(e) = service.failpoints().configure_from_env() {
+        eprintln!("pqp-server: PQP_FAILPOINTS ignored: {e}");
+    }
 
     // With a WAL configured, recovery replays the durable profile store;
     // generated seed profiles only populate a fresh (empty-log) node.

@@ -51,7 +51,8 @@
 //! `Status` stays open — it is a read-only probe. An empty token
 //! disables the check (single-machine and test clusters).
 //!
-//! Failpoint sites: `wal.append` and `wal.fsync` (in `pqp-storage`),
+//! Failpoint sites, fired on the service's registry: `wal.append` and
+//! `wal.fsync` (before each WAL append and sync, leader and follower),
 //! `repl.ship` (before sending to a follower), `repl.ack` (after the
 //! follower answered), `node.crash` (at mutation entry).
 
@@ -65,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use pqp_core::Profile;
 use pqp_service::{Error, FollowerLag, ReplStatus, Result, Service, UserId};
-use pqp_storage::{Wal, WalRecovery};
+use pqp_storage::{StorageError, Wal, WalRecovery};
 use pqp_wire::codec::{Reader, Writer};
 use pqp_wire::frame::{read_frame, write_frame};
 use pqp_wire::proto::ProfileOp;
@@ -385,7 +386,7 @@ impl ReplNode {
     /// record is durable — a failed append or fsync never leaves a
     /// mutation visible to reads that would vanish on restart.
     pub fn client_mutate(&self, user: &UserId, op: ProfileOp) -> Result<(u64, bool)> {
-        if let Some(msg) = pqp_obs::failpoint::fire("node.crash") {
+        if let Some(msg) = self.service.failpoints().fire("node.crash") {
             return Err(Error::Internal(format!("node.crash failpoint: {msg}")));
         }
         let mut inner = self.lock();
@@ -401,9 +402,9 @@ impl ReplNode {
         validate_op(&self.service, user, &op)?;
         let record = MutationRecord { user: user.as_str().to_string(), op: op.clone() }.encode();
         let term = inner.term;
-        let seq = inner.wal.append(&wrap_record(term, &record))?;
+        let seq = self.wal_append(&mut inner.wal, &wrap_record(term, &record))?;
         let t = Instant::now();
-        if let Err(e) = inner.wal.sync() {
+        if let Err(e) = self.wal_sync(&mut inner.wal) {
             // The record is written but not durable: take it back off
             // the log so a later successful fsync cannot make durable a
             // record the in-memory store never applied.
@@ -596,7 +597,7 @@ impl ReplNode {
         slot: &mut FollowerSlot,
         request: &ReplRequest,
     ) -> std::result::Result<ReplResponse, ShipError> {
-        if let Some(msg) = pqp_obs::failpoint::fire("repl.ship") {
+        if let Some(msg) = self.service.failpoints().fire("repl.ship") {
             return Err(ShipError::Io(format!("repl.ship failpoint: {msg}")));
         }
         let Some(stream) = slot.conn.as_mut() else {
@@ -607,10 +608,26 @@ impl ReplNode {
         stream.flush().map_err(|e| ShipError::Io(e.to_string()))?;
         let (tag, payload) =
             read_frame(stream, MAX_FRAME_LEN).map_err(|e| ShipError::Io(e.to_string()))?;
-        if let Some(msg) = pqp_obs::failpoint::fire("repl.ack") {
+        if let Some(msg) = self.service.failpoints().fire("repl.ack") {
             return Err(ShipError::Io(format!("repl.ack failpoint: {msg}")));
         }
         ReplResponse::decode(tag, &payload).map_err(|e| ShipError::Io(e.to_string()))
+    }
+
+    /// [`Wal::append`] behind the `wal.append` failpoint.
+    fn wal_append(&self, wal: &mut Wal, record: &[u8]) -> pqp_storage::Result<u64> {
+        if let Some(msg) = self.service.failpoints().fire("wal.append") {
+            return Err(StorageError::Io(format!("wal.append failpoint: {msg}")));
+        }
+        wal.append(record)
+    }
+
+    /// [`Wal::sync`] behind the `wal.fsync` failpoint.
+    fn wal_sync(&self, wal: &mut Wal) -> pqp_storage::Result<()> {
+        if let Some(msg) = self.service.failpoints().fire("wal.fsync") {
+            return Err(StorageError::Io(format!("wal.fsync failpoint: {msg}")));
+        }
+        wal.sync()
     }
 
     /// Compact the log into a snapshot once enough records accumulated.
@@ -842,7 +859,7 @@ impl ReplNode {
                     reason: format!("log gap: got seq {}, log ends at {last}", entry.seq),
                 };
             }
-            match inner.wal.append(&wrap_record(entry.term, &entry.payload)) {
+            match self.wal_append(&mut inner.wal, &wrap_record(entry.term, &entry.payload)) {
                 Ok(seq) => {
                     inner.last_term = entry.term;
                     first_appended.get_or_insert(seq);
@@ -858,7 +875,7 @@ impl ReplNode {
             }
         }
         let t = Instant::now();
-        if let Err(e) = inner.wal.sync() {
+        if let Err(e) = self.wal_sync(&mut inner.wal) {
             // Mirror the leader's mutation path: records that failed to
             // become durable come back off the log, so memory and log
             // never disagree. The leader re-ships them next round.

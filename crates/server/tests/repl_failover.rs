@@ -1,19 +1,16 @@
 //! Failover chaos: kill the leader mid-workload and prove the cluster
 //! loses nothing. The acceptance bar: typed errors only, zero process
 //! aborts, no acked mutation lost, and byte-identical personalized
-//! answers from the promoted leader.
-//!
-//! The failpoint registry is process-global; failpoint tests serialize
-//! on one mutex (same convention as `chaos.rs`).
+//! answers from the promoted leader. Every node is its own service with
+//! its own failpoint registry, so a fault armed on one leader stays there.
 
 mod common;
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::{movie_db, Q};
-use pqp_obs::failpoint;
 use pqp_server::{
     PeerLink, ReplConfig, ReplNode, Router, RouterConfig, Server, ServerConfig, ServerHandle,
 };
@@ -21,22 +18,6 @@ use pqp_service::{QueryApi, Service, UserId};
 use pqp_storage::Value;
 use pqp_wire::repl::{ReplRequest, ReplResponse, Role};
 use pqp_wire::{Client, ClientConfig};
-
-static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
-
-fn with_failpoints(f: impl FnOnce()) {
-    let _g = no_failpoints();
-    f();
-    failpoint::clear();
-}
-
-/// Failpoints are process-global: a test that ships over repl links holds
-/// this guard so that no other test's armed `repl.ship` cuts them.
-fn no_failpoints() -> std::sync::MutexGuard<'static, ()> {
-    let guard = FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::clear();
-    guard
-}
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     for _ in 0..600 {
@@ -129,7 +110,6 @@ fn install_ana(client: &mut Client) {
 
 #[test]
 fn leader_death_failover_keeps_every_acked_mutation_and_answer() {
-    let _quiet = no_failpoints();
     // Topology: f2 (leaf) ← f1 ← leader; f1 is wired to ship to f2 so
     // it can sustain quorum 2 after taking over.
     let f2 = TestNode::start("f2", Role::Follower, vec![], 1);
@@ -203,7 +183,6 @@ fn leader_death_failover_keeps_every_acked_mutation_and_answer() {
 
 #[test]
 fn router_promotes_the_survivor_and_keeps_routing() {
-    let _quiet = no_failpoints();
     let follower = TestNode::start("rf", Role::Follower, vec![], 1);
     let mut leader = TestNode::start("rlead", Role::Leader, vec![follower.addr.clone()], 2);
 
@@ -256,44 +235,42 @@ fn router_with_no_reachable_leader_refuses_with_a_typed_error() {
 
 #[test]
 fn replication_chaos_yields_typed_errors_only_and_converges() {
-    with_failpoints(|| {
-        let follower = TestNode::start("cf", Role::Follower, vec![], 1);
-        let leader = TestNode::start("clead", Role::Leader, vec![follower.addr.clone()], 2);
-        let mut client = Client::connect(&*leader.addr, ClientConfig::new("ana")).unwrap();
+    let follower = TestNode::start("cf", Role::Follower, vec![], 1);
+    let leader = TestNode::start("clead", Role::Leader, vec![follower.addr.clone()], 2);
+    let mut client = Client::connect(&*leader.addr, ClientConfig::new("ana")).unwrap();
 
-        // Ship failure: durable on the leader, below quorum — a typed
-        // `unavailable` naming the retry contract, never an abort.
-        failpoint::configure("repl.ship", "1*error(link cut)").unwrap();
-        let err = client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5);
-        let err = err.unwrap_err();
-        assert_eq!(err.kind(), "unavailable", "ship fault got {err:?}");
-        assert!(err.to_string().contains("retry is safe"), "got {err}");
+    // Ship failure: durable on the leader, below quorum — a typed
+    // `unavailable` naming the retry contract, never an abort.
+    leader.svc.failpoints().configure("repl.ship", "1*error(link cut)").unwrap();
+    let err = client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5);
+    let err = err.unwrap_err();
+    assert_eq!(err.kind(), "unavailable", "ship fault got {err:?}");
+    assert!(err.to_string().contains("retry is safe"), "got {err}");
 
-        // Ack failure: the follower may hold the record, the leader
-        // cannot know — same typed contract.
-        failpoint::configure("repl.ack", "1*error(ack lost)").unwrap();
-        let err = client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5);
-        assert_eq!(err.unwrap_err().kind(), "unavailable");
+    // Ack failure: the follower may hold the record, the leader
+    // cannot know — same typed contract.
+    leader.svc.failpoints().configure("repl.ack", "1*error(ack lost)").unwrap();
+    let err = client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5);
+    assert_eq!(err.unwrap_err().kind(), "unavailable");
 
-        // Crash at mutation entry: typed internal error, process alive.
-        failpoint::configure("node.crash", "1*error(struck by lightning)").unwrap();
-        let err = client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5);
-        assert_eq!(err.unwrap_err().kind(), "internal");
+    // Crash at mutation entry: typed internal error, process alive.
+    leader.svc.failpoints().configure("node.crash", "1*error(struck by lightning)").unwrap();
+    let err = client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5);
+    assert_eq!(err.unwrap_err().kind(), "internal");
 
-        // Chaos off: the retry lands, the cluster converges, and the
-        // replicas hold identical bytes.
-        failpoint::clear();
-        client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5).unwrap();
-        client.close();
-        wait_until("follower catches up", || {
-            follower.node.status().last_seq == leader.node.status().last_seq
-        });
-        assert_eq!(leader.profile_json("ana"), follower.profile_json("ana"));
-        assert!(
-            leader.profile_json("ana").unwrap().contains("drama"),
-            "the acked mutation is in the store"
-        );
+    // Chaos off: the retry lands, the cluster converges, and the
+    // replicas hold identical bytes.
+    leader.svc.failpoints().clear();
+    client.add_selection("GENRE", "genre", Value::Str("drama".into()), 0.5).unwrap();
+    client.close();
+    wait_until("follower catches up", || {
+        follower.node.status().last_seq == leader.node.status().last_seq
     });
+    assert_eq!(leader.profile_json("ana"), follower.profile_json("ana"));
+    assert!(
+        leader.profile_json("ana").unwrap().contains("drama"),
+        "the acked mutation is in the store"
+    );
 }
 
 /// One framed request/response on an already-open replication link —
@@ -309,111 +286,107 @@ fn repl_rpc(stream: &mut std::net::TcpStream, request: &ReplRequest) -> ReplResp
 
 #[test]
 fn deposed_leaders_unacked_suffix_is_truncated_and_replicas_converge() {
-    with_failpoints(|| {
-        let f1 = TestNode::start("heal_f1", Role::Follower, vec![], 1);
-        let l0 = TestNode::start("heal_l0", Role::Leader, vec![f1.addr.clone()], 2);
+    let f1 = TestNode::start("heal_f1", Role::Follower, vec![], 1);
+    let l0 = TestNode::start("heal_l0", Role::Leader, vec![f1.addr.clone()], 2);
 
-        let mut ana = Client::connect(&*l0.addr, ClientConfig::new("ana")).unwrap();
-        ana.add_selection("MOVIE", "mid", Value::Int(1), 0.5).unwrap();
-        ana.close();
-        assert_eq!(f1.node.status().last_seq, 1, "seq 1 replicated before the partition");
+    let mut ana = Client::connect(&*l0.addr, ClientConfig::new("ana")).unwrap();
+    ana.add_selection("MOVIE", "mid", Value::Int(1), 0.5).unwrap();
+    ana.close();
+    assert_eq!(f1.node.status().last_seq, 1, "seq 1 replicated before the partition");
 
-        // The link to f1 is cut while bob's mutation lands: durable on
-        // the leader, never acked — the classic deposed-leader suffix.
-        failpoint::configure("repl.ship", "8*error(partition)").unwrap();
-        let mut bob = Client::connect(&*l0.addr, ClientConfig::new("bob")).unwrap();
-        let err = bob.add_selection("MOVIE", "mid", Value::Int(2), 0.5).unwrap_err();
-        assert_eq!(err.kind(), "unavailable", "got {err:?}");
-        bob.close();
-        failpoint::clear();
-        assert_eq!(l0.node.status().last_seq, 2, "bob's record is durable on the old leader");
-        assert!(l0.profile_json("bob").is_some());
+    // The link to f1 is cut while bob's mutation lands: durable on
+    // the leader, never acked — the classic deposed-leader suffix.
+    l0.svc.failpoints().configure("repl.ship", "8*error(partition)").unwrap();
+    let mut bob = Client::connect(&*l0.addr, ClientConfig::new("bob")).unwrap();
+    let err = bob.add_selection("MOVIE", "mid", Value::Int(2), 0.5).unwrap_err();
+    assert_eq!(err.kind(), "unavailable", "got {err:?}");
+    bob.close();
+    l0.svc.failpoints().clear();
+    assert_eq!(l0.node.status().last_seq, 2, "bob's record is durable on the old leader");
+    assert!(l0.profile_json("bob").is_some());
 
-        // Both nodes go down; the cluster reboots with f1 — which never
-        // saw bob's record — promoted over the reborn old leader.
-        let f1_dir = f1.stop_keeping_dir();
-        let l0_dir = l0.stop_keeping_dir();
-        let old = TestNode::start_in(l0_dir, "heal_l0", Role::Follower, vec![], 1);
-        let new_leader =
-            TestNode::start_in(f1_dir, "heal_f1", Role::Follower, vec![old.addr.clone()], 2);
-        let resp = new_leader.node.handle_peer(
-            ReplRequest::Promote { term: old.node.term() + 1, token: String::new() },
-            &mut PeerLink::new(),
-        );
-        assert!(matches!(resp, ReplResponse::Ok { .. }), "{resp:?}");
-        assert_eq!(new_leader.node.status().last_seq, 1, "the new leader never saw seq 2");
+    // Both nodes go down; the cluster reboots with f1 — which never
+    // saw bob's record — promoted over the reborn old leader.
+    let f1_dir = f1.stop_keeping_dir();
+    let l0_dir = l0.stop_keeping_dir();
+    let old = TestNode::start_in(l0_dir, "heal_l0", Role::Follower, vec![], 1);
+    let new_leader =
+        TestNode::start_in(f1_dir, "heal_f1", Role::Follower, vec![old.addr.clone()], 2);
+    let resp = new_leader.node.handle_peer(
+        ReplRequest::Promote { term: old.node.term() + 1, token: String::new() },
+        &mut PeerLink::new(),
+    );
+    assert!(matches!(resp, ReplResponse::Ok { .. }), "{resp:?}");
+    assert_eq!(new_leader.node.status().last_seq, 1, "the new leader never saw seq 2");
 
-        // cara's write (quorum 2) forces the catch-up: the old leader's
-        // conflicting seq 2 must be truncated and replaced — under the
-        // pre-fix protocol its self-reported ack (2 >= tip) would have
-        // counted toward quorum for a record it does not hold.
-        let mut cara = Client::connect(&*new_leader.addr, ClientConfig::new("cara")).unwrap();
-        cara.add_selection("MOVIE", "mid", Value::Int(3), 0.5).unwrap();
-        cara.close();
+    // cara's write (quorum 2) forces the catch-up: the old leader's
+    // conflicting seq 2 must be truncated and replaced — under the
+    // pre-fix protocol its self-reported ack (2 >= tip) would have
+    // counted toward quorum for a record it does not hold.
+    let mut cara = Client::connect(&*new_leader.addr, ClientConfig::new("cara")).unwrap();
+    cara.add_selection("MOVIE", "mid", Value::Int(3), 0.5).unwrap();
+    cara.close();
 
-        assert_eq!(old.node.status().last_seq, 2);
-        assert_eq!(old.profile_json("bob"), None, "the orphaned suffix was rolled back");
-        assert_eq!(old.profile_json("ana"), new_leader.profile_json("ana"));
-        assert_eq!(old.profile_json("cara"), new_leader.profile_json("cara"));
-        assert!(old.profile_json("cara").is_some(), "the healed log carries cara's record");
+    assert_eq!(old.node.status().last_seq, 2);
+    assert_eq!(old.profile_json("bob"), None, "the orphaned suffix was rolled back");
+    assert_eq!(old.profile_json("ana"), new_leader.profile_json("ana"));
+    assert_eq!(old.profile_json("cara"), new_leader.profile_json("cara"));
+    assert!(old.profile_json("cara").is_some(), "the healed log carries cara's record");
 
-        // The truncation is durable: a reboot of the old leader replays
-        // the healed log, not the orphaned one.
-        let old_dir = old.stop_keeping_dir();
-        let reborn = TestNode::start_in(old_dir, "heal_l0", Role::Follower, vec![], 1);
-        assert_eq!(reborn.profile_json("bob"), None);
-        assert_eq!(reborn.profile_json("cara"), new_leader.profile_json("cara"));
-    });
+    // The truncation is durable: a reboot of the old leader replays
+    // the healed log, not the orphaned one.
+    let old_dir = old.stop_keeping_dir();
+    let reborn = TestNode::start_in(old_dir, "heal_l0", Role::Follower, vec![], 1);
+    assert_eq!(reborn.profile_json("bob"), None);
+    assert_eq!(reborn.profile_json("cara"), new_leader.profile_json("cara"));
 }
 
 #[test]
 fn status_probes_answer_while_shipping_stalls_on_a_dead_peer() {
-    with_failpoints(|| {
-        // A peer that accepts the TCP connect and then never answers:
-        // the leader's ship path blocks inside the inner lock until the
-        // 500ms read timeout — exactly when the router's probes must
-        // keep answering, or a stalled-but-alive leader reads as down.
-        let blackhole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let blackhole_addr = blackhole.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let mut held = Vec::new();
-            while let Ok((stream, _)) = blackhole.accept() {
-                held.push(stream); // hold the link open, never reply
-            }
-        });
-
-        let leader = TestNode::start("stall_lead", Role::Leader, vec![blackhole_addr], 1);
-        let node = Arc::clone(&leader.node);
-        let mutator = std::thread::spawn(move || {
-            // Quorum 1: the write succeeds even though the ship stalls.
-            node.client_mutate(
-                &UserId::from("ana"),
-                pqp_wire::ProfileOp::AddSelection {
-                    table: "MOVIE".into(),
-                    column: "mid".into(),
-                    value: Value::Int(1),
-                    doi: 0.5,
-                },
-            )
-        });
-
-        // While the mutation is stalled in peer I/O under the inner
-        // mutex, a Status probe over the wire (what the router sends)
-        // must answer from the status cell instead of waiting.
-        std::thread::sleep(Duration::from_millis(100));
-        let mut stream = std::net::TcpStream::connect(&*leader.addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let t = std::time::Instant::now();
-        let resp = repl_rpc(&mut stream, &ReplRequest::Status);
-        let elapsed = t.elapsed();
-        let ReplResponse::Status(status) = resp else { panic!("expected status, got {resp:?}") };
-        assert_eq!(status.role, Role::Leader);
-        assert!(
-            elapsed < Duration::from_millis(250),
-            "status probe took {elapsed:?} while shipping stalled"
-        );
-        mutator.join().unwrap().unwrap();
+    // A peer that accepts the TCP connect and then never answers:
+    // the leader's ship path blocks inside the inner lock until the
+    // 500ms read timeout — exactly when the router's probes must
+    // keep answering, or a stalled-but-alive leader reads as down.
+    let blackhole = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let blackhole_addr = blackhole.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        while let Ok((stream, _)) = blackhole.accept() {
+            held.push(stream); // hold the link open, never reply
+        }
     });
+
+    let leader = TestNode::start("stall_lead", Role::Leader, vec![blackhole_addr], 1);
+    let node = Arc::clone(&leader.node);
+    let mutator = std::thread::spawn(move || {
+        // Quorum 1: the write succeeds even though the ship stalls.
+        node.client_mutate(
+            &UserId::from("ana"),
+            pqp_wire::ProfileOp::AddSelection {
+                table: "MOVIE".into(),
+                column: "mid".into(),
+                value: Value::Int(1),
+                doi: 0.5,
+            },
+        )
+    });
+
+    // While the mutation is stalled in peer I/O under the inner
+    // mutex, a Status probe over the wire (what the router sends)
+    // must answer from the status cell instead of waiting.
+    std::thread::sleep(Duration::from_millis(100));
+    let mut stream = std::net::TcpStream::connect(&*leader.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let t = std::time::Instant::now();
+    let resp = repl_rpc(&mut stream, &ReplRequest::Status);
+    let elapsed = t.elapsed();
+    let ReplResponse::Status(status) = resp else { panic!("expected status, got {resp:?}") };
+    assert_eq!(status.role, Role::Leader);
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "status probe took {elapsed:?} while shipping stalled"
+    );
+    mutator.join().unwrap().unwrap();
 }
 
 #[test]

@@ -3,32 +3,19 @@
 //! recovery contract under test: after any crash, replay reconstructs a
 //! profile store byte-identical to one built by applying the surviving
 //! log prefix directly — and every *acked* mutation is in that prefix.
-//!
-//! The failpoint registry is process-global, so the tests that use it
-//! serialize on one mutex (same convention as `chaos.rs`).
 
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use common::movie_db;
-use pqp_obs::failpoint;
 use pqp_server::{ReplConfig, ReplNode};
 use pqp_service::{Service, UserId};
 use pqp_storage::Value;
 use pqp_wire::ProfileOp;
-
-static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
-
-fn with_failpoints(f: impl FnOnce()) {
-    let _g = FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::clear();
-    f();
-    failpoint::clear();
-}
 
 fn service() -> Arc<Service> {
     Arc::new(Service::new(movie_db()))
@@ -140,42 +127,40 @@ fn recovery_composes_snapshot_and_log_suffix() {
 
 #[test]
 fn wal_failpoints_surface_as_typed_errors_and_heal_on_retry() {
-    with_failpoints(|| {
-        let dir = tempdir("failpoint");
-        let svc = service();
-        let node = ReplNode::open(Arc::clone(&svc), ReplConfig::new("n1", &dir)).unwrap();
+    let dir = tempdir("failpoint");
+    let svc = service();
+    let node = ReplNode::open(Arc::clone(&svc), ReplConfig::new("n1", &dir)).unwrap();
 
-        failpoint::configure("wal.append", "1*error(disk full)").unwrap();
-        let err = mutate_i(&node, 1).unwrap_err();
-        assert_eq!(err.kind(), "storage", "append fault is a typed error: {err}");
-        assert_eq!(node.status().last_seq, 0, "nothing logged");
-        assert_eq!(
-            svc.profile(UserId::from("crash")),
-            None,
-            "a mutation that failed before durability is not visible to reads"
-        );
+    svc.failpoints().configure("wal.append", "1*error(disk full)").unwrap();
+    let err = mutate_i(&node, 1).unwrap_err();
+    assert_eq!(err.kind(), "storage", "append fault is a typed error: {err}");
+    assert_eq!(node.status().last_seq, 0, "nothing logged");
+    assert_eq!(
+        svc.profile(UserId::from("crash")),
+        None,
+        "a mutation that failed before durability is not visible to reads"
+    );
 
-        failpoint::configure("wal.fsync", "1*error(sync lost)").unwrap();
-        let err = mutate_i(&node, 1).unwrap_err();
-        assert_eq!(err.kind(), "storage", "fsync fault is a typed error: {err}");
-        assert_eq!(node.status().durable_seq, 0, "the unsynced record is not durable");
-        assert_eq!(node.status().last_seq, 0, "the unsynced record is truncated back off");
-        assert_eq!(
-            svc.profile(UserId::from("crash")),
-            None,
-            "a mutation that failed at the fsync is not visible to reads"
-        );
+    svc.failpoints().configure("wal.fsync", "1*error(sync lost)").unwrap();
+    let err = mutate_i(&node, 1).unwrap_err();
+    assert_eq!(err.kind(), "storage", "fsync fault is a typed error: {err}");
+    assert_eq!(node.status().durable_seq, 0, "the unsynced record is not durable");
+    assert_eq!(node.status().last_seq, 0, "the unsynced record is truncated back off");
+    assert_eq!(
+        svc.profile(UserId::from("crash")),
+        None,
+        "a mutation that failed at the fsync is not visible to reads"
+    );
 
-        // Retrying is safe (mutations are upserts): the store converges
-        // and the log replays to the same bytes.
-        mutate_i(&node, 1).unwrap();
-        let before = svc.profile(UserId::from("crash")).map(|p| p.to_json());
-        drop(node);
-        let (_, after) = recover(&dir);
-        assert_eq!(after, before, "replay after faults matches the live store");
-        assert_eq!(after, reference_profile(1));
-        let _ = std::fs::remove_dir_all(&dir);
-    });
+    // Retrying is safe (mutations are upserts): the store converges
+    // and the log replays to the same bytes.
+    mutate_i(&node, 1).unwrap();
+    let before = svc.profile(UserId::from("crash")).map(|p| p.to_json());
+    drop(node);
+    let (_, after) = recover(&dir);
+    assert_eq!(after, before, "replay after faults matches the live store");
+    assert_eq!(after, reference_profile(1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The child half of the kill -9 differential: mutate in a tight loop,
@@ -187,8 +172,9 @@ fn wal_failpoints_surface_as_typed_errors_and_heal_on_retry() {
 #[ignore]
 fn crash_child() {
     let Ok(dir) = std::env::var("PQP_CRASH_DIR") else { return };
-    failpoint::init_from_env();
-    let node = ReplNode::open(service(), ReplConfig::new("child", &dir)).unwrap();
+    let svc = service();
+    svc.failpoints().configure_from_env().unwrap();
+    let node = ReplNode::open(svc, ReplConfig::new("child", &dir)).unwrap();
     let stdout = std::io::stdout();
     for i in 1..=50_000u64 {
         mutate_i(&node, i).unwrap();

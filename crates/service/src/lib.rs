@@ -68,7 +68,8 @@ use pqp_core::{
 };
 use pqp_engine::plan::Plan;
 use pqp_engine::{Database, Estimator, ExecOptions, ResultSet};
-use pqp_obs::{Budget, CacheSnapshot, CacheStats, QueryCtx};
+use pqp_obs::failpoint::Failpoints;
+use pqp_obs::{Budget, BudgetReason, CacheSnapshot, CacheStats, QueryCtx};
 use pqp_sql::ast::{Query, Select};
 use pqp_sql::{ShowStmt, Statement};
 use pqp_storage::sync::RwLock;
@@ -612,6 +613,21 @@ impl Service {
         &self.config
     }
 
+    /// This node's failpoint registry: the database catalog's, which the
+    /// engine, the service and the server layers in front of it all fire on.
+    pub fn failpoints(&self) -> &Failpoints {
+        self.db.catalog().failpoints()
+    }
+
+    /// The `shard.lock` failpoint, fired under a profile shard's write lock:
+    /// `panic` poisons the lock (which the store recovers from), and an
+    /// `error` cannot leave the closure, so it panics too.
+    fn shard_lock_failpoint(&self) {
+        if let Some(msg) = self.failpoints().fire("shard.lock") {
+            panic!("failpoint shard.lock: {msg}");
+        }
+    }
+
     // ---- profile store ----------------------------------------------------
 
     fn next_epoch(&self) -> u64 {
@@ -627,6 +643,7 @@ impl Service {
         // Draw the epoch under the shard write lock so epochs stored for
         // one user are strictly increasing even across racing installs.
         self.profiles.write(&user, |shard| {
+            self.shard_lock_failpoint();
             let epoch = self.next_epoch();
             shard.insert(user.clone(), ProfileEntry::new(profile, epoch));
         });
@@ -689,6 +706,7 @@ impl Service {
             // The new epoch is drawn inside the same critical section, so
             // epochs stored for one user are strictly increasing.
             let committed = self.profiles.write(&user, |shard| {
+                self.shard_lock_failpoint();
                 if shard.get(&user).map(|e| e.epoch) != seen_epoch {
                     return false;
                 }
@@ -1025,6 +1043,18 @@ impl Service {
         self.in_flight.load(Ordering::Acquire)
     }
 
+    /// The `select.pref` / `select.budget` failpoints of one ladder rung; an
+    /// injected budget trip steps the ladder like a real one.
+    fn selection_failpoints(&self, ctx: &QueryCtx) -> std::result::Result<(), PrefError> {
+        if let Some(msg) = self.failpoints().fire("select.pref") {
+            return Err(PrefError::Internal(format!("failpoint select.pref: {msg}")));
+        }
+        if self.failpoints().fire("select.budget").is_some() {
+            return Err(PrefError::Budget(ctx.exceeded(BudgetReason::Injected)));
+        }
+        Ok(())
+    }
+
     /// The governed pipeline: plan-cache fast path, then the degradation
     /// ladder around personalization, then plan + execute under `ctx`.
     fn query_governed(
@@ -1036,7 +1066,7 @@ impl Service {
         ctx: &QueryCtx,
         obs: &mut Observed,
     ) -> Result<Answer> {
-        if let Some(msg) = pqp_obs::failpoint::fire("service.query") {
+        if let Some(msg) = self.failpoints().fire("service.query") {
             return Err(Error::Internal(format!("failpoint service.query: {msg}")));
         }
         let t_parse = Instant::now();
@@ -1061,7 +1091,7 @@ impl Service {
             Stale,
             Miss,
         }
-        let lookup = if pqp_obs::failpoint::fire("plan.cache").is_some() {
+        let lookup = if self.failpoints().fire("plan.cache").is_some() {
             Lookup::Miss
         } else {
             match self.plans.read().get(&key) {
@@ -1136,13 +1166,15 @@ impl Service {
             } else {
                 let slice = ctx.slice(1, 4);
                 let t_pers = Instant::now();
-                let personalized = personalize_prepared_ctx(
-                    &prepared.select,
-                    &prepared.graph,
-                    graph,
-                    level.apply(options),
-                    &slice,
-                );
+                let personalized = self.selection_failpoints(&slice).and_then(|()| {
+                    personalize_prepared_ctx(
+                        &prepared.select,
+                        &prepared.graph,
+                        graph,
+                        level.apply(options),
+                        &slice,
+                    )
+                });
                 // Accumulates across ladder retries: the log reports the
                 // total personalization cost, including abandoned levels.
                 obs.phases.personalize_us += t_pers.elapsed().as_micros() as u64;

@@ -10,29 +10,10 @@
 
 use pqp_core::Profile;
 use pqp_engine::{Database, ResultSet};
-use pqp_obs::failpoint;
 use pqp_service::Service;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::Barrier;
 use std::time::Duration;
-
-/// The failpoint registry is process-global, and a one-shot failpoint is
-/// used up by whichever selection reaches it first: every test here runs
-/// under this guard.
-static FAILPOINT_GUARD: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    FAILPOINT_GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Arm `select.pref` with `spec` while `f` runs: a `delay` holds a plan-cache
-/// miss between its profile snapshot and its plan publish.
-fn with_slow_selection<R>(spec: &str, f: impl FnOnce() -> R) -> R {
-    failpoint::configure("select.pref", spec).unwrap();
-    let out = f();
-    failpoint::remove("select.pref");
-    out
-}
 
 fn movie_db() -> Database {
     let mut c = Catalog::new();
@@ -80,7 +61,6 @@ const Q: &str = "select MV.title from MOVIE MV";
 /// mutation (none lost, none coalesced).
 #[test]
 fn concurrent_mutation_and_query_same_user() {
-    let _serial = serial();
     let service = Service::new(movie_db());
     service.install_profile(profile_for("ana", "comedy")).unwrap();
     let epoch_at_install = service.epoch("ana");
@@ -154,7 +134,6 @@ fn concurrent_mutation_and_query_same_user() {
 /// observe a torn or rolled-back profile.
 #[test]
 fn concurrent_updates_to_one_user_lose_nothing() {
-    let _serial = serial();
     let service = Service::new(movie_db());
     const THREADS: usize = 8;
     std::thread::scope(|scope| {
@@ -182,7 +161,6 @@ fn concurrent_updates_to_one_user_lose_nothing() {
 /// invalidate another user's cached plans.
 #[test]
 fn mutations_do_not_invalidate_other_users() {
-    let _serial = serial();
     let service = Service::new(movie_db());
     service.install_profile(profile_for("ana", "comedy")).unwrap();
     service.install_profile(profile_for("bob", "drama")).unwrap();
@@ -230,7 +208,6 @@ fn sorted(answer: ResultSet) -> Vec<Vec<Value>> {
 /// for the old profile can never answer for the new one.
 #[test]
 fn a_mutation_racing_a_miss_is_seen_by_the_next_query() {
-    let _serial = serial();
     let comedy = rows_for(Some(profile_for("ana", "comedy")));
     let mut both = profile_for("ana", "comedy");
     both.add_selection("GENRE", "genre", "drama", 0.95).unwrap();
@@ -266,29 +243,27 @@ fn a_mutation_racing_a_miss_is_seen_by_the_next_query() {
     // profile and builds its graph, then sleeps in selection while the
     // mutation lands. Which side of the mutation the miss snapshotted is
     // read off its answer, so nothing below depends on the host's timing.
-    with_slow_selection("delay(100)", || {
-        let service = Service::new(movie_db());
-        service.install_profile(profile_for("ana", "comedy")).unwrap();
-        let seen = std::thread::scope(|scope| {
-            let miss = scope.spawn(|| sorted(service.session("ana").query(Q).unwrap().rows));
-            std::thread::sleep(Duration::from_millis(30));
-            service.add_selection("ana", "GENRE", "genre", "drama", 0.95).unwrap();
-            miss.join().unwrap()
-        });
-        assert!(seen == comedy || seen == both);
-        let next = service.session("ana").query(Q).unwrap();
-        if seen == comedy {
-            assert!(!next.meta.cache.is_hit(), "the racing miss's plan is stale");
-        }
-        assert_eq!(sorted(next.rows), both);
+    let service = Service::new(movie_db());
+    service.install_profile(profile_for("ana", "comedy")).unwrap();
+    service.failpoints().configure("select.pref", "delay(100)").unwrap();
+    let seen = std::thread::scope(|scope| {
+        let miss = scope.spawn(|| sorted(service.session("ana").query(Q).unwrap().rows));
+        std::thread::sleep(Duration::from_millis(30));
+        service.add_selection("ana", "GENRE", "genre", "drama", 0.95).unwrap();
+        miss.join().unwrap()
     });
+    assert!(seen == comedy || seen == both);
+    let next = service.session("ana").query(Q).unwrap();
+    if seen == comedy {
+        assert!(!next.meta.cache.is_hit(), "the racing miss's plan is stale");
+    }
+    assert_eq!(sorted(next.rows), both);
 }
 
 /// Removing a profile drops its epoch's graph with it: a reinstall under
 /// the same user builds a fresh graph from the new profile.
 #[test]
 fn remove_then_reinstall_builds_a_fresh_graph() {
-    let _serial = serial();
     let (comedy, drama, none) = (
         rows_for(Some(profile_for("ana", "comedy"))),
         rows_for(Some(profile_for("ana", "drama"))),
@@ -332,7 +307,6 @@ fn remove_then_reinstall_builds_a_fresh_graph() {
 /// cache never serves the older graph's plan for the newer epoch.
 #[test]
 fn an_older_epochs_graph_never_plans_for_a_newer_epoch() {
-    let _serial = serial();
     let comedy = rows_for(Some(profile_for("ana", "comedy")));
     let drama = rows_for(Some(profile_for("ana", "drama")));
     assert_ne!(comedy, drama);
@@ -343,16 +317,15 @@ fn an_older_epochs_graph_never_plans_for_a_newer_epoch() {
     // The one-shot delay is the older miss's: it holds its comedy snapshot
     // while the install lands and the newer miss builds, publishes and
     // answers, then publishes its own plan last.
-    with_slow_selection("1*delay(150)", || {
-        std::thread::scope(|scope| {
-            let older = scope.spawn(query);
-            std::thread::sleep(Duration::from_millis(30));
-            // Swap the whole preference: the comedy selection goes.
-            service.install_profile(profile_for("ana", "drama")).unwrap();
-            assert_eq!(query(), drama, "the newer miss answers for its epoch");
-            let seen = older.join().unwrap();
-            assert!(seen == comedy || seen == drama, "the older miss answers for an epoch");
-        });
+    service.failpoints().configure("select.pref", "1*delay(150)").unwrap();
+    std::thread::scope(|scope| {
+        let older = scope.spawn(query);
+        std::thread::sleep(Duration::from_millis(30));
+        // Swap the whole preference: the comedy selection goes.
+        service.install_profile(profile_for("ana", "drama")).unwrap();
+        assert_eq!(query(), drama, "the newer miss answers for its epoch");
+        let seen = older.join().unwrap();
+        assert!(seen == comedy || seen == drama, "the older miss answers for an epoch");
     });
     assert_eq!(query(), drama, "the next lookup serves or rebuilds the drama plan");
     assert_eq!(query(), drama, "and the plan it caches is the drama one");

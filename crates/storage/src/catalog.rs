@@ -6,6 +6,7 @@ use crate::error::{Result, StorageError};
 use crate::schema::{Cardinality, TableSchema};
 use crate::sync::RwLock;
 use crate::table::Table;
+use pqp_obs::failpoint::Failpoints;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,6 +35,10 @@ pub struct Catalog {
     /// Bumped on every `ANALYZE` so plan caches keyed on it miss after
     /// statistics change (see `pqp-service`).
     stats_epoch: AtomicU64,
+    /// This database's fault-injection registry: every layer serving from
+    /// the catalog fires its failpoint sites here, so faults belong to the
+    /// node, not the process.
+    failpoints: Failpoints,
 }
 
 impl Catalog {
@@ -179,11 +184,16 @@ impl Catalog {
         self.stats_epoch.load(Ordering::Acquire)
     }
 
+    /// The catalog's failpoint registry (one per node; clones share it).
+    pub fn failpoints(&self) -> &Failpoints {
+        &self.failpoints
+    }
+
     /// `ANALYZE table`: (re)collect statistics for one table and bump the
     /// stats epoch. Takes `&self` — tables are behind locks, so analysis
     /// needs no exclusive catalog access.
     pub fn analyze_table(&self, name: &str) -> Result<()> {
-        self.table(name)?.write().analyze()?;
+        self.table(name)?.write().analyze();
         self.stats_epoch.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
@@ -192,7 +202,7 @@ impl Catalog {
     /// epoch once. Returns the number of tables analyzed.
     pub fn analyze_all(&self) -> Result<usize> {
         for t in self.tables.values() {
-            t.write().analyze()?;
+            t.write().analyze();
         }
         self.stats_epoch.fetch_add(1, Ordering::AcqRel);
         Ok(self.tables.len())

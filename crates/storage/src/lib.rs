@@ -41,7 +41,7 @@
 //!
 //! let genre = genre.read();
 //! assert_eq!(genre.len(), 2);
-//! assert_eq!(genre.scan().unwrap()[0], vec![Value::Int(1), Value::str("comedy")]);
+//! assert_eq!(genre.scan()[0], vec![Value::Int(1), Value::str("comedy")]);
 //! ```
 
 pub mod batch;

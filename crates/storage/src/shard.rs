@@ -48,39 +48,22 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         f(shard.get(key))
     }
 
-    /// The `shard.lock` failpoint, evaluated while a shard *write* lock is
-    /// held: `delay` stretches the critical section, `panic` poisons the
-    /// lock — which the [`RwLock`] wrapper then recovers from, the property
-    /// the chaos suite leans on. An `error` spec cannot travel through the
-    /// closure API, so it escalates to a panic (caught at the service
-    /// boundary like any other).
-    fn lock_failpoint() {
-        if let Some(msg) = pqp_obs::failpoint::fire("shard.lock") {
-            panic!("failpoint shard.lock: {msg}");
-        }
-    }
-
     /// Run `f` under the write lock of `key`'s shard, passing a mutable
     /// handle to the whole shard map (so callers can insert, remove or
     /// update the entry for `key`).
     pub fn write<R>(&self, key: &K, f: impl FnOnce(&mut HashMap<K, V>) -> R) -> R {
         let mut shard = self.shards[self.shard_of(key)].write();
-        Self::lock_failpoint();
         f(&mut shard)
     }
 
     /// Insert a value, returning the previous one.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        let mut shard = self.shards[self.shard_of(&key)].write();
-        Self::lock_failpoint();
-        shard.insert(key, value)
+        self.shards[self.shard_of(&key)].write().insert(key, value)
     }
 
     /// Remove a key, returning its value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let mut shard = self.shards[self.shard_of(key)].write();
-        Self::lock_failpoint();
-        shard.remove(key)
+        self.shards[self.shard_of(key)].write().remove(key)
     }
 
     /// Whether the key is present.
@@ -128,15 +111,7 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex, MutexGuard};
-
-    /// Every test that write-locks a shard holds this: the armed `shard.lock`
-    /// failpoint is process-global and panics whichever writer reaches it
-    /// first.
-    fn serial() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use std::sync::Arc;
 
     fn get_cloned<K: Hash + Eq, V: Clone>(m: &ShardedMap<K, V>, key: &K) -> Option<V> {
         m.read(key, |v| v.cloned())
@@ -155,7 +130,6 @@ mod tests {
 
     #[test]
     fn basic_map_operations() {
-        let _serial = serial();
         let m: ShardedMap<String, i32> = ShardedMap::new(4);
         assert!(m.is_empty());
         assert_eq!(m.insert("a".into(), 1), None);
@@ -175,7 +149,6 @@ mod tests {
 
     #[test]
     fn write_closure_edits_in_place() {
-        let _serial = serial();
         let m: ShardedMap<String, Vec<i32>> = ShardedMap::new(2);
         m.insert("k".into(), vec![1]);
         m.write(&"k".into(), |shard| shard.get_mut("k").unwrap().push(2));
@@ -184,7 +157,6 @@ mod tests {
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let _serial = serial();
         let m: ShardedMap<i32, i32> = ShardedMap::new(0);
         assert_eq!(m.shard_count(), 1);
         m.insert(1, 1);
@@ -193,7 +165,6 @@ mod tests {
 
     #[test]
     fn panic_holding_a_shard_lock_does_not_wedge_later_access() {
-        let _serial = serial();
         // Regression: a panic while a shard's write lock is held poisons the
         // std lock; the sync wrapper must recover so subsequent queries on
         // that shard still work (and see consistent pre-panic state).
@@ -217,25 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_lock_failpoint_panic_is_survivable() {
-        let _serial = serial();
-        let m: Arc<ShardedMap<String, i32>> = Arc::new(ShardedMap::new(2));
-        m.insert("a".into(), 1);
-        pqp_obs::failpoint::configure("shard.lock", "1*panic(chaos)").unwrap();
-        let m2 = Arc::clone(&m);
-        let r = std::thread::spawn(move || m2.insert("a".into(), 2)).join();
-        pqp_obs::failpoint::remove("shard.lock");
-        assert!(r.is_err(), "failpoint must panic the mutating thread");
-        // The poisoned shard recovers and the pre-panic value is intact
-        // (the panic fired before the insert mutated the map).
-        assert_eq!(get_cloned(&m, &"a".into()), Some(1));
-        m.insert("a".into(), 5);
-        assert_eq!(get_cloned(&m, &"a".into()), Some(5));
-    }
-
-    #[test]
     fn concurrent_mixed_access() {
-        let _serial = serial();
         let m: Arc<ShardedMap<u32, u64>> = Arc::new(ShardedMap::new(4));
         std::thread::scope(|s| {
             for t in 0..4u32 {

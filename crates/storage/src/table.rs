@@ -190,22 +190,18 @@ impl Table {
 
     /// The rows as column chunks, in insertion order: every chunk but the
     /// last holds exactly [`BATCH_SIZE`] rows. This is the executor's scan,
-    /// and [`Table::scan`]'s: when the `storage.scan` failpoint is armed, it
-    /// fails with an injected error before any row is read.
-    pub fn chunks(&self) -> Result<&[Batch]> {
-        if let Some(msg) = pqp_obs::failpoint::fire("storage.scan") {
-            return Err(StorageError::Corrupt(format!("injected: {msg}")));
-        }
-        Ok(&self.chunks)
+    /// and [`Table::scan`]'s.
+    pub fn chunks(&self) -> &[Batch] {
+        &self.chunks
     }
 
     /// Materialize all rows, in insertion order.
-    pub fn scan(&self) -> Result<Vec<Row>> {
+    pub fn scan(&self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.len);
-        for chunk in self.chunks()? {
+        for chunk in &self.chunks {
             chunk.append_rows(&mut rows);
         }
-        Ok(rows)
+        rows
     }
 
     /// Append the values of the row at ordinal `ord` (from
@@ -224,11 +220,11 @@ impl Table {
     /// Scan the table and (re)collect its statistics snapshot. Returns the
     /// fresh stats. O(rows · columns · log rows) — per-column sorts for NDV
     /// and the equi-depth histograms.
-    pub fn analyze(&mut self) -> Result<Arc<TableStats>> {
-        let rows = self.scan()?;
+    pub fn analyze(&mut self) -> Arc<TableStats> {
+        let rows = self.scan();
         let stats = Arc::new(TableStats::collect(&rows, self.schema.arity()));
         self.stats = Some(stats.clone());
-        Ok(stats)
+        stats
     }
 
     /// The statistics snapshot from the last [`Table::analyze`], if any.
@@ -275,7 +271,7 @@ mod tests {
         t.insert(vec![Value::Int(1), Value::str("Alien"), Value::Int(1979)]).unwrap();
         t.insert(vec![Value::Int(2), Value::str("Brazil"), Value::Null]).unwrap();
         assert_eq!(t.len(), 2);
-        let rows = t.scan().unwrap();
+        let rows = t.scan();
         assert_eq!(rows[0][1], Value::str("Alien"));
         assert_eq!(rows[1][2], Value::Null);
     }
@@ -378,7 +374,7 @@ mod tests {
         let mut t = Table::new(TableSchema::new("T", vec![ColumnDef::new("x", DataType::Float)]));
         t.insert(vec![Value::Int(2)]).unwrap();
         t.insert(vec![Value::Float(-0.0)]).unwrap();
-        let rows = t.scan().unwrap();
+        let rows = t.scan();
         assert_eq!(rows[0][0], Value::Float(2.0));
         assert_eq!(rows[1][0].to_string(), "0");
     }
@@ -388,7 +384,7 @@ mod tests {
         let mut t = movie_table();
         t.insert(vec![Value::Int(1), Value::str("same"), Value::Null]).unwrap();
         t.insert(vec![Value::Int(2), Value::str("same"), Value::Null]).unwrap();
-        let rows = t.scan().unwrap();
+        let rows = t.scan();
         let ptr = |r: &Row| r[1].as_str().map(str::as_ptr);
         assert_eq!(ptr(&rows[0]), ptr(&rows[1]));
     }
@@ -399,7 +395,7 @@ mod tests {
         for i in 0..(2 * BATCH_SIZE + 5) as i64 {
             t.insert(vec![Value::Int(i), Value::str("t"), Value::Null]).unwrap();
         }
-        let sizes = |t: &Table| t.chunks().unwrap().iter().map(Batch::len).collect::<Vec<_>>();
+        let sizes = |t: &Table| t.chunks().iter().map(Batch::len).collect::<Vec<_>>();
         assert_eq!(sizes(&t), [BATCH_SIZE, BATCH_SIZE, 5]);
         // Deleting from the first chunk packs the survivors again.
         t.delete_where(|r| Ok::<_, StorageError>(r[0].as_i64().is_some_and(|i| i % 100 == 0)))

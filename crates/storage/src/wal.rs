@@ -30,12 +30,6 @@
 //! Everything before the truncation point is intact and replayable. A
 //! snapshot that fails its own CRC is unrecoverable state and surfaces as
 //! [`StorageError::Corrupt`] — it is never silently dropped.
-//!
-//! # Failpoints
-//!
-//! `wal.append` fires before a record is written, `wal.fsync` before the
-//! data sync; both surface as [`StorageError::Io`] on an `error` action,
-//! and a `delay` action widens the crash window for kill-based tests.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -213,9 +207,6 @@ impl Wal {
     /// Append one record, returning its sequence number. The record is
     /// *not* durable until the next [`Wal::sync`] completes.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
-        if let Some(msg) = pqp_obs::failpoint::fire("wal.append") {
-            return Err(StorageError::Io(format!("wal.append failpoint: {msg}")));
-        }
         let framed_len = SEQ_BYTES + payload.len();
         if framed_len > MAX_RECORD_LEN as usize {
             return Err(StorageError::Io(format!(
@@ -240,9 +231,6 @@ impl Wal {
     /// Make every appended record durable (`fdatasync`). After `Ok`,
     /// [`Wal::synced_seq`] equals [`Wal::last_seq`].
     pub fn sync(&mut self) -> Result<()> {
-        if let Some(msg) = pqp_obs::failpoint::fire("wal.fsync") {
-            return Err(StorageError::Io(format!("wal.fsync failpoint: {msg}")));
-        }
         self.file.sync_data().map_err(|e| io_err("fsync wal", e))?;
         self.synced_seq = self.last_seq();
         Ok(())
@@ -683,30 +671,6 @@ mod tests {
         assert_eq!(rec.snapshot.expect("snapshot").last_seq, 42);
         assert_eq!(rec.records.len(), 1);
         assert_eq!(rec.records[0].seq, 43);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn failpoints_surface_as_typed_io_errors() {
-        let dir = tmpdir("failpoint");
-        let (mut wal, _) = Wal::open(&dir).unwrap();
-        pqp_obs::failpoint::configure("wal.append", "1*error(disk full)").unwrap();
-        match wal.append(b"x") {
-            Err(StorageError::Io(msg)) => assert!(msg.contains("disk full")),
-            other => panic!("expected Io error, got {other:?}"),
-        }
-        // One-shot spec: the next append goes through.
-        assert_eq!(wal.append(b"x").unwrap(), 1);
-        pqp_obs::failpoint::configure("wal.fsync", "1*error(sync lost)").unwrap();
-        match wal.sync() {
-            Err(StorageError::Io(msg)) => assert!(msg.contains("sync lost")),
-            other => panic!("expected Io error, got {other:?}"),
-        }
-        assert_eq!(wal.synced_seq(), 0, "failed sync must not advance durability");
-        wal.sync().unwrap();
-        assert_eq!(wal.synced_seq(), 1);
-        pqp_obs::failpoint::remove("wal.append");
-        pqp_obs::failpoint::remove("wal.fsync");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

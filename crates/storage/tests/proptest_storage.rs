@@ -82,13 +82,13 @@ fn stored(mut row: Row) -> Row {
 /// same length, full chunks, and index hits equal to the model's filter.
 fn check(t: &Table, model: &[Row], rng: &mut SmallRng) {
     assert_eq!(t.len(), model.len());
-    let rows = t.scan().unwrap();
+    let rows = t.scan();
     assert_eq!(rows, model);
     for (r, m) in rows.iter().zip(model) {
         // Equality treats -0.0 as 0.0; the stored form must print as 0.
         assert_eq!(r[2].to_string(), m[2].to_string());
     }
-    let sizes: Vec<usize> = t.chunks().unwrap().iter().map(Batch::len).collect();
+    let sizes: Vec<usize> = t.chunks().iter().map(Batch::len).collect();
     if let Some((_, full)) = sizes.split_last() {
         assert!(full.iter().all(|&n| n == BATCH_SIZE), "chunk sizes {sizes:?}");
     }
@@ -176,7 +176,7 @@ fn table_matches_a_vec_model() {
         check(&t, &model, &mut rng);
         // Deleting everything leaves an empty table that still takes rows.
         t.delete_where(|_| Ok::<_, ()>(true)).unwrap();
-        assert!(t.is_empty() && t.chunks().unwrap().is_empty());
+        assert!(t.is_empty() && t.chunks().is_empty());
         t.insert(arb_row(&mut rng, 0)).unwrap();
         assert_eq!(t.len(), 1);
     }

@@ -12,8 +12,6 @@ use pqp_core::{PersonalizeOptions, Rewrite};
 use pqp_datagen::{generate, generate_profiles, MovieDbConfig, ProfileGenConfig};
 
 fn main() -> Result<(), pqp::Error> {
-    pqp::obs::failpoint::init_from_env();
-
     // 1. A service over a synthetic movies database, serving MQ rewrites
     //    with the top-3 preferences per query.
     let m = generate(MovieDbConfig { movies: 200, theatres: 8, ..Default::default() });
@@ -25,6 +23,9 @@ fn main() -> Result<(), pqp::Error> {
             ..ServiceConfig::from_env()
         },
     );
+    if let Err(e) = service.failpoints().configure_from_env() {
+        eprintln!("PQP_FAILPOINTS ignored: {e}");
+    }
 
     // 2. Install a few generated user profiles. Any later mutation bumps
     //    the user's epoch and lazily invalidates their cached plans.

@@ -25,16 +25,6 @@ RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test concurr
 echo "==> telemetry tests (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test telemetry -q
 
-# The failpoint-using suites — service chaos (faults at every named site),
-# the network edge (TCP integration, protocol robustness, server-boundary
-# chaos) and replication (crash recovery, kill -9 differential, failover)
-# — once more under a serial schedule: the workspace run above was their
-# default-schedule run, and session-thread interleavings differ serially.
-echo "==> chaos suite (RUST_TEST_THREADS=1)"
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test chaos -q
-echo "==> server + replication suites (RUST_TEST_THREADS=1)"
-RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-server -q
-
 # No new unwrap()/expect() in non-test serving-path code (panics there
 # take lock-holding threads down mid-query; use typed errors instead).
 echo "==> unwrap/expect gate (service, core, engine, storage, wire, server, sql, obs)"

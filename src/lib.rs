@@ -34,8 +34,8 @@
 //! boundaries, with typed [`Error::BudgetExceeded`] aborts carrying
 //! partial-progress counters, graceful degradation of personalization
 //! ([`DegradeLevel`]), admission control, and panic isolation. A zero-dep
-//! failpoint registry ([`obs::failpoint`], `PQP_FAILPOINTS`) injects
-//! faults at named sites for chaos testing.
+//! failpoint registry per catalog ([`obs::failpoint`], `PQP_FAILPOINTS`)
+//! injects faults at named sites for chaos testing.
 //!
 //! See `examples/quickstart.rs` for the five-minute tour,
 //! `examples/service.rs` for the serving layer, and DESIGN.md for the

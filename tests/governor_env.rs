@@ -2,16 +2,14 @@
 //! `PQP_MAX_ROWS_SCANNED`, `PQP_MAX_MEMORY_BYTES`, `PQP_MAX_IN_FLIGHT`,
 //! `PQP_FAILPOINTS`, `PQP_FAILPOINT_SEED`).
 //!
-//! `ServiceConfig::from_env` and `failpoint::init_from_env` are the only
-//! readers; `ServiceConfig::default()` is a constant. Lives in its own test
-//! binary — and in a single test function — because it mutates
-//! process-global environment variables and `failpoint::init_from_env`
-//! applies them once per process.
+//! `ServiceConfig::from_env` and `Failpoints::configure_from_env` are the
+//! only readers; `ServiceConfig::default()` is a constant. Lives in its own
+//! test binary — and in a single test function — because it mutates
+//! process-global environment variables.
 
 mod common;
 
 use pqp::core::{PersonalizeOptions, Rewrite};
-use pqp::obs::failpoint;
 use pqp::{Budget, Error, Service, ServiceConfig};
 use std::time::Duration;
 
@@ -38,11 +36,9 @@ fn env_vars_shape_the_default_budget_admission_and_failpoints() {
     std::env::set_var("PQP_DEADLINE_MS", "not-a-number");
     assert_eq!(Budget::from_env().deadline, None);
 
-    // `PQP_FAILPOINTS` arms sites when the binary calls `init_from_env`
-    // (constructing a service does not).
-    std::env::set_var("PQP_FAILPOINTS", "service.query=1*error(armed from env)");
+    // `PQP_FAILPOINTS` arms sites when the binary applies it to the
+    // registry of the catalog it built (constructing a service does not).
     std::env::set_var("PQP_FAILPOINT_SEED", "42");
-    failpoint::init_from_env();
     let service = Service::with_config(
         common::paper_db(),
         ServiceConfig {
@@ -52,6 +48,13 @@ fn env_vars_shape_the_default_budget_admission_and_failpoints() {
         },
     );
     service.install_profile(common::julie()).unwrap();
+    assert!(service.failpoints().active_sites().is_empty());
+    // A typo anywhere in the spec is reported and arms nothing.
+    std::env::set_var("PQP_FAILPOINTS", "service.query=1*error(armed from env); nope");
+    assert!(service.failpoints().configure_from_env().is_err());
+    assert!(service.failpoints().active_sites().is_empty());
+    std::env::set_var("PQP_FAILPOINTS", "service.query=1*error(armed from env)");
+    service.failpoints().configure_from_env().unwrap();
     let sql = "select MV.title from MOVIE MV";
     match service.session("julie").query(sql) {
         Err(Error::Internal(m)) => assert!(m.contains("armed from env"), "{m}"),
@@ -60,7 +63,6 @@ fn env_vars_shape_the_default_budget_admission_and_failpoints() {
     // The count-limited failpoint is spent; the service serves normally.
     assert!(service.session("julie").query(sql).is_ok());
 
-    failpoint::clear();
     for var in [
         "PQP_DEADLINE_MS",
         "PQP_MAX_ROWS_SCANNED",
