@@ -1,22 +1,26 @@
 //! One connection = one session: handshake, then a strict
 //! request/response loop until close, disconnect, timeout, or a
-//! frame-level protocol violation.
+//! frame-level protocol violation. The session thread moves frames;
+//! queries and prepares run on the server's worker pool ([`crate::pool`]),
+//! mutations and `Show` here.
 //!
 //! The first frame routes the connection: a replication request tag
 //! hands the stream to the peer loop ([`peer_session`]); anything else
 //! must be a client `Hello`.
 
-use std::io::{BufWriter, ErrorKind, Write};
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use pqp_service::{Error, UserId};
+use pqp_service::{Error, Service, UserId};
 use pqp_wire::frame::{read_frame, write_frame, FrameError};
 use pqp_wire::proto::{ProfileOp, Request, Response, ShowRequest, WireError};
 use pqp_wire::repl::{is_repl_request, ReplRequest, ReplResponse};
 use pqp_wire::{MAX_FRAME_LEN, PROTOCOL_VERSION};
 
+use crate::pool::{Encoded, Reply};
 use crate::repl::PeerLink;
 use crate::Shared;
 
@@ -58,7 +62,7 @@ fn session(shared: &Shared, stream: TcpStream) -> std::io::Result<Close> {
     stream.set_write_timeout(shared.config.write_timeout)?;
     stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
 
     // The first frame routes the connection: replication tags go to the
     // peer loop, everything else must be a client Hello.
@@ -100,7 +104,8 @@ fn session(shared: &Shared, stream: TcpStream) -> std::io::Result<Close> {
             return Ok(Close::Protocol);
         }
     };
-    let user = UserId::from(user.as_str());
+    let user = Arc::new(UserId::from(user.as_str()));
+    let reply = Reply::new();
     send(
         &mut writer,
         &Response::HelloOk { version: PROTOCOL_VERSION, server: shared.config.name.clone() },
@@ -136,27 +141,45 @@ fn session(shared: &Shared, stream: TcpStream) -> std::io::Result<Close> {
             send(&mut writer, &Response::Bye)?;
             return Ok(Close::Clean);
         }
-        // The dispatch boundary is failpoint-instrumented and
-        // panic-isolated: an injected (or real) panic costs one request,
-        // never the process.
-        let response = match catch_unwind(AssertUnwindSafe(|| dispatch(shared, &user, request))) {
-            Ok(resp) => resp,
-            Err(_) => {
-                pqp_obs::counter_add("server.panics_caught", 1);
-                Response::Error(WireError::from_error(&Error::Internal(
-                    "request handler panicked".to_string(),
-                )))
-            }
+        // A mutation waits on the WAL fsync and the follower ack, so it runs
+        // here: a dead follower must not hold a worker that every read needs.
+        // SHOW runs here too: it must answer while every worker is busy.
+        let (tag, payload) = match request {
+            Request::Mutate(op) => guarded(&shared.service, || mutate(shared, &user, op)),
+            Request::Show(_) => answer(&shared.service, &user, request),
+            _ => shared.pool.run(&user, request, &reply),
         };
-        send(&mut writer, &response)?;
+        send_encoded(&mut writer, tag, &payload)?;
     }
 }
 
-fn dispatch(shared: &Shared, user: &UserId, request: Request) -> Response {
-    let service = &shared.service;
-    if let Some(msg) = service.failpoints().fire("server.frame") {
-        return Response::Error(WireError::from_error(&Error::Internal(msg)));
-    }
+/// Run one read request (`Query`, `Prepare`, `Show`) to its encoded
+/// response.
+pub(crate) fn answer(service: &Service, user: &UserId, request: Request) -> Encoded {
+    guarded(service, || dispatch(service, user, request))
+}
+
+/// The dispatch boundary, failpoint-instrumented and panic-isolated: an
+/// injected (or real) panic costs one request, never the process (nor a
+/// pool worker).
+fn guarded(service: &Service, handle: impl FnOnce() -> Response) -> Encoded {
+    let answered = catch_unwind(AssertUnwindSafe(|| {
+        match service.failpoints().fire("server.frame") {
+            Some(msg) => Response::Error(WireError::from_error(&Error::Internal(msg))),
+            None => handle(),
+        }
+        .encode()
+    }));
+    answered.unwrap_or_else(|_| {
+        pqp_obs::counter_add("server.panics_caught", 1);
+        Response::Error(WireError::from_error(&Error::Internal(
+            "request handler panicked".to_string(),
+        )))
+        .encode()
+    })
+}
+
+fn dispatch(service: &Service, user: &UserId, request: Request) -> Response {
     match request {
         Request::Query { sql, options, rewrite } => {
             let options = options.unwrap_or_else(|| service.config().options);
@@ -169,40 +192,6 @@ fn dispatch(shared: &Shared, user: &UserId, request: Request) -> Response {
         Request::Prepare { sql } => match service.prepare_sql(&sql) {
             Ok(canonical) => Response::PrepareOk { canonical },
             Err(e) => Response::Error(WireError::from_error(&e)),
-        },
-        // With a replication engine, mutations go through the WAL + log
-        // shipping (leader only); otherwise they apply directly.
-        Request::Mutate(op) => match &shared.repl {
-            Some(node) => match node.client_mutate(user, op) {
-                Ok((epoch, removed)) => Response::MutateOk { epoch, removed },
-                Err(e) => Response::Error(WireError::from_error(&e)),
-            },
-            None => {
-                let result = match op {
-                    ProfileOp::AddSelection { table, column, value, doi } => service
-                        .add_selection(user.clone(), &table, &column, value, doi)
-                        .map(|_| true),
-                    ProfileOp::AddJoin { from_table, from_column, to_table, to_column, doi } => {
-                        service
-                            .add_join(
-                                user.clone(),
-                                &from_table,
-                                &from_column,
-                                &to_table,
-                                &to_column,
-                                doi,
-                            )
-                            .map(|_| true)
-                    }
-                    ProfileOp::Remove => Ok(service.remove_profile(user.clone())),
-                };
-                match result {
-                    Ok(removed) => {
-                        Response::MutateOk { epoch: service.epoch(user.clone()), removed }
-                    }
-                    Err(e) => Response::Error(WireError::from_error(&e)),
-                }
-            }
         },
         Request::Show(show) => {
             let sql = match show {
@@ -218,10 +207,36 @@ fn dispatch(shared: &Shared, user: &UserId, request: Request) -> Response {
                 Err(e) => Response::Error(WireError::from_error(&e)),
             }
         }
-        // Handled before dispatch; unreachable only via a logic bug, and
-        // even then it costs one error frame, not the session.
-        Request::Hello { .. } => Response::Error(WireError::protocol("Hello after handshake")),
-        Request::Close => Response::Bye,
+        // The session thread handles these itself; reaching here is a logic
+        // bug, and even then it costs one error frame, not the session.
+        Request::Hello { .. } | Request::Close | Request::Mutate(_) => {
+            Response::Error(WireError::protocol("not a read request"))
+        }
+    }
+}
+
+/// Apply one profile mutation. With a replication engine it goes through
+/// the WAL + log shipping (leader only); otherwise it applies directly.
+fn mutate(shared: &Shared, user: &UserId, op: ProfileOp) -> Response {
+    let service = &shared.service;
+    if let Some(node) = &shared.repl {
+        return match node.client_mutate(user, op) {
+            Ok((epoch, removed)) => Response::MutateOk { epoch, removed },
+            Err(e) => Response::Error(WireError::from_error(&e)),
+        };
+    }
+    let result = match op {
+        ProfileOp::AddSelection { table, column, value, doi } => {
+            service.add_selection(user.clone(), &table, &column, value, doi).map(|_| true)
+        }
+        ProfileOp::AddJoin { from_table, from_column, to_table, to_column, doi } => service
+            .add_join(user.clone(), &from_table, &from_column, &to_table, &to_column, doi)
+            .map(|_| true),
+        ProfileOp::Remove => Ok(service.remove_profile(user.clone())),
+    };
+    match result {
+        Ok(removed) => Response::MutateOk { epoch: service.epoch(user.clone()), removed },
+        Err(e) => Response::Error(WireError::from_error(&e)),
     }
 }
 
@@ -232,7 +247,7 @@ fn dispatch(shared: &Shared, user: &UserId, request: Request) -> Response {
 fn peer_session(
     shared: &Shared,
     reader: &mut TcpStream,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut TcpStream,
     mut tag: u8,
     mut payload: Vec<u8>,
 ) -> std::io::Result<Close> {
@@ -266,7 +281,6 @@ fn peer_session(
         write_frame(writer, t, &p).inspect_err(|_| {
             pqp_obs::counter_add("server.write_failed", 1);
         })?;
-        writer.flush()?;
         match read_raw(reader) {
             Ok((t, p)) => {
                 tag = t;
@@ -311,13 +325,16 @@ fn read_request(reader: &mut TcpStream) -> Result<Request, ReadError> {
     Request::decode(tag, &payload).map_err(ReadError::Malformed)
 }
 
-fn send(writer: &mut BufWriter<TcpStream>, response: &Response) -> std::io::Result<()> {
+fn send(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     let (tag, payload) = response.encode();
-    write_frame(writer, tag, &payload).inspect_err(|_| {
+    send_encoded(writer, tag, &payload)
+}
+
+fn send_encoded(writer: &mut TcpStream, tag: u8, payload: &[u8]) -> std::io::Result<()> {
+    write_frame(writer, tag, payload).inspect_err(|_| {
         // A failed response write is the mid-query-disconnect path: the
         // query already ran (and released its in-flight slot via RAII);
         // only the delivery failed.
         pqp_obs::counter_add("server.write_failed", 1);
-    })?;
-    writer.flush()
+    })
 }

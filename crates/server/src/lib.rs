@@ -1,10 +1,13 @@
 //! # pqp-server — the TCP session runtime
 //!
-//! Serves a [`Service`] over TCP speaking the `pqp-wire` protocol: a
-//! thread-per-connection runtime where each connection is one user
-//! session (bound at handshake), with read/write timeouts, typed error
-//! frames for every failure, and the service's admission control surfaced
-//! as `Overloaded` frames at the network edge.
+//! Serves a [`Service`] over TCP speaking the `pqp-wire` protocol. Each
+//! connection is one user session (bound at handshake) on its own thread,
+//! which owns the socket, the framing, the read/write timeouts and the
+//! protocol errors. Queries and prepares run on the server's fixed pool of
+//! one worker per CPU, at least two (`pool.rs`); mutations and `Show` run on
+//! the session thread. Every failure is a typed error frame, and the
+//! service's admission control surfaces as `Overloaded` frames at the
+//! network edge.
 //!
 //! The robustness contract at this boundary:
 //!
@@ -38,6 +41,7 @@ use std::time::Duration;
 use pqp_service::Service;
 
 mod conn;
+mod pool;
 pub mod repl;
 pub mod router;
 
@@ -104,6 +108,8 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicU64,
     /// The replication engine, when this node runs a replicated store.
     pub(crate) repl: Option<Arc<repl::ReplNode>>,
+    /// The workers that run every session's reads.
+    pub(crate) pool: pool::Pool,
 }
 
 /// A bound-but-not-yet-running server. [`Server::run`] blocks the calling
@@ -131,6 +137,7 @@ impl Server {
         repl: Option<Arc<repl::ReplNode>>,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let pool = pool::Pool::start(&service)?;
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -140,6 +147,7 @@ impl Server {
                 connections: AtomicU64::new(0),
                 active: AtomicU64::new(0),
                 repl,
+                pool,
             }),
         })
     }
@@ -150,7 +158,8 @@ impl Server {
     }
 
     /// Accept connections until shutdown, spawning one session thread per
-    /// connection. Blocks the calling thread.
+    /// connection; the session threads hand reads to the worker pool.
+    /// Blocks the calling thread.
     pub fn run(self) {
         let Server { listener, shared } = self;
         Self::accept_loop(listener, shared);
@@ -180,7 +189,8 @@ impl Server {
                     let conn_shared = Arc::clone(&shared);
                     // Session threads are detached: they exit when the
                     // client goes away or the read timeout fires, and the
-                    // service outlives them via the Arc.
+                    // service outlives them via the Arc. The workers exit
+                    // once this loop and the last session have dropped it.
                     let spawned = std::thread::Builder::new()
                         .name("pqp-session".to_string())
                         .spawn(move || conn::serve(&conn_shared, stream));
@@ -233,7 +243,8 @@ impl ServerHandle {
     }
 
     /// Stop accepting, wake the accept loop, and join it. Open sessions
-    /// drain on their own (client close or read timeout).
+    /// drain on their own (client close or read timeout); the worker pool
+    /// exits after the last of them.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The accept loop blocks in accept(); poke it with a throwaway

@@ -61,6 +61,45 @@ fn saturation_returns_typed_overloaded_frames() {
 }
 
 #[test]
+fn a_limit_at_the_pool_size_still_refuses_instead_of_queueing() {
+    // The pool runs one query per worker, so with the limit at the pool
+    // size the next query would wait for a worker; it is refused instead.
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let handle = start(service_with_config(ServiceConfig {
+        max_in_flight: workers,
+        ..ServiceConfig::default()
+    }));
+    assert_eq!(handle.service().telemetry().snapshot().pool_workers as usize, workers);
+    handle.service().failpoints().configure("service.query", "delay(400)").unwrap();
+
+    let addr = handle.addr();
+    let slow: Vec<_> = (0..workers)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, ClientConfig::new("ana")).unwrap();
+                let result = client.query(Q);
+                client.close();
+                result
+            })
+        })
+        .collect();
+    wait_until("every worker runs a query", || handle.service().in_flight() == workers);
+    let mut client = Client::connect(addr, ClientConfig::new("bob")).unwrap();
+    match client.query(Q).unwrap_err() {
+        Error::Overloaded { in_flight, max } => assert_eq!((in_flight, max), (workers, workers)),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+
+    for query in slow {
+        assert!(query.join().unwrap().is_ok(), "every admitted query completed");
+    }
+    handle.service().failpoints().clear();
+    assert!(client.query(Q).is_ok(), "retry succeeds once a worker frees");
+    client.close();
+    handle.shutdown();
+}
+
+#[test]
 fn injected_errors_at_the_dispatch_boundary_cost_one_request() {
     let handle = start(service_with_ana());
     let mut client = Client::connect(handle.addr(), ClientConfig::new("ana")).unwrap();

@@ -1,19 +1,23 @@
 //! Protocol robustness at the network edge: malformed and truncated
 //! frames, oversized-frame rejection, byte-at-a-time partial reads,
 //! handshake version mismatches — the server answers with typed error
-//! frames and never aborts.
+//! frames and never aborts. Frame-level work and mutations never wait for
+//! the query worker pool.
 
 mod common;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use common::{service_with_ana, start, Q};
-use pqp_service::{ErrorCode, QueryApi};
+use common::{service_with_ana, service_with_config, start, Q};
+use pqp_service::{ErrorCode, QueryApi, ServiceConfig};
+use pqp_storage::Value;
 use pqp_wire::{
-    read_frame, write_frame, Client, ClientConfig, FrameError, Request, Response, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, Client, ClientConfig, FrameError, ProfileOp, Request, Response,
+    ShowRequest, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Raw socket helper: a connection that speaks frames by hand.
@@ -193,6 +197,112 @@ fn abrupt_disconnect_before_handshake_is_harmless() {
     }
     let mut client = Client::connect(handle.addr(), ClientConfig::new("ana")).unwrap();
     assert!(client.query(Q).is_ok());
+    client.close();
+    handle.shutdown();
+}
+
+#[test]
+fn held_workers_never_delay_handshakes_protocol_errors_mutations_or_show() {
+    let handle =
+        start(service_with_config(ServiceConfig { max_in_flight: 0, ..ServiceConfig::default() }));
+    let workers = handle.service().telemetry().snapshot().pool_workers as usize;
+    assert!(workers >= 2, "the pool has at least two workers, got {workers}");
+    handle.service().failpoints().configure("service.query", "delay(300)").unwrap();
+
+    // One slow query per worker holds the whole pool.
+    let addr = handle.addr();
+    let finished = Arc::new(AtomicUsize::new(0));
+    let held: Vec<_> = (0..workers)
+        .map(|_| {
+            let finished = Arc::clone(&finished);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, ClientConfig::new("ana")).unwrap();
+                let result = client.query(Q);
+                finished.fetch_add(1, Ordering::SeqCst);
+                client.close();
+                result
+            })
+        })
+        .collect();
+    wait_until("every worker is held", || handle.service().in_flight() == workers);
+    // No admission limit: one more query queues for a worker.
+    let queued = std::thread::spawn(move || {
+        let mut client = Client::connect(addr, ClientConfig::new("ana")).unwrap();
+        let result = client.query(Q);
+        client.close();
+        result
+    });
+
+    let quick = |what: &str, started: Instant| {
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "{what} took {took:?} with every worker held");
+    };
+    let started = Instant::now();
+    let mut stream = raw_connect(addr);
+    handshake(&mut stream, "bob");
+    quick("a Hello", started);
+
+    let started = Instant::now();
+    write_frame(&mut stream, 0x02, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
+    assert_protocol_error(recv_response(&mut stream));
+    quick("a malformed payload's protocol frame", started);
+
+    let started = Instant::now();
+    send_request(
+        &mut stream,
+        &Request::Mutate(ProfileOp::AddSelection {
+            table: "GENRE".into(),
+            column: "genre".into(),
+            value: Value::str("drama"),
+            doi: 0.7,
+        }),
+    );
+    match recv_response(&mut stream) {
+        Response::MutateOk { .. } => {}
+        other => panic!("the mutation failed: {other:?}"),
+    }
+    quick("a mutation", started);
+
+    let started = Instant::now();
+    send_request(&mut stream, &Request::Show(ShowRequest::Metrics));
+    match recv_response(&mut stream) {
+        Response::Answer(_) => {}
+        other => panic!("SHOW METRICS failed: {other:?}"),
+    }
+    quick("a SHOW METRICS", started);
+    assert_eq!(finished.load(Ordering::SeqCst), 0, "the pool was held throughout");
+
+    for slow in held {
+        assert!(slow.join().unwrap().is_ok(), "a held query completed");
+    }
+    assert!(queued.join().unwrap().is_ok(), "the queued query ran once a worker freed");
+    let waited_us = handle.service().telemetry().snapshot().pool_wait_us.quantile(1.0);
+    assert!(waited_us >= 100_000.0, "the queued query waited for a worker ({waited_us} us)");
+    handle.shutdown();
+}
+
+#[test]
+fn pool_size_and_wait_show_in_show_metrics() {
+    let handle = start(service_with_ana());
+    let mut client = Client::connect(handle.addr(), ClientConfig::new("ana")).unwrap();
+    client.query(Q).unwrap();
+    let metrics = client.show(ShowRequest::Metrics).unwrap();
+    let value = |name: &str| {
+        let row = metrics.rows.rows.iter().find(|row| row[0] == Value::str(name));
+        row.unwrap_or_else(|| panic!("SHOW METRICS has no {name} row")).clone()
+    };
+    match &value("server.pool.workers")[1] {
+        Value::Int(n) => assert!(*n >= 2, "at least two workers, got {n}"),
+        other => panic!("server.pool.workers is {other:?}"),
+    }
+    // The query waited for a worker; the SHOW ran on the session thread.
+    assert_eq!(value("server.pool.wait_us.count")[1], Value::Int(1));
+    for quantile in ["p50", "p99", "max"] {
+        match &value(&format!("server.pool.wait_us.{quantile}"))[1] {
+            Value::Float(us) => assert!(*us >= 0.0),
+            other => panic!("server.pool.wait_us.{quantile} is {other:?}"),
+        }
+    }
     client.close();
     handle.shutdown();
 }

@@ -24,7 +24,7 @@
 
 use crate::DegradeLevel;
 use pqp_engine::ResultSet;
-use pqp_obs::{Json, WindowSnapshot, WindowedHistogram};
+use pqp_obs::{Histogram, Json, WindowSnapshot, WindowedHistogram};
 use pqp_storage::Value;
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
@@ -32,6 +32,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Configuration of the telemetry subsystem. The two knobs with an
 /// environment override get it from
@@ -350,6 +351,11 @@ pub struct TelemetrySnapshot {
     /// Replication state, when this service runs under a replicated
     /// mutation log (`None` on single-node deployments).
     pub repl: Option<ReplStatus>,
+    /// Worker threads of the TCP server fronting this service (0 when no
+    /// server has started a pool).
+    pub pool_workers: u64,
+    /// Each pooled request's wait for a worker, in microseconds.
+    pub pool_wait_us: Histogram,
 }
 
 /// The service's always-on telemetry: the query log plus O(1) aggregates.
@@ -371,6 +377,8 @@ pub struct Telemetry {
     strategy_native_rank: AtomicU64,
     degrade_rungs: [AtomicU64; DegradeLevel::LADDER.len() - 1],
     repl: Mutex<Option<ReplStatus>>,
+    pool_workers: AtomicU64,
+    pool_wait_us: Mutex<Histogram>,
 }
 
 impl Telemetry {
@@ -393,6 +401,8 @@ impl Telemetry {
             strategy_native_rank: AtomicU64::new(0),
             degrade_rungs: Default::default(),
             repl: Mutex::new(None),
+            pool_workers: AtomicU64::new(0),
+            pool_wait_us: Mutex::new(Histogram::new()),
         }
     }
 
@@ -451,6 +461,18 @@ impl Telemetry {
         self.repl.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
+    /// Publish the size of the server's worker pool (`server.pool.workers`).
+    pub fn set_pool_workers(&self, workers: usize) {
+        self.pool_workers.store(workers as u64, Ordering::Relaxed);
+    }
+
+    /// Record how long one request queued for a pool worker
+    /// (`server.pool.wait_us`).
+    pub fn record_pool_wait(&self, wait: Duration) {
+        let us = wait.as_secs_f64() * 1e6;
+        self.pool_wait_us.lock().unwrap_or_else(|e| e.into_inner()).record(us);
+    }
+
     /// Count one caught panic (the query itself is also recorded, as an
     /// internal error).
     pub(crate) fn note_panic(&self) {
@@ -487,6 +509,8 @@ impl Telemetry {
             degrade_rungs: std::array::from_fn(|i| self.degrade_rungs[i].load(Ordering::Relaxed)),
             latency_ms: self.latency_ms.snapshot(),
             repl: self.repl_status(),
+            pool_workers: self.pool_workers.load(Ordering::Relaxed),
+            pool_wait_us: self.pool_wait_us.lock().unwrap_or_else(|e| e.into_inner()).clone(),
         }
     }
 
@@ -545,6 +569,14 @@ impl Telemetry {
             float("repl.fsync_p99_ms", repl.fsync_p99_ms, &mut rows);
             float("repl.ship_p50_ms", repl.ship_p50_ms, &mut rows);
             float("repl.ship_p99_ms", repl.ship_p99_ms, &mut rows);
+        }
+        if snap.pool_workers > 0 {
+            let wait = &snap.pool_wait_us;
+            int("server.pool.workers", snap.pool_workers, &mut rows);
+            int("server.pool.wait_us.count", wait.count() as u64, &mut rows);
+            float("server.pool.wait_us.p50", wait.p50(), &mut rows);
+            float("server.pool.wait_us.p99", wait.p99(), &mut rows);
+            float("server.pool.wait_us.max", wait.quantile(1.0), &mut rows);
         }
         ResultSet { columns: vec!["metric".to_string(), "value".to_string()], rows }
     }

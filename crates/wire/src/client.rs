@@ -2,7 +2,6 @@
 //! [`QueryApi`] the in-process `Session` implements. Every transport error
 //! surfaces to the caller as it happens.
 
-use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -43,7 +42,7 @@ impl ClientConfig {
 #[derive(Debug)]
 pub struct Client {
     reader: TcpStream,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     config: ClientConfig,
     server: String,
 }
@@ -58,7 +57,7 @@ impl Client {
         stream.set_write_timeout(config.write_timeout).map_err(io_err)?;
         stream.set_nodelay(true).map_err(io_err)?;
         let mut reader = stream.try_clone().map_err(io_err)?;
-        let mut writer = BufWriter::new(stream);
+        let mut writer = stream;
         let hello = Request::Hello { version: PROTOCOL_VERSION, user: config.user.clone() };
         let (tag, payload) = hello.encode();
         write_frame(&mut writer, tag, &payload).map_err(io_err)?;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired before/after runs of one benchmark workload.
 #
-#   scripts/bench_pair.sh [--seed N] <ref-a> <ref-b> <workload> [pairs]
+#   scripts/bench_pair.sh [--seed N] [--out FILE] <ref-a> <ref-b> <workload> [pairs]
 #
 # Checks each ref out into its own `git worktree`, builds both once, then
 # runs `benchmark/run.sh --workload W --trace 0` (with `--seed N` when
@@ -19,15 +19,28 @@
 # than the bound, `unresolved` if A's own quartile distance exceeds it,
 # else `within bound`. Raw values are kept in $BENCH_PAIR_DIR (default: a
 # fresh temporary directory) as <metric>.tsv.
+#
+# With --out FILE, the run is also recorded as one object of the JSON array
+# in FILE (created if missing, appended to otherwise): both sides, the
+# workload and seed; per metric the median, q1, q3, B's wins and ties, the
+# gain verdict and, for an `end_to_end` metric, its bound and no-regression
+# verdict; a host block with nproc, the kernel and each run's
+# host_cpu_stolen_share; and every raw pair.
 set -euo pipefail
 
 seed=
+out=
 args=()
 while [[ $# -gt 0 ]]; do
     case $1 in
         --seed)
             [[ $# -ge 2 ]] || { echo "--seed needs a value" >&2; exit 2; }
             seed=$2
+            shift 2
+            ;;
+        --out)
+            [[ $# -ge 2 ]] || { echo "--out needs a file" >&2; exit 2; }
+            out=$2
             shift 2
             ;;
         *)
@@ -38,7 +51,7 @@ while [[ $# -gt 0 ]]; do
 done
 set -- "${args[@]}"
 if [[ $# -lt 3 || $# -gt 4 ]]; then
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,28p' "$0" >&2
     exit 2
 fi
 ref_a=$1 ref_b=$2 workload=$3 pairs=${4:-10}
@@ -77,9 +90,12 @@ run_side() {
     # Metric lines read "<name> <value> <unit>", optionally "(reported, ...)".
     awk '$1 ~ /^[a-z_0-9.]+$/ && $2 ~ /^-?[0-9.]+$/ && (NF == 3 || $4 ~ /^\(/) { print $1, $2 }' "$log" |
         while read -r name value; do echo "$value" >>"$work/$name.$side"; done
+    # The share of host CPU time stolen by the hypervisor during the run.
+    sed -n 's/.*"host_cpu_stolen_share": *\([-0-9.e]*\).*/\1/p' \
+        "$dir/benchmark/out/$workload.json" | head -n 1 >>"$work/stolen-$side"
 }
 
-rm -f "$work"/*.a "$work"/*.b
+rm -f "$work"/*.a "$work"/*.b "$work"/*.tsv "$work"/stolen-* "$work"/regress-* "$work"/metrics.json
 for ((pair = 1; pair <= pairs; pair++)); do
     if ((pair % 2)); then order="a b"; else order="b a"; fi
     for side in $order; do
@@ -89,7 +105,7 @@ for ((pair = 1; pair <= pairs; pair++)); do
     done
 done
 
-# Shared by both verdict tables: quartiles of the values in v[1..n].
+# Shared by the verdict awk programs: quartiles of the values in v[1..n].
 awk_lib='
     function quantile(v, n, p,    h, lo) {
         h = (n - 1) * p; lo = int(h)
@@ -100,60 +116,124 @@ awk_lib='
         for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
     }'
 
+# The no-regression rule's bounds, read from BENCHMARK.json: one "<name>
+# <bound> <better>" line per object of the `end_to_end` array.
+bounds=$(awk '
+    /"end_to_end"/ { inside = 1; next }
+    inside && /\]/ { exit }
+    inside && /"(name|bound|better)"/ { key = $1; val = $2; gsub(/[":,]/, "", key); gsub(/[",]/, "", val); m[key] = val }
+    inside && /}/ { print m["name"], m["bound"], m["better"]; delete m }
+' "$repo/BENCHMARK.json")
+
 echo "workload $workload, $pairs pairs, seed ${seed:-default}, A = $ref_a, B = $ref_b"
 printf '%-16s %-34s %-34s %-14s %s\n' metric "A median [q1, q3]" "B median [q1, q3]" "B wins/ties" verdict
 for file_a in "$work"/*.a; do
     name=$(basename "$file_a" .a)
     paste "$file_a" "$work/$name.b" >"$work/$name.tsv"
-    # ops_per_s is the one metric of an untraced run where higher is better.
+    read -r bound better < <(awk -v name="$name" '$1 == name { print $2, $3 }' <<<"$bounds") || true
+    # ops_per_s is the one unbounded metric of an untraced run where higher
+    # is better.
     higher=0
-    [[ $name == ops_per_s ]] && higher=1
-    awk -v name="$name" -v higher="$higher" "$awk_lib"'
+    [[ $name == ops_per_s || ${better:-} == higher ]] && higher=1
+    # Prints the gain table's row; writes the no-regression row (bounded
+    # metrics only) to regress-<name> and the metric's JSON to metrics.json.
+    awk -v name="$name" -v higher="$higher" -v bound="${bound:--1}" \
+        -v regress="$work/regress-$name" -v json="$work/metrics.json" "$awk_lib"'
         { n++; a[n] = $1; b[n] = $2
           if ($1 == $2) ties++
           else if ((higher && $2 > $1) || (!higher && $2 < $1)) wins++ }
         END {
             sorted(a, sa, n); sorted(b, sb, n)
             ma = quantile(sa, n, 0.5); mb = quantile(sb, n, 0.5)
-            iqr = quantile(sa, n, 0.75) - quantile(sa, n, 0.25)
+            qa1 = quantile(sa, n, 0.25); qa3 = quantile(sa, n, 0.75)
+            qb1 = quantile(sb, n, 0.25); qb3 = quantile(sb, n, 0.75)
+            iqr = qa3 - qa1
             gap = higher ? mb - ma : ma - mb
             verdict = "unresolved"
             if (wins >= 0.9 * n && gap > iqr) verdict = sprintf("B better by %.1f %%", 100 * gap / ma)
             else if (n - wins - ties >= 0.9 * n && -gap > iqr) verdict = sprintf("B worse by %.1f %%", -100 * gap / ma)
             printf "%-16s %-34s %-34s %-14s %s\n", name,
-                sprintf("%.4g [%.4g, %.4g]", ma, quantile(sa, n, 0.25), quantile(sa, n, 0.75)),
-                sprintf("%.4g [%.4g, %.4g]", mb, quantile(sb, n, 0.25), quantile(sb, n, 0.75)),
+                sprintf("%.4g [%.4g, %.4g]", ma, qa1, qa3),
+                sprintf("%.4g [%.4g, %.4g]", mb, qb1, qb3),
                 sprintf("%d/%d", wins, ties), verdict
+            line = sprintf("    \"%s\": {\"better\": \"%s\", \"a\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}, \"b\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}, \"b_wins\": %d, \"ties\": %d, \"gain_verdict\": \"%s\"",
+                name, higher ? "higher" : "lower", ma, qa1, qa3, mb, qb1, qb3, wins, ties, verdict)
+            if (bound >= 0) {
+                worse = higher ? ma - mb : mb - ma
+                if (iqr > bound * ma) regression = "unresolved"
+                else if (worse > bound * ma) regression = "beyond bound"
+                else regression = "within bound"
+                printf "%-16s %-8s %-12s %s\n", name, sprintf("%.0f %%", 100 * bound),
+                    sprintf("%+.1f %%", 100 * (mb - ma) / ma), regression >regress
+                line = line sprintf(", \"bound\": %g, \"no_regression_verdict\": \"%s\"", bound, regression)
+            }
+            print line "}" >>json
         }' "$work/$name.tsv"
+    bound= better=
 done
 
-# The no-regression rule, read from BENCHMARK.json: one "<name> <bound>
-# <better>" line per object of the `end_to_end` array.
 echo
 echo "no-regression rule (BENCHMARK.json end_to_end bounds)"
 printf '%-16s %-8s %-12s %s\n' metric bound "B vs A" verdict
-awk '
-    /"end_to_end"/ { inside = 1; next }
-    inside && /\]/ { exit }
-    inside && /"(name|bound|better)"/ { key = $1; val = $2; gsub(/[":,]/, "", key); gsub(/[",]/, "", val); m[key] = val }
-    inside && /}/ { print m["name"], m["bound"], m["better"]; delete m }
-' "$repo/BENCHMARK.json" | while read -r name bound better; do
-    if [[ ! -f $work/$name.tsv ]]; then
+while read -r name bound better; do
+    if [[ -f $work/regress-$name ]]; then
+        cat "$work/regress-$name"
+    else
         printf '%-16s %-8s %-12s %s\n' "$name" "$bound" - "not reported"
-        continue
     fi
-    awk -v name="$name" -v bound="$bound" -v higher="$([[ $better == higher ]] && echo 1 || echo 0)" "$awk_lib"'
-        { n++; a[n] = $1; b[n] = $2 }
-        END {
-            sorted(a, sa, n); sorted(b, sb, n)
-            ma = quantile(sa, n, 0.5); mb = quantile(sb, n, 0.5)
-            iqr = quantile(sa, n, 0.75) - quantile(sa, n, 0.25)
-            worse = higher ? ma - mb : mb - ma
-            if (iqr > bound * ma) verdict = "unresolved"
-            else if (worse > bound * ma) verdict = "beyond bound"
-            else verdict = "within bound"
-            printf "%-16s %-8s %-12s %s\n", name, sprintf("%.0f %%", 100 * bound),
-                sprintf("%+.1f %%", 100 * (mb - ma) / ma), verdict
-        }' "$work/$name.tsv"
-done
+done <<<"$bounds"
 echo "raw values: $work/<metric>.tsv (one pair per line: A, B)"
+
+[[ -n $out ]] || exit 0
+json_str() { sed 's/[\\"]/\\&/g; s/.*/"&"/' <<<"$1"; }
+# A side as recorded: a ref as given; a checkout directory as its commit,
+# marked "+uncommitted" when its tree differs from that commit.
+side_label() {
+    [[ -d $1 ]] || { echo "$1"; return; }
+    local head
+    head=$(git -C "$1" rev-parse --short HEAD 2>/dev/null) || { basename "$1"; return; }
+    [[ -z $(git -C "$1" status --porcelain --untracked-files=no) ]] || head+=+uncommitted
+    echo "$head"
+}
+# One array of the run's per-pair host CPU steal shares for one side.
+stolen_list() { paste -sd, "$work/stolen-$1" | sed 's/^/[/; s/$/]/'; }
+# Every raw pair: which side ran first, then each side's metric values.
+raw_pairs=$(awk '
+    FNR == 1 { name = FILENAME; sub(/.*\//, "", name); sub(/\.tsv$/, "", name); names[++m] = name }
+    { a[name, FNR] = $1; b[name, FNR] = $2; if (FNR > n) n = FNR }
+    END {
+        for (i = 1; i <= n; i++) {
+            sa = ""; sb = ""
+            for (j = 1; j <= m; j++) {
+                sa = sa sprintf("%s\"%s\": %s", j > 1 ? ", " : "", names[j], a[names[j], i])
+                sb = sb sprintf("%s\"%s\": %s", j > 1 ? ", " : "", names[j], b[names[j], i])
+            }
+            printf "    {\"pair\": %d, \"first\": \"%s\", \"a\": {%s}, \"b\": {%s}}%s\n",
+                i, i % 2 ? "a" : "b", sa, sb, i < n ? "," : ""
+        }
+    }' "$work"/*.tsv)
+record=$(
+    echo "{"
+    echo "  \"workload\": $(json_str "$workload"),"
+    echo "  \"seed\": ${seed:-null},"
+    echo "  \"pairs\": $pairs,"
+    echo "  \"a\": $(json_str "$(side_label "$ref_a")"),"
+    echo "  \"b\": $(json_str "$(side_label "$ref_b")"),"
+    echo "  \"host\": {\"nproc\": $(nproc), \"kernel\": $(json_str "$(uname -r)"),"
+    echo "    \"host_cpu_stolen_share\": {\"a\": $(stolen_list a), \"b\": $(stolen_list b)}},"
+    echo "  \"metrics\": {"
+    sed '$!s/$/,/' "$work/metrics.json"
+    echo "  },"
+    echo "  \"raw_pairs\": ["
+    echo "$raw_pairs"
+    echo "  ]"
+    echo "}"
+)
+# FILE holds a JSON array of runs: drop its closing bracket and append.
+if [[ -s $out ]]; then
+    sed -i '$ d' "$out"
+    printf ',\n%s\n]\n' "$record" >>"$out"
+else
+    printf '[\n%s\n]\n' "$record" >"$out"
+fi
+echo "recorded in $out"

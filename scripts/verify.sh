@@ -25,6 +25,11 @@ RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test concurr
 echo "==> telemetry tests (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test telemetry -q
 
+# Admission control must still cross the wire on a one-CPU host, where the
+# server's worker pool is at its smallest (two workers).
+echo "==> server chaos tests on one CPU (taskset -c 0)"
+taskset -c 0 cargo test "${CARGO_FLAGS[@]}" -p pqp-server --test chaos -q
+
 # No new unwrap()/expect() in non-test serving-path code (panics there
 # take lock-holding threads down mid-query; use typed errors instead).
 echo "==> unwrap/expect gate (service, core, engine, storage, wire, server, sql, obs)"
