@@ -22,18 +22,16 @@
 //!   (exercises deadline enforcement). `delay` alone sleeps 10 ms.
 //! - `off` — removes the site.
 //! - `25%error` — fires probabilistically, driven by the in-tree
-//!   deterministic xoshiro RNG ([`Failpoints::set_seed`],
-//!   `PQP_FAILPOINT_SEED`).
+//!   deterministic xoshiro RNG ([`Failpoints::set_seed`]).
 //! - `2*panic` — fires on the first 2 calls, then stays off.
 //! - `50%3*delay(20)` — combinations compose: each call draws, at most 3 fire.
 //!
 //! # Configuration
 //!
-//! Programmatic: [`Failpoints::configure`], [`Failpoints::remove`],
-//! [`Failpoints::clear`]. From the environment:
-//! `PQP_FAILPOINTS="site=spec;site2=spec2"`, applied by
-//! [`Failpoints::configure_from_env`] (a binary calls it on the catalog it
-//! builds). A multi-site spec arms all of its sites or none.
+//! [`Failpoints::configure`], [`Failpoints::remove`], [`Failpoints::clear`],
+//! and [`Failpoints::configure_many`] for a `site=spec;site2=spec2` list (the
+//! `PQP_FAILPOINTS` format `pqp-server` reads). A multi-site spec arms all of
+//! its sites or none.
 //!
 //! Site names follow a `<layer>.<site>` scheme (`storage.scan`,
 //! `join.build`, `shard.lock`, `select.pref`, `select.budget`, `plan.cache`,
@@ -103,9 +101,8 @@ impl Failpoints {
         self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Re-seed the probability RNG (also `PQP_FAILPOINT_SEED` via
-    /// [`Failpoints::configure_from_env`]). Same seed + same fire sequence =
-    /// same draws.
+    /// Re-seed the probability RNG. Same seed + same fire sequence = same
+    /// draws.
     pub fn set_seed(&self, seed: u64) {
         self.lock().rng = SmallRng::seed_from_u64(seed);
     }
@@ -136,17 +133,6 @@ impl Failpoints {
             .collect::<Result<Vec<_>, _>>()?;
         self.apply(settings);
         Ok(())
-    }
-
-    /// Apply `PQP_FAILPOINT_SEED` and `PQP_FAILPOINTS` from the environment.
-    /// All or nothing: on an error nothing is armed, and the caller reports
-    /// it and starts anyway — a bad env var must never take the service
-    /// down.
-    pub fn configure_from_env(&self) -> Result<(), String> {
-        if let Ok(seed) = std::env::var("PQP_FAILPOINT_SEED") {
-            self.set_seed(seed.trim().parse().map_err(|_| format!("bad seed {seed:?}"))?);
-        }
-        std::env::var("PQP_FAILPOINTS").map_or(Ok(()), |spec| self.configure_many(&spec))
     }
 
     fn apply(&self, settings: impl IntoIterator<Item = Setting>) {

@@ -58,26 +58,6 @@ impl Budget {
         self.max_memory = Some(bytes);
         self
     }
-
-    /// Read a budget from the environment:
-    ///
-    /// | variable | meaning |
-    /// |---|---|
-    /// | `PQP_DEADLINE_MS` | wall-clock deadline in milliseconds |
-    /// | `PQP_MAX_ROWS_SCANNED` | cap on base-table rows read |
-    /// | `PQP_MAX_MEMORY_BYTES` | cap on materialized intermediate bytes |
-    ///
-    /// Unset or unparsable variables leave the field unlimited.
-    pub fn from_env() -> Budget {
-        fn var(name: &str) -> Option<u64> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        Budget {
-            deadline: var("PQP_DEADLINE_MS").map(Duration::from_millis),
-            max_rows_scanned: var("PQP_MAX_ROWS_SCANNED"),
-            max_memory: var("PQP_MAX_MEMORY_BYTES"),
-        }
-    }
 }
 
 /// Which limit a query ran into.

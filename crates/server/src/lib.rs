@@ -40,26 +40,26 @@ use std::time::Duration;
 
 use pqp_service::Service;
 
+pub mod config;
 mod conn;
 mod pool;
 pub mod repl;
 pub mod router;
 
+pub use config::{Config, ConfigError, NodeConfig};
 pub use repl::{PeerLink, ReplConfig, ReplNode};
 pub use router::{Router, RouterConfig, RouterHandle};
 
-/// Server knobs. Every field has an environment override so a deployment
-/// is configured without code changes.
+/// Server knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Listen address (`PQP_LISTEN_ADDR`, default `127.0.0.1:5433`).
+    /// Listen address (default `127.0.0.1:5433`).
     pub addr: String,
     /// Per-session read timeout: an idle session is closed after this long
-    /// with no request (`PQP_SERVER_READ_TIMEOUT_MS`, default 60 000; `0`
-    /// = no timeout).
+    /// with no request (default 60 s; `None` = no timeout).
     pub read_timeout: Option<Duration>,
-    /// Per-session write timeout on responses
-    /// (`PQP_SERVER_WRITE_TIMEOUT_MS`, default 30 000; `0` = no timeout).
+    /// Per-session write timeout on responses (default 30 s; `None` = no
+    /// timeout).
     pub write_timeout: Option<Duration>,
     /// Server identification sent in the handshake.
     pub name: String,
@@ -72,27 +72,6 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_millis(60_000)),
             write_timeout: Some(Duration::from_millis(30_000)),
             name: format!("pqp-server/{}", env!("CARGO_PKG_VERSION")),
-        }
-    }
-}
-
-fn timeout_from_env(var: &str, default: Option<Duration>) -> Option<Duration> {
-    match std::env::var(var).ok().and_then(|v| v.trim().parse::<u64>().ok()) {
-        Some(0) => None,
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => default,
-    }
-}
-
-impl ServerConfig {
-    /// The default config with every `PQP_*` environment override applied.
-    pub fn from_env() -> ServerConfig {
-        let d = ServerConfig::default();
-        ServerConfig {
-            addr: std::env::var("PQP_LISTEN_ADDR").unwrap_or(d.addr),
-            read_timeout: timeout_from_env("PQP_SERVER_READ_TIMEOUT_MS", d.read_timeout),
-            write_timeout: timeout_from_env("PQP_SERVER_WRITE_TIMEOUT_MS", d.write_timeout),
-            name: d.name,
         }
     }
 }

@@ -84,93 +84,29 @@ const SHIP_ATTEMPTS: usize = 4;
 /// plain single-node server has no `ReplConfig` and no WAL.
 #[derive(Debug, Clone)]
 pub struct ReplConfig {
-    /// This node's identity, carried in peer handshakes and telemetry
-    /// (`PQP_NODE_ID`, default `node-1`).
+    /// This node's identity, carried in peer handshakes and telemetry.
     pub node_id: String,
-    /// Directory for the WAL, snapshot, and term files (`PQP_WAL_DIR`;
-    /// setting it is what turns replication on).
+    /// Directory for the WAL, snapshot, and term files.
     pub wal_dir: PathBuf,
     /// Nodes (including this one) that must hold a mutation durably
-    /// before the client is acked (`PQP_REPL_QUORUM`, default 1 =
-    /// leader-only durability).
+    /// before the client is acked (default 1 = leader-only durability).
     pub quorum: usize,
-    /// Follower addresses this node ships to when it is the leader
-    /// (`PQP_REPL_PEERS`, comma-separated).
+    /// Follower addresses this node ships to when it is the leader.
     pub peers: Vec<String>,
-    /// Starting role (`PQP_REPL_ROLE`: `leader` | `follower`, default
-    /// `leader`).
+    /// Starting role (default leader).
     pub role: Role,
     /// Compact the log into a snapshot after this many appended records
-    /// (`PQP_REPL_SNAPSHOT_EVERY`, default 1024; 0 disables).
+    /// (default 1024; 0 disables).
     pub snapshot_every: u64,
-    /// Connect/read/write timeout on peer links
-    /// (`PQP_REPL_SHIP_TIMEOUT_MS`, default 5000).
+    /// Connect/read/write timeout on peer links (default 5 s).
     pub ship_timeout: Duration,
-    /// Shared secret gating the state-changing replication frames
-    /// (`PQP_REPL_TOKEN`). Every node of a cluster must carry the same
-    /// value; empty disables the check.
+    /// Shared secret gating the state-changing replication frames. Every
+    /// node of a cluster must carry the same value; empty disables the
+    /// check.
     pub token: String,
 }
 
 impl ReplConfig {
-    /// Build from the environment. `Ok(None)` unless `PQP_WAL_DIR` is set —
-    /// the knob that turns the replicated mutation log on. An unset (or
-    /// blank) variable means its default; one that is set but invalid is an
-    /// error naming the variable and what it accepts, because a typo must
-    /// not silently start a second leader or lower the quorum.
-    pub fn from_env() -> std::result::Result<Option<ReplConfig>, String> {
-        ReplConfig::from_lookup(|name| std::env::var(name).ok())
-    }
-
-    /// [`ReplConfig::from_env`] over any `name -> value` lookup (tests pass
-    /// a map instead of mutating the process environment). Values are
-    /// trimmed.
-    fn from_lookup(
-        lookup: impl Fn(&str) -> Option<String>,
-    ) -> std::result::Result<Option<ReplConfig>, String> {
-        fn number<T: std::str::FromStr>(
-            var: impl Fn(&str) -> Option<String>,
-            name: &str,
-        ) -> std::result::Result<Option<T>, String> {
-            var(name)
-                .map(|v| {
-                    v.parse().map_err(|_| {
-                        format!("{name}={v:?} is not valid: expected a non-negative whole number")
-                    })
-                })
-                .transpose()
-        }
-        let var = |name: &str| lookup(name).map(|v| v.trim().to_string()).filter(|v| !v.is_empty());
-        let Some(wal_dir) = var("PQP_WAL_DIR") else {
-            return Ok(None);
-        };
-        let d =
-            ReplConfig::new(var("PQP_NODE_ID").unwrap_or_else(|| "node-1".to_string()), wal_dir);
-        let role = match var("PQP_REPL_ROLE").as_deref() {
-            None | Some("leader") => Role::Leader,
-            Some("follower") => Role::Follower,
-            Some(v) => {
-                return Err(format!(
-                    "PQP_REPL_ROLE={v:?} is not valid: expected `leader` or `follower`"
-                ))
-            }
-        };
-        Ok(Some(ReplConfig {
-            quorum: number(var, "PQP_REPL_QUORUM")?.unwrap_or(d.quorum).max(1),
-            peers: var("PQP_REPL_PEERS")
-                .map(|v| {
-                    v.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
-                })
-                .unwrap_or_default(),
-            role,
-            snapshot_every: number(var, "PQP_REPL_SNAPSHOT_EVERY")?.unwrap_or(d.snapshot_every),
-            ship_timeout: number(var, "PQP_REPL_SHIP_TIMEOUT_MS")?
-                .map_or(d.ship_timeout, Duration::from_millis),
-            token: lookup("PQP_REPL_TOKEN").unwrap_or_default(),
-            ..d
-        }))
-    }
-
     /// A config for tests and embedding: leader-by-default, quorum 1,
     /// no peers.
     pub fn new(node_id: impl Into<String>, wal_dir: impl Into<PathBuf>) -> ReplConfig {
@@ -1327,57 +1263,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pqp_repl_unit_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// `ReplConfig::from_lookup` over a fixed set of variables.
-    fn config_from(vars: &[(&str, &str)]) -> std::result::Result<Option<ReplConfig>, String> {
-        ReplConfig::from_lookup(|name| {
-            vars.iter().find(|(n, _)| *n == name).map(|(_, v)| v.to_string())
-        })
-    }
-
-    #[test]
-    fn env_config_rejects_set_but_invalid_values() {
-        // Unset: replication is off; with only the WAL directory, defaults.
-        assert!(config_from(&[]).unwrap().is_none());
-        assert!(config_from(&[("PQP_REPL_ROLE", "follower")]).unwrap().is_none());
-        let c = config_from(&[("PQP_WAL_DIR", "/tmp/w")]).unwrap().unwrap();
-        assert_eq!((c.role, c.quorum, c.node_id.as_str()), (Role::Leader, 1, "node-1"));
-        assert_eq!((c.snapshot_every, c.ship_timeout), (1024, Duration::from_millis(5_000)));
-
-        // Valid values, trimmed.
-        let c = config_from(&[
-            ("PQP_WAL_DIR", " /tmp/w "),
-            ("PQP_REPL_ROLE", " follower\n"),
-            ("PQP_REPL_QUORUM", " 2 "),
-            ("PQP_REPL_PEERS", "a:1, b:2,"),
-        ])
-        .unwrap()
-        .unwrap();
-        assert_eq!(c.wal_dir, PathBuf::from("/tmp/w"));
-        assert_eq!((c.role, c.quorum), (Role::Follower, 2));
-        assert_eq!(c.peers, ["a:1", "b:2"]);
-        let c = config_from(&[("PQP_WAL_DIR", "/tmp/w"), ("PQP_REPL_ROLE", "leader")]);
-        assert_eq!(c.unwrap().unwrap().role, Role::Leader);
-
-        // Set but invalid: an error naming the variable and what it accepts
-        // — never a silent leader, never a silent quorum of 1.
-        for role in ["Follower", "folower", "FOLLOWER", "primary"] {
-            let err =
-                config_from(&[("PQP_WAL_DIR", "/tmp/w"), ("PQP_REPL_ROLE", role)]).expect_err(role);
-            assert!(err.contains("PQP_REPL_ROLE") && err.contains(role), "{err}");
-            assert!(err.contains("`leader` or `follower`"), "{err}");
-        }
-        for (name, value) in [
-            ("PQP_REPL_QUORUM", "two"),
-            ("PQP_REPL_QUORUM", "-1"),
-            ("PQP_REPL_SNAPSHOT_EVERY", "1k"),
-            ("PQP_REPL_SHIP_TIMEOUT_MS", "5s"),
-        ] {
-            let err = config_from(&[("PQP_WAL_DIR", "/tmp/w"), (name, value)]).expect_err(name);
-            assert!(err.contains(name) && err.contains(value), "{err}");
-            assert!(err.contains("whole number"), "{err}");
-        }
     }
 
     fn add(node: &ReplNode, user: &str, value: i64) -> Result<(u64, bool)> {

@@ -27,63 +27,23 @@ use pqp_wire::MAX_FRAME_LEN;
 /// Router knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Listen address for client connections (`PQP_ROUTER_ADDR`,
-    /// default `127.0.0.1:5440`).
+    /// Listen address for client connections.
     pub addr: String,
-    /// Node addresses to probe and route to (`PQP_ROUTER_NODES`,
-    /// comma-separated; setting it is what turns router mode on).
+    /// Node addresses to probe and route to.
     pub nodes: Vec<String>,
-    /// Delay between health-probe rounds (`PQP_ROUTER_PROBE_MS`,
-    /// default 200).
+    /// Delay between health-probe rounds.
     pub probe_interval: Duration,
     /// Consecutive leaderless probe rounds before the router promotes a
-    /// follower (`PQP_ROUTER_FAIL_THRESHOLD`, default 3).
+    /// follower.
     pub fail_threshold: u32,
-    /// Connect/read/write timeout on probes and promote requests
-    /// (`PQP_ROUTER_TIMEOUT_MS`, default 1000).
+    /// Connect/read/write timeout on probes and promote requests.
     pub probe_timeout: Duration,
-    /// Cluster shared secret carried on `Promote` (`PQP_REPL_TOKEN` —
-    /// the same token the nodes are configured with; empty when the
-    /// cluster runs without auth).
+    /// Cluster shared secret carried on `Promote` — the same token the
+    /// nodes are configured with; empty when the cluster runs without auth.
     pub token: String,
 }
 
 impl RouterConfig {
-    /// Build from the environment; `None` unless `PQP_ROUTER_NODES` is
-    /// set (the knob that selects router mode over server mode).
-    pub fn from_env() -> Option<RouterConfig> {
-        let nodes: Vec<String> = std::env::var("PQP_ROUTER_NODES")
-            .ok()?
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if nodes.is_empty() {
-            return None;
-        }
-        Some(RouterConfig {
-            addr: std::env::var("PQP_ROUTER_ADDR").unwrap_or_else(|_| "127.0.0.1:5440".to_string()),
-            nodes,
-            probe_interval: Duration::from_millis(
-                std::env::var("PQP_ROUTER_PROBE_MS")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(200),
-            ),
-            fail_threshold: std::env::var("PQP_ROUTER_FAIL_THRESHOLD")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(3),
-            probe_timeout: Duration::from_millis(
-                std::env::var("PQP_ROUTER_TIMEOUT_MS")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(1_000),
-            ),
-            token: std::env::var("PQP_REPL_TOKEN").unwrap_or_default(),
-        })
-    }
-
     /// A config for tests: given nodes, fast probes.
     pub fn new(addr: impl Into<String>, nodes: Vec<String>) -> RouterConfig {
         RouterConfig {

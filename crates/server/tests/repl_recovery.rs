@@ -173,7 +173,9 @@ fn wal_failpoints_surface_as_typed_errors_and_heal_on_retry() {
 fn crash_child() {
     let Ok(dir) = std::env::var("PQP_CRASH_DIR") else { return };
     let svc = service();
-    svc.failpoints().configure_from_env().unwrap();
+    if let Ok(spec) = std::env::var("PQP_FAILPOINTS") {
+        svc.failpoints().configure_many(&spec).unwrap();
+    }
     let node = ReplNode::open(svc, ReplConfig::new("child", &dir)).unwrap();
     let stdout = std::io::stdout();
     for i in 1..=50_000u64 {

@@ -115,13 +115,15 @@ impl fmt::Display for UserId {
     }
 }
 
+/// Number of profile-store shards.
+const PROFILE_SHARDS: usize = 16;
+
+/// Capacity of the prepared-query cache (entries).
+const PREPARED_CAPACITY: usize = 512;
+
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Number of profile-store shards.
-    pub shards: usize,
-    /// Capacity of the prepared-query cache (entries).
-    pub prepared_capacity: usize,
     /// Capacity of the personalized-plan cache (entries).
     pub plan_capacity: usize,
     /// Personalization options used when a session does not override them.
@@ -131,14 +133,13 @@ pub struct ServiceConfig {
     /// Vestige: the field-less [`ExecOptions`], kept only because the
     /// benchmark reads `config().exec` (ROADMAP item 1 removes it).
     pub exec: ExecOptions,
-    /// Default per-query governor budget (deadline / rows scanned / memory).
-    /// Unlimited by default; [`ServiceConfig::from_env`] fills it from
-    /// `PQP_DEADLINE_MS`, `PQP_MAX_ROWS_SCANNED` and `PQP_MAX_MEMORY_BYTES`.
-    /// Sessions override it per query with [`Session::with_budget`].
+    /// Default per-query governor budget (deadline / rows scanned / memory),
+    /// unlimited by default. Sessions override it per query with
+    /// [`Session::with_budget`].
     pub budget: Budget,
     /// Admission control: the maximum number of queries in flight before
     /// new ones are refused with [`Error::Overloaded`] (`0` = unlimited, the
-    /// default; `PQP_MAX_IN_FLIGHT` through [`ServiceConfig::from_env`]).
+    /// default).
     /// Behind `pqp-server`, queries run on a fixed worker pool, and a query
     /// waiting for a worker counts against this limit like a running one:
     /// the server refuses it with `Overloaded` before it queues.
@@ -155,12 +156,8 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Constants only: the process environment is read by
-    /// [`ServiceConfig::from_env`], never here.
     fn default() -> ServiceConfig {
         ServiceConfig {
-            shards: 16,
-            prepared_capacity: 512,
             plan_capacity: 4096,
             options: PersonalizeOptions::builder().k(3).l(1).build(),
             rewrite: Rewrite::Mq,
@@ -169,33 +166,6 @@ impl Default for ServiceConfig {
             max_in_flight: 0,
             degrade: true,
             telemetry: TelemetryConfig::default(),
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// The default config with every `PQP_*` environment override applied:
-    /// the governor budget ([`Budget::from_env`]), `PQP_MAX_IN_FLIGHT`,
-    /// `PQP_SLOW_QUERY_MS` and `PQP_QUERY_LOG_FILE`. Unset or unparsable
-    /// variables leave the default.
-    pub fn from_env() -> ServiceConfig {
-        fn var(name: &str) -> Option<String> {
-            std::env::var(name).ok().map(|v| v.trim().to_string()).filter(|v| !v.is_empty())
-        }
-        let d = ServiceConfig::default();
-        ServiceConfig {
-            budget: Budget::from_env(),
-            max_in_flight: var("PQP_MAX_IN_FLIGHT")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d.max_in_flight),
-            telemetry: TelemetryConfig {
-                slow_query_ms: var("PQP_SLOW_QUERY_MS")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(d.telemetry.slow_query_ms),
-                log_file: var("PQP_QUERY_LOG_FILE").map(std::path::PathBuf::from),
-                ..d.telemetry
-            },
-            ..d
         }
     }
 }
@@ -587,10 +557,10 @@ impl Service {
         Service {
             db,
             in_flight: AtomicUsize::new(0),
-            profiles: ShardedMap::new(config.shards),
+            profiles: ShardedMap::new(PROFILE_SHARDS),
             no_profile: InMemoryGraph::default(),
             epoch_source: AtomicU64::new(0),
-            prepared: RwLock::new(FifoCache::new(config.prepared_capacity)),
+            prepared: RwLock::new(FifoCache::new(PREPARED_CAPACITY)),
             plans: RwLock::new(FifoCache::new(config.plan_capacity)),
             prepared_stats: CacheStats::new("service.prepared_cache"),
             plan_stats: CacheStats::new("service.plan_cache"),

@@ -34,9 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Configuration of the telemetry subsystem. The two knobs with an
-/// environment override get it from
-/// [`ServiceConfig::from_env`](crate::ServiceConfig::from_env).
+/// Configuration of the telemetry subsystem.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Entries retained in the recent-query ring.
@@ -45,11 +43,10 @@ pub struct TelemetryConfig {
     /// after fast traffic has evicted them from the recent ring).
     pub slow_log_capacity: usize,
     /// Queries at or above this total latency are marked slow and
-    /// force-retained (`0` disables slow tracking). Default 250; env:
-    /// `PQP_SLOW_QUERY_MS`.
+    /// force-retained (`0` disables slow tracking). Default 250.
     pub slow_query_ms: u64,
     /// When set, every record is appended to this file as one JSON line.
-    /// Default none; env: `PQP_QUERY_LOG_FILE`.
+    /// Default none.
     pub log_file: Option<PathBuf>,
 }
 

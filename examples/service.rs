@@ -2,10 +2,7 @@
 //! movies database, several users' profiles, sessions issuing personalized
 //! SQL, and a profile mutation invalidating cached plans.
 //!
-//! Run with: `cargo run --example service`. Like `pqp-server`, it reads the
-//! `PQP_*` service knobs and failpoints from the environment, so it doubles
-//! as an end-to-end probe (`PQP_MAX_ROWS_SCANNED=5 cargo run --example
-//! service`).
+//! Run with: `cargo run --example service`.
 
 use pqp::{Service, ServiceConfig};
 use pqp_core::{PersonalizeOptions, Rewrite};
@@ -20,12 +17,9 @@ fn main() -> Result<(), pqp::Error> {
         ServiceConfig {
             options: PersonalizeOptions::builder().k(3).l(1).build(),
             rewrite: Rewrite::Mq,
-            ..ServiceConfig::from_env()
+            ..ServiceConfig::default()
         },
     );
-    if let Err(e) = service.failpoints().configure_from_env() {
-        eprintln!("PQP_FAILPOINTS ignored: {e}");
-    }
 
     // 2. Install a few generated user profiles. Any later mutation bumps
     //    the user's epoch and lazily invalidates their cached plans.

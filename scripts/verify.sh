@@ -35,6 +35,14 @@ taskset -c 0 cargo test "${CARGO_FLAGS[@]}" -p pqp-server --test chaos -q
 echo "==> unwrap/expect gate (service, core, engine, storage, wire, server, sql, obs)"
 ./scripts/check_unwrap.sh
 
+# One configuration parse: no library reads the environment, so every
+# `PQP_*` variable is read once, by the rule in crates/server/src/config.rs.
+echo "==> env gate (env::var only in crates/server/src/config.rs)"
+if grep -rn 'env::var' crates/*/src | grep -v '^crates/server/src/config.rs:'; then
+    echo "error: env::var outside crates/server/src/config.rs; add the knob to its Config" >&2
+    exit 1
+fi
+
 # The cost of a plan-cache miss, counted exactly: a counting allocator
 # bounds the allocations per build_execution(Auto) and the live allocations
 # and bytes of the plan it leaves behind, and the one-pass estimator must
