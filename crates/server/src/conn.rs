@@ -8,11 +8,12 @@
 //! hands the stream to the peer loop ([`peer_session`]); anything else
 //! must be a client `Hello`.
 
-use std::io::ErrorKind;
-use std::net::TcpStream;
+use std::io::{self, ErrorKind, Write as _};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use pqp_service::{Error, Service, UserId};
 use pqp_wire::frame::{read_frame, write_frame, FrameError};
@@ -225,19 +226,57 @@ fn mutate(shared: &Shared, user: &UserId, op: ProfileOp) -> Response {
             Err(e) => Response::Error(WireError::from_error(&e)),
         };
     }
-    let result = match op {
-        ProfileOp::AddSelection { table, column, value, doi } => {
-            service.add_selection(user.clone(), &table, &column, value, doi).map(|_| true)
-        }
-        ProfileOp::AddJoin { from_table, from_column, to_table, to_column, doi } => service
-            .add_join(user.clone(), &from_table, &from_column, &to_table, &to_column, doi)
-            .map(|_| true),
-        ProfileOp::Remove => Ok(service.remove_profile(user.clone())),
-    };
-    match result {
+    match apply_op(service, user, &op) {
         Ok(removed) => Response::MutateOk { epoch: service.epoch(user.clone()), removed },
         Err(e) => Response::Error(WireError::from_error(&e)),
     }
+}
+
+/// Apply one profile mutation to the service; `Ok(removed)` is the
+/// `MutateOk` flag (true but for a `Remove` of an absent profile).
+pub(crate) fn apply_op(
+    service: &Service,
+    user: &UserId,
+    op: &ProfileOp,
+) -> pqp_service::Result<bool> {
+    match op {
+        ProfileOp::AddSelection { table, column, value, doi } => {
+            service.add_selection(user.clone(), table, column, value.clone(), *doi).map(|_| true)
+        }
+        ProfileOp::AddJoin { from_table, from_column, to_table, to_column, doi } => service
+            .add_join(user.clone(), from_table, from_column, to_table, to_column, *doi)
+            .map(|_| true),
+        ProfileOp::Remove => Ok(service.remove_profile(user.clone())),
+    }
+}
+
+/// Open a peer link with `timeout` on connect, reads and writes.
+pub(crate) fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(ErrorKind::AddrNotAvailable, "address resolved to nothing");
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, timeout) {
+            Ok(stream) => {
+                stream.set_read_timeout(Some(timeout))?;
+                stream.set_write_timeout(Some(timeout))?;
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+/// One framed replication request and its answer on a peer link.
+pub(crate) fn exchange(stream: &mut TcpStream, request: &ReplRequest) -> io::Result<ReplResponse> {
+    let (tag, payload) = request.encode();
+    write_frame(stream, tag, &payload)
+        .map_err(|e| io::Error::new(ErrorKind::BrokenPipe, e.to_string()))?;
+    stream.flush()?;
+    let (tag, payload) = read_frame(stream, MAX_FRAME_LEN)
+        .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+    ReplResponse::decode(tag, &payload)
+        .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Serve a replication peer: a strict request/response loop over the

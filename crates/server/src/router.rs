@@ -1,28 +1,28 @@
 //! Thin routing tier for a replicated cluster: health-check the nodes,
 //! proxy client connections to the current leader, and promote the
-//! most-caught-up follower when the leader dies.
+//! follower with the highest log tip when the leader dies.
 //!
 //! The router holds no replicated state of its own — it discovers the
 //! leader with [`ReplRequest::Status`] probes and routes by proxying
 //! raw bytes, so the wire protocol passes through untouched. Failover
 //! is promote-by-term: after `fail_threshold` consecutive probe rounds
 //! with no reachable leader, the router picks the reachable node with
-//! the longest log (`last_seq`), sends [`ReplRequest::Promote`] with a
-//! term above every term it has seen, and the old leader — should it
-//! come back — is fenced by that higher term on its first ship.
+//! the most up-to-date log (`promotion_candidate`), sends
+//! [`ReplRequest::Promote`] with a term above every term it has seen, and
+//! the old leader — should it come back — is fenced by that higher term
+//! on its first ship.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pqp_service::Error;
-use pqp_wire::frame::{read_frame, write_frame};
+use pqp_wire::frame::write_frame;
 use pqp_wire::proto::{Response, WireError};
 use pqp_wire::repl::{NodeStatus, ReplRequest, ReplResponse, Role};
-use pqp_wire::MAX_FRAME_LEN;
 
 /// Router knobs.
 #[derive(Debug, Clone)]
@@ -181,20 +181,20 @@ fn tick(state: &Arc<RouterState>) {
     }
 }
 
-/// Promote the reachable node with the longest log at a term above
+/// Promote the reachable node with the most up-to-date log at a term above
 /// everything seen. Returns the promoted node's address on success.
 fn promote(state: &Arc<RouterState>) -> Option<String> {
-    let mut candidate: Option<(String, NodeStatus)> = None;
-    for addr in &state.config.nodes {
-        let Some(status) = probe(addr, state.config.probe_timeout) else { continue };
-        if candidate.as_ref().is_none_or(|(_, c)| status.last_seq > c.last_seq) {
-            candidate = Some((addr.clone(), status));
-        }
-    }
-    let (addr, status) = candidate?;
+    let (addrs, statuses): (Vec<&String>, Vec<NodeStatus>) = state
+        .config
+        .nodes
+        .iter()
+        .filter_map(|addr| Some((addr, probe(addr, state.config.probe_timeout)?)))
+        .unzip();
+    let pick = promotion_candidate(&statuses)?;
+    let addr = addrs[pick].clone();
     let term = {
         let mut seen = state.max_term.lock().unwrap_or_else(|e| e.into_inner());
-        *seen = (*seen).max(status.term) + 1;
+        *seen = (*seen).max(statuses[pick].term) + 1;
         *seen
     };
     let promote = ReplRequest::Promote { term, token: state.config.token.clone() };
@@ -212,6 +212,16 @@ fn promote(state: &Arc<RouterState>) -> Option<String> {
     }
 }
 
+/// The node to promote among `statuses`: the highest log tip by
+/// `(last_term, last_seq)`, the first on a tie, `None` when there is none.
+/// A longer log whose tip is from an older term ends in a deposed leader's
+/// unacked suffix; the higher tip term holds what a later leader acked.
+pub(crate) fn promotion_candidate(statuses: &[NodeStatus]) -> Option<usize> {
+    let tip = |s: &NodeStatus| (s.last_term, s.last_seq);
+    (0..statuses.len())
+        .reduce(|best, i| if tip(&statuses[i]) > tip(&statuses[best]) { i } else { best })
+}
+
 /// Probe one node's replication status; `None` when unreachable or
 /// answering garbage.
 fn probe(addr: &str, timeout: Duration) -> Option<NodeStatus> {
@@ -223,22 +233,7 @@ fn probe(addr: &str, timeout: Duration) -> Option<NodeStatus> {
 
 /// One framed request/response against a node, with timeouts.
 fn peer_rpc(addr: &str, request: &ReplRequest, timeout: Duration) -> io::Result<ReplResponse> {
-    let resolved = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable node"))?;
-    let mut stream = TcpStream::connect_timeout(&resolved, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    let (tag, payload) = request.encode();
-    write_frame(&mut stream, tag, &payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::BrokenPipe, e.to_string()))?;
-    stream.flush()?;
-    let (tag, payload) = read_frame(&mut stream, MAX_FRAME_LEN)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    ReplResponse::decode(tag, &payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    crate::conn::exchange(&mut crate::conn::connect(addr, timeout)?, request)
 }
 
 fn accept_loop(listener: TcpListener, state: &Arc<RouterState>) {
@@ -321,4 +316,29 @@ fn pump(mut from: TcpStream, mut to: TcpStream) {
     }
     let _ = from.shutdown(Shutdown::Both);
     let _ = to.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn status(last_seq: u64, last_term: u64) -> NodeStatus {
+        NodeStatus {
+            node_id: String::new(),
+            role: Role::Follower,
+            term: last_term,
+            last_seq,
+            durable_seq: last_seq,
+            last_term,
+        }
+    }
+
+    #[test]
+    fn promotion_prefers_the_newer_tip_term_over_the_longer_log() {
+        // A logged 6–8 at term 1 unacked while cut off; C acked 6 at term 2.
+        assert_eq!(promotion_candidate(&[status(8, 1), status(6, 2)]), Some(1));
+        assert_eq!(promotion_candidate(&[status(6, 2), status(7, 2)]), Some(1));
+        assert_eq!(promotion_candidate(&[status(7, 2), status(7, 2)]), Some(0));
+        assert_eq!(promotion_candidate(&[]), None);
+    }
 }

@@ -130,8 +130,8 @@ pub struct Wal {
     /// Current byte length of the log file.
     log_bytes: u64,
     /// Start offset of each live record: `offsets[i]` is the file offset
-    /// of record `base_seq + 1 + i`, so catch-up reads seek instead of
-    /// rescanning the whole log.
+    /// of record `base_seq + 1 + i`, so [`Wal::truncate_from`] cuts a
+    /// suffix without rescanning the log.
     offsets: Vec<u64>,
 }
 
@@ -236,37 +236,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Re-read intact records with `seq >= from` from the log file (the
-    /// catch-up path for a lagging follower). Returns `None` when `from`
-    /// falls at or below the snapshot point — the caller must ship the
-    /// snapshot instead. The in-memory offset index turns this into one
-    /// seek + a tail read, so catch-up costs O(bytes shipped), not
-    /// O(total log bytes).
-    pub fn read_from(&self, from: u64) -> Result<Option<Vec<WalRecord>>> {
-        if from <= self.base_seq {
-            return Ok(None);
-        }
-        if from > self.last_seq() {
-            return Ok(Some(Vec::new()));
-        }
-        let offset = self.offsets[(from - self.base_seq - 1) as usize];
-        let bytes = self.read_tail(offset)?;
-        let (records, _, _) = scan_records(&bytes, from - 1);
-        Ok(Some(records))
-    }
-
-    /// Read the single record at `seq`. `None` when `seq` is outside the
-    /// live log range (compacted into the snapshot, or past the tip).
-    pub fn read_record(&self, seq: u64) -> Result<Option<WalRecord>> {
-        if seq <= self.base_seq || seq > self.last_seq() {
-            return Ok(None);
-        }
-        let offset = self.offsets[(seq - self.base_seq - 1) as usize];
-        let bytes = self.read_tail(offset)?;
-        let (records, _, _) = scan_records(&bytes, seq - 1);
-        Ok(records.into_iter().next())
-    }
-
     /// Drop every record with sequence `>= from` (log-conflict resolution:
     /// a follower discovered its suffix diverges from the new leader's
     /// log). Returns the number of records removed. Truncating into the
@@ -299,18 +268,6 @@ impl Wal {
     /// Used to rebuild in-memory state after a conflict truncation.
     pub fn read_snapshot(&self) -> Result<Option<WalSnapshot>> {
         read_snapshot(&self.dir.join(SNAPSHOT_FILE))
-    }
-
-    /// Read the log file from `offset` to its current end.
-    fn read_tail(&self, offset: u64) -> Result<Vec<u8>> {
-        let mut file =
-            File::open(self.dir.join(WAL_FILE)).map_err(|e| io_err("reopen wal.log", e))?;
-        file.seek(SeekFrom::Start(offset)).map_err(|e| io_err("seek wal tail", e))?;
-        let mut bytes = Vec::with_capacity((self.log_bytes - offset) as usize);
-        file.take(self.log_bytes - offset)
-            .read_to_end(&mut bytes)
-            .map_err(|e| io_err("read wal tail", e))?;
-        Ok(bytes)
     }
 
     /// Install a snapshot covering everything appended so far and truncate
@@ -547,24 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn read_from_serves_catch_up_and_signals_compaction() {
-        let dir = tmpdir("readfrom");
-        let (mut wal, _) = Wal::open(&dir).unwrap();
-        for i in 0..4u32 {
-            wal.append(format!("r{i}").as_bytes()).unwrap();
-        }
-        wal.sync().unwrap();
-        let tail = wal.read_from(3).unwrap().expect("available");
-        assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![3, 4]);
-        wal.install_snapshot(b"s").unwrap();
-        // Everything ≤ base_seq is compacted away: catch-up must go
-        // through the snapshot.
-        assert!(wal.read_from(4).unwrap().is_none());
-        assert_eq!(wal.read_from(5).unwrap().expect("empty tail"), Vec::new());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn truncate_from_cuts_the_suffix_and_the_log_stays_appendable() {
         let dir = tmpdir("truncfrom");
         {
@@ -580,12 +519,20 @@ mod tests {
             // Appends resume at the truncation point with fresh payloads.
             assert_eq!(wal.append(b"r2'").unwrap(), 3);
             wal.sync().unwrap();
-            assert_eq!(wal.read_record(3).unwrap().unwrap().payload, b"r2'");
         }
         let (wal, rec) = Wal::open(&dir).unwrap();
         assert_eq!(wal.last_seq(), 3);
         assert_eq!(rec.truncated_bytes, 0, "truncation left a clean log");
-        assert_eq!(rec.records.last().unwrap().payload, b"r2'");
+        let payloads: Vec<&[u8]> = rec.records.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(payloads, [b"r0".as_slice(), b"r1", b"r2'"]);
+        // The offset index is rebuilt on reopen: a cut still lands on a
+        // record boundary.
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        assert_eq!(wal.truncate_from(2).unwrap(), 2);
+        drop(wal);
+        let (_, rec) = Wal::open(&dir).unwrap();
+        assert_eq!(rec.records.len(), 1);
+        assert_eq!(rec.truncated_bytes, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -597,40 +544,6 @@ mod tests {
         wal.sync().unwrap();
         wal.install_snapshot(b"s").unwrap();
         assert!(matches!(wal.truncate_from(1), Err(StorageError::Io(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_record_seeks_one_record_by_sequence() {
-        let dir = tmpdir("readone");
-        let (mut wal, _) = Wal::open(&dir).unwrap();
-        for i in 0..4u32 {
-            wal.append(format!("r{i}").as_bytes()).unwrap();
-        }
-        wal.sync().unwrap();
-        assert_eq!(wal.read_record(2).unwrap().unwrap().payload, b"r1");
-        assert_eq!(wal.read_record(4).unwrap().unwrap().payload, b"r3");
-        assert!(wal.read_record(5).unwrap().is_none(), "past the tip");
-        wal.install_snapshot(b"s").unwrap();
-        assert!(wal.read_record(2).unwrap().is_none(), "compacted away");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn offset_index_survives_reopen() {
-        let dir = tmpdir("offsets");
-        {
-            let (mut wal, _) = Wal::open(&dir).unwrap();
-            for i in 0..6u32 {
-                wal.append(format!("rec-{i}").as_bytes()).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        let (wal, _) = Wal::open(&dir).unwrap();
-        let tail = wal.read_from(5).unwrap().unwrap();
-        assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![5, 6]);
-        assert_eq!(tail[0].payload, b"rec-4");
-        assert_eq!(wal.read_record(1).unwrap().unwrap().payload, b"rec-0");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

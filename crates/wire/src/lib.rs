@@ -23,7 +23,7 @@
 //!
 //! - The handshake carries [`PROTOCOL_VERSION`]; a server that does not
 //!   speak the client's version answers with a `protocol` error frame and
-//!   closes. Version 1 has no negotiation — matching versions or nothing.
+//!   closes. There is no negotiation — matching versions or nothing.
 //! - Message tags, error codes ([`pqp_service::ErrorCode`]) and enum
 //!   discriminants are append-only: once assigned, never reused.
 //! - Fields are never removed or reordered within a version; additions
@@ -50,7 +50,7 @@ pub use repl::{LogEntry, MutationRecord, NodeStatus, ReplRequest, ReplResponse, 
 
 /// The protocol version this build speaks. The handshake requires an exact
 /// match; see the crate docs for the compatibility rules.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Hard ceiling on `tag + payload` length of a single frame (8 MiB). A
 /// peer announcing a longer frame is desynchronized or hostile; the frame

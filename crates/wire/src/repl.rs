@@ -131,6 +131,9 @@ pub struct NodeStatus {
     pub last_seq: u64,
     /// Last sequence number known durable (fsynced).
     pub durable_seq: u64,
+    /// Term of the last log entry (0 for an empty log): with `last_seq`,
+    /// the log tip's identity, which failover compares.
+    pub last_term: u64,
 }
 
 /// A node-to-node replication request.
@@ -331,7 +334,12 @@ impl ReplResponse {
                 tag::REPL_REJECT
             }
             ReplResponse::Status(s) => {
-                w.str(&s.node_id).u8(s.role.to_u8()).u64(s.term).u64(s.last_seq).u64(s.durable_seq);
+                w.str(&s.node_id)
+                    .u8(s.role.to_u8())
+                    .u64(s.term)
+                    .u64(s.last_seq)
+                    .u64(s.durable_seq)
+                    .u64(s.last_term);
                 tag::REPL_STATUS_OK
             }
         };
@@ -358,6 +366,7 @@ impl ReplResponse {
                 term: r.u64("term")?,
                 last_seq: r.u64("last seq")?,
                 durable_seq: r.u64("durable seq")?,
+                last_term: r.u64("last term")?,
             }),
             tag => return Err(DecodeError::BadTag { what: "repl response", tag: tag as u64 }),
         };
@@ -464,6 +473,7 @@ mod tests {
             term: 6,
             last_seq: 77,
             durable_seq: 76,
+            last_term: 5,
         }));
         round_trip_response(ReplResponse::Status(NodeStatus {
             node_id: "node-a".into(),
@@ -471,6 +481,7 @@ mod tests {
             term: 6,
             last_seq: 78,
             durable_seq: 78,
+            last_term: 6,
         }));
     }
 
@@ -565,7 +576,7 @@ mod tests {
         assert!(matches!(ReplResponse::decode(tag, &payload), Err(DecodeError::Trailing { .. })));
         // Unassigned role discriminant.
         let mut w = Writer::new();
-        w.str("n").u8(9).u64(1).u64(1).u64(1);
+        w.str("n").u8(9).u64(1).u64(1).u64(1).u64(1);
         assert!(matches!(
             ReplResponse::decode(tag::REPL_STATUS_OK, &w.into_vec()),
             Err(DecodeError::BadTag { what: "role", .. })

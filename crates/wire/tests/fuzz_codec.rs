@@ -131,6 +131,7 @@ fn valid_pool() -> Vec<(u8, Vec<u8>)> {
             term: 3,
             last_seq: 9,
             durable_seq: 9,
+            last_term: 3,
         }),
     ];
     requests

@@ -43,6 +43,20 @@ if grep -rn 'env::var' crates/*/src | grep -v '^crates/server/src/config.rs:'; t
     exit 1
 fi
 
+# The replication core is a pure state machine: no socket, file, clock,
+# WAL or service, so the simulator drives it exactly as the server does.
+echo "==> replication core purity gate (crates/server/src/repl/core.rs)"
+if grep -nE 'std::net|std::fs|Instant|SystemTime|thread::sleep|pqp_storage|pqp_service' \
+    crates/server/src/repl/core.rs; then
+    echo "error: repl/core.rs must stay free of I/O, clocks, the WAL and the service" >&2
+    exit 1
+fi
+
+# 10 000 simulated seeds (tier-1 runs 1 000): message, crash and disk faults
+# over N = 3 and N = 2 clusters at quorum 2, every property checked.
+echo "==> replication simulator, 10 000 seeds (release)"
+cargo test "${CARGO_FLAGS[@]}" --release -p pqp-server --lib repl::sim -- --ignored --nocapture
+
 # The cost of a plan-cache miss, counted exactly: a counting allocator
 # bounds the allocations per build_execution(Auto) and the live allocations
 # and bytes of the plan it leaves behind, and the one-pass estimator must
