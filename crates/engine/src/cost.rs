@@ -187,16 +187,24 @@ impl<'a> Estimator<'a> {
         self.estimate(plan).cost
     }
 
-    /// EXPLAIN text with a per-node `est_rows` annotation.
+    /// EXPLAIN text with a per-node `est_rows` annotation, on the first
+    /// and every reused occurrence of a shared subtree alike.
     pub fn explain(&self, plan: &Plan) -> String {
-        // Nodes of an immutable tree are identified by their address.
-        let mut rows: HashMap<*const Plan, f64> = HashMap::new();
-        self.walk(plan, &mut |node, r| {
-            rows.insert(node as *const Plan, r);
-        });
+        let rows = self.rows_by_node(plan);
         plan.explain_annotated(&mut |p| {
             rows.get(&(p as *const Plan)).map(|r| format!("est_rows={:.0}", r.round()))
         })
+    }
+
+    /// The estimated rows of every node of `plan`, from one walk. Nodes of
+    /// an immutable tree are identified by their address; the input of a
+    /// shared node is one node however many nodes share it.
+    pub(crate) fn rows_by_node(&self, plan: &Plan) -> HashMap<*const Plan, f64> {
+        let mut rows = HashMap::new();
+        self.walk(plan, &mut |node, r| {
+            rows.insert(node as *const Plan, r);
+        });
+        rows
     }
 
     /// Selectivity of the conjunct `table.column = value`, as the walk
@@ -558,6 +566,8 @@ impl<'a> Estimator<'a> {
                 let cost = rows + arms.iter().map(|a| a.cost).sum::<f64>();
                 Estimate { rows, cost, origins: vec![None; schema.arity()] }
             }
+            // Priced at every occurrence, as if it were not shared.
+            Plan::Shared { input, .. } => self.walk(input, visit),
             Plan::TopK { base, probes, visible, rank, limit, .. } => {
                 let b = self.walk(base, visit);
                 // Base + every witness sub-plan, plus one probe pass over

@@ -20,8 +20,9 @@
 //! smaller side; grouping and duplicate elimination preserve first-seen
 //! order so results are deterministic.
 //!
-//! Rows (`Vec<Row>`) are the only currency between operators, and a row is
-//! cheap to copy: a string value is a shared `Arc<str>`, so cloning one is a
+//! Rows (`Vec<Row>`) are the only currency between operators, and an
+//! operator reads its input either as its own or in place. A row is cheap to
+//! copy: a string value is a shared `Arc<str>`, so cloning one is a
 //! reference-count bump. The scan is columnar on the inside: a table is
 //! stored as [`pqp_storage::Batch`] chunks of [`pqp_storage::BATCH_SIZE`]
 //! typed columns, and the scan evaluates the pushed-down filter over each
@@ -32,6 +33,18 @@
 //! only the columns read above it: a base-table access path emits just the
 //! columns the planner found some operator above it reading (its own filter
 //! reads the stored row), so no join copies a column that nothing reads.
+//!
+//! ## Shared subtrees: owned or shared reads
+//!
+//! A plan can hold one subtree at several places ([`Plan::Shared`]: the
+//! joins MQ's partial queries repeat). Each execution keeps one slot per
+//! shared subtree. The first read runs the subtree and keeps its rows in
+//! the slot, later reads borrow them, and the last read takes them out, so
+//! the subtree runs, scans and is charged to the governor once. The joins,
+//! the cross product, the projection and the aggregate read their inputs by
+//! reference and never copy a shared row; an operator that keeps or reorders
+//! its input rows (filter, sort, union, ...) takes them as its own, which
+//! copies them only while another read still holds them.
 //!
 //! ## Keys without key vectors
 //!
@@ -64,7 +77,7 @@
 //! partial-progress counters.
 
 use crate::bound::BoundExpr;
-use crate::cost::INDEX_JOIN_RATIO;
+use crate::cost::{Estimator, INDEX_JOIN_RATIO};
 use crate::error::{bind_err, EngineError, Result};
 use crate::plan::Plan;
 use crate::vexpr;
@@ -72,8 +85,10 @@ use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
 use pqp_storage::{Catalog, ColumnSet, HashIndex, Row, StorageError, Table, Value};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::rc::Rc;
 
 /// Execution options. Field-less: execution has one schedule and nothing
 /// to configure. The type only keeps the signatures the benchmark compiles
@@ -82,11 +97,78 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {}
 
-/// Everything an operator needs from its surroundings: the catalog and the
-/// per-query governor context.
+/// Everything an operator needs from its surroundings: the catalog, the
+/// per-query governor context and this execution's shared-subtree slots.
 pub(crate) struct Env<'a> {
     pub catalog: &'a Catalog,
     pub ctx: &'a QueryCtx,
+    /// One slot per shared subtree of the plan, by `Plan::Shared::slot`.
+    slots: RefCell<Vec<Slot>>,
+    /// Under a trace, every node's estimated rows, from one estimator walk.
+    est_rows: Option<HashMap<*const Plan, f64>>,
+}
+
+impl<'a> Env<'a> {
+    /// The surroundings of one execution of `plan`.
+    fn new(catalog: &'a Catalog, ctx: &'a QueryCtx, plan: &Plan) -> Env<'a> {
+        let mut slots = Vec::new();
+        count_readers(plan, &mut slots);
+        let est_rows = pqp_obs::trace_active().then(|| Estimator::new(catalog).rows_by_node(plan));
+        Env { catalog, ctx, slots: RefCell::new(slots), est_rows }
+    }
+}
+
+/// A shared subtree's result during one execution.
+#[derive(Default)]
+struct Slot {
+    /// Reads not served yet.
+    readers: usize,
+    /// The rows, from the first read until the last.
+    rows: Option<Rc<Vec<Row>>>,
+}
+
+/// Count the reads of every shared slot: one per [`Plan::Shared`] node of
+/// the plan read as a DAG, where a shared input's own nodes count once.
+fn count_readers(plan: &Plan, slots: &mut Vec<Slot>) {
+    if let Plan::Shared { slot, .. } = *plan {
+        if slot >= slots.len() {
+            slots.resize_with(slot + 1, Slot::default);
+        }
+        slots[slot].readers += 1;
+        if slots[slot].readers > 1 {
+            return;
+        }
+    }
+    plan.for_each_child(&mut |child| count_readers(child, slots));
+}
+
+/// The rows an operator reads: its input's own, or a shared subtree's,
+/// read in place.
+enum Input {
+    Owned(Vec<Row>),
+    Shared(Rc<Vec<Row>>),
+}
+
+impl std::ops::Deref for Input {
+    type Target = [Row];
+
+    fn deref(&self) -> &[Row] {
+        match self {
+            Input::Owned(rows) => rows,
+            Input::Shared(rows) => rows,
+        }
+    }
+}
+
+impl Input {
+    /// The rows as the reader's own: moved when no other reader holds
+    /// them, copied otherwise.
+    fn into_owned(self) -> Vec<Row> {
+        match self {
+            Input::Owned(rows) => rows,
+            Input::Shared(rows) => Rc::try_unwrap(rows).unwrap_or_else(|rows| rows.to_vec()),
+        }
+    }
 }
 
 /// Execute a plan under a query-governor context, materializing all rows: deadline / rows-scanned / memory limits are
@@ -98,24 +180,61 @@ pub(crate) struct Env<'a> {
 /// rows and timings (`EXPLAIN ANALYZE`). Untraced runs pay only a
 /// thread-local check per operator.
 pub fn execute_ctx(plan: &Plan, catalog: &Catalog, ctx: &QueryCtx) -> Result<Vec<Row>> {
-    run(&Env { catalog, ctx }, plan)
+    run(&Env::new(catalog, ctx, plan), plan)
+}
+
+/// [`read`], with the rows as the caller's own.
+pub(crate) fn run(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
+    Ok(read(env, plan)?.into_owned())
 }
 
 /// The recursive workhorse: span + estimate bookkeeping around
-/// [`execute_op`], plus the per-operator governor checkpoint.
-pub(crate) fn run(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
+/// [`execute_op`] or a shared read, plus the per-operator governor
+/// checkpoint.
+fn read(env: &Env, plan: &Plan) -> Result<Input> {
     env.ctx.checkpoint()?;
     let _span = pqp_obs::span(op_name(plan));
-    if pqp_obs::trace_active() {
+    if let Some(est) = env.est_rows.as_ref().and_then(|rows| rows.get(&(plan as *const Plan))) {
         // Planner estimate alongside the actual rows_out: EXPLAIN ANALYZE
         // consumers compute per-operator Q-error from the pair. Only paid
         // when a trace is being collected.
-        let est = crate::cost::Estimator::new(env.catalog).rows(plan);
         pqp_obs::record("est_rows", est.round() as i64);
     }
-    let rows = execute_op(env, plan)?;
+    let rows = match plan {
+        Plan::Shared { slot, input } => read_shared(env, *slot, input)?,
+        _ => Input::Owned(execute_op(env, plan)?),
+    };
     pqp_obs::record("rows_out", rows.len());
     Ok(rows)
+}
+
+/// Read shared subtree `slot`: the first read runs `input` and keeps its
+/// rows, later reads borrow them, and the last read takes them out of the
+/// slot. The governor sees the subtree's work once.
+fn read_shared(env: &Env, slot: usize, input: &Plan) -> Result<Input> {
+    pqp_obs::record("slot", slot);
+    let kept = {
+        let mut slots = env.slots.borrow_mut();
+        let Some(s) = slots.get_mut(slot) else {
+            return Err(EngineError::Internal(format!("shared slot {slot} was never counted")));
+        };
+        s.readers = s.readers.saturating_sub(1);
+        if s.readers == 0 {
+            s.rows.take()
+        } else {
+            s.rows.clone()
+        }
+    };
+    if let Some(rows) = kept {
+        pqp_obs::record("reused", 1u32);
+        return Ok(Input::Shared(rows));
+    }
+    let rows = Rc::new(run(env, input)?);
+    let mut slots = env.slots.borrow_mut();
+    if let Some(s) = slots.get_mut(slot).filter(|s| s.readers > 0) {
+        s.rows = Some(Rc::clone(&rows));
+    }
+    Ok(Input::Shared(rows))
 }
 
 fn op_name(plan: &Plan) -> &'static str {
@@ -134,6 +253,7 @@ fn op_name(plan: &Plan) -> &'static str {
         Plan::Limit { .. } => "exec.limit",
         Plan::Union { .. } => "exec.union",
         Plan::TopK { .. } => "exec.topk",
+        Plan::Shared { .. } => "exec.shared",
     }
 }
 
@@ -152,9 +272,9 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
         Plan::IndexJoin {
             probe, probe_key, table, column, filter, probe_is_left, columns, ..
         } => {
-            let probe_rows = run(env, probe)?;
+            let probe_rows = read(env, probe)?;
             let scan_side = IndexSide { table, column, filter: filter.as_ref(), columns: *columns };
-            index_join(env, probe_rows, *probe_key, &scan_side, *probe_is_left)
+            index_join(env, &probe_rows, *probe_key, &scan_side, *probe_is_left)
         }
         Plan::Filter { input, predicate } => {
             let rows = run(env, input)?;
@@ -162,31 +282,31 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
             filter_rows(ctx, rows, predicate)
         }
         Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            let lrows = run(env, left)?;
-            let rrows = run(env, right)?;
+            let lrows = read(env, left)?;
+            let rrows = read(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
-            join_rows(env, lrows, rrows, left_keys, right_keys)
+            join_rows(env, &lrows, &rrows, left_keys, right_keys)
         }
         Plan::CrossJoin { left, right, .. } => {
-            let lrows = run(env, left)?;
-            let rrows = run(env, right)?;
+            let lrows = read(env, left)?;
+            let rrows = read(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
-            cross_join_rows(ctx, lrows, rrows)
+            cross_join_rows(ctx, &lrows, &rrows)
         }
         Plan::Project { input, exprs, .. } => {
-            let rows = run(env, input)?;
+            let rows = read(env, input)?;
             if is_identity(exprs, input.schema().arity()) {
                 // A derived table's re-qualification: the rows as they are.
-                return Ok(rows);
+                return Ok(rows.into_owned());
             }
-            project_rows(ctx, rows, exprs)
+            project_rows(ctx, &rows, exprs)
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
-            let rows = run(env, input)?;
+            let rows = read(env, input)?;
             pqp_obs::record("rows_in", rows.len());
-            aggregate(rows, group_by, aggs, ctx)
+            aggregate(&rows, group_by, aggs, ctx)
         }
         Plan::Distinct { input } => {
             let rows = run(env, input)?;
@@ -217,6 +337,8 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
         Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
             crate::topk::execute(env, base, probes, *visible, matching, *rank, *limit)
         }
+        // `read` serves shared nodes from their slot before they get here.
+        Plan::Shared { input, .. } => run(env, input),
     }
 }
 
@@ -336,15 +458,15 @@ fn is_identity(exprs: &[BoundExpr], arity: usize) -> bool {
 }
 
 /// The projection loop over materialized rows.
-fn project_rows(ctx: &QueryCtx, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
+fn project_rows(ctx: &QueryCtx, rows: &[Row], exprs: &[BoundExpr]) -> Result<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.into_iter().enumerate() {
+    for (i, row) in rows.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
         }
         let mut projected = Vec::with_capacity(exprs.len());
         for e in exprs {
-            projected.push(e.eval(&row)?);
+            projected.push(e.eval(row)?);
         }
         out.push(projected);
     }
@@ -352,7 +474,7 @@ fn project_rows(ctx: &QueryCtx, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<V
 }
 
 /// Cartesian product of two materialized sides.
-fn cross_join_rows(ctx: &QueryCtx, lrows: Vec<Row>, rrows: Vec<Row>) -> Result<Vec<Row>> {
+fn cross_join_rows(ctx: &QueryCtx, lrows: &[Row], rrows: &[Row]) -> Result<Vec<Row>> {
     // Cap the pre-allocation: a huge product should grow lazily (and
     // fail late with partial progress) rather than request the whole
     // worst case up front.
@@ -362,8 +484,8 @@ fn cross_join_rows(ctx: &QueryCtx, lrows: Vec<Row>, rrows: Vec<Row>) -> Result<V
     // memory per output batch so a runaway product trips the budget
     // instead of exhausting the machine.
     let mut pending_mem = 0u64;
-    for l in &lrows {
-        for r in &rrows {
+    for l in lrows {
+        for r in rrows {
             let row = concat(l, r);
             pending_mem += approx_row_bytes(row.len());
             out.push(row);
@@ -441,7 +563,7 @@ struct IndexSide<'p> {
 /// so it cannot go away mid-probe.
 fn index_join(
     env: &Env,
-    probe_rows: Vec<Row>,
+    probe_rows: &[Row],
     probe_key: usize,
     side: &IndexSide,
     probe_is_left: bool,
@@ -456,7 +578,7 @@ fn index_join(
     let fits = probe_rows.len() * INDEX_JOIN_RATIO <= t.len();
     if let Some(index) = t.index_on(column).filter(|_| fits) {
         let hits = Hits::new(&t, filter, columns);
-        return index_probe(env.ctx, index, hits, &probe_rows, probe_key, probe_is_left);
+        return index_probe(env.ctx, index, hits, probe_rows, probe_key, probe_is_left);
     }
     drop(t);
     // The scan emits `columns` only: the join column's place among them.
@@ -466,9 +588,9 @@ fn index_join(
     pqp_obs::record("strategy", "hash_fallback");
     let scan_rows = scan(env, table, filter, columns)?;
     if probe_is_left {
-        join_rows(env, probe_rows, scan_rows, &[probe_key], &[scan_key])
+        join_rows(env, probe_rows, &scan_rows, &[probe_key], &[scan_key])
     } else {
-        join_rows(env, scan_rows, probe_rows, &[scan_key], &[probe_key])
+        join_rows(env, &scan_rows, probe_rows, &[scan_key], &[probe_key])
     }
 }
 
@@ -570,8 +692,8 @@ impl<'t> Hits<'t> {
 /// the smaller side, then probe it with the other.
 fn join_rows(
     env: &Env,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
+    lrows: &[Row],
+    rrows: &[Row],
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> Result<Vec<Row>> {
@@ -581,9 +703,9 @@ fn join_rows(
     let ctx = env.ctx;
     let build_left = lrows.len() <= rrows.len();
     let (build, probe, build_keys, probe_keys) = if build_left {
-        (&lrows, &rrows, left_keys, right_keys)
+        (lrows, rrows, left_keys, right_keys)
     } else {
-        (&rrows, &lrows, right_keys, left_keys)
+        (rrows, lrows, right_keys, left_keys)
     };
     let table = build_table(build, build_keys, ctx)?;
     probe_table(probe, build, &table, probe_keys, build_keys, build_left, ctx)
@@ -707,7 +829,7 @@ fn probe_table(
 /// evaluated into one reused scratch row and moved into a group's output
 /// row only when it opens a new group.
 fn aggregate(
-    rows: Vec<Row>,
+    rows: &[Row],
     group_by: &[BoundExpr],
     aggs: &[crate::aggregate::AggCall],
     ctx: &QueryCtx,
@@ -777,8 +899,9 @@ mod tests {
     }
 
     fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
-        let env = Env { catalog: &Catalog::new(), ctx: &QueryCtx::unlimited() };
-        join_rows(&env, l, r, lk, rk).unwrap()
+        let (catalog, ctx) = (Catalog::new(), QueryCtx::unlimited());
+        let nothing = Plan::Empty { schema: Default::default() };
+        join_rows(&Env::new(&catalog, &ctx, &nothing), &l, &r, lk, rk).unwrap()
     }
 
     #[test]
@@ -876,7 +999,7 @@ mod tests {
             AggCall::new(AggFunc::Count, None).unwrap(),
             AggCall::new(AggFunc::Sum, Some(BoundExpr::Column(1))).unwrap(),
         ];
-        let out = aggregate(rows, &group_by, &aggs, &QueryCtx::unlimited()).unwrap();
+        let out = aggregate(&rows, &group_by, &aggs, &QueryCtx::unlimited()).unwrap();
         assert_eq!(
             out,
             vec![
@@ -886,7 +1009,7 @@ mod tests {
             ]
         );
         // No GROUP BY: one group, even over no rows.
-        let out = aggregate(Vec::new(), &[], &aggs, &QueryCtx::unlimited()).unwrap();
+        let out = aggregate(&[], &[], &aggs, &QueryCtx::unlimited()).unwrap();
         assert_eq!(out, vec![vec![int(0), Value::Null]]);
     }
 }

@@ -4,8 +4,9 @@
 //! the Oracle 9i substrate the paper's prototype ran on.
 //!
 //! Pipeline: `parse → OR-expansion rewrite → plan (bind + push down + join
-//! order) → execute`. See [`rewrite`] for why OR-expansion matters to the
-//! reproduction, and [`naive`] for the differential-testing oracle.
+//! order) → share repeated subtrees → execute`. See [`rewrite`] for why
+//! OR-expansion matters to the reproduction, and [`naive`] for the
+//! differential-testing oracle.
 //!
 //! Execution is serial: every operator of [`exec`] runs on the calling
 //! thread.
@@ -52,6 +53,7 @@ pub mod naive;
 pub mod plan;
 pub mod planner;
 pub mod rewrite;
+mod share;
 pub mod topk;
 pub mod types;
 mod vexpr;
@@ -150,14 +152,16 @@ impl Database {
         Ok(ResultSet { columns, rows })
     }
 
-    /// Produce the optimized plan for a query (OR-expansion + planning).
+    /// Produce the optimized plan for a query (OR-expansion + planning),
+    /// its repeated subtrees shared (`share`).
     pub fn plan(&self, q: &Query) -> Result<plan::Plan> {
-        self.plan_in(&planner::Planner::new(&self.catalog), q)
+        let _span = pqp_obs::span("plan");
+        let plan = self.plan_in(&planner::Planner::new(&self.catalog), q)?;
+        Ok(share::share_subtrees(plan))
     }
 
-    /// [`Database::plan`] as one query of a longer planning pass.
+    /// One query of a planning pass, before its subtrees are shared.
     fn plan_in(&self, pass: &planner::Planner<'_>, q: &Query) -> Result<plan::Plan> {
-        let _span = pqp_obs::span("plan");
         let rewritten = rewrite::or_expand(q, &self.catalog);
         pass.plan_query(&rewritten)
     }
@@ -172,7 +176,8 @@ impl Database {
     /// are planned through the normal pipeline, then assembled under the
     /// rank operator. The resulting plan executes through the usual
     /// [`Database::run_plan_ctx`] entry points (and is cacheable like any
-    /// other plan).
+    /// other plan). Subtrees the base and the witnesses repeat are shared
+    /// across all of them.
     pub fn plan_topk(&self, spec: &topk::TopKSpec) -> Result<plan::Plan> {
         let _span = pqp_obs::span("plan");
         if spec.probes.len() > topk::MAX_PROBES {
@@ -224,7 +229,7 @@ impl Database {
         if spec.rank {
             columns.push(OutputColumn::new(None, topk::INTEREST_COLUMN));
         }
-        Ok(plan::Plan::TopK {
+        Ok(share::share_subtrees(plan::Plan::TopK {
             base: Box::new(base),
             probes,
             visible: spec.columns.len(),
@@ -232,7 +237,7 @@ impl Database {
             rank: spec.rank,
             limit: spec.limit,
             schema: pass.share(OutputSchema::new(columns)),
-        })
+        }))
     }
 
     /// EXPLAIN text for a SQL string, with per-node `est_rows` from the

@@ -110,6 +110,14 @@ pub enum Plan {
         limit: Option<u64>,
         schema: SchemaRef,
     },
+    /// A subtree that occurs more than once in one plan (a `Scan`,
+    /// `IndexScan`, `HashJoin` or `IndexJoin`; MQ's partial queries repeat
+    /// the base query's joins). Every occurrence holds the same `input`, so
+    /// a plan stores the subtree once, and the executor runs it once per
+    /// execution: the first reader fills `slot`, later readers read its
+    /// rows in place. Built by `crate::share` after planning; `slot`
+    /// numbers the shared subtrees of one plan in pre-order from 0.
+    Shared { slot: usize, input: Arc<Plan> },
 }
 
 /// One optional preference carried into a [`Plan::TopK`] node.
@@ -165,6 +173,67 @@ impl Plan {
             | Plan::Distinct { input }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => input.schema_ref(),
+            Plan::Shared { input, .. } => input.schema_ref(),
+        }
+    }
+
+    /// Call `f` on each child of this node, in the order the executor runs
+    /// them: a join's left side before its right, a union's inputs in
+    /// order, a rank operator's base before its witness plans. A shared
+    /// node's child is its input.
+    pub fn for_each_child<'p>(&'p self, f: &mut dyn FnMut(&'p Plan)) {
+        match self {
+            Plan::Empty { .. } | Plan::Scan { .. } | Plan::IndexScan { .. } => {}
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => f(input),
+            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Plan::IndexJoin { probe, .. } => f(probe),
+            Plan::Union { inputs, .. } => inputs.iter().for_each(f),
+            Plan::TopK { base, probes, .. } => {
+                f(base);
+                for p in probes {
+                    if let TopKProbeSource::Witness(w) = &p.source {
+                        f(w);
+                    }
+                }
+            }
+            Plan::Shared { input, .. } => f(input),
+        }
+    }
+
+    /// [`Plan::for_each_child`] with mutable access, except that a shared
+    /// node's input, which other nodes also hold, is not visited.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut Plan)) {
+        match self {
+            Plan::Empty { .. } | Plan::Scan { .. } | Plan::IndexScan { .. } => {}
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => f(input),
+            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Plan::IndexJoin { probe, .. } => f(probe),
+            Plan::Union { inputs, .. } => inputs.iter_mut().for_each(f),
+            Plan::TopK { base, probes, .. } => {
+                f(base);
+                for p in probes {
+                    if let TopKProbeSource::Witness(w) = &mut p.source {
+                        f(w);
+                    }
+                }
+            }
+            Plan::Shared { .. } => {}
         }
     }
 
@@ -176,9 +245,12 @@ impl Plan {
     /// Like [`Plan::explain`], but appends ` (annotation)` to every node for
     /// which `annot` returns `Some` — the hook the cost estimator uses to
     /// print `est_rows` without the plan depending on the estimator.
+    ///
+    /// A shared subtree is printed once, under its first `Shared #n` line;
+    /// every later occurrence is the one line `Shared #n (reused)`.
     pub fn explain_annotated(&self, annot: &mut dyn FnMut(&Plan) -> Option<String>) -> String {
         let mut out = String::new();
-        self.explain_into(0, &mut out, annot);
+        self.explain_into(0, &mut out, annot, &mut Vec::new());
         out
     }
 
@@ -187,6 +259,7 @@ impl Plan {
         depth: usize,
         out: &mut String,
         annot: &mut dyn FnMut(&Plan) -> Option<String>,
+        printed: &mut Vec<usize>,
     ) {
         let pad = "  ".repeat(depth);
         let suffix = match annot(self) {
@@ -211,12 +284,12 @@ impl Plan {
             }
             Plan::Filter { input, .. } => {
                 out.push_str(&format!("{pad}Filter{suffix}\n"));
-                input.explain_into(depth + 1, out, annot);
+                input.explain_into(depth + 1, out, annot, printed);
             }
             Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
                 out.push_str(&format!("{pad}HashJoin on {left_keys:?}={right_keys:?}{suffix}\n"));
-                left.explain_into(depth + 1, out, annot);
-                right.explain_into(depth + 1, out, annot);
+                left.explain_into(depth + 1, out, annot, printed);
+                right.explain_into(depth + 1, out, annot, printed);
             }
             Plan::IndexJoin { probe, table, column, filter, probe_is_left, schema, .. } => {
                 // The fetched columns follow the probe's, or precede them.
@@ -232,16 +305,16 @@ impl Plan {
                     if filter.is_some() { " [filtered]" } else { "" },
                     if *probe_is_left { "left" } else { "right" }
                 ));
-                probe.explain_into(depth + 1, out, annot);
+                probe.explain_into(depth + 1, out, annot, printed);
             }
             Plan::CrossJoin { left, right, .. } => {
                 out.push_str(&format!("{pad}CrossJoin{suffix}\n"));
-                left.explain_into(depth + 1, out, annot);
-                right.explain_into(depth + 1, out, annot);
+                left.explain_into(depth + 1, out, annot, printed);
+                right.explain_into(depth + 1, out, annot, printed);
             }
             Plan::Project { input, exprs, .. } => {
                 out.push_str(&format!("{pad}Project [{} exprs]{suffix}\n", exprs.len()));
-                input.explain_into(depth + 1, out, annot);
+                input.explain_into(depth + 1, out, annot, printed);
             }
             Plan::Aggregate { input, group_by, aggs, .. } => {
                 out.push_str(&format!(
@@ -249,19 +322,19 @@ impl Plan {
                     group_by.len(),
                     aggs.len()
                 ));
-                input.explain_into(depth + 1, out, annot);
+                input.explain_into(depth + 1, out, annot, printed);
             }
             Plan::Distinct { input } => {
                 out.push_str(&format!("{pad}Distinct{suffix}\n"));
-                input.explain_into(depth + 1, out, annot);
+                input.explain_into(depth + 1, out, annot, printed);
             }
             Plan::Sort { input, keys } => {
                 out.push_str(&format!("{pad}Sort by {keys:?}{suffix}\n"));
-                input.explain_into(depth + 1, out, annot);
+                input.explain_into(depth + 1, out, annot, printed);
             }
             Plan::Limit { input, n } => {
                 out.push_str(&format!("{pad}Limit {n}{suffix}\n"));
-                input.explain_into(depth + 1, out, annot);
+                input.explain_into(depth + 1, out, annot, printed);
             }
             Plan::Union { inputs, all, .. } => {
                 out.push_str(&format!(
@@ -270,7 +343,7 @@ impl Plan {
                     inputs.len()
                 ));
                 for i in inputs {
-                    i.explain_into(depth + 1, out, annot);
+                    i.explain_into(depth + 1, out, annot, printed);
                 }
             }
             Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
@@ -287,7 +360,7 @@ impl Plan {
                     probes.len(),
                     if *rank { ", ranked" } else { "" },
                 ));
-                base.explain_into(depth + 1, out, annot);
+                base.explain_into(depth + 1, out, annot, printed);
                 for p in probes {
                     match &p.source {
                         TopKProbeSource::Literal(v) => {
@@ -297,9 +370,18 @@ impl Plan {
                         TopKProbeSource::Witness(w) => {
                             let pad2 = "  ".repeat(depth + 1);
                             out.push_str(&format!("{pad2}Probe in witness [doi {}]\n", p.doi));
-                            w.explain_into(depth + 2, out, annot);
+                            w.explain_into(depth + 2, out, annot, printed);
                         }
                     }
+                }
+            }
+            Plan::Shared { slot, input } => {
+                if printed.contains(slot) {
+                    out.push_str(&format!("{pad}Shared #{slot} (reused){suffix}\n"));
+                } else {
+                    printed.push(*slot);
+                    out.push_str(&format!("{pad}Shared #{slot}{suffix}\n"));
+                    input.explain_into(depth + 1, out, annot, printed);
                 }
             }
         }

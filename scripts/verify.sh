@@ -61,8 +61,12 @@ cargo test "${CARGO_FLAGS[@]}" --release -p pqp-server --lib repl::sim -- --igno
 # bounds the allocations per build_execution(Auto) and the live allocations
 # and bytes of the plan it leaves behind, and the one-pass estimator must
 # agree bit for bit with its recursive reference while plans, strategy
-# choices and answers match the recorded digest. Release mode: that is the
-# build the serving path runs (the counts are the same in debug).
+# choices and answers match the recorded digest. On the execution side, the
+# rows scanned and the bytes charged to the query governor by the
+# rank_exec-shaped run_plans are exact gates (606 860 rows / 52 921 232 B
+# over 128 runs, no slack), beside the allocation and byte ceilings. Release
+# mode: that is the build the serving path runs (the counts are the same in
+# debug).
 echo "==> plan footprint budget + estimator equivalence (release)"
 cargo test "${CARGO_FLAGS[@]}" --release -p pqp --test plan_footprint --test estimator_equivalence -q
 

@@ -121,6 +121,7 @@ impl Reference<'_> {
             Plan::Distinct { input } => self.rows(input),
             Plan::Limit { input, n } => self.rows(input).min(*n as f64),
             Plan::Union { inputs, .. } => inputs.iter().map(|i| self.rows(i)).sum(),
+            Plan::Shared { input, .. } => self.rows(input),
             Plan::TopK { base, visible, limit, .. } => {
                 let in_rows = self.rows(base);
                 if in_rows <= 0.0 {
@@ -158,6 +159,8 @@ impl Reference<'_> {
             Plan::Union { inputs, .. } => {
                 self.rows(plan) + inputs.iter().map(|i| self.cost(i)).sum::<f64>()
             }
+            // Every occurrence of a shared subtree is priced in full.
+            Plan::Shared { input, .. } => self.cost(input),
             Plan::TopK { base, probes, .. } => {
                 let witness_cost: f64 = probes
                     .iter()
@@ -241,6 +244,7 @@ impl Reference<'_> {
             | Plan::Distinct { input }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => self.origins(input),
+            Plan::Shared { input, .. } => self.origins(input),
             Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
                 let mut out = self.origins(left);
                 out.extend(self.origins(right));
@@ -422,32 +426,21 @@ fn is_col_lit(a: &BoundExpr, b: &BoundExpr) -> bool {
     )
 }
 
+/// `plan` with every shared subtree copied back into each place it occurs:
+/// the tree the planner built before it shared them.
+fn unshared(plan: &Plan) -> Plan {
+    let mut copy = match plan {
+        Plan::Shared { input, .. } => Plan::clone(input),
+        other => other.clone(),
+    };
+    copy.for_each_child_mut(&mut |child| *child = unshared(child));
+    copy
+}
+
 /// Every node of a plan, witness sub-plans included.
 fn for_each_node<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
     f(plan);
-    match plan {
-        Plan::Empty { .. } | Plan::Scan { .. } | Plan::IndexScan { .. } => {}
-        Plan::Filter { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. } => for_each_node(input, f),
-        Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-            for_each_node(left, f);
-            for_each_node(right, f);
-        }
-        Plan::IndexJoin { probe, .. } => for_each_node(probe, f),
-        Plan::Union { inputs, .. } => inputs.iter().for_each(|i| for_each_node(i, f)),
-        Plan::TopK { base, probes, .. } => {
-            for_each_node(base, f);
-            for p in probes {
-                if let TopKProbeSource::Witness(w) = &p.source {
-                    for_each_node(w, f);
-                }
-            }
-        }
-    }
+    plan.for_each_child(&mut |child| for_each_node(child, f));
 }
 
 // ---- the corpus ------------------------------------------------------------
@@ -572,7 +565,8 @@ impl Fnv {
 /// each explicit rewrite (SQ, MQ, native) the resolved rewrite, its
 /// estimated cost (bit pattern), `Plan::explain()` and
 /// `Estimator::explain()` — what the optimizer decided. **(a′) auto**: the
-/// same for `Auto`, plus every candidate's plan cost or price. **(b)
+/// same for `Auto` (its plan with shared subtrees copied back into place),
+/// plus every candidate's plan cost or price. **(b)
 /// answers**: for every case and each explicit rewrite the executed answer
 /// and the rows the run scanned — what the executor did. Kept apart so a
 /// change to who picks an access path shows as (a) moving while (b) proves
@@ -609,8 +603,17 @@ fn digests(analyzed: bool) -> (u64, u64, u64) {
                 let priced = if matches!(cost, CandidateCost::Price(_)) { "~" } else { "" };
                 digest.eat(&format!("{}{priced}={:016x}", alt.label(), cost.value().to_bits()));
             }
-            digest.eat(&choice.plan.explain());
-            digest.eat(&Estimator::new(corpus.db.catalog()).explain(&choice.plan));
+            // `Auto`'s plan is one of the explicit rewrites' plans, which
+            // (a) pins with its shared subtrees; (a′) pins the choice.
+            let unshared_plan;
+            let explained = if rw == Rewrite::Auto {
+                unshared_plan = unshared(&choice.plan);
+                &unshared_plan
+            } else {
+                &choice.plan
+            };
+            digest.eat(&explained.explain());
+            digest.eat(&Estimator::new(corpus.db.catalog()).explain(explained));
             let ctx = QueryCtx::unlimited();
             let answer = corpus
                 .db
@@ -681,12 +684,21 @@ fn as_set(rows: &[Vec<Value>]) -> BTreeSet<String> {
 /// a dump of every case's rewrite, cost or price, `Estimator::explain` and
 /// per-node rows and cost bits is identical before and after that change;
 /// (b) did not move.
-const PLANS_ANALYZED: u64 = 0x2634_0543_95a6_9b79;
-const PLANS_UNANALYZED: u64 = 0xa890_fad7_f71c_9b4d;
+///
+/// (a) and (b) were re-recorded when planning began to share repeated
+/// subtrees (`Plan::Shared`), (a) for its `Shared #n` lines alone and (b)
+/// for its `rows_scanned=` entries alone. With every shared subtree copied
+/// back into place (`unshared`), (a) is the former `0x2634_0543_95a6_9b79` /
+/// `0xa890_fad7_f71c_9b4d`; with `rows_scanned=` left out, (b) is
+/// `0x1d59_8fa7_f726_a605` / `0x5b73_c930_a654_9e17` on both sides of that
+/// change, so every answer is the same, row for row. (a′) hashes `Auto`'s
+/// plan unshared, since its shared lines are (a)'s, and did not move.
+const PLANS_ANALYZED: u64 = 0xf0d6_25f3_619a_c0f9;
+const PLANS_UNANALYZED: u64 = 0xec0a_b29f_e97c_e2e0;
 const AUTO_ANALYZED: u64 = 0xd3dc_8262_562e_b529;
 const AUTO_UNANALYZED: u64 = 0x470e_b63d_785e_0f23;
-const ANSWERS_ANALYZED: u64 = 0xd815_3550_5533_a9a9;
-const ANSWERS_UNANALYZED: u64 = 0x940f_0ebc_b089_4381;
+const ANSWERS_ANALYZED: u64 = 0x511f_4191_c07b_9f8f;
+const ANSWERS_UNANALYZED: u64 = 0x19c1_08a6_586a_6d72;
 
 #[test]
 fn plans_estimates_choices_and_answers_match_the_parent_commit() {

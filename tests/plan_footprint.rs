@@ -17,11 +17,13 @@
 //!   builds the graph once per profile epoch, and so does this test).
 //!
 //! The same binary counts the execution side of a plan-cache *hit*:
-//! allocations and requested bytes per `Database::run_plan` of each built
+//! allocations and requested bytes per `Database::run_plan_ctx` of each built
 //! plan over a population shaped like the `rank_exec` workload — broad
 //! query texts, 60-selection profiles with every join preference, K=12,
 //! L=2, ranked, `Rewrite::Mq` — where the executor's per-row cost (string
 //! copies, join rows and their width, key vectors) is what the count sees.
+//! Over the same runs it asserts the exact rows scanned and bytes charged
+//! to the query governor (`QueryCtx::progress()`).
 //!
 //! It also counts what the generated database itself keeps live — the
 //! stored base data every workload starts from.
@@ -36,7 +38,8 @@ use pqp_datagen::{
     generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
     ValuePools,
 };
-use pqp_engine::Database;
+use pqp_engine::{Database, ExecOptions};
+use pqp_obs::QueryCtx;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
@@ -52,7 +55,8 @@ const TEXTS: usize = 32;
 /// columns read above them bind their filters to the table's own columns
 /// instead of building a whole-table schema, and measure 910. With one join
 /// order for planning and pricing (no hash sets in the planner, no key list
-/// per priced step) it is 881.
+/// per priced step) it is 881, and 890 with the pass that shares repeated
+/// subtrees.
 const MAX_ALLOCS_PER_BUILD: u64 = 962;
 
 /// Ceiling on the candidates `Rewrite::Auto` integrates and plans per
@@ -61,7 +65,8 @@ const MAX_ALLOCS_PER_BUILD: u64 = 962;
 const MAX_TENTHS_BUILT_PER_CHOICE: u64 = 14;
 /// Ceilings on the plan a build leaves behind: 74 live allocations / 6 476
 /// B while every access path emitted its whole table; 73 / 6 152 B with
-/// narrowed schemas. The ceilings are the former.
+/// narrowed schemas, and 72 / 6 035 B with repeated subtrees stored once.
+/// The ceilings are the former.
 const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 74;
 const MAX_LIVE_BYTES_PER_PLAN: i64 = 6_476;
 
@@ -87,8 +92,19 @@ const EXEC_TEXTS: usize = 8;
 /// re-projected, and access paths that emit only the columns read above
 /// them, measure 14 600 allocations / 2 221 195 B. The ceilings are that
 /// + 5 %.
-const MAX_ALLOCS_PER_RUN: u64 = 15_330;
-const MAX_BYTES_PER_RUN: u64 = 2_332_255;
+///
+/// With each repeated subtree run once per execution (`Plan::Shared`) they
+/// measure 9 579 / 1 587 354 B; the ceilings are that + 5 %.
+const MAX_ALLOCS_PER_RUN: u64 = 10_058;
+const MAX_BYTES_PER_RUN: u64 = 1_666_722;
+
+/// The rows the 128 `run_plan`s scan and the bytes they charge to the query
+/// governor, read from `QueryCtx::progress()`: exact, with no slack. Every
+/// subtree run once per occurrence scanned 1 072 940 rows / charged 85 069 712
+/// B (8 382.3 / 664 607.1 per run); with each repeated subtree run once per
+/// execution they are the values below (4 741.1 / 413 447.1 per run).
+const ROWS_SCANNED: u64 = 606_860;
+const CHARGED_BYTES: u64 = 52_921_232;
 
 /// Ceiling on the bytes the generated database keeps live: 1.05 x the
 /// 3 134 773 B (30 902 allocations) of rows encoded into 8 KiB heap pages.
@@ -294,6 +310,7 @@ fn execution_side(db: &Database, pools: &ValuePools) {
     let options = PersonalizeOptions::builder().k(12).l(2).ranked().build();
 
     let (mut runs, mut allocs, mut requested, mut rows) = (0u64, 0u64, 0u64, 0usize);
+    let (mut scanned, mut charged) = (0u64, 0u64);
     for profile in &profiles {
         let graph = InMemoryGraph::build(profile, db.catalog()).expect("profile graph");
         for sql in &sqls {
@@ -304,15 +321,18 @@ fn execution_side(db: &Database, pools: &ValuePools) {
                 .expect("personalization");
             let plan = build_execution(db, &personalized, Rewrite::Mq, None).expect("build").plan;
 
+            let ctx = QueryCtx::unlimited();
             let before = (counters(), REQUESTED_BYTES.load(Ordering::Relaxed));
             ENABLED.store(true, Ordering::Relaxed);
-            let answer = db.run_plan(&plan).expect("execution");
+            let answer = db.run_plan_ctx(&plan, &ExecOptions::default(), &ctx).expect("execution");
             ENABLED.store(false, Ordering::Relaxed);
             let after = (counters(), REQUESTED_BYTES.load(Ordering::Relaxed));
             runs += 1;
             allocs += after.0 .0 - before.0 .0;
             requested += after.1 - before.1;
             rows += answer.rows.len();
+            scanned += ctx.progress().rows_scanned;
+            charged += ctx.progress().mem_bytes;
         }
     }
 
@@ -320,8 +340,13 @@ fn execution_side(db: &Database, pools: &ValuePools) {
     let bytes_per_run = requested / runs;
     println!(
         "{runs} runs ({rows} rows out): {per_run} allocations / {bytes_per_run} B requested \
-         per run_plan"
+         per run_plan; {scanned} rows scanned / {charged} B charged to the governor ({:.1} / {:.1} \
+         per run_plan)",
+        scanned as f64 / runs as f64,
+        charged as f64 / runs as f64
     );
+    assert_eq!(scanned, ROWS_SCANNED, "rows scanned by the {runs} run_plans");
+    assert_eq!(charged, CHARGED_BYTES, "bytes charged to the governor by the {runs} run_plans");
     assert!(
         per_run <= MAX_ALLOCS_PER_RUN,
         "{per_run} allocations per run_plan (ceiling {MAX_ALLOCS_PER_RUN})"
