@@ -56,6 +56,12 @@
 //! per row. Equality is [`Value`]'s (`Int(3)` matches `Float(3.0)`); the
 //! join drops NULL keys, the others group them.
 //!
+//! Each key is hashed once, by [`pqp_storage::KeyHasher`] (a seeded
+//! multiply-fold with an avalanche finaliser, not SipHash), and the
+//! `KeyTable` uses that hash as it is ([`PreHashed`]). The seed is the
+//! process's, read once per execution into `Env`; since no table is ever
+//! iterated, no answer's order depends on it.
+//!
 //! ## One loop per operator, one schedule
 //!
 //! Each operator's loop is one function in this file — the scan
@@ -84,10 +90,12 @@ use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, ColumnSet, HashIndex, Row, StorageError, Table, Value};
+use pqp_storage::{
+    Catalog, ColumnSet, HashIndex, KeyState, PreHashed, Row, StorageError, Table, Value,
+};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::rc::Rc;
 
 /// Execution options. Field-less: execution has one schedule and nothing
@@ -98,10 +106,13 @@ use std::rc::Rc;
 pub struct ExecOptions {}
 
 /// Everything an operator needs from its surroundings: the catalog, the
-/// per-query governor context and this execution's shared-subtree slots.
+/// per-query governor context, the key hasher and this execution's
+/// shared-subtree slots.
 pub(crate) struct Env<'a> {
     pub catalog: &'a Catalog,
     pub ctx: &'a QueryCtx,
+    /// The hasher of every key table this execution builds.
+    pub keys: KeyState,
     /// One slot per shared subtree of the plan, by `Plan::Shared::slot`.
     slots: RefCell<Vec<Slot>>,
     /// Under a trace, every node's estimated rows, from one estimator walk.
@@ -109,12 +120,12 @@ pub(crate) struct Env<'a> {
 }
 
 impl<'a> Env<'a> {
-    /// The surroundings of one execution of `plan`.
-    fn new(catalog: &'a Catalog, ctx: &'a QueryCtx, plan: &Plan) -> Env<'a> {
+    /// The surroundings of one execution of `plan`, hashing keys with `keys`.
+    fn new(catalog: &'a Catalog, ctx: &'a QueryCtx, plan: &Plan, keys: KeyState) -> Env<'a> {
         let mut slots = Vec::new();
         count_readers(plan, &mut slots);
         let est_rows = pqp_obs::trace_active().then(|| Estimator::new(catalog).rows_by_node(plan));
-        Env { catalog, ctx, slots: RefCell::new(slots), est_rows }
+        Env { catalog, ctx, keys, slots: RefCell::new(slots), est_rows }
     }
 }
 
@@ -180,7 +191,7 @@ impl Input {
 /// rows and timings (`EXPLAIN ANALYZE`). Untraced runs pay only a
 /// thread-local check per operator.
 pub fn execute_ctx(plan: &Plan, catalog: &Catalog, ctx: &QueryCtx) -> Result<Vec<Row>> {
-    run(&Env::new(catalog, ctx, plan), plan)
+    run(&Env::new(catalog, ctx, plan, KeyState::new()), plan)
 }
 
 /// [`read`], with the rows as the caller's own.
@@ -306,11 +317,11 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let rows = read(env, input)?;
             pqp_obs::record("rows_in", rows.len());
-            aggregate(&rows, group_by, aggs, ctx)
+            aggregate(env, &rows, group_by, aggs)
         }
         Plan::Distinct { input } => {
             let rows = run(env, input)?;
-            distinct_rows(ctx, rows)
+            distinct_rows(env, rows)
         }
         Plan::Sort { input, keys } => {
             let mut rows = run(env, input)?;
@@ -331,7 +342,7 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
             if *all {
                 Ok(out)
             } else {
-                distinct_rows(ctx, out)
+                distinct_rows(env, out)
             }
         }
         Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
@@ -510,7 +521,7 @@ fn concat(l: &[Value], r: &[Value]) -> Row {
 /// Duplicate elimination preserving first-seen order (`DISTINCT` and
 /// non-`ALL` `UNION`): the table indexes the output rows kept so far, and a
 /// row is kept unless one of them equals it.
-fn distinct_rows(ctx: &QueryCtx, rows: Vec<Row>) -> Result<Vec<Row>> {
+fn distinct_rows(env: &Env, rows: Vec<Row>) -> Result<Vec<Row>> {
     let Some(first) = rows.first() else {
         return Ok(rows);
     };
@@ -519,9 +530,9 @@ fn distinct_rows(ctx: &QueryCtx, rows: Vec<Row>) -> Result<Vec<Row>> {
     let mut out: Vec<Row> = Vec::new();
     for (i, row) in rows.into_iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
+            env.ctx.checkpoint()?;
         }
-        let h = key_hash(&row, &cols, true).unwrap_or_default();
+        let h = key_hash(&env.keys, &row, &cols, true).unwrap_or_default();
         if !table.chain(h).any(|o| key_eq(&out[o], &cols, &row, &cols)) {
             table.insert(h, out.len());
             out.push(row);
@@ -700,24 +711,23 @@ fn join_rows(
     if let Some(msg) = env.catalog.failpoints().fire("join.build") {
         return Err(EngineError::Internal(format!("failpoint join.build: {msg}")));
     }
-    let ctx = env.ctx;
     let build_left = lrows.len() <= rrows.len();
     let (build, probe, build_keys, probe_keys) = if build_left {
         (lrows, rrows, left_keys, right_keys)
     } else {
         (rrows, lrows, right_keys, left_keys)
     };
-    let table = build_table(build, build_keys, ctx)?;
-    probe_table(probe, build, &table, probe_keys, build_keys, build_left, ctx)
+    let table = build_table(env, build, build_keys)?;
+    probe_table(env, probe, build, &table, probe_keys, build_keys, build_left)
 }
 
-/// Hash of `row`'s values at `cols`, in order, computed in place: the key
-/// of the hash join, `DISTINCT`, `UNION` and `GROUP BY`. `None` when one of
-/// them is NULL and `null_is_key` is false — SQL equi-join semantics, NULL
-/// never matches. Consistent with [`key_eq`]: [`Value`]'s hash agrees with
-/// its equality across `Int` / `Float`.
-fn key_hash(row: &[Value], cols: &[usize], null_is_key: bool) -> Option<u64> {
-    let mut h = DefaultHasher::new();
+/// Hash of `row`'s values at `cols`, in order, computed in place by one
+/// `keys` hasher: the key of the hash join, `DISTINCT`, `UNION` and
+/// `GROUP BY`. `None` when one of them is NULL and `null_is_key` is false —
+/// SQL equi-join semantics, NULL never matches. Consistent with [`key_eq`]:
+/// [`Value`]'s hash agrees with its equality across `Int` / `Float`.
+fn key_hash(keys: &KeyState, row: &[Value], cols: &[usize], null_is_key: bool) -> Option<u64> {
+    let mut h = keys.build_hasher();
     for &c in cols {
         let v = &row[c];
         if v.is_null() && !null_is_key {
@@ -739,15 +749,19 @@ const NO_ENTRY: usize = usize::MAX;
 /// Entries — indices into the caller's rows — chained by key hash: `heads`
 /// holds the last entry inserted under each hash and `next[e]` the one
 /// inserted under the same hash before `e`. A chain holds every entry whose
-/// key hashes alike; callers confirm each candidate with [`key_eq`].
+/// key hashes alike; callers confirm each candidate with [`key_eq`]. The
+/// hashes are [`key_hash`]'s, so `heads` uses them as they are.
 struct KeyTable {
-    heads: HashMap<u64, usize>,
+    heads: HashMap<u64, usize, PreHashed>,
     next: Vec<usize>,
 }
 
 impl KeyTable {
     fn with_capacity(entries: usize) -> KeyTable {
-        KeyTable { heads: HashMap::with_capacity(entries), next: Vec::with_capacity(entries) }
+        KeyTable {
+            heads: HashMap::with_capacity_and_hasher(entries, PreHashed::default()),
+            next: Vec::with_capacity(entries),
+        }
     }
 
     /// Chain `entry` under hash `h`, ahead of the entries already there.
@@ -774,13 +788,13 @@ impl KeyTable {
 /// The hash-build loop: chain the build rows by key hash. Inserting them
 /// last to first leaves every chain in build-insertion order, the order
 /// matches are emitted in.
-fn build_table(build: &[Row], build_keys: &[usize], ctx: &QueryCtx) -> Result<KeyTable> {
+fn build_table(env: &Env, build: &[Row], build_keys: &[usize]) -> Result<KeyTable> {
     let mut table = KeyTable::with_capacity(build.len());
     for (i, row) in build.iter().enumerate().rev() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
+            env.ctx.checkpoint()?;
         }
-        if let Some(h) = key_hash(row, build_keys, false) {
+        if let Some(h) = key_hash(&env.keys, row, build_keys, false) {
             table.insert(h, i);
         }
     }
@@ -791,14 +805,15 @@ fn build_table(build: &[Row], build_keys: &[usize], ctx: &QueryCtx) -> Result<Ke
 /// `left ++ right` rows in probe order, charging an estimated
 /// [`approx_row_bytes`] per output row.
 fn probe_table(
+    env: &Env,
     probe: &[Row],
     build: &[Row],
     table: &KeyTable,
     probe_keys: &[usize],
     build_keys: &[usize],
     build_left: bool,
-    ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
+    let ctx = env.ctx;
     let mut out = Vec::new();
     let mut pending_mem = 0u64;
     for (i, prow) in probe.iter().enumerate() {
@@ -806,7 +821,7 @@ fn probe_table(
             ctx.charge_mem(pending_mem)?;
             pending_mem = 0;
         }
-        let Some(h) = key_hash(prow, probe_keys, false) else {
+        let Some(h) = key_hash(&env.keys, prow, probe_keys, false) else {
             continue;
         };
         for bi in table.chain(h) {
@@ -829,10 +844,10 @@ fn probe_table(
 /// evaluated into one reused scratch row and moved into a group's output
 /// row only when it opens a new group.
 fn aggregate(
+    env: &Env,
     rows: &[Row],
     group_by: &[BoundExpr],
     aggs: &[crate::aggregate::AggCall],
-    ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
     let width = group_by.len() + aggs.len();
     let cols: Vec<usize> = (0..group_by.len()).collect();
@@ -843,19 +858,19 @@ fn aggregate(
         // Global aggregate: exactly one group, present even on empty input.
         groups.push(Row::with_capacity(width));
         states.extend(aggs.iter().map(|a| a.new_state()));
-        table.insert(key_hash(&[], &[], true).unwrap_or_default(), 0);
+        table.insert(key_hash(&env.keys, &[], &[], true).unwrap_or_default(), 0);
     }
 
     let mut key = Row::with_capacity(group_by.len());
     for (i, row) in rows.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
+            env.ctx.checkpoint()?;
         }
         key.clear();
         for g in group_by {
             key.push(g.eval(row)?);
         }
-        let h = key_hash(&key, &cols, true).unwrap_or_default();
+        let h = key_hash(&env.keys, &key, &cols, true).unwrap_or_default();
         let found = table.chain(h).find(|&g| key_eq(&groups[g], &cols, &key, &cols));
         let group = match found {
             Some(g) => g,
@@ -898,10 +913,15 @@ mod tests {
         Value::Int(i)
     }
 
-    fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
+    /// `f` over the surroundings of an empty plan, keys hashed with `seed`.
+    fn with_env<T>(seed: u64, f: impl FnOnce(&Env) -> T) -> T {
         let (catalog, ctx) = (Catalog::new(), QueryCtx::unlimited());
         let nothing = Plan::Empty { schema: Default::default() };
-        join_rows(&Env::new(&catalog, &ctx, &nothing), &l, &r, lk, rk).unwrap()
+        f(&Env::new(&catalog, &ctx, &nothing, KeyState::with_seed(seed)))
+    }
+
+    fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
+        with_env(1, |env| join_rows(env, &l, &r, lk, rk).unwrap())
     }
 
     #[test]
@@ -978,14 +998,14 @@ mod tests {
             vec![int(1), Value::str("x")],
         ];
         assert_eq!(
-            distinct_rows(&QueryCtx::unlimited(), rows).unwrap(),
+            with_env(1, |env| distinct_rows(env, rows)).unwrap(),
             vec![
                 vec![int(2), Value::Null],
                 vec![int(1), Value::str("x")],
                 vec![int(1), Value::str("y")],
             ]
         );
-        assert!(distinct_rows(&QueryCtx::unlimited(), Vec::new()).unwrap().is_empty());
+        assert!(with_env(1, |env| distinct_rows(env, Vec::new())).unwrap().is_empty());
     }
 
     #[test]
@@ -999,7 +1019,7 @@ mod tests {
             AggCall::new(AggFunc::Count, None).unwrap(),
             AggCall::new(AggFunc::Sum, Some(BoundExpr::Column(1))).unwrap(),
         ];
-        let out = aggregate(&rows, &group_by, &aggs, &QueryCtx::unlimited()).unwrap();
+        let out = with_env(1, |env| aggregate(env, &rows, &group_by, &aggs)).unwrap();
         assert_eq!(
             out,
             vec![
@@ -1009,7 +1029,135 @@ mod tests {
             ]
         );
         // No GROUP BY: one group, even over no rows.
-        let out = aggregate(&[], &[], &aggs, &QueryCtx::unlimited()).unwrap();
+        let out = with_env(1, |env| aggregate(env, &[], &[], &aggs)).unwrap();
         assert_eq!(out, vec![vec![int(0), Value::Null]]);
+    }
+
+    /// Two seeds the tests below hash every key with.
+    const SEEDS: [u64; 2] = [0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210];
+
+    /// `M(mid, genre, year)`, 300 rows, and `G(mid, tag)`, 500 rows, with
+    /// NULL keys on both sides and many duplicate keys.
+    fn key_table_db() -> crate::Database {
+        use pqp_storage::{ColumnDef, DataType, TableSchema};
+        let genres = ["comedy", "drama", "noir", "", "a", "western!", "documentary"];
+        let mut catalog = Catalog::new();
+        let m = TableSchema::new(
+            "M",
+            vec![
+                ColumnDef::nullable("mid", DataType::Int),
+                ColumnDef::nullable("genre", DataType::Str),
+                ColumnDef::nullable("year", DataType::Int),
+            ],
+        );
+        let m = catalog.create_table(m).unwrap();
+        for i in 0..300i64 {
+            let mid = if i % 17 == 0 { Value::Null } else { int(i) };
+            let year = if i % 23 == 0 { Value::Null } else { int(1990 + i % 13) };
+            m.write().insert(vec![mid, Value::str(genres[i as usize % 7]), year]).unwrap();
+        }
+        let g = TableSchema::new(
+            "G",
+            vec![
+                ColumnDef::nullable("mid", DataType::Int),
+                ColumnDef::nullable("tag", DataType::Str),
+            ],
+        );
+        let g = catalog.create_table(g).unwrap();
+        for i in 0..500i64 {
+            let mid = if i % 11 == 0 { Value::Null } else { int(i * 7 % 170) };
+            g.write().insert(vec![mid, Value::str(format!("t{}", i % 9))]).unwrap();
+        }
+        crate::Database::new(catalog)
+    }
+
+    /// `plan`'s rows, asserted equal and in the same order under both
+    /// [`SEEDS`].
+    fn under_both_seeds(db: &crate::Database, plan: &Plan) -> Vec<Row> {
+        let ctx = QueryCtx::unlimited();
+        let [a, b] = SEEDS.map(|seed| {
+            run(&Env::new(db.catalog(), &ctx, plan, KeyState::with_seed(seed)), plan).unwrap()
+        });
+        assert_eq!(a, b, "{plan:?}");
+        assert!(!a.is_empty());
+        a
+    }
+
+    fn sql_under_both_seeds(db: &crate::Database, sql: &str) -> Vec<Row> {
+        let plan = db.plan(&pqp_sql::parse_query(sql).unwrap()).unwrap();
+        under_both_seeds(db, &plan)
+    }
+
+    #[test]
+    fn key_tables_answer_alike_under_any_seed() {
+        // The seeds do hash differently.
+        let [a, b] = SEEDS.map(|seed| KeyState::with_seed(seed).hash_one(int(7)));
+        assert_ne!(a, b);
+        let db = key_table_db();
+        // Hash joins with each side building: M filtered small, then G.
+        for sql in [
+            "SELECT M.mid, M.genre, G.tag FROM M, G WHERE M.mid = G.mid AND M.year = 1991",
+            "SELECT M.mid, M.genre, G.tag FROM M, G WHERE M.mid = G.mid AND G.tag = 't1'",
+        ] {
+            let rows = sql_under_both_seeds(&db, sql);
+            // The NULL-key rule: a NULL never matches, not even a NULL.
+            assert!(rows.iter().all(|r| !r[0].is_null()), "{sql}");
+        }
+        // The same at the operator, over keys that repeat and NULLs on both
+        // sides, with each side building.
+        let keys = |n: i64, null_every: i64, distinct: i64| -> Vec<Row> {
+            let key = |i| if i % null_every == 0 { Value::Null } else { int(i % distinct) };
+            (0..n).map(|i| vec![key(i), int(i)]).collect()
+        };
+        let (small, big) = (keys(40, 3, 9), keys(90, 4, 7));
+        let [a, b] = SEEDS.map(|seed| {
+            with_env(seed, |env| {
+                let l_builds = join_rows(env, &small, &big, &[0], &[0]).unwrap();
+                let r_builds = join_rows(env, &big, &small, &[0], &[0]).unwrap();
+                [l_builds, r_builds]
+            })
+        });
+        assert_eq!(a, b);
+        assert!(a.iter().flatten().all(|r| !r[0].is_null()) && !a[0].is_empty());
+        for sql in [
+            "SELECT DISTINCT M.genre, M.year FROM M",
+            "SELECT M.genre FROM M UNION SELECT G.tag FROM G",
+            "SELECT M.genre, M.year, COUNT(*) FROM M GROUP BY M.genre, M.year",
+            "SELECT COUNT(*), SUM(M.year) FROM M",
+        ] {
+            sql_under_both_seeds(&db, sql);
+        }
+    }
+
+    #[test]
+    fn topk_ingest_answers_alike_under_any_seed() {
+        use crate::plan::TopKMatching;
+        use crate::topk::{ProbeSource, ProbeSpec, TopKSpec};
+        let db = key_table_db();
+        let parse = |sql: &str| pqp_sql::parse_query(sql).unwrap();
+        for rank in [false, true] {
+            let spec = TopKSpec {
+                base: parse("SELECT M.genre, M.year, M.mid, M.genre FROM M"),
+                columns: vec!["genre".into(), "year".into()],
+                probes: vec![
+                    ProbeSpec {
+                        doi: 0.8,
+                        source: ProbeSource::Witness(parse(
+                            "SELECT G.mid FROM G WHERE G.tag = 't1'",
+                        )),
+                    },
+                    ProbeSpec { doi: 0.6, source: ProbeSource::Literal(Value::str("noir")) },
+                ],
+                matching: TopKMatching::AtLeast(0),
+                rank,
+                limit: None,
+            };
+            let rows = under_both_seeds(&db, &db.plan_topk(&spec).unwrap());
+            // One row per (genre, year) group.
+            assert_eq!(
+                rows.len(),
+                sql_under_both_seeds(&db, "SELECT DISTINCT M.genre, M.year FROM M").len()
+            );
+        }
     }
 }

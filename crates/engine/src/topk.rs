@@ -47,7 +47,7 @@ use crate::plan::{Plan, TopKMatching, TopKProbe, TopKProbeSource};
 use pqp_obs::approx_row_bytes;
 use pqp_obs::governor::CHECKPOINT_STRIDE;
 use pqp_sql::ast::Query;
-use pqp_storage::{Row, Value};
+use pqp_storage::{KeyState, Row, Value};
 use std::collections::{HashMap, HashSet};
 
 /// Maximum number of probes a [`Plan::TopK`] node may carry (satisfaction
@@ -140,7 +140,7 @@ pub(crate) fn execute(
     // Phase 1: consume the base and group by the visible prefix,
     // first-seen order.
     let mut groups: Vec<Group> = Vec::new();
-    let mut index: HashMap<Row, usize> = HashMap::new();
+    let mut index = HashMap::with_hasher(env.keys);
     let rows = exec::run(env, base)?;
     ingest(env, rows, visible, &mut groups, &mut index)?;
     drop(index);
@@ -169,7 +169,7 @@ pub(crate) fn execute(
             skipped = nprobes - t;
             break;
         }
-        let witness: Option<HashSet<Value>> = match &probes[j].source {
+        let witness: Option<HashSet<Value, KeyState>> = match &probes[j].source {
             TopKProbeSource::Literal(_) => None,
             TopKProbeSource::Witness(wp) => Some(witness_set(env, wp)?),
         };
@@ -308,7 +308,7 @@ fn ingest(
     rows: Vec<Row>,
     visible: usize,
     groups: &mut Vec<Group>,
-    index: &mut HashMap<Row, usize>,
+    index: &mut HashMap<Row, usize, KeyState>,
 ) -> Result<()> {
     let mut pending_mem: u64 = 0;
     for (i, mut row) in rows.into_iter().enumerate() {
@@ -345,9 +345,9 @@ fn ingest(
 
 /// Execute a witness sub-plan and collect its single output column into a
 /// membership set. NULLs are excluded: SQL equality never matches them.
-fn witness_set(env: &Env, plan: &Plan) -> Result<HashSet<Value>> {
+fn witness_set(env: &Env, plan: &Plan) -> Result<HashSet<Value, KeyState>> {
     let rows = exec::run(env, plan)?;
-    let mut set = HashSet::with_capacity(rows.len());
+    let mut set = HashSet::with_capacity_and_hasher(rows.len(), env.keys);
     let mut bytes: u64 = 0;
     for row in rows {
         let Some(v) = row.into_iter().next() else {

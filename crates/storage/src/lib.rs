@@ -2,7 +2,8 @@
 //!
 //! The storage substrate of the `pqp` workspace: an in-memory relational
 //! store with a value model, table schemas carrying key/foreign-key metadata,
-//! tables stored as typed column chunks, hash indexes and a catalog.
+//! tables stored as typed column chunks, hash indexes, the executor's key
+//! hasher ([`KeyState`]) and a catalog.
 //!
 //! The paper's prototype ran on Oracle 9i; this crate (together with
 //! `pqp-engine`) is the from-scratch substitute. Base tables live in memory
@@ -47,6 +48,7 @@
 pub mod batch;
 pub mod catalog;
 pub mod error;
+pub mod hash;
 pub mod index;
 pub mod row;
 pub mod schema;
@@ -60,6 +62,7 @@ pub mod wal;
 pub use batch::{Batch, Column, ColumnData, BATCH_SIZE};
 pub use catalog::{Catalog, SchemaJoin, TableRef};
 pub use error::{Result, StorageError};
+pub use hash::{KeyHasher, KeyState, PreHashed};
 pub use index::HashIndex;
 pub use row::Row;
 pub use schema::{Cardinality, ColumnDef, ColumnSet, ForeignKey, TableSchema};

@@ -43,6 +43,22 @@ if grep -rn 'env::var' crates/*/src | grep -v '^crates/server/src/config.rs:'; t
     exit 1
 fi
 
+# Keys drawn from stored rows hash once, with the seeded in-tree key hasher
+# (pqp_storage::hash); maps keyed by what a client sends (SQL text, user
+# ids, names) keep std's SipHash, which resists keys crafted to collide.
+echo "==> key hasher gate (no SipHash on per-row keys, no KeyHasher on client keys)"
+if for f in crates/engine/src/exec.rs crates/engine/src/topk.rs crates/storage/src/index.rs; do
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -n 'DefaultHasher\|RandomState' | sed "s|^|$f:|"
+done | grep .; then
+    echo "error: SipHash on a per-row key path; hash with pqp_storage::KeyState" >&2
+    exit 1
+fi
+if grep -rnE 'KeyState|KeyHasher' crates/service/src crates/server/src crates/sql/src \
+    crates/engine/src/planner.rs; then
+    echo "error: the key hasher on a map keyed by client input; keep std's RandomState" >&2
+    exit 1
+fi
+
 # The replication core is a pure state machine: no socket, file, clock,
 # WAL or service, so the simulator drives it exactly as the server does.
 echo "==> replication core purity gate (crates/server/src/repl/core.rs)"
