@@ -1,158 +1,29 @@
-//! One connection = one session: handshake, then a strict
-//! request/response loop until close, disconnect, timeout, or a
-//! frame-level protocol violation. The session thread moves frames;
-//! queries and prepares run on the server's worker pool ([`crate::pool`]),
-//! mutations and `Show` here.
+//! What a session's requests run: the dispatch boundary every request
+//! crosses, mutations, and the replication peer loop.
 //!
-//! The first frame routes the connection: a replication request tag
-//! hands the stream to the peer loop ([`peer_session`]); anything else
-//! must be a client `Hello`.
+//! The readiness loop ([`crate::event_loop`]) runs reads through [`answer`]
+//! and hands mutations to its mutation thread, which runs [`mutate`]. A
+//! connection whose first frame is a replication request is handed to a
+//! blocking thread running [`serve_peer`].
 
-use std::io::{self, ErrorKind, Write as _};
+use std::io::{self, ErrorKind, Read, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 use pqp_service::{Error, Service, UserId};
 use pqp_wire::frame::{read_frame, write_frame, FrameError};
 use pqp_wire::proto::{ProfileOp, Request, Response, ShowRequest, WireError};
-use pqp_wire::repl::{is_repl_request, ReplRequest, ReplResponse};
-use pqp_wire::{MAX_FRAME_LEN, PROTOCOL_VERSION};
+use pqp_wire::repl::{ReplRequest, ReplResponse};
+use pqp_wire::MAX_FRAME_LEN;
 
-use crate::pool::{Encoded, Reply};
 use crate::repl::PeerLink;
+use crate::session::Close;
 use crate::Shared;
 
-/// Why a session ended (feeds the `server.close.*` counters).
-enum Close {
-    /// Orderly `Close` request or clean client EOF.
-    Clean,
-    /// The client vanished mid-exchange (reset, mid-frame EOF, failed
-    /// response write).
-    Disconnected,
-    /// The read timeout fired on an idle session.
-    IdleTimeout,
-    /// The peer broke the framing; the stream is not trustworthy.
-    Protocol,
-}
-
-impl Close {
-    fn label(&self) -> &'static str {
-        match self {
-            Close::Clean => "clean",
-            Close::Disconnected => "disconnected",
-            Close::IdleTimeout => "idle_timeout",
-            Close::Protocol => "protocol",
-        }
-    }
-}
-
-pub(crate) fn serve(shared: &Shared, stream: TcpStream) {
-    shared.active.fetch_add(1, Ordering::Relaxed);
-    let close = session(shared, stream).unwrap_or(Close::Disconnected);
-    pqp_obs::counter_add(&format!("server.close.{}", close.label()), 1);
-    shared.active.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Run one session to completion. Transport errors on writes surface as
-/// `Err`, mapped to a disconnect by the caller.
-fn session(shared: &Shared, stream: TcpStream) -> std::io::Result<Close> {
-    stream.set_read_timeout(shared.config.read_timeout)?;
-    stream.set_write_timeout(shared.config.write_timeout)?;
-    stream.set_nodelay(true)?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-
-    // The first frame routes the connection: replication tags go to the
-    // peer loop, everything else must be a client Hello.
-    let (first_tag, first_payload) = match read_raw(&mut reader) {
-        Ok(frame) => frame,
-        Err(close) => return Ok(close),
-    };
-    if is_repl_request(first_tag) {
-        return peer_session(shared, &mut reader, &mut writer, first_tag, first_payload);
-    }
-
-    // Handshake: the first client frame must be a version-matched Hello.
-    let user = match Request::decode(first_tag, &first_payload) {
-        Ok(Request::Hello { version, user }) => {
-            if version != PROTOCOL_VERSION {
-                send(
-                    &mut writer,
-                    &Response::Error(WireError::protocol(format!(
-                        "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
-                    ))),
-                )?;
-                return Ok(Close::Protocol);
-            }
-            if user.is_empty() {
-                send(&mut writer, &Response::Error(WireError::protocol("empty user id")))?;
-                return Ok(Close::Protocol);
-            }
-            user
-        }
-        Ok(_) => {
-            send(
-                &mut writer,
-                &Response::Error(WireError::protocol("first message must be Hello")),
-            )?;
-            return Ok(Close::Protocol);
-        }
-        Err(e) => {
-            send(&mut writer, &Response::Error(WireError::protocol(format!("bad hello: {e}"))))?;
-            return Ok(Close::Protocol);
-        }
-    };
-    let user = Arc::new(UserId::from(user.as_str()));
-    let reply = Reply::new();
-    send(
-        &mut writer,
-        &Response::HelloOk { version: PROTOCOL_VERSION, server: shared.config.name.clone() },
-    )?;
-
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(req) => req,
-            Err(ReadError::Frame(close)) => {
-                if matches!(close, Close::Protocol) {
-                    // Oversized/zero-length frame: tell the peer why, then
-                    // close — resynchronization is not possible.
-                    send(
-                        &mut writer,
-                        &Response::Error(WireError::protocol("unreadable frame; closing")),
-                    )?;
-                }
-                return Ok(close);
-            }
-            Err(ReadError::Malformed(e)) => {
-                // The frame itself was sound, so the stream is still
-                // aligned: answer with a typed error and keep serving.
-                pqp_obs::counter_add("server.malformed_payloads", 1);
-                send(&mut writer, &Response::Error(WireError::protocol(e.to_string())))?;
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            send(&mut writer, &Response::Bye)?;
-            return Ok(Close::Clean);
-        }
-        if matches!(request, Request::Close) {
-            send(&mut writer, &Response::Bye)?;
-            return Ok(Close::Clean);
-        }
-        // A mutation waits on the WAL fsync and the follower ack, so it runs
-        // here: a dead follower must not hold a worker that every read needs.
-        // SHOW runs here too: it must answer while every worker is busy.
-        let (tag, payload) = match request {
-            Request::Mutate(op) => guarded(&shared.service, || mutate(shared, &user, op)),
-            Request::Show(_) => answer(&shared.service, &user, request),
-            _ => shared.pool.run(&user, request, &reply),
-        };
-        send_encoded(&mut writer, tag, &payload)?;
-    }
-}
+/// One encoded response: `(tag, payload)`.
+pub(crate) type Encoded = (u8, Vec<u8>);
 
 /// Run one read request (`Query`, `Prepare`, `Show`) to its encoded
 /// response.
@@ -162,8 +33,8 @@ pub(crate) fn answer(service: &Service, user: &UserId, request: Request) -> Enco
 
 /// The dispatch boundary, failpoint-instrumented and panic-isolated: an
 /// injected (or real) panic costs one request, never the process (nor a
-/// pool worker).
-fn guarded(service: &Service, handle: impl FnOnce() -> Response) -> Encoded {
+/// loop thread).
+pub(crate) fn guarded(service: &Service, handle: impl FnOnce() -> Response) -> Encoded {
     let answered = catch_unwind(AssertUnwindSafe(|| {
         match service.failpoints().fire("server.frame") {
             Some(msg) => Response::Error(WireError::from_error(&Error::Internal(msg))),
@@ -208,8 +79,8 @@ fn dispatch(service: &Service, user: &UserId, request: Request) -> Response {
                 Err(e) => Response::Error(WireError::from_error(&e)),
             }
         }
-        // The session thread handles these itself; reaching here is a logic
-        // bug, and even then it costs one error frame, not the session.
+        // The session core and the mutation thread handle these; reaching
+        // here is a logic bug, and even then it costs one error frame.
         Request::Hello { .. } | Request::Close | Request::Mutate(_) => {
             Response::Error(WireError::protocol("not a read request"))
         }
@@ -218,7 +89,7 @@ fn dispatch(service: &Service, user: &UserId, request: Request) -> Response {
 
 /// Apply one profile mutation. With a replication engine it goes through
 /// the WAL + log shipping (leader only); otherwise it applies directly.
-fn mutate(shared: &Shared, user: &UserId, op: ProfileOp) -> Response {
+pub(crate) fn mutate(shared: &Shared, user: &UserId, op: ProfileOp) -> Response {
     let service = &shared.service;
     if let Some(node) = &shared.repl {
         return match node.client_mutate(user, op) {
@@ -279,13 +150,36 @@ pub(crate) fn exchange(stream: &mut TcpStream, request: &ReplRequest) -> io::Res
         .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))
 }
 
+/// Serve a replication peer on a blocking thread of its own until it
+/// leaves: `buffered` holds what the session read past the first frame,
+/// `(tag, payload)`.
+pub(crate) fn serve_peer(
+    shared: &Shared,
+    stream: TcpStream,
+    buffered: Vec<u8>,
+    tag: u8,
+    payload: Vec<u8>,
+) {
+    let served = (|| {
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(shared.config.read_timeout)?;
+        stream.set_write_timeout(shared.config.write_timeout)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = io::Cursor::new(buffered).chain(stream);
+        peer_session(shared, &mut reader, &mut writer, tag, payload)
+    })();
+    let close = served.unwrap_or(Close::Disconnected);
+    pqp_obs::counter_add(&format!("server.close.{}", close.label()), 1);
+    shared.active.fetch_sub(1, Ordering::Relaxed);
+}
+
 /// Serve a replication peer: a strict request/response loop over the
 /// [`ReplRequest`] vocabulary, dispatched to the node's replication
 /// engine. A node with no engine (single-node deployment) rejects every
 /// peer frame with a typed reason.
 fn peer_session(
     shared: &Shared,
-    reader: &mut TcpStream,
+    reader: &mut impl Read,
     writer: &mut TcpStream,
     mut tag: u8,
     mut payload: Vec<u8>,
@@ -330,15 +224,8 @@ fn peer_session(
     }
 }
 
-enum ReadError {
-    /// The transport ended the session (maps to a [`Close`] reason).
-    Frame(Close),
-    /// The frame was sound but the payload did not decode.
-    Malformed(pqp_wire::DecodeError),
-}
-
 /// Read one raw frame, mapping transport failures to a [`Close`] reason.
-fn read_raw(reader: &mut TcpStream) -> Result<(u8, Vec<u8>), Close> {
+fn read_raw(reader: &mut impl Read) -> Result<(u8, Vec<u8>), Close> {
     match read_frame(reader, MAX_FRAME_LEN) {
         Ok(frame) => Ok(frame),
         Err(FrameError::Closed) => Err(Close::Clean),
@@ -357,23 +244,4 @@ fn read_raw(reader: &mut TcpStream) -> Result<(u8, Vec<u8>), Close> {
             Err(Close::Protocol)
         }
     }
-}
-
-fn read_request(reader: &mut TcpStream) -> Result<Request, ReadError> {
-    let (tag, payload) = read_raw(reader).map_err(ReadError::Frame)?;
-    Request::decode(tag, &payload).map_err(ReadError::Malformed)
-}
-
-fn send(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let (tag, payload) = response.encode();
-    send_encoded(writer, tag, &payload)
-}
-
-fn send_encoded(writer: &mut TcpStream, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    write_frame(writer, tag, payload).inspect_err(|_| {
-        // A failed response write is the mid-query-disconnect path: the
-        // query already ran (and released its in-flight slot via RAII);
-        // only the delivery failed.
-        pqp_obs::counter_add("server.write_failed", 1);
-    })
 }

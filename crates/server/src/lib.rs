@@ -1,13 +1,18 @@
 //! # pqp-server — the TCP session runtime
 //!
 //! Serves a [`Service`] over TCP speaking the `pqp-wire` protocol. Each
-//! connection is one user session (bound at handshake) on its own thread,
-//! which owns the socket, the framing, the read/write timeouts and the
-//! protocol errors. Queries and prepares run on the server's fixed pool of
-//! one worker per CPU, at least two (`pool.rs`); mutations and `Show` run on
-//! the session thread. Every failure is a typed error frame, and the
-//! service's admission control surfaces as `Overloaded` frames at the
-//! network edge.
+//! connection is one user session, bound at handshake. Every session of a
+//! server is served by one epoll readiness loop (`event_loop.rs`): a loop
+//! thread per run slot (`available_parallelism().max(2)`, plus a standby
+//! for when long reads hold every slot) waits on one set, and the thread
+//! that sees a session readable runs its read on the spot and writes the
+//! answer. The session logic itself — framing from a byte buffer, the
+//! handshake, protocol errors and the close reason — is the socket-free
+//! `SessionCore` (`session.rs`). Mutations run on a mutation thread and
+//! replication peer links on blocking threads of their own, never on a
+//! loop thread. Every failure is a typed error frame, and the service's
+//! admission control surfaces as `Overloaded` frames at the network edge.
+//! The server needs Linux (epoll).
 //!
 //! The robustness contract at this boundary:
 //!
@@ -18,7 +23,10 @@
 //!   trusted to be frame-aligned.
 //! - A client that disconnects mid-query costs nothing but the query: the
 //!   service's in-flight slot is released by its RAII guard, the write
-//!   failure is counted, and the connection thread exits cleanly.
+//!   failure is counted, and the session closes.
+//! - A client that stops reading holds no thread: its answers wait in the
+//!   session's buffer, and it is closed once they have waited past the
+//!   write timeout.
 //! - Failpoints (`server.frame`, `repl.ship`, `repl.ack`, `node.crash`,
 //!   plus `wal.append`/`wal.fsync` in the storage layer) and
 //!   `catch_unwind` at the dispatch boundary turn injected panics into
@@ -31,6 +39,9 @@
 //! connection's first frame picks the handler. The [`router`] module is
 //! the companion routing tier for multi-node deployments.
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("pqp-server serves its sessions from an epoll set and needs Linux");
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,9 +53,11 @@ use pqp_service::Service;
 
 pub mod config;
 mod conn;
-mod pool;
+mod epoll;
+mod event_loop;
 pub mod repl;
 pub mod router;
+mod session;
 
 pub use config::{Config, ConfigError, NodeConfig};
 pub use repl::{PeerLink, ReplConfig, ReplNode};
@@ -55,11 +68,12 @@ pub use router::{Router, RouterConfig, RouterHandle};
 pub struct ServerConfig {
     /// Listen address (default `127.0.0.1:5433`).
     pub addr: String,
-    /// Per-session read timeout: an idle session is closed after this long
-    /// with no request (default 60 s; `None` = no timeout).
+    /// Per-session read timeout: a session is closed after this long with
+    /// no bytes in and no answer out (default 60 s; `None` = no timeout).
     pub read_timeout: Option<Duration>,
-    /// Per-session write timeout on responses (default 30 s; `None` = no
-    /// timeout).
+    /// Per-session write timeout: a session whose answers have waited this
+    /// long for the client to read them is closed (default 30 s; `None` =
+    /// no timeout).
     pub write_timeout: Option<Duration>,
     /// Server identification sent in the handshake.
     pub name: String,
@@ -76,7 +90,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the accept loop and every connection thread.
+/// State shared by the accept loop and the readiness loop's threads.
 pub(crate) struct Shared {
     pub(crate) service: Arc<Service>,
     pub(crate) config: ServerConfig,
@@ -87,8 +101,8 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicU64,
     /// The replication engine, when this node runs a replicated store.
     pub(crate) repl: Option<Arc<repl::ReplNode>>,
-    /// The workers that run every session's reads.
-    pub(crate) pool: pool::Pool,
+    /// The readiness loop that serves every session.
+    pub(crate) runtime: event_loop::Runtime,
 }
 
 /// A bound-but-not-yet-running server. [`Server::run`] blocks the calling
@@ -116,7 +130,8 @@ impl Server {
         repl: Option<Arc<repl::ReplNode>>,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let pool = pool::Pool::start(&service)?;
+        let runtime = event_loop::Runtime::new(&config)?;
+        service.telemetry().set_pool_workers(runtime.slots());
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -126,7 +141,7 @@ impl Server {
                 connections: AtomicU64::new(0),
                 active: AtomicU64::new(0),
                 repl,
-                pool,
+                runtime,
             }),
         })
     }
@@ -136,11 +151,14 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accept connections until shutdown, spawning one session thread per
-    /// connection; the session threads hand reads to the worker pool.
-    /// Blocks the calling thread.
+    /// Start the readiness loop and accept connections into it until
+    /// shutdown. Blocks the calling thread.
     pub fn run(self) {
         let Server { listener, shared } = self;
+        if event_loop::Runtime::start(&shared).is_err() {
+            pqp_obs::counter_add("server.spawn_failed", 1);
+            return;
+        }
         Self::accept_loop(listener, shared);
     }
 
@@ -149,10 +167,15 @@ impl Server {
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let Server { listener, shared } = self;
+        event_loop::Runtime::start(&shared)?;
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("pqp-accept".to_string())
-            .spawn(move || Self::accept_loop(listener, loop_shared))?;
+            .spawn(move || Self::accept_loop(listener, loop_shared))
+            .inspect_err(|_| {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.runtime.accept_ended(&shared);
+            })?;
         Ok(ServerHandle { addr, shared, thread })
     }
 
@@ -165,17 +188,7 @@ impl Server {
                 Ok(stream) => {
                     shared.connections.fetch_add(1, Ordering::Relaxed);
                     pqp_obs::counter_add("server.connections", 1);
-                    let conn_shared = Arc::clone(&shared);
-                    // Session threads are detached: they exit when the
-                    // client goes away or the read timeout fires, and the
-                    // service outlives them via the Arc. The workers exit
-                    // once this loop and the last session have dropped it.
-                    let spawned = std::thread::Builder::new()
-                        .name("pqp-session".to_string())
-                        .spawn(move || conn::serve(&conn_shared, stream));
-                    if spawned.is_err() {
-                        pqp_obs::counter_add("server.spawn_failed", 1);
-                    }
+                    shared.runtime.register(&shared, stream);
                 }
                 Err(_) => {
                     if shared.shutdown.load(Ordering::SeqCst) {
@@ -185,6 +198,7 @@ impl Server {
                 }
             }
         }
+        shared.runtime.accept_ended(&shared);
     }
 }
 
@@ -222,8 +236,9 @@ impl ServerHandle {
     }
 
     /// Stop accepting, wake the accept loop, and join it. Open sessions
-    /// drain on their own (client close or read timeout); the worker pool
-    /// exits after the last of them.
+    /// keep being served (each later request is answered `Bye`) until the
+    /// client closes or a timeout fires; the loop threads exit after the
+    /// last of them.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The accept loop blocks in accept(); poke it with a throwaway

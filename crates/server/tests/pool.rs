@@ -39,12 +39,12 @@ fn workers_exit_with_the_server_and_its_last_session() {
     let pool = handle.service().telemetry().snapshot().pool_workers as usize;
     assert!(pool >= 2, "the pool has at least two workers, got {pool}");
     // A thread takes its name once it runs, so the count is polled.
-    settle("every worker is named", |n| n == pool);
+    settle("every worker is named", |n| n == pool + 1);
 
     let mut client = Client::connect(handle.addr(), ClientConfig::new("ana")).unwrap();
     assert!(client.query(Q).is_ok());
     handle.shutdown();
-    assert_eq!(workers(), pool, "workers outlive shutdown while a session is open");
+    assert_eq!(workers(), pool + 1, "workers outlive shutdown while a session is open");
 
     client.close();
     settle("no worker is left after shutdown and the last close", |n| n == 0);

@@ -13,8 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{service_with_ana, service_with_config, start, Q};
+use pqp_engine::Database;
+use pqp_server::{Server, ServerConfig, ServerHandle};
 use pqp_service::{ErrorCode, QueryApi, ServiceConfig};
-use pqp_storage::Value;
+use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value};
 use pqp_wire::{
     read_frame, write_frame, Client, ClientConfig, FrameError, ProfileOp, Request, Response,
     ShowRequest, MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -304,6 +306,107 @@ fn pool_size_and_wait_show_in_show_metrics() {
         }
     }
     client.close();
+    handle.shutdown();
+}
+
+/// Serve `service` on an ephemeral port with the given session timeouts.
+fn start_with_timeouts(
+    service: pqp_service::Service,
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+) -> ServerHandle {
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        read_timeout,
+        write_timeout,
+        ..Default::default()
+    };
+    Server::bind(Arc::new(service), config).unwrap().spawn().unwrap()
+}
+
+fn counter(name: &str) -> i64 {
+    pqp_obs::metrics::global_snapshot().counter(name)
+}
+
+#[test]
+fn idle_sessions_close_after_the_read_timeout_and_busy_ones_stay() {
+    let handle = start_with_timeouts(
+        service_with_ana(),
+        Some(Duration::from_millis(200)),
+        Some(Duration::from_secs(30)),
+    );
+    // No other test of this binary sets a short read timeout.
+    let idle_before = counter("server.close.idle_timeout");
+
+    let mut idle = raw_connect(handle.addr());
+    handshake(&mut idle, "ana");
+    let mut busy = Client::connect(handle.addr(), ClientConfig::new("ana")).unwrap();
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_millis(700) {
+        assert_eq!(busy.query(Q).unwrap().meta.k, 1, "the busy session keeps answering");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // The idle session was closed in between, at a frame boundary.
+    assert!(matches!(read_frame(&mut idle, MAX_FRAME_LEN), Err(FrameError::Closed)));
+    wait_until("the idle close is counted", || {
+        counter("server.close.idle_timeout") - idle_before == 1
+    });
+    assert_eq!(handle.active_sessions(), 1, "only the busy session is open");
+    assert!(busy.query(Q).is_ok());
+    busy.close();
+    handle.shutdown();
+}
+
+/// A movie table whose every answer is a few hundred kilobytes, so a few
+/// dozen unread answers fill the socket buffers of both ends.
+fn service_with_wide_answers() -> pqp_service::Service {
+    let mut catalog = Catalog::new();
+    catalog
+        .create_table(
+            TableSchema::new(
+                "MOVIE",
+                vec![ColumnDef::new("mid", DataType::Int), ColumnDef::new("title", DataType::Str)],
+            )
+            .with_primary_key(&["mid"]),
+        )
+        .unwrap();
+    let table = catalog.table("MOVIE").unwrap();
+    for mid in 0..2_000i64 {
+        let title = format!("{mid:0>200}");
+        table.write().insert(vec![mid.into(), title.as_str().into()]).unwrap();
+    }
+    pqp_service::Service::new(Database::new(catalog))
+}
+
+#[test]
+fn a_client_that_stops_reading_holds_no_thread() {
+    let write_timeout = Duration::from_millis(500);
+    let handle = start_with_timeouts(service_with_wide_answers(), None, Some(write_timeout));
+    let addr = handle.addr();
+
+    // Pipeline query after query and never read an answer.
+    let mut stuck = raw_connect(addr);
+    handshake(&mut stuck, "zed");
+    let (tag, payload) = Request::Query { sql: Q.into(), options: None, rewrite: None }.encode();
+    for _ in 0..64 {
+        write_frame(&mut stuck, tag, &payload).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(150));
+
+    // Every other session is served as if the stuck one did not exist.
+    let narrow = "select MV.title from MOVIE MV where MV.mid = 7";
+    let mut other = Client::connect(addr, ClientConfig::new("zed")).unwrap();
+    assert!(other.query(narrow).is_ok(), "a warm-up query answers");
+    let started = Instant::now();
+    assert_eq!(other.query(narrow).unwrap().rows.rows.len(), 1);
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "a query took {took:?} beside a stuck session");
+    assert_eq!(handle.active_sessions(), 2, "the stuck session is still open");
+    other.close();
+
+    // Its undrained answers outlive the write timeout: the server gives up.
+    wait_until("the stuck session is closed", || handle.active_sessions() == 0);
     handle.shutdown();
 }
 

@@ -140,9 +140,9 @@ pub struct ServiceConfig {
     /// Admission control: the maximum number of queries in flight before
     /// new ones are refused with [`Error::Overloaded`] (`0` = unlimited, the
     /// default).
-    /// Behind `pqp-server`, queries run on a fixed worker pool, and a query
-    /// waiting for a worker counts against this limit like a running one:
-    /// the server refuses it with `Overloaded` before it queues.
+    /// Behind `pqp-server`, queries run in a fixed number of run slots, and
+    /// a query waiting for a slot counts against this limit like a running
+    /// one: the server refuses it with `Overloaded` before it queues.
     pub max_in_flight: usize,
     /// Degrade personalization gracefully when it blows its slice of the
     /// query budget: shrink K, then keep only mandatory preferences, then

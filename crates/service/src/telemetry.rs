@@ -348,10 +348,10 @@ pub struct TelemetrySnapshot {
     /// Replication state, when this service runs under a replicated
     /// mutation log (`None` on single-node deployments).
     pub repl: Option<ReplStatus>,
-    /// Worker threads of the TCP server fronting this service (0 when no
-    /// server has started a pool).
+    /// Run slots of the TCP server fronting this service: the reads it
+    /// runs at once (0 when no server is bound).
     pub pool_workers: u64,
-    /// Each pooled request's wait for a worker, in microseconds.
+    /// Each read's wait in the server's run queue, in microseconds.
     pub pool_wait_us: Histogram,
 }
 
@@ -458,13 +458,14 @@ impl Telemetry {
         self.repl.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Publish the size of the server's worker pool (`server.pool.workers`).
+    /// Publish the server's run slots, the reads it runs at once
+    /// (`server.pool.workers`).
     pub fn set_pool_workers(&self, workers: usize) {
         self.pool_workers.store(workers as u64, Ordering::Relaxed);
     }
 
-    /// Record how long one request queued for a pool worker
-    /// (`server.pool.wait_us`).
+    /// Record how long one read waited in the server's run queue, 0 when
+    /// it found a free run slot (`server.pool.wait_us`).
     pub fn record_pool_wait(&self, wait: Duration) {
         let us = wait.as_secs_f64() * 1e6;
         self.pool_wait_us.lock().unwrap_or_else(|e| e.into_inner()).record(us);

@@ -43,12 +43,25 @@ if grep -rn 'env::var' crates/*/src | grep -v '^crates/server/src/config.rs:'; t
     exit 1
 fi
 
+# The workspace's only non-test `unsafe` is the epoll shim the server's
+# readiness loop stands on: three `extern "C"` calls and the adoption of the
+# descriptor they return, all in crates/server/src/epoll.rs.
+echo "==> unsafe gate (unsafe / extern \"C\" only in crates/server/src/epoll.rs)"
+if find crates/*/src src -name '*.rs' ! -path crates/server/src/epoll.rs | sort | while read -r f; do
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | { grep -nE '\bunsafe\b|extern "C"' || true; } |
+        sed "s|^|$f:|"
+done | grep .; then
+    echo "error: unsafe code outside crates/server/src/epoll.rs; use a safe std API" >&2
+    exit 1
+fi
+
 # Keys drawn from stored rows hash once, with the seeded in-tree key hasher
 # (pqp_storage::hash); maps keyed by what a client sends (SQL text, user
 # ids, names) keep std's SipHash, which resists keys crafted to collide.
 echo "==> key hasher gate (no SipHash on per-row keys, no KeyHasher on client keys)"
 if for f in crates/engine/src/exec.rs crates/engine/src/topk.rs crates/storage/src/index.rs; do
-    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -n 'DefaultHasher\|RandomState' | sed "s|^|$f:|"
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | { grep -n 'DefaultHasher\|RandomState' || true; } |
+        sed "s|^|$f:|"
 done | grep .; then
     echo "error: SipHash on a per-row key path; hash with pqp_storage::KeyState" >&2
     exit 1
