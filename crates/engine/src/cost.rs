@@ -44,14 +44,15 @@
 //! for the join tree the planner would build over a set of FROM factors —
 //! from the factors' tables, local selectivities and equi-join edges alone,
 //! without binding or building a plan. `Estimator::join_order`, the one
-//! greedy join search and index-join rule, reports its steps to both: the
-//! planner builds its join tree from them, `price_join` adds them up with
-//! the walk's join arithmetic (an indexed equality makes a factor an
-//! `IndexScan`, not a bare scan). The strategy layer prices its rewrite
+//! join search and index-join rule, reports its steps to both: the planner
+//! builds its join tree from them, `price_join` adds them up with the
+//! walk's join arithmetic (an indexed equality makes a factor an
+//! `IndexScan`, not a bare scan). On analyzed tables the search picks its
+//! start factor by that same sum. The strategy layer prices its rewrite
 //! candidates with it before building any of them.
 
 use crate::bound::BoundExpr;
-use crate::plan::{Plan, TopKProbeSource};
+use crate::plan::{key_halves, Plan, TopKProbeSource};
 use pqp_sql::BinaryOp;
 use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableRef, TableStats, Value};
 use std::cell::RefCell;
@@ -72,6 +73,10 @@ const UNKNOWN_TABLE_ROWS: f64 = 1000.0;
 /// the indexed table: with statistics the join order holds the probe side's
 /// estimate to it, and the executor the probe rows it actually has.
 pub const INDEX_JOIN_RATIO: usize = 4;
+/// Two join starts whose scores differ by at most this share of them tie,
+/// and the one with fewer rows wins: the same steps summed in another order
+/// round differently, and a rounding difference should not move a plan.
+const START_TIE: f64 = 1e-9;
 
 /// A table as one [`Estimator`] knows it: an index into its fact list.
 type TableId = usize;
@@ -122,14 +127,40 @@ pub type PricedEdge<'a> = ((usize, &'a str), (usize, &'a str));
 pub(crate) struct JoinFactor {
     /// Estimated rows of the factor's access path.
     pub rows: f64,
+    /// The walk's cost of that path: its table's rows for a `Scan`, its own
+    /// rows for an `IndexScan`.
+    pub cost: f64,
     /// Whether that path is a (filtered) `Scan`: the only side an index
     /// join can read through its table's hash index.
     pub scan: bool,
+    /// Whether that path reads a table `ANALYZE` has given statistics.
+    pub analyzed: bool,
 }
 
-/// An equi-join conjunct between two factors, as each end's factor and the
-/// origin of its column.
-pub(crate) type JoinEdge = [(usize, ColumnOrigin); 2];
+/// Where a factor stands in one run of the greedy join steps.
+#[derive(Clone, Copy, PartialEq)]
+enum State {
+    Left,
+    Joined,
+    /// Joined, in a side that a step has emptied since.
+    Emptied,
+}
+
+/// An equi-join conjunct between two factors, as each end's factor and what
+/// the join search knows of its column.
+pub(crate) type JoinEdge = [(usize, JoinEnd); 2];
+
+/// A join column as [`Estimator::join_order`] sees it, read from the
+/// catalog once per search ([`Estimator::join_end`]) so that the steps from
+/// every start are plain arithmetic.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct JoinEnd {
+    /// The column's distinct values, as [`Estimator::ndv`] reads them.
+    distinct: Option<f64>,
+    /// With a hash index on the column: its table's rows, and whether the
+    /// table is analyzed.
+    index: Option<(f64, bool)>,
+}
 
 /// How a step of [`Estimator::join_order`] joins its factor in.
 pub(crate) enum Join<'s> {
@@ -215,6 +246,17 @@ impl<'a> Estimator<'a> {
         self.stats_eq_value(&origin, value).unwrap_or(EQ_FALLBACK).clamp(0.0, 1.0)
     }
 
+    /// Whether `plan` is an access path of a table `ANALYZE` has given
+    /// statistics.
+    pub(crate) fn analyzed_path(&self, plan: &Plan) -> bool {
+        match plan {
+            Plan::Scan { table, .. } | Plan::IndexScan { table, .. } => {
+                self.analyzed(self.table_id(table))
+            }
+            _ => false,
+        }
+    }
+
     /// Whether `table` has a hash index on `column`.
     pub fn has_index(&self, table: &str, column: &str) -> bool {
         let t = self.table_id(table);
@@ -226,64 +268,71 @@ impl<'a> Estimator<'a> {
     /// tree (see the module's "Prices"). Conjuncts that are neither local to
     /// a factor nor equi-join edges are the caller's to apply.
     pub fn price_join(&self, factors: &[PricedFactor<'_>], edges: &[PricedEdge<'_>]) -> (f64, f64) {
+        let (sides, ends) = self.priced_sides(factors, edges);
+        let mut price = (0.0, 0.0);
+        let Ok(()) = self.join_order(&sides, &ends, |f, join| -> Result<bool, Infallible> {
+            price = self.step_price(&sides, &ends, price, f, join);
+            Ok(false)
+        });
+        price
+    }
+
+    /// Priced factors and edges as [`Self::join_order`] sees them.
+    fn priced_sides(
+        &self,
+        factors: &[PricedFactor<'_>],
+        edges: &[PricedEdge<'_>],
+    ) -> (Vec<JoinFactor>, Vec<JoinEdge>) {
         let table = |f: usize| {
             let t = self.table_id(factors[f].table);
             (t, self.table_rows(t))
         };
         let sides: Vec<JoinFactor> = (factors.iter().enumerate())
-            .map(|(f, p)| JoinFactor { rows: table(f).1 * p.selectivity, scan: !p.index_scan })
+            .map(|(f, p)| {
+                let (t, len) = table(f);
+                let rows = len * p.selectivity;
+                JoinFactor {
+                    rows,
+                    cost: if p.index_scan { rows.max(1.0) } else { len.max(1.0) },
+                    scan: !p.index_scan,
+                    analyzed: self.analyzed(t),
+                }
+            })
             .collect();
         let end = |(f, column): (usize, &str)| {
             let t = table(f).0;
-            (f, self.column_index(t, column).map(|c| (t, c)))
+            (f, self.join_end(self.column_index(t, column).map(|c| (t, c))))
         };
         let ends: Vec<JoinEdge> = edges.iter().map(|&(a, b)| [end(a), end(b)]).collect();
-        // The walk's rows and cost of the tree so far. The cost sums
-        // associate as prices always have, which is not the walk's
-        // `rows + left + right` to the last bit.
-        let (mut rows, mut cost) = (0.0, 0.0);
-        let Ok(()) = self.join_order(&sides, &ends, |f, join| -> Result<bool, Infallible> {
-            let (side_rows, len) = (sides[f].rows, table(f).1);
-            let side_cost = if factors[f].index_scan { side_rows.max(1.0) } else { len.max(1.0) };
-            match join {
-                None => (rows, cost) = (side_rows, side_cost),
-                Some(Join::Cross) => {
-                    rows *= side_rows;
-                    cost += rows + side_cost;
-                }
-                Some(Join::Hash(keys)) => {
-                    let keys = keys.iter().map(|&e| near_far(ends[e], f)).map(|[n, r]| (n.1, r.1));
-                    rows = self.hash_join_rows(rows, side_rows, keys);
-                    cost += rows + side_cost;
-                }
-                Some(Join::Index { edge, probe_is_left: true }) => {
-                    let [near, far] = near_far(ends[edge], f);
-                    rows = self.index_join_rows(rows, near.1, side_rows, far.1, len);
-                    cost += rows;
-                }
-                Some(Join::Index { edge, probe_is_left: false }) => {
-                    let [start, far] = near_far(ends[edge], f);
-                    rows = self.index_join_rows(side_rows, far.1, rows, start.1, table(start.0).1);
-                    cost = rows + side_cost;
-                }
-            }
-            Ok(false)
-        });
-        (rows, cost)
+        (sides, ends)
     }
 
-    /// The greedy join order over `factors` joined along `edges`, handed to
-    /// `take` one step at a time as the factor it adds and how it joins it
-    /// (`None` for the start factor). The planner builds its join tree from
-    /// the steps and [`Self::price_join`] prices them, so a plan and its
-    /// price follow one order.
+    /// The join order over `factors` joined along `edges`, handed to `take`
+    /// one step at a time as the factor it adds and how it joins it (`None`
+    /// for the start factor). The planner builds its join tree from the
+    /// steps and [`Self::price_join`] prices them, so a plan and its price
+    /// follow one order.
     ///
-    /// The start factor is the one with the fewest rows. Each step then joins
-    /// the connected factor whose estimated join output
+    /// From a given start factor the order is greedy. Each step joins the
+    /// connected factor whose estimated join output
     /// ([`Self::hash_join_rows`] of the running estimate, floored at one row,
     /// and the factor's rows) is smallest, along every edge between it and
     /// the joined factors, or cross-joins the smallest factor left when none
     /// is connected.
+    ///
+    /// The start is a cost decision when every factor reads an analyzed
+    /// table: the greedy steps run from each start without calling `take`,
+    /// and each resulting tree is scored with the walk's own cost, the sum
+    /// [`Self::price_join`] forms (every factor's leaf cost, nothing for the
+    /// scan side of an index join, plus every step's output rows). The
+    /// cheapest start wins; of starts that tie (within [`START_TIE`]), the
+    /// one with fewer rows, so an order the fewest-rows start already finds
+    /// stays put. Without statistics on every factor the estimates are fallback
+    /// constants that cannot rank starts, and the fewest-rows factor starts.
+    /// The score charges a `Plan::Shared` subtree on its own in every
+    /// branch, as [`Self::cost`] does, so the search can give up a subtree
+    /// that branches would have shared; counting it once is the cost
+    /// model's change to make, not the search's.
     ///
     /// A join along a single edge is an index join when its scan side is a
     /// bare scan with a hash index on the join column and, on an analyzed
@@ -297,24 +346,76 @@ impl<'a> Estimator<'a> {
     /// `take` returns whether its step emptied the joined side (a
     /// constant-false filter): an `Empty` node's columns come from nowhere,
     /// so later steps estimate the edges out of it without statistics, as the
-    /// walk does.
+    /// walk does. Scoring assumes no step empties its side.
     pub(crate) fn join_order<E>(
         &self,
         factors: &[JoinFactor],
         edges: &[JoinEdge],
-        mut take: impl FnMut(usize, Option<Join<'_>>) -> Result<bool, E>,
+        take: impl FnMut(usize, Option<Join<'_>>) -> Result<bool, E>,
     ) -> Result<(), E> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum State {
-            Left,
-            Joined,
-            /// Joined, in a side that a step has emptied since.
-            Emptied,
-        }
         let smallest = |a: &usize, b: &usize| factors[*a].rows.total_cmp(&factors[*b].rows);
-        let Some(start) = (0..factors.len()).min_by(smallest) else { return Ok(()) };
+        let Some(fewest) = (0..factors.len()).min_by(smallest) else { return Ok(()) };
         let mut state = vec![State::Left; factors.len()];
         let mut keys: Vec<usize> = Vec::new();
+        let mut start = fewest;
+        if factors.len() > 1 && factors.iter().all(|f| f.analyzed) {
+            let mut best = f64::INFINITY;
+            for s in std::iter::once(fewest).chain((0..factors.len()).filter(|&s| s != fewest)) {
+                let limit = best * (1.0 + START_TIE);
+                let Some(score) = self.score(factors, edges, s, limit, &mut state, &mut keys)
+                else {
+                    continue;
+                };
+                let tie = score <= limit;
+                if score < best * (1.0 - START_TIE) || tie && factors[s].rows < factors[start].rows
+                {
+                    (start, best) = (s, score);
+                }
+            }
+        }
+        self.greedy(factors, edges, start, &mut state, &mut keys, take)
+    }
+
+    /// The walk's cost of the greedy join tree from factor `start`, or `None`
+    /// as soon as the tree built so far costs more than `limit`: from its
+    /// first join on, a tree's cost only grows (only that join may drop the
+    /// start's leaf cost, when it reads the start through its index).
+    fn score(
+        &self,
+        factors: &[JoinFactor],
+        edges: &[JoinEdge],
+        start: usize,
+        limit: f64,
+        state: &mut [State],
+        keys: &mut Vec<usize>,
+    ) -> Option<f64> {
+        let mut price = (0.0, 0.0);
+        let scored = self.greedy(factors, edges, start, state, keys, |f, join| {
+            let joins = join.is_some();
+            price = self.step_price(factors, edges, price, f, join);
+            if joins && price.1 > limit {
+                Err(())
+            } else {
+                Ok(false)
+            }
+        });
+        scored.ok().map(|()| price.1)
+    }
+
+    /// The greedy steps of [`Self::join_order`] from factor `start`, over
+    /// the caller's `state` and `keys` buffers so that scoring a start
+    /// allocates nothing.
+    fn greedy<E>(
+        &self,
+        factors: &[JoinFactor],
+        edges: &[JoinEdge],
+        start: usize,
+        state: &mut [State],
+        keys: &mut Vec<usize>,
+        mut take: impl FnMut(usize, Option<Join<'_>>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let smallest = |a: &usize, b: &usize| factors[*a].rows.total_cmp(&factors[*b].rows);
+        state.fill(State::Left);
         let mut emptied = take(start, None)?;
         state[start] = State::Joined;
         let mut est = factors[start].rows;
@@ -324,8 +425,9 @@ impl<'a> Estimator<'a> {
                     *s = State::Emptied;
                 }
             }
-            let joined = &state;
-            let origin = |(f, o): (usize, ColumnOrigin)| o.filter(|_| joined[f] != State::Emptied);
+            let joined = &*state;
+            let distinct =
+                |(f, end): (usize, JoinEnd)| end.distinct.filter(|_| joined[f] != State::Emptied);
             // The edges that join factor `i` in: every edge between `i` and a
             // joined factor (an edge is used once both its ends are joined).
             let connecting = move |i: usize| {
@@ -341,8 +443,9 @@ impl<'a> Estimator<'a> {
                 if on.peek().is_none() {
                     continue;
                 }
-                let on = on.map(|e| near_far(edges[e], i)).map(|[n, f]| (origin(n), f.1));
-                let out = self.hash_join_rows(est, factors[i].rows, on);
+                let on =
+                    on.map(|e| near_far(edges[e], i)).map(|[n, f]| (distinct(n), f.1.distinct));
+                let out = hash_join_rows(est, factors[i].rows, on);
                 if out < best.map_or(f64::INFINITY, |(_, o)| o) {
                     best = Some((i, out));
                 }
@@ -363,18 +466,18 @@ impl<'a> Estimator<'a> {
                 [] => Join::Cross,
                 [e] => {
                     let [near, far] = near_far(edges[e], i);
-                    if factors[i].scan && self.index_probe(far.1, est) {
+                    if factors[i].scan && index_probe(far.1, est) {
                         Join::Index { edge: e, probe_is_left: true }
                     } else if step == 1
                         && factors[start].scan
-                        && self.index_probe(near.1, factors[i].rows)
+                        && index_probe(near.1, factors[i].rows)
                     {
                         Join::Index { edge: e, probe_is_left: false }
                     } else {
-                        Join::Hash(&keys)
+                        Join::Hash(keys)
                     }
                 }
-                _ => Join::Hash(&keys),
+                _ => Join::Hash(keys),
             };
             state[i] = State::Joined;
             est = out.max(1.0);
@@ -383,46 +486,58 @@ impl<'a> Estimator<'a> {
         Ok(())
     }
 
-    /// Whether an index join may read the bare scan whose join column
-    /// originates at `column` with `probe_est` probe rows: the column has a
-    /// hash index and, on an analyzed table, the probe side holds to
-    /// [`INDEX_JOIN_RATIO`].
-    fn index_probe(&self, column: ColumnOrigin, probe_est: f64) -> bool {
-        column.is_some_and(|(t, c)| {
-            self.indexed(t, c)
-                && (!self.analyzed(t) || probe_est * INDEX_JOIN_RATIO as f64 <= self.table_rows(t))
-        })
-    }
-
-    /// Rows out of an equi-join of `left_rows` and `right_rows` rows along
-    /// key columns of the given origins: `|L|·|R| / Π max(ndv_L, ndv_R)`.
-    fn hash_join_rows(
+    /// The walk's `(rows, cost)` of the joined side, `(rows, cost)` before,
+    /// once a step of [`Self::join_order`] joins factor `f` in as `join` says
+    /// (`None`: `f` starts). An index join's scan column has an index, or
+    /// [`index_probe`] would not have chosen it.
+    fn step_price(
         &self,
-        left_rows: f64,
-        right_rows: f64,
-        keys: impl Iterator<Item = (ColumnOrigin, ColumnOrigin)>,
-    ) -> f64 {
-        let mut denom = 1.0f64;
-        for (l, r) in keys {
-            denom *= self.ndv(&l, left_rows).max(self.ndv(&r, right_rows)).max(1.0);
+        factors: &[JoinFactor],
+        edges: &[JoinEdge],
+        (rows, cost): (f64, f64),
+        f: usize,
+        join: Option<Join<'_>>,
+    ) -> (f64, f64) {
+        let side = &factors[f];
+        let len = |end: JoinEnd| end.index.map_or(0.0, |(rows, _)| rows);
+        match join {
+            None => (side.rows, side.cost),
+            Some(Join::Cross) => {
+                let rows = rows * side.rows;
+                (rows, cost + (rows + side.cost))
+            }
+            Some(Join::Hash(keys)) => {
+                let keys = keys.iter().map(|&e| near_far(edges[e], f));
+                let rows = hash_join_rows(
+                    rows,
+                    side.rows,
+                    keys.map(|[n, r]| (n.1.distinct, r.1.distinct)),
+                );
+                (rows, cost + (rows + side.cost))
+            }
+            Some(Join::Index { edge, probe_is_left: true }) => {
+                let [near, far] = near_far(edges[edge], f);
+                let (probe, column) = (near.1.distinct, far.1.distinct);
+                let rows = index_join_rows(rows, probe, side.rows, column, len(far.1));
+                (rows, cost + rows)
+            }
+            Some(Join::Index { edge, probe_is_left: false }) => {
+                let [start, far] = near_far(edges[edge], f);
+                let (probe, column) = (far.1.distinct, start.1.distinct);
+                let rows = index_join_rows(side.rows, probe, rows, column, len(start.1));
+                (rows, rows + side.cost)
+            }
         }
-        left_rows * right_rows / denom
     }
 
-    /// Rows out of an index join: `probe_rows` rows, keyed by a column from
-    /// `probe`, probing a table of `table_rows` rows on its column `column`,
-    /// of which the scan's filter keeps `kept`.
-    fn index_join_rows(
-        &self,
-        probe_rows: f64,
-        probe: ColumnOrigin,
-        kept: f64,
-        column: ColumnOrigin,
-        table_rows: f64,
-    ) -> f64 {
-        let np = self.ndv(&probe, probe_rows);
-        let nt = self.ndv(&column, table_rows);
-        probe_rows * kept / np.max(nt).max(1.0)
+    /// What the join search needs of a join column with origin `origin`.
+    pub(crate) fn join_end(&self, origin: ColumnOrigin) -> JoinEnd {
+        let Some((t, c)) = origin else { return JoinEnd::default() };
+        let index_keys = self.index_keys(t, c);
+        JoinEnd {
+            distinct: self.with_stats(&origin, |s| s.distinct as f64).or(index_keys),
+            index: index_keys.map(|_| (self.table_rows(t), self.analyzed(t))),
+        }
     }
 
     /// The post-order walk: estimate the children, derive this node's
@@ -470,13 +585,14 @@ impl<'a> Estimator<'a> {
                 let rows = i.rows * self.selectivity(predicate, Origins::Output(&i.origins));
                 Estimate { rows, cost: rows + i.cost, origins: i.origins }
             }
-            Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
+            Plan::HashJoin { left, right, keys, .. } => {
                 let l = self.walk(left, visit);
                 let r = self.walk(right, visit);
                 let (lo, ro) = (Origins::Output(&l.origins), Origins::Output(&r.origins));
-                let keys =
-                    left_keys.iter().zip(right_keys).map(|(lk, rk)| (lo.get(*lk), ro.get(*rk)));
-                let rows = self.hash_join_rows(l.rows, r.rows, keys);
+                let (left_keys, right_keys) = key_halves(keys);
+                let keys = (left_keys.iter().zip(right_keys))
+                    .map(|(lk, rk)| (self.distinct(&lo.get(*lk)), self.distinct(&ro.get(*rk))));
+                let rows = hash_join_rows(l.rows, r.rows, keys);
                 Estimate {
                     rows,
                     cost: rows + l.cost + r.cost,
@@ -502,8 +618,9 @@ impl<'a> Estimator<'a> {
                     None => 1.0,
                 };
                 let probe_origin = Origins::Output(&p.origins).get(*probe_key);
-                let column = self.column_index(t, column).map(|c| (t, c));
-                let rows = self.index_join_rows(p.rows, probe_origin, len * fsel, column, len);
+                let column = self.distinct(&self.column_index(t, column).map(|c| (t, c)));
+                let probe = self.distinct(&probe_origin);
+                let rows = index_join_rows(p.rows, probe, len * fsel, column, len);
                 let fetched = emitted_origins(t, *columns, arity);
                 let origins = if *probe_is_left {
                     concat(p.origins, fetched)
@@ -679,21 +796,15 @@ impl<'a> Estimator<'a> {
     /// `side_rows` rows: statistics NDV when available, the hash index's
     /// distinct-key count as a fallback, the side estimate itself otherwise
     /// (the key/foreign-key assumption); always clamped to `[1, side_rows]`.
-    pub(crate) fn ndv(&self, origin: &ColumnOrigin, side_rows: f64) -> f64 {
-        let cap = side_rows.max(1.0);
-        if let Some(distinct) = self.with_stats(origin, |c| c.distinct as f64) {
-            return distinct.clamp(1.0, cap);
-        }
-        if let Some((t, col)) = origin {
-            let tables = self.tables.borrow();
-            let facts = &tables[*t];
-            if let (Some(table), Some(name)) = (&facts.table, facts.columns.get(*col)) {
-                if let Some(idx) = table.read().index_on(name) {
-                    return (idx.distinct_keys() as f64).clamp(1.0, cap);
-                }
-            }
-        }
-        cap
+    fn ndv(&self, origin: &ColumnOrigin, side_rows: f64) -> f64 {
+        ndv(self.distinct(origin), side_rows)
+    }
+
+    /// Distinct values of the column behind `origin`: its statistics' NDV,
+    /// else its hash index's distinct keys, else unknown.
+    fn distinct(&self, origin: &ColumnOrigin) -> Option<f64> {
+        (self.with_stats(origin, |c| c.distinct as f64))
+            .or_else(|| origin.and_then(|(t, c)| self.index_keys(t, c)))
     }
 
     /// Statistics-backed equality selectivity, `None` when stats can't help.
@@ -814,17 +925,66 @@ impl<'a> Estimator<'a> {
 
     /// Whether column `c` of table `t` has a hash index.
     fn indexed(&self, t: TableId, c: usize) -> bool {
+        self.index_keys(t, c).is_some()
+    }
+
+    /// The distinct keys of the hash index on column `c` of table `t`, if
+    /// it has one.
+    fn index_keys(&self, t: TableId, c: usize) -> Option<f64> {
         let tables = self.tables.borrow();
         let facts = &tables[t];
-        match (&facts.table, facts.columns.get(c)) {
-            (Some(table), Some(name)) => table.read().index_on(name).is_some(),
-            _ => false,
-        }
+        let (table, name) = (facts.table.as_ref()?, facts.columns.get(c)?);
+        let keys = table.read().index_on(name).map(|idx| idx.distinct_keys() as f64);
+        keys
     }
 
     fn analyzed(&self, t: TableId) -> bool {
         self.tables.borrow()[t].stats.is_some()
     }
+}
+
+/// [`Estimator::ndv`] of a column with `distinct` values in a side of
+/// `side_rows` rows: clamped to `[1, side_rows]`, the side's rows when unknown.
+fn ndv(distinct: Option<f64>, side_rows: f64) -> f64 {
+    let cap = side_rows.max(1.0);
+    distinct.map_or(cap, |d| d.clamp(1.0, cap))
+}
+
+/// Rows out of an equi-join of `left_rows` and `right_rows` rows along key
+/// columns with the given distinct values: `|L|·|R| / Π max(ndv_L, ndv_R)`.
+fn hash_join_rows(
+    left_rows: f64,
+    right_rows: f64,
+    keys: impl Iterator<Item = (Option<f64>, Option<f64>)>,
+) -> f64 {
+    let mut denom = 1.0f64;
+    for (l, r) in keys {
+        denom *= ndv(l, left_rows).max(ndv(r, right_rows)).max(1.0);
+    }
+    left_rows * right_rows / denom
+}
+
+/// Rows out of an index join: `probe_rows` rows, keyed by a column of
+/// `probe` distinct values, probing a table of `table_rows` rows on a column
+/// of `column` distinct values, of which the scan's filter keeps `kept`.
+fn index_join_rows(
+    probe_rows: f64,
+    probe: Option<f64>,
+    kept: f64,
+    column: Option<f64>,
+    table_rows: f64,
+) -> f64 {
+    let np = ndv(probe, probe_rows);
+    let nt = ndv(column, table_rows);
+    probe_rows * kept / np.max(nt).max(1.0)
+}
+
+/// Whether an index join may read the bare scan whose join column is `end`
+/// with `probe_est` probe rows: the column has a hash index and, on an
+/// analyzed table, the probe side holds to [`INDEX_JOIN_RATIO`].
+fn index_probe(end: JoinEnd, probe_est: f64) -> bool {
+    end.index
+        .is_some_and(|(rows, analyzed)| !analyzed || probe_est * INDEX_JOIN_RATIO as f64 <= rows)
 }
 
 /// The column positions a predicate reads, mapped to where they come from.
@@ -873,4 +1033,124 @@ fn is_col_lit(a: &BoundExpr, b: &BoundExpr) -> bool {
         (BoundExpr::Column(_), BoundExpr::Literal(_))
             | (BoundExpr::Literal(_), BoundExpr::Column(_))
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pqp_storage::{ColumnDef, DataType, TableSchema};
+
+    /// A table of integer columns holding `rows`.
+    fn add_table(c: &mut Catalog, name: &str, columns: &[&str], rows: Vec<Vec<Value>>) {
+        let defs = columns.iter().map(|col| ColumnDef::new(*col, DataType::Int)).collect();
+        c.create_table(TableSchema::new(name, defs)).unwrap();
+        let t = c.table(name).unwrap();
+        let mut t = t.write();
+        for row in rows {
+            t.insert(row).unwrap();
+        }
+    }
+
+    fn keys(n: i64, of: i64) -> Vec<Vec<Value>> {
+        (0..n).map(|i| vec![Value::Int(i % of)]).collect()
+    }
+
+    /// The chain `T(40) – P(3 360) – M(400) – G(1 000)`, keyed to-many
+    /// from `T` to `P` and from `M` to `G`.
+    fn chain(analyzed: bool) -> Catalog {
+        let mut c = Catalog::new();
+        add_table(&mut c, "T", &["id"], keys(40, 40));
+        let plays = (0..3360).map(|i| vec![Value::Int(i % 40), Value::Int(i % 400)]).collect();
+        add_table(&mut c, "P", &["t_id", "m_id"], plays);
+        add_table(&mut c, "M", &["id"], keys(400, 400));
+        add_table(&mut c, "G", &["m_id"], keys(1000, 400));
+        if analyzed {
+            c.analyze_all().unwrap();
+        }
+        c
+    }
+
+    const CHAIN_EDGES: [PricedEdge<'static>; 3] =
+        [((0, "id"), (1, "t_id")), ((1, "m_id"), (2, "id")), ((2, "id"), (3, "m_id"))];
+
+    /// The chain's factors, with a filter on `G` that keeps `kept` of it.
+    fn chain_factors(kept: f64) -> [PricedFactor<'static>; 4] {
+        let factor = |table, selectivity| PricedFactor { table, selectivity, index_scan: false };
+        [factor("T", 1.0), factor("P", 1.0), factor("M", 1.0), factor("G", kept)]
+    }
+
+    /// The start [`Estimator::join_order`] picks, and how often it called
+    /// `take`.
+    fn start_and_takes(
+        est: &Estimator<'_>,
+        sides: &[JoinFactor],
+        ends: &[JoinEdge],
+    ) -> (usize, usize) {
+        let mut taken = Vec::new();
+        let Ok(()) = est.join_order(sides, ends, |f, _| -> Result<bool, Infallible> {
+            taken.push(f);
+            Ok(false)
+        });
+        (taken[0], taken.len())
+    }
+
+    fn scores(est: &Estimator<'_>, sides: &[JoinFactor], ends: &[JoinEdge]) -> Vec<f64> {
+        let (mut state, mut keys) = (vec![State::Left; sides.len()], Vec::new());
+        let mut score = |s| est.score(sides, ends, s, f64::INFINITY, &mut state, &mut keys);
+        (0..sides.len()).map(|s| score(s).unwrap()).collect()
+    }
+
+    #[test]
+    fn the_chosen_start_scores_no_more_than_any_other() {
+        let catalog = chain(true);
+        let est = Estimator::new(&catalog);
+        for kept in [1.0, 0.5, 0.107, 0.01, 0.001] {
+            let (sides, ends) = est.priced_sides(&chain_factors(kept), &CHAIN_EDGES);
+            let scores = scores(&est, &sides, &ends);
+            let (start, _) = start_and_takes(&est, &sides, &ends);
+            for (s, score) in scores.iter().enumerate() {
+                assert!(
+                    scores[start] <= score * (1.0 + START_TIE),
+                    "G keeps {kept}: start {start} scores {} > start {s}'s {score}",
+                    scores[start]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_tie_keeps_the_start_with_fewer_rows() {
+        // A(20) ⋈ B(10) hashed either way: both starts score 10 + 20 + out,
+        // so B starts, whichever position it holds.
+        let mut catalog = Catalog::new();
+        add_table(&mut catalog, "A", &["id"], keys(20, 20));
+        add_table(&mut catalog, "B", &["a_id"], (0..10).map(|i| vec![Value::Int(i * 2)]).collect());
+        catalog.analyze_all().unwrap();
+        let est = Estimator::new(&catalog);
+        let factor = |table| PricedFactor { table, selectivity: 1.0, index_scan: false };
+        for (factors, edges, fewer) in [
+            ([factor("A"), factor("B")], [((0, "id"), (1, "a_id"))], 1),
+            ([factor("B"), factor("A")], [((1, "id"), (0, "a_id"))], 0),
+        ] {
+            let (sides, ends) = est.priced_sides(&factors, &edges);
+            let scores = scores(&est, &sides, &ends);
+            assert!((scores[0] - scores[1]).abs() <= scores[0] * START_TIE, "{scores:?}");
+            assert_eq!(start_and_takes(&est, &sides, &ends).0, fewer);
+        }
+    }
+
+    #[test]
+    fn scoring_the_starts_calls_take_zero_times() {
+        for analyzed in [true, false] {
+            let catalog = chain(analyzed);
+            let est = Estimator::new(&catalog);
+            let (sides, ends) = est.priced_sides(&chain_factors(0.1), &CHAIN_EDGES);
+            assert_eq!(sides.iter().all(|s| s.analyzed), analyzed);
+            // One call per factor: the replay of the chosen order alone.
+            let (start, takes) = start_and_takes(&est, &sides, &ends);
+            assert_eq!(takes, 4, "analyzed={analyzed}");
+            // Without statistics the fewest-rows factor, T, starts.
+            assert_eq!(start, if analyzed { 3 } else { 0 }, "analyzed={analyzed}");
+        }
+    }
 }

@@ -85,7 +85,7 @@
 use crate::bound::BoundExpr;
 use crate::cost::{Estimator, INDEX_JOIN_RATIO};
 use crate::error::{bind_err, EngineError, Result};
-use crate::plan::Plan;
+use crate::plan::{key_halves, Plan};
 use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx};
@@ -292,11 +292,12 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
             pqp_obs::record("rows_in", rows.len());
             filter_rows(ctx, rows, predicate)
         }
-        Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
+        Plan::HashJoin { left, right, keys, .. } => {
             let lrows = read(env, left)?;
             let rrows = read(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
+            let (left_keys, right_keys) = key_halves(keys);
             join_rows(env, &lrows, &rrows, left_keys, right_keys)
         }
         Plan::CrossJoin { left, right, .. } => {

@@ -42,16 +42,11 @@ pub enum Plan {
     },
     /// σ: keep rows whose predicate evaluates to TRUE.
     Filter { input: Box<Plan>, predicate: BoundExpr },
-    /// Equi-join: `left.left_keys[i] = right.right_keys[i]` for all i.
-    /// Output rows are `left ++ right`. Always a hash join: probing an
-    /// index instead is [`Plan::IndexJoin`].
-    HashJoin {
-        left: Box<Plan>,
-        right: Box<Plan>,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        schema: SchemaRef,
-    },
+    /// Equi-join: `left[l[i]] = right[r[i]]` for all i, where `(l, r)` are
+    /// [`key_halves`] of `keys`: the left key columns, then as many right
+    /// ones, in one allocation. Output rows are `left ++ right`. Always a
+    /// hash join: probing an index instead is [`Plan::IndexJoin`].
+    HashJoin { left: Box<Plan>, right: Box<Plan>, keys: Box<[usize]>, schema: SchemaRef },
     /// Index nested-loop join chosen at plan time: execute `probe`, then for
     /// each probe row fetch `table` rows with `column = probe[probe_key]`
     /// through the table's hash index, applying the pushed-down `filter`
@@ -147,6 +142,11 @@ pub enum TopKMatching {
     AtLeast(usize),
     /// Keep groups whose degree of interest exceeds the threshold.
     MinDegree(f64),
+}
+
+/// A [`Plan::HashJoin`]'s `(left, right)` key columns.
+pub fn key_halves(keys: &[usize]) -> (&[usize], &[usize]) {
+    keys.split_at(keys.len() / 2)
 }
 
 impl Plan {
@@ -286,7 +286,8 @@ impl Plan {
                 out.push_str(&format!("{pad}Filter{suffix}\n"));
                 input.explain_into(depth + 1, out, annot, printed);
             }
-            Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
+            Plan::HashJoin { left, right, keys, .. } => {
+                let (left_keys, right_keys) = key_halves(keys);
                 out.push_str(&format!("{pad}HashJoin on {left_keys:?}={right_keys:?}{suffix}\n"));
                 left.explain_into(depth + 1, out, annot, printed);
                 right.explain_into(depth + 1, out, annot, printed);

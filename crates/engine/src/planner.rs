@@ -391,7 +391,7 @@ impl<'a> Planner<'a> {
     }
 
     /// The join tree over the FROM factors, in the order
-    /// [`Estimator::join_order`] gives (the one greedy search and index-join
+    /// [`Estimator::join_order`] gives (the one join search and index-join
     /// rule, which [`Estimator::price_join`] runs too): each step's hash,
     /// index or cross join, then every residual conjunct whose factors are
     /// all joined.
@@ -430,20 +430,27 @@ impl<'a> Planner<'a> {
         let estimator = &self.estimator;
         let mut nodes: Vec<Option<(Arc<str>, Plan)>> = Vec::with_capacity(factors.len());
         let mut sizes: Vec<JoinFactor> = Vec::with_capacity(factors.len());
-        let mut ends: Vec<JoinEdge> =
-            edges.iter().map(|&[(a, _), (b, _)]| [(a, None), (b, None)]).collect();
+        let mut ends: Vec<JoinEdge> = edges
+            .iter()
+            .map(|&[(a, _), (b, _)]| [(a, Default::default()), (b, Default::default())])
+            .collect();
         for (f, (factor, preds)) in factors.into_iter().zip(&single).enumerate() {
             let plan = self.access_path(&factor.binding, factor.source, preds)?;
             let est = estimator.estimate(&plan);
             for (edge, ends) in edges.iter().zip(&mut ends) {
-                for (&(g, column), (_, origin)) in edge.iter().zip(ends) {
+                for (&(g, column), (_, end)) in edge.iter().zip(ends) {
                     if g == f {
                         let c = self.bind_column_index(column, plan.schema())?;
-                        *origin = est.origins.get(c).copied().flatten();
+                        *end = estimator.join_end(est.origins.get(c).copied().flatten());
                     }
                 }
             }
-            sizes.push(JoinFactor { rows: est.rows, scan: matches!(plan, Plan::Scan { .. }) });
+            sizes.push(JoinFactor {
+                rows: est.rows,
+                cost: est.cost,
+                scan: matches!(plan, Plan::Scan { .. }),
+                analyzed: estimator.analyzed_path(&plan),
+            });
             nodes.push(Some((factor.binding, plan)));
         }
 
@@ -500,21 +507,15 @@ impl<'a> Planner<'a> {
         let schema = self.share(left.schema().join(right.schema()));
         Ok(match join {
             Join::Cross => Plan::CrossJoin { left: Box::new(left), right: Box::new(right), schema },
-            Join::Hash(keys) => {
-                let mut left_keys = Vec::with_capacity(keys.len());
-                let mut right_keys = Vec::with_capacity(keys.len());
-                for &e in keys {
+            Join::Hash(edge_ids) => {
+                let mut keys = vec![0; 2 * edge_ids.len()].into_boxed_slice();
+                let (left_keys, right_keys) = keys.split_at_mut(edge_ids.len());
+                for ((&e, l), r) in edge_ids.iter().zip(left_keys).zip(right_keys) {
                     let [(_, near), (_, far)] = near_far(edges[e], factor);
-                    left_keys.push(self.bind_column_index(near, left.schema())?);
-                    right_keys.push(self.bind_column_index(far, right.schema())?);
+                    *l = self.bind_column_index(near, left.schema())?;
+                    *r = self.bind_column_index(far, right.schema())?;
                 }
-                Plan::HashJoin {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    left_keys,
-                    right_keys,
-                    schema,
-                }
+                Plan::HashJoin { left: Box::new(left), right: Box::new(right), keys, schema }
             }
             Join::Index { edge, probe_is_left } => {
                 let [(_, near), (_, far)] = near_far(edges[edge], factor);

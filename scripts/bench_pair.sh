@@ -4,9 +4,9 @@
 #   scripts/bench_pair.sh [--seed N] [--out FILE] <ref-a> <ref-b> <workload> [pairs]
 #
 # Checks each ref out into its own `git worktree`, builds both once, then
-# runs `benchmark/run.sh --workload W --trace 0` (with `--seed N` when
-# given; the benchmark's own default otherwise) in alternating order
-# (A B, B A, A B, ...) so drift of the host hits both sides alike. A side
+# runs `benchmark/run.sh --workload W --trace 0 --seed N` (N defaults to
+# 14, the benchmark's own default) in alternating order (A B, B A, A B,
+# ...) so drift of the host hits both sides alike. A side
 # may also be a directory holding a checkout (an uncommitted tree has no
 # ref); it is used in place, with its build output kept outside it.
 #
@@ -21,20 +21,20 @@
 # fresh temporary directory) as <metric>.tsv.
 #
 # With --out FILE, the run is also recorded as one object of the JSON array
-# in FILE (created if missing, appended to otherwise): both sides, the
-# workload and seed; per metric the median, q1, q3, B's wins and ties, the
-# gain verdict and, for an `end_to_end` metric, its bound and no-regression
-# verdict; a host block with nproc, the kernel and each run's
-# host_cpu_stolen_share; and every raw pair.
+# in FILE (created if missing, appended to otherwise): both sides as
+# commits (see side_label), the workload and seed; per metric the median,
+# q1, q3, B's wins and ties, the gain verdict and, for an `end_to_end`
+# metric, its bound and no-regression verdict; a host block with nproc, the
+# kernel and each run's host_cpu_stolen_share; and every raw pair.
 set -euo pipefail
 
-seed=
+seed=14
 out=
 args=()
 while [[ $# -gt 0 ]]; do
     case $1 in
         --seed)
-            [[ $# -ge 2 ]] || { echo "--seed needs a value" >&2; exit 2; }
+            [[ $# -ge 2 && $2 =~ ^[0-9]+$ ]] || { echo "--seed needs a number" >&2; exit 2; }
             seed=$2
             shift 2
             ;;
@@ -85,7 +85,7 @@ checkout b "$ref_b" && dir_b=$dir
 run_side() {
     local side=$1 dir=$2 log=$work/run-$1-$3.log
     CARGO_TARGET_DIR=$work/target-$side bash "$dir/benchmark/run.sh" \
-        --workload "$workload" ${seed:+--seed "$seed"} --trace 0 >"$log"
+        --workload "$workload" --seed "$seed" --trace 0 >"$log"
     grep -q '"correct":true' "$log" || { echo "run $side/$3 failed its checks: $log" >&2; exit 1; }
     # Metric lines read "<name> <value> <unit>", optionally "(reported, ...)".
     awk '$1 ~ /^[a-z_0-9.]+$/ && $2 ~ /^-?[0-9.]+$/ && (NF == 3 || $4 ~ /^\(/) { print $1, $2 }' "$log" |
@@ -125,7 +125,7 @@ bounds=$(awk '
     inside && /}/ { print m["name"], m["bound"], m["better"]; delete m }
 ' "$repo/BENCHMARK.json")
 
-echo "workload $workload, $pairs pairs, seed ${seed:-default}, A = $ref_a, B = $ref_b"
+echo "workload $workload, $pairs pairs, seed $seed, A = $ref_a, B = $ref_b"
 printf '%-16s %-34s %-34s %-14s %s\n' metric "A median [q1, q3]" "B median [q1, q3]" "B wins/ties" verdict
 for file_a in "$work"/*.a; do
     name=$(basename "$file_a" .a)
@@ -186,13 +186,31 @@ echo "raw values: $work/<metric>.tsv (one pair per line: A, B)"
 
 [[ -n $out ]] || exit 0
 json_str() { sed 's/[\\"]/\\&/g; s/.*/"&"/' <<<"$1"; }
-# A side as recorded: a ref as given; a checkout directory as its commit,
-# marked "+uncommitted" when its tree differs from that commit.
+# A side as recorded, always a commit or a hash of what was measured: a ref
+# as its commit; a checkout directory as its HEAD commit, plus "+diff-" and
+# a hash of its changes (the diff against HEAD and every untracked file)
+# when it has any; a directory that is no git checkout as "tree-" and a
+# hash of its files, build output aside.
+short_hash() { sha256sum | cut -c1-12; }
 side_label() {
-    [[ -d $1 ]] || { echo "$1"; return; }
-    local head
-    head=$(git -C "$1" rev-parse --short HEAD 2>/dev/null) || { basename "$1"; return; }
-    [[ -z $(git -C "$1" status --porcelain --untracked-files=no) ]] || head+=+uncommitted
+    if [[ ! -d $1 ]]; then
+        git -C "$repo" rev-parse --short "$1^{commit}"
+        return
+    fi
+    local dir head
+    dir=$(cd "$1" && pwd)
+    if [[ $(git -C "$dir" rev-parse --show-toplevel 2>/dev/null) != "$dir" ]]; then
+        echo "tree-$(cd "$dir" && find . -type f ! -path '*/target/*' ! -path './.git/*' \
+            ! -path './benchmark/out/*' -print0 | LC_ALL=C sort -z | xargs -0 sha256sum | short_hash)"
+        return
+    fi
+    head=$(git -C "$dir" rev-parse --short HEAD)
+    if [[ -n $(git -C "$dir" status --porcelain) ]]; then
+        head+=+diff-$( {
+            git -C "$dir" diff --binary HEAD
+            git -C "$dir" ls-files -z --others --exclude-standard | (cd "$dir" && xargs -0 -r sha256sum)
+        } | short_hash)
+    fi
     echo "$head"
 }
 # One array of the run's per-pair host CPU steal shares for one side.
@@ -215,7 +233,7 @@ raw_pairs=$(awk '
 record=$(
     echo "{"
     echo "  \"workload\": $(json_str "$workload"),"
-    echo "  \"seed\": ${seed:-null},"
+    echo "  \"seed\": $seed,"
     echo "  \"pairs\": $pairs,"
     echo "  \"a\": $(json_str "$(side_label "$ref_a")"),"
     echo "  \"b\": $(json_str "$(side_label "$ref_b")"),"

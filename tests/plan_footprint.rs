@@ -56,7 +56,8 @@ const TEXTS: usize = 32;
 /// instead of building a whole-table schema, and measure 910. With one join
 /// order for planning and pricing (no hash sets in the planner, no key list
 /// per priced step) it is 881, and 890 with the pass that shares repeated
-/// subtrees.
+/// subtrees. With the join start chosen by cost on analyzed tables it is
+/// 834.
 const MAX_ALLOCS_PER_BUILD: u64 = 962;
 
 /// Ceiling on the candidates `Rewrite::Auto` integrates and plans per
@@ -66,6 +67,10 @@ const MAX_TENTHS_BUILT_PER_CHOICE: u64 = 14;
 /// Ceilings on the plan a build leaves behind: 74 live allocations / 6 476
 /// B while every access path emitted its whole table; 73 / 6 152 B with
 /// narrowed schemas, and 72 / 6 035 B with repeated subtrees stored once.
+/// With the join start chosen by cost, SQ branches that shared a subtree
+/// start from their own selections instead, and a plan held 76 live
+/// allocations while a hash join kept its keys in two `Vec`s; with both
+/// halves in one allocation it measures 72 / 6 269 B.
 /// The ceilings are the former.
 const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 74;
 const MAX_LIVE_BYTES_PER_PLAN: i64 = 6_476;
@@ -94,7 +99,8 @@ const EXEC_TEXTS: usize = 8;
 /// + 5 %.
 ///
 /// With each repeated subtree run once per execution (`Plan::Shared`) they
-/// measure 9 579 / 1 587 354 B; the ceilings are that + 5 %.
+/// measure 9 579 / 1 587 354 B; the ceilings are that + 5 %. With the join
+/// start chosen by cost on analyzed tables they measure 7 910 / 1 292 199 B.
 const MAX_ALLOCS_PER_RUN: u64 = 10_058;
 const MAX_BYTES_PER_RUN: u64 = 1_666_722;
 
@@ -102,9 +108,12 @@ const MAX_BYTES_PER_RUN: u64 = 1_666_722;
 /// governor, read from `QueryCtx::progress()`: exact, with no slack. Every
 /// subtree run once per occurrence scanned 1 072 940 rows / charged 85 069 712
 /// B (8 382.3 / 664 607.1 per run); with each repeated subtree run once per
-/// execution they are the values below (4 741.1 / 413 447.1 per run).
-const ROWS_SCANNED: u64 = 606_860;
-const CHARGED_BYTES: u64 = 52_921_232;
+/// execution, 606 860 rows / 52 921 232 B (4 741.1 / 413 447.1 per run).
+/// With the join start chosen by cost on analyzed tables, partials start
+/// from their selective factor instead of the smallest one, and they are
+/// the values below (3 995.6 / 241 144.9 per run).
+const ROWS_SCANNED: u64 = 511_442;
+const CHARGED_BYTES: u64 = 30_866_552;
 
 /// Ceiling on the bytes the generated database keeps live: 1.05 x the
 /// 3 134 773 B (30 902 allocations) of rows encoded into 8 KiB heap pages.
