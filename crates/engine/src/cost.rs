@@ -54,7 +54,7 @@
 use crate::bound::BoundExpr;
 use crate::plan::{key_halves, Plan, TopKProbeSource};
 use pqp_sql::BinaryOp;
-use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableRef, TableStats, Value};
+use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableStats, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -86,15 +86,15 @@ type TableId = usize;
 pub(crate) type ColumnOrigin = Option<(TableId, usize)>;
 
 /// Per-table planning facts, read from the catalog once per estimator: row
-/// count, the statistics snapshot (if the table was ever `ANALYZE`d) and
-/// the column names.
+/// count, the statistics snapshot (if the table was ever `ANALYZE`d), the
+/// column names and each column's hash-index key count.
 struct TableFacts {
     name: Arc<str>,
-    /// `None` for a name the catalog does not know.
-    table: Option<TableRef>,
     rows: f64,
     stats: Option<Arc<TableStats>>,
     columns: Vec<Arc<str>>,
+    /// By column: the distinct keys of its hash index, if it has one.
+    index_keys: Vec<Option<f64>>,
 }
 
 /// What the one-pass walk knows about a plan node once its subtree is done.
@@ -888,24 +888,24 @@ impl<'a> Estimator<'a> {
         }
         tables.push(match self.catalog.table(name) {
             Ok(table) => {
-                let (schema_name, rows, stats, columns) = {
-                    let t = table.read();
-                    let stats = t.stats();
-                    // The stats snapshot when analyzed (the numbers the rest
-                    // of estimation is consistent with), live length otherwise.
-                    let rows =
-                        stats.as_ref().map(|s| s.rows as f64).unwrap_or_else(|| t.len() as f64);
-                    let columns = t.schema().columns.iter().map(|c| c.name.clone()).collect();
-                    (t.schema().name.clone(), rows, stats, columns)
-                };
-                TableFacts { name: schema_name, table: Some(table), rows, stats, columns }
+                let t = table.read();
+                let stats = t.stats();
+                // The stats snapshot when analyzed (the numbers the rest of
+                // estimation is consistent with), live length otherwise.
+                let rows = stats.as_ref().map(|s| s.rows as f64).unwrap_or_else(|| t.len() as f64);
+                let columns: Vec<Arc<str>> =
+                    t.schema().columns.iter().map(|c| c.name.clone()).collect();
+                let index_keys = (columns.iter())
+                    .map(|c| t.index_on(c).map(|idx| idx.distinct_keys() as f64))
+                    .collect();
+                TableFacts { name: t.schema().name.clone(), rows, stats, columns, index_keys }
             }
             Err(_) => TableFacts {
                 name: Arc::from(name),
-                table: None,
                 rows: UNKNOWN_TABLE_ROWS,
                 stats: None,
                 columns: Vec::new(),
+                index_keys: Vec::new(),
             },
         });
         tables.len() - 1
@@ -931,11 +931,7 @@ impl<'a> Estimator<'a> {
     /// The distinct keys of the hash index on column `c` of table `t`, if
     /// it has one.
     fn index_keys(&self, t: TableId, c: usize) -> Option<f64> {
-        let tables = self.tables.borrow();
-        let facts = &tables[t];
-        let (table, name) = (facts.table.as_ref()?, facts.columns.get(c)?);
-        let keys = table.read().index_on(name).map(|idx| idx.distinct_keys() as f64);
-        keys
+        self.tables.borrow()[t].index_keys.get(c).copied().flatten()
     }
 
     fn analyzed(&self, t: TableId) -> bool {
@@ -1070,6 +1066,15 @@ mod tests {
         c
     }
 
+    /// `(rows, cost)` bits of the un-analyzed, indexed chain's price at
+    /// `G` keeping 1, 0.1 and 0.001, as recorded before the estimator
+    /// cached index key counts.
+    const CHAIN_PRICE_BITS: [(u64, u64); 3] = [
+        (0x40c0_6800_0000_0000, 0x40cd_9c00_0000_0000),
+        (0x408a_4000_0000_0000, 0x40bd_b000_0000_0000),
+        (0x4020_cccc_cccc_cccd, 0x408f_ce66_6666_6666),
+    ];
+
     const CHAIN_EDGES: [PricedEdge<'static>; 3] =
         [((0, "id"), (1, "t_id")), ((1, "m_id"), (2, "id")), ((2, "id"), (3, "m_id"))];
 
@@ -1137,6 +1142,25 @@ mod tests {
             assert!((scores[0] - scores[1]).abs() <= scores[0] * START_TIE, "{scores:?}");
             assert_eq!(start_and_takes(&est, &sides, &ends).0, fewer);
         }
+    }
+
+    #[test]
+    fn unanalyzed_chain_prices_keep_their_bits() {
+        // Un-analyzed, every join key's distinct values come from the hash
+        // index on its column: the estimator reads each index's key count
+        // once per table, and the chain's prices must keep their bits.
+        let catalog = chain(false);
+        for (table, column) in
+            [("T", "id"), ("P", "t_id"), ("P", "m_id"), ("M", "id"), ("G", "m_id")]
+        {
+            catalog.table(table).unwrap().write().create_index(column).unwrap();
+        }
+        let est = Estimator::new(&catalog);
+        let bits = [1.0, 0.1, 0.001].map(|kept| {
+            let (rows, cost) = est.price_join(&chain_factors(kept), &CHAIN_EDGES);
+            (rows.to_bits(), cost.to_bits())
+        });
+        assert_eq!(bits, CHAIN_PRICE_BITS);
     }
 
     #[test]

@@ -2,37 +2,54 @@
 //!
 //! ## The planner chooses, the executor executes
 //!
-//! `run` is the only dispatcher and every [`Plan`] node maps to exactly
-//! one operator here: a `Scan` reads the table, an `IndexScan` probes an
-//! index, a `HashJoin` hashes, an `IndexJoin` probes per row. Whether a scan
-//! or a join goes through an index was decided at plan time
-//! (`Planner::push_predicate` and the join order, `Estimator::join_order`),
-//! where EXPLAIN and the cost model can see it; nothing in this file looks
-//! for an index the plan did not name. The two index operators keep a
-//! run-time *guard* each — the index was dropped since planning, or the
-//! actual probe side is too large for [`INDEX_JOIN_RATIO`] — and degrade to
-//! a table scan / hash join, so a stale or mis-estimated plan still
-//! answers, correctly.
+//! Every [`Plan`] node maps to exactly one operator here: a `Scan` reads the
+//! table, an `IndexScan` probes an index, a `HashJoin` hashes, an
+//! `IndexJoin` probes per row. Whether a scan or a join goes through an
+//! index was decided at plan time (`Planner::push_predicate` and the join
+//! order, `Estimator::join_order`), where EXPLAIN and the cost model can see
+//! it; nothing in this file looks for an index the plan did not name. The
+//! two index operators keep a run-time *guard* each — the index was dropped
+//! since planning, or the actual probe side is too large for
+//! [`INDEX_JOIN_RATIO`] — and degrade to a table scan / hash join, so a
+//! stale or mis-estimated plan still answers, correctly.
 //!
-//! Execution is operator-at-a-time over materialized intermediates — the
-//! right trade-off for an in-memory engine whose workloads (the paper's
-//! experiments) are join-heavy but small-intermediate. Joins hash the
-//! smaller side; grouping and duplicate elimination preserve first-seen
-//! order so results are deterministic.
+//! ## Pipelines
 //!
-//! Rows (`Vec<Row>`) are the only currency between operators, and an
-//! operator reads its input either as its own or in place. A row is cheap to
-//! copy: a string value is a shared `Arc<str>`, so cloning one is a
-//! reference-count bump. The scan is columnar on the inside: a table is
-//! stored as [`pqp_storage::Batch`] chunks of [`pqp_storage::BATCH_SIZE`]
-//! typed columns, and the scan evaluates the pushed-down filter over each
-//! stored chunk in place as a selection vector (`crate::vexpr`), then
-//! materializes only the surviving rows. An index probe copies each hit's
-//! values straight into its output row. Neither allocates a string. Every
-//! operator that emits a row builds it once, at its final width, holding
-//! only the columns read above it: a base-table access path emits just the
-//! columns the planner found some operator above it reading (its own filter
-//! reads the stored row), so no join copies a column that nothing reads.
+//! Each chain of streaming operators runs as one push loop, `push`. A
+//! *producer* — a scan's selected rows, an index scan's kept hits, an index
+//! join's or a hash join's probe loop, a `UNION`'s inputs one after another,
+//! the rows of a breaker — assembles each row in one reused scratch row and
+//! pushes it through the *stages* above it: `Filter`, a non-identity
+//! `Project`, and `Distinct`, which is also a non-`ALL` `UNION`'s dedup. The
+//! rows end in one *terminal* (`Sink`): a collected row set or
+//! `Aggregate`'s group table, so MQ's partial queries flow through their
+//! `UNION ALL` straight into the `GROUP BY`. Rows are materialized only at
+//! the *breakers*: a hash join's two sides (the smaller one builds), an
+//! index join's probe side (its guard needs the count), a shared subtree's
+//! slot, `Sort`, `Limit`, `TopK`, the cross product's two sides, and the
+//! terminal. A breaker's input is a pipeline whose terminal collects.
+//!
+//! A stage reads its row in place, so only what is kept is stored:
+//! `Distinct`'s kept rows, the collected rows and `Aggregate`'s new groups.
+//! What is kept is stored back to back, one `Rows` per row set, so a
+//! materialized row costs no allocation of its own: the values move out of
+//! the producer's scratch row, which keeps its allocation for the next one.
+//! Only an answer leaves the executor as one `Row` per row. Each stage
+//! keeps its input order, and grouping and duplicate elimination keep
+//! first-seen order, so results are deterministic. A row is cheap to copy:
+//! a string value is a shared `Arc<str>`, so cloning one is a
+//! reference-count bump.
+//!
+//! The scan is columnar on the inside: a table is stored as
+//! [`pqp_storage::Batch`] chunks of [`pqp_storage::BATCH_SIZE`] typed
+//! columns, and the scan evaluates the pushed-down filter over each stored
+//! chunk in place as a selection vector (`crate::vexpr`), then assembles only
+//! the surviving rows. An index probe copies each hit's values straight into
+//! its scratch row. Neither allocates a string. Every producer assembles a
+//! row once, at its final width, holding only the columns read above it: a
+//! base-table access path emits just the columns the planner found some
+//! operator above it reading (its own filter reads the stored row), so no
+//! join copies a column that nothing reads.
 //!
 //! ## Shared subtrees: owned or shared reads
 //!
@@ -40,21 +57,21 @@
 //! joins MQ's partial queries repeat). Each execution keeps one slot per
 //! shared subtree. The first read runs the subtree and keeps its rows in
 //! the slot, later reads borrow them, and the last read takes them out, so
-//! the subtree runs, scans and is charged to the governor once. The joins,
-//! the cross product, the projection and the aggregate read their inputs by
-//! reference and never copy a shared row; an operator that keeps or reorders
-//! its input rows (filter, sort, union, ...) takes them as its own, which
-//! copies them only while another read still holds them.
+//! the subtree runs, scans and is charged to the governor once. The joins
+//! and the cross product read their sides in place, and a pipeline pushes a
+//! borrowed slot's rows through a scratch row, so no reader copies a shared
+//! row it does not keep.
 //!
 //! ## Keys without key vectors
 //!
-//! The hash join, `DISTINCT`, non-`ALL` `UNION` and `GROUP BY` share one
-//! pair of helpers: `key_hash` hashes a row's key columns in place and
-//! `key_eq` compares two rows' key columns in place. A `KeyTable` maps a
-//! hash to chained indices — build rows, distinct output rows, groups — and
-//! every candidate is confirmed by `key_eq`, so no operator allocates a key
-//! per row. Equality is [`Value`]'s (`Int(3)` matches `Float(3.0)`); the
-//! join drops NULL keys, the others group them.
+//! The hash join hashes a row's key columns in place (`key_hash`) and
+//! compares two rows' key columns in place (`key_eq`); `DISTINCT`,
+//! non-`ALL` `UNION` and `GROUP BY` hash and compare whole rows — the kept
+//! row, or the group's key values. A `KeyTable` maps a hash to chained indices — build rows,
+//! distinct output rows, groups — and every candidate is confirmed by
+//! equality, so no operator allocates a key per row. Equality is
+//! [`Value`]'s (`Int(3)` matches `Float(3.0)`); the join drops NULL keys,
+//! the others group them.
 //!
 //! Each key is hashed once, by [`pqp_storage::KeyHasher`] (a seeded
 //! multiply-fold with an avalanche finaliser, not SipHash), and the
@@ -64,31 +81,37 @@
 //!
 //! ## One loop per operator, one schedule
 //!
-//! Each operator's loop is one function in this file — the scan
-//! (`scan`), filter, projection, hash build (`build_table`) and hash probe
-//! (`probe_table`) — with its governor checkpoints and charges inside, and
-//! every one of them runs on the calling thread: nothing below the service
-//! spawns.
+//! Each operator's loop is one function or `Sink` in this file, with its
+//! governor checkpoints and charges inside, and every one of them runs on
+//! the calling thread: nothing below the service spawns.
 //!
 //! ## The query governor
 //!
 //! [`execute_ctx`] threads a [`QueryCtx`] through every operator.
 //! Execution is *cooperative*: each operator checkpoints at its entry, table
 //! scans charge rows at every chunk boundary and index reads in batches of
-//! [`pqp_obs::governor::CHARGE_BATCH_ROWS`], non-scan loops checkpoint
-//! every [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations, and
-//! row-materializing operators (joins, cross products, projections) charge
-//! an estimated [`pqp_obs::approx_row_bytes`] per output row. A tripped
-//! budget aborts the query with [`EngineError::Budget`] carrying
+//! [`pqp_obs::governor::CHARGE_BATCH_ROWS`], other loops and stages
+//! checkpoint every [`pqp_obs::governor::CHECKPOINT_STRIDE`] rows, and the
+//! two operators that multiply rows, the hash join and the cross product,
+//! charge an estimated [`pqp_obs::approx_row_bytes`] per output row. A
+//! tripped budget aborts the query with [`EngineError::Budget`] carrying
 //! partial-progress counters.
+//!
+//! ## Spans
+//!
+//! Every plan node runs under one `exec.<op>` span, nested as the plan is,
+//! with its exact `rows_out` (a stage counts the rows it passes on). A
+//! stage runs inside its producer's loop, so its time lands in the
+//! producer's span.
 
+use crate::aggregate::{AggCall, AggState};
 use crate::bound::BoundExpr;
 use crate::cost::{Estimator, INDEX_JOIN_RATIO};
 use crate::error::{bind_err, EngineError, Result};
 use crate::plan::{key_halves, Plan};
 use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
-use pqp_obs::{approx_row_bytes, QueryCtx};
+use pqp_obs::{approx_row_bytes, QueryCtx, SpanGuard};
 use pqp_sql::BinaryOp;
 use pqp_storage::{
     Catalog, ColumnSet, HashIndex, KeyState, PreHashed, Row, StorageError, Table, Value,
@@ -135,7 +158,7 @@ struct Slot {
     /// Reads not served yet.
     readers: usize,
     /// The rows, from the first read until the last.
-    rows: Option<Rc<Vec<Row>>>,
+    rows: Option<Rc<Rows>>,
 }
 
 /// Count the reads of every shared slot: one per [`Plan::Shared`] node of
@@ -153,17 +176,79 @@ fn count_readers(plan: &Plan, slots: &mut Vec<Slot>) {
     plan.for_each_child(&mut |child| count_readers(child, slots));
 }
 
-/// The rows an operator reads: its input's own, or a shared subtree's,
-/// read in place.
+/// Materialized rows of one width, stored back to back in one `Vec`: a
+/// breaker's rows cost a few allocations in all, not one each.
+#[derive(Clone, Default)]
+struct Rows {
+    width: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        &self.values[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &[Value]> + ExactSizeIterator {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Count one more row of `width` values; the first row sets the width.
+    fn grow(&mut self, width: usize) -> Result<()> {
+        if self.len == 0 {
+            self.width = width;
+        } else if width != self.width {
+            let msg = format!("a row of {width} values among rows of {}", self.width);
+            return Err(EngineError::Internal(msg));
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Append a copy of `row`.
+    fn push_copy(&mut self, row: &[Value]) -> Result<()> {
+        self.grow(row.len())?;
+        self.values.extend_from_slice(row);
+        Ok(())
+    }
+
+    /// Keep the first `n` rows.
+    fn truncate(&mut self, n: usize) {
+        self.len = self.len.min(n);
+        self.values.truncate(self.len * self.width);
+    }
+
+    fn from_vec(rows: Vec<Row>) -> Result<Rows> {
+        let mut out = Rows::default();
+        for mut row in rows {
+            out.push(&mut row)?;
+        }
+        Ok(out)
+    }
+
+    /// One `Row` per row, as a caller outside the pipelines reads them.
+    fn into_vec(self) -> Vec<Row> {
+        let mut values = self.values.into_iter();
+        (0..self.len).map(|_| values.by_ref().take(self.width).collect()).collect()
+    }
+}
+
+/// The rows a breaker reads: its input's own, or a shared subtree's, read
+/// in place.
 enum Input {
-    Owned(Vec<Row>),
-    Shared(Rc<Vec<Row>>),
+    Owned(Rows),
+    Shared(Rc<Rows>),
 }
 
 impl std::ops::Deref for Input {
-    type Target = [Row];
+    type Target = Rows;
 
-    fn deref(&self) -> &[Row] {
+    fn deref(&self) -> &Rows {
         match self {
             Input::Owned(rows) => rows,
             Input::Shared(rows) => rows,
@@ -174,17 +259,18 @@ impl std::ops::Deref for Input {
 impl Input {
     /// The rows as the reader's own: moved when no other reader holds
     /// them, copied otherwise.
-    fn into_owned(self) -> Vec<Row> {
+    fn into_rows(self) -> Rows {
         match self {
             Input::Owned(rows) => rows,
-            Input::Shared(rows) => Rc::try_unwrap(rows).unwrap_or_else(|rows| rows.to_vec()),
+            Input::Shared(rows) => Rc::try_unwrap(rows).unwrap_or_else(|rows| (*rows).clone()),
         }
     }
 }
 
-/// Execute a plan under a query-governor context, materializing all rows: deadline / rows-scanned / memory limits are
-/// checked cooperatively at operator loop boundaries, and an exceeded budget
-/// aborts with [`EngineError::Budget`].
+/// Execute a plan under a query-governor context, materializing all rows:
+/// deadline / rows-scanned / memory limits are checked cooperatively at
+/// operator loop boundaries, and an exceeded budget aborts with
+/// [`EngineError::Budget`].
 ///
 /// Every operator runs under an observability span named `exec.<op>` with
 /// its output cardinality recorded, so a traced run yields per-operator
@@ -196,27 +282,35 @@ pub fn execute_ctx(plan: &Plan, catalog: &Catalog, ctx: &QueryCtx) -> Result<Vec
 
 /// [`read`], with the rows as the caller's own.
 pub(crate) fn run(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
-    Ok(read(env, plan)?.into_owned())
+    Ok(read(env, plan)?.into_rows().into_vec())
 }
 
-/// The recursive workhorse: span + estimate bookkeeping around
-/// [`execute_op`] or a shared read, plus the per-operator governor
-/// checkpoint.
+/// `plan`'s rows, materialized: a shared subtree's read in place, any other
+/// node's as a pipeline whose terminal collects them.
 fn read(env: &Env, plan: &Plan) -> Result<Input> {
+    if let Plan::Shared { slot, input } = plan {
+        let _span = enter(env, plan)?;
+        let rows = read_shared(env, *slot, input)?;
+        pqp_obs::record("rows_out", rows.len());
+        return Ok(rows);
+    }
+    let mut out = Rows::default();
+    push(env, plan, &mut out)?;
+    Ok(Input::Owned(out))
+}
+
+/// A plan node's entry: the governor checkpoint, then its `exec.<op>` span,
+/// with the planner's estimate when a trace is collected.
+fn enter(env: &Env, plan: &Plan) -> Result<SpanGuard> {
     env.ctx.checkpoint()?;
-    let _span = pqp_obs::span(op_name(plan));
+    let span = pqp_obs::span(op_name(plan));
     if let Some(est) = env.est_rows.as_ref().and_then(|rows| rows.get(&(plan as *const Plan))) {
         // Planner estimate alongside the actual rows_out: EXPLAIN ANALYZE
         // consumers compute per-operator Q-error from the pair. Only paid
         // when a trace is being collected.
         pqp_obs::record("est_rows", est.round() as i64);
     }
-    let rows = match plan {
-        Plan::Shared { slot, input } => read_shared(env, *slot, input)?,
-        _ => Input::Owned(execute_op(env, plan)?),
-    };
-    pqp_obs::record("rows_out", rows.len());
-    Ok(rows)
+    Ok(span)
 }
 
 /// Read shared subtree `slot`: the first read runs `input` and keeps its
@@ -240,7 +334,7 @@ fn read_shared(env: &Env, slot: usize, input: &Plan) -> Result<Input> {
         pqp_obs::record("reused", 1u32);
         return Ok(Input::Shared(rows));
     }
-    let rows = Rc::new(run(env, input)?);
+    let rows = Rc::new(read(env, input)?.into_rows());
     let mut slots = env.slots.borrow_mut();
     if let Some(s) = slots.get_mut(slot).filter(|s| s.readers > 0) {
         s.rows = Some(Rc::clone(&rows));
@@ -268,29 +362,58 @@ fn op_name(plan: &Plan) -> &'static str {
     }
 }
 
-fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
+/// Where a pipeline's rows go: a stage, which passes some of them on to the
+/// next sink, or a terminal, which keeps them.
+trait Sink {
+    /// Take one row. A stage reads it in place; a terminal may take its
+    /// values, leaving it empty for the producer to refill.
+    fn push(&mut self, row: &mut Row) -> Result<()>;
+
+    /// The sink as a terminal [`Rows`] that holds no row yet, for a
+    /// producer or a `Distinct` that has its rows as its own to hand over
+    /// whole.
+    fn empty_terminal(&mut self) -> Option<&mut Rows> {
+        None
+    }
+}
+
+/// The terminal that keeps every row it is given.
+impl Sink for Rows {
+    /// Append `row`, its values moved out: it is left empty, its
+    /// allocation kept for the next row.
+    fn push(&mut self, row: &mut Row) -> Result<()> {
+        self.grow(row.len())?;
+        self.values.append(row);
+        Ok(())
+    }
+
+    fn empty_terminal(&mut self) -> Option<&mut Rows> {
+        (self.len == 0).then_some(self)
+    }
+}
+
+/// Run `plan` as a pipeline that ends in `sink`: a producer pushes its rows
+/// into `sink`, a stage wraps `sink` and runs its input into itself.
+/// Returns the rows the node passed on.
+fn push(env: &Env, plan: &Plan, sink: &mut dyn Sink) -> Result<usize> {
+    let _span = enter(env, plan)?;
     let ctx = env.ctx;
-    match plan {
-        Plan::Empty { .. } => Ok(Vec::new()),
+    let rows_out = match plan {
+        Plan::Empty { .. } => 0,
         Plan::Scan { table, filter, columns, .. } => {
             pqp_obs::record("table", &**table);
-            scan(env, table, filter.as_ref(), *columns)
+            scan(env, table, filter.as_ref(), *columns, sink)?
         }
         Plan::IndexScan { table, column, key, residual, columns, .. } => {
             pqp_obs::record("table", &**table);
-            index_scan(env, table, column, key, residual.as_ref(), *columns)
+            index_scan(env, table, column, key, residual.as_ref(), *columns, sink)?
         }
         Plan::IndexJoin {
             probe, probe_key, table, column, filter, probe_is_left, columns, ..
         } => {
             let probe_rows = read(env, probe)?;
             let scan_side = IndexSide { table, column, filter: filter.as_ref(), columns: *columns };
-            index_join(env, &probe_rows, *probe_key, &scan_side, *probe_is_left)
-        }
-        Plan::Filter { input, predicate } => {
-            let rows = run(env, input)?;
-            pqp_obs::record("rows_in", rows.len());
-            filter_rows(ctx, rows, predicate)
+            index_join(env, &probe_rows, *probe_key, &scan_side, *probe_is_left, sink)?
         }
         Plan::HashJoin { left, right, keys, .. } => {
             let lrows = read(env, left)?;
@@ -298,60 +421,108 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
             let (left_keys, right_keys) = key_halves(keys);
-            join_rows(env, &lrows, &rrows, left_keys, right_keys)
+            join_rows(env, &lrows, &rrows, left_keys, right_keys, sink)?
         }
         Plan::CrossJoin { left, right, .. } => {
             let lrows = read(env, left)?;
             let rrows = read(env, right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
-            cross_join_rows(ctx, &lrows, &rrows)
+            cross_join_rows(ctx, &lrows, &rrows, sink)?
+        }
+        Plan::Filter { input, predicate } => {
+            let mut stage = Filter { ctx, predicate, next: sink, seen: 0, passed: 0 };
+            push(env, input, &mut stage)?;
+            pqp_obs::record("rows_in", stage.seen);
+            stage.passed
         }
         Plan::Project { input, exprs, .. } => {
-            let rows = read(env, input)?;
             if is_identity(exprs, input.schema().arity()) {
                 // A derived table's re-qualification: the rows as they are.
-                return Ok(rows.into_owned());
+                push(env, input, sink)?
+            } else {
+                push(env, input, &mut Project { ctx, exprs, out: Row::new(), next: sink, seen: 0 })?
             }
-            project_rows(ctx, &rows, exprs)
+        }
+        Plan::Distinct { input } => distinct(env, sink, |stage| push(env, input, stage))?,
+        Plan::Union { inputs, all: true, .. } => union_all(env, inputs, sink)?,
+        Plan::Union { inputs, all: false, .. } => {
+            distinct(env, sink, |stage| union_all(env, inputs, stage))?
         }
         Plan::Aggregate { input, group_by, aggs, .. } => {
-            let rows = read(env, input)?;
-            pqp_obs::record("rows_in", rows.len());
-            aggregate(env, &rows, group_by, aggs)
-        }
-        Plan::Distinct { input } => {
-            let rows = run(env, input)?;
-            distinct_rows(env, rows)
+            let mut groups = Groups::new(env, group_by, aggs);
+            push(env, input, &mut groups)?;
+            pqp_obs::record("rows_in", groups.seen);
+            push_rows(Input::Owned(groups.finish()), sink)?
         }
         Plan::Sort { input, keys } => {
-            let mut rows = run(env, input)?;
-            sort_rows(&mut rows, keys);
-            Ok(rows)
+            let rows = read(env, input)?;
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| cmp_rows(rows.row(a), rows.row(b), keys));
+            let mut row = Row::new();
+            for i in order {
+                row.clear();
+                row.extend_from_slice(rows.row(i));
+                sink.push(&mut row)?;
+            }
+            rows.len()
         }
         Plan::Limit { input, n } => {
-            let mut rows = run(env, input)?;
+            let mut rows = read(env, input)?.into_rows();
             rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        Plan::Union { inputs, all, .. } => {
-            let mut out = Vec::new();
-            for i in inputs {
-                out.extend(run(env, i)?);
-                ctx.checkpoint()?;
-            }
-            if *all {
-                Ok(out)
-            } else {
-                distinct_rows(env, out)
-            }
+            push_rows(Input::Owned(rows), sink)?
         }
         Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
-            crate::topk::execute(env, base, probes, *visible, matching, *rank, *limit)
+            let rows = crate::topk::execute(env, base, probes, *visible, matching, *rank, *limit)?;
+            push_rows(Input::Owned(Rows::from_vec(rows)?), sink)?
         }
-        // `read` serves shared nodes from their slot before they get here.
-        Plan::Shared { input, .. } => run(env, input),
+        Plan::Shared { slot, input } => push_rows(read_shared(env, *slot, input)?, sink)?,
+    };
+    pqp_obs::record("rows_out", rows_out);
+    Ok(rows_out)
+}
+
+/// The producer over a breaker's rows, through a scratch row: owned rows
+/// are moved on (whole, into an empty [`Rows`]), a borrowed slot's are
+/// copied.
+fn push_rows(rows: Input, sink: &mut dyn Sink) -> Result<usize> {
+    let n = rows.len();
+    let mut row = Row::new();
+    let rows = match rows {
+        Input::Owned(rows) => rows,
+        Input::Shared(rows) => match Rc::try_unwrap(rows) {
+            Ok(rows) => rows,
+            Err(rows) => {
+                for r in rows.iter() {
+                    row.clear();
+                    row.extend_from_slice(r);
+                    sink.push(&mut row)?;
+                }
+                return Ok(n);
+            }
+        },
+    };
+    if let Some(out) = sink.empty_terminal() {
+        *out = rows;
+        return Ok(n);
     }
+    let mut values = rows.values.into_iter();
+    for _ in 0..n {
+        row.clear();
+        row.extend(values.by_ref().take(rows.width));
+        sink.push(&mut row)?;
+    }
+    Ok(n)
+}
+
+/// `UNION ALL`: each input's rows pushed into `sink` in turn.
+fn union_all(env: &Env, inputs: &[Plan], sink: &mut dyn Sink) -> Result<usize> {
+    let mut n = 0;
+    for input in inputs {
+        n += push(env, input, sink)?;
+        env.ctx.checkpoint()?;
+    }
+    Ok(n)
 }
 
 /// Execute a [`Plan::IndexScan`]: an index point lookup plus residual
@@ -364,7 +535,8 @@ fn index_scan(
     key: &Value,
     residual: Option<&BoundExpr>,
     columns: ColumnSet,
-) -> Result<Vec<Row>> {
+    sink: &mut dyn Sink,
+) -> Result<usize> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
@@ -388,12 +560,12 @@ fn index_scan(
             None => eq,
         };
         drop(t);
-        return scan(env, table, Some(&pred), columns);
+        return scan(env, table, Some(&pred), columns, sink);
     };
     pqp_obs::record("strategy", "index_scan");
     let mut hits = Hits::new(&t, residual, columns);
-    let mut out = Vec::new();
-    let mut pending = 0u64;
+    let mut row = Row::new();
+    let (mut pending, mut n) = (0u64, 0);
     for &ord in index.lookup(std::slice::from_ref(key)) {
         pending += 1;
         if pending == CHARGE_BATCH_ROWS {
@@ -401,13 +573,14 @@ fn index_scan(
             pending = 0;
         }
         if hits.accept(ord)? {
-            let mut row = Row::with_capacity(hits.width);
+            row.clear();
             hits.append(ord, &mut row);
-            out.push(row);
+            sink.push(&mut row)?;
+            n += 1;
         }
     }
     ctx.charge_rows(pending)?;
-    Ok(out)
+    Ok(n)
 }
 
 /// Scan a base table. Index access is the planner's call
@@ -415,51 +588,65 @@ fn index_scan(
 /// stored chunk: per chunk of [`pqp_storage::BATCH_SIZE`] rows, charge the
 /// governor (the chunk boundary is the scan's charge point), evaluate the
 /// pushed-down filter over the stored columns as a selection vector and
-/// materialize the surviving rows' `columns`.
+/// push the surviving rows' `columns`.
 fn scan(
     env: &Env,
     table: &str,
     filter: Option<&BoundExpr>,
     columns: ColumnSet,
-) -> Result<Vec<Row>> {
+    sink: &mut dyn Sink,
+) -> Result<usize> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
-    let width = columns.len(t.schema().arity());
-    let mut out = Vec::new();
     if let Some(msg) = env.catalog.failpoints().fire("storage.scan") {
         return Err(StorageError::Corrupt(format!("injected: {msg}")).into());
     }
+    let mut row = Row::new();
+    let mut n = 0;
     for chunk in t.chunks() {
         ctx.charge_rows(chunk.len() as u64)?;
-        let row = |i: usize| {
-            let mut row = Row::with_capacity(width);
+        let mut emit = |i: usize| {
+            row.clear();
             chunk.append_columns(i, columns, &mut row);
-            row
+            sink.push(&mut row)
         };
         match filter {
             Some(f) => {
                 let selected = vexpr::select_true(f, chunk)?;
-                out.extend(selected.into_iter().map(|i| row(i as usize)));
+                n += selected.len();
+                selected.into_iter().try_for_each(|i| emit(i as usize))?;
             }
-            None => out.extend((0..chunk.len()).map(row)),
+            None => {
+                n += chunk.len();
+                (0..chunk.len()).try_for_each(emit)?;
+            }
         }
     }
-    Ok(out)
+    Ok(n)
 }
 
-/// The filter loop over materialized rows.
-fn filter_rows(ctx: &QueryCtx, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len() / 2);
-    for (i, row) in rows.into_iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
+/// The `Filter` stage: passes on the rows its predicate holds for.
+struct Filter<'s> {
+    ctx: &'s QueryCtx,
+    predicate: &'s BoundExpr,
+    next: &'s mut dyn Sink,
+    seen: usize,
+    passed: usize,
+}
+
+impl Sink for Filter<'_> {
+    fn push(&mut self, row: &mut Row) -> Result<()> {
+        if self.seen & (CHECKPOINT_STRIDE - 1) == 0 {
+            self.ctx.checkpoint()?;
         }
-        if predicate.eval_predicate(&row)? {
-            out.push(row);
+        self.seen += 1;
+        if !self.predicate.eval_predicate(row)? {
+            return Ok(());
         }
+        self.passed += 1;
+        self.next.push(row)
     }
-    Ok(out)
 }
 
 /// Whether `exprs` over an input of `arity` columns return each row as
@@ -469,91 +656,145 @@ fn is_identity(exprs: &[BoundExpr], arity: usize) -> bool {
         && exprs.iter().enumerate().all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i))
 }
 
-/// The projection loop over materialized rows.
-fn project_rows(ctx: &QueryCtx, rows: &[Row], exprs: &[BoundExpr]) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
-        }
-        let mut projected = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            projected.push(e.eval(row)?);
-        }
-        out.push(projected);
-    }
-    Ok(out)
+/// The `Project` stage: evaluates its expressions over each row into one
+/// reused output row and passes that on.
+struct Project<'s> {
+    ctx: &'s QueryCtx,
+    exprs: &'s [BoundExpr],
+    out: Row,
+    next: &'s mut dyn Sink,
+    seen: usize,
 }
 
-/// Cartesian product of two materialized sides.
-fn cross_join_rows(ctx: &QueryCtx, lrows: &[Row], rrows: &[Row]) -> Result<Vec<Row>> {
-    // Cap the pre-allocation: a huge product should grow lazily (and
-    // fail late with partial progress) rather than request the whole
-    // worst case up front.
-    let cap = lrows.len().saturating_mul(rrows.len()).min(1 << 20);
-    let mut out = Vec::with_capacity(cap);
+impl Sink for Project<'_> {
+    fn push(&mut self, row: &mut Row) -> Result<()> {
+        if self.seen & (CHECKPOINT_STRIDE - 1) == 0 {
+            self.ctx.checkpoint()?;
+        }
+        self.seen += 1;
+        self.out.clear();
+        for e in self.exprs {
+            self.out.push(e.eval(row)?);
+        }
+        self.next.push(&mut self.out)
+    }
+}
+
+/// The cross product's producer: every `l ++ r` pair of two materialized
+/// sides.
+fn cross_join_rows(
+    ctx: &QueryCtx,
+    lrows: &Rows,
+    rrows: &Rows,
+    sink: &mut dyn Sink,
+) -> Result<usize> {
     // The one operator that can explode quadratically: charge
     // memory per output batch so a runaway product trips the budget
     // instead of exhausting the machine.
     let mut pending_mem = 0u64;
-    for l in lrows {
-        for r in rrows {
-            let row = concat(l, r);
+    let mut row = Row::new();
+    let mut n = 0;
+    for l in lrows.iter() {
+        for r in rrows.iter() {
+            concat_into(&mut row, l, r);
             pending_mem += approx_row_bytes(row.len());
-            out.push(row);
-            if out.len() & (CHECKPOINT_STRIDE - 1) == 0 {
+            sink.push(&mut row)?;
+            n += 1;
+            if n & (CHECKPOINT_STRIDE - 1) == 0 {
                 ctx.charge_mem(pending_mem)?;
                 pending_mem = 0;
             }
         }
     }
     ctx.charge_mem(pending_mem)?;
-    Ok(out)
+    Ok(n)
 }
 
-/// `l ++ r`, allocated once at its final width.
-fn concat(l: &[Value], r: &[Value]) -> Row {
-    let mut row = Vec::with_capacity(l.len() + r.len());
+/// Refill `row` with `l ++ r`.
+fn concat_into(row: &mut Row, l: &[Value], r: &[Value]) {
+    row.clear();
     row.extend_from_slice(l);
     row.extend_from_slice(r);
-    row
 }
 
-/// Duplicate elimination preserving first-seen order (`DISTINCT` and
-/// non-`ALL` `UNION`): the table indexes the output rows kept so far, and a
-/// row is kept unless one of them equals it.
-fn distinct_rows(env: &Env, rows: Vec<Row>) -> Result<Vec<Row>> {
-    let Some(first) = rows.first() else {
-        return Ok(rows);
-    };
-    let cols: Vec<usize> = (0..first.len()).collect();
-    let mut table = KeyTable::with_capacity(rows.len());
-    let mut out: Vec<Row> = Vec::new();
-    for (i, row) in rows.into_iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            env.ctx.checkpoint()?;
+/// The `Distinct` stage, also a non-`ALL` `UNION`'s dedup: passes on each
+/// row no earlier row equals, so first-seen order survives. The table
+/// indexes the rows kept so far.
+struct Distinct<'s> {
+    ctx: &'s QueryCtx,
+    keys: &'s KeyState,
+    table: KeyTable,
+    kept: Rows,
+    /// `None` when the stage feeds an empty [`Rows`]: `kept` then
+    /// becomes its rows, and no kept row is copied.
+    next: Option<&'s mut dyn Sink>,
+    seen: usize,
+}
+
+impl Sink for Distinct<'_> {
+    fn push(&mut self, row: &mut Row) -> Result<()> {
+        if self.seen & (CHECKPOINT_STRIDE - 1) == 0 {
+            self.ctx.checkpoint()?;
         }
-        let h = key_hash(&env.keys, &row, &cols, true).unwrap_or_default();
-        if !table.chain(h).any(|o| key_eq(&out[o], &cols, &row, &cols)) {
-            table.insert(h, out.len());
-            out.push(row);
+        self.seen += 1;
+        let h = self.keys.hash_one(&row[..]);
+        if self.table.chain(h).any(|o| self.kept.row(o) == &row[..]) {
+            return Ok(());
+        }
+        self.table.insert(h, self.kept.len());
+        match &mut self.next {
+            None => self.kept.push(row),
+            Some(next) => {
+                self.kept.push_copy(row)?;
+                next.push(row)
+            }
         }
     }
-    Ok(out)
+}
+
+/// Run `input` into a [`Distinct`] stage over `sink`; returns the rows it
+/// passed on.
+fn distinct(
+    env: &Env,
+    sink: &mut dyn Sink,
+    input: impl FnOnce(&mut dyn Sink) -> Result<usize>,
+) -> Result<usize> {
+    let into_terminal = sink.empty_terminal().is_some();
+    let mut stage = Distinct {
+        ctx: env.ctx,
+        keys: &env.keys,
+        table: KeyTable::with_capacity(0),
+        kept: Rows::default(),
+        next: if into_terminal { None } else { Some(&mut *sink) },
+        seen: 0,
+    };
+    input(&mut stage)?;
+    let kept = stage.kept;
+    let n = kept.len();
+    if into_terminal {
+        if let Some(out) = sink.empty_terminal() {
+            *out = kept;
+        }
+    }
+    Ok(n)
 }
 
 /// In-place multi-key sort by output column positions.
 pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
-    rows.sort_by(|a, b| {
-        for (idx, desc) in keys {
-            let ord = a[*idx].cmp(&b[*idx]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if !ord.is_eq() {
-                return ord;
-            }
+    rows.sort_by(|a, b| cmp_rows(a, b, keys));
+}
+
+/// The order of two rows by output column positions, each ascending or
+/// (`true`) descending.
+fn cmp_rows(a: &[Value], b: &[Value], keys: &[(usize, bool)]) -> std::cmp::Ordering {
+    for (idx, desc) in keys {
+        let ord = a[*idx].cmp(&b[*idx]);
+        let ord = if *desc { ord.reverse() } else { ord };
+        if !ord.is_eq() {
+            return ord;
         }
-        std::cmp::Ordering::Equal
-    });
+    }
+    std::cmp::Ordering::Equal
 }
 
 /// The base-table side of a [`Plan::IndexJoin`].
@@ -575,11 +816,12 @@ struct IndexSide<'p> {
 /// so it cannot go away mid-probe.
 fn index_join(
     env: &Env,
-    probe_rows: &[Row],
+    probe_rows: &Rows,
     probe_key: usize,
     side: &IndexSide,
     probe_is_left: bool,
-) -> Result<Vec<Row>> {
+    sink: &mut dyn Sink,
+) -> Result<usize> {
     let IndexSide { table, column, filter, columns } = *side;
     pqp_obs::record("table", table);
     let tref = env.catalog.table(table)?;
@@ -590,7 +832,7 @@ fn index_join(
     let fits = probe_rows.len() * INDEX_JOIN_RATIO <= t.len();
     if let Some(index) = t.index_on(column).filter(|_| fits) {
         let hits = Hits::new(&t, filter, columns);
-        return index_probe(env.ctx, index, hits, probe_rows, probe_key, probe_is_left);
+        return index_probe(env.ctx, index, hits, probe_rows, probe_key, probe_is_left, sink);
     }
     drop(t);
     // The scan emits `columns` only: the join column's place among them.
@@ -598,30 +840,32 @@ fn index_join(
         return Err(EngineError::Internal(format!("join column `{table}.{column}` not emitted")));
     };
     pqp_obs::record("strategy", "hash_fallback");
-    let scan_rows = scan(env, table, filter, columns)?;
+    let mut scan_rows = Rows::default();
+    scan(env, table, filter, columns, &mut scan_rows)?;
     if probe_is_left {
-        join_rows(env, probe_rows, &scan_rows, &[probe_key], &[scan_key])
+        join_rows(env, probe_rows, &scan_rows, &[probe_key], &[scan_key], sink)
     } else {
-        join_rows(env, &scan_rows, probe_rows, &[scan_key], &[probe_key])
+        join_rows(env, &scan_rows, probe_rows, &[scan_key], &[probe_key], sink)
     }
 }
 
-/// Probe `index` with each probe row's `probe_key` value, assembling output
-/// rows in the engine's fixed `left ++ right` column order: the kept hit's
+/// Probe `index` with each probe row's `probe_key` value, assembling rows
+/// in the engine's fixed `left ++ right` column order: the kept hit's
 /// columns after the probe row's values when the probe side is the left
 /// one, before them otherwise.
 fn index_probe(
     ctx: &QueryCtx,
     index: &HashIndex,
     mut hits: Hits,
-    probe_rows: &[Row],
+    probe_rows: &Rows,
     probe_key: usize,
     probe_is_left: bool,
-) -> Result<Vec<Row>> {
+    sink: &mut dyn Sink,
+) -> Result<usize> {
     pqp_obs::record("strategy", "index_nested_loop");
     pqp_obs::record("probe_rows", probe_rows.len());
-    let mut out = Vec::new();
-    let mut pending = 0u64;
+    let mut row = Row::new();
+    let (mut pending, mut n) = (0u64, 0);
     for (i, prow) in probe_rows.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.checkpoint()?;
@@ -640,7 +884,7 @@ fn index_probe(
             if !hits.accept(ord)? {
                 continue;
             }
-            let mut row = Row::with_capacity(prow.len() + hits.width);
+            row.clear();
             if probe_is_left {
                 row.extend_from_slice(prow);
             }
@@ -648,11 +892,12 @@ fn index_probe(
             if !probe_is_left {
                 row.extend_from_slice(prow);
             }
-            out.push(row);
+            sink.push(&mut row)?;
+            n += 1;
         }
     }
     ctx.charge_rows(pending)?;
-    Ok(out)
+    Ok(n)
 }
 
 /// How the index operators read a hit: the access path's filter, bound to
@@ -662,16 +907,13 @@ struct Hits<'t> {
     table: &'t Table,
     filter: Option<&'t BoundExpr>,
     columns: ColumnSet,
-    /// How many columns a kept hit contributes.
-    width: usize,
     /// The stored row the filter reads, reused from hit to hit.
     stored: Row,
 }
 
 impl<'t> Hits<'t> {
     fn new(table: &'t Table, filter: Option<&'t BoundExpr>, columns: ColumnSet) -> Hits<'t> {
-        let width = columns.len(table.schema().arity());
-        Hits { table, filter, columns, width, stored: Row::new() }
+        Hits { table, filter, columns, stored: Row::new() }
     }
 
     /// Whether the hit at `ord` passes the filter.
@@ -704,11 +946,12 @@ impl<'t> Hits<'t> {
 /// the smaller side, then probe it with the other.
 fn join_rows(
     env: &Env,
-    lrows: &[Row],
-    rrows: &[Row],
+    lrows: &Rows,
+    rrows: &Rows,
     left_keys: &[usize],
     right_keys: &[usize],
-) -> Result<Vec<Row>> {
+    sink: &mut dyn Sink,
+) -> Result<usize> {
     if let Some(msg) = env.catalog.failpoints().fire("join.build") {
         return Err(EngineError::Internal(format!("failpoint join.build: {msg}")));
     }
@@ -719,19 +962,20 @@ fn join_rows(
         (rrows, lrows, right_keys, left_keys)
     };
     let table = build_table(env, build, build_keys)?;
-    probe_table(env, probe, build, &table, probe_keys, build_keys, build_left)
+    let join = Probe { build, table: &table, probe_keys, build_keys, build_left };
+    probe_table(env, probe, &join, sink)
 }
 
 /// Hash of `row`'s values at `cols`, in order, computed in place by one
-/// `keys` hasher: the key of the hash join, `DISTINCT`, `UNION` and
-/// `GROUP BY`. `None` when one of them is NULL and `null_is_key` is false —
-/// SQL equi-join semantics, NULL never matches. Consistent with [`key_eq`]:
-/// [`Value`]'s hash agrees with its equality across `Int` / `Float`.
-fn key_hash(keys: &KeyState, row: &[Value], cols: &[usize], null_is_key: bool) -> Option<u64> {
+/// `keys` hasher: the key of the hash join. `None` when one of them is NULL
+/// — SQL equi-join semantics, NULL never matches. Consistent with
+/// [`key_eq`]: [`Value`]'s hash agrees with its equality across `Int` /
+/// `Float`.
+fn key_hash(keys: &KeyState, row: &[Value], cols: &[usize]) -> Option<u64> {
     let mut h = keys.build_hasher();
     for &c in cols {
         let v = &row[c];
-        if v.is_null() && !null_is_key {
+        if v.is_null() {
             return None;
         }
         v.hash(&mut h);
@@ -750,8 +994,8 @@ const NO_ENTRY: usize = usize::MAX;
 /// Entries — indices into the caller's rows — chained by key hash: `heads`
 /// holds the last entry inserted under each hash and `next[e]` the one
 /// inserted under the same hash before `e`. A chain holds every entry whose
-/// key hashes alike; callers confirm each candidate with [`key_eq`]. The
-/// hashes are [`key_hash`]'s, so `heads` uses them as they are.
+/// key hashes alike; callers confirm each candidate by comparing keys. The
+/// hashes are the key hasher's own, so `heads` uses them as they are.
 struct KeyTable {
     heads: HashMap<u64, usize, PreHashed>,
     next: Vec<usize>,
@@ -789,103 +1033,144 @@ impl KeyTable {
 /// The hash-build loop: chain the build rows by key hash. Inserting them
 /// last to first leaves every chain in build-insertion order, the order
 /// matches are emitted in.
-fn build_table(env: &Env, build: &[Row], build_keys: &[usize]) -> Result<KeyTable> {
+fn build_table(env: &Env, build: &Rows, build_keys: &[usize]) -> Result<KeyTable> {
     let mut table = KeyTable::with_capacity(build.len());
     for (i, row) in build.iter().enumerate().rev() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             env.ctx.checkpoint()?;
         }
-        if let Some(h) = key_hash(&env.keys, row, build_keys, false) {
+        if let Some(h) = key_hash(&env.keys, row, build_keys) {
             table.insert(h, i);
         }
     }
     Ok(table)
 }
 
-/// The hash-probe loop: look each probe row up in the table and emit
-/// `left ++ right` rows in probe order, charging an estimated
-/// [`approx_row_bytes`] per output row.
-fn probe_table(
-    env: &Env,
-    probe: &[Row],
-    build: &[Row],
-    table: &KeyTable,
-    probe_keys: &[usize],
-    build_keys: &[usize],
+/// A built hash join, ready for its probe loop.
+struct Probe<'a> {
+    build: &'a Rows,
+    table: &'a KeyTable,
+    probe_keys: &'a [usize],
+    build_keys: &'a [usize],
     build_left: bool,
-) -> Result<Vec<Row>> {
+}
+
+/// The hash-probe loop: look each probe row up in the table and push
+/// `left ++ right` rows in probe order, charging an estimated
+/// [`approx_row_bytes`] per joined row.
+fn probe_table(env: &Env, probe: &Rows, join: &Probe, sink: &mut dyn Sink) -> Result<usize> {
     let ctx = env.ctx;
-    let mut out = Vec::new();
-    let mut pending_mem = 0u64;
+    let mut row = Row::new();
+    let (mut pending_mem, mut n) = (0u64, 0);
     for (i, prow) in probe.iter().enumerate() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
             ctx.charge_mem(pending_mem)?;
             pending_mem = 0;
         }
-        let Some(h) = key_hash(&env.keys, prow, probe_keys, false) else {
+        let Some(h) = key_hash(&env.keys, prow, join.probe_keys) else {
             continue;
         };
-        for bi in table.chain(h) {
-            let brow = &build[bi];
-            if !key_eq(brow, build_keys, prow, probe_keys) {
+        for bi in join.table.chain(h) {
+            let brow = join.build.row(bi);
+            if !key_eq(brow, join.build_keys, prow, join.probe_keys) {
                 continue;
             }
-            let row = if build_left { concat(brow, prow) } else { concat(prow, brow) };
+            if join.build_left {
+                concat_into(&mut row, brow, prow);
+            } else {
+                concat_into(&mut row, prow, brow);
+            }
             pending_mem += approx_row_bytes(row.len());
-            out.push(row);
+            sink.push(&mut row)?;
+            n += 1;
         }
     }
     ctx.charge_mem(pending_mem)?;
-    Ok(out)
+    Ok(n)
 }
 
-/// Hash aggregation. Groups live in a first-seen `Vec` (their key values,
-/// then their accumulators, `aggs.len()` per group, in one flat `Vec`); the
-/// table maps a key hash to group indices. Each input row's key is
-/// evaluated into one reused scratch row and moved into a group's output
-/// row only when it opens a new group.
-fn aggregate(
-    env: &Env,
-    rows: &[Row],
-    group_by: &[BoundExpr],
-    aggs: &[crate::aggregate::AggCall],
-) -> Result<Vec<Row>> {
-    let width = group_by.len() + aggs.len();
-    let cols: Vec<usize> = (0..group_by.len()).collect();
-    let mut groups: Vec<Row> = Vec::new();
-    let mut states: Vec<crate::aggregate::AggState> = Vec::new();
-    let mut table = KeyTable::with_capacity(0);
-    if group_by.is_empty() {
-        // Global aggregate: exactly one group, present even on empty input.
-        groups.push(Row::with_capacity(width));
-        states.extend(aggs.iter().map(|a| a.new_state()));
-        table.insert(key_hash(&env.keys, &[], &[], true).unwrap_or_default(), 0);
+/// The terminal of an `Aggregate`'s input: hash aggregation. Groups live
+/// in first-seen order: their key values in one [`Rows`], their
+/// accumulators, `aggs.len()` per group, in one flat `Vec`; the table maps
+/// a key's hash to group indices. Each input row's key is evaluated into
+/// one reused scratch row, and moved into the group keys only when it opens
+/// a new group.
+struct Groups<'s> {
+    ctx: &'s QueryCtx,
+    keys: &'s KeyState,
+    group_by: &'s [BoundExpr],
+    aggs: &'s [AggCall],
+    groups: Rows,
+    states: Vec<AggState>,
+    table: KeyTable,
+    key: Row,
+    seen: usize,
+}
+
+impl<'s> Groups<'s> {
+    fn new(env: &'s Env, group_by: &'s [BoundExpr], aggs: &'s [AggCall]) -> Groups<'s> {
+        let mut groups = Groups {
+            ctx: env.ctx,
+            keys: &env.keys,
+            group_by,
+            aggs,
+            groups: Rows::default(),
+            states: Vec::new(),
+            table: KeyTable::with_capacity(0),
+            key: Row::with_capacity(group_by.len()),
+            seen: 0,
+        };
+        if group_by.is_empty() {
+            // Global aggregate: exactly one group, present even on empty input.
+            groups.groups.len = 1;
+            groups.states.extend(aggs.iter().map(|a| a.new_state()));
+            groups.table.insert(env.keys.hash_one(&[][..] as &[Value]), 0);
+        }
+        groups
     }
 
-    let mut key = Row::with_capacity(group_by.len());
-    for (i, row) in rows.iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            env.ctx.checkpoint()?;
+    /// The group rows: key values, then aggregate results.
+    fn finish(self) -> Rows {
+        let Groups { groups, states, aggs, .. } = self;
+        if aggs.is_empty() {
+            return groups;
         }
+        let Rows { width, len, values } = groups;
+        let mut keys = values.into_iter();
+        let mut out = Vec::with_capacity(len * (width + aggs.len()));
+        for group_states in states.chunks(aggs.len()) {
+            out.extend(keys.by_ref().take(width));
+            out.extend(group_states.iter().map(|s| s.finish()));
+        }
+        Rows { width: width + aggs.len(), len, values: out }
+    }
+}
+
+impl Sink for Groups<'_> {
+    fn push(&mut self, row: &mut Row) -> Result<()> {
+        if self.seen & (CHECKPOINT_STRIDE - 1) == 0 {
+            self.ctx.checkpoint()?;
+        }
+        self.seen += 1;
+        let key = &mut self.key;
         key.clear();
-        for g in group_by {
+        for g in self.group_by {
             key.push(g.eval(row)?);
         }
-        let h = key_hash(&env.keys, &key, &cols, true).unwrap_or_default();
-        let found = table.chain(h).find(|&g| key_eq(&groups[g], &cols, &key, &cols));
+        let h = self.keys.hash_one(&key[..]);
+        let groups = &mut self.groups;
+        let found = self.table.chain(h).find(|&g| groups.row(g) == &key[..]);
         let group = match found {
             Some(g) => g,
             None => {
-                let mut out_row = Row::with_capacity(width);
-                out_row.append(&mut key);
-                table.insert(h, groups.len());
-                groups.push(out_row);
-                states.extend(aggs.iter().map(|a| a.new_state()));
+                self.table.insert(h, groups.len());
+                groups.push(key)?;
+                self.states.extend(self.aggs.iter().map(|a| a.new_state()));
                 groups.len() - 1
             }
         };
-        let group_states = &mut states[group * aggs.len()..(group + 1) * aggs.len()];
-        for (call, state) in aggs.iter().zip(group_states) {
+        let n = self.aggs.len();
+        for (call, state) in self.aggs.iter().zip(&mut self.states[group * n..(group + 1) * n]) {
             match &call.arg {
                 None => state.update(None)?,
                 Some(e) => {
@@ -894,21 +1179,14 @@ fn aggregate(
                 }
             }
         }
+        Ok(())
     }
-
-    if aggs.is_empty() {
-        return Ok(groups);
-    }
-    for (row, group_states) in groups.iter_mut().zip(states.chunks(aggs.len())) {
-        row.extend(group_states.iter().map(|s| s.finish()));
-    }
-    Ok(groups)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{AggCall, AggFunc};
+    use crate::aggregate::AggFunc;
 
     fn int(i: i64) -> Value {
         Value::Int(i)
@@ -921,8 +1199,34 @@ mod tests {
         f(&Env::new(&catalog, &ctx, &nothing, KeyState::with_seed(seed)))
     }
 
+    fn flat(rows: &[Row]) -> Rows {
+        Rows::from_vec(rows.to_vec()).unwrap()
+    }
+
+    /// The hash join of `l` and `r`, collected.
+    fn join_in(env: &Env, l: &[Row], r: &[Row], lk: &[usize], rk: &[usize]) -> Vec<Row> {
+        let mut out = Rows::default();
+        join_rows(env, &flat(l), &flat(r), lk, rk, &mut out).unwrap();
+        out.into_vec()
+    }
+
     fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
-        with_env(1, |env| join_rows(env, &l, &r, lk, rk).unwrap())
+        with_env(1, |env| join_in(env, &l, &r, lk, rk))
+    }
+
+    /// `rows` through a `Distinct` stage into `out`.
+    fn distinct_into(env: &Env, mut out: Rows, input: Vec<Row>) -> Vec<Row> {
+        distinct(env, &mut out, |stage| push_rows(Input::Owned(flat(&input)), stage)).unwrap();
+        out.into_vec()
+    }
+
+    /// `rows` into an `Aggregate`'s group table.
+    fn aggregate(env: &Env, rows: &[Row], group_by: &[BoundExpr], aggs: &[AggCall]) -> Vec<Row> {
+        let mut groups = Groups::new(env, group_by, aggs);
+        for row in rows {
+            groups.push(&mut row.clone()).unwrap();
+        }
+        groups.finish().into_vec()
     }
 
     #[test]
@@ -998,15 +1302,19 @@ mod tests {
             vec![int(1), Value::str("y")],
             vec![int(1), Value::str("x")],
         ];
-        assert_eq!(
-            with_env(1, |env| distinct_rows(env, rows)).unwrap(),
-            vec![
-                vec![int(2), Value::Null],
-                vec![int(1), Value::str("x")],
-                vec![int(1), Value::str("y")],
-            ]
-        );
-        assert!(with_env(1, |env| distinct_rows(env, Vec::new())).unwrap().is_empty());
+        let distinct = vec![
+            vec![int(2), Value::Null],
+            vec![int(1), Value::str("x")],
+            vec![int(1), Value::str("y")],
+        ];
+        // Into an empty terminal, whose rows the stage's kept rows become.
+        assert_eq!(with_env(1, |env| distinct_into(env, Rows::default(), rows.clone())), distinct);
+        assert!(with_env(1, |env| distinct_into(env, Rows::default(), Vec::new())).is_empty());
+        // Into a terminal that already holds a row: the stage passes its
+        // kept rows on, and the earlier row does not count as seen.
+        let held = vec![vec![int(1), Value::str("x")]];
+        let out = with_env(1, |env| distinct_into(env, flat(&held), rows));
+        assert_eq!(out, [held, distinct].concat());
     }
 
     #[test]
@@ -1020,7 +1328,7 @@ mod tests {
             AggCall::new(AggFunc::Count, None).unwrap(),
             AggCall::new(AggFunc::Sum, Some(BoundExpr::Column(1))).unwrap(),
         ];
-        let out = with_env(1, |env| aggregate(env, &rows, &group_by, &aggs)).unwrap();
+        let out = with_env(1, |env| aggregate(env, &rows, &group_by, &aggs));
         assert_eq!(
             out,
             vec![
@@ -1030,7 +1338,7 @@ mod tests {
             ]
         );
         // No GROUP BY: one group, even over no rows.
-        let out = with_env(1, |env| aggregate(env, &[], &[], &aggs)).unwrap();
+        let out = with_env(1, |env| aggregate(env, &[], &[], &aggs));
         assert_eq!(out, vec![vec![int(0), Value::Null]]);
     }
 
@@ -1113,8 +1421,8 @@ mod tests {
         let (small, big) = (keys(40, 3, 9), keys(90, 4, 7));
         let [a, b] = SEEDS.map(|seed| {
             with_env(seed, |env| {
-                let l_builds = join_rows(env, &small, &big, &[0], &[0]).unwrap();
-                let r_builds = join_rows(env, &big, &small, &[0], &[0]).unwrap();
+                let l_builds = join_in(env, &small, &big, &[0], &[0]);
+                let r_builds = join_in(env, &big, &small, &[0], &[0]);
                 [l_builds, r_builds]
             })
         });

@@ -2,6 +2,13 @@
 //! optimized pipeline (rewrite → plan → execute) must produce exactly the
 //! same multiset of rows as the naive AST interpreter. Driven by a seeded
 //! PRNG so failures reproduce exactly.
+//!
+//! The generated queries reach every executor pipeline: scans, index scans,
+//! two- and three-factor joins over indexed and unindexed columns (index
+//! nested loops, hash joins, and the hash fallback of an index join whose
+//! probe side outgrew its guard), residual filters above the joins,
+//! `DISTINCT` over computed projections, `GROUP BY`, and `UNION` /
+//! `UNION ALL` of two selects.
 
 use pqp_engine::naive::naive_execute;
 use pqp_engine::Database;
@@ -9,6 +16,7 @@ use pqp_obs::rng::{Rng, SmallRng};
 use pqp_sql::ast::*;
 use pqp_sql::builder as b;
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema, Value, BATCH_SIZE};
+use std::collections::BTreeSet;
 
 /// Fixed table shapes; row contents are generated.
 const TABLES: &[(&str, &[(&str, DataType)])] = &[
@@ -27,7 +35,11 @@ fn arb_value(rng: &mut SmallRng, ty: DataType) -> Value {
     arb_literal(rng, ty)
 }
 
-/// A database with up to `max_rows[i]` rows in table `i`.
+/// The hash-indexed columns: join keys an index join can probe.
+const INDEXED: &[(&str, &str)] = &[("T1", "d"), ("T2", "f")];
+
+/// A database with up to `max_rows[i]` rows in table `i`, and a hash index
+/// on each [`INDEXED`] column.
 fn arb_db(rng: &mut SmallRng, max_rows: [usize; 3]) -> Database {
     let mut c = Catalog::new();
     for ((name, cols), max_rows) in TABLES.iter().zip(max_rows) {
@@ -42,6 +54,9 @@ fn arb_db(rng: &mut SmallRng, max_rows: [usize; 3]) -> Database {
             let row: Vec<Value> = cols.iter().map(|(_, ty)| arb_value(rng, *ty)).collect();
             t.insert(row).unwrap();
         }
+    }
+    for (table, column) in INDEXED {
+        c.table(table).unwrap().write().create_index(column).unwrap();
     }
     Database::new(c)
 }
@@ -114,9 +129,59 @@ fn arb_predicate(rng: &mut SmallRng, factors: &[usize], depth: usize) -> Expr {
 }
 
 fn arb_query(rng: &mut SmallRng) -> Query {
-    let k = rng.gen_range(1..3usize);
+    let k = rng.gen_range(1..4usize);
     let factors: Vec<usize> = (0..k).map(|_| rng.gen_index(TABLES.len())).collect();
     arb_query_over(rng, &factors)
+}
+
+/// An integer column of factor `fi`, [`INDEXED`] ones drawn half the time.
+fn arb_join_column(rng: &mut SmallRng, factors: &[usize], fi: usize) -> Expr {
+    let table = factors[fi];
+    let ints: Vec<&str> = (columns_of(table).iter())
+        .filter(|(_, ty)| *ty == DataType::Int)
+        .map(|(name, _)| *name)
+        .collect();
+    let indexed = INDEXED.iter().find(|(t, _)| *t == TABLES[table].0).map(|(_, c)| *c);
+    let name = match indexed {
+        Some(c) if rng.gen_bool(0.5) => c,
+        _ => ints[rng.gen_index(ints.len())],
+    };
+    b::col(format!("q{fi}"), name)
+}
+
+/// The selection of one select block: with two or more factors, usually an
+/// equi-join chain `q0 = q1 = ...` over integer columns; then, in any
+/// combination, a random predicate, and a residual comparison of two
+/// factors' columns that no scan or join can take.
+fn arb_selection(rng: &mut SmallRng, factors: &[usize]) -> Option<Expr> {
+    let mut conjuncts = Vec::new();
+    if factors.len() > 1 && rng.gen_bool(0.75) {
+        for fi in 1..factors.len() {
+            let prev = arb_join_column(rng, factors, fi - 1);
+            conjuncts.push(b::eq(prev, arb_join_column(rng, factors, fi)));
+        }
+    }
+    if rng.gen_bool(0.5) {
+        conjuncts.push(arb_predicate(rng, factors, 3));
+    }
+    if factors.len() > 1 && rng.gen_bool(0.3) {
+        let last = factors.len() - 1;
+        let (l, r) = (arb_join_column(rng, factors, 0), arb_join_column(rng, factors, last));
+        let ops = [BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::GtEq];
+        conjuncts.push(b::binary(l, ops[rng.gen_index(ops.len())], r));
+    }
+    b::and_all(conjuncts)
+}
+
+/// A projected expression: the column, or under `computed` an arithmetic
+/// expression over a numeric one.
+fn arb_projection(rng: &mut SmallRng, factors: &[usize], computed: bool) -> Expr {
+    let (col, ty) = arb_column(rng, factors);
+    if !computed || !matches!(ty, DataType::Int | DataType::Float) {
+        return col;
+    }
+    let ops = [BinaryOp::Plus, BinaryOp::Minus, BinaryOp::Mul];
+    b::binary(col, ops[rng.gen_index(ops.len())], Expr::Literal(arb_literal(rng, ty)))
 }
 
 /// A random query over the given tables (one factor each, aliases q0..).
@@ -124,29 +189,41 @@ fn arb_query_over(rng: &mut SmallRng, factors: &[usize]) -> Query {
     let from: Vec<TableFactor> =
         factors.iter().enumerate().map(|(i, &t)| b::table(TABLES[t].0, format!("q{i}"))).collect();
     let n_proj = rng.gen_range(1..3usize);
-    let proj: Vec<(Expr, DataType)> = (0..n_proj).map(|_| arb_column(rng, factors)).collect();
-    let selection = if rng.gen_bool(0.5) { Some(arb_predicate(rng, factors, 3)) } else { None };
-    if rng.gen_bool(0.5) {
-        // GROUP BY the first projected column with COUNT(*).
-        let gcol = proj[0].0.clone();
-        Query::from_select(Select {
+    let distinct = rng.gen_bool(0.5);
+    let computed = distinct && rng.gen_bool(0.5);
+    let proj: Vec<Expr> = (0..n_proj).map(|_| arb_projection(rng, factors, computed)).collect();
+    let selection = arb_selection(rng, factors);
+    if rng.gen_bool(0.4) {
+        // GROUP BY the first projected expression with COUNT(*).
+        let gcol = proj[0].clone();
+        return Query::from_select(Select {
             distinct: false,
             projection: vec![b::item(gcol.clone()), b::item(b::count_star())],
             from,
             selection,
             group_by: vec![gcol],
             having: None,
-        })
-    } else {
-        Query::from_select(Select {
-            distinct: rng.gen_bool(0.5),
-            projection: proj.into_iter().map(|(e, _)| b::item(e)).collect(),
-            from,
-            selection,
-            group_by: Vec::new(),
-            having: None,
-        })
+        });
     }
+    let select = |selection| Select {
+        distinct,
+        projection: proj.iter().cloned().map(b::item).collect(),
+        from: from.clone(),
+        selection,
+        group_by: Vec::new(),
+        having: None,
+    };
+    if rng.gen_bool(0.7) {
+        return Query::from_select(select(selection));
+    }
+    // A UNION or UNION ALL of two selects that differ in their selection.
+    let right = select(arb_selection(rng, factors));
+    let body = SetExpr::Union {
+        left: Box::new(SetExpr::Select(Box::new(select(selection)))),
+        right: Box::new(SetExpr::Select(Box::new(right))),
+        all: rng.gen_bool(0.5),
+    };
+    Query { body, order_by: Vec::new(), limit: None }
 }
 
 /// Run `query` through the naive interpreter and through the planned
@@ -170,14 +247,55 @@ fn assert_matches_naive(db: &Database, query: &Query) {
     }
 }
 
-#[test]
-fn optimized_engine_matches_naive() {
+/// The join strategies a traced run of `query` used: `exec.hash_join`, or
+/// an `exec.index_join`'s `strategy` field.
+fn join_strategies(db: &Database, query: &Query, seen: &mut BTreeSet<String>) {
+    pqp_obs::trace_begin("query");
+    let _ = db.run_query(query);
+    let Some(trace) = pqp_obs::trace_end() else { return };
+    let mut stack = vec![&trace.root];
+    while let Some(span) = stack.pop() {
+        if span.name == "exec.hash_join" {
+            seen.insert(span.name.clone());
+        }
+        for (key, value) in &span.fields {
+            if let (true, pqp_obs::Field::Str(strategy)) =
+                (span.name == "exec.index_join" && key == "strategy", value)
+            {
+                seen.insert(strategy.clone());
+            }
+        }
+        stack.extend(&span.children);
+    }
+}
+
+/// `cases` generated databases and queries, each checked against the
+/// oracle; every join strategy must show up among them.
+fn engine_matches_naive(cases: usize) {
     let mut rng = SmallRng::seed_from_u64(0xD1FF);
-    for _ in 0..384 {
-        let db = arb_db(&mut rng, [10; 3]);
+    let mut strategies = BTreeSet::new();
+    for _ in 0..cases {
+        let db = arb_db(&mut rng, [10, 16, 16]);
         let query = arb_query(&mut rng);
         assert_matches_naive(&db, &query);
+        join_strategies(&db, &query, &mut strategies);
     }
+    for strategy in ["exec.hash_join", "index_nested_loop", "hash_fallback"] {
+        assert!(strategies.contains(strategy), "no {strategy} among {strategies:?}");
+    }
+}
+
+#[test]
+fn optimized_engine_matches_naive() {
+    engine_matches_naive(384);
+}
+
+/// Ten times [`optimized_engine_matches_naive`]'s cases (`--ignored`;
+/// `scripts/verify.sh` runs it in release).
+#[test]
+#[ignore]
+fn optimized_engine_matches_naive_long() {
+    engine_matches_naive(3_840);
 }
 
 /// Equi-joins over the multi-chunk fixture's two small tables: NULL join

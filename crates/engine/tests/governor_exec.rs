@@ -119,6 +119,49 @@ fn row_cap_trips_inside_planner_chosen_index_join() {
     assert_eq!(ok.rows.len(), 10);
 }
 
+/// `DISTINCT` over computed columns of `JOIN_SQL`'s join: the join's probe
+/// loop pushes each row through the projection and the duplicate
+/// elimination without materializing it.
+const DISTINCT_JOIN_SQL: &str = "select distinct A.x + 1, B.y from A, B where A.id = B.a_id";
+
+/// Whether `plan` runs `Distinct` over a computed `Project` over `join`.
+fn streams_distinct_project_over(plan: &pqp_engine::plan::Plan, join: &str) -> bool {
+    let text = format!("{plan:?}");
+    text.starts_with("Distinct { input: Project {") && text.contains(join)
+}
+
+#[test]
+fn memory_cap_trips_inside_a_streamed_distinct_project() {
+    let db = fixture(800);
+    let plan = db.plan(&parse_query(DISTINCT_JOIN_SQL).unwrap()).unwrap();
+    assert!(streams_distinct_project_over(&plan, "Join"), "{plan:?}");
+    let ctx = QueryCtx::new(Budget::unlimited().max_memory_bytes(4 * 1024));
+    let err = budget_err(db.run_plan_ctx(&plan, &ExecOptions::default(), &ctx));
+    assert_eq!(err.reason, BudgetReason::Memory);
+    assert!(err.mem_bytes > 4 * 1024, "{err:?}");
+    // Both sides were read before the probe loop tripped.
+    assert_eq!(err.rows_scanned, 800 + 1600, "{err:?}");
+    let ok = db.run_plan(&plan).unwrap();
+    assert!(!ok.rows.is_empty() && ok.rows.len() <= 1600);
+}
+
+#[test]
+fn row_cap_trips_inside_a_streamed_distinct_project() {
+    let db = fixture(2000);
+    db.catalog().analyze_all().unwrap();
+    let sql = "select distinct A.x * 2, B.y from A, B where A.id = B.a_id and B.y < 10";
+    let plan = db.plan(&parse_query(sql).unwrap()).unwrap();
+    assert!(streams_distinct_project_over(&plan, "IndexJoin"), "{plan:?}");
+    // B's scan charges 4000 rows; the index probes under the projection
+    // and the duplicate elimination trip the cap.
+    let ctx = QueryCtx::new(Budget::unlimited().max_rows(4005));
+    let err = budget_err(db.run_plan_ctx(&plan, &ExecOptions::default(), &ctx));
+    assert_eq!(err.reason, BudgetReason::RowsScanned);
+    assert!(err.rows_scanned > 4005, "probe-side charges reported: {err:?}");
+    let ok = db.run_plan_ctx(&plan, &ExecOptions::default(), &QueryCtx::unlimited()).unwrap();
+    assert_eq!(ok.rows.len(), 10);
+}
+
 #[test]
 fn cancellation_stops_execution() {
     let db = fixture(300);

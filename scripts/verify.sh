@@ -86,13 +86,20 @@ fi
 echo "==> replication simulator, 10 000 seeds (release)"
 cargo test "${CARGO_FLAGS[@]}" --release -p pqp-server --lib repl::sim -- --ignored --nocapture
 
+# The differential generator at ten times its tier-1 cases: every executor
+# pipeline (scans, index and hash joins, the index join's hash fallback,
+# residual filters, DISTINCT over computed columns, GROUP BY, UNION [ALL])
+# against the naive oracle.
+echo "==> differential generator, 3 840 cases (release)"
+cargo test "${CARGO_FLAGS[@]}" --release -p pqp-engine --test differential -- --ignored
+
 # The cost of a plan-cache miss, counted exactly: a counting allocator
 # bounds the allocations per build_execution(Auto) and the live allocations
 # and bytes of the plan it leaves behind, and the one-pass estimator must
 # agree bit for bit with its recursive reference while plans, strategy
 # choices and answers match the recorded digest. On the execution side, the
 # rows scanned and the bytes charged to the query governor by the
-# rank_exec-shaped run_plans are exact gates (606 860 rows / 52 921 232 B
+# rank_exec-shaped run_plans are exact gates (511 442 rows / 30 866 552 B
 # over 128 runs, no slack), beside the allocation and byte ceilings. Release
 # mode: that is the build the serving path runs (the counts are the same in
 # debug).

@@ -9,6 +9,13 @@
 //! [`pqp_obs::trace_begin`]/[`pqp_obs::trace_end`] and attaches the
 //! selection summary (selected preferences and their degrees) to the
 //! report.
+//!
+//! Every plan node has one `exec.<op>` span with its exact `rows_out`. The
+//! executor runs chains of streaming operators as push pipelines, so a
+//! `Filter`, `Project` or `Distinct` stage does its work inside its
+//! producer's loop — a scan, an index scan, a join's probe loop — and that
+//! time lands in the producer's span: a stage's own span shows its rows,
+//! and little time of its own.
 
 use pqp_core::error::{PrefError, Result};
 use pqp_core::graph::GraphAccess;
