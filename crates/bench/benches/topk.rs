@@ -1,5 +1,5 @@
 //! K/L sweep of the three execution strategies for a ranked personalized
-//! query: SQ, MQ, and the native rank operator (`Plan::TopK`).
+//! query: SQ, MQ, and the native rank operator (`Node::TopK`).
 //!
 //! One query — the paper's running example, "movies playing tonight"
 //! (`MOVIE ⋈ PLAY` with a date filter, the mandatory part every strategy

@@ -405,7 +405,7 @@ pub fn integrate_mq(
 }
 
 /// Build the native-rank personalization of `select`: a
-/// [`TopKSpec`](pqp_engine::topk::TopKSpec) for the engine's `Plan::TopK`
+/// [`TopKSpec`](pqp_engine::topk::TopKSpec) for the engine's `Node::TopK`
 /// operator instead of a SQL rewrite.
 ///
 /// The mandatory preferences are integrated as plain conditions into the

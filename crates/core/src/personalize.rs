@@ -250,7 +250,7 @@ impl Personalized<'_> {
     }
 
     /// Build the native-rank specification ([`pqp_engine::topk::TopKSpec`])
-    /// for the engine's `Plan::TopK` operator. Errors with
+    /// for the engine's `Node::TopK` operator. Errors with
     /// [`PrefError::UnsupportedQuery`] on shapes only MQ can express.
     pub fn native(&self) -> Result<pqp_engine::topk::TopKSpec> {
         crate::integrate::integrate_native(

@@ -7,12 +7,12 @@
 //! `1 − ∏(1 − dᵢ)` (or the disjunction function `avg(dᵢ)`), yielding the
 //! estimated degree of interest used for ranking.
 
-use crate::bound::BoundExpr;
+use crate::bound::ExprId;
 use crate::error::{bind_err, Result};
 use pqp_storage::Value;
 
 /// The aggregate functions supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` or `COUNT(expr)` (non-null count).
     Count,
@@ -42,17 +42,17 @@ impl AggFunc {
     }
 }
 
-/// A bound aggregate call: the function plus its argument expression
-/// (`None` for `COUNT(*)`).
-#[derive(Debug, Clone, PartialEq)]
+/// A bound aggregate call: the function plus its argument expression, by
+/// its position in the plan's expression pool (`None` for `COUNT(*)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AggCall {
     pub func: AggFunc,
-    pub arg: Option<BoundExpr>,
+    pub arg: Option<ExprId>,
 }
 
 impl AggCall {
     /// Validate arity at bind time.
-    pub fn new(func: AggFunc, arg: Option<BoundExpr>) -> Result<AggCall> {
+    pub fn new(func: AggFunc, arg: Option<ExprId>) -> Result<AggCall> {
         if arg.is_none() && func != AggFunc::Count {
             return bind_err(format!("{func:?} requires an argument; only COUNT accepts `*`"));
         }
@@ -155,11 +155,9 @@ mod tests {
     use super::*;
 
     fn run(func: AggFunc, inputs: &[Option<Value>]) -> Value {
-        let call = AggCall::new(
-            func,
-            if inputs.iter().any(Option::is_some) { Some(BoundExpr::Column(0)) } else { None },
-        )
-        .unwrap_or(AggCall { func, arg: None });
+        let call =
+            AggCall::new(func, if inputs.iter().any(Option::is_some) { Some(0) } else { None })
+                .unwrap_or(AggCall { func, arg: None });
         let mut s = call.new_state();
         for v in inputs {
             s.update(v.as_ref()).unwrap();

@@ -3,10 +3,18 @@
 //! Evaluation follows SQL three-valued logic: `NULL` propagates through
 //! comparisons and arithmetic; `AND`/`OR`/`NOT` use Kleene logic; a filter
 //! keeps a row only when its predicate evaluates to `TRUE` (not `NULL`).
+//!
+//! The binder builds a [`BoundExpr`] tree. A plan stores its expressions
+//! flat: every node of every expression in one pool of [`ExprNode`]s,
+//! children before their parents and referenced by index, so a plan's
+//! expressions cost one allocation in all. [`Expr`] reads one of them in
+//! place, and it is what the executor evaluates.
 
 use crate::error::{exec_err, Result};
 use pqp_sql::BinaryOp;
 use pqp_storage::Value;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An expression whose column references are resolved to positions in the
 /// input row.
@@ -32,13 +40,131 @@ pub enum BoundExpr {
     },
 }
 
-impl BoundExpr {
-    /// Evaluate against a row.
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+/// The position of an [`ExprNode`] in its pool.
+pub type ExprId = u32;
+
+/// One node of a flat expression: a [`BoundExpr`] node whose children are
+/// positions in the same pool.
+///
+/// Two nodes are equal when they would evaluate alike on every row: a
+/// literal equals only a literal of the same type and value (`3` is not
+/// `3.0`, as a [`Value`] comparison would have it), so a pool can keep one
+/// copy of equal nodes.
+#[derive(Debug, Clone)]
+pub enum ExprNode {
+    Column(u32),
+    Literal(Value),
+    Binary { left: ExprId, op: BinaryOp, right: ExprId },
+    Not(ExprId),
+    IsNull { expr: ExprId, negated: bool },
+    InList { expr: ExprId, list: Box<[ExprId]>, negated: bool },
+}
+
+impl PartialEq for ExprNode {
+    fn eq(&self, other: &ExprNode) -> bool {
+        use ExprNode::*;
+        match (self, other) {
+            (Column(a), Column(b)) => a == b,
+            (Literal(Value::Float(a)), Literal(Value::Float(b))) => a.to_bits() == b.to_bits(),
+            (Literal(a), Literal(b)) => {
+                std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
+            }
+            (Binary { left: l1, op: o1, right: r1 }, Binary { left: l2, op: o2, right: r2 }) => {
+                (l1, o1, r1) == (l2, o2, r2)
+            }
+            (Not(a), Not(b)) => a == b,
+            (IsNull { expr: a, negated: n }, IsNull { expr: b, negated: m }) => (a, n) == (b, m),
+            (
+                InList { expr: a, list: la, negated: n },
+                InList { expr: b, list: lb, negated: m },
+            ) => (a, la, n) == (b, lb, m),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ExprNode {}
+
+impl Hash for ExprNode {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
         match self {
-            BoundExpr::Column(i) => Ok(row[*i].clone()),
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Binary { left, op, right } => match op {
+            ExprNode::Column(c) => c.hash(h),
+            // Equal literals are equal values, whose hashes agree.
+            ExprNode::Literal(v) => v.hash(h),
+            ExprNode::Binary { left, op, right } => (left, op, right).hash(h),
+            ExprNode::Not(e) => e.hash(h),
+            ExprNode::IsNull { expr, negated } => (expr, negated).hash(h),
+            ExprNode::InList { expr, list, negated } => (expr, list, negated).hash(h),
+        }
+    }
+}
+
+/// One expression of a pool, read in place: the node at `id` and,
+/// through it, its children.
+#[derive(Clone, Copy)]
+pub struct Expr<'p> {
+    pool: &'p [ExprNode],
+    id: ExprId,
+}
+
+/// An [`Expr`]'s root node, its children as [`Expr`]s.
+pub enum ExprKind<'p> {
+    Column(usize),
+    Literal(&'p Value),
+    Binary {
+        left: Expr<'p>,
+        op: BinaryOp,
+        right: Expr<'p>,
+    },
+    Not(Expr<'p>),
+    IsNull {
+        expr: Expr<'p>,
+        negated: bool,
+    },
+    /// The list's items are positions in the same pool ([`Expr::at`]).
+    InList {
+        expr: Expr<'p>,
+        list: &'p [ExprId],
+        negated: bool,
+    },
+}
+
+impl<'p> Expr<'p> {
+    /// The expression rooted at `id` in `pool`.
+    pub fn new(pool: &'p [ExprNode], id: ExprId) -> Expr<'p> {
+        Expr { pool, id }
+    }
+
+    /// Another expression of the same pool.
+    pub fn at(self, id: ExprId) -> Expr<'p> {
+        Expr { pool: self.pool, id }
+    }
+
+    /// The root node.
+    pub fn kind(self) -> ExprKind<'p> {
+        match &self.pool[self.id as usize] {
+            ExprNode::Column(c) => ExprKind::Column(*c as usize),
+            ExprNode::Literal(v) => ExprKind::Literal(v),
+            ExprNode::Binary { left, op, right } => {
+                ExprKind::Binary { left: self.at(*left), op: *op, right: self.at(*right) }
+            }
+            ExprNode::Not(e) => ExprKind::Not(self.at(*e)),
+            ExprNode::IsNull { expr, negated } => {
+                ExprKind::IsNull { expr: self.at(*expr), negated: *negated }
+            }
+            ExprNode::InList { expr, list, negated } => {
+                ExprKind::InList { expr: self.at(*expr), list, negated: *negated }
+            }
+        }
+    }
+
+    /// Evaluate against a row.
+    pub fn eval(self, row: &[Value]) -> Result<Value> {
+        match self.kind() {
+            ExprKind::Column(i) => Ok(row[i].clone()),
+            ExprKind::Literal(v) => Ok(v.clone()),
+            ExprKind::Binary { left, op, right } => match op {
                 BinaryOp::And => {
                     // Kleene AND: FALSE dominates NULL.
                     let l = left.eval(row)?;
@@ -71,43 +197,113 @@ impl BoundExpr {
                 _ => {
                     let l = left.eval(row)?;
                     let r = right.eval(row)?;
-                    eval_binary_scalar(&l, *op, &r)
+                    eval_binary_scalar(&l, op, &r)
                 }
             },
-            BoundExpr::Not(inner) => match inner.eval(row)? {
+            ExprKind::Not(inner) => match inner.eval(row)? {
                 Value::Null => Ok(Value::Null),
                 Value::Bool(b) => Ok(Value::Bool(!b)),
                 other => exec_err(format!("NOT applied to non-boolean `{other}`")),
             },
-            BoundExpr::IsNull { expr, negated } => {
+            ExprKind::IsNull { expr, negated } => {
                 let v = expr.eval(row)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Ok(Value::Bool(v.is_null() != negated))
             }
-            BoundExpr::InList { expr, list, negated } => {
+            ExprKind::InList { expr, list, negated } => {
                 let v = expr.eval(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
-                for item in list {
-                    let w = item.eval(row)?;
+                for &item in list {
+                    let w = self.at(item).eval(row)?;
                     if w.is_null() {
                         saw_null = true;
                     } else if w == v {
-                        return Ok(Value::Bool(!*negated));
+                        return Ok(Value::Bool(!negated));
                     }
                 }
                 if saw_null {
                     return Ok(Value::Null);
                 }
-                Ok(Value::Bool(*negated))
+                Ok(Value::Bool(negated))
             }
         }
     }
 
     /// Evaluate as a filter predicate: row passes iff result is `TRUE`.
-    pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
+    pub fn eval_predicate(self, row: &[Value]) -> Result<bool> {
         Ok(self.eval(row)? == Value::Bool(true))
+    }
+
+    /// The expression as a tree.
+    pub fn to_bound(self) -> BoundExpr {
+        match self.kind() {
+            ExprKind::Column(c) => BoundExpr::Column(c),
+            ExprKind::Literal(v) => BoundExpr::Literal(v.clone()),
+            ExprKind::Binary { left, op, right } => BoundExpr::Binary {
+                left: Box::new(left.to_bound()),
+                op,
+                right: Box::new(right.to_bound()),
+            },
+            ExprKind::Not(e) => BoundExpr::Not(Box::new(e.to_bound())),
+            ExprKind::IsNull { expr, negated } => {
+                BoundExpr::IsNull { expr: Box::new(expr.to_bound()), negated }
+            }
+            ExprKind::InList { expr, list, negated } => BoundExpr::InList {
+                expr: Box::new(expr.to_bound()),
+                list: list.iter().map(|&i| self.at(i).to_bound()).collect(),
+                negated,
+            },
+        }
+    }
+}
+
+impl fmt::Debug for Expr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_bound().fmt(f)
+    }
+}
+
+impl BoundExpr {
+    /// Store the expression flat: `push` adds one node to a pool (children
+    /// first) and returns its position. Returns the root's.
+    pub fn flatten(&self, push: &mut dyn FnMut(ExprNode) -> ExprId) -> ExprId {
+        let node = match self {
+            BoundExpr::Column(c) => ExprNode::Column(*c as u32),
+            BoundExpr::Literal(v) => ExprNode::Literal(v.clone()),
+            BoundExpr::Binary { left, op, right } => {
+                let left = left.flatten(push);
+                ExprNode::Binary { left, op: *op, right: right.flatten(push) }
+            }
+            BoundExpr::Not(e) => ExprNode::Not(e.flatten(push)),
+            BoundExpr::IsNull { expr, negated } => {
+                ExprNode::IsNull { expr: expr.flatten(push), negated: *negated }
+            }
+            BoundExpr::InList { expr, list, negated } => {
+                let expr = expr.flatten(push);
+                let list = list.iter().map(|e| e.flatten(push)).collect();
+                ExprNode::InList { expr, list, negated: *negated }
+            }
+        };
+        push(node)
+    }
+
+    /// The expression in a pool of its own, and its root.
+    pub fn to_pool(&self) -> (Vec<ExprNode>, ExprId) {
+        let mut pool = Vec::new();
+        let root = self.flatten(&mut |node| {
+            pool.push(node);
+            pool.len() as ExprId - 1
+        });
+        (pool, root)
+    }
+
+    /// Evaluate against a row (through a pool of its own: what a caller
+    /// evaluates once; a row loop evaluates [`Expr`]).
+    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+        let (pool, root) = self.to_pool();
+        Expr::new(&pool, root).eval(row)
     }
 
     /// Constant-fold literal-only subtrees. Folding is best-effort: runtime
@@ -355,8 +551,12 @@ mod tests {
 
     #[test]
     fn predicate_semantics() {
-        assert!(lit(true).eval_predicate(&[]).unwrap());
-        assert!(!lit(false).eval_predicate(&[]).unwrap());
-        assert!(!BoundExpr::Literal(Value::Null).eval_predicate(&[]).unwrap());
+        let passes = |e: BoundExpr| {
+            let (pool, root) = e.to_pool();
+            Expr::new(&pool, root).eval_predicate(&[]).unwrap()
+        };
+        assert!(passes(lit(true)));
+        assert!(!passes(lit(false)));
+        assert!(!passes(BoundExpr::Literal(Value::Null)));
     }
 }

@@ -31,8 +31,9 @@
 //! A node's row estimate needs its children's rows and origins, and its cost
 //! needs its own rows and its children's costs. [`Estimator::estimate`]
 //! therefore computes all three — `(rows, cost, origins)` — bottom-up in a
-//! single post-order walk, every node visited once and handing its triple to
-//! its parent. [`Estimator::rows`], [`Estimator::cost`] and
+//! single post-order walk, every node reference visited once and handing its
+//! triple to its parent (a shared subtree is priced at every reference, as
+//! if it were not shared). [`Estimator::rows`], [`Estimator::cost`] and
 //! [`Estimator::explain`] are thin wrappers over that walk. Tables are
 //! resolved against the catalog once per estimator and referred to by a
 //! small integer from then on, so an origin is two machine words and a
@@ -51,12 +52,11 @@
 //! start factor by that same sum. The strategy layer prices its rewrite
 //! candidates with it before building any of them.
 
-use crate::bound::BoundExpr;
-use crate::plan::{key_halves, Plan, TopKProbeSource};
+use crate::bound::{Expr, ExprKind};
+use crate::plan::{key_halves, Node, NodeId, Plan, TopKProbeSource, NO_LIMIT};
 use pqp_sql::BinaryOp;
 use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableStats, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -201,10 +201,21 @@ impl<'a> Estimator<'a> {
 
     /// Rows, cost and column origins of a plan, in one post-order pass.
     pub fn estimate(&self, plan: &Plan) -> Estimate {
-        self.walk(plan, &mut |_, _| {})
+        self.estimate_at(plan, plan.root())
     }
 
-    /// Estimated number of rows this plan node produces.
+    /// [`Self::estimate`] of the subtree rooted at node `id`.
+    pub fn estimate_at(&self, plan: &Plan, id: NodeId) -> Estimate {
+        self.walk(plan, id, &mut |_, _| {})
+    }
+
+    /// [`Self::estimate`] of `node`, which is not in `plan` (yet): its
+    /// children are.
+    pub(crate) fn estimate_node(&self, plan: &Plan, node: &Node) -> Estimate {
+        self.derive(plan, node, &mut |_, _| {})
+    }
+
+    /// Estimated number of rows a plan produces.
     pub fn rows(&self, plan: &Plan) -> f64 {
         self.estimate(plan).rows
     }
@@ -222,19 +233,16 @@ impl<'a> Estimator<'a> {
     /// and every reused occurrence of a shared subtree alike.
     pub fn explain(&self, plan: &Plan) -> String {
         let rows = self.rows_by_node(plan);
-        plan.explain_annotated(&mut |p| {
-            rows.get(&(p as *const Plan)).map(|r| format!("est_rows={:.0}", r.round()))
+        plan.explain_annotated(&mut |id| {
+            rows[id as usize].map(|r| format!("est_rows={:.0}", r.round()))
         })
     }
 
-    /// The estimated rows of every node of `plan`, from one walk. Nodes of
-    /// an immutable tree are identified by their address; the input of a
-    /// shared node is one node however many nodes share it.
-    pub(crate) fn rows_by_node(&self, plan: &Plan) -> HashMap<*const Plan, f64> {
-        let mut rows = HashMap::new();
-        self.walk(plan, &mut |node, r| {
-            rows.insert(node as *const Plan, r);
-        });
+    /// The estimated rows of every node of `plan` the root reaches, by node,
+    /// from one walk.
+    pub(crate) fn rows_by_node(&self, plan: &Plan) -> Vec<Option<f64>> {
+        let mut rows = vec![None; plan.len()];
+        self.walk(plan, plan.root(), &mut |id, r| rows[id as usize] = Some(r));
         rows
     }
 
@@ -246,12 +254,12 @@ impl<'a> Estimator<'a> {
         self.stats_eq_value(&origin, value).unwrap_or(EQ_FALLBACK).clamp(0.0, 1.0)
     }
 
-    /// Whether `plan` is an access path of a table `ANALYZE` has given
+    /// Whether `node` is an access path of a table `ANALYZE` has given
     /// statistics.
-    pub(crate) fn analyzed_path(&self, plan: &Plan) -> bool {
-        match plan {
-            Plan::Scan { table, .. } | Plan::IndexScan { table, .. } => {
-                self.analyzed(self.table_id(table))
+    pub(crate) fn analyzed_path(&self, node: &Node) -> bool {
+        match node {
+            Node::Scan { table, .. } | Node::IndexScan { table, .. } => {
+                self.analyzed(self.table_id(&table.name))
             }
             _ => false,
         }
@@ -329,7 +337,7 @@ impl<'a> Estimator<'a> {
     /// one with fewer rows, so an order the fewest-rows start already finds
     /// stays put. Without statistics on every factor the estimates are fallback
     /// constants that cannot rank starts, and the fewest-rows factor starts.
-    /// The score charges a `Plan::Shared` subtree on its own in every
+    /// The score charges a shared subtree on its own in every
     /// branch, as [`Self::cost`] does, so the search can give up a subtree
     /// that branches would have shared; counting it once is the cost
     /// model's change to make, not the search's.
@@ -540,58 +548,68 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// The post-order walk: estimate the children, derive this node's
-    /// triple from theirs, report `(node, rows)` to `visit`.
+    /// The post-order walk: estimate the children, derive node `id`'s
+    /// triple from theirs, report `(id, rows)` to `visit`.
     ///
     /// The arithmetic — operand order included — is the textbook recursive
     /// formulation's, so estimates are bit-identical to it (the workspace's
     /// `estimator_equivalence` test keeps that reference and checks).
-    fn walk(&self, plan: &Plan, visit: &mut dyn FnMut(&Plan, f64)) -> Estimate {
-        let est = match plan {
-            Plan::Empty { schema } => {
-                Estimate { rows: 0.0, cost: 0.0, origins: vec![None; schema.arity()] }
+    fn walk(&self, plan: &Plan, id: NodeId, visit: &mut dyn FnMut(NodeId, f64)) -> Estimate {
+        let est = self.derive(plan, plan.node(id), visit);
+        visit(id, est.rows);
+        est
+    }
+
+    /// [`Self::walk`]'s step for one node, its children walked in `plan`.
+    fn derive(&self, plan: &Plan, node: &Node, visit: &mut dyn FnMut(NodeId, f64)) -> Estimate {
+        match node {
+            Node::Empty { arity } => {
+                Estimate { rows: 0.0, cost: 0.0, origins: vec![None; *arity as usize] }
             }
-            Plan::Scan { table, filter, columns, .. } => {
-                let t = self.table_id(table);
+            Node::Scan { table, filter, columns } => {
+                let t = self.table_id(&table.name);
                 let len = self.table_rows(t);
                 let arity = self.table_arity(t);
                 let rows = match filter {
-                    Some(f) => len * self.selectivity(f, Origins::Table(t, arity)),
+                    Some(f) => len * self.selectivity(plan.expr(*f), Origins::Table(t, arity)),
                     None => len,
                 };
                 let origins = emitted_origins(t, *columns, arity);
                 // Leaves pay for the rows they read, not just those they emit.
                 Estimate { rows, cost: len.max(1.0), origins }
             }
-            Plan::IndexScan { table, column, key, residual, columns, .. } => {
-                let t = self.table_id(table);
+            Node::IndexScan { table, column, key, residual, columns } => {
+                let t = self.table_id(&table.name);
                 let len = self.table_rows(t);
                 let arity = self.table_arity(t);
-                let origin = self.column_index(t, column).map(|c| (t, c));
+                let origin = Some((t, *column as usize));
+                let key = plan.literal(*key);
                 let eq = self.stats_eq_value(&origin, key).unwrap_or(if key.is_null() {
                     0.0
                 } else {
                     EQ_FALLBACK
                 });
                 let res = match residual {
-                    Some(f) => self.selectivity(f, Origins::Table(t, arity)),
+                    Some(f) => self.selectivity(plan.expr(*f), Origins::Table(t, arity)),
                     None => 1.0,
                 };
                 let rows = len * eq * res;
                 Estimate { rows, cost: rows.max(1.0), origins: emitted_origins(t, *columns, arity) }
             }
-            Plan::Filter { input, predicate } => {
-                let i = self.walk(input, visit);
-                let rows = i.rows * self.selectivity(predicate, Origins::Output(&i.origins));
+            Node::Filter { input, predicate } => {
+                let i = self.walk(plan, *input, visit);
+                let sel = self.selectivity(plan.expr(*predicate), Origins::Output(&i.origins));
+                let rows = i.rows * sel;
                 Estimate { rows, cost: rows + i.cost, origins: i.origins }
             }
-            Plan::HashJoin { left, right, keys, .. } => {
-                let l = self.walk(left, visit);
-                let r = self.walk(right, visit);
+            Node::HashJoin { left, right, keys } => {
+                let l = self.walk(plan, *left, visit);
+                let r = self.walk(plan, *right, visit);
                 let (lo, ro) = (Origins::Output(&l.origins), Origins::Output(&r.origins));
-                let (left_keys, right_keys) = key_halves(keys);
-                let keys = (left_keys.iter().zip(right_keys))
-                    .map(|(lk, rk)| (self.distinct(&lo.get(*lk)), self.distinct(&ro.get(*rk))));
+                let (left_keys, right_keys) = key_halves(plan.list(*keys));
+                let keys = (left_keys.iter().zip(right_keys)).map(|(lk, rk)| {
+                    (self.distinct(&lo.get(*lk as usize)), self.distinct(&ro.get(*rk as usize)))
+                });
                 let rows = hash_join_rows(l.rows, r.rows, keys);
                 Estimate {
                     rows,
@@ -599,26 +617,17 @@ impl<'a> Estimator<'a> {
                     origins: concat(l.origins, r.origins),
                 }
             }
-            Plan::IndexJoin {
-                probe,
-                probe_key,
-                table,
-                column,
-                filter,
-                probe_is_left,
-                columns,
-                ..
-            } => {
-                let p = self.walk(probe, visit);
-                let t = self.table_id(table);
+            Node::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, columns } => {
+                let p = self.walk(plan, *probe, visit);
+                let t = self.table_id(&table.name);
                 let len = self.table_rows(t);
                 let arity = self.table_arity(t);
                 let fsel = match filter {
-                    Some(f) => self.selectivity(f, Origins::Table(t, arity)),
+                    Some(f) => self.selectivity(plan.expr(*f), Origins::Table(t, arity)),
                     None => 1.0,
                 };
-                let probe_origin = Origins::Output(&p.origins).get(*probe_key);
-                let column = self.distinct(&self.column_index(t, column).map(|c| (t, c)));
+                let probe_origin = Origins::Output(&p.origins).get(*probe_key as usize);
+                let column = self.distinct(&Some((t, *column as usize)));
                 let probe = self.distinct(&probe_origin);
                 let rows = index_join_rows(p.rows, probe, len * fsel, column, len);
                 let fetched = emitted_origins(t, *columns, arity);
@@ -629,9 +638,9 @@ impl<'a> Estimator<'a> {
                 };
                 Estimate { rows, cost: rows + p.cost, origins }
             }
-            Plan::CrossJoin { left, right, .. } => {
-                let l = self.walk(left, visit);
-                let r = self.walk(right, visit);
+            Node::CrossJoin { left, right } => {
+                let l = self.walk(plan, *left, visit);
+                let r = self.walk(plan, *right, visit);
                 let rows = l.rows * r.rows;
                 Estimate {
                     rows,
@@ -639,28 +648,33 @@ impl<'a> Estimator<'a> {
                     origins: concat(l.origins, r.origins),
                 }
             }
-            Plan::Project { input, exprs, .. } => {
-                let i = self.walk(input, visit);
-                let origins = exprs.iter().map(|e| passed_through(e, &i.origins)).collect();
+            Node::Project { input, exprs } => {
+                let i = self.walk(plan, *input, visit);
+                let origins = plan
+                    .list(*exprs)
+                    .iter()
+                    .map(|&e| passed_through(plan.expr(e), &i.origins))
+                    .collect();
                 Estimate { rows: i.rows, cost: i.rows + i.cost, origins }
             }
             // For DISTINCT an upper bound: it can only shrink its input.
-            Plan::Sort { input, .. } | Plan::Distinct { input } => {
-                let i = self.walk(input, visit);
+            Node::Sort { input, .. } | Node::Distinct { input } => {
+                let i = self.walk(plan, *input, visit);
                 Estimate { rows: i.rows, cost: i.rows + i.cost, origins: i.origins }
             }
-            Plan::Aggregate { input, group_by, aggs, .. } => {
-                let i = self.walk(input, visit);
+            Node::Aggregate { input, group_by, aggs } => {
+                let i = self.walk(plan, *input, visit);
+                let group_by = plan.list(*group_by);
                 let rows = if group_by.is_empty() {
                     1.0 // global aggregate: exactly one row
                 } else if i.rows <= 0.0 {
                     0.0
                 } else {
                     let mut groups = 1.0f64;
-                    for g in group_by {
-                        groups *= match g {
-                            BoundExpr::Column(c) => {
-                                self.ndv(i.origins.get(*c).unwrap_or(&None), i.rows)
+                    for &g in group_by {
+                        groups *= match plan.expr(g).kind() {
+                            ExprKind::Column(c) => {
+                                self.ndv(i.origins.get(c).unwrap_or(&None), i.rows)
                             }
                             _ => i.rows,
                         };
@@ -668,25 +682,27 @@ impl<'a> Estimator<'a> {
                     groups.min(i.rows).max(1.0)
                 };
                 let mut origins: Vec<ColumnOrigin> =
-                    group_by.iter().map(|g| passed_through(g, &i.origins)).collect();
-                origins.resize(group_by.len() + aggs.len(), None);
+                    group_by.iter().map(|&g| passed_through(plan.expr(g), &i.origins)).collect();
+                origins.resize(group_by.len() + aggs.len as usize, None);
                 Estimate { rows, cost: rows + i.cost, origins }
             }
-            Plan::Limit { input, n } => {
-                let i = self.walk(input, visit);
+            Node::Limit { input, n } => {
+                let i = self.walk(plan, *input, visit);
                 let rows = i.rows.min(*n as f64);
                 Estimate { rows, cost: rows + i.cost, origins: i.origins }
             }
-            Plan::Union { inputs, schema, .. } => {
-                let arms: Vec<Estimate> = inputs.iter().map(|i| self.walk(i, visit)).collect();
+            Node::Union { inputs, .. } => {
+                let arms: Vec<Estimate> =
+                    plan.list(*inputs).iter().map(|&i| self.walk(plan, i, visit)).collect();
                 let rows: f64 = arms.iter().map(|a| a.rows).sum();
                 let cost = rows + arms.iter().map(|a| a.cost).sum::<f64>();
-                Estimate { rows, cost, origins: vec![None; schema.arity()] }
+                let arity = arms.first().map_or(0, |a| a.origins.len());
+                Estimate { rows, cost, origins: vec![None; arity] }
             }
-            // Priced at every occurrence, as if it were not shared.
-            Plan::Shared { input, .. } => self.walk(input, visit),
-            Plan::TopK { base, probes, visible, rank, limit, .. } => {
-                let b = self.walk(base, visit);
+            Node::TopK { base, probes, visible, rank, limit, .. } => {
+                let b = self.walk(plan, *base, visit);
+                let probes = plan.probes(*probes);
+                let visible = *visible as usize;
                 // Base + every witness sub-plan, plus one probe pass over
                 // the grouped rows per preference (the early-termination
                 // upper bound: pruning only makes it cheaper).
@@ -694,7 +710,7 @@ impl<'a> Estimator<'a> {
                     .iter()
                     .map(|p| match &p.source {
                         TopKProbeSource::Literal(_) => 0.0,
-                        TopKProbeSource::Witness(w) => self.walk(w, visit).cost,
+                        TopKProbeSource::Witness(w) => self.walk(plan, *w, visit).cost,
                     })
                     .sum();
                 let cost = b.cost + witness_cost + b.rows * probes.len() as f64;
@@ -704,65 +720,63 @@ impl<'a> Estimator<'a> {
                     0.0
                 } else {
                     let mut groups = 1.0f64;
-                    for i in 0..*visible {
+                    for i in 0..visible {
                         groups *= self.ndv(b.origins.get(i).unwrap_or(&None), b.rows);
                     }
                     let groups = groups.min(b.rows).max(1.0);
-                    match limit {
-                        Some(n) => groups.min(*n as f64),
-                        None => groups,
+                    match *limit {
+                        NO_LIMIT => groups,
+                        n => groups.min(n as f64),
                     }
                 };
                 let mut origins = b.origins;
-                origins.resize(*visible, None);
+                origins.resize(visible, None);
                 if *rank {
                     // The synthesized interest column has no base origin.
                     origins.push(None);
                 }
                 Estimate { rows, cost, origins }
             }
-        };
-        visit(plan, est.rows);
-        est
+        }
     }
 
     /// Estimated selectivity (in `[0, 1]`) of a bound predicate over rows
     /// whose columns originate as described by `origins`.
-    fn selectivity(&self, e: &BoundExpr, origins: Origins<'_>) -> f64 {
-        let s = match e {
-            BoundExpr::Literal(v) => match v {
+    fn selectivity(&self, e: Expr<'_>, origins: Origins<'_>) -> f64 {
+        let s = match e.kind() {
+            ExprKind::Literal(v) => match v {
                 Value::Bool(true) => 1.0,
                 _ => 0.0, // FALSE or NULL predicate keeps nothing
             },
             // A bare boolean column as a predicate.
-            BoundExpr::Column(_) => DEFAULT_FALLBACK,
-            BoundExpr::Not(inner) => 1.0 - self.selectivity(inner, origins),
-            BoundExpr::IsNull { expr, negated } => {
-                let s = match &**expr {
-                    BoundExpr::Column(i) => {
-                        self.null_fraction(&origins.get(*i)).unwrap_or(IS_NULL_FALLBACK)
+            ExprKind::Column(_) => DEFAULT_FALLBACK,
+            ExprKind::Not(inner) => 1.0 - self.selectivity(inner, origins),
+            ExprKind::IsNull { expr, negated } => {
+                let s = match expr.kind() {
+                    ExprKind::Column(i) => {
+                        self.null_fraction(&origins.get(i)).unwrap_or(IS_NULL_FALLBACK)
                     }
                     _ => IS_NULL_FALLBACK,
                 };
-                if *negated {
+                if negated {
                     1.0 - s
                 } else {
                     s
                 }
             }
-            BoundExpr::InList { expr, list, negated } => {
+            ExprKind::InList { expr, list, negated } => {
                 let s: f64 = list
                     .iter()
-                    .map(|item| self.stats_eq(expr, item, origins).unwrap_or(EQ_FALLBACK))
+                    .map(|&item| self.stats_eq(expr, e.at(item), origins).unwrap_or(EQ_FALLBACK))
                     .sum();
                 let s = s.min(1.0);
-                if *negated {
+                if negated {
                     1.0 - s
                 } else {
                     s
                 }
             }
-            BoundExpr::Binary { left, op, right } => match op {
+            ExprKind::Binary { left, op, right } => match op {
                 BinaryOp::And => self.selectivity(left, origins) * self.selectivity(right, origins),
                 BinaryOp::Or => {
                     let a = self.selectivity(left, origins);
@@ -782,7 +796,7 @@ impl<'a> Estimator<'a> {
                     self.stats_eq(left, right, origins).map(|s| 1.0 - s).unwrap_or(DEFAULT_FALLBACK)
                 }
                 BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq => {
-                    self.stats_range(left, *op, right, origins).unwrap_or(DEFAULT_FALLBACK)
+                    self.stats_range(left, op, right, origins).unwrap_or(DEFAULT_FALLBACK)
                 }
                 // Arithmetic in predicate position (shouldn't type-check as
                 // a predicate, but stay defensive).
@@ -808,17 +822,17 @@ impl<'a> Estimator<'a> {
     }
 
     /// Statistics-backed equality selectivity, `None` when stats can't help.
-    fn stats_eq(&self, a: &BoundExpr, b: &BoundExpr, origins: Origins<'_>) -> Option<f64> {
-        match (a, b) {
-            (BoundExpr::Column(i), BoundExpr::Literal(v))
-            | (BoundExpr::Literal(v), BoundExpr::Column(i)) => {
-                self.stats_eq_value(&origins.get(*i), v)
+    fn stats_eq(&self, a: Expr<'_>, b: Expr<'_>, origins: Origins<'_>) -> Option<f64> {
+        match (a.kind(), b.kind()) {
+            (ExprKind::Column(i), ExprKind::Literal(v))
+            | (ExprKind::Literal(v), ExprKind::Column(i)) => {
+                self.stats_eq_value(&origins.get(i), v)
             }
             // col = col within one row set: 1/max NDV, only when both sides
             // have real statistics.
-            (BoundExpr::Column(i), BoundExpr::Column(j)) => {
-                let ni = self.stats_ndv(&origins.get(*i))?;
-                let nj = self.stats_ndv(&origins.get(*j))?;
+            (ExprKind::Column(i), ExprKind::Column(j)) => {
+                let ni = self.stats_ndv(&origins.get(i))?;
+                let nj = self.stats_ndv(&origins.get(j))?;
                 Some(1.0 / ni.max(nj).max(1.0))
             }
             _ => None,
@@ -833,15 +847,15 @@ impl<'a> Estimator<'a> {
     /// Statistics-backed range selectivity, `None` when stats can't help.
     fn stats_range(
         &self,
-        a: &BoundExpr,
+        a: Expr<'_>,
         op: BinaryOp,
-        b: &BoundExpr,
+        b: Expr<'_>,
         origins: Origins<'_>,
     ) -> Option<f64> {
         // Normalize to column-on-the-left; flipping sides flips the operator.
-        let (i, v, op) = match (a, b) {
-            (BoundExpr::Column(i), BoundExpr::Literal(v)) => (i, v, op),
-            (BoundExpr::Literal(v), BoundExpr::Column(i)) => {
+        let (i, v, op) = match (a.kind(), b.kind()) {
+            (ExprKind::Column(i), ExprKind::Literal(v)) => (i, v, op),
+            (ExprKind::Literal(v), ExprKind::Column(i)) => {
                 let flipped = match op {
                     BinaryOp::Lt => BinaryOp::Gt,
                     BinaryOp::LtEq => BinaryOp::GtEq,
@@ -853,7 +867,7 @@ impl<'a> Estimator<'a> {
             }
             _ => return None,
         };
-        self.with_stats(&origins.get(*i), |c| match op {
+        self.with_stats(&origins.get(i), |c| match op {
             BinaryOp::Lt => Some(c.lt_selectivity(v, false)),
             BinaryOp::LtEq => Some(c.lt_selectivity(v, true)),
             BinaryOp::Gt => Some(c.gt_selectivity(v, false)),
@@ -1016,18 +1030,17 @@ fn concat(mut left: Vec<ColumnOrigin>, right: Vec<ColumnOrigin>) -> Vec<ColumnOr
 
 /// The origin an output expression inherits: a bare column reference keeps
 /// its input column's, anything computed has none.
-fn passed_through(e: &BoundExpr, input: &[ColumnOrigin]) -> ColumnOrigin {
-    match e {
-        BoundExpr::Column(i) => input.get(*i).copied().flatten(),
+fn passed_through(e: Expr<'_>, input: &[ColumnOrigin]) -> ColumnOrigin {
+    match e.kind() {
+        ExprKind::Column(i) => input.get(i).copied().flatten(),
         _ => None,
     }
 }
 
-fn is_col_lit(a: &BoundExpr, b: &BoundExpr) -> bool {
+fn is_col_lit(a: Expr<'_>, b: Expr<'_>) -> bool {
     matches!(
-        (a, b),
-        (BoundExpr::Column(_), BoundExpr::Literal(_))
-            | (BoundExpr::Literal(_), BoundExpr::Column(_))
+        (a.kind(), b.kind()),
+        (ExprKind::Column(_), ExprKind::Literal(_)) | (ExprKind::Literal(_), ExprKind::Column(_))
     )
 }
 

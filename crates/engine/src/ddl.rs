@@ -121,12 +121,12 @@ pub fn execute_statement(stmt: &Statement, catalog: &mut Catalog) -> Result<Stat
                             .collect(),
                     );
                     let planner = PredicateBinder { schema };
-                    Some(planner.bind(e)?)
+                    Some(planner.bind(e)?.to_pool())
                 }
                 None => None,
             };
             let deleted = t.delete_where(|row| match &predicate {
-                Some(p) => p.eval_predicate(row),
+                Some((pool, root)) => crate::bound::Expr::new(pool, *root).eval_predicate(row),
                 None => Ok(true),
             })?;
             Ok(StatementResult::Affected(deleted))

@@ -5,7 +5,7 @@
 //! Every [`Plan`] node maps to exactly one operator here: a `Scan` reads the
 //! table, an `IndexScan` probes an index, a `HashJoin` hashes, an
 //! `IndexJoin` probes per row. Whether a scan or a join goes through an
-//! index was decided at plan time (`Planner::push_predicate` and the join
+//! index was decided at plan time (`Planner::filtered_scan` and the join
 //! order, `Estimator::join_order`), where EXPLAIN and the cost model can see
 //! it; nothing in this file looks for an index the plan did not name. The
 //! two index operators keep a run-time *guard* each — the index was dropped
@@ -53,11 +53,12 @@
 //!
 //! ## Shared subtrees: owned or shared reads
 //!
-//! A plan can hold one subtree at several places ([`Plan::Shared`]: the
-//! joins MQ's partial queries repeat). Each execution keeps one slot per
-//! shared subtree. The first read runs the subtree and keeps its rows in
-//! the slot, later reads borrow them, and the last read takes them out, so
-//! the subtree runs, scans and is charged to the governor once. The joins
+//! A plan can hold one subtree at several places (a shared subtree, see
+//! [`crate::plan`]: the joins MQ's partial queries repeat). Each execution
+//! keeps one slot per shared subtree. The first read runs the subtree and
+//! keeps its rows in the slot, later reads borrow them, and the last read
+//! takes them out, so the subtree runs, scans and is charged to the
+//! governor once. The joins
 //! and the cross product read their sides in place, and a pipeline pushes a
 //! borrowed slot's rows through a scratch row, so no reader copies a shared
 //! row it does not keep.
@@ -105,16 +106,17 @@
 //! producer's span.
 
 use crate::aggregate::{AggCall, AggState};
-use crate::bound::BoundExpr;
+use crate::bound::{BoundExpr, Expr, ExprKind};
 use crate::cost::{Estimator, INDEX_JOIN_RATIO};
 use crate::error::{bind_err, EngineError, Result};
-use crate::plan::{key_halves, Plan};
+use crate::plan::{key_halves, Node, NodeId, Plan, Share, NOT_SHARED, NO_LIMIT};
 use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx, SpanGuard};
 use pqp_sql::BinaryOp;
 use pqp_storage::{
-    Catalog, ColumnSet, HashIndex, KeyState, PreHashed, Row, StorageError, Table, Value,
+    Catalog, ColumnSet, HashIndex, KeyState, PreHashed, Row, StorageError, Table, TableSchema,
+    Value,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -128,52 +130,42 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {}
 
-/// Everything an operator needs from its surroundings: the catalog, the
-/// per-query governor context, the key hasher and this execution's
-/// shared-subtree slots.
+/// Everything an operator needs from its surroundings: the plan, the
+/// catalog, the per-query governor context, the key hasher and this
+/// execution's shared-subtree slots.
 pub(crate) struct Env<'a> {
+    pub plan: &'a Plan,
     pub catalog: &'a Catalog,
     pub ctx: &'a QueryCtx,
     /// The hasher of every key table this execution builds.
     pub keys: KeyState,
-    /// One slot per shared subtree of the plan, by `Plan::Shared::slot`.
+    /// By node: how the plan reads it, and its shared slot.
+    shares: Vec<Share>,
+    /// One slot per shared subtree of the plan.
     slots: RefCell<Vec<Slot>>,
     /// Under a trace, every node's estimated rows, from one estimator walk.
-    est_rows: Option<HashMap<*const Plan, f64>>,
+    est_rows: Option<Vec<Option<f64>>>,
 }
 
 impl<'a> Env<'a> {
     /// The surroundings of one execution of `plan`, hashing keys with `keys`.
-    fn new(catalog: &'a Catalog, ctx: &'a QueryCtx, plan: &Plan, keys: KeyState) -> Env<'a> {
-        let mut slots = Vec::new();
-        count_readers(plan, &mut slots);
+    fn new(catalog: &'a Catalog, ctx: &'a QueryCtx, plan: &'a Plan, keys: KeyState) -> Env<'a> {
+        let (shares, count) = plan.shares();
+        let mut slots: Vec<Slot> = (0..count).map(|_| Slot { readers: 0, rows: None }).collect();
+        for share in shares.iter().filter(|s| s.slot != NOT_SHARED) {
+            slots[share.slot as usize].readers = share.readers;
+        }
         let est_rows = pqp_obs::trace_active().then(|| Estimator::new(catalog).rows_by_node(plan));
-        Env { catalog, ctx, keys, slots: RefCell::new(slots), est_rows }
+        Env { plan, catalog, ctx, keys, shares, slots: RefCell::new(slots), est_rows }
     }
 }
 
 /// A shared subtree's result during one execution.
-#[derive(Default)]
 struct Slot {
     /// Reads not served yet.
-    readers: usize,
+    readers: u32,
     /// The rows, from the first read until the last.
     rows: Option<Rc<Rows>>,
-}
-
-/// Count the reads of every shared slot: one per [`Plan::Shared`] node of
-/// the plan read as a DAG, where a shared input's own nodes count once.
-fn count_readers(plan: &Plan, slots: &mut Vec<Slot>) {
-    if let Plan::Shared { slot, .. } = *plan {
-        if slot >= slots.len() {
-            slots.resize_with(slot + 1, Slot::default);
-        }
-        slots[slot].readers += 1;
-        if slots[slot].readers > 1 {
-            return;
-        }
-    }
-    plan.for_each_child(&mut |child| count_readers(child, slots));
 }
 
 /// Materialized rows of one width, stored back to back in one `Vec`: a
@@ -277,34 +269,40 @@ impl Input {
 /// rows and timings (`EXPLAIN ANALYZE`). Untraced runs pay only a
 /// thread-local check per operator.
 pub fn execute_ctx(plan: &Plan, catalog: &Catalog, ctx: &QueryCtx) -> Result<Vec<Row>> {
-    run(&Env::new(catalog, ctx, plan, KeyState::new()), plan)
+    run(&Env::new(catalog, ctx, plan, KeyState::new()), plan.root())
 }
 
 /// [`read`], with the rows as the caller's own.
-pub(crate) fn run(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
-    Ok(read(env, plan)?.into_rows().into_vec())
+pub(crate) fn run(env: &Env, id: NodeId) -> Result<Vec<Row>> {
+    Ok(read(env, id)?.into_rows().into_vec())
 }
 
-/// `plan`'s rows, materialized: a shared subtree's read in place, any other
-/// node's as a pipeline whose terminal collects them.
-fn read(env: &Env, plan: &Plan) -> Result<Input> {
-    if let Plan::Shared { slot, input } = plan {
-        let _span = enter(env, plan)?;
-        let rows = read_shared(env, *slot, input)?;
+/// Node `id`'s rows, materialized: a shared subtree's read in place, any
+/// other node's as a pipeline whose terminal collects them.
+fn read(env: &Env, id: NodeId) -> Result<Input> {
+    let slot = env.shares[id as usize].slot;
+    if slot != NOT_SHARED {
+        let _span = enter(env, id, "exec.shared")?;
+        let rows = read_shared(env, slot, id)?;
         pqp_obs::record("rows_out", rows.len());
         return Ok(rows);
     }
-    let mut out = Rows::default();
-    push(env, plan, &mut out)?;
-    Ok(Input::Owned(out))
+    Ok(Input::Owned(run_node(env, id)?))
 }
 
-/// A plan node's entry: the governor checkpoint, then its `exec.<op>` span,
-/// with the planner's estimate when a trace is collected.
-fn enter(env: &Env, plan: &Plan) -> Result<SpanGuard> {
+/// Node `id` run as a pipeline whose terminal collects its rows.
+fn run_node(env: &Env, id: NodeId) -> Result<Rows> {
+    let mut out = Rows::default();
+    push_node(env, id, &mut out)?;
+    Ok(out)
+}
+
+/// A plan node's entry: the governor checkpoint, then its `exec.<op>` span
+/// `name`, with the planner's estimate when a trace is collected.
+fn enter(env: &Env, id: NodeId, name: &'static str) -> Result<SpanGuard> {
     env.ctx.checkpoint()?;
-    let span = pqp_obs::span(op_name(plan));
-    if let Some(est) = env.est_rows.as_ref().and_then(|rows| rows.get(&(plan as *const Plan))) {
+    let span = pqp_obs::span(name);
+    if let Some(est) = env.est_rows.as_ref().and_then(|rows| rows[id as usize]) {
         // Planner estimate alongside the actual rows_out: EXPLAIN ANALYZE
         // consumers compute per-operator Q-error from the pair. Only paid
         // when a trace is being collected.
@@ -313,14 +311,14 @@ fn enter(env: &Env, plan: &Plan) -> Result<SpanGuard> {
     Ok(span)
 }
 
-/// Read shared subtree `slot`: the first read runs `input` and keeps its
-/// rows, later reads borrow them, and the last read takes them out of the
-/// slot. The governor sees the subtree's work once.
-fn read_shared(env: &Env, slot: usize, input: &Plan) -> Result<Input> {
+/// Read shared subtree `slot`, rooted at node `id`: the first read runs it
+/// and keeps its rows, later reads borrow them, and the last read takes
+/// them out of the slot. The governor sees the subtree's work once.
+fn read_shared(env: &Env, slot: u32, id: NodeId) -> Result<Input> {
     pqp_obs::record("slot", slot);
     let kept = {
         let mut slots = env.slots.borrow_mut();
-        let Some(s) = slots.get_mut(slot) else {
+        let Some(s) = slots.get_mut(slot as usize) else {
             return Err(EngineError::Internal(format!("shared slot {slot} was never counted")));
         };
         s.readers = s.readers.saturating_sub(1);
@@ -334,31 +332,30 @@ fn read_shared(env: &Env, slot: usize, input: &Plan) -> Result<Input> {
         pqp_obs::record("reused", 1u32);
         return Ok(Input::Shared(rows));
     }
-    let rows = Rc::new(read(env, input)?.into_rows());
+    let rows = Rc::new(run_node(env, id)?);
     let mut slots = env.slots.borrow_mut();
-    if let Some(s) = slots.get_mut(slot).filter(|s| s.readers > 0) {
+    if let Some(s) = slots.get_mut(slot as usize).filter(|s| s.readers > 0) {
         s.rows = Some(Rc::clone(&rows));
     }
     Ok(Input::Shared(rows))
 }
 
-fn op_name(plan: &Plan) -> &'static str {
-    match plan {
-        Plan::Empty { .. } => "exec.empty",
-        Plan::Scan { .. } => "exec.scan",
-        Plan::IndexScan { .. } => "exec.index_scan",
-        Plan::Filter { .. } => "exec.filter",
-        Plan::HashJoin { .. } => "exec.hash_join",
-        Plan::IndexJoin { .. } => "exec.index_join",
-        Plan::CrossJoin { .. } => "exec.cross_join",
-        Plan::Project { .. } => "exec.project",
-        Plan::Aggregate { .. } => "exec.aggregate",
-        Plan::Distinct { .. } => "exec.distinct",
-        Plan::Sort { .. } => "exec.sort",
-        Plan::Limit { .. } => "exec.limit",
-        Plan::Union { .. } => "exec.union",
-        Plan::TopK { .. } => "exec.topk",
-        Plan::Shared { .. } => "exec.shared",
+fn op_name(node: &Node) -> &'static str {
+    match node {
+        Node::Empty { .. } => "exec.empty",
+        Node::Scan { .. } => "exec.scan",
+        Node::IndexScan { .. } => "exec.index_scan",
+        Node::Filter { .. } => "exec.filter",
+        Node::HashJoin { .. } => "exec.hash_join",
+        Node::IndexJoin { .. } => "exec.index_join",
+        Node::CrossJoin { .. } => "exec.cross_join",
+        Node::Project { .. } => "exec.project",
+        Node::Aggregate { .. } => "exec.aggregate",
+        Node::Distinct { .. } => "exec.distinct",
+        Node::Sort { .. } => "exec.sort",
+        Node::Limit { .. } => "exec.limit",
+        Node::Union { .. } => "exec.union",
+        Node::TopK { .. } => "exec.topk",
     }
 }
 
@@ -392,73 +389,91 @@ impl Sink for Rows {
     }
 }
 
-/// Run `plan` as a pipeline that ends in `sink`: a producer pushes its rows
-/// into `sink`, a stage wraps `sink` and runs its input into itself.
-/// Returns the rows the node passed on.
-fn push(env: &Env, plan: &Plan, sink: &mut dyn Sink) -> Result<usize> {
-    let _span = enter(env, plan)?;
+/// Run node `id` as a pipeline that ends in `sink`: a shared subtree's rows
+/// are pushed from its slot, under its `exec.shared` span; any other node
+/// runs itself ([`push_node`]). Returns the rows the node passed on.
+fn push(env: &Env, id: NodeId, sink: &mut dyn Sink) -> Result<usize> {
+    let slot = env.shares[id as usize].slot;
+    if slot == NOT_SHARED {
+        return push_node(env, id, sink);
+    }
+    let _span = enter(env, id, "exec.shared")?;
+    let rows_out = push_rows(read_shared(env, slot, id)?, sink)?;
+    pqp_obs::record("rows_out", rows_out);
+    Ok(rows_out)
+}
+
+/// Run node `id` itself into `sink`: a producer pushes its rows into
+/// `sink`, a stage wraps `sink` and runs its input into itself.
+fn push_node(env: &Env, id: NodeId, sink: &mut dyn Sink) -> Result<usize> {
+    let plan = env.plan;
+    let node = plan.node(id);
+    let _span = enter(env, id, op_name(node))?;
     let ctx = env.ctx;
-    let rows_out = match plan {
-        Plan::Empty { .. } => 0,
-        Plan::Scan { table, filter, columns, .. } => {
-            pqp_obs::record("table", &**table);
-            scan(env, table, filter.as_ref(), *columns, sink)?
+    let rows_out = match node {
+        Node::Empty { .. } => 0,
+        Node::Scan { table, filter, columns } => {
+            pqp_obs::record("table", &*table.name);
+            scan(env, &table.name, filter.map(|f| plan.expr(f)), *columns, sink)?
         }
-        Plan::IndexScan { table, column, key, residual, columns, .. } => {
-            pqp_obs::record("table", &**table);
-            index_scan(env, table, column, key, residual.as_ref(), *columns, sink)?
+        Node::IndexScan { table, column, key, residual, columns } => {
+            pqp_obs::record("table", &*table.name);
+            let residual = residual.map(|r| plan.expr(r));
+            index_scan(env, table, *column, plan.literal(*key), residual, *columns, sink)?
         }
-        Plan::IndexJoin {
-            probe, probe_key, table, column, filter, probe_is_left, columns, ..
-        } => {
-            let probe_rows = read(env, probe)?;
-            let scan_side = IndexSide { table, column, filter: filter.as_ref(), columns: *columns };
-            index_join(env, &probe_rows, *probe_key, &scan_side, *probe_is_left, sink)?
+        Node::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, columns } => {
+            let probe_rows = read(env, *probe)?;
+            let filter = filter.map(|f| plan.expr(f));
+            let scan_side = IndexSide { table, column: *column, filter, columns: *columns };
+            index_join(env, &probe_rows, *probe_key as usize, &scan_side, *probe_is_left, sink)?
         }
-        Plan::HashJoin { left, right, keys, .. } => {
-            let lrows = read(env, left)?;
-            let rrows = read(env, right)?;
+        Node::HashJoin { left, right, keys } => {
+            let lrows = read(env, *left)?;
+            let rrows = read(env, *right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
-            let (left_keys, right_keys) = key_halves(keys);
+            let (left_keys, right_keys) = key_halves(plan.list(*keys));
             join_rows(env, &lrows, &rrows, left_keys, right_keys, sink)?
         }
-        Plan::CrossJoin { left, right, .. } => {
-            let lrows = read(env, left)?;
-            let rrows = read(env, right)?;
+        Node::CrossJoin { left, right } => {
+            let lrows = read(env, *left)?;
+            let rrows = read(env, *right)?;
             pqp_obs::record("left_rows", lrows.len());
             pqp_obs::record("right_rows", rrows.len());
             cross_join_rows(ctx, &lrows, &rrows, sink)?
         }
-        Plan::Filter { input, predicate } => {
+        Node::Filter { input, predicate } => {
+            let predicate = plan.expr(*predicate);
             let mut stage = Filter { ctx, predicate, next: sink, seen: 0, passed: 0 };
-            push(env, input, &mut stage)?;
+            push(env, *input, &mut stage)?;
             pqp_obs::record("rows_in", stage.seen);
             stage.passed
         }
-        Plan::Project { input, exprs, .. } => {
-            if is_identity(exprs, input.schema().arity()) {
+        Node::Project { input, exprs } => {
+            let exprs = plan.list(*exprs);
+            if is_identity(plan, exprs, plan.arity(*input)) {
                 // A derived table's re-qualification: the rows as they are.
-                push(env, input, sink)?
+                push(env, *input, sink)?
             } else {
-                push(env, input, &mut Project { ctx, exprs, out: Row::new(), next: sink, seen: 0 })?
+                let mut stage = Project { ctx, plan, exprs, out: Row::new(), next: sink, seen: 0 };
+                push(env, *input, &mut stage)?
             }
         }
-        Plan::Distinct { input } => distinct(env, sink, |stage| push(env, input, stage))?,
-        Plan::Union { inputs, all: true, .. } => union_all(env, inputs, sink)?,
-        Plan::Union { inputs, all: false, .. } => {
-            distinct(env, sink, |stage| union_all(env, inputs, stage))?
+        Node::Distinct { input } => distinct(env, sink, |stage| push(env, *input, stage))?,
+        Node::Union { inputs, all: true } => union_all(env, plan.list(*inputs), sink)?,
+        Node::Union { inputs, all: false } => {
+            distinct(env, sink, |stage| union_all(env, plan.list(*inputs), stage))?
         }
-        Plan::Aggregate { input, group_by, aggs, .. } => {
-            let mut groups = Groups::new(env, group_by, aggs);
-            push(env, input, &mut groups)?;
+        Node::Aggregate { input, group_by, aggs } => {
+            let mut groups = Groups::new(env, plan.list(*group_by), plan.aggs(*aggs));
+            push(env, *input, &mut groups)?;
             pqp_obs::record("rows_in", groups.seen);
             push_rows(Input::Owned(groups.finish()), sink)?
         }
-        Plan::Sort { input, keys } => {
-            let rows = read(env, input)?;
+        Node::Sort { input, keys } => {
+            let rows = read(env, *input)?;
             let mut order: Vec<usize> = (0..rows.len()).collect();
-            order.sort_by(|&a, &b| cmp_rows(rows.row(a), rows.row(b), keys));
+            order.sort_by(|&a, &b| cmp_rows(rows.row(a), rows.row(b), plan.sort_keys(*keys)));
             let mut row = Row::new();
             for i in order {
                 row.clear();
@@ -467,16 +482,25 @@ fn push(env: &Env, plan: &Plan, sink: &mut dyn Sink) -> Result<usize> {
             }
             rows.len()
         }
-        Plan::Limit { input, n } => {
-            let mut rows = read(env, input)?.into_rows();
+        Node::Limit { input, n } => {
+            let mut rows = read(env, *input)?.into_rows();
             rows.truncate(*n as usize);
             push_rows(Input::Owned(rows), sink)?
         }
-        Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
-            let rows = crate::topk::execute(env, base, probes, *visible, matching, *rank, *limit)?;
+        Node::TopK { base, probes, visible, matching, rank, limit } => {
+            let limit = (*limit != NO_LIMIT).then_some(*limit);
+            let probes = plan.probes(*probes);
+            let rows = crate::topk::execute(
+                env,
+                *base,
+                probes,
+                *visible as usize,
+                matching,
+                *rank,
+                limit,
+            )?;
             push_rows(Input::Owned(Rows::from_vec(rows)?), sink)?
         }
-        Plan::Shared { slot, input } => push_rows(read_shared(env, *slot, input)?, sink)?,
     };
     pqp_obs::record("rows_out", rows_out);
     Ok(rows_out)
@@ -516,35 +540,36 @@ fn push_rows(rows: Input, sink: &mut dyn Sink) -> Result<usize> {
 }
 
 /// `UNION ALL`: each input's rows pushed into `sink` in turn.
-fn union_all(env: &Env, inputs: &[Plan], sink: &mut dyn Sink) -> Result<usize> {
+fn union_all(env: &Env, inputs: &[NodeId], sink: &mut dyn Sink) -> Result<usize> {
     let mut n = 0;
-    for input in inputs {
+    for &input in inputs {
         n += push(env, input, sink)?;
         env.ctx.checkpoint()?;
     }
     Ok(n)
 }
 
-/// Execute a [`Plan::IndexScan`]: an index point lookup plus residual
+/// Execute a [`Node::IndexScan`]: an index point lookup plus residual
 /// filter, falling back to a full scan (with the reconstructed predicate)
 /// when the index was dropped after planning.
 fn index_scan(
     env: &Env,
-    table: &str,
-    column: &str,
+    table: &TableSchema,
+    column: u32,
     key: &Value,
-    residual: Option<&BoundExpr>,
+    residual: Option<Expr>,
     columns: ColumnSet,
     sink: &mut dyn Sink,
 ) -> Result<usize> {
     let ctx = env.ctx;
-    let t = env.catalog.table(table)?;
+    let (name, column) = (&*table.name, &*table.columns[column as usize].name);
+    let t = env.catalog.table(name)?;
     let t = t.read();
     let Some(index) = t.index_on(column) else {
         // The index was dropped after planning: reconstruct the full
         // pushed-down predicate and fall back to a scan.
         let Some(col) = t.schema().column_index(column) else {
-            return bind_err(format!("unknown column `{column}` in `{table}`"));
+            return bind_err(format!("unknown column `{column}` in `{name}`"));
         };
         let eq = BoundExpr::Binary {
             left: Box::new(BoundExpr::Column(col)),
@@ -555,12 +580,13 @@ fn index_scan(
             Some(r) => BoundExpr::Binary {
                 left: Box::new(eq),
                 op: BinaryOp::And,
-                right: Box::new(r.clone()),
+                right: Box::new(r.to_bound()),
             },
             None => eq,
         };
         drop(t);
-        return scan(env, table, Some(&pred), columns, sink);
+        let (pool, root) = pred.to_pool();
+        return scan(env, name, Some(Expr::new(&pool, root)), columns, sink);
     };
     pqp_obs::record("strategy", "index_scan");
     let mut hits = Hits::new(&t, residual, columns);
@@ -584,7 +610,7 @@ fn index_scan(
 }
 
 /// Scan a base table. Index access is the planner's call
-/// ([`Plan::IndexScan`], [`Plan::IndexJoin`]); a `Scan` always reads every
+/// ([`Node::IndexScan`], [`Node::IndexJoin`]); a `Scan` always reads every
 /// stored chunk: per chunk of [`pqp_storage::BATCH_SIZE`] rows, charge the
 /// governor (the chunk boundary is the scan's charge point), evaluate the
 /// pushed-down filter over the stored columns as a selection vector and
@@ -592,7 +618,7 @@ fn index_scan(
 fn scan(
     env: &Env,
     table: &str,
-    filter: Option<&BoundExpr>,
+    filter: Option<Expr>,
     columns: ColumnSet,
     sink: &mut dyn Sink,
 ) -> Result<usize> {
@@ -629,7 +655,7 @@ fn scan(
 /// The `Filter` stage: passes on the rows its predicate holds for.
 struct Filter<'s> {
     ctx: &'s QueryCtx,
-    predicate: &'s BoundExpr,
+    predicate: Expr<'s>,
     next: &'s mut dyn Sink,
     seen: usize,
     passed: usize,
@@ -649,18 +675,20 @@ impl Sink for Filter<'_> {
     }
 }
 
-/// Whether `exprs` over an input of `arity` columns return each row as
-/// it is.
-fn is_identity(exprs: &[BoundExpr], arity: usize) -> bool {
+/// Whether the expressions `exprs` of `plan` over an input of `arity`
+/// columns return each row as it is.
+fn is_identity(plan: &Plan, exprs: &[u32], arity: usize) -> bool {
     exprs.len() == arity
-        && exprs.iter().enumerate().all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i))
+        && (exprs.iter().enumerate())
+            .all(|(i, &e)| matches!(plan.expr(e).kind(), ExprKind::Column(c) if c == i))
 }
 
-/// The `Project` stage: evaluates its expressions over each row into one
-/// reused output row and passes that on.
+/// The `Project` stage: evaluates its expressions (of `plan`'s pool) over
+/// each row into one reused output row and passes that on.
 struct Project<'s> {
     ctx: &'s QueryCtx,
-    exprs: &'s [BoundExpr],
+    plan: &'s Plan,
+    exprs: &'s [u32],
     out: Row,
     next: &'s mut dyn Sink,
     seen: usize,
@@ -673,8 +701,8 @@ impl Sink for Project<'_> {
         }
         self.seen += 1;
         self.out.clear();
-        for e in self.exprs {
-            self.out.push(e.eval(row)?);
+        for &e in self.exprs {
+            self.out.push(self.plan.expr(e).eval(row)?);
         }
         self.next.push(&mut self.out)
     }
@@ -781,15 +809,19 @@ fn distinct(
 
 /// In-place multi-key sort by output column positions.
 pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
-    rows.sort_by(|a, b| cmp_rows(a, b, keys));
+    rows.sort_by(|a, b| cmp_rows(a, b, keys.iter().copied()));
 }
 
 /// The order of two rows by output column positions, each ascending or
 /// (`true`) descending.
-fn cmp_rows(a: &[Value], b: &[Value], keys: &[(usize, bool)]) -> std::cmp::Ordering {
+fn cmp_rows(
+    a: &[Value],
+    b: &[Value],
+    keys: impl IntoIterator<Item = (usize, bool)>,
+) -> std::cmp::Ordering {
     for (idx, desc) in keys {
-        let ord = a[*idx].cmp(&b[*idx]);
-        let ord = if *desc { ord.reverse() } else { ord };
+        let ord = a[idx].cmp(&b[idx]);
+        let ord = if desc { ord.reverse() } else { ord };
         if !ord.is_eq() {
             return ord;
         }
@@ -797,15 +829,16 @@ fn cmp_rows(a: &[Value], b: &[Value], keys: &[(usize, bool)]) -> std::cmp::Order
     std::cmp::Ordering::Equal
 }
 
-/// The base-table side of a [`Plan::IndexJoin`].
+/// The base-table side of a [`Node::IndexJoin`].
 struct IndexSide<'p> {
-    table: &'p str,
-    column: &'p str,
-    filter: Option<&'p BoundExpr>,
+    table: &'p TableSchema,
+    /// The join column's table position.
+    column: u32,
+    filter: Option<Expr<'p>>,
     columns: ColumnSet,
 }
 
-/// Execute a [`Plan::IndexJoin`]'s scan side against already-materialized
+/// Execute a [`Node::IndexJoin`]'s scan side against already-materialized
 /// probe rows. The planner chose the path from estimates (or, on an
 /// un-analyzed table, from the plan's shape alone); this guard holds it to
 /// the actual rows: a probe side that turned out large relative to the
@@ -823,7 +856,9 @@ fn index_join(
     sink: &mut dyn Sink,
 ) -> Result<usize> {
     let IndexSide { table, column, filter, columns } = *side;
+    let (table, column) = (&*table.name, &*table.columns[column as usize].name);
     pqp_obs::record("table", table);
+    pqp_obs::record("probe_rows", probe_rows.len());
     let tref = env.catalog.table(table)?;
     let t = tref.read();
     let Some(join_column) = t.schema().column_index(column) else {
@@ -842,6 +877,7 @@ fn index_join(
     pqp_obs::record("strategy", "hash_fallback");
     let mut scan_rows = Rows::default();
     scan(env, table, filter, columns, &mut scan_rows)?;
+    let (probe_key, scan_key) = (probe_key as u32, scan_key as u32);
     if probe_is_left {
         join_rows(env, probe_rows, &scan_rows, &[probe_key], &[scan_key], sink)
     } else {
@@ -863,7 +899,6 @@ fn index_probe(
     sink: &mut dyn Sink,
 ) -> Result<usize> {
     pqp_obs::record("strategy", "index_nested_loop");
-    pqp_obs::record("probe_rows", probe_rows.len());
     let mut row = Row::new();
     let (mut pending, mut n) = (0u64, 0);
     for (i, prow) in probe_rows.iter().enumerate() {
@@ -905,14 +940,14 @@ fn index_probe(
 /// contributes its emitted columns only. A rejected hit allocates nothing.
 struct Hits<'t> {
     table: &'t Table,
-    filter: Option<&'t BoundExpr>,
+    filter: Option<Expr<'t>>,
     columns: ColumnSet,
     /// The stored row the filter reads, reused from hit to hit.
     stored: Row,
 }
 
 impl<'t> Hits<'t> {
-    fn new(table: &'t Table, filter: Option<&'t BoundExpr>, columns: ColumnSet) -> Hits<'t> {
+    fn new(table: &'t Table, filter: Option<Expr<'t>>, columns: ColumnSet) -> Hits<'t> {
         Hits { table, filter, columns, stored: Row::new() }
     }
 
@@ -948,8 +983,8 @@ fn join_rows(
     env: &Env,
     lrows: &Rows,
     rrows: &Rows,
-    left_keys: &[usize],
-    right_keys: &[usize],
+    left_keys: &[u32],
+    right_keys: &[u32],
     sink: &mut dyn Sink,
 ) -> Result<usize> {
     if let Some(msg) = env.catalog.failpoints().fire("join.build") {
@@ -971,10 +1006,10 @@ fn join_rows(
 /// — SQL equi-join semantics, NULL never matches. Consistent with
 /// [`key_eq`]: [`Value`]'s hash agrees with its equality across `Int` /
 /// `Float`.
-fn key_hash(keys: &KeyState, row: &[Value], cols: &[usize]) -> Option<u64> {
+fn key_hash(keys: &KeyState, row: &[Value], cols: &[u32]) -> Option<u64> {
     let mut h = keys.build_hasher();
     for &c in cols {
-        let v = &row[c];
+        let v = &row[c as usize];
         if v.is_null() {
             return None;
         }
@@ -984,8 +1019,8 @@ fn key_hash(keys: &KeyState, row: &[Value], cols: &[usize]) -> Option<u64> {
 }
 
 /// Whether `a`'s values at `a_cols` equal `b`'s at `b_cols`, pairwise.
-fn key_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
-    a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i] == b[j])
+fn key_eq(a: &[Value], a_cols: &[u32], b: &[Value], b_cols: &[u32]) -> bool {
+    a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i as usize] == b[j as usize])
 }
 
 /// End of a [`KeyTable`] chain.
@@ -1033,7 +1068,7 @@ impl KeyTable {
 /// The hash-build loop: chain the build rows by key hash. Inserting them
 /// last to first leaves every chain in build-insertion order, the order
 /// matches are emitted in.
-fn build_table(env: &Env, build: &Rows, build_keys: &[usize]) -> Result<KeyTable> {
+fn build_table(env: &Env, build: &Rows, build_keys: &[u32]) -> Result<KeyTable> {
     let mut table = KeyTable::with_capacity(build.len());
     for (i, row) in build.iter().enumerate().rev() {
         if i & (CHECKPOINT_STRIDE - 1) == 0 {
@@ -1050,8 +1085,8 @@ fn build_table(env: &Env, build: &Rows, build_keys: &[usize]) -> Result<KeyTable
 struct Probe<'a> {
     build: &'a Rows,
     table: &'a KeyTable,
-    probe_keys: &'a [usize],
-    build_keys: &'a [usize],
+    probe_keys: &'a [u32],
+    build_keys: &'a [u32],
     build_left: bool,
 }
 
@@ -1098,7 +1133,9 @@ fn probe_table(env: &Env, probe: &Rows, join: &Probe, sink: &mut dyn Sink) -> Re
 struct Groups<'s> {
     ctx: &'s QueryCtx,
     keys: &'s KeyState,
-    group_by: &'s [BoundExpr],
+    plan: &'s Plan,
+    /// The group keys' expressions, in `plan`'s pool.
+    group_by: &'s [u32],
     aggs: &'s [AggCall],
     groups: Rows,
     states: Vec<AggState>,
@@ -1108,10 +1145,11 @@ struct Groups<'s> {
 }
 
 impl<'s> Groups<'s> {
-    fn new(env: &'s Env, group_by: &'s [BoundExpr], aggs: &'s [AggCall]) -> Groups<'s> {
+    fn new(env: &'s Env, group_by: &'s [u32], aggs: &'s [AggCall]) -> Groups<'s> {
         let mut groups = Groups {
             ctx: env.ctx,
             keys: &env.keys,
+            plan: env.plan,
             group_by,
             aggs,
             groups: Rows::default(),
@@ -1154,8 +1192,8 @@ impl Sink for Groups<'_> {
         self.seen += 1;
         let key = &mut self.key;
         key.clear();
-        for g in self.group_by {
-            key.push(g.eval(row)?);
+        for &g in self.group_by {
+            key.push(self.plan.expr(g).eval(row)?);
         }
         let h = self.keys.hash_one(&key[..]);
         let groups = &mut self.groups;
@@ -1171,10 +1209,10 @@ impl Sink for Groups<'_> {
         };
         let n = self.aggs.len();
         for (call, state) in self.aggs.iter().zip(&mut self.states[group * n..(group + 1) * n]) {
-            match &call.arg {
+            match call.arg {
                 None => state.update(None)?,
                 Some(e) => {
-                    let v = e.eval(row)?;
+                    let v = self.plan.expr(e).eval(row)?;
                     state.update(Some(&v))?;
                 }
             }
@@ -1192,11 +1230,17 @@ mod tests {
         Value::Int(i)
     }
 
-    /// `f` over the surroundings of an empty plan, keys hashed with `seed`.
+    /// `f` over the surroundings of an empty plan whose expression pool
+    /// holds the columns 0 and 1 at 0 and 1, keys hashed with `seed`.
     fn with_env<T>(seed: u64, f: impl FnOnce(&Env) -> T) -> T {
         let (catalog, ctx) = (Catalog::new(), QueryCtx::unlimited());
-        let nothing = Plan::Empty { schema: Default::default() };
-        f(&Env::new(&catalog, &ctx, &nothing, KeyState::with_seed(seed)))
+        let mut builder = crate::plan::Builder::new(true);
+        for c in 0..2 {
+            builder.expr(&BoundExpr::Column(c));
+        }
+        let root = builder.push(Node::Empty { arity: 0 }, &Default::default());
+        let plan = builder.finish(root, Box::new([]));
+        f(&Env::new(&catalog, &ctx, &plan, KeyState::with_seed(seed)))
     }
 
     fn flat(rows: &[Row]) -> Rows {
@@ -1204,13 +1248,13 @@ mod tests {
     }
 
     /// The hash join of `l` and `r`, collected.
-    fn join_in(env: &Env, l: &[Row], r: &[Row], lk: &[usize], rk: &[usize]) -> Vec<Row> {
+    fn join_in(env: &Env, l: &[Row], r: &[Row], lk: &[u32], rk: &[u32]) -> Vec<Row> {
         let mut out = Rows::default();
         join_rows(env, &flat(l), &flat(r), lk, rk, &mut out).unwrap();
         out.into_vec()
     }
 
-    fn join(l: Vec<Row>, r: Vec<Row>, lk: &[usize], rk: &[usize]) -> Vec<Row> {
+    fn join(l: Vec<Row>, r: Vec<Row>, lk: &[u32], rk: &[u32]) -> Vec<Row> {
         with_env(1, |env| join_in(env, &l, &r, lk, rk))
     }
 
@@ -1220,8 +1264,9 @@ mod tests {
         out.into_vec()
     }
 
-    /// `rows` into an `Aggregate`'s group table.
-    fn aggregate(env: &Env, rows: &[Row], group_by: &[BoundExpr], aggs: &[AggCall]) -> Vec<Row> {
+    /// `rows` into an `Aggregate`'s group table (`group_by` in the env's
+    /// plan's pool).
+    fn aggregate(env: &Env, rows: &[Row], group_by: &[u32], aggs: &[AggCall]) -> Vec<Row> {
         let mut groups = Groups::new(env, group_by, aggs);
         for row in rows {
             groups.push(&mut row.clone()).unwrap();
@@ -1323,10 +1368,10 @@ mod tests {
             .iter()
             .map(|&(k, v)| vec![Value::str(k), int(v)])
             .collect();
-        let group_by = [BoundExpr::Column(0)];
+        let group_by = [0];
         let aggs = [
             AggCall::new(AggFunc::Count, None).unwrap(),
-            AggCall::new(AggFunc::Sum, Some(BoundExpr::Column(1))).unwrap(),
+            AggCall::new(AggFunc::Sum, Some(1)).unwrap(),
         ];
         let out = with_env(1, |env| aggregate(env, &rows, &group_by, &aggs));
         assert_eq!(
@@ -1385,7 +1430,8 @@ mod tests {
     fn under_both_seeds(db: &crate::Database, plan: &Plan) -> Vec<Row> {
         let ctx = QueryCtx::unlimited();
         let [a, b] = SEEDS.map(|seed| {
-            run(&Env::new(db.catalog(), &ctx, plan, KeyState::with_seed(seed)), plan).unwrap()
+            run(&Env::new(db.catalog(), &ctx, plan, KeyState::with_seed(seed)), plan.root())
+                .unwrap()
         });
         assert_eq!(a, b, "{plan:?}");
         assert!(!a.is_empty());

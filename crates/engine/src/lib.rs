@@ -4,7 +4,8 @@
 //! the Oracle 9i substrate the paper's prototype ran on.
 //!
 //! Pipeline: `parse → OR-expansion rewrite → plan (bind + push down + join
-//! order) → share repeated subtrees → execute`. See [`rewrite`] for why
+//! order, into one flat node array that stores repeated subtrees once) →
+//! execute`. See [`rewrite`] for why
 //! OR-expansion matters to the reproduction, and [`naive`] for the
 //! differential-testing oracle.
 //!
@@ -53,7 +54,6 @@ pub mod naive;
 pub mod plan;
 pub mod planner;
 pub mod rewrite;
-mod share;
 pub mod topk;
 pub mod types;
 mod vexpr;
@@ -148,36 +148,38 @@ impl Database {
         let _span = pqp_obs::span("execute");
         let rows = exec::execute_ctx(plan, &self.catalog, ctx)?;
         pqp_obs::record("result_rows", rows.len());
-        let columns = plan.schema().columns.iter().map(|c| c.name.to_string()).collect();
+        let columns = plan.columns().iter().map(|c| c.to_string()).collect();
         Ok(ResultSet { columns, rows })
     }
 
     /// Produce the optimized plan for a query (OR-expansion + planning),
-    /// its repeated subtrees shared (`share`).
+    /// its repeated subtrees stored once (see [`plan`]).
     pub fn plan(&self, q: &Query) -> Result<plan::Plan> {
         let _span = pqp_obs::span("plan");
-        let plan = self.plan_in(&planner::Planner::new(&self.catalog), q)?;
-        Ok(share::share_subtrees(plan))
+        let pass = planner::Planner::new(&self.catalog);
+        let root = self.plan_in(&pass, q)?;
+        Ok(pass.finish(root))
     }
 
-    /// One query of a planning pass, before its subtrees are shared.
-    fn plan_in(&self, pass: &planner::Planner<'_>, q: &Query) -> Result<plan::Plan> {
+    /// One query of a planning pass.
+    fn plan_in(&self, pass: &planner::Planner<'_>, q: &Query) -> Result<planner::Sub> {
         let rewritten = rewrite::or_expand(q, &self.catalog);
-        pass.plan_query(&rewritten)
+        pass.query(&rewritten)
     }
 
-    /// Plan without the OR-expansion rewrite (used by tests and ablations).
+    /// Plan without the OR-expansion rewrite, every subtree stored where it
+    /// occurs (used by tests and ablations).
     pub fn plan_unexpanded(&self, q: &Query) -> Result<plan::Plan> {
-        planner::Planner::new(&self.catalog).plan_query(q)
+        planner::Planner::unshared(&self.catalog).plan_query(q)
     }
 
     /// Plan a native rank execution ([`topk::TopKSpec`]) into a
-    /// [`plan::Plan::TopK`] node: the base query and every witness query
+    /// [`plan::Node::TopK`] root: the base query and every witness query
     /// are planned through the normal pipeline, then assembled under the
     /// rank operator. The resulting plan executes through the usual
     /// [`Database::run_plan_ctx`] entry points (and is cacheable like any
-    /// other plan). Subtrees the base and the witnesses repeat are shared
-    /// across all of them.
+    /// other plan). Subtrees the base and the witnesses repeat are stored
+    /// once across all of them.
     pub fn plan_topk(&self, spec: &topk::TopKSpec) -> Result<plan::Plan> {
         let _span = pqp_obs::span("plan");
         if spec.probes.len() > topk::MAX_PROBES {
@@ -191,7 +193,7 @@ impl Database {
         // tables under the same tuple variables.
         let pass = planner::Planner::new(&self.catalog);
         let base = self.plan_in(&pass, &spec.base)?;
-        let arity = base.schema().arity();
+        let arity = base.schema.arity();
         let expected = spec.columns.len() + spec.probes.len();
         if arity != expected {
             return Err(EngineError::Bind(format!(
@@ -213,13 +215,13 @@ impl Database {
                 topk::ProbeSource::Literal(v) => plan::TopKProbeSource::Literal(v.clone()),
                 topk::ProbeSource::Witness(q) => {
                     let wp = self.plan_in(&pass, q)?;
-                    if wp.schema().arity() != 1 {
+                    if wp.schema.arity() != 1 {
                         return Err(EngineError::Bind(format!(
                             "native rank witness query must project exactly one column, got {}",
-                            wp.schema().arity()
+                            wp.schema.arity()
                         )));
                     }
-                    plan::TopKProbeSource::Witness(Box::new(wp))
+                    plan::TopKProbeSource::Witness(wp.id)
                 }
             };
             probes.push(plan::TopKProbe { doi: p.doi, source });
@@ -229,15 +231,16 @@ impl Database {
         if spec.rank {
             columns.push(OutputColumn::new(None, topk::INTEREST_COLUMN));
         }
-        Ok(share::share_subtrees(plan::Plan::TopK {
-            base: Box::new(base),
-            probes,
-            visible: spec.columns.len(),
+        let rank = plan::Node::TopK {
+            base: base.id,
+            probes: pass.builder().probes(probes),
+            visible: spec.columns.len() as u32,
             matching: spec.matching,
             rank: spec.rank,
-            limit: spec.limit,
-            schema: pass.share(OutputSchema::new(columns)),
-        }))
+            limit: spec.limit.unwrap_or(plan::NO_LIMIT),
+        };
+        let root = pass.push(rank, pass.share(OutputSchema::new(columns)));
+        Ok(pass.finish(root))
     }
 
     /// EXPLAIN text for a SQL string, with per-node `est_rows` from the

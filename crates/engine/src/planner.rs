@@ -15,22 +15,26 @@
 //!
 //! The OR-expansion rewrite (see [`crate::rewrite`]) runs before planning.
 //!
-//! One `Planner` is one planning pass. Within it every name is interned
-//! (column and table names are the catalog's own `Arc<str>`s, tuple
-//! variables and output names are interned here) and equal schemas are
-//! shared, so the partial queries of an MQ rewrite — or the base and witness
-//! queries of a native rank plan — which bind the same tables under the same
-//! tuple variables keep one schema per `(table, binding)`, per join shape
-//! and per projection; the pass also shares one [`Estimator`].
+//! One `Planner` is one planning pass, and it plans straight into one
+//! [`Plan`]'s node array, children first, so a subtree equal to one already
+//! planned is stored once (see [`crate::plan`]). The schemas it binds names
+//! against are its own, kept beside each planned sub-plan (`Sub`) and not
+//! in the plan. Within a pass every name is interned (column and table names
+//! are the catalog's own `Arc<str>`s, tuple variables and output names are
+//! interned here) and equal schemas are shared, so the partial queries of
+//! an MQ rewrite — or the base and witness queries of a native rank plan —
+//! which bind the same tables under the same tuple variables keep one
+//! schema per `(table, binding)`, per join shape and per projection; the
+//! pass also shares one [`Estimator`].
 
 use crate::aggregate::{AggCall, AggFunc};
 use crate::bound::BoundExpr;
-use crate::cost::{near_far, Estimator, Join, JoinEdge, JoinFactor};
+use crate::cost::{near_far, Estimate, Estimator, Join, JoinEdge, JoinFactor};
 use crate::error::{bind_err, EngineError, Result};
-use crate::plan::Plan;
+use crate::plan::{Builder, Node, NodeId, Plan};
 use crate::types::{unresolved, OutputColumn, OutputSchema, SchemaRef};
 use pqp_sql::ast::*;
-use pqp_storage::{Catalog, ColumnDef, ColumnSet, TableRef, Value};
+use pqp_storage::{Catalog, ColumnDef, ColumnSet, Table, TableRef, TableSchema, Value};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -43,15 +47,49 @@ pub struct Planner<'a> {
     names: RefCell<HashSet<Arc<str>>>,
     /// Every schema built in this pass; equal ones are shared.
     schemas: RefCell<HashSet<SchemaRef>>,
+    /// The plan this pass builds: every node goes straight into it.
+    plan: RefCell<Builder>,
+}
+
+/// A planned sub-plan: its root node and output schema. The schema is the
+/// pass's, for binding what is planned above; the plan does not keep it.
+pub(crate) struct Sub {
+    pub id: NodeId,
+    pub schema: SchemaRef,
+}
+
+/// A FROM factor's access path as the join order sees it.
+struct Path {
+    access: Access,
+    schema: SchemaRef,
+}
+
+enum Access {
+    /// A base-table path, not added to the plan yet: an index join may
+    /// read the table through its index instead.
+    Leaf(Node),
+    Planned(NodeId),
 }
 
 impl<'a> Planner<'a> {
+    /// A planning pass that stores equal subtrees once (see [`crate::plan`]).
     pub fn new(catalog: &'a Catalog) -> Planner<'a> {
+        Planner::with_sharing(catalog, true)
+    }
+
+    /// A planning pass that stores every subtree where it occurs: its plan
+    /// has no shared subtree.
+    pub fn unshared(catalog: &'a Catalog) -> Planner<'a> {
+        Planner::with_sharing(catalog, false)
+    }
+
+    fn with_sharing(catalog: &'a Catalog, share: bool) -> Planner<'a> {
         Planner {
             catalog,
             estimator: Estimator::new(catalog),
             names: RefCell::new(HashSet::new()),
             schemas: RefCell::new(HashSet::new()),
+            plan: RefCell::new(Builder::new(share)),
         }
     }
 
@@ -97,6 +135,23 @@ impl<'a> Planner<'a> {
         shared
     }
 
+    /// Add `node`, whose output is `schema`, to the plan.
+    pub(crate) fn push(&self, node: Node, schema: SchemaRef) -> Sub {
+        let id = self.plan.borrow_mut().push(node, &schema);
+        Sub { id, schema }
+    }
+
+    /// The plan's builder, to add expressions and lists to.
+    pub(crate) fn builder(&self) -> std::cell::RefMut<'_, Builder> {
+        self.plan.borrow_mut()
+    }
+
+    /// The pass's plan, rooted at `root`.
+    pub(crate) fn finish(self, root: Sub) -> Plan {
+        let columns = root.schema.columns.iter().map(|c| c.name.clone()).collect();
+        self.plan.into_inner().finish(root.id, columns)
+    }
+
     fn column(&self, qualifier: Option<&Arc<str>>, name: &Arc<str>) -> OutputColumn {
         OutputColumn {
             qualifier: qualifier.map(|q| self.intern_shared(q)),
@@ -118,45 +173,71 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Plan a full query (set expression + order by + limit).
-    pub fn plan_query(&self, q: &Query) -> Result<Plan> {
+    /// Plan a full query with this pass.
+    pub fn plan_query(self, q: &Query) -> Result<Plan> {
+        let root = self.query(q)?;
+        Ok(self.finish(root))
+    }
+
+    /// Plan a full query (set expression + order by + limit) into the pass's
+    /// plan.
+    pub(crate) fn query(&self, q: &Query) -> Result<Sub> {
         let mut plan = match &q.body {
             // ORDER BY may bind below the projection (the hidden-column
-            // path), so the select block must keep what it names.
+            // path), so the select block orders itself.
             SetExpr::Select(sel) => self.plan_select(sel, &q.order_by)?,
-            body => self.plan_set_expr(body)?,
-        };
-        if !q.order_by.is_empty() {
-            match self.bind_order_by(&q.order_by, &q.body, plan.schema()) {
-                Ok(keys) => plan = Plan::Sort { input: Box::new(plan), keys },
-                // Sorting by a non-projected column: legal for a plain
-                // (non-DISTINCT, non-aggregate) select — append hidden sort
-                // columns, sort, then strip them.
-                Err(e) => plan = self.sort_with_hidden_columns(q, plan).map_err(|_| e)?,
+            body => {
+                let plan = self.plan_set_expr(body)?;
+                if q.order_by.is_empty() {
+                    plan
+                } else {
+                    let keys = self.bind_order_by(&q.order_by, first_select(body), &plan.schema)?;
+                    self.sort(plan, &keys)
+                }
             }
-        }
+        };
         if let Some(n) = q.limit {
-            plan = Plan::Limit { input: Box::new(plan), n };
+            plan = self.push(Node::Limit { input: plan.id, n }, plan.schema);
         }
         Ok(plan)
     }
 
-    /// Fallback ORDER BY path: extend the top projection with hidden key
-    /// columns bound against the pre-projection schema.
-    fn sort_with_hidden_columns(&self, q: &Query, plan: Plan) -> Result<Plan> {
-        let SetExpr::Select(sel) = &q.body else {
-            return bind_err("ORDER BY column not in UNION output");
-        };
-        if sel.distinct || !sel.group_by.is_empty() || sel.having.is_some() {
+    /// `plan` sorted by output column positions.
+    fn sort(&self, plan: Sub, keys: &[(usize, bool)]) -> Sub {
+        let keys =
+            self.builder().list(keys.iter().map(|&(c, desc)| (c as u32) << 1 | u32::from(desc)));
+        self.push(Node::Sort { input: plan.id, keys }, plan.schema)
+    }
+
+    /// `input` projected by `exprs` into `schema`, then made DISTINCT.
+    fn project(&self, input: Sub, exprs: &[BoundExpr], schema: SchemaRef, distinct: bool) -> Sub {
+        let exprs = self.builder().exprs(exprs);
+        let plan = self.push(Node::Project { input: input.id, exprs }, schema);
+        if distinct {
+            return self.push(Node::Distinct { input: plan.id }, plan.schema);
+        }
+        plan
+    }
+
+    /// The ORDER BY path that binds below the projection: extend the
+    /// projection of `input` with hidden key columns bound against `input`,
+    /// sort, then strip them (back to the projection's own `schema`). Legal
+    /// for a plain (non-DISTINCT, non-aggregate) select only.
+    fn sort_with_hidden_columns(
+        &self,
+        s: &Select,
+        order_by: &[OrderByItem],
+        input: Sub,
+        mut exprs: Vec<BoundExpr>,
+        schema: SchemaRef,
+    ) -> Result<Sub> {
+        if s.distinct || !s.group_by.is_empty() || s.having.is_some() {
             return bind_err("ORDER BY column must appear in the projection");
         }
-        let Plan::Project { input, mut exprs, schema } = plan else {
-            return bind_err("ORDER BY column must appear in the projection");
-        };
         let visible = schema.arity();
         let mut extended = OutputSchema::clone(&schema);
         let mut keys = Vec::new();
-        for item in &q.order_by {
+        for item in order_by {
             // Visible output column first; otherwise bind against the input.
             if let Expr::Column { qualifier, name } = &item.expr {
                 if let Some(i) = extended.position(qualifier.as_deref(), name) {
@@ -164,23 +245,19 @@ impl<'a> Planner<'a> {
                     continue;
                 }
             }
-            let bound = self.bind_expr(&item.expr, input.schema())?;
+            let bound = self.bind_expr(&item.expr, &input.schema)?;
             let idx = exprs.len();
             exprs.push(bound);
             extended.columns.push(self.named_column(&format!("__sort_{idx}")));
             keys.push((idx, item.desc));
         }
-        let extended = Plan::Project { input, exprs, schema: self.share(extended) };
-        let sorted = Plan::Sort { input: Box::new(extended), keys };
-        // Strip hidden columns: back to the projection's own schema.
-        Ok(Plan::Project {
-            input: Box::new(sorted),
-            exprs: (0..visible).map(BoundExpr::Column).collect(),
-            schema,
-        })
+        let extended = self.project(input, &exprs, self.share(extended), false);
+        let sorted = self.sort(extended, &keys);
+        let strip: Vec<BoundExpr> = (0..visible).map(BoundExpr::Column).collect();
+        Ok(self.project(sorted, &strip, schema, false))
     }
 
-    fn plan_set_expr(&self, s: &SetExpr) -> Result<Plan> {
+    fn plan_set_expr(&self, s: &SetExpr) -> Result<Sub> {
         match s {
             SetExpr::Select(sel) => self.plan_select(sel, &[]),
             SetExpr::Union { left, right, all } => {
@@ -188,23 +265,22 @@ impl<'a> Planner<'a> {
                 let mut inputs = Vec::new();
                 self.collect_union(left, *all, &mut inputs)?;
                 self.collect_union(right, *all, &mut inputs)?;
-                let arity = inputs[0].schema().arity();
+                let arity = inputs[0].schema.arity();
                 for p in &inputs[1..] {
-                    if p.schema().arity() != arity {
+                    if p.schema.arity() != arity {
                         return bind_err(format!(
                             "UNION arms have different arities ({arity} vs {})",
-                            p.schema().arity()
+                            p.schema.arity()
                         ));
                     }
                 }
-                inputs.shrink_to_fit();
-                let schema = inputs[0].schema_ref().clone();
-                Ok(Plan::Union { inputs, all: *all, schema })
+                let span = self.builder().list(inputs.iter().map(|p| p.id));
+                Ok(self.push(Node::Union { inputs: span, all: *all }, inputs[0].schema.clone()))
             }
         }
     }
 
-    fn collect_union(&self, s: &SetExpr, all: bool, out: &mut Vec<Plan>) -> Result<()> {
+    fn collect_union(&self, s: &SetExpr, all: bool, out: &mut Vec<Sub>) -> Result<()> {
         match s {
             SetExpr::Union { left, right, all: inner_all } if *inner_all == all => {
                 self.collect_union(left, all, out)?;
@@ -219,7 +295,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Plan one select block. `order_by` is the query's ORDER BY when this
-    /// block is the whole query body, empty otherwise.
+    /// block is the whole query body, empty otherwise; the block is then
+    /// sorted by it.
     ///
     /// Column pruning: a base table's access path emits only the columns
     /// read *above* it — those named by the projection, GROUP BY, HAVING,
@@ -230,7 +307,7 @@ impl<'a> Planner<'a> {
     /// name marks its factor's column, an unqualified one the column on
     /// every factor that has it, so a name ambiguous over the whole tables
     /// stays ambiguous over the emitted ones.
-    fn plan_select(&self, s: &Select, order_by: &[OrderByItem]) -> Result<Plan> {
+    fn plan_select(&self, s: &Select, order_by: &[OrderByItem]) -> Result<Sub> {
         // 1. Bind FROM factors.
         let mut factors: Vec<BoundFactor> = Vec::with_capacity(s.from.len());
         for f in &s.from {
@@ -267,20 +344,17 @@ impl<'a> Planner<'a> {
         // 2. Decompose WHERE into conjuncts and plan the join tree.
         let mut plan = if factors.is_empty() {
             // FROM-less select: a single empty row lets `SELECT 1` work.
-            let empty = SchemaRef::default();
-            Plan::Project {
-                input: Box::new(Plan::Empty { schema: empty.clone() }),
-                exprs: Vec::new(),
-                schema: empty,
-            }
+            let empty = self.share(OutputSchema::default());
+            let input = self.push(Node::Empty { arity: 0 }, empty.clone());
+            self.project(input, &[], empty, false)
         } else {
             let conjuncts = s.selection.as_ref().map(Expr::conjuncts).unwrap_or_default();
             self.plan_joins(factors, conjuncts)?
         };
         if s.from.is_empty() {
             if let Some(w) = &s.selection {
-                let pred = self.bind_expr(w, plan.schema())?.fold();
-                plan = Plan::Filter { input: Box::new(plan), predicate: pred };
+                let pred = self.bind_expr(w, &plan.schema)?.fold();
+                plan = self.filter(plan, &pred);
             }
         }
 
@@ -296,42 +370,42 @@ impl<'a> Planner<'a> {
             let (aggregated, exprs, schema, having) = self.bind_aggregate_select(s, plan)?;
             plan = aggregated;
             if let Some(h) = having {
-                plan = Plan::Filter { input: Box::new(plan), predicate: h };
+                plan = self.filter(plan, &h);
             }
             (exprs, schema)
         } else {
-            self.bind_projection(&s.projection, plan.schema())?
+            self.bind_projection(&s.projection, &plan.schema)?
         };
 
-        plan = Plan::Project {
-            input: Box::new(plan),
-            exprs: proj_exprs,
-            schema: self.share(proj_schema),
-        };
-        if s.distinct {
-            plan = Plan::Distinct { input: Box::new(plan) };
+        // 4. Projection, DISTINCT and ORDER BY.
+        let schema = self.share(proj_schema);
+        if order_by.is_empty() {
+            return Ok(self.project(plan, &proj_exprs, schema, s.distinct));
         }
-        Ok(plan)
+        match self.bind_order_by(order_by, Some(s), &schema) {
+            Ok(keys) => {
+                let projected = self.project(plan, &proj_exprs, schema, s.distinct);
+                Ok(self.sort(projected, &keys))
+            }
+            // Sorting by a non-projected column: append hidden sort
+            // columns, sort, then strip them.
+            Err(e) => {
+                self.sort_with_hidden_columns(s, order_by, plan, proj_exprs, schema).map_err(|_| e)
+            }
+        }
     }
 
     /// A derived table: its query planned, then its output columns
     /// re-qualified with the alias so references like `TEMP.title` resolve.
     /// The re-qualifying projection is the identity on rows, and the
     /// executor passes them through.
-    fn plan_derived(&self, query: &Query, alias: &Arc<str>) -> Result<Plan> {
-        let inner = self.plan_query(query)?;
-        let columns: Vec<OutputColumn> = inner
-            .schema()
-            .columns
-            .iter()
+    fn plan_derived(&self, query: &Query, alias: &Arc<str>) -> Result<Sub> {
+        let inner = self.query(query)?;
+        let columns: Vec<OutputColumn> = (inner.schema.columns.iter())
             .map(|c| OutputColumn { qualifier: Some(alias.clone()), name: c.name.clone() })
             .collect();
-        let exprs = (0..columns.len()).map(BoundExpr::Column).collect();
-        Ok(Plan::Project {
-            input: Box::new(inner),
-            exprs,
-            schema: self.share(OutputSchema::new(columns)),
-        })
+        let exprs: Vec<BoundExpr> = (0..columns.len()).map(BoundExpr::Column).collect();
+        Ok(self.project(inner, &exprs, self.share(OutputSchema::new(columns)), false))
     }
 
     /// A factor's access path: its single-factor conjuncts bound to what
@@ -343,36 +417,35 @@ impl<'a> Planner<'a> {
         binding: &Arc<str>,
         source: FactorSource,
         preds: &[&Expr],
-    ) -> Result<Plan> {
-        let (plan, pred) = match source {
+    ) -> Result<Path> {
+        match source {
             FactorSource::Table { table, read } => {
                 let t = table.read();
                 let schema = t.schema();
                 let pred = self.conjunction(preds, Scope::Table(binding, &schema.columns))?;
-                // Sized exactly: the schema lives as long as the plan.
                 let mut columns = Vec::with_capacity(read.len(schema.arity()));
                 columns.extend(read.iter(schema.arity()).map(|c| OutputColumn {
                     qualifier: Some(binding.clone()),
                     name: schema.columns[c].name.clone(),
                 }));
-                let scan = Plan::Scan {
-                    table: schema.name.clone(),
-                    filter: None,
-                    columns: read,
-                    schema: self.share(OutputSchema::new(columns)),
+                let out = self.share(OutputSchema::new(columns));
+                let table = t.shared_schema().clone();
+                let node = match pred {
+                    Some(p) if p.is_const_false() => Node::Empty { arity: out.arity() as u32 },
+                    Some(p) if !p.is_const_true() => self.filtered_scan(&t, table, read, p),
+                    _ => Node::Scan { table, filter: None, columns: read },
                 };
-                (scan, pred)
+                Ok(Path { access: Access::Leaf(node), schema: out })
             }
             FactorSource::Derived(plan) => {
-                let pred = self.conjunction(preds, Scope::Output(plan.schema()))?;
-                (plan, pred)
+                let pred = self.conjunction(preds, Scope::Output(&plan.schema))?;
+                let plan = match pred {
+                    Some(p) => self.filtered(plan, &p),
+                    None => plan,
+                };
+                Ok(Path { access: Access::Planned(plan.id), schema: plan.schema })
             }
-        };
-        Ok(match pred {
-            Some(p) if p.is_const_false() => Plan::Empty { schema: plan.schema_ref().clone() },
-            Some(p) if !p.is_const_true() => self.push_predicate(plan, p),
-            _ => plan,
-        })
+        }
     }
 
     /// The conjuncts bound in `scope`, folded and ANDed in order.
@@ -390,12 +463,29 @@ impl<'a> Planner<'a> {
         Ok(pred)
     }
 
+    /// A path's estimate, whether it is in the plan yet or not.
+    fn estimate(&self, path: &Path) -> Estimate {
+        let plan = self.plan.borrow();
+        match &path.access {
+            Access::Leaf(node) => self.estimator.estimate_node(plan.plan(), node),
+            Access::Planned(id) => self.estimator.estimate_at(plan.plan(), *id),
+        }
+    }
+
+    /// A path as a sub-plan: a leaf is added to the plan now.
+    fn place(&self, path: Path) -> Sub {
+        match path.access {
+            Access::Leaf(node) => self.push(node, path.schema),
+            Access::Planned(id) => Sub { id, schema: path.schema },
+        }
+    }
+
     /// The join tree over the FROM factors, in the order
     /// [`Estimator::join_order`] gives (the one join search and index-join
     /// rule, which [`Estimator::price_join`] runs too): each step's hash,
     /// index or cross join, then every residual conjunct whose factors are
     /// all joined.
-    fn plan_joins(&self, mut factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Plan> {
+    fn plan_joins(&self, mut factors: Vec<BoundFactor>, conjuncts: Vec<&Expr>) -> Result<Sub> {
         // Classify conjuncts by the set of factors they reference.
         let mut single: Vec<Vec<&Expr>> = vec![Vec::new(); factors.len()];
         let mut edges: Vec<[(usize, &Expr); 2]> = Vec::new();
@@ -428,37 +518,41 @@ impl<'a> Planner<'a> {
         // un-analyzed tables fall back to the fixed per-conjunct
         // selectivities inside `crate::cost`.
         let estimator = &self.estimator;
-        let mut nodes: Vec<Option<(Arc<str>, Plan)>> = Vec::with_capacity(factors.len());
+        let mut paths: Vec<Option<(Arc<str>, Path)>> = Vec::with_capacity(factors.len());
         let mut sizes: Vec<JoinFactor> = Vec::with_capacity(factors.len());
         let mut ends: Vec<JoinEdge> = edges
             .iter()
             .map(|&[(a, _), (b, _)]| [(a, Default::default()), (b, Default::default())])
             .collect();
         for (f, (factor, preds)) in factors.into_iter().zip(&single).enumerate() {
-            let plan = self.access_path(&factor.binding, factor.source, preds)?;
-            let est = estimator.estimate(&plan);
+            let path = self.access_path(&factor.binding, factor.source, preds)?;
+            let est = self.estimate(&path);
             for (edge, ends) in edges.iter().zip(&mut ends) {
                 for (&(g, column), (_, end)) in edge.iter().zip(ends) {
                     if g == f {
-                        let c = self.bind_column_index(column, plan.schema())?;
+                        let c = self.bind_column_index(column, &path.schema)?;
                         *end = estimator.join_end(est.origins.get(c).copied().flatten());
                     }
                 }
             }
+            let leaf = match &path.access {
+                Access::Leaf(node) => Some(node),
+                Access::Planned(_) => None,
+            };
             sizes.push(JoinFactor {
                 rows: est.rows,
                 cost: est.cost,
-                scan: matches!(plan, Plan::Scan { .. }),
-                analyzed: estimator.analyzed_path(&plan),
+                scan: matches!(leaf, Some(Node::Scan { .. })),
+                analyzed: leaf.is_some_and(|node| estimator.analyzed_path(node)),
             });
-            nodes.push(Some((factor.binding, plan)));
+            paths.push(Some((factor.binding, path)));
         }
 
         let lost = |what: &str| EngineError::Internal(format!("join ordering: {what}"));
-        let mut current: Option<Plan> = None;
-        let mut bindings_in: Vec<Arc<str>> = Vec::with_capacity(nodes.len());
+        let mut current: Option<Path> = None;
+        let mut bindings_in: Vec<Arc<str>> = Vec::with_capacity(paths.len());
         estimator.join_order(&sizes, &ends, |factor, join| {
-            let (binding, right) = nodes[factor].take().ok_or_else(|| lost("joined twice"))?;
+            let (binding, right) = paths[factor].take().ok_or_else(|| lost("joined twice"))?;
             bindings_in.push(binding);
             let mut plan = match (current.take(), join) {
                 (None, None) => {
@@ -472,23 +566,23 @@ impl<'a> Planner<'a> {
             let mut emptied = false;
             for r in residual.iter_mut() {
                 let Some(expr) = *r else { continue };
-                if self.refers_only_to(expr, plan.schema(), &bindings_in) {
+                if self.refers_only_to(expr, &plan.schema, &bindings_in) {
                     *r = None;
-                    let pred = self.bind_expr(expr, plan.schema())?.fold();
+                    let pred = self.bind_expr(expr, &plan.schema)?.fold();
                     emptied |= pred.is_const_false();
-                    plan = filtered(plan, pred);
+                    plan = self.filtered(plan, &pred);
                 }
             }
-            current = Some(plan);
+            current = Some(Path { access: Access::Planned(plan.id), schema: plan.schema });
             Ok(emptied)
         })?;
         // An empty FROM never reaches here (the binder rejects it).
-        let mut plan = current.ok_or_else(|| lost("no factors"))?;
+        let mut plan = self.place(current.ok_or_else(|| lost("no factors"))?);
 
         // Leftover residuals (constant predicates, or anything unresolved).
         for r in residual.into_iter().flatten() {
-            let pred = self.bind_expr(r, plan.schema())?.fold();
-            plan = filtered(plan, pred);
+            let pred = self.bind_expr(r, &plan.schema)?.fold();
+            plan = self.filtered(plan, &pred);
         }
         Ok(plan)
     }
@@ -498,96 +592,97 @@ impl<'a> Planner<'a> {
     /// `left ++ right`.
     fn join(
         &self,
-        left: Plan,
-        right: Plan,
+        left: Path,
+        right: Path,
         join: Join<'_>,
         factor: usize,
         edges: &[[(usize, &Expr); 2]],
-    ) -> Result<Plan> {
-        let schema = self.share(left.schema().join(right.schema()));
-        Ok(match join {
-            Join::Cross => Plan::CrossJoin { left: Box::new(left), right: Box::new(right), schema },
+    ) -> Result<Sub> {
+        let schema = self.share(left.schema.join(&right.schema));
+        let node = match join {
+            Join::Cross => {
+                let (left, right) = (self.place(left), self.place(right));
+                Node::CrossJoin { left: left.id, right: right.id }
+            }
             Join::Hash(edge_ids) => {
-                let mut keys = vec![0; 2 * edge_ids.len()].into_boxed_slice();
+                let mut keys = vec![0; 2 * edge_ids.len()];
                 let (left_keys, right_keys) = keys.split_at_mut(edge_ids.len());
                 for ((&e, l), r) in edge_ids.iter().zip(left_keys).zip(right_keys) {
                     let [(_, near), (_, far)] = near_far(edges[e], factor);
-                    *l = self.bind_column_index(near, left.schema())?;
-                    *r = self.bind_column_index(far, right.schema())?;
+                    *l = self.bind_column_index(near, &left.schema)? as u32;
+                    *r = self.bind_column_index(far, &right.schema)? as u32;
                 }
-                Plan::HashJoin { left: Box::new(left), right: Box::new(right), keys, schema }
+                let (left, right) = (self.place(left), self.place(right));
+                let keys = self.builder().list(keys);
+                Node::HashJoin { left: left.id, right: right.id, keys }
             }
             Join::Index { edge, probe_is_left } => {
                 let [(_, near), (_, far)] = near_far(edges[edge], factor);
                 let (probe, probe_column, scan, column) =
                     if probe_is_left { (left, near, right, far) } else { (right, far, left, near) };
-                let probe_key = self.bind_column_index(probe_column, probe.schema())?;
-                let scan_key = self.bind_column_index(column, scan.schema())?;
-                let column = scan.schema().columns[scan_key].name.clone();
-                let Plan::Scan { table, filter, columns, .. } = scan else {
+                let probe_key = self.bind_column_index(probe_column, &probe.schema)? as u32;
+                let scan_key = self.bind_column_index(column, &scan.schema)?;
+                let Access::Leaf(Node::Scan { table, filter, columns }) = scan.access else {
                     return Err(EngineError::Internal("index join into a non-scan".into()));
                 };
-                Plan::IndexJoin {
-                    probe: Box::new(probe),
+                // The join column's table position: the `scan_key`-th emitted.
+                let Some(column) = columns.iter(table.arity()).nth(scan_key) else {
+                    return Err(EngineError::Internal("index join on an unemitted column".into()));
+                };
+                let column = column as u32;
+                let probe = self.place(probe);
+                Node::IndexJoin {
+                    probe: probe.id,
                     probe_key,
                     table,
                     column,
                     filter,
                     probe_is_left,
                     columns,
-                    schema,
                 }
             }
-        })
+        };
+        Ok(self.push(node, schema))
     }
 
-    /// Push a bound single-table predicate into a base-table access path:
-    /// an [`Plan::IndexScan`] when an equality conjunct hits a hash index,
-    /// a filtered scan otherwise; a plain filter over anything that is not
-    /// a bare scan.
-    fn push_predicate(&self, plan: Plan, pred: BoundExpr) -> Plan {
-        match plan {
-            Plan::Scan { table, filter: None, columns, schema } => {
-                if let Some((column, key, residual)) = self.index_split(&table, &pred) {
-                    return Plan::IndexScan { table, column, key, residual, columns, schema };
-                }
-                Plan::Scan { table, filter: Some(pred), columns, schema }
-            }
-            other => Plan::Filter { input: Box::new(other), predicate: pred },
-        }
-    }
-
-    /// Find the first `col = literal` conjunct of `pred` (non-NULL literal)
-    /// that hits a hash index of `table`; returns the indexed column name,
-    /// the key, and the remaining conjuncts re-ANDed in order.
-    fn index_split(
+    /// A bare scan of `table` (read through its guard `t`) with the bound
+    /// single-table predicate pushed into it: an [`Node::IndexScan`] when an
+    /// equality conjunct hits a hash index, a filtered scan otherwise.
+    fn filtered_scan(
         &self,
-        table: &str,
-        pred: &BoundExpr,
-    ) -> Option<(Arc<str>, Value, Option<BoundExpr>)> {
-        let t = self.catalog.table(table).ok()?;
-        let t = t.read();
-        let conjuncts = split_and(pred);
-        let (pos, column, key) = conjuncts.iter().enumerate().find_map(|(i, c)| {
-            let (col, v) = as_eq_literal(c)?;
-            if v.is_null() {
-                return None; // `= NULL` is never TRUE; leave it to the filter
-            }
-            let name = &t.schema().columns.get(col)?.name;
-            t.index_on(name)?;
-            Some((i, name.clone(), v.clone()))
-        })?;
-        let residual = conjuncts
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| *i != pos)
-            .map(|(_, c)| c.clone())
-            .reduce(|a, b| BoundExpr::Binary {
-                left: Box::new(a),
-                op: BinaryOp::And,
-                right: Box::new(b),
-            });
-        Some((column, key, residual))
+        t: &Table,
+        table: Arc<TableSchema>,
+        columns: ColumnSet,
+        pred: BoundExpr,
+    ) -> Node {
+        let mut plan = self.builder();
+        if let Some((column, key, residual)) = index_split(t, &pred) {
+            let key = plan.expr(&BoundExpr::Literal(key));
+            let residual = residual.map(|r| plan.expr(&r));
+            return Node::IndexScan { table, column, key, residual, columns };
+        }
+        Node::Scan { table, filter: Some(plan.expr(&pred)), columns }
+    }
+
+    /// `plan` filtered by a bound predicate; a plain filter, never pushed
+    /// into an access path.
+    fn filter(&self, plan: Sub, pred: &BoundExpr) -> Sub {
+        let predicate = self.builder().expr(pred);
+        self.push(Node::Filter { input: plan.id, predicate }, plan.schema)
+    }
+
+    /// `plan` filtered by a folded predicate; a constant-false one empties
+    /// it (the emptied subtree stays in the plan's array, unreferenced), a
+    /// constant-true one keeps it as it is.
+    fn filtered(&self, plan: Sub, pred: &BoundExpr) -> Sub {
+        if pred.is_const_false() {
+            let arity = plan.schema.arity() as u32;
+            self.push(Node::Empty { arity }, plan.schema)
+        } else if pred.is_const_true() {
+            plan
+        } else {
+            self.filter(plan, pred)
+        }
     }
 
     /// Which factors an expression references, each once. An unqualified
@@ -737,7 +832,6 @@ impl<'a> Planner<'a> {
         items: &[SelectItem],
         schema: &OutputSchema,
     ) -> Result<(Vec<BoundExpr>, OutputSchema)> {
-        // Sized exactly: the bound expressions live as long as the plan.
         let mut exprs = Vec::with_capacity(items.len());
         let mut cols = Vec::with_capacity(items.len());
         for item in items {
@@ -762,9 +856,9 @@ impl<'a> Planner<'a> {
     fn bind_aggregate_select(
         &self,
         s: &Select,
-        plan: Plan,
-    ) -> Result<(Plan, Vec<BoundExpr>, OutputSchema, Option<BoundExpr>)> {
-        let input_schema = plan.schema_ref().clone();
+        plan: Sub,
+    ) -> Result<(Sub, Vec<BoundExpr>, OutputSchema, Option<BoundExpr>)> {
+        let input_schema = &plan.schema;
 
         // Collect aggregate calls from projection and having.
         let mut agg_asts: Vec<Expr> = Vec::new();
@@ -781,7 +875,7 @@ impl<'a> Planner<'a> {
         let mut group_bound = Vec::with_capacity(s.group_by.len());
         let mut agg_schema_cols = Vec::with_capacity(s.group_by.len() + agg_asts.len());
         for (i, g) in s.group_by.iter().enumerate() {
-            group_bound.push(self.bind_expr(g, &input_schema)?);
+            group_bound.push(self.bind_expr(g, input_schema)?);
             agg_schema_cols.push(match g {
                 Expr::Column { qualifier, name } => self.column(qualifier.as_ref(), name),
                 other => self.named_column(&format!("group_{i}__{other}")),
@@ -803,19 +897,18 @@ impl<'a> Planner<'a> {
                 if args.len() != 1 {
                     return bind_err(format!("aggregate `{name}` takes exactly one argument"));
                 }
-                Some(self.bind_expr(&args[0], &input_schema)?)
+                Some(self.builder().expr(&self.bind_expr(&args[0], input_schema)?))
             };
             aggs.push(AggCall::new(func, arg)?);
             agg_schema_cols.push(self.named_column(&format!("agg_{i}")));
         }
 
         let agg_out = self.share(OutputSchema::new(agg_schema_cols));
-        let plan = Plan::Aggregate {
-            input: Box::new(plan),
-            group_by: group_bound,
-            aggs,
-            schema: agg_out.clone(),
+        let (group_by, aggs) = {
+            let mut plan = self.builder();
+            (plan.exprs(&group_bound), plan.aggs(aggs))
         };
+        let plan = self.push(Node::Aggregate { input: plan.id, group_by, aggs }, agg_out.clone());
 
         // Rebind projection and HAVING over the aggregate output.
         let ctx = AggContext { group_asts: &s.group_by, agg_asts: &agg_asts };
@@ -897,11 +990,11 @@ impl<'a> Planner<'a> {
     fn bind_order_by(
         &self,
         items: &[OrderByItem],
-        body: &SetExpr,
+        first: Option<&Select>,
         schema: &OutputSchema,
     ) -> Result<Vec<(usize, bool)>> {
         // Projection ASTs of the first select block, for structural matching.
-        let first_projection: Vec<(Option<&str>, &Expr)> = match first_select(body) {
+        let first_projection: Vec<(Option<&str>, &Expr)> = match first {
             Some(sel) => sel
                 .projection
                 .iter()
@@ -946,7 +1039,7 @@ enum FactorSource {
     /// [`Planner::plan_select`]).
     Table { table: TableRef, read: ColumnSet },
     /// A derived table, planned.
-    Derived(Plan),
+    Derived(Sub),
 }
 
 impl BoundFactor {
@@ -958,7 +1051,7 @@ impl BoundFactor {
                 t.schema().columns.iter().filter(|c| c.name.eq_ignore_ascii_case(name)).count()
             }
             FactorSource::Derived(plan) => {
-                plan.schema().columns.iter().filter(|c| c.matches(None, name)).count()
+                plan.schema.columns.iter().filter(|c| c.matches(None, name)).count()
             }
         }
     }
@@ -1015,15 +1108,30 @@ impl Scope<'_> {
     }
 }
 
-/// `plan` filtered by a folded predicate; a constant-false one empties it.
-fn filtered(plan: Plan, pred: BoundExpr) -> Plan {
-    if pred.is_const_false() {
-        Plan::Empty { schema: plan.schema_ref().clone() }
-    } else if pred.is_const_true() {
-        plan
-    } else {
-        Plan::Filter { input: Box::new(plan), predicate: pred }
-    }
+/// Find the first `col = literal` conjunct of `pred` (non-NULL literal)
+/// that hits a hash index of table `t`; returns the indexed column's
+/// position, the key, and the remaining conjuncts re-ANDed in order.
+fn index_split(t: &Table, pred: &BoundExpr) -> Option<(u32, Value, Option<BoundExpr>)> {
+    let conjuncts = split_and(pred);
+    let (pos, column, key) = conjuncts.iter().enumerate().find_map(|(i, c)| {
+        let (col, v) = as_eq_literal(c)?;
+        if v.is_null() {
+            return None; // `= NULL` is never TRUE; leave it to the filter
+        }
+        t.index_on(&t.schema().columns.get(col)?.name)?;
+        Some((i, col as u32, v.clone()))
+    })?;
+    let residual = conjuncts
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| *i != pos)
+        .map(|(_, c)| c.clone())
+        .reduce(|a, b| BoundExpr::Binary {
+            left: Box::new(a),
+            op: BinaryOp::And,
+            right: Box::new(b),
+        });
+    Some((column, key, residual))
 }
 
 struct AggContext<'a> {

@@ -1,4 +1,4 @@
-//! The native rank operator ([`Plan::TopK`]): preference pushdown with
+//! The native rank operator ([`Node::TopK`]): preference pushdown with
 //! threshold-style early termination.
 //!
 //! The SQ/MQ rewrites expand optional preferences into SQL — `C(K−M, L)`
@@ -43,14 +43,16 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{self, Env};
-use crate::plan::{Plan, TopKMatching, TopKProbe, TopKProbeSource};
+#[cfg(doc)]
+use crate::plan::Node;
+use crate::plan::{NodeId, TopKMatching, TopKProbe, TopKProbeSource};
 use pqp_obs::approx_row_bytes;
 use pqp_obs::governor::CHECKPOINT_STRIDE;
 use pqp_sql::ast::Query;
 use pqp_storage::{KeyState, Row, Value};
 use std::collections::{HashMap, HashSet};
 
-/// Maximum number of probes a [`Plan::TopK`] node may carry (satisfaction
+/// Maximum number of probes a [`Node::TopK`] node may carry (satisfaction
 /// bits are a `u64` mask). Personalization falls back to MQ above this.
 pub const MAX_PROBES: usize = 64;
 
@@ -120,10 +122,10 @@ struct Group {
     alive: bool,
 }
 
-/// Execute a [`Plan::TopK`] node.
+/// Execute a [`Node::TopK`] node over its base plan, rooted at `base`.
 pub(crate) fn execute(
     env: &Env,
-    base: &Plan,
+    base: NodeId,
     probes: &[TopKProbe],
     visible: usize,
     matching: &TopKMatching,
@@ -171,7 +173,7 @@ pub(crate) fn execute(
         }
         let witness: Option<HashSet<Value, KeyState>> = match &probes[j].source {
             TopKProbeSource::Literal(_) => None,
-            TopKProbeSource::Witness(wp) => Some(witness_set(env, wp)?),
+            TopKProbeSource::Witness(wp) => Some(witness_set(env, *wp)?),
         };
         let literal = match &probes[j].source {
             TopKProbeSource::Literal(v) => Some(v),
@@ -343,10 +345,11 @@ fn ingest(
     Ok(())
 }
 
-/// Execute a witness sub-plan and collect its single output column into a
-/// membership set. NULLs are excluded: SQL equality never matches them.
-fn witness_set(env: &Env, plan: &Plan) -> Result<HashSet<Value, KeyState>> {
-    let rows = exec::run(env, plan)?;
+/// Execute a witness sub-plan, rooted at `witness`, and collect its single
+/// output column into a membership set. NULLs are excluded: SQL equality
+/// never matches them.
+fn witness_set(env: &Env, witness: NodeId) -> Result<HashSet<Value, KeyState>> {
+    let rows = exec::run(env, witness)?;
     let mut set = HashSet::with_capacity_and_hasher(rows.len(), env.keys);
     let mut bytes: u64 = 0;
     for row in rows {

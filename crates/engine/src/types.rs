@@ -49,9 +49,9 @@ pub struct OutputSchema {
     pub columns: Vec<OutputColumn>,
 }
 
-/// How plan nodes hold their schema: shared, so pass-through nodes, the
-/// partial queries of one rewrite and cached plans reference one allocation
-/// per distinct schema.
+/// How a planning pass holds a schema: shared, so pass-through nodes and
+/// the partial queries of one rewrite reference one allocation per distinct
+/// schema (and the pass can tell equal schemas apart by address).
 pub type SchemaRef = Arc<OutputSchema>;
 
 impl OutputSchema {

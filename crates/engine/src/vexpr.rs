@@ -4,7 +4,7 @@
 //! applies wherever the literal's type class matches.
 //!
 //! The contract is strict: [`select_true`] is **observably identical** to
-//! calling `BoundExpr::eval_predicate` on each materialized row — same
+//! calling `Expr::eval_predicate` on each materialized row — same
 //! selected rows, and an error exactly when per-row evaluation would error
 //! (in exotic rows carrying *multiple* latent errors, which error surfaces
 //! may differ; both still fail). Typed comparison kernels are used only
@@ -18,14 +18,14 @@
 //! guarantee that `x <> 0 AND 10 / x > 1` never divides by zero on a
 //! filtered-out row.
 
-use crate::bound::BoundExpr;
+use crate::bound::{Expr, ExprKind};
 use crate::error::{exec_err, Result};
 use pqp_sql::BinaryOp;
 use pqp_storage::{total_fcmp, Batch, ColumnData, Value};
 use std::cmp::Ordering;
 
 /// The row indices of `batch` (in order) whose predicate evaluates to TRUE.
-pub(crate) fn select_true(pred: &BoundExpr, batch: &Batch) -> Result<Vec<u32>> {
+pub(crate) fn select_true(pred: Expr, batch: &Batch) -> Result<Vec<u32>> {
     let sel: Vec<u32> = (0..batch.len() as u32).collect();
     let tri = eval_tri(pred, batch, &sel)?;
     Ok(sel.into_iter().zip(tri).filter(|(_, t)| matches!(t, Tri::T)).map(|(i, _)| i).collect())
@@ -52,11 +52,11 @@ fn classify(v: Value) -> Tri {
 
 /// Evaluate `e` as a tri-state for each row of `sel` (ascending row
 /// indices), returning one entry per selected row.
-fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
-    match e {
-        BoundExpr::Literal(v) => Ok(sel.iter().map(|_| classify(v.clone())).collect()),
-        BoundExpr::Column(c) => {
-            let col = batch.column(*c);
+fn eval_tri(e: Expr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
+    match e.kind() {
+        ExprKind::Literal(v) => Ok(sel.iter().map(|_| classify(v.clone())).collect()),
+        ExprKind::Column(c) => {
+            let col = batch.column(c);
             Ok(sel
                 .iter()
                 .map(|&i| {
@@ -75,7 +75,7 @@ fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
                 })
                 .collect())
         }
-        BoundExpr::Binary { left, op: BinaryOp::And, right } => {
+        ExprKind::Binary { left, op: BinaryOp::And, right } => {
             // Kleene AND, FALSE-dominant: the right side is evaluated only
             // where the left is not FALSE (matching the per-row short-circuit).
             let l = eval_tri(left, batch, sel)?;
@@ -101,7 +101,7 @@ fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
                 })
                 .collect()
         }
-        BoundExpr::Binary { left, op: BinaryOp::Or, right } => {
+        ExprKind::Binary { left, op: BinaryOp::Or, right } => {
             // Kleene OR, TRUE-dominant.
             let l = eval_tri(left, batch, sel)?;
             let sub: Vec<u32> =
@@ -126,13 +126,13 @@ fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
                 })
                 .collect()
         }
-        BoundExpr::Binary { left, op, right } => {
-            if let Some(tri) = cmp_kernel(left, *op, right, batch, sel)? {
+        ExprKind::Binary { left, op, right } => {
+            if let Some(tri) = cmp_kernel(left, op, right, batch, sel)? {
                 return Ok(tri);
             }
             per_row(e, batch, sel)
         }
-        BoundExpr::Not(inner) => eval_tri(inner, batch, sel)?
+        ExprKind::Not(inner) => eval_tri(inner, batch, sel)?
             .into_iter()
             .map(|t| match t {
                 Tri::T => Ok(Tri::F),
@@ -141,24 +141,24 @@ fn eval_tri(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
                 Tri::X(v) => exec_err(format!("NOT applied to non-boolean `{v}`")),
             })
             .collect(),
-        BoundExpr::IsNull { expr, negated } => {
-            if let BoundExpr::Column(c) = &**expr {
-                let col = batch.column(*c);
+        ExprKind::IsNull { expr, negated } => {
+            if let ExprKind::Column(c) = expr.kind() {
+                let col = batch.column(c);
                 return Ok(sel
                     .iter()
-                    .map(|&i| if col.is_null(i as usize) != *negated { Tri::T } else { Tri::F })
+                    .map(|&i| if col.is_null(i as usize) != negated { Tri::T } else { Tri::F })
                     .collect());
             }
             per_row(e, batch, sel)
         }
-        BoundExpr::InList { .. } => per_row(e, batch, sel),
+        ExprKind::InList { .. } => per_row(e, batch, sel),
     }
 }
 
 /// Exact fallback: materialize each selected row and evaluate it on its
 /// own. Errors surface at the first erring row in selection (= row) order,
 /// exactly as a per-row loop would.
-fn per_row(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
+fn per_row(e: Expr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
     sel.iter()
         .map(|&i| {
             let row = batch.row(i as usize);
@@ -174,9 +174,9 @@ fn per_row(e: &BoundExpr, batch: &Batch, sel: &[u32]) -> Result<Vec<Tri>> {
 /// div-by-zero errors are likewise row-ordered) all take the per-row
 /// fallback.
 fn cmp_kernel(
-    left: &BoundExpr,
+    left: Expr,
     op: BinaryOp,
-    right: &BoundExpr,
+    right: Expr,
     batch: &Batch,
     sel: &[u32],
 ) -> Result<Option<Vec<Tri>>> {
@@ -184,9 +184,9 @@ fn cmp_kernel(
     if !matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq) {
         return Ok(None);
     }
-    let (c, lit, col_is_left) = match (left, right) {
-        (BoundExpr::Column(c), BoundExpr::Literal(v)) => (*c, v, true),
-        (BoundExpr::Literal(v), BoundExpr::Column(c)) => (*c, v, false),
+    let (c, lit, col_is_left) = match (left.kind(), right.kind()) {
+        (ExprKind::Column(c), ExprKind::Literal(v)) => (c, v, true),
+        (ExprKind::Literal(v), ExprKind::Column(c)) => (c, v, false),
         _ => return Ok(None),
     };
     let col = batch.column(c);
@@ -257,6 +257,7 @@ fn cmp_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bound::BoundExpr;
     use pqp_obs::rng::{Rng, SmallRng};
     use pqp_storage::{DataType, Row};
 
@@ -415,7 +416,8 @@ mod tests {
             all_null += usize::from(
                 !rows.is_empty() && (0..COLUMNS.len()).any(|c| rows.iter().all(|r| r[c].is_null())),
             );
-            let pred = arb_predicate(&mut rng, 3);
+            let (pool, root) = arb_predicate(&mut rng, 3).to_pool();
+            let pred = Expr::new(&pool, root);
             let per_row: Result<Vec<u32>> = (0..batch.len())
                 .filter_map(|i| match pred.eval_predicate(&batch.row(i)) {
                     Ok(true) => Some(Ok(i as u32)),
@@ -423,7 +425,7 @@ mod tests {
                     Err(e) => Some(Err(e)),
                 })
                 .collect();
-            match (per_row, select_true(&pred, &batch)) {
+            match (per_row, select_true(pred, &batch)) {
                 (Ok(expected), Ok(selected)) => {
                     assert_eq!(selected, expected, "{pred:?} over {rows:?}");
                     selected_some += usize::from(!selected.is_empty());

@@ -559,6 +559,8 @@ fn index_join_hash_fallback_maps_the_join_column_through_the_emitted_set() {
     let trace = pqp_obs::trace_end().unwrap();
     let join = trace.root.find("exec.index_join").expect("an index join span");
     assert_eq!(join.field("strategy"), Some(&pqp_obs::Field::Str("hash_fallback".into())));
+    // The probe count that tripped the guard shows on the fallback too.
+    assert_eq!(join.field("probe_rows"), Some(&pqp_obs::Field::Int(3)));
     check_against_naive(&db, sql);
 }
 

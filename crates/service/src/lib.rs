@@ -80,9 +80,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// A user identifier: the key of the sharded profile store.
+/// A user identifier: the key of the sharded profile store. Its bytes are
+/// shared, so cloning one — every plan-cache key holds one — is a
+/// reference-count increment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct UserId(String);
+pub struct UserId(Arc<str>);
 
 impl UserId {
     /// The identifier as a string slice.
@@ -93,13 +95,13 @@ impl UserId {
 
 impl From<&str> for UserId {
     fn from(s: &str) -> UserId {
-        UserId(s.to_string())
+        UserId(Arc::from(s))
     }
 }
 
 impl From<String> for UserId {
     fn from(s: String) -> UserId {
-        UserId(s)
+        UserId(Arc::from(s))
     }
 }
 

@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 /// A stored table.
 pub struct Table {
-    schema: TableSchema,
+    /// Shared, so a plan names the table by holding this same allocation.
+    schema: Arc<TableSchema>,
     /// The rows in insertion order, [`BATCH_SIZE`] per chunk.
     chunks: Vec<Batch>,
     len: usize,
@@ -47,11 +48,18 @@ impl Table {
             indexes.push(HashIndex::new(u.clone(), true));
         }
         let strings = schema.columns.iter().map(|_| HashSet::new()).collect();
+        let schema = Arc::new(schema);
         Table { schema, chunks: Vec::new(), len: 0, strings, indexes, stats: None }
     }
 
     /// The table schema.
     pub fn schema(&self) -> &TableSchema {
+        &self.schema
+    }
+
+    /// The shared handle to the table schema (cloning it is a
+    /// reference-count increment).
+    pub fn shared_schema(&self) -> &Arc<TableSchema> {
         &self.schema
     }
 

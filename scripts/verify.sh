@@ -72,6 +72,15 @@ if grep -rnE 'KeyState|KeyHasher' crates/service/src crates/server/src crates/sq
     exit 1
 fi
 
+# One plan representation: a plan is one flat array of nodes with index
+# children (crates/engine/src/plan.rs), so no crate boxes or shares a
+# `Plan` inside another plan-shaped tree.
+echo "==> plan representation gate (no Box<Plan> / Arc<Plan> in crates/*/src)"
+if grep -rnE '\b(Box|Arc)<[[:space:]]*([A-Za-z_][A-Za-z0-9_]*::)*Plan\b' crates/*/src; then
+    echo "error: a boxed or shared Plan; a plan is one node array, reference nodes by index" >&2
+    exit 1
+fi
+
 # The replication core is a pure state machine: no socket, file, clock,
 # WAL or service, so the simulator drives it exactly as the server does.
 echo "==> replication core purity gate (crates/server/src/repl/core.rs)"
@@ -95,7 +104,10 @@ cargo test "${CARGO_FLAGS[@]}" --release -p pqp-engine --test differential -- --
 
 # The cost of a plan-cache miss, counted exactly: a counting allocator
 # bounds the allocations per build_execution(Auto) and the live allocations
-# and bytes of the plan it leaves behind, and the one-pass estimator must
+# and bytes of the plan it leaves behind (one node array: 4 allocations),
+# the live bytes per entry of a Service's plan cache filled with the
+# cold_read-shaped population (and none left once every entry is dropped),
+# and the one-pass estimator must
 # agree bit for bit with its recursive reference while plans, strategy
 # choices and answers match the recorded digest. On the execution side, the
 # rows scanned and the bytes charged to the query governor by the

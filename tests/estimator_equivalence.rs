@@ -22,12 +22,12 @@ use pqp_datagen::{
     generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
 };
 use pqp_engine::bound::BoundExpr;
-use pqp_engine::plan::{key_halves, Plan, TopKProbeSource};
+use pqp_engine::plan::{key_halves, Node, NodeId, Plan, TopKProbeSource, NO_LIMIT};
 use pqp_engine::{Database, Estimator, ExecOptions};
 use pqp_obs::QueryCtx;
 use pqp_sql::{BinaryOp, Select};
 use pqp_storage::{Catalog, ColumnSet, TableStats, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 // ---- the recursive reference ---------------------------------------------
@@ -43,66 +43,100 @@ struct Reference<'a> {
     catalog: &'a Catalog,
 }
 
+/// One node of a plan, as the reference recurses on it.
+#[derive(Clone, Copy)]
+struct At<'p>(&'p Plan, NodeId);
+
+impl<'p> At<'p> {
+    fn node(self) -> &'p Node {
+        self.0.node(self.1)
+    }
+
+    fn at(self, id: NodeId) -> At<'p> {
+        At(self.0, id)
+    }
+
+    /// Expression `id` of the plan's pool, as a tree.
+    fn expr(self, id: u32) -> BoundExpr {
+        self.0.expr(id).to_bound()
+    }
+}
+
 impl Reference<'_> {
-    fn rows(&self, plan: &Plan) -> f64 {
-        match plan {
-            Plan::Empty { .. } => 0.0,
-            Plan::Scan { table, filter, .. } => {
-                let len = self.table_rows(table);
+    fn rows(&self, plan: At<'_>) -> f64 {
+        match plan.node() {
+            Node::Empty { .. } => 0.0,
+            Node::Scan { table, filter, .. } => {
+                let len = self.table_rows(&table.name);
                 match filter {
-                    Some(f) => len * self.selectivity(f, &self.table_origins(table)),
+                    Some(f) => {
+                        len * self.selectivity(&plan.expr(*f), &self.table_origins(&table.name))
+                    }
                     None => len,
                 }
             }
-            Plan::IndexScan { table, column, key, residual, .. } => {
-                let len = self.table_rows(table);
-                let origin = self.column_index(table, column).map(|c| (table.to_string(), c));
+            Node::IndexScan { table, column, key, residual, .. } => {
+                let len = self.table_rows(&table.name);
+                let column = &table.columns[*column as usize].name;
+                let origin =
+                    self.column_index(&table.name, column).map(|c| (table.name.to_string(), c));
+                let key = plan.0.literal(*key);
                 let eq = self.stats_eq_value(&origin, key).unwrap_or(if key.is_null() {
                     0.0
                 } else {
                     EQ_FALLBACK
                 });
                 let res = match residual {
-                    Some(f) => self.selectivity(f, &self.table_origins(table)),
+                    Some(f) => self.selectivity(&plan.expr(*f), &self.table_origins(&table.name)),
                     None => 1.0,
                 };
                 len * eq * res
             }
-            Plan::Filter { input, predicate } => {
-                self.rows(input) * self.selectivity(predicate, &self.origins(input))
+            Node::Filter { input, predicate } => {
+                let input = plan.at(*input);
+                self.rows(input) * self.selectivity(&plan.expr(*predicate), &self.origins(input))
             }
-            Plan::HashJoin { left, right, keys, .. } => {
-                let (left_keys, right_keys) = key_halves(keys);
+            Node::HashJoin { left, right, keys } => {
+                let (left_keys, right_keys) = key_halves(plan.0.list(*keys));
+                let (left, right) = (plan.at(*left), plan.at(*right));
                 let l = self.rows(left);
                 let r = self.rows(right);
                 let lo = self.origins(left);
                 let ro = self.origins(right);
                 let mut denom = 1.0;
                 for (lk, rk) in left_keys.iter().zip(right_keys) {
-                    let nl = self.ndv(lo.get(*lk).unwrap_or(&None), l);
-                    let nr = self.ndv(ro.get(*rk).unwrap_or(&None), r);
+                    let nl = self.ndv(lo.get(*lk as usize).unwrap_or(&None), l);
+                    let nr = self.ndv(ro.get(*rk as usize).unwrap_or(&None), r);
                     denom *= nl.max(nr).max(1.0);
                 }
                 l * r / denom
             }
-            Plan::IndexJoin { probe, probe_key, table, column, filter, .. } => {
+            Node::IndexJoin { probe, probe_key, table, column, filter, .. } => {
+                let probe = plan.at(*probe);
                 let p = self.rows(probe);
                 let po = self.origins(probe);
-                let len = self.table_rows(table);
+                let len = self.table_rows(&table.name);
                 let fsel = match filter {
-                    Some(f) => self.selectivity(f, &self.table_origins(table)),
+                    Some(f) => self.selectivity(&plan.expr(*f), &self.table_origins(&table.name)),
                     None => 1.0,
                 };
                 let t = len * fsel;
-                let np = self.ndv(po.get(*probe_key).unwrap_or(&None), p);
-                let nt = self
-                    .ndv(&self.column_index(table, column).map(|c| (table.to_string(), c)), len);
+                let np = self.ndv(po.get(*probe_key as usize).unwrap_or(&None), p);
+                let column = &table.columns[*column as usize].name;
+                let nt = self.ndv(
+                    &self.column_index(&table.name, column).map(|c| (table.name.to_string(), c)),
+                    len,
+                );
                 p * t / np.max(nt).max(1.0)
             }
-            Plan::CrossJoin { left, right, .. } => self.rows(left) * self.rows(right),
-            Plan::Project { input, .. } | Plan::Sort { input, .. } => self.rows(input),
-            Plan::Aggregate { input, group_by, .. } => {
+            Node::CrossJoin { left, right } => {
+                self.rows(plan.at(*left)) * self.rows(plan.at(*right))
+            }
+            Node::Project { input, .. } | Node::Sort { input, .. } => self.rows(plan.at(*input)),
+            Node::Aggregate { input, group_by, .. } => {
+                let input = plan.at(*input);
                 let in_rows = self.rows(input);
+                let group_by = plan.0.list(*group_by);
                 if group_by.is_empty() {
                     return 1.0;
                 }
@@ -111,67 +145,71 @@ impl Reference<'_> {
                 }
                 let origins = self.origins(input);
                 let mut groups = 1.0f64;
-                for g in group_by {
-                    groups *= match g {
-                        BoundExpr::Column(i) => self.ndv(origins.get(*i).unwrap_or(&None), in_rows),
+                for &g in group_by {
+                    groups *= match plan.expr(g) {
+                        BoundExpr::Column(i) => self.ndv(origins.get(i).unwrap_or(&None), in_rows),
                         _ => in_rows,
                     };
                 }
                 groups.min(in_rows).max(1.0)
             }
-            Plan::Distinct { input } => self.rows(input),
-            Plan::Limit { input, n } => self.rows(input).min(*n as f64),
-            Plan::Union { inputs, .. } => inputs.iter().map(|i| self.rows(i)).sum(),
-            Plan::Shared { input, .. } => self.rows(input),
-            Plan::TopK { base, visible, limit, .. } => {
+            Node::Distinct { input } => self.rows(plan.at(*input)),
+            Node::Limit { input, n } => self.rows(plan.at(*input)).min(*n as f64),
+            Node::Union { inputs, .. } => {
+                plan.0.list(*inputs).iter().map(|&i| self.rows(plan.at(i))).sum()
+            }
+            Node::TopK { base, visible, limit, .. } => {
+                let base = plan.at(*base);
                 let in_rows = self.rows(base);
                 if in_rows <= 0.0 {
                     return 0.0;
                 }
                 let origins = self.origins(base);
                 let mut groups = 1.0f64;
-                for i in 0..*visible {
+                for i in 0..*visible as usize {
                     groups *= self.ndv(origins.get(i).unwrap_or(&None), in_rows);
                 }
                 let groups = groups.min(in_rows).max(1.0);
-                match limit {
-                    Some(n) => groups.min(*n as f64),
-                    None => groups,
+                match *limit {
+                    NO_LIMIT => groups,
+                    n => groups.min(n as f64),
                 }
             }
         }
     }
 
-    fn cost(&self, plan: &Plan) -> f64 {
-        match plan {
-            Plan::Empty { .. } => 0.0,
-            Plan::Scan { table, .. } => self.table_rows(table).max(1.0),
-            Plan::IndexScan { .. } => self.rows(plan).max(1.0),
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Aggregate { input, .. } => self.rows(plan) + self.cost(input),
-            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-                self.rows(plan) + self.cost(left) + self.cost(right)
+    /// Every reference to a shared subtree is priced in full: the node is
+    /// reached, and costed, once per reference.
+    fn cost(&self, plan: At<'_>) -> f64 {
+        match plan.node() {
+            Node::Empty { .. } => 0.0,
+            Node::Scan { table, .. } => self.table_rows(&table.name).max(1.0),
+            Node::IndexScan { .. } => self.rows(plan).max(1.0),
+            Node::Filter { input, .. }
+            | Node::Distinct { input }
+            | Node::Sort { input, .. }
+            | Node::Limit { input, .. }
+            | Node::Project { input, .. }
+            | Node::Aggregate { input, .. } => self.rows(plan) + self.cost(plan.at(*input)),
+            Node::HashJoin { left, right, .. } | Node::CrossJoin { left, right } => {
+                self.rows(plan) + self.cost(plan.at(*left)) + self.cost(plan.at(*right))
             }
-            Plan::IndexJoin { probe, .. } => self.rows(plan) + self.cost(probe),
-            Plan::Union { inputs, .. } => {
-                self.rows(plan) + inputs.iter().map(|i| self.cost(i)).sum::<f64>()
+            Node::IndexJoin { probe, .. } => self.rows(plan) + self.cost(plan.at(*probe)),
+            Node::Union { inputs, .. } => {
+                self.rows(plan)
+                    + plan.0.list(*inputs).iter().map(|&i| self.cost(plan.at(i))).sum::<f64>()
             }
-            // Every occurrence of a shared subtree is priced in full.
-            Plan::Shared { input, .. } => self.cost(input),
-            Plan::TopK { base, probes, .. } => {
+            Node::TopK { base, probes, .. } => {
+                let probes = plan.0.probes(*probes);
                 let witness_cost: f64 = probes
                     .iter()
                     .map(|p| match &p.source {
                         TopKProbeSource::Literal(_) => 0.0,
-                        TopKProbeSource::Witness(w) => self.cost(w),
+                        TopKProbeSource::Witness(w) => self.cost(plan.at(*w)),
                     })
                     .sum();
-                let base_rows = self.rows(base);
-                self.cost(base) + witness_cost + base_rows * probes.len() as f64
+                let base_rows = self.rows(plan.at(*base));
+                self.cost(plan.at(*base)) + witness_cost + base_rows * probes.len() as f64
             }
         }
     }
@@ -235,25 +273,24 @@ impl Reference<'_> {
         s.clamp(0.0, 1.0)
     }
 
-    fn origins(&self, plan: &Plan) -> Vec<Origin> {
-        match plan {
-            Plan::Empty { schema } | Plan::Union { schema, .. } => vec![None; schema.arity()],
-            Plan::Scan { table, columns, .. } | Plan::IndexScan { table, columns, .. } => {
-                self.emitted_origins(table, *columns)
+    fn origins(&self, plan: At<'_>) -> Vec<Origin> {
+        match plan.node() {
+            Node::Empty { .. } | Node::Union { .. } => vec![None; plan.0.arity(plan.1)],
+            Node::Scan { table, columns, .. } | Node::IndexScan { table, columns, .. } => {
+                self.emitted_origins(&table.name, *columns)
             }
-            Plan::Filter { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => self.origins(input),
-            Plan::Shared { input, .. } => self.origins(input),
-            Plan::HashJoin { left, right, .. } | Plan::CrossJoin { left, right, .. } => {
-                let mut out = self.origins(left);
-                out.extend(self.origins(right));
+            Node::Filter { input, .. }
+            | Node::Distinct { input }
+            | Node::Sort { input, .. }
+            | Node::Limit { input, .. } => self.origins(plan.at(*input)),
+            Node::HashJoin { left, right, .. } | Node::CrossJoin { left, right } => {
+                let mut out = self.origins(plan.at(*left));
+                out.extend(self.origins(plan.at(*right)));
                 out
             }
-            Plan::IndexJoin { probe, table, probe_is_left, columns, .. } => {
-                let p = self.origins(probe);
-                let t = self.emitted_origins(table, *columns);
+            Node::IndexJoin { probe, table, probe_is_left, columns, .. } => {
+                let p = self.origins(plan.at(*probe));
+                let t = self.emitted_origins(&table.name, *columns);
                 if *probe_is_left {
                     let mut out = p;
                     out.extend(t);
@@ -264,32 +301,30 @@ impl Reference<'_> {
                     out
                 }
             }
-            Plan::Project { input, exprs, .. } => {
-                let inner = self.origins(input);
-                exprs
-                    .iter()
-                    .map(|e| match e {
-                        BoundExpr::Column(i) => inner.get(*i).cloned().flatten(),
+            Node::Project { input, exprs } => {
+                let inner = self.origins(plan.at(*input));
+                (plan.0.list(*exprs).iter())
+                    .map(|&e| match plan.expr(e) {
+                        BoundExpr::Column(i) => inner.get(i).cloned().flatten(),
                         _ => None,
                     })
                     .collect()
             }
-            Plan::Aggregate { input, group_by, aggs, .. } => {
-                let inner = self.origins(input);
-                let mut out: Vec<Origin> = group_by
-                    .iter()
-                    .map(|g| match g {
-                        BoundExpr::Column(i) => inner.get(*i).cloned().flatten(),
+            Node::Aggregate { input, group_by, aggs } => {
+                let inner = self.origins(plan.at(*input));
+                let mut out: Vec<Origin> = (plan.0.list(*group_by).iter())
+                    .map(|&g| match plan.expr(g) {
+                        BoundExpr::Column(i) => inner.get(i).cloned().flatten(),
                         _ => None,
                     })
                     .collect();
-                out.extend((0..aggs.len()).map(|_| None));
+                out.extend((0..aggs.len).map(|_| None));
                 out
             }
-            Plan::TopK { base, visible, rank, .. } => {
-                let inner = self.origins(base);
-                let mut out: Vec<Origin> = inner.into_iter().take(*visible).collect();
-                out.resize(*visible, None);
+            Node::TopK { base, visible, rank, .. } => {
+                let inner = self.origins(plan.at(*base));
+                let mut out: Vec<Origin> = inner.into_iter().take(*visible as usize).collect();
+                out.resize(*visible as usize, None);
                 if *rank {
                     out.push(None);
                 }
@@ -427,21 +462,59 @@ fn is_col_lit(a: &BoundExpr, b: &BoundExpr) -> bool {
     )
 }
 
-/// `plan` with every shared subtree copied back into each place it occurs:
-/// the tree the planner built before it shared them.
-fn unshared(plan: &Plan) -> Plan {
-    let mut copy = match plan {
-        Plan::Shared { input, .. } => Plan::clone(input),
-        other => other.clone(),
-    };
-    copy.for_each_child_mut(&mut |child| *child = unshared(child));
-    copy
+/// EXPLAIN text of a plan (`Plan::explain` or `Estimator::explain`) with
+/// every shared subtree written out in each place it occurs: what the plan
+/// planned without sharing prints. A `Shared #n` line is dropped and its
+/// subtree moves up one level; a `Shared #n (reused)` line becomes that
+/// subtree.
+fn unshared(text: &str) -> String {
+    let lines: Vec<(usize, &str)> = (text.lines())
+        .map(|l| {
+            let line = l.trim_start();
+            ((l.len() - line.len()) / 2, line)
+        })
+        .collect();
+    let mut out = String::new();
+    for (depth, line) in expand(&lines, &mut HashMap::new()) {
+        out.push_str(&format!("{}{line}\n", "  ".repeat(depth)));
+    }
+    out
 }
 
-/// Every node of a plan, witness sub-plans included.
-fn for_each_node<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Plan)) {
-    f(plan);
-    plan.for_each_child(&mut |child| for_each_node(child, f));
+/// `lines` (depth, text) with their shared subtrees written out; `blocks`
+/// keeps each slot's subtree, at depth 0, from its first occurrence on.
+fn expand(
+    lines: &[(usize, &str)],
+    blocks: &mut HashMap<String, Vec<(usize, String)>>,
+) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        let (depth, line) = lines[i];
+        i += 1;
+        let Some(rest) = line.strip_prefix("Shared #") else {
+            out.push((depth, line.to_string()));
+            continue;
+        };
+        let slot: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        if !rest[slot.len()..].starts_with(" (reused)") {
+            let end =
+                (lines[i..].iter()).position(|&(d, _)| d <= depth).map_or(lines.len(), |n| i + n);
+            let block = expand(&lines[i..end], blocks);
+            blocks
+                .insert(slot.clone(), block.into_iter().map(|(d, l)| (d - depth - 1, l)).collect());
+            i = end;
+        }
+        out.extend(blocks[&slot].iter().map(|(d, l)| (depth + d, l.clone())));
+    }
+    out
+}
+
+/// Every node reference of a plan from `id` down, witness sub-plans
+/// included: a shared subtree at each place it occurs.
+fn for_each_node(plan: &Plan, id: NodeId, f: &mut impl FnMut(NodeId)) {
+    f(id);
+    plan.for_each_child(id, &mut |child| for_each_node(plan, child, f));
 }
 
 // ---- the corpus ------------------------------------------------------------
@@ -526,21 +599,24 @@ fn one_pass_estimates_equal_the_recursive_reference_bit_for_bit() {
                 // One estimator per plan and one across all of a plan's
                 // nodes must both agree with the reference.
                 let estimator = Estimator::new(corpus.db.catalog());
-                for_each_node(&choice.plan, &mut |node| {
+                let plan = &choice.plan;
+                for_each_node(plan, plan.root(), &mut |node| {
                     nodes += 1;
-                    let (rows, cost) = (estimator.rows(node), estimator.cost(node));
-                    let (ref_rows, ref_cost) = (reference.rows(node), reference.cost(node));
+                    let est = estimator.estimate_at(plan, node);
+                    let (rows, cost) = (est.rows, est.cost);
+                    let at = At(plan, node);
+                    let (ref_rows, ref_cost) = (reference.rows(at), reference.cost(at));
                     assert_eq!(
                         (rows.to_bits(), cost.to_bits()),
                         (ref_rows.to_bits(), ref_cost.to_bits()),
                         "{label} {rw} analyzed={analyzed}: one-pass ({rows}, {cost}) vs \
-                         reference ({ref_rows}, {ref_cost}) at\n{}",
-                        node.explain()
+                         reference ({ref_rows}, {ref_cost}) at node {node} of\n{}",
+                        plan.explain()
                     );
                 });
                 assert_eq!(
                     choice.cost.to_bits(),
-                    reference.cost(&choice.plan).to_bits(),
+                    reference.cost(At(plan, plan.root())).to_bits(),
                     "{label} {rw} analyzed={analyzed}: StrategyChoice::cost"
                 );
             }
@@ -606,15 +682,11 @@ fn digests(analyzed: bool) -> (u64, u64, u64) {
             }
             // `Auto`'s plan is one of the explicit rewrites' plans, which
             // (a) pins with its shared subtrees; (a′) pins the choice.
-            let unshared_plan;
-            let explained = if rw == Rewrite::Auto {
-                unshared_plan = unshared(&choice.plan);
-                &unshared_plan
-            } else {
-                &choice.plan
-            };
-            digest.eat(&explained.explain());
-            digest.eat(&Estimator::new(corpus.db.catalog()).explain(explained));
+            let explained =
+                [choice.plan.explain(), Estimator::new(corpus.db.catalog()).explain(&choice.plan)];
+            for text in explained {
+                digest.eat(&if rw == Rewrite::Auto { unshared(&text) } else { text });
+            }
             let ctx = QueryCtx::unlimited();
             let answer = corpus
                 .db

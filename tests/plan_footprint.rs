@@ -16,6 +16,12 @@
 //!   built from (what the serving layer's profile store pins per user; it
 //!   builds the graph once per profile epoch, and so does this test).
 //!
+//! The cache side fills a `Service` with the same population, through
+//! sessions running `Rewrite::Auto`, and asserts the live bytes one
+//! plan-cache entry holds (its plan, its key and the cache's own wrappers),
+//! and that dropping every entry returns the live bytes to where they were
+//! before the fill.
+//!
 //! The same binary counts the execution side of a plan-cache *hit*:
 //! allocations and requested bytes per `Database::run_plan_ctx` of each built
 //! plan over a population shaped like the `rank_exec` workload — broad
@@ -40,6 +46,7 @@ use pqp_datagen::{
 };
 use pqp_engine::{Database, ExecOptions};
 use pqp_obs::QueryCtx;
+use pqp_service::{Service, ServiceConfig, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
@@ -70,10 +77,15 @@ const MAX_TENTHS_BUILT_PER_CHOICE: u64 = 14;
 /// With the join start chosen by cost, SQ branches that shared a subtree
 /// start from their own selections instead, and a plan held 76 live
 /// allocations while a hash join kept its keys in two `Vec`s; with both
-/// halves in one allocation it measures 72 / 6 269 B.
-/// The ceilings are the former.
-const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 74;
-const MAX_LIVE_BYTES_PER_PLAN: i64 = 6_476;
+/// halves in one allocation it measured 72 / 6 269 B.
+///
+/// Stored as one post-order array of nodes with `u32` child indices, each
+/// repeated subtree once, its expressions, lists and aggregate calls in a
+/// pool each and only the root's output columns named, a plan measures
+/// 4 live allocations / 2 023 B. The ceilings are that + 5 % (74 → 4,
+/// 6 476 → 2 124 B).
+const MAX_LIVE_ALLOCS_PER_PLAN: i64 = 4;
+const MAX_LIVE_BYTES_PER_PLAN: i64 = 2_124;
 
 /// Ceiling on allocations per `personalize_prepared`: edges cloned out of
 /// the graph on every adjacency fetch measured 1 208 here; edges borrowed
@@ -106,7 +118,9 @@ const EXEC_TEXTS: usize = 8;
 /// copied between a join, its projection, `DISTINCT` and the `GROUP BY`)
 /// and every materialized row set stored back to back instead of one
 /// allocation per row, 7 910 → 462 allocations and 1 292 199 → 958 445 B
-/// per run; the ceilings are that + 5 %.
+/// per run; the ceilings are that + 5 %. With the plan one node array and
+/// each execution's shared-subtree slots keyed by node, a run measures
+/// 463 / 958 942 B; the ceilings stay.
 const MAX_ALLOCS_PER_RUN: u64 = 486;
 const MAX_BYTES_PER_RUN: u64 = 1_006_368;
 
@@ -120,6 +134,20 @@ const MAX_BYTES_PER_RUN: u64 = 1_006_368;
 /// the values below (3 995.6 / 241 144.9 per run).
 const ROWS_SCANNED: u64 = 511_442;
 const CHARGED_BYTES: u64 = 30_866_552;
+
+/// Ceiling on the live bytes one plan-cache entry holds in a `Service`
+/// filled with the `cold_read`-shaped population: its plan, its key and
+/// the cache's `Arc`s around both (the cache's map and queue reuse the
+/// room a first fill left them). A tree of 120-byte nodes measured 6 578 B
+/// here; the flat plan measures 2 344 B. The ceiling is that + 5 %.
+const MAX_BYTES_PER_CACHE_ENTRY: i64 = 2_461;
+
+/// What may stay live once every plan-cache entry is dropped: the
+/// service's latency histogram (a lifetime histogram and twelve 5-second
+/// slots of log-bucket maps) grows by how long the fill took and how its
+/// latencies spread, and no more than this. An entry's plan or key left
+/// behind would be at least 80 B for each of the 1 280 entries, 100 kB.
+const MAX_BYTES_LEFT_BEHIND: i64 = 16 * 1024;
 
 /// Ceiling on the bytes the generated database keeps live: 1.05 x the
 /// 3 134 773 B (30 902 allocations) of rows encoded into 8 KiB heap pages.
@@ -203,6 +231,7 @@ fn plan_cache_miss_stays_inside_its_allocation_budget() {
     let db = movies.db;
     miss_side(&db, &movies.pools);
     execution_side(&db, &movies.pools);
+    cache_side(db, &movies.pools);
 }
 
 /// What `generate(MovieDbConfig::default())` leaves live: tables, indexes
@@ -369,5 +398,82 @@ fn execution_side(db: &Database, pools: &ValuePools) {
     assert!(
         bytes_per_run <= MAX_BYTES_PER_RUN,
         "{bytes_per_run} B requested per run_plan (ceiling {MAX_BYTES_PER_RUN})"
+    );
+}
+
+/// A `Service` over `db` filled with the `cold_read`-shaped population:
+/// the live bytes per plan-cache entry, and none left once every entry is
+/// dropped.
+fn cache_side(db: Database, pools: &ValuePools) {
+    let profiles = generate_profiles(
+        "user",
+        USERS,
+        pools,
+        &ProfileGenConfig { selections: 150, join_coverage: 1.0, seed: 11 },
+    );
+    let users: Vec<String> = profiles.iter().map(|p| p.user.clone()).collect();
+    let sqls = distinct_texts(TEXTS, pools, &QueryGenConfig::default());
+    let options = PersonalizeOptions::builder().k(10).l(1).build();
+    // A query-log ring of one record and no slow-query ring: what the log
+    // keeps does not grow with the fill.
+    let telemetry = TelemetryConfig {
+        query_log_capacity: 1,
+        slow_log_capacity: 1,
+        slow_query_ms: 0,
+        log_file: None,
+    };
+    let service = Service::with_config(db, ServiceConfig { telemetry, ..ServiceConfig::default() });
+    for profile in profiles {
+        service.install_profile(profile).expect("install profile");
+    }
+    let fill = || {
+        for user in &users {
+            let session =
+                service.session(user.as_str()).with_options(options).with_rewrite(Rewrite::Auto);
+            for sql in &sqls {
+                session.query(sql).expect("query");
+            }
+        }
+    };
+    let empty = || {
+        service.clear_caches();
+        for sql in &sqls {
+            service.prepare_sql(sql).expect("prepare");
+        }
+    };
+    // A first fill builds every user's graph and grows the cache's map and
+    // queue to the population; emptied again, only the plans are gone.
+    fill();
+    empty();
+
+    let misses = service.cache_stats().plans.misses;
+    let before = counters();
+    ENABLED.store(true, Ordering::Relaxed);
+    fill();
+    ENABLED.store(false, Ordering::Relaxed);
+    let filled = counters();
+    let stats = service.cache_stats().plans;
+    ENABLED.store(true, Ordering::Relaxed);
+    empty();
+    ENABLED.store(false, Ordering::Relaxed);
+    let after = counters();
+
+    let entries = (USERS * TEXTS) as i64;
+    assert_eq!(stats.misses - misses, entries as u64, "every query of the fill misses");
+    assert_eq!(stats.evictions, 0, "the cache holds the whole population");
+    let per_entry = (filled.2 - before.2) / entries;
+    println!(
+        "{entries} plan-cache entries hold {per_entry} live B each; emptied, the service holds \
+         {} B more than before the fill",
+        after.2 - before.2
+    );
+    assert!(
+        (after.2 - before.2).abs() <= MAX_BYTES_LEFT_BEHIND,
+        "dropping every plan-cache entry leaves {} B behind (at most {MAX_BYTES_LEFT_BEHIND})",
+        after.2 - before.2
+    );
+    assert!(
+        per_entry <= MAX_BYTES_PER_CACHE_ENTRY,
+        "a plan-cache entry holds {per_entry} B (ceiling {MAX_BYTES_PER_CACHE_ENTRY})"
     );
 }
