@@ -99,19 +99,6 @@ impl Profile {
         Ok(self)
     }
 
-    /// Add both directions of a join with the same degree.
-    pub fn add_join_both(
-        &mut self,
-        a_table: &str,
-        a_column: &str,
-        b_table: &str,
-        b_column: &str,
-        doi: f64,
-    ) -> Result<&mut Self> {
-        self.add_join(a_table, a_column, b_table, b_column, doi)?;
-        self.add_join(b_table, b_column, a_table, a_column, doi)
-    }
-
     /// All stored preferences.
     pub fn preferences(&self) -> &[AtomicPreference] {
         &self.preferences

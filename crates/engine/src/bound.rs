@@ -13,6 +13,7 @@
 use crate::error::{exec_err, Result};
 use pqp_sql::BinaryOp;
 use pqp_storage::Value;
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -194,11 +195,7 @@ impl<'p> Expr<'p> {
                     }
                     Ok(Value::Bool(expect_bool(&l)? || expect_bool(&r)?))
                 }
-                _ => {
-                    let l = left.eval(row)?;
-                    let r = right.eval(row)?;
-                    eval_binary_scalar(&l, op, &r)
-                }
+                _ => eval_binary_scalar(&*left.operand(row)?, op, &*right.operand(row)?),
             },
             ExprKind::Not(inner) => match inner.eval(row)? {
                 Value::Null => Ok(Value::Null),
@@ -206,17 +203,16 @@ impl<'p> Expr<'p> {
                 other => exec_err(format!("NOT applied to non-boolean `{other}`")),
             },
             ExprKind::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
-                Ok(Value::Bool(v.is_null() != negated))
+                Ok(Value::Bool(expr.operand(row)?.is_null() != negated))
             }
             ExprKind::InList { expr, list, negated } => {
-                let v = expr.eval(row)?;
+                let v = expr.operand(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for &item in list {
-                    let w = self.at(item).eval(row)?;
+                    let w = self.at(item).operand(row)?;
                     if w.is_null() {
                         saw_null = true;
                     } else if w == v {
@@ -228,6 +224,19 @@ impl<'p> Expr<'p> {
                 }
                 Ok(Value::Bool(negated))
             }
+        }
+    }
+
+    /// A column or literal operand read in place (a string is not copied),
+    /// any other expression evaluated.
+    fn operand<'r>(self, row: &'r [Value]) -> Result<Cow<'r, Value>>
+    where
+        'p: 'r,
+    {
+        match self.kind() {
+            ExprKind::Column(i) => Ok(Cow::Borrowed(&row[i])),
+            ExprKind::Literal(v) => Ok(Cow::Borrowed(v)),
+            _ => self.eval(row).map(Cow::Owned),
         }
     }
 

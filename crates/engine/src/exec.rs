@@ -40,12 +40,13 @@
 //! a string value is a shared `Arc<str>`, so cloning one is a
 //! reference-count bump.
 //!
-//! The scan is columnar on the inside: a table is stored as
-//! [`pqp_storage::Batch`] chunks of [`pqp_storage::BATCH_SIZE`] typed
-//! columns, and the scan evaluates the pushed-down filter over each stored
-//! chunk in place as a selection vector (`crate::vexpr`), then assembles only
-//! the surviving rows. An index probe copies each hit's values straight into
-//! its scratch row. Neither allocates a string. Every producer assembles a
+//! A table is stored as [`pqp_storage::Batch`] chunks of
+//! [`pqp_storage::BATCH_SIZE`] typed columns, and every base-table access
+//! path filters a stored row the same way, through `Hits`: a scan hands it
+//! each row of each chunk, an index scan or index join each index hit. It
+//! copies the columns the pushed-down filter reads into one reused row,
+//! evaluates the filter there, and assembles only a kept row's emitted
+//! columns. None of this allocates a string. Every producer assembles a
 //! row once, at its final width, holding only the columns read above it: a
 //! base-table access path emits just the columns the planner found some
 //! operator above it reading (its own filter reads the stored row), so no
@@ -110,13 +111,11 @@ use crate::bound::{BoundExpr, Expr, ExprKind};
 use crate::cost::{Estimator, INDEX_JOIN_RATIO};
 use crate::error::{bind_err, EngineError, Result};
 use crate::plan::{key_halves, Node, NodeId, Plan, Share, NOT_SHARED, NO_LIMIT};
-use crate::vexpr;
 use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
 use pqp_obs::{approx_row_bytes, QueryCtx, SpanGuard};
 use pqp_sql::BinaryOp;
 use pqp_storage::{
-    Catalog, ColumnSet, HashIndex, KeyState, PreHashed, Row, StorageError, Table, TableSchema,
-    Value,
+    Batch, Catalog, ColumnSet, KeyState, PreHashed, Row, StorageError, Table, TableSchema, Value,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -598,9 +597,10 @@ fn index_scan(
             ctx.charge_rows(pending)?;
             pending = 0;
         }
-        if hits.accept(ord)? {
+        let (chunk, i) = t.locate(ord);
+        if hits.accept(chunk, i)? {
             row.clear();
-            hits.append(ord, &mut row);
+            hits.append(chunk, i, &mut row);
             sink.push(&mut row)?;
             n += 1;
         }
@@ -612,9 +612,8 @@ fn index_scan(
 /// Scan a base table. Index access is the planner's call
 /// ([`Node::IndexScan`], [`Node::IndexJoin`]); a `Scan` always reads every
 /// stored chunk: per chunk of [`pqp_storage::BATCH_SIZE`] rows, charge the
-/// governor (the chunk boundary is the scan's charge point), evaluate the
-/// pushed-down filter over the stored columns as a selection vector and
-/// push the surviving rows' `columns`.
+/// governor (the chunk boundary is the scan's charge point), then filter
+/// each stored row through [`Hits`] and push the kept rows' `columns`.
 fn scan(
     env: &Env,
     table: &str,
@@ -628,24 +627,17 @@ fn scan(
     if let Some(msg) = env.catalog.failpoints().fire("storage.scan") {
         return Err(StorageError::Corrupt(format!("injected: {msg}")).into());
     }
+    let mut hits = Hits::new(&t, filter, columns);
     let mut row = Row::new();
     let mut n = 0;
     for chunk in t.chunks() {
         ctx.charge_rows(chunk.len() as u64)?;
-        let mut emit = |i: usize| {
-            row.clear();
-            chunk.append_columns(i, columns, &mut row);
-            sink.push(&mut row)
-        };
-        match filter {
-            Some(f) => {
-                let selected = vexpr::select_true(f, chunk)?;
-                n += selected.len();
-                selected.into_iter().try_for_each(|i| emit(i as usize))?;
-            }
-            None => {
-                n += chunk.len();
-                (0..chunk.len()).try_for_each(emit)?;
+        for i in 0..chunk.len() {
+            if hits.accept(chunk, i)? {
+                row.clear();
+                hits.append(chunk, i, &mut row);
+                sink.push(&mut row)?;
+                n += 1;
             }
         }
     }
@@ -839,11 +831,15 @@ struct IndexSide<'p> {
 }
 
 /// Execute a [`Node::IndexJoin`]'s scan side against already-materialized
-/// probe rows. The planner chose the path from estimates (or, on an
-/// un-analyzed table, from the plan's shape alone); this guard holds it to
-/// the actual rows: a probe side that turned out large relative to the
-/// table, or an index dropped since planning, degrades to a hash join over
-/// a table scan, un-swapping the sides so output stays `left ++ right`.
+/// probe rows: probe the index with each probe row's `probe_key` value,
+/// assembling rows in the engine's fixed `left ++ right` column order (the
+/// kept hit's columns after the probe row's values when the probe side is
+/// the left one, before them otherwise). The planner chose the path from
+/// estimates (or, on an un-analyzed table, from the plan's shape alone);
+/// this guard holds it to the actual rows: a probe side that turned out
+/// large relative to the table, or an index dropped since planning,
+/// degrades to a hash join over a table scan, un-swapping the sides so
+/// output stays `left ++ right`.
 ///
 /// The index is resolved once, under the read guard the whole probe holds,
 /// so it cannot go away mid-probe.
@@ -866,8 +862,44 @@ fn index_join(
     };
     let fits = probe_rows.len() * INDEX_JOIN_RATIO <= t.len();
     if let Some(index) = t.index_on(column).filter(|_| fits) {
-        let hits = Hits::new(&t, filter, columns);
-        return index_probe(env.ctx, index, hits, probe_rows, probe_key, probe_is_left, sink);
+        pqp_obs::record("strategy", "index_nested_loop");
+        let ctx = env.ctx;
+        let mut hits = Hits::new(&t, filter, columns);
+        let mut row = Row::new();
+        let (mut pending, mut n) = (0u64, 0);
+        for (p, prow) in probe_rows.iter().enumerate() {
+            if p & (CHECKPOINT_STRIDE - 1) == 0 {
+                ctx.checkpoint()?;
+            }
+            let key = &prow[probe_key];
+            if key.is_null() {
+                continue;
+            }
+            for &ord in index.lookup(std::slice::from_ref(key)) {
+                // Index probes read base-table rows: charge them like a scan.
+                pending += 1;
+                if pending == CHARGE_BATCH_ROWS {
+                    ctx.charge_rows(pending)?;
+                    pending = 0;
+                }
+                let (chunk, i) = t.locate(ord);
+                if !hits.accept(chunk, i)? {
+                    continue;
+                }
+                row.clear();
+                if probe_is_left {
+                    row.extend_from_slice(prow);
+                }
+                hits.append(chunk, i, &mut row);
+                if !probe_is_left {
+                    row.extend_from_slice(prow);
+                }
+                sink.push(&mut row)?;
+                n += 1;
+            }
+        }
+        ctx.charge_rows(pending)?;
+        return Ok(n);
     }
     drop(t);
     // The scan emits `columns` only: the join column's place among them.
@@ -885,94 +917,74 @@ fn index_join(
     }
 }
 
-/// Probe `index` with each probe row's `probe_key` value, assembling rows
-/// in the engine's fixed `left ++ right` column order: the kept hit's
-/// columns after the probe row's values when the probe side is the left
-/// one, before them otherwise.
-fn index_probe(
-    ctx: &QueryCtx,
-    index: &HashIndex,
-    mut hits: Hits,
-    probe_rows: &Rows,
-    probe_key: usize,
-    probe_is_left: bool,
-    sink: &mut dyn Sink,
-) -> Result<usize> {
-    pqp_obs::record("strategy", "index_nested_loop");
-    let mut row = Row::new();
-    let (mut pending, mut n) = (0u64, 0);
-    for (i, prow) in probe_rows.iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
-        }
-        let key = &prow[probe_key];
-        if key.is_null() {
-            continue;
-        }
-        for &ord in index.lookup(std::slice::from_ref(key)) {
-            // Index probes read base-table rows: charge them like a scan.
-            pending += 1;
-            if pending == CHARGE_BATCH_ROWS {
-                ctx.charge_rows(pending)?;
-                pending = 0;
-            }
-            if !hits.accept(ord)? {
-                continue;
-            }
-            row.clear();
-            if probe_is_left {
-                row.extend_from_slice(prow);
-            }
-            hits.append(ord, &mut row);
-            if !probe_is_left {
-                row.extend_from_slice(prow);
-            }
-            sink.push(&mut row)?;
-            n += 1;
-        }
-    }
-    ctx.charge_rows(pending)?;
-    Ok(n)
-}
-
-/// How the index operators read a hit: the access path's filter, bound to
-/// table positions, runs on the stored row first, and a kept hit then
-/// contributes its emitted columns only. A rejected hit allocates nothing.
+/// How every base-table access path filters a stored row: a `Scan` each
+/// row of each chunk, an `IndexScan` or `IndexJoin` each index hit. The
+/// access path's filter, bound to table positions, reads one reused
+/// full-width row that holds only the columns the filter reads (the others
+/// stay NULL); a kept row then contributes the emitted columns only. A
+/// rejected row allocates nothing.
 struct Hits<'t> {
-    table: &'t Table,
     filter: Option<Expr<'t>>,
+    /// The columns `filter` reads, found when the access path starts.
+    reads: ColumnSet,
     columns: ColumnSet,
-    /// The stored row the filter reads, reused from hit to hit.
+    arity: usize,
+    /// The stored row the filter reads, reused from row to row.
     stored: Row,
 }
 
 impl<'t> Hits<'t> {
-    fn new(table: &'t Table, filter: Option<Expr<'t>>, columns: ColumnSet) -> Hits<'t> {
-        Hits { table, filter, columns, stored: Row::new() }
+    fn new(table: &Table, filter: Option<Expr<'t>>, columns: ColumnSet) -> Hits<'t> {
+        let arity = table.schema().arity();
+        let mut reads = ColumnSet::EMPTY;
+        let mut stored = Row::new();
+        if let Some(f) = filter {
+            read_set(f, &mut reads);
+            stored.resize(arity, Value::Null);
+        }
+        Hits { filter, reads, columns, arity, stored }
     }
 
-    /// Whether the hit at `ord` passes the filter.
-    fn accept(&mut self, ord: u32) -> Result<bool> {
+    /// Whether row `i` of `chunk` passes the filter.
+    fn accept(&mut self, chunk: &Batch, i: usize) -> Result<bool> {
         let Some(f) = self.filter else {
             return Ok(true);
         };
-        self.stored.clear();
-        self.table.append_row(ord, &mut self.stored);
+        for c in self.reads.iter(self.arity) {
+            self.stored[c] = chunk.column(c).value(i);
+        }
         f.eval_predicate(&self.stored)
     }
 
-    /// Append the emitted columns of the hit [`Hits::accept`] just kept to
-    /// `out`: moved out of the stored row the filter read, or copied from
-    /// the table when there is no filter.
-    fn append(&mut self, ord: u32, out: &mut Row) {
-        if self.filter.is_none() {
-            self.table.append_columns(ord, self.columns, out);
-            return;
+    /// Append the emitted columns of row `i` of `chunk`, which
+    /// [`Hits::accept`] just kept, to `out`: moved out of the stored row
+    /// where the filter read them, copied from the chunk otherwise.
+    fn append(&mut self, chunk: &Batch, i: usize, out: &mut Row) {
+        let (stored, reads) = (&mut self.stored, self.reads);
+        out.extend(self.columns.iter(self.arity).map(|c| {
+            if reads.contains(c) {
+                std::mem::replace(&mut stored[c], Value::Null)
+            } else {
+                chunk.column(c).value(i)
+            }
+        }));
+    }
+}
+
+/// Add the columns `e` reads to `set`.
+fn read_set(e: Expr, set: &mut ColumnSet) {
+    match e.kind() {
+        ExprKind::Column(c) => set.insert(c),
+        ExprKind::Literal(_) => {}
+        ExprKind::Binary { left, right, .. } => {
+            read_set(left, set);
+            read_set(right, set);
         }
-        let stored = &mut self.stored;
-        out.extend(
-            self.columns.iter(stored.len()).map(|c| std::mem::replace(&mut stored[c], Value::Null)),
-        );
+        ExprKind::Not(inner) | ExprKind::IsNull { expr: inner, .. } => read_set(inner, set),
+        ExprKind::InList { expr, list, .. } => {
+            read_set(expr, set);
+            list.iter().for_each(|&item| read_set(e.at(item), set));
+        }
     }
 }
 

@@ -56,7 +56,6 @@ pub mod planner;
 pub mod rewrite;
 pub mod topk;
 pub mod types;
-mod vexpr;
 
 pub use cost::{Estimate, Estimator, PricedEdge, PricedFactor};
 pub use error::{EngineError, Result};

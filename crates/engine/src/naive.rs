@@ -371,7 +371,14 @@ fn eval(e: &Expr, schema: &OutputSchema, row: &Row) -> Result<Value> {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Binary { left, op, right } => match op {
             BinaryOp::And | BinaryOp::Or => {
+                // Left to right, as the engine evaluates: a FALSE left side
+                // of AND (a TRUE one of OR) decides, and the right side is
+                // not evaluated, so `x <> 0 AND 10 / x > 1` never divides
+                // by zero.
                 let l = eval(left, schema, row)?;
+                if l == Value::Bool(*op == BinaryOp::Or) {
+                    return Ok(l);
+                }
                 let r = eval(right, schema, row)?;
                 kleene(*op, l, r)
             }

@@ -306,6 +306,26 @@ const JOIN_QUERIES: &[&str] = &[
     "select distinct q0.e from T1 q0, T2 q1 where q0.d = q1.f",
 ];
 
+/// Filters an access path evaluates on the stored row while it emits other
+/// columns: a column read only among an `IN` list's items, filters under
+/// `NOT` and `IS NULL`, and the `x <> 0 AND 10 / x > 1` hazard, whose
+/// division must never see a row the left side rejected. Over `Scan`s of
+/// the multi-chunk table, an `IndexScan`'s residual, and an `IndexJoin`'s
+/// indexed side.
+const SCAN_FILTER_QUERIES: &[&str] = &[
+    "select q0.c from T0 q0 where 2 in (q0.a, 7)",
+    "select q0.c from T0 q0 where q0.b in (1.5, q0.a)",
+    "select q0.a from T0 q0 where not (q0.c = 'x' or q0.b > 2.0)",
+    "select q0.a from T0 q0 where q0.c is null or not (q0.b is not null)",
+    "select q0.c from T0 q0 where q0.a <> 0 and 10 / q0.a > 1",
+    "select q0.h from T2 q0 where q0.f = 1 and not (q0.g is null)",
+    "select q0.h from T2 q0 where q0.f = 2 and 3 in (1, q0.h)",
+    "select q1.h from T1 q0, T2 q1 where q0.d = q1.f and q0.e = 'x' and 3 in (q1.h, 1)",
+    "select q0.e from T1 q0, T2 q1 where q0.d = q1.f and q0.e = 'y' and not (q1.g is null)",
+    "select q0.e from T1 q0, T2 q1 where q0.d = q1.f and q0.e = 'z' and q1.h <> 0 and 10 / q1.h > 1",
+    "select q1.f from T2 q1, T1 q0 where q0.d = q1.h and q1.g = true and 'x' in (q0.e, 'w')",
+];
+
 #[test]
 fn multi_chunk_scans_match_naive() {
     // T0 spans at least three stored chunks and ends on a short one, so its
@@ -326,6 +346,11 @@ fn multi_chunk_scans_match_naive() {
     }
     for sql in JOIN_QUERIES {
         assert_matches_naive(&db, &pqp_sql::parse_query(sql).unwrap());
+    }
+    for sql in SCAN_FILTER_QUERIES {
+        let query = pqp_sql::parse_query(sql).unwrap();
+        assert!(db.run_query(&query).is_ok(), "`{sql}` failed");
+        assert_matches_naive(&db, &query);
     }
 }
 

@@ -146,12 +146,6 @@ pub struct ServiceConfig {
     /// a query waiting for a slot counts against this limit like a running
     /// one: the server refuses it with `Overloaded` before it queues.
     pub max_in_flight: usize,
-    /// Degrade personalization gracefully when it blows its slice of the
-    /// query budget: shrink K, then keep only mandatory preferences, then
-    /// run the query unpersonalized (see [`DegradeLevel`]). When `false`, a
-    /// personalization budget trip surfaces as
-    /// [`Error::BudgetExceeded`] instead.
-    pub degrade: bool,
     /// Always-on telemetry: query-log capacities, slow-query threshold
     /// and the optional JSON-lines sink. See [`TelemetryConfig`].
     pub telemetry: TelemetryConfig,
@@ -166,7 +160,6 @@ impl Default for ServiceConfig {
             exec: ExecOptions::default(),
             budget: Budget::unlimited(),
             max_in_flight: 0,
-            degrade: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -1123,11 +1116,8 @@ impl Service {
         // the remaining budget (a quarter — execution is the expensive
         // phase), and every time it blows the slice the options step down a
         // level: shrink K, keep only mandatory preferences, finally run the
-        // original query. Disabled ladders surface the trip directly.
-        let ladder: &[DegradeLevel] =
-            if self.config.degrade { &DegradeLevel::LADDER } else { &DegradeLevel::LADDER[..1] };
-        for (i, &level) in ladder.iter().enumerate() {
-            let is_last = i + 1 == ladder.len();
+        // original query, which no personalization budget trip can reach.
+        for level in DegradeLevel::LADDER {
             let (plan, est_rows, ran, k, m) = if level == DegradeLevel::Unpersonalized {
                 // The unpersonalized floor runs the plain query; no strategy
                 // choice priced it, so this rung estimates for itself.
@@ -1173,7 +1163,7 @@ impl Service {
                         let choice = choice?;
                         (choice.plan, choice.est_rows, choice.rewrite, p.k(), p.m)
                     }
-                    Err(PrefError::Budget(_)) if !is_last => {
+                    Err(PrefError::Budget(_)) => {
                         pqp_obs::counter_add("service.degrade.steps", 1);
                         continue;
                     }

@@ -16,7 +16,6 @@
 
 use pqp_core::{PersonalizeOptions, Profile, Rewrite};
 use pqp_engine::{Database, EngineError};
-use pqp_obs::BudgetReason;
 use pqp_service::{DegradeLevel, Error, Service, ServiceConfig};
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
 
@@ -351,23 +350,6 @@ fn injected_budget_trips_walk_the_degradation_ladder() {
         assert_eq!(full.meta.k, 1);
         service.clear_caches();
     }
-}
-
-/// With degradation disabled, an injected personalization budget trip
-/// surfaces directly as `BudgetExceeded` with the `Injected` reason.
-#[test]
-fn degradation_disabled_surfaces_injected_budget_trip() {
-    let service = Service::with_config(
-        movie_db(20),
-        ServiceConfig { degrade: false, ..ServiceConfig::default() },
-    );
-    service.install_profile(profile_for("ana", "comedy")).unwrap();
-    service.failpoints().configure("select.budget", "1*error").unwrap();
-    match service.session("ana").query(SQLS[0]) {
-        Err(Error::BudgetExceeded(b)) => assert_eq!(b.reason, BudgetReason::Injected),
-        other => panic!("expected BudgetExceeded, got {other:?}"),
-    }
-    assert!(service.session("ana").query(SQLS[0]).is_ok());
 }
 
 /// An injected plan-cache fault degrades to a recompute: same rows, just

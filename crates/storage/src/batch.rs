@@ -3,25 +3,24 @@
 //! A [`Batch`] holds up to [`BATCH_SIZE`] rows column-wise. Each [`Column`]
 //! is typed by its schema column (`Vec<i64>`, `Vec<f64>`, `Vec<bool>`,
 //! `Vec<Arc<str>>`) and carries a null mask once it has held a NULL. A
-//! [`crate::Table`] is a sequence of these chunks; the executor's scan hands
-//! each one to its typed comparison loops and materializes a `Vec<Value>`
-//! only for the rows that survive, and a string cell costs a reference-count
-//! bump to read.
+//! [`crate::Table`] is a sequence of these chunks; the executor's scan reads
+//! a row's cells one at a time ([`Column::value`]), only those its filter
+//! and its output need, and a string cell costs a reference-count bump to
+//! read.
 
 use crate::row::Row;
-use crate::schema::ColumnSet;
 use crate::value::{DataType, Value};
 use std::sync::{Arc, OnceLock};
 
-/// Rows per stored chunk. Large enough to amortize per-chunk overhead
-/// (governor charge, selection-vector allocation), small enough that a
-/// chunk's working set stays cache-resident. A power of two, so a column
-/// vector that grows by doubling ends a full chunk with no spare capacity.
+/// Rows per stored chunk. Large enough to amortize per-chunk overhead (the
+/// scan's governor charge), small enough that a chunk's working set stays
+/// cache-resident. A power of two, so a column vector that grows by
+/// doubling ends a full chunk with no spare capacity.
 pub const BATCH_SIZE: usize = 1024;
 
 /// The typed payload of a [`Column`].
 #[derive(Clone, Debug)]
-pub enum ColumnData {
+enum ColumnData {
     /// 64-bit integers; null positions hold `0`.
     Int(Vec<i64>),
     /// 64-bit floats; null positions hold `0.0`.
@@ -57,18 +56,14 @@ impl Column {
         Column { data, nulls: None }
     }
 
-    /// The typed payload.
-    pub fn data(&self) -> &ColumnData {
-        &self.data
-    }
-
     /// Whether cell `i` is NULL.
-    pub fn is_null(&self, i: usize) -> bool {
+    fn is_null(&self, i: usize) -> bool {
         self.nulls.as_ref().is_some_and(|m| m[i])
     }
 
     /// Materialize cell `i` as a [`Value`] (a string cell is shared, not
-    /// copied: `Arc::clone`).
+    /// copied: `Arc::clone`). Inlined into the executor's per-row loops.
+    #[inline]
     pub fn value(&self, i: usize) -> Value {
         if self.is_null(i) {
             return Value::Null;
@@ -143,6 +138,7 @@ impl Batch {
     }
 
     /// Column `i`.
+    #[inline]
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
     }
@@ -161,12 +157,6 @@ impl Batch {
     /// Append row `i`'s values to `out`, after whatever it already holds.
     pub fn append_row(&self, i: usize, out: &mut Row) {
         out.extend(self.columns.iter().map(|c| c.value(i)));
-    }
-
-    /// Append the values of row `i`'s columns in `columns` to `out`: the
-    /// narrow copy a scan makes of the columns its query reads.
-    pub fn append_columns(&self, i: usize, columns: ColumnSet, out: &mut Row) {
-        out.extend(columns.iter(self.columns.len()).map(|c| self.columns[c].value(i)));
     }
 
     /// Materialize row `i`.
@@ -222,19 +212,13 @@ mod tests {
         let mut out = vec![Value::str("kept")];
         b.append_row(0, &mut out);
         assert_eq!(out, [vec![Value::str("kept")], rows[0].clone()].concat());
-        let mut narrow = Vec::new();
-        let mut columns = ColumnSet::EMPTY;
-        columns.insert(1);
-        columns.insert(3);
-        b.append_columns(3, columns, &mut narrow);
-        assert_eq!(narrow, [rows[3][1].clone(), rows[3][3].clone()]);
     }
 
     #[test]
     fn columns_keep_their_schema_type_and_mask_only_once_null() {
         let b = batch_of(&sample_rows()[..1]);
-        assert!(matches!(b.column(0).data(), ColumnData::Int(_)));
-        assert!(matches!(b.column(1).data(), ColumnData::Str(_)));
+        assert!(matches!(b.column(0).data, ColumnData::Int(_)));
+        assert!(matches!(b.column(1).data, ColumnData::Str(_)));
         assert!(b.column(0).nulls.is_none());
         let b = batch_of(&sample_rows());
         assert!(b.column(0).is_null(2) && !b.column(0).is_null(3));
@@ -245,7 +229,7 @@ mod tests {
         let mut b = Batch::new([DataType::Str]);
         b.push_row(vec![Value::Null]);
         b.push_row(vec![Value::Null]);
-        assert!(matches!(b.column(0).data(), ColumnData::Str(_)));
+        assert!(matches!(b.column(0).data, ColumnData::Str(_)));
         assert!(b.column(0).is_null(0) && b.column(0).is_null(1));
         assert_eq!(b.row(1), vec![Value::Null]);
     }

@@ -59,7 +59,7 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use batch::{Batch, Column, ColumnData, BATCH_SIZE};
+pub use batch::{Batch, Column, BATCH_SIZE};
 pub use catalog::{Catalog, SchemaJoin, TableRef};
 pub use error::{Result, StorageError};
 pub use hash::{KeyHasher, KeyState, PreHashed};
@@ -69,5 +69,5 @@ pub use schema::{Cardinality, ColumnDef, ColumnSet, ForeignKey, TableSchema};
 pub use shard::ShardedMap;
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::Table;
-pub use value::{total_fcmp, DataType, Value};
+pub use value::{DataType, Value};
 pub use wal::{Wal, WalRecord, WalRecovery, WalSnapshot};

@@ -4,8 +4,8 @@
 //! Rows are stored in insertion order as [`Batch`] chunks of [`BATCH_SIZE`]
 //! rows, each column typed by its schema column; only the last chunk is
 //! partly filled. The executor reads the chunks directly ([`Table::chunks`])
-//! or copies single rows out by ordinal ([`Table::append_row`], with the
-//! ordinals an index hit returns). A row's ordinal is its position in
+//! or finds a single row by ordinal ([`Table::locate`], with the ordinals an
+//! index hit returns). A row's ordinal is its position in
 //! insertion order: a delete compacts the chunks and rebuilds the indexes,
 //! so there are no tombstones and every chunk but the last stays full.
 
@@ -13,7 +13,7 @@ use crate::batch::{Batch, BATCH_SIZE};
 use crate::error::{Result, StorageError};
 use crate::index::HashIndex;
 use crate::row::Row;
-use crate::schema::{ColumnSet, TableSchema};
+use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -215,14 +215,15 @@ impl Table {
     /// Append the values of the row at ordinal `ord` (from
     /// [`Table::index_lookup`]) to `out`, after whatever it already holds.
     pub fn append_row(&self, ord: u32, out: &mut Row) {
-        let ord = ord as usize;
-        self.chunks[ord / BATCH_SIZE].append_row(ord % BATCH_SIZE, out);
+        let (chunk, i) = self.locate(ord);
+        chunk.append_row(i, out);
     }
 
-    /// [`Table::append_row`] for the row's columns in `columns` only.
-    pub fn append_columns(&self, ord: u32, columns: ColumnSet, out: &mut Row) {
+    /// The chunk holding the row at ordinal `ord`, and the row's place in it.
+    #[inline]
+    pub fn locate(&self, ord: u32) -> (&Batch, usize) {
         let ord = ord as usize;
-        self.chunks[ord / BATCH_SIZE].append_columns(ord % BATCH_SIZE, columns, out);
+        (&self.chunks[ord / BATCH_SIZE], ord % BATCH_SIZE)
     }
 
     /// Scan the table and (re)collect its statistics snapshot. Returns the

@@ -186,12 +186,7 @@ impl Ord for Value {
 }
 
 /// Total float comparison with `-0.0 == 0.0` (total_cmp alone would order
-/// them, breaking consistency with the hash). Public so the engine's columnar
-/// comparison kernels order floats exactly like [`Value::cmp`].
-pub fn total_fcmp(a: f64, b: f64) -> Ordering {
-    fcmp(a, b)
-}
-
+/// them, breaking consistency with the hash).
 fn fcmp(a: f64, b: f64) -> Ordering {
     let norm = |x: f64| if x == 0.0 { 0.0 } else { x };
     norm(a).total_cmp(&norm(b))

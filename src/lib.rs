@@ -20,8 +20,9 @@
 //!   as the one front door (returning [`Result<Answer, Error>`](Error));
 //! - [`wire`] — the versioned, length-prefixed binary protocol and the
 //!   blocking TCP [`Client`];
-//! - [`server`] — the `pqp-server` TCP session runtime (thread per
-//!   connection, typed error frames, admission control at the edge).
+//! - [`server`] — the `pqp-server` TCP session runtime (one epoll
+//!   readiness loop over every session, served by a fixed set of run-slot
+//!   threads; typed error frames, admission control at the edge).
 //!
 //! The client-facing API is the [`QueryApi`] trait: both the in-process
 //! [`Session`] and the TCP [`Client`] implement it, so application code is
