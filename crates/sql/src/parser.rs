@@ -11,9 +11,8 @@ use std::sync::Arc;
 pub fn parse_query(src: &str) -> Result<Query> {
     let _span = pqp_obs::span("sql.parse");
     pqp_obs::record("chars", src.len());
-    let tokens = tokenize(src)?;
-    pqp_obs::record("tokens", tokens.len());
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
+    pqp_obs::record("tokens", p.tokens.len());
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -21,38 +20,25 @@ pub fn parse_query(src: &str) -> Result<Query> {
 
 /// Parse a standalone expression (used by tests and tools).
 pub fn parse_expr(src: &str) -> Result<Expr> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-/// Parse a query from an already-lexed token stream ending in `Eof`
-/// (used by the statement parser).
-pub(crate) fn parse_tokens(tokens: Vec<crate::token::Spanned>) -> Result<Query> {
-    let mut p = Parser { tokens, pos: 0 };
-    let q = p.query()?;
-    p.expect_eof()?;
-    Ok(q)
-}
-
-/// Parse the longest expression prefix of a token stream; returns the
-/// expression and the number of tokens consumed (used by the statement
-/// parser for VALUES rows and DELETE predicates).
-pub(crate) fn parse_expr_prefix(tokens: Vec<crate::token::Spanned>) -> Result<(Expr, usize)> {
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
-    Ok((e, p.pos))
-}
-
-struct Parser {
+/// A cursor over one source text's tokens, which end in `Eof`; the query
+/// grammar here and the statement grammar (`crate::stmt`) parse on it.
+pub(crate) struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
 }
 
 impl Parser {
-    fn peek(&self) -> &Token {
+    pub(crate) fn new(src: &str) -> Result<Parser> {
+        Ok(Parser { tokens: tokenize(src)?, pos: 0 })
+    }
+
+    pub(crate) fn peek(&self) -> &Token {
         &self.tokens[self.pos].token
     }
 
@@ -64,7 +50,7 @@ impl Parser {
         self.tokens[self.pos].offset
     }
 
-    fn next(&mut self) -> Token {
+    pub(crate) fn next(&mut self) -> Token {
         let t = self.tokens[self.pos].token.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
@@ -72,7 +58,7 @@ impl Parser {
         t
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    pub(crate) fn eat(&mut self, t: &Token) -> bool {
         if self.peek() == t {
             self.next();
             true
@@ -81,11 +67,11 @@ impl Parser {
         }
     }
 
-    fn eat_kw(&mut self, k: Keyword) -> bool {
+    pub(crate) fn eat_kw(&mut self, k: Keyword) -> bool {
         self.eat(&Token::Keyword(k))
     }
 
-    fn expect_token(&mut self, t: &Token) -> Result<()> {
+    pub(crate) fn expect_token(&mut self, t: &Token) -> Result<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -93,11 +79,11 @@ impl Parser {
         }
     }
 
-    fn expect_kw(&mut self, k: Keyword) -> Result<()> {
+    pub(crate) fn expect_kw(&mut self, k: Keyword) -> Result<()> {
         self.expect_token(&Token::Keyword(k))
     }
 
-    fn expect_eof(&mut self) -> Result<()> {
+    pub(crate) fn expect_eof(&mut self) -> Result<()> {
         if self.peek() == &Token::Eof {
             Ok(())
         } else {
@@ -105,11 +91,11 @@ impl Parser {
         }
     }
 
-    fn err(&self, msg: impl Into<String>) -> ParseError {
+    pub(crate) fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(self.offset(), msg)
     }
 
-    fn ident(&mut self) -> Result<String> {
+    pub(crate) fn ident(&mut self) -> Result<String> {
         match self.peek() {
             Token::Ident(_) => match self.next() {
                 Token::Ident(s) => Ok(s),
@@ -120,7 +106,7 @@ impl Parser {
     }
 
     // query := set_expr [ORDER BY order_items] [LIMIT int]
-    fn query(&mut self) -> Result<Query> {
+    pub(crate) fn query(&mut self) -> Result<Query> {
         let body = self.set_expr()?;
         let mut order_by = Vec::new();
         if self.eat_kw(Keyword::Order) {
@@ -237,7 +223,7 @@ impl Parser {
     }
 
     // Expression precedence: OR < AND < NOT < comparison/IS/IN < +- < */ < unary < primary
-    fn expr(&mut self) -> Result<Expr> {
+    pub(crate) fn expr(&mut self) -> Result<Expr> {
         self.or_expr()
     }
 

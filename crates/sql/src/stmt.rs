@@ -6,10 +6,10 @@
 //! `INSERT ... VALUES`, `DELETE`, `DROP TABLE`, and queries.
 
 use crate::ast::{Expr, Query};
-use crate::error::{ParseError, Result};
-use crate::lexer::tokenize;
+use crate::error::Result;
+use crate::parser::Parser;
 use crate::printer::sql_ident;
-use crate::token::{Keyword, Spanned, Token};
+use crate::token::{Keyword, Token};
 use pqp_storage::DataType;
 use std::fmt;
 
@@ -81,77 +81,16 @@ pub enum ShowStmt {
 
 /// Parse one statement (optionally `;`-terminated).
 pub fn parse_statement(src: &str) -> Result<Statement> {
-    let src = src.trim_end().trim_end_matches(';');
-    let tokens = tokenize(src)?;
-    let mut p = StmtParser { tokens, pos: 0 };
+    // A trailing `;` is stripped before lexing; only EOF may remain.
+    let mut p = Parser::new(src.trim_end().trim_end_matches(';'))?;
     let stmt = p.statement()?;
-    p.eat_semi_and_eof()?;
+    p.expect_eof()?;
     Ok(stmt)
 }
 
-struct StmtParser {
-    tokens: Vec<Spanned>,
-    pos: usize,
-}
-
-impl StmtParser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos].token
-    }
-
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.tokens[self.pos].offset, msg)
-    }
-
-    fn eat(&mut self, t: &Token) -> bool {
-        if self.peek() == t {
-            self.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_kw(&mut self, k: Keyword) -> bool {
-        self.eat(&Token::Keyword(k))
-    }
-
-    fn expect_token(&mut self, t: &Token) -> Result<()> {
-        if self.eat(t) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{t}`, found `{}`", self.peek())))
-        }
-    }
-
-    fn expect_kw(&mut self, k: Keyword) -> Result<()> {
-        self.expect_token(&Token::Keyword(k))
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.next() {
-            Token::Ident(s) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found `{other}`"))),
-        }
-    }
-
-    fn eat_semi_and_eof(&mut self) -> Result<()> {
-        // Trailing `;` was stripped before lexing; only EOF remains.
-        if self.peek() == &Token::Eof {
-            Ok(())
-        } else {
-            Err(self.err(format!("trailing input starting at `{}`", self.peek())))
-        }
-    }
-
+/// The statement grammar, on the query parser's cursor: a query, a
+/// `VALUES` row's expressions and a `DELETE` predicate are parsed in place.
+impl Parser {
     fn statement(&mut self) -> Result<Statement> {
         match self.peek() {
             Token::Keyword(Keyword::Create) => self.create(),
@@ -160,23 +99,8 @@ impl StmtParser {
             Token::Keyword(Keyword::Drop) => self.drop_table(),
             Token::Keyword(Keyword::Analyze) => self.analyze(),
             Token::Keyword(Keyword::Show) => self.show(),
-            _ => {
-                // Delegate to the query parser on the remaining text — we
-                // re-parse from the original tokens for position fidelity.
-                let q = self.query()?;
-                Ok(Statement::Query(q))
-            }
+            _ => Ok(Statement::Query(self.query()?)),
         }
-    }
-
-    fn query(&mut self) -> Result<Query> {
-        // Delegate to the main query parser over the remaining tokens (the
-        // statement parser only reaches here when the whole input is a
-        // query).
-        let src: Vec<Spanned> = self.tokens[self.pos..].to_vec();
-        let q = crate::parser::parse_tokens(src)?;
-        self.pos = self.tokens.len() - 1; // consume everything
-        Ok(q)
     }
 
     fn create(&mut self) -> Result<Statement> {
@@ -303,7 +227,7 @@ impl StmtParser {
             self.expect_token(&Token::LParen)?;
             let mut row = Vec::new();
             loop {
-                row.push(self.value_expr()?);
+                row.push(self.expr()?);
                 if !self.eat(&Token::Comma) {
                     break;
                 }
@@ -317,25 +241,11 @@ impl StmtParser {
         Ok(Statement::Insert { table, columns, rows })
     }
 
-    /// A constant expression inside VALUES — reuse the expression grammar.
-    fn value_expr(&mut self) -> Result<Expr> {
-        let (expr, consumed) = crate::parser::parse_expr_prefix(self.tokens[self.pos..].to_vec())?;
-        self.pos += consumed;
-        Ok(expr)
-    }
-
     fn delete(&mut self) -> Result<Statement> {
         self.expect_kw(Keyword::Delete)?;
         self.expect_kw(Keyword::From)?;
         let table = self.ident()?;
-        let selection = if self.eat_kw(Keyword::Where) {
-            let (expr, consumed) =
-                crate::parser::parse_expr_prefix(self.tokens[self.pos..].to_vec())?;
-            self.pos += consumed;
-            Some(expr)
-        } else {
-            None
-        };
+        let selection = if self.eat_kw(Keyword::Where) { Some(self.expr()?) } else { None };
         Ok(Statement::Delete { table, selection })
     }
 
