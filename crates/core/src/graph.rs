@@ -197,8 +197,6 @@ pub const PROFILE_JOINS_TABLE: &str = "PQP_PROFILE_JOINS";
 pub struct StoredProfileGraph<'a> {
     db: &'a Database,
     user: String,
-    /// Simulated per-access latency (see [`Self::with_access_penalty`]).
-    penalty: std::time::Duration,
 }
 
 impl<'a> StoredProfileGraph<'a> {
@@ -284,30 +282,7 @@ impl<'a> StoredProfileGraph<'a> {
 
     /// Open the stored graph of a user.
     pub fn open(db: &'a Database, user: impl Into<String>) -> StoredProfileGraph<'a> {
-        StoredProfileGraph { db, user: user.into(), penalty: std::time::Duration::ZERO }
-    }
-
-    /// Add a simulated latency to every adjacency fetch.
-    ///
-    /// The paper's prototype fetched adjacency lists from Oracle, paying a
-    /// round trip per access; that cost — not the in-memory graph work — is
-    /// what shapes its Figure 6 (small profiles touch *more* of the schema
-    /// graph per derived preference). An in-process engine answers these
-    /// lookups in microseconds, so the Figure 6 experiment offers this
-    /// switch to reinstate a realistic per-access cost (busy-wait, so it is
-    /// unaffected by timer resolution).
-    pub fn with_access_penalty(mut self, penalty: std::time::Duration) -> StoredProfileGraph<'a> {
-        self.penalty = penalty;
-        self
-    }
-
-    fn pay_penalty(&self) {
-        if !self.penalty.is_zero() {
-            let end = std::time::Instant::now() + self.penalty;
-            while std::time::Instant::now() < end {
-                std::hint::spin_loop();
-            }
-        }
+        StoredProfileGraph { db, user: user.into() }
     }
 
     fn parse_literal(text: &str) -> Value {
@@ -323,7 +298,6 @@ impl<'a> StoredProfileGraph<'a> {
 
 impl GraphAccess for StoredProfileGraph<'_> {
     fn joins_from(&self, table: &str) -> impl Iterator<Item = JoinEdge<'_>> {
-        self.pay_penalty();
         let sql = format!(
             "select from_tbl, from_col, to_tbl, to_col, doi, to_one \
              from {PROFILE_JOINS_TABLE} \
@@ -343,7 +317,6 @@ impl GraphAccess for StoredProfileGraph<'_> {
     }
 
     fn selections_of(&self, table: &str) -> impl Iterator<Item = SelectionEdge<'_>> {
-        self.pay_penalty();
         let sql = format!(
             "select tbl, col, val, doi from {PROFILE_SELECTIONS_TABLE} \
              where user_id = '{}' and tbl = '{}' order by doi desc",
@@ -359,21 +332,6 @@ impl GraphAccess for StoredProfileGraph<'_> {
             ))
         })
     }
-}
-
-/// Ensure adjacency lists are sorted by decreasing degree (defensive check
-/// used by tests and debug assertions).
-pub fn is_sorted_desc(dois: impl IntoIterator<Item = Doi>) -> bool {
-    let mut prev: Option<Doi> = None;
-    for d in dois {
-        if let Some(p) = prev {
-            if d > p {
-                return false;
-            }
-        }
-        prev = Some(d);
-    }
-    true
 }
 
 #[cfg(test)]
@@ -424,7 +382,7 @@ mod tests {
         assert_eq!(back[0].cardinality, Cardinality::ToOne);
         let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
         assert_eq!(sels.len(), 2);
-        assert!(is_sorted_desc(sels.iter().map(|s| s.doi)));
+        assert!(sels.windows(2).all(|w| w[0].doi >= w[1].doi));
     }
 
     #[test]
@@ -434,7 +392,7 @@ mod tests {
         let g = InMemoryGraph::build(&p, &catalog()).unwrap();
         let sels: Vec<SelectionEdge> = g.selections_of("GENRE").collect();
         assert_eq!(*sels[0].value, Value::str("adventure"));
-        assert!(is_sorted_desc(sels.iter().map(|s| s.doi)));
+        assert!(sels.windows(2).all(|w| w[0].doi >= w[1].doi));
     }
 
     #[test]
@@ -468,7 +426,7 @@ mod tests {
         assert_eq!(sels.len(), 2);
         assert_eq!(*sels[0].value, Value::str("comedy"));
         assert_eq!(sels[0].doi.value(), 0.9);
-        assert!(is_sorted_desc(sels.iter().map(|s| s.doi)));
+        assert!(sels.windows(2).all(|w| w[0].doi >= w[1].doi));
         let joins: Vec<JoinEdge> = g.joins_from("MOVIE").collect();
         assert_eq!(joins.len(), 1);
         assert_eq!(joins[0].cardinality, Cardinality::ToMany);
@@ -497,18 +455,6 @@ mod tests {
         StoredProfileGraph::store(&mut db, &updated).unwrap();
         let rob = StoredProfileGraph::open(&db, "rob");
         assert_eq!(rob.selections_of("GENRE").count(), 1);
-    }
-
-    #[test]
-    fn access_penalty_slows_fetches() {
-        let mut db = Database::new(catalog());
-        StoredProfileGraph::store(&mut db, &profile()).unwrap();
-        let slow = StoredProfileGraph::open(&db, "julie")
-            .with_access_penalty(std::time::Duration::from_millis(2));
-        let start = std::time::Instant::now();
-        slow.selections_of("GENRE").for_each(drop);
-        slow.joins_from("MOVIE").for_each(drop);
-        assert!(start.elapsed() >= std::time::Duration::from_millis(4));
     }
 
     #[test]

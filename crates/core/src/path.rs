@@ -1,7 +1,7 @@
 //! Preference paths: transitive preferences as directed paths in the
 //! personalization graph (§3.2), anchored at a query-graph node.
 
-use crate::doi::{Combinator, Doi, PaperCombinator};
+use crate::doi::{Combinator, Doi};
 use crate::graph::{JoinEdge, SelectionEdge};
 use pqp_storage::Cardinality;
 use std::fmt;
@@ -80,15 +80,6 @@ impl<'g> PreferencePath<'g> {
         }
     }
 
-    /// Recompute the degree with the default (paper) semantics.
-    pub fn recompute_doi(&mut self) {
-        let mut degrees: Vec<Doi> = self.joins.iter().map(|j| j.doi).collect();
-        if let Some(s) = &self.selection {
-            degrees.push(s.doi);
-        }
-        self.doi = PaperCombinator.transitive(&degrees);
-    }
-
     /// Whether the path is a complete (transitive) selection.
     pub fn is_selection(&self) -> bool {
         self.selection.is_some()
@@ -149,6 +140,7 @@ impl fmt::Display for PreferencePath<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doi::PaperCombinator;
     use crate::pref::AttrRef;
     use pqp_storage::Value;
 
@@ -216,16 +208,5 @@ mod tests {
             .with_join(join(("MOVIE", "mid"), ("CAST", "mid"), 0.9, Cardinality::ToOne), &comb);
         assert!(!p.same_join_chain(&r));
         assert!(!p.same_join_chain(&PreferencePath::anchor("MV", "MOVIE")));
-    }
-
-    #[test]
-    fn recompute_matches_builder() {
-        let comb = PaperCombinator;
-        let mut p = PreferencePath::anchor("MV", "MOVIE")
-            .with_join(join(("MOVIE", "mid"), ("GENRE", "mid"), 0.9, Cardinality::ToMany), &comb)
-            .with_selection(sel(("GENRE", "genre"), "comedy", 0.9), &comb);
-        let d = p.doi;
-        p.recompute_doi();
-        assert_eq!(p.doi, d);
     }
 }

@@ -5,7 +5,7 @@
 //! conjuncts. Preference paths attach to its nodes and expand outward.
 
 use crate::error::{PrefError, Result};
-use pqp_sql::ast::{BinaryOp, Expr, Select, SelectItem, TableFactor};
+use pqp_sql::ast::{BinaryOp, Expr, Select, TableFactor};
 use pqp_storage::{Catalog, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -211,21 +211,6 @@ impl QueryGraph {
         }
         seen.len() == self.nodes.len()
     }
-
-    /// The projection columns of a select as (var, column) pairs, if every
-    /// item is a plain column (required by the MQ rewrite's GROUP BY).
-    pub fn plain_projection(s: &Select) -> Option<Vec<(Option<String>, String)>> {
-        let mut out = Vec::new();
-        for item in &s.projection {
-            match item {
-                SelectItem::Expr { expr: Expr::Column { qualifier, name }, .. } => {
-                    out.push((qualifier.as_deref().map(str::to_string), name.to_string()));
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -318,19 +303,5 @@ mod tests {
         let s = parse_select("select MV.title from MOVIE MV, GENRE GN");
         let g = QueryGraph::from_select(&s, &catalog()).unwrap();
         assert!(!g.is_connected());
-    }
-
-    #[test]
-    fn plain_projection_extraction() {
-        let s = parse_select("select MV.title, MV.mid from MOVIE MV");
-        assert_eq!(
-            QueryGraph::plain_projection(&s).unwrap(),
-            vec![
-                (Some("MV".to_string()), "title".to_string()),
-                (Some("MV".to_string()), "mid".to_string())
-            ]
-        );
-        let s = parse_select("select count(*) from MOVIE MV");
-        assert!(QueryGraph::plain_projection(&s).is_none());
     }
 }

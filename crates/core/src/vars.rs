@@ -28,14 +28,6 @@ pub struct PathVars {
     pub hop_vars: Vec<Arc<str>>,
 }
 
-impl PathVars {
-    /// The variable holding the path's final relation (where the selection
-    /// applies): the last hop, or the anchor when the path has no joins.
-    pub fn selection_var<'a>(&'a self, anchor: &'a str) -> &'a str {
-        self.hop_vars.last().map_or(anchor, |v| &**v)
-    }
-}
-
 /// Allocates tuple variables for a set of paths, avoiding the query's own
 /// variables.
 pub struct VarAllocator<'a> {
@@ -233,15 +225,5 @@ mod tests {
         let vars = alloc.allocate(&[p]);
         assert_ne!(vars[0].hop_vars[0].to_ascii_uppercase(), "GE_1");
         assert_eq!(&*vars[0].hop_vars[0], "GE_2");
-    }
-
-    #[test]
-    fn selection_var_of_zero_join_path() {
-        let comb = PaperCombinator;
-        let p = PreferencePath::anchor("GN", "GENRE")
-            .with_selection(sel(("GENRE", "genre"), "comedy"), &comb);
-        let mut alloc = VarAllocator::new([]);
-        let vars = alloc.allocate(std::slice::from_ref(&p));
-        assert_eq!(vars[0].selection_var("GN"), "GN");
     }
 }

@@ -193,12 +193,6 @@ impl QueryCtx {
         self.deadline.is_none() && self.max_rows.is_none() && self.max_mem.is_none()
     }
 
-    /// Time remaining until the deadline (`None` when no deadline is set;
-    /// zero once it has passed).
-    pub fn remaining_time(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
     /// The scanned-rows cap this context enforces (`None` = unlimited).
     /// Telemetry records it next to the consumed counters so a query log
     /// entry shows consumption *against its limits*.
@@ -382,7 +376,7 @@ mod tests {
     fn slice_never_outlives_parent_deadline() {
         let parent = QueryCtx::new(Budget::unlimited().deadline_ms(40));
         let slice = parent.slice(1, 4);
-        let (p, s) = (parent.remaining_time().unwrap(), slice.remaining_time().unwrap());
+        let (p, s) = (parent.deadline.unwrap(), slice.deadline.unwrap());
         assert!(s <= p, "slice {s:?} > parent {p:?}");
         // An expired parent yields an already-expired slice.
         let expired = QueryCtx::new(Budget::unlimited().deadline_ms(0));

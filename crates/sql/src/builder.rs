@@ -43,11 +43,6 @@ pub fn gte(left: Expr, right: Expr) -> Expr {
     binary(left, BinaryOp::GtEq, right)
 }
 
-/// `left < right`
-pub fn lt(left: Expr, right: Expr) -> Expr {
-    binary(left, BinaryOp::Lt, right)
-}
-
 /// `left AND right`
 pub fn and(left: Expr, right: Expr) -> Expr {
     binary(left, BinaryOp::And, right)
