@@ -7,8 +7,7 @@
 //! reachable through the MOVIE→GENRE join, and a sweep over
 //! K ∈ {6, 8, 10, 12, 14, 16} selected preferences × L ∈ {1..4}
 //! at-least-L matching. MQ and native run in their ranked top-N form
-//! (`LIMIT 20` — where the operator's threshold-style early termination
-//! pays off); SQ cannot rank, so its point is the unranked matching form
+//! (`LIMIT 20`, a `Limit` node above the ranked result); SQ cannot rank, so its point is the unranked matching form
 //! (the paper's own comparison), and it is skipped where `C(K, L)`
 //! explodes past the practical OR-expansion size (skips are printed — no
 //! silent caps).
@@ -26,7 +25,7 @@
 
 use pqp_bench::microbench::{write_metrics_json, MicroBench};
 use pqp_core::{
-    build_execution, choose, personalize, InMemoryGraph, PersonalizeOptions, Personalized, Profile,
+    build_execution, personalize, InMemoryGraph, PersonalizeOptions, Personalized, Profile,
     Rewrite, StrategyChoice,
 };
 use pqp_engine::Database;
@@ -221,7 +220,7 @@ fn main() {
                 );
                 None
             };
-            let chosen = choose(&db, &ranked, Some(TOP_N)).unwrap();
+            let chosen = build_execution(&db, &ranked, Rewrite::Auto, Some(TOP_N)).unwrap();
             let mut point = Json::obj()
                 .set("k", k as i64)
                 .set("l", l as i64)

@@ -65,7 +65,6 @@ pub mod personalize;
 pub mod pref;
 pub mod profile;
 pub mod query_graph;
-pub mod rank;
 pub mod select;
 pub mod strategy;
 pub mod vars;
@@ -87,7 +86,7 @@ pub use select::{
     select_preferences, select_preferences_ctx, select_preferences_with, SelectStats,
     SelectionOutcome,
 };
-pub use strategy::{build_execution, choose, CandidateCost, Execution, StrategyChoice};
+pub use strategy::{build_execution, CandidateCost, StrategyChoice};
 
 /// Convenience prelude.
 pub mod prelude {
@@ -100,6 +99,5 @@ pub mod prelude {
         PersonalizeOptionsBuilder, Personalized, Rewrite,
     };
     pub use crate::profile::Profile;
-    pub use crate::rank::{top_n, top_n_query};
-    pub use crate::strategy::{build_execution, choose, CandidateCost, Execution, StrategyChoice};
+    pub use crate::strategy::{build_execution, CandidateCost, StrategyChoice};
 }

@@ -34,7 +34,7 @@ pub enum Rewrite {
     /// [`crate::strategy::build_execution`].
     NativeRank,
     /// Price SQ / MQ / native rank per query and build the cheapest
-    /// ([`crate::strategy::choose`]).
+    /// ([`crate::strategy::build_execution`]).
     Auto,
 }
 
@@ -265,8 +265,8 @@ impl Personalized<'_> {
     /// Build the query for the given [`Rewrite`].
     ///
     /// [`Rewrite::NativeRank`] and [`Rewrite::Auto`] have no SQL form —
-    /// they execute through [`crate::strategy::build_execution`] /
-    /// [`crate::strategy::choose`] — so they are errors here.
+    /// they execute through [`crate::strategy::build_execution`] — so they
+    /// are errors here.
     pub fn rewritten(&self, rewrite: Rewrite) -> Result<Query> {
         match rewrite {
             Rewrite::Original => Ok(self.original()),

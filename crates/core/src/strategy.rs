@@ -5,8 +5,9 @@
 //! that neither dominates: SQ degrades combinatorially with `C(K−M, L)`
 //! while MQ pays one partial query per optional preference. The native
 //! rank operator ([`pqp_engine::topk`]) adds a third execution shape that
-//! avoids both blow-ups but pays witness probes per preference. [`choose`]
-//! picks between them **per query**, in two steps.
+//! avoids both blow-ups but pays witness probes per preference.
+//! [`build_execution`] with [`Rewrite::Auto`] picks between them **per
+//! query**, in two steps.
 //!
 //! 1. **Price.** Every candidate gets a closed-form price from what
 //!    preference selection produced (the K paths, M, L), the catalog's
@@ -43,8 +44,9 @@
 //!   native-unsupported shape (see [`crate::integrate::integrate_native`])
 //!   drops out when it is built.
 //!
-//! [`StrategyChoice::alternatives`] reports every candidate: a built one
-//! with its plan's cost, the others with their prices.
+//! A ranked top-N `limit` is a `Limit` node above whichever candidate is
+//! built. [`StrategyChoice::alternatives`] reports every candidate: a
+//! built one with its plan's cost, the others with their prices.
 
 use crate::error::{PrefError, Result};
 use crate::integrate::MatchSpec;
@@ -52,9 +54,8 @@ use crate::path::PreferencePath;
 use crate::personalize::{Personalized, Rewrite};
 use pqp_engine::cost::DEFAULT_FALLBACK;
 use pqp_engine::plan::Plan;
-use pqp_engine::topk::TopKSpec;
 use pqp_engine::{Database, Estimate, Estimator, PricedEdge, PricedFactor};
-use pqp_sql::ast::{Expr, Query, Select, TableFactor};
+use pqp_sql::ast::{Expr, Select, TableFactor};
 use pqp_sql::BinaryOp;
 use pqp_storage::Value;
 
@@ -64,16 +65,6 @@ use pqp_storage::Value;
 /// populations; the margin is for what they approximate (non-equality
 /// conjuncts, to-one prefixes a mandatory path shares).
 const BUILD_WITHIN: f64 = 1.1;
-
-/// A fully-built execution of a personalized query: either a SQL rewrite
-/// or a native rank specification.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Execution {
-    /// Execute a SQL rewrite (original / SQ / MQ).
-    Sql(Query),
-    /// Execute through the engine's native rank operator.
-    Native(TopKSpec),
-}
 
 /// A candidate's cost as [`StrategyChoice::alternatives`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,16 +84,14 @@ impl CandidateCost {
     }
 }
 
-/// The outcome of strategy resolution: the winning rewrite, its built
-/// execution and plan, and the cost of every candidate for EXPLAIN output.
+/// The outcome of strategy resolution: the winning rewrite, its plan, and
+/// the cost of every candidate for EXPLAIN output.
 #[derive(Debug, Clone)]
 pub struct StrategyChoice {
     /// The resolved rewrite — never [`Rewrite::Auto`]; an explicitly
     /// requested [`Rewrite::NativeRank`] that the query's shape does not
     /// support resolves to [`Rewrite::Mq`] (reported honestly here).
     pub rewrite: Rewrite,
-    /// The built execution.
-    pub execution: Execution,
     /// Its plan (reusable; cacheable by the serving layer).
     pub plan: Plan,
     /// The estimated cost of `plan`.
@@ -136,13 +125,15 @@ impl StrategyChoice {
     }
 }
 
-/// Build the execution for a rewrite, resolving [`Rewrite::Auto`] through
-/// [`choose`] and falling back from an unsupported explicit
-/// [`Rewrite::NativeRank`] to MQ.
+/// The one way into the strategy layer: build the plan for a rewrite,
+/// pricing the candidates for [`Rewrite::Auto`] (see the module header)
+/// and falling back from an unsupported explicit [`Rewrite::NativeRank`]
+/// to MQ.
 ///
 /// `limit` is a ranked top-N cut (`None` for the full result); it is only
-/// meaningful when `p.rank` is set and is applied to the built execution
-/// (SQL `LIMIT` or the operator's limit).
+/// meaningful when `p.rank` is set. Every rewrite plans it as a `Limit`
+/// node above the ranked result (SQL `LIMIT`, or a `Limit` over the native
+/// operator).
 pub fn build_execution(
     db: &Database,
     p: &Personalized<'_>,
@@ -168,7 +159,7 @@ pub fn build_execution(
 
 /// Price every candidate, then build the cheapest (and any priced too
 /// close to it to call) and keep the cheapest plan.
-pub fn choose(db: &Database, p: &Personalized<'_>, limit: Option<u64>) -> Result<StrategyChoice> {
+fn choose(db: &Database, p: &Personalized<'_>, limit: Option<u64>) -> Result<StrategyChoice> {
     let _span = pqp_obs::span("strategy.choose");
     // MQ first: ties keep it.
     let mut candidates = vec![Rewrite::Mq];
@@ -195,7 +186,7 @@ pub fn choose(db: &Database, p: &Personalized<'_>, limit: Option<u64>) -> Result
             continue;
         }
         let rw = candidates[i];
-        let (execution, plan) = match build_one(db, p, rw, limit) {
+        let plan = match build_one(db, p, rw, limit) {
             Ok(built) => built,
             // Shapes a candidate cannot express drop out of the race.
             Err(e @ (PrefError::UnsupportedQuery(_) | PrefError::TooManyCombinations { .. })) => {
@@ -211,7 +202,6 @@ pub fn choose(db: &Database, p: &Personalized<'_>, limit: Option<u64>) -> Result
         if best.as_ref().is_none_or(|(j, b)| cost < b.cost || (cost == b.cost && i < *j)) {
             let choice = StrategyChoice {
                 rewrite: rw,
-                execution,
                 plan,
                 cost,
                 est_rows: rows,
@@ -229,19 +219,13 @@ pub fn choose(db: &Database, p: &Personalized<'_>, limit: Option<u64>) -> Result
     Ok(choice)
 }
 
-/// Build one candidate's execution and plan.
-fn build_one(
-    db: &Database,
-    p: &Personalized<'_>,
-    rw: Rewrite,
-    limit: Option<u64>,
-) -> Result<(Execution, Plan)> {
+/// Build one candidate's plan.
+fn build_one(db: &Database, p: &Personalized<'_>, rw: Rewrite, limit: Option<u64>) -> Result<Plan> {
     match rw {
         Rewrite::NativeRank => {
             let mut spec = p.native()?;
             spec.limit = limit;
-            let plan = db.plan_topk(&spec)?;
-            Ok((Execution::Native(spec), plan))
+            Ok(db.plan_topk(&spec)?)
         }
         Rewrite::Auto => Err(PrefError::Internal("Auto is resolved before build_one".into())),
         other => {
@@ -249,18 +233,16 @@ fn build_one(
             if limit.is_some() {
                 q.limit = limit;
             }
-            let plan = db.plan(&q)?;
-            Ok((Execution::Sql(q), plan))
+            Ok(db.plan(&q)?)
         }
     }
 }
 
-/// Wrap an explicitly-requested rewrite's build as a [`StrategyChoice`].
-fn resolved(db: &Database, rw: Rewrite, (execution, plan): (Execution, Plan)) -> StrategyChoice {
+/// Wrap an explicitly-requested rewrite's plan as a [`StrategyChoice`].
+fn resolved(db: &Database, rw: Rewrite, plan: Plan) -> StrategyChoice {
     let Estimate { rows, cost, .. } = Estimator::new(db.catalog()).estimate(&plan);
     StrategyChoice {
         rewrite: rw,
-        execution,
         plan,
         cost,
         est_rows: rows,
@@ -398,7 +380,11 @@ impl Prices {
             mq += rows.min(limit as f64);
         }
 
-        let native = base_cost + witnesses + base_rows * n as f64;
+        let mut native = base_cost + witnesses + base_rows * n as f64;
+        if let Some(limit) = limit {
+            // The Limit above the operator: at most one row per base row.
+            native += base_rows.min(limit as f64);
+        }
         Some(Prices { mq, sq, native })
     }
 }
@@ -649,7 +635,8 @@ mod tests {
         let db = movie_db();
         let g = graph(&db);
         let p = personalized(&db, &g, true);
-        let choice = crate::rank::top_n(&db, &p, 2).unwrap();
+        let choice = build_execution(&db, &p, Rewrite::NativeRank, Some(2)).unwrap();
+        assert_eq!(choice.rewrite, Rewrite::NativeRank);
         let got = db.run_plan(&choice.plan).unwrap();
         assert_eq!(got.rows.len(), 2);
         // The full ranked MQ result, canonically cut to 2, must agree.
@@ -688,14 +675,19 @@ mod tests {
     fn prices_are_the_plan_costs_of_the_built_candidates() {
         let db = movie_db();
         let g = graph(&db);
-        for rank in [false, true] {
+        // Unlimited, and a ranked top-2, which SQ cannot express.
+        for (rank, limit) in [(false, None), (true, None), (true, Some(2))] {
             let p = personalized(&db, &g, rank);
             let candidates = [Rewrite::Mq, Rewrite::Sq, Rewrite::NativeRank];
             let est = Estimator::new(db.catalog());
-            for (rw, price) in candidates.into_iter().zip(prices(&est, &p, &candidates, None)) {
-                let built = build_execution(&db, &p, rw, None).unwrap();
+            for (rw, price) in candidates.into_iter().zip(prices(&est, &p, &candidates, limit)) {
+                if rw == Rewrite::Sq && limit.is_some() {
+                    continue;
+                }
+                let built = build_execution(&db, &p, rw, limit).unwrap();
                 let off = (price - built.cost).abs() / built.cost;
-                assert!(off < 1e-9, "{rw} rank={rank}: price {price} vs plan cost {}", built.cost);
+                let at = format!("{rw} rank={rank} limit={limit:?}");
+                assert!(off < 1e-9, "{at}: price {price} vs plan cost {}", built.cost);
             }
         }
     }
@@ -723,6 +715,5 @@ mod tests {
         p.paths.push(crate::path::PreferencePath::anchor("MV", "MOVIE"));
         let choice = build_execution(&db, &p, Rewrite::NativeRank, None).unwrap();
         assert_eq!(choice.rewrite, Rewrite::Mq);
-        assert!(matches!(choice.execution, Execution::Sql(_)));
     }
 }

@@ -53,7 +53,7 @@
 //! candidates with it before building any of them.
 
 use crate::bound::{Expr, ExprKind};
-use crate::plan::{key_halves, Node, NodeId, Plan, TopKProbeSource, NO_LIMIT};
+use crate::plan::{key_halves, Node, NodeId, Plan, TopKProbeSource};
 use pqp_sql::BinaryOp;
 use pqp_storage::{Catalog, ColumnSet, ColumnStats, TableStats, Value};
 use std::cell::RefCell;
@@ -699,7 +699,7 @@ impl<'a> Estimator<'a> {
                 let arity = arms.first().map_or(0, |a| a.origins.len());
                 Estimate { rows, cost, origins: vec![None; arity] }
             }
-            Node::TopK { base, probes, visible, rank, limit, .. } => {
+            Node::TopK { base, probes, visible, rank, .. } => {
                 let b = self.walk(plan, *base, visit);
                 let probes = plan.probes(*probes);
                 let visible = *visible as usize;
@@ -715,7 +715,7 @@ impl<'a> Estimator<'a> {
                     .sum();
                 let cost = b.cost + witness_cost + b.rows * probes.len() as f64;
                 // Output cardinality ≈ distinct visible prefixes of the
-                // base (the operator groups by them), capped by the limit.
+                // base (the operator groups by them).
                 let rows = if b.rows <= 0.0 {
                     0.0
                 } else {
@@ -723,11 +723,7 @@ impl<'a> Estimator<'a> {
                     for i in 0..visible {
                         groups *= self.ndv(b.origins.get(i).unwrap_or(&None), b.rows);
                     }
-                    let groups = groups.min(b.rows).max(1.0);
-                    match *limit {
-                        NO_LIMIT => groups,
-                        n => groups.min(n as f64),
-                    }
+                    groups.min(b.rows).max(1.0)
                 };
                 let mut origins = b.origins;
                 origins.resize(visible, None);

@@ -460,7 +460,7 @@ fn push_node(env: &Env, id: NodeId, sink: &mut dyn Sink) -> Result<usize> {
         }
         Node::Sort { input, keys } => {
             let rows = read(env, *input)?;
-            push_sorted(&rows, || plan.sort_keys(*keys), usize::MAX, sink)?
+            push_sorted(&rows, || plan.sort_keys(*keys), sink)?
         }
         Node::Limit { input, n } => {
             let mut rows = read(env, *input)?.into_rows();
@@ -767,19 +767,17 @@ fn distinct(
     Ok(n)
 }
 
-/// The producer over rows in sorted order: the first `limit` of `rows` in
-/// the stable order of `keys` (output column positions, each ascending or,
-/// `true`, descending), sorted as indices and pushed through a scratch row.
-/// Returns how many it pushed.
+/// The producer over rows in sorted order: `rows` in the stable order of
+/// `keys` (output column positions, each ascending or, `true`, descending),
+/// sorted as indices and pushed through a scratch row. Returns how many it
+/// pushed.
 pub(crate) fn push_sorted<K: IntoIterator<Item = (usize, bool)>>(
     rows: &Rows,
     keys: impl Fn() -> K,
-    limit: usize,
     sink: &mut dyn Sink,
 ) -> Result<usize> {
     let mut order: Vec<usize> = (0..rows.len()).collect();
     order.sort_by(|&a, &b| cmp_rows(rows.row(a), rows.row(b), keys()));
-    order.truncate(limit);
     let mut row = Row::new();
     for &i in &order {
         row.clear();

@@ -175,10 +175,11 @@ impl Database {
     /// Plan a native rank execution ([`topk::TopKSpec`]) into a
     /// [`plan::Node::TopK`] root: the base query and every witness query
     /// are planned through the normal pipeline, then assembled under the
-    /// rank operator. The resulting plan executes through the usual
-    /// [`Database::run_plan_ctx`] entry points (and is cacheable like any
-    /// other plan). Subtrees the base and the witnesses repeat are stored
-    /// once across all of them.
+    /// rank operator. A spec's limit is a [`plan::Node::Limit`] above the
+    /// operator, as SQL `LIMIT` is planned. The resulting plan executes
+    /// through the usual [`Database::run_plan_ctx`] entry points (and is
+    /// cacheable like any other plan). Subtrees the base and the witnesses
+    /// repeat are stored once across all of them.
     pub fn plan_topk(&self, spec: &topk::TopKSpec) -> Result<plan::Plan> {
         let _span = pqp_obs::span("plan");
         if spec.probes.len() > topk::MAX_PROBES {
@@ -236,9 +237,11 @@ impl Database {
             visible: spec.columns.len() as u32,
             matching: spec.matching,
             rank: spec.rank,
-            limit: spec.limit.unwrap_or(plan::NO_LIMIT),
         };
-        let root = pass.push(rank, pass.share(OutputSchema::new(columns)));
+        let mut root = pass.push(rank, pass.share(OutputSchema::new(columns)));
+        if let Some(n) = spec.limit {
+            root = pass.push(plan::Node::Limit { input: root.id, n }, root.schema);
+        }
         Ok(pass.finish(root))
     }
 

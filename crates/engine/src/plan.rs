@@ -50,9 +50,6 @@ pub struct Span {
     pub len: u32,
 }
 
-/// A [`Node::TopK`]'s limit when it has none.
-pub const NO_LIMIT: u64 = u64::MAX;
-
 /// One plan node. Plans are produced fully bound: every expression
 /// references input columns by position.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +130,7 @@ pub enum Node {
     /// sub-plan's output), satisfaction bits are OR-folded per visible
     /// group, and the group's degree of interest is `1 − ∏(1 − dᵢ)` over the
     /// satisfied preferences. Preference passes run in decreasing-degree
-    /// order with threshold-style early termination (see `crate::topk`).
+    /// order with group pruning and early termination (see `crate::topk`).
     TopK {
         base: NodeId,
         probes: Span,
@@ -144,8 +141,6 @@ pub enum Node {
         /// Append the `interest` column and sort by it (descending, ties by
         /// the visible columns ascending).
         rank: bool,
-        /// Keep the first `limit` rows; [`NO_LIMIT`] keeps them all.
-        limit: u64,
     },
 }
 
@@ -515,17 +510,13 @@ impl Plan {
                     self.explain_into(i, depth + 1, out, annot, shares, printed);
                 }
             }
-            Node::TopK { base, probes, visible, matching, rank, limit } => {
+            Node::TopK { base, probes, visible, matching, rank } => {
                 let match_desc = match matching {
                     TopKMatching::AtLeast(l) => format!("at-least {l}"),
                     TopKMatching::MinDegree(d) => format!("degree > {d}"),
                 };
-                let limit_desc = match *limit {
-                    NO_LIMIT => String::new(),
-                    n => format!(", limit {n}"),
-                };
                 out.push_str(&format!(
-                    "{pad}TopK [{} prefs, visible={visible}, {match_desc}{}{limit_desc}]{suffix}\n",
+                    "{pad}TopK [{} prefs, visible={visible}, {match_desc}{}]{suffix}\n",
                     probes.len,
                     if *rank { ", ranked" } else { "" },
                 ));
@@ -640,14 +631,13 @@ impl fmt::Debug for Tree<'_> {
                 .field("inputs", &plan.list(*inputs).iter().map(tree).collect::<Vec<_>>())
                 .field("all", all)
                 .finish(),
-            Node::TopK { base, probes, visible, matching, rank, limit } => f
+            Node::TopK { base, probes, visible, matching, rank } => f
                 .debug_struct("TopK")
                 .field("base", &tree(base))
                 .field("probes", &plan.probes(*probes))
                 .field("visible", visible)
                 .field("matching", matching)
                 .field("rank", rank)
-                .field("limit", limit)
                 .finish(),
         }
     }
@@ -795,7 +785,7 @@ mod tests {
 
     #[test]
     fn nodes_and_expression_nodes_stay_compact() {
-        assert!(std::mem::size_of::<Node>() <= 48, "{}", std::mem::size_of::<Node>());
+        assert!(std::mem::size_of::<Node>() <= 40, "{}", std::mem::size_of::<Node>());
         assert!(std::mem::size_of::<ExprNode>() <= 32, "{}", std::mem::size_of::<ExprNode>());
     }
 }

@@ -1,5 +1,5 @@
 //! The native rank operator ([`Node::TopK`]): preference pushdown with
-//! threshold-style early termination.
+//! group pruning and early termination.
 //!
 //! The SQ/MQ rewrites expand optional preferences into SQL — `C(K−M, L)`
 //! disjuncts or `K−M` unioned partial queries — and materialize the full
@@ -21,10 +21,7 @@
 //!    After every pass,
 //!    groups that provably cannot reach the result are pruned:
 //!    - they cannot satisfy `L` preferences with the passes that remain,
-//!    - their best reachable degree cannot exceed a `MinDegree` threshold,
-//!    - (ranked, `LIMIT n`) their best reachable degree is strictly below
-//!      the n-th best *guaranteed* degree seen so far — the classic
-//!      threshold-algorithm bound, applied to preference passes.
+//!    - their best reachable degree cannot exceed a `MinDegree` threshold.
 //!
 //!    Once every group is dead the remaining passes (and their witness
 //!    sub-plans) are skipped entirely.
@@ -33,23 +30,22 @@
 //!    the exact arithmetic of the `DEGREE_OF_CONJUNCTION` aggregate, so
 //!    ranked output is bit-identical to the MQ rewrite — filter by the
 //!    match requirement, sort the survivors by `(interest DESC, visible
-//!    columns ASC)` as `Sort` does, and push the first `limit` of them
-//!    into the operator's sink.
+//!    columns ASC)` as `Sort` does, and push them into the operator's
+//!    sink. A top-N cut is a `Limit` node above the operator.
 //!
 //! **Determinism contract**: same row set and same rank order as the
 //! ranked MQ rewrite, with ties broken by the visible columns ascending
 //! (MQ's tie order is its union order; the differential suite compares
 //! against a canonically re-sorted MQ recompute).
 //!
-//! **Deviation from the classic threshold algorithm**: input consumption
-//! is never cut short. A not-yet-seen base row can OR new satisfaction
-//! bits into an *existing* group, so truncating the input would change
-//! group degrees; early termination therefore operates on preference
-//! passes and group pruning, where the bound is sound.
+//! **Input consumption is never cut short.** A not-yet-seen base row can
+//! OR new satisfaction bits into an *existing* group, so truncating the
+//! input would change group degrees; early termination therefore operates
+//! on preference passes and group pruning, where the bound is sound.
 
 use crate::error::{EngineError, Result};
 use crate::exec::{push, push_sorted, Env, KeyTable, Rows, Sink};
-use crate::plan::{Node, TopKMatching, TopKProbe, TopKProbeSource, NO_LIMIT};
+use crate::plan::{Node, TopKMatching, TopKProbe, TopKProbeSource};
 use pqp_obs::approx_row_bytes;
 use pqp_obs::governor::CHECKPOINT_STRIDE;
 use pqp_sql::ast::Query;
@@ -65,7 +61,7 @@ pub const MAX_PROBES: usize = 64;
 /// rewrite's column).
 pub const INTEREST_COLUMN: &str = "interest";
 
-/// Slack for threshold comparisons: upper bounds are computed in pass
+/// Slack for the `MinDegree` prune: upper bounds are computed in pass
 /// order while final degrees fold in preference order, so the two can
 /// differ by a few ulps.
 const EPS: f64 = 1e-9;
@@ -88,7 +84,8 @@ pub struct TopKSpec {
     pub matching: TopKMatching,
     /// Append the interest column and rank by it.
     pub rank: bool,
-    /// Keep only the first n rows of the (ranked) output.
+    /// Keep only the first n rows of the (ranked) output: planned as a
+    /// `Limit` node above the operator.
     pub limit: Option<u64>,
 }
 
@@ -130,7 +127,7 @@ struct Group {
 /// Execute a [`Node::TopK`] node, pushing its rows into `sink`; returns
 /// how many it pushed.
 pub(crate) fn execute(env: &Env, node: &Node, sink: &mut dyn Sink) -> Result<usize> {
-    let Node::TopK { base, probes, visible, matching, rank, limit } = node else {
+    let Node::TopK { base, probes, visible, matching, rank } = node else {
         return Err(EngineError::Internal("not a TopK node".into()));
     };
     let (probes, visible, rank) = (env.plan.probes(*probes), *visible as usize, *rank);
@@ -157,8 +154,6 @@ pub(crate) fn execute(env: &Env, node: &Node, sink: &mut dyn Sink) -> Result<usi
     for t in (0..nprobes).rev() {
         remaining[t] = remaining[t + 1] * (1.0 - probes[order[t]].doi);
     }
-    let top_n = (rank && *limit != NO_LIMIT && *limit > 0).then_some(*limit as usize);
-    let mut lbs: Vec<f64> = Vec::new();
     let mut pruned = 0usize;
     let mut skipped = 0usize;
 
@@ -202,32 +197,14 @@ pub(crate) fn execute(env: &Env, node: &Node, sink: &mut dyn Sink) -> Result<usi
         // Prune: drop groups that provably cannot reach the result.
         let passes_left = nprobes - t - 1;
         let best_left = remaining[t + 1];
-        let nth_guaranteed = top_n.and_then(|n| {
-            lbs.clear();
-            for g in &groups {
-                let guaranteed = g.alive
-                    && match matching {
-                        TopKMatching::AtLeast(l) => g.count >= *l,
-                        TopKMatching::MinDegree(d) => g.count >= 1 && 1.0 - g.lb_om > *d,
-                    };
-                if guaranteed {
-                    lbs.push(1.0 - g.lb_om);
-                }
-            }
-            (lbs.len() >= n).then(|| {
-                let (_, nth, _) = lbs.select_nth_unstable_by(n - 1, |a, b| b.total_cmp(a));
-                *nth
-            })
-        });
         for g in groups.iter_mut() {
             if !g.alive {
                 continue;
             }
-            let upper = 1.0 - g.lb_om * best_left;
             let dead = match matching {
                 TopKMatching::AtLeast(l) => g.count + passes_left < *l,
-                TopKMatching::MinDegree(d) => upper <= *d - EPS,
-            } || nth_guaranteed.is_some_and(|nth| upper < nth - EPS);
+                TopKMatching::MinDegree(d) => 1.0 - g.lb_om * best_left <= *d - EPS,
+            };
             if dead {
                 g.alive = false;
                 pruned += 1;
@@ -240,7 +217,7 @@ pub(crate) fn execute(env: &Env, node: &Node, sink: &mut dyn Sink) -> Result<usi
     pqp_obs::counter_add("topk.passes_skipped", skipped as i64);
 
     // Phase 3: fold bits into degrees (ascending preference order — the
-    // DEGREE_OF_CONJUNCTION arithmetic), filter, rank, limit.
+    // DEGREE_OF_CONJUNCTION arithmetic), filter, rank.
     let mut out = Rows::default();
     let mut row = Row::new();
     for (gi, g) in groups.iter().enumerate() {
@@ -271,8 +248,7 @@ pub(crate) fn execute(env: &Env, node: &Node, sink: &mut dyn Sink) -> Result<usi
     // first-seen order.
     let by_rank = std::iter::once((visible, true)).chain((0..visible).map(|i| (i, false)));
     let nkeys = if rank { visible + 1 } else { 0 };
-    let limit = if *limit == NO_LIMIT { usize::MAX } else { *limit as usize };
-    push_sorted(&out, || by_rank.clone().take(nkeys), limit, sink)
+    push_sorted(&out, || by_rank.clone().take(nkeys), sink)
 }
 
 /// Fold satisfaction bits into the degree of interest, in ascending probe

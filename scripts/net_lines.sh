@@ -5,16 +5,18 @@
 #
 # Compares <base-ref> with the working tree (`git diff --numstat`, so
 # staged new files count; untracked ones do not) and prints one row per
-# group: crates/*/src; tests (tests/ and crates/*/tests; `#[cfg(test)]`
-# modules stay in their source file); benches and examples (crates/*/benches,
-# examples/, benchmark/); scripts and CI; docs (*.md below the root, and the
-# root's README, DESIGN, ARCHITECTURE, ROADMAP, PAPER, PAPERS and SNIPPETS);
-# everything else, the root's other *.md logs included. Binary files count
-# zero lines.
+# group: crates/*/src; src (the umbrella crate's own src/: a row of its
+# own, so crates/*/src stays comparable with earlier reports, and the
+# code total is the two rows summed); tests (tests/ and crates/*/tests;
+# `#[cfg(test)]` modules stay in their source file); benches and
+# examples (crates/*/benches, examples/, benchmark/); scripts and CI;
+# docs (*.md below the root, and the root's README, DESIGN,
+# ARCHITECTURE, ROADMAP, PAPER, PAPERS and SNIPPETS); everything else,
+# the root's other *.md logs included. Binary files count zero lines.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
-    sed -n '2,13p' "$0" >&2
+    sed -n '2,15p' "$0" >&2
     exit 2
 fi
 cd "$(dirname "$0")/.."
@@ -24,6 +26,7 @@ git diff --numstat "$1" | awk -F'\t' '
         if (path ~ /^(README|DESIGN|ARCHITECTURE|ROADMAP|PAPERS?|SNIPPETS)\.md$/) return "docs"
         if (path ~ /\/.*\.md$/) return "docs"
         if (path ~ /^crates\/[^\/]+\/src\//) return "crates/*/src"
+        if (path ~ /^src\//) return "src"
         if (path ~ /^(tests|crates\/[^\/]+\/tests)\//) return "tests"
         if (path ~ /^(examples|benchmark|crates\/[^\/]+\/benches)\//) return "benches+examples"
         if (path ~ /^(scripts|\.github)\//) return "scripts+CI"
@@ -39,7 +42,7 @@ git diff --numstat "$1" | awk -F'\t' '
     }
     END {
         printf "%-18s %8s %8s %8s\n", "group", "added", "removed", "net"
-        n = split("crates/*/src tests benches+examples scripts+CI docs other", order, " ")
+        n = split("crates/*/src src tests benches+examples scripts+CI docs other", order, " ")
         for (i = 1; i <= n; i++) {
             g = order[i]
             printf "%-18s %8d %8d %+8d\n", g, added[g], removed[g], added[g] - removed[g]

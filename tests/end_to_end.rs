@@ -127,10 +127,11 @@ fn top_n_limits_ranked_output() {
         &tonight_query(),
         &graph,
         db.catalog(),
-        PersonalizeOptions::builder().k(3).l(1).build(),
+        PersonalizeOptions::builder().k(3).l(1).build().ranked(),
     )
     .unwrap();
-    let q = pqp_core::rank::top_n_query(&p, 2).unwrap();
+    let mut q = p.mq().unwrap();
+    q.limit = Some(2);
     let rs = db.run_query(&q).unwrap();
     assert_eq!(titles(&rs), vec!["Alpha", "Delta"]);
 }

@@ -22,7 +22,7 @@ use pqp_datagen::{
     generate, generate_profiles, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
 };
 use pqp_engine::bound::BoundExpr;
-use pqp_engine::plan::{key_halves, Node, NodeId, Plan, TopKProbeSource, NO_LIMIT};
+use pqp_engine::plan::{key_halves, Node, NodeId, Plan, TopKProbeSource};
 use pqp_engine::{Database, Estimator, ExecOptions};
 use pqp_obs::QueryCtx;
 use pqp_sql::{BinaryOp, Select};
@@ -158,7 +158,7 @@ impl Reference<'_> {
             Node::Union { inputs, .. } => {
                 plan.0.list(*inputs).iter().map(|&i| self.rows(plan.at(i))).sum()
             }
-            Node::TopK { base, visible, limit, .. } => {
+            Node::TopK { base, visible, .. } => {
                 let base = plan.at(*base);
                 let in_rows = self.rows(base);
                 if in_rows <= 0.0 {
@@ -169,11 +169,7 @@ impl Reference<'_> {
                 for i in 0..*visible as usize {
                     groups *= self.ndv(origins.get(i).unwrap_or(&None), in_rows);
                 }
-                let groups = groups.min(in_rows).max(1.0);
-                match *limit {
-                    NO_LIMIT => groups,
-                    n => groups.min(n as f64),
-                }
+                groups.min(in_rows).max(1.0)
             }
         }
     }

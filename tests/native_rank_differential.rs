@@ -8,13 +8,18 @@
 //! descending, then the visible columns ascending as the tie-break).
 //!
 //! The suite runs randomized profiles and K/M/L knobs over the generated
-//! movie corpus.
+//! movie corpus, and pins the operator's early termination and the
+//! `Limit`-over-`TopK` shape of a top-N plan on the paper's fixture.
 
-use pqp::core::{personalize, InMemoryGraph, PersonalizeOptions, Rewrite};
+mod common;
+
+use common::{julie, paper_db, tonight_query};
+use pqp::core::{personalize, InMemoryGraph, MatchSpec, PersonalizeOptions, Profile, Rewrite};
 use pqp::datagen::{
     generate, generate_profile, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
 };
 use pqp::engine::{Database, EngineError, ExecOptions};
+use pqp::obs::Field;
 use pqp::storage::Value;
 use pqp::{Budget, BudgetReason, QueryCtx};
 
@@ -218,4 +223,71 @@ fn governor_trips_mid_topk_leave_no_state_behind() {
     }
     let again = m.db.run_plan(&choice.plan).unwrap();
     assert_eq!(again.rows, expected.rows);
+}
+
+/// A profile over the fixture's genres: one join, then `(genre, degree)`
+/// selections.
+fn genre_profile(selections: &[(&str, f64)]) -> Profile {
+    let mut p = Profile::new("g");
+    p.add_join("MOVIE", "mid", "GENRE", "mid", 1.0).unwrap();
+    for &(genre, doi) in selections {
+        p.add_selection("GENRE", "genre", genre, doi).unwrap();
+    }
+    p
+}
+
+/// Once every group is dead the remaining preference passes are skipped,
+/// their witness sub-plans unrun. `passes_skipped` is read from the traced
+/// run's own `exec.topk` record, not the process-wide counter other tests
+/// add to.
+#[test]
+fn every_group_dead_skips_the_remaining_passes() {
+    let db = paper_db();
+    // (profile, matching, passes skipped). AtLeast(2): the higher-degree
+    // probe (western) matches no movie, so after pass 1 no group can reach
+    // two satisfied preferences. MinDegree(0.99): the best reachable degree
+    // is 1 − 0.1 · 0.3 · 0.5 = 0.985, and pass 1 shows it for every group.
+    let cases = [
+        (genre_profile(&[("western", 0.9), ("comedy", 0.8)]), MatchSpec::AtLeast(2), 1),
+        (
+            genre_profile(&[("comedy", 0.9), ("thriller", 0.7), ("sci-fi", 0.5)]),
+            MatchSpec::MinDegree(0.99),
+            2,
+        ),
+    ];
+    for (profile, matching, skipped) in cases {
+        let graph = InMemoryGraph::build(&profile, db.catalog()).unwrap();
+        let opts = PersonalizeOptions::builder().k(3).matching(matching).build().ranked();
+        let p = personalize(&tonight_query(), &graph, db.catalog(), opts).unwrap();
+        let choice = native_plan(&db, &p, None).expect("a native plan");
+        pqp::obs::trace_begin("test");
+        let rows = db.run_plan(&choice.plan).unwrap().rows;
+        let trace = pqp::obs::trace_end().unwrap();
+        let topk = trace.root.find("exec.topk").expect("an exec.topk span");
+        assert_eq!(topk.field("passes_skipped"), Some(&Field::Int(skipped)), "{matching:?}");
+        // The base and the one witness sub-plan that ran: nothing else.
+        assert_eq!(topk.children.len(), 2, "{matching:?}: {topk:#?}");
+        let mq = db.run_query(&p.mq().unwrap()).unwrap();
+        assert_eq!(rows, canonical(mq.rows), "{matching:?}");
+    }
+}
+
+/// A top-N native plan is a `Limit` over the `TopK` operator: it answers
+/// the canonically sorted ranked MQ result cut to N, and nothing at N = 0.
+#[test]
+fn native_top_n_is_a_limit_over_topk() {
+    let db = paper_db();
+    let graph = InMemoryGraph::build(&julie(), db.catalog()).unwrap();
+    let opts = PersonalizeOptions::builder().k(3).l(1).build().ranked();
+    let p = personalize(&tonight_query(), &graph, db.catalog(), opts).unwrap();
+    let mq = canonical(db.run_query(&p.mq().unwrap()).unwrap().rows);
+    assert!(mq.len() > 3, "the cut must drop rows: {mq:?}");
+
+    let top3 = native_plan(&db, &p, Some(3)).expect("a native plan");
+    let explained = top3.plan.explain();
+    assert!(explained.starts_with("Limit 3\n  TopK ["), "{explained}");
+    assert_eq!(db.run_plan(&top3.plan).unwrap().rows, mq[..3].to_vec());
+
+    let none = native_plan(&db, &p, Some(0)).expect("a native plan");
+    assert!(db.run_plan(&none.plan).unwrap().rows.is_empty());
 }

@@ -148,7 +148,7 @@ fn sq_and_mq_agree_on_result_degrees_when_ranked() {
                 satisfied.push(path.doi);
             }
         }
-        let expect = pqp_core::rank::estimate_interest(&satisfied).value();
+        let expect = pqp_core::doi::conjunction_degree(&satisfied).value();
         let got = got.as_f64().unwrap();
         assert!(
             (expect - got).abs() < 1e-9,
