@@ -7,20 +7,15 @@ use crate::pref::{AtomicPreference, AttrRef};
 use pqp_obs::json::Json;
 use pqp_storage::{Catalog, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// A user profile: the stored atomic preferences of one user.
 ///
 /// Zero-valued degrees are never stored (§3.1); adding a preference with the
 /// same condition replaces its degree (profiles evolve over time, §3.1).
-///
-/// The preference list is shared: a clone of the profile, and every
-/// [`crate::graph::InMemoryGraph`] built from it, point at one list, and a
-/// mutation copies it only while someone else still holds it.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     pub user: String,
-    preferences: Arc<Vec<AtomicPreference>>,
+    preferences: Vec<AtomicPreference>,
     /// Mutation epoch: bumped on every successful mutating call (including
     /// degree-identical replacement), so caches keyed on profile contents can
     /// invalidate without diffing preference lists. Not part of equality and
@@ -39,7 +34,16 @@ impl PartialEq for Profile {
 impl Profile {
     /// An empty profile for a named user.
     pub fn new(user: impl Into<String>) -> Profile {
-        Profile { user: user.into(), preferences: Arc::default(), revision: 0 }
+        Profile { user: user.into(), preferences: Vec::new(), revision: 0 }
+    }
+
+    /// A profile of preferences that already hold the profile invariants:
+    /// positive degrees, no condition twice.
+    pub(crate) fn from_preferences(
+        user: impl Into<String>,
+        preferences: Vec<AtomicPreference>,
+    ) -> Profile {
+        Profile { user: user.into(), preferences, revision: 0 }
     }
 
     /// The mutation epoch: how many mutating calls this profile value has
@@ -59,15 +63,14 @@ impl Profile {
         let doi = Doi::new(doi)?;
         let attr = AttrRef::new(table, column);
         let value = value.into();
-        let preferences = Arc::make_mut(&mut self.preferences);
-        preferences.retain(|p| match p {
+        self.preferences.retain(|p| match p {
             AtomicPreference::Selection { attr: a, value: v, .. } => {
                 !(a.same_as(&attr) && *v == value)
             }
             _ => true,
         });
         if doi > Doi::ZERO {
-            preferences.push(AtomicPreference::Selection { attr, value, doi });
+            self.preferences.push(AtomicPreference::Selection { attr, value, doi });
         }
         self.revision += 1;
         Ok(self)
@@ -87,13 +90,12 @@ impl Profile {
         let doi = Doi::new(doi)?;
         let from = AttrRef::new(from_table, from_column);
         let to = AttrRef::new(to_table, to_column);
-        let preferences = Arc::make_mut(&mut self.preferences);
-        preferences.retain(|p| match p {
+        self.preferences.retain(|p| match p {
             AtomicPreference::Join { from: f, to: t, .. } => !(f.same_as(&from) && t.same_as(&to)),
             _ => true,
         });
         if doi > Doi::ZERO {
-            preferences.push(AtomicPreference::Join { from, to, doi });
+            self.preferences.push(AtomicPreference::Join { from, to, doi });
         }
         self.revision += 1;
         Ok(self)
@@ -104,10 +106,10 @@ impl Profile {
         &self.preferences
     }
 
-    /// The shared preference list itself, for structures that index into it
-    /// instead of copying it.
-    pub(crate) fn shared_preferences(&self) -> &Arc<Vec<AtomicPreference>> {
-        &self.preferences
+    /// Drop the preference list's growth slack, for a profile that is done
+    /// growing and will be kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.preferences.shrink_to_fit();
     }
 
     /// Stored selection preferences.
@@ -173,19 +175,21 @@ impl Profile {
             .and_then(Json::as_str)
             .ok_or_else(|| json_err("missing `user` string"))?
             .to_string();
-        let preferences = j
+        let docs = j
             .get("preferences")
             .and_then(Json::as_array)
-            .ok_or_else(|| json_err("missing `preferences` array"))?
-            .iter()
-            .map(pref_from_json)
-            .collect::<Result<Vec<_>>>()?;
+            .ok_or_else(|| json_err("missing `preferences` array"))?;
+        // Sized up front: collecting through `Result` would grow the list.
+        let mut preferences = Vec::with_capacity(docs.len());
+        for doc in docs {
+            preferences.push(pref_from_json(doc)?);
+        }
         // Negative preferences are not part of the model; ignoring a
         // document's would serve its user answers the profile excludes.
         if j.get("negatives").is_some_and(|n| n.as_array() != Some(&[])) {
             return Err(json_err("`negatives` are not supported"));
         }
-        Ok(Profile { user, preferences: Arc::new(preferences), revision: 0 })
+        Ok(Profile { user, preferences, revision: 0 })
     }
 }
 

@@ -104,6 +104,9 @@ fn profile_from(user: &str, targets: &Targets, config: &ProfileGenConfig) -> Pro
             continue;
         }
     }
+    // The population stays alive while the services built from it are, so
+    // its lists carry no growth slack.
+    p.shrink_to_fit();
     p
 }
 
