@@ -21,7 +21,9 @@
 //! `PQP_TOPK_SMOKE=1` shrinks the sweep to its two ends — K ∈ {6, 14},
 //! L ∈ {1, 3} — and the sample count to 3, for the CI/verify smoke gate
 //! (the same equivalence assertion and output schema, a fraction of the
-//! wall-clock).
+//! wall-clock). The smoke writes `target/topk-smoke/micro_topk.json` and
+//! `target/topk-smoke/metrics.json` instead, so it never overwrites the
+//! recorded sweep.
 
 use pqp_bench::microbench::{write_metrics_json, MicroBench};
 use pqp_core::{
@@ -55,9 +57,14 @@ const TOP_N: u64 = 20;
 /// whole seconds per run.
 const SQ_DISJUNCT_CAP: u128 = 150;
 
-/// The sweep axes: the full grid, or its two ends under `PQP_TOPK_SMOKE`.
-fn sweep() -> (Vec<usize>, Vec<usize>, usize) {
-    if std::env::var("PQP_TOPK_SMOKE").is_ok_and(|v| v != "0") {
+/// Whether `PQP_TOPK_SMOKE` asks for the smoke sweep.
+fn smoke() -> bool {
+    std::env::var("PQP_TOPK_SMOKE").is_ok_and(|v| v != "0")
+}
+
+/// The sweep axes: the full grid, or its two ends for the smoke.
+fn sweep(smoke: bool) -> (Vec<usize>, Vec<usize>, usize) {
+    if smoke {
         (vec![6, 14], vec![1, 3], 3)
     } else {
         (vec![6, 8, 10, 12, 14, 16], vec![1, 2, 3, 4], 6)
@@ -195,7 +202,8 @@ fn main() {
         println!("equivalence gate: native ≡ ranked MQ on {} rows", a.len());
     }
 
-    let (k_sweep, l_sweep, samples) = sweep();
+    let smoke = smoke();
+    let (k_sweep, l_sweep, samples) = sweep(smoke);
     let mut group = MicroBench::new("topk").sample_size(samples);
     // (k, l, strategy label, estimated cost) plus the cost model's pick.
     let mut points: Vec<Json> = Vec::new();
@@ -234,7 +242,7 @@ fn main() {
         }
     }
 
-    let dir = workspace_results_dir();
+    let dir = output_dir(smoke);
     match group.write_json(&dir) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("failed to write micro_topk.json: {err}"),
@@ -246,16 +254,21 @@ fn main() {
     }
 }
 
-fn workspace_results_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+/// `results/` for the full sweep, `target/topk-smoke/` for the smoke.
+fn output_dir(smoke: bool) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("crates/bench has a workspace root")
-        .join("results")
+        .expect("crates/bench has a workspace root");
+    if smoke {
+        root.join("target").join("topk-smoke")
+    } else {
+        root.join("results")
+    }
 }
 
 /// Add the `derived` block: the sweep table (per-point estimated costs and
-/// cost-model choice), the ISSUE's K=14 L=3 corner speedup (native vs the
+/// cost-model choice), the K=14 L=3 corner speedup (native vs the
 /// best of SQ/MQ), and the measured-cheapest strategy at both sweep ends.
 fn annotate(path: &Path, points: Vec<Json>) {
     let Ok(text) = std::fs::read_to_string(path) else { return };

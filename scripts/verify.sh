@@ -144,15 +144,18 @@ echo "==> benchmark package tests"
 cargo test "${CARGO_FLAGS[@]}" --manifest-path benchmark/Cargo.toml -q
 
 # Native TopK micro-bench smoke (PQP_TOPK_SMOKE shrinks the K/L sweep to
-# its two ends): must produce results/micro_topk.json with per-point cost
-# model choices and the K=14/L=3 corner speedup. The native-vs-ranked-MQ
+# its two ends): must produce target/topk-smoke/micro_topk.json with
+# per-point cost model choices and the K=14/L=3 corner speedup, and leave
+# the recorded sweep under results/ untouched. The native-vs-ranked-MQ
 # equivalence assertion runs inside the bench binary itself.
 echo "==> topk bench smoke"
+smoke_json=target/topk-smoke/micro_topk.json
+rm -f "$smoke_json"
 PQP_TOPK_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p pqp-bench --bench topk
 if command -v python3 >/dev/null; then
-    python3 - <<'EOF'
-import json
-doc = json.load(open("results/micro_topk.json"))
+    python3 - "$smoke_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
 assert doc["meta"]["bench"] == "micro_topk"
 assert doc["meta"]["schema_version"] >= 2
 assert doc["benchmarks"], "no benchmarks recorded"
@@ -168,7 +171,12 @@ for point in derived["sweep"]:
     assert point["est_cost_mq"] > 0 and point["est_cost_native"] > 0
 EOF
 else
-    grep -q '"native_speedup_k14_l3"' results/micro_topk.json
+    grep -q '"native_speedup_k14_l3"' "$smoke_json"
+fi
+if ! git diff --quiet -- results/; then
+    git diff --stat -- results/ >&2
+    echo "error: a smoke run rewrote tracked files under results/" >&2
+    exit 1
 fi
 
 echo "==> cargo test --doc"
