@@ -10,7 +10,7 @@
 //!
 //! | variable | mode | meaning | default |
 //! |---|---|---|---|
-//! | `PQP_ROUTER_NODES` | — | comma-separated node addresses; setting it selects router mode | node mode |
+//! | `PQP_ROUTER_NODES` | — | comma-separated node addresses, as clients reach them (the router redirects clients to the leader's); setting it selects router mode | node mode |
 //! | `PQP_ROUTER_ADDR` | router | listen address | `127.0.0.1:5440` |
 //! | `PQP_REPL_TOKEN` | router, replicated node | cluster shared secret on the replication frames, the same on every node and the router | empty: no check |
 //! | `PQP_LISTEN_ADDR` | node | listen address | `127.0.0.1:5433` |
@@ -31,9 +31,9 @@
 //! | `PQP_REPL_QUORUM` | replicated node | nodes holding a mutation before the ack; a leader's is at most its peers + 1 | 1 |
 //!
 //! The protocol timings are constants: the router probes every 200 ms,
-//! promotes after 3 leaderless rounds and gives a probe 1 s; a replicated
-//! node snapshots its log every 1 024 records and gives a peer link 5 s
-//! ([`ReplConfig::new`]).
+//! promotes after 3 leaderless rounds and gives a probe, or a client's
+//! handshake, 1 s; a replicated node snapshots its log every 1 024 records
+//! and gives a peer link 5 s ([`ReplConfig::new`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -55,7 +55,7 @@ const WHOLE_NUMBER: &str = "a non-negative whole number";
 /// The binary's configuration: one mode, fully parsed.
 #[derive(Debug, Clone)]
 pub enum Config {
-    /// `PQP_ROUTER_NODES` is set: proxy clients to the cluster's leader.
+    /// `PQP_ROUTER_NODES` is set: redirect clients to the cluster's leader.
     Router(RouterConfig),
     /// Serve the database, alone or as a replicated node.
     Node(Box<NodeConfig>),

@@ -37,7 +37,9 @@
 //! log shipping (see [`repl`]), and the same listen port speaks both the
 //! client protocol and the node-to-node replication frames — a
 //! connection's first frame picks the handler. The [`router`] module is
-//! the companion routing tier for multi-node deployments.
+//! the companion routing tier for multi-node deployments: it redirects
+//! each client's handshake to the current leader, and the client then
+//! talks to the leader directly.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("pqp-server serves its sessions from an epoll set and needs Linux");

@@ -36,8 +36,8 @@ fn die(code: i32, error: impl Display) -> ! {
     std::process::exit(code)
 }
 
-/// Router mode: no database, no service — just health checks and byte
-/// proxying to the current leader.
+/// Router mode: no database, no service — just health checks and a
+/// redirect of each client's handshake to the current leader.
 fn route(config: RouterConfig) {
     let addr = config.addr.clone();
     let router = Router::bind(config)

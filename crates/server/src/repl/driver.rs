@@ -130,7 +130,7 @@ impl ReplNode {
             return Err(Error::Internal(format!("node.crash failpoint: {msg}")));
         }
         let mut inner = self.lock();
-        // A leader validates first (on a clone, no store mutation): an op
+        // A leader validates first (the op alone, no store mutation): an op
         // the schema rejects never reaches the log, so the log replays
         // cleanly forever. A follower's core refuses the mutation.
         if inner.core.role() == Role::Leader {
@@ -415,22 +415,24 @@ fn log_state(recovery: &WalRecovery) -> Result<(Option<&[u8]>, LogState)> {
     Ok((snapshot, LogState { base_seq, base_term, records }))
 }
 
-/// Check a mutation against the schema *without* applying it: run it on
-/// a clone of the user's profile and validate the result. Invalid ops
+/// Check a mutation against the schema *without* applying it: invalid ops
 /// never reach the log, while the real store is only touched after the
-/// record is durable.
+/// record is durable. Only the op is checked, on a profile of its own:
+/// its degree by `Profile`'s own `add_*` checks, its attributes against
+/// the catalog. A profile's validation checks each preference on its own,
+/// and the stored profile was validated when it was committed.
 fn validate_op(service: &Service, user: &UserId, op: &ProfileOp) -> Result<()> {
-    let mut profile = service.profile(user.clone()).unwrap_or_else(|| Profile::new(user.as_str()));
+    let mut alone = Profile::new(user.as_str());
     match op {
         ProfileOp::AddSelection { table, column, value, doi } => {
-            profile.add_selection(table, column, value.clone(), *doi)?;
+            alone.add_selection(table, column, value.clone(), *doi)?;
         }
         ProfileOp::AddJoin { from_table, from_column, to_table, to_column, doi } => {
-            profile.add_join(from_table, from_column, to_table, to_column, *doi)?;
+            alone.add_join(from_table, from_column, to_table, to_column, *doi)?;
         }
         ProfileOp::Remove => return Ok(()),
     }
-    profile.validate(service.database().catalog())?;
+    alone.validate(service.database().catalog())?;
     Ok(())
 }
 
@@ -561,6 +563,54 @@ mod tests {
         let node = ReplNode::open(Arc::clone(&svc), ReplConfig::new("n1", &dir)).unwrap();
         assert_eq!(node.status().last_seq, 2);
         assert_eq!(users(&svc), ["ana", "bob"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_leader_accepts_and_rejects_each_op_as_its_stored_profile_would() {
+        use pqp_core::PrefError;
+        let dir = tempdir("validate");
+        let node = ReplNode::open(service(), ReplConfig::new("n4", &dir)).unwrap();
+        add(&node, "ana", 1999).unwrap();
+        let select = |table: &str, column: &str, doi: f64| ProfileOp::AddSelection {
+            table: table.into(),
+            column: column.into(),
+            value: Value::Int(1999),
+            doi,
+        };
+        let join = |to_column: &str, doi: f64| ProfileOp::AddJoin {
+            from_table: "MOVIE".into(),
+            from_column: "mid".into(),
+            to_table: "GENRE".into(),
+            to_column: to_column.into(),
+            doi,
+        };
+        let unknown = |table: &str, column: &str| {
+            Some(Error::Personalize(PrefError::UnknownAttribute {
+                table: table.into(),
+                column: column.into(),
+            }))
+        };
+        let cases = [
+            (select("MOVIE", "year", 0.7), None),
+            (select("movie", "YEAR", 0.2), None),
+            (join("mid", 0.9), None),
+            (select("NOPE", "year", 0.7), unknown("NOPE", "year")),
+            (select("MOVIE", "nope", 0.7), unknown("MOVIE", "nope")),
+            (join("nope", 0.9), unknown("GENRE", "nope")),
+            (select("MOVIE", "year", 1.5), Some(Error::Personalize(PrefError::InvalidDegree(1.5)))),
+            (join("mid", -0.1), Some(Error::Personalize(PrefError::InvalidDegree(-0.1)))),
+            // A zero degree removes the preference, so there is no attribute to check.
+            (select("NOPE", "year", 0.0), None),
+            (ProfileOp::Remove, None),
+        ];
+        for (op, rejected) in cases {
+            let seq = node.status().last_seq;
+            let outcome = node.client_mutate(&UserId::from("ana"), op.clone());
+            assert_eq!(outcome.as_ref().err(), rejected.as_ref(), "{op:?}");
+            let logged = node.status().last_seq - seq;
+            assert_eq!(logged, u64::from(rejected.is_none()), "{op:?} logged {logged} records");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

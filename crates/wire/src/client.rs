@@ -49,20 +49,26 @@ pub struct Client {
 
 impl Client {
     /// Connect, perform the protocol handshake, and bind the session to
-    /// `config.user`. Fails with [`Error::Protocol`] on a version mismatch
-    /// and [`Error::Io`] on transport failures.
+    /// `config.user`. A router answers the handshake with a redirect to
+    /// its current leader; the client follows one, and a second is an
+    /// [`Error::Protocol`]. Fails with [`Error::Protocol`] on a version
+    /// mismatch and [`Error::Io`] on transport failures.
     pub fn connect(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Client> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_read_timeout(config.read_timeout).map_err(io_err)?;
-        stream.set_write_timeout(config.write_timeout).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let mut reader = stream.try_clone().map_err(io_err)?;
-        let mut writer = stream;
         let hello = Request::Hello { version: PROTOCOL_VERSION, user: config.user.clone() };
-        let (tag, payload) = hello.encode();
-        write_frame(&mut writer, tag, &payload).map_err(io_err)?;
-        match recv_on(&mut reader)? {
-            Response::HelloOk { server, .. } => Ok(Client { reader, writer, config, server }),
+        let (mut stream, mut answer) = handshake(addr, &config, &hello)?;
+        if let Response::Redirect { addr: leader } = answer {
+            (stream, answer) = handshake(leader.as_str(), &config, &hello)?;
+            if let Response::Redirect { addr: again } = answer {
+                return Err(Error::Protocol(format!(
+                    "redirected to {leader}, which redirected again to {again}"
+                )));
+            }
+        }
+        match answer {
+            Response::HelloOk { server, .. } => {
+                let reader = stream.try_clone().map_err(io_err)?;
+                Ok(Client { reader, writer: stream, config, server })
+            }
             Response::Error(e) => Err(e.into_error()),
             other => Err(unexpected(&hello, &other)),
         }
@@ -182,6 +188,22 @@ impl QueryApi for Client {
     fn remove_profile(&mut self) -> Result<bool> {
         self.mutate(ProfileOp::Remove).map(|(_, removed)| removed)
     }
+}
+
+/// Open a socket to `addr`, send `hello` and read the answer.
+fn handshake(
+    addr: impl ToSocketAddrs,
+    config: &ClientConfig,
+    hello: &Request,
+) -> Result<(TcpStream, Response)> {
+    let mut stream = TcpStream::connect(addr).map_err(io_err)?;
+    stream.set_read_timeout(config.read_timeout).map_err(io_err)?;
+    stream.set_write_timeout(config.write_timeout).map_err(io_err)?;
+    stream.set_nodelay(true).map_err(io_err)?;
+    let (tag, payload) = hello.encode();
+    write_frame(&mut stream, tag, &payload).map_err(io_err)?;
+    let answer = recv_on(&mut stream)?;
+    Ok((stream, answer))
 }
 
 fn recv_on(reader: &mut TcpStream) -> Result<Response> {

@@ -50,7 +50,7 @@ pub use repl::{LogEntry, MutationRecord, NodeStatus, ReplRequest, ReplResponse, 
 
 /// The protocol version this build speaks. The handshake requires an exact
 /// match; see the crate docs for the compatibility rules.
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard ceiling on `tag + payload` length of a single frame (8 MiB). A
 /// peer announcing a longer frame is desynchronized or hostile; the frame

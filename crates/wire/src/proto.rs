@@ -38,6 +38,9 @@ pub mod tag {
     pub const ERROR: u8 = 0x85;
     /// Server → client: goodbye acknowledged; the server closes after it.
     pub const BYE: u8 = 0x86;
+    /// Router → client: the handshake belongs at another address (the
+    /// current leader); the router closes after it.
+    pub const REDIRECT: u8 = 0x87;
 }
 
 /// A client → server message.
@@ -149,6 +152,12 @@ pub enum Response {
     Error(WireError),
     /// Goodbye acknowledged.
     Bye,
+    /// The answer to a `Hello` sent to a router: repeat the handshake at
+    /// `addr`. The router closes after it.
+    Redirect {
+        /// The address to connect to (`host:port`).
+        addr: String,
+    },
 }
 
 /// The wire form of an [`Error`]: a stable numeric code, a rendered
@@ -585,6 +594,10 @@ impl Response {
                 tag::ERROR
             }
             Response::Bye => tag::BYE,
+            Response::Redirect { addr } => {
+                w.str(addr);
+                tag::REDIRECT
+            }
         };
         (tag, w.into_vec())
     }
@@ -608,6 +621,7 @@ impl Response {
                 detail: [r.u64("error detail 0")?, r.u64("error detail 1")?],
             }),
             tag::BYE => Response::Bye,
+            tag::REDIRECT => Response::Redirect { addr: r.str("redirect address")? },
             tag => return Err(DecodeError::BadTag { what: "response", tag: tag as u64 }),
         };
         r.expect_end()?;
@@ -758,6 +772,7 @@ mod tests {
         round_trip_response(Response::PrepareOk { canonical: "SELECT x FROM T".into() });
         round_trip_response(Response::MutateOk { epoch: 42, removed: true });
         round_trip_response(Response::Bye);
+        round_trip_response(Response::Redirect { addr: "127.0.0.1:5433".into() });
         round_trip_response(Response::Error(WireError {
             code: 6,
             message: "overloaded".into(),

@@ -101,6 +101,7 @@ fn valid_pool() -> Vec<(u8, Vec<u8>)> {
         Response::MutateOk { epoch: 42, removed: true },
         Response::Error(WireError::protocol("fuzz")),
         Response::Bye,
+        Response::Redirect { addr: "127.0.0.1:5433".into() },
     ];
     let record = MutationRecord { user: "ana".into(), op: ProfileOp::Remove }.encode();
     let repl_requests = [
