@@ -136,8 +136,8 @@ impl ReplNode {
         if inner.core.role() == Role::Leader {
             validate_op(&self.service, user, &op)?;
         }
-        let removed =
-            !matches!(op, ProfileOp::Remove) || self.service.profile(user.clone()).is_some();
+        // A stored profile has a nonzero epoch.
+        let removed = !matches!(op, ProfileOp::Remove) || self.service.epoch(user.clone()) != 0;
         let record = MutationRecord { user: user.as_str().to_string(), op: op.clone() }.encode();
         let outcome = self.run(&mut inner, Event::Mutate(record), Some((user, &op)));
         self.publish(&inner);
@@ -611,6 +611,19 @@ mod tests {
             let logged = node.status().last_seq - seq;
             assert_eq!(logged, u64::from(rejected.is_none()), "{op:?} logged {logged} records");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_remove_answers_whether_a_profile_was_stored() {
+        let dir = tempdir("remove");
+        let config = ReplConfig { quorum: 1, ..ReplConfig::new("n5", &dir) };
+        let node = ReplNode::open(service(), config).unwrap();
+        add(&node, "ana", 1999).unwrap();
+        let remove = || node.client_mutate(&UserId::from("ana"), ProfileOp::Remove).unwrap().1;
+        assert!(remove(), "a profile was stored");
+        assert!(!remove(), "second removal is a no-op");
+        assert_eq!(node.status().last_seq, 3, "both removals are logged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,8 @@
 //! Randomized tests over the storage layer: a [`Table`] must behave like a
 //! plain `Vec<Row>` through any interleaving of inserts, duplicate-key
-//! rejections, compacting deletes and index creation. Driven by a seeded
-//! PRNG so failures reproduce exactly.
+//! rejections (on one- and two-column keys), compacting deletes and index
+//! creation, and an index's ordinal pool stays within twice the table's
+//! rows. Driven by a seeded PRNG so failures reproduce exactly.
 
 use pqp_obs::rng::{Rng, SmallRng};
 use pqp_storage::{Batch, ColumnDef, DataType, Row, Table, TableSchema, Value, BATCH_SIZE};
@@ -179,6 +180,90 @@ fn table_matches_a_vec_model() {
         assert!(t.is_empty() && t.chunks().is_empty());
         t.insert(arb_row(&mut rng, 0)).unwrap();
         assert_eq!(t.len(), 1);
+    }
+}
+
+/// `(mid, genre)` is the primary key, as in the crate doc's GENRE table, and
+/// `(rank, mid)` a second unique constraint over columns out of order.
+fn genre_schema() -> TableSchema {
+    TableSchema::new(
+        "GENRE",
+        vec![
+            ColumnDef::new("mid", DataType::Int),
+            ColumnDef::new("genre", DataType::Str),
+            ColumnDef::new("rank", DataType::Int),
+        ],
+    )
+    .with_primary_key(&["mid", "genre"])
+    .with_unique(&["rank", "mid"])
+}
+
+#[test]
+fn two_column_keys_reject_only_a_duplicate_of_both_columns() {
+    const GENRES: &[&str] = &["comedy", "drama", "noir", "western"];
+    let mut rng = SmallRng::seed_from_u64(0x6E4E);
+    let mut t = Table::new(genre_schema());
+    let mut model: Vec<Row> = Vec::new();
+    let duplicate = |model: &[Row], row: &Row, cols: [usize; 2]| {
+        model.iter().any(|m| cols.iter().all(|&c| m[c] == row[c]))
+    };
+    for step in 0..3000 {
+        if rng.gen_range(0..100u32) == 0 {
+            let mid = Value::Int(rng.gen_range(0..64i64));
+            t.delete_where(|r| Ok::<_, ()>(r[0] == mid)).unwrap();
+            model.retain(|r| r[0] != mid);
+        } else {
+            let row = vec![
+                Value::Int(rng.gen_range(0..64i64)),
+                Value::str(GENRES[rng.gen_index(GENRES.len())]),
+                Value::Int(rng.gen_range(0..16i64)),
+            ];
+            let rejected = duplicate(&model, &row, [0, 1]) || duplicate(&model, &row, [2, 0]);
+            assert_eq!(t.insert(row.clone()).is_err(), rejected, "step {step}: {row:?}");
+            if !rejected {
+                model.push(row);
+            }
+        }
+        assert_eq!(t.len(), model.len(), "step {step}");
+    }
+    assert_eq!(t.scan(), model);
+    // One column repeated is accepted, both rejected, on either key.
+    t.delete_where(|_| Ok::<_, ()>(true)).unwrap();
+    let row = |mid: i64, genre: &str, rank: i64| vec![mid.into(), genre.into(), rank.into()];
+    t.insert(row(1, "comedy", 1)).unwrap();
+    t.insert(row(1, "drama", 2)).unwrap();
+    t.insert(row(2, "comedy", 1)).unwrap();
+    assert!(t.insert(row(1, "comedy", 3)).is_err(), "(mid, genre) repeated");
+    assert!(t.insert(row(1, "noir", 2)).is_err(), "(rank, mid) repeated");
+    assert_eq!(t.len(), 3);
+}
+
+#[test]
+fn a_growing_index_keeps_its_pool_within_twice_the_rows() {
+    for seed in 0..3u64 {
+        let mut rng = SmallRng::seed_from_u64(0x9001 + seed);
+        let mut t = Table::new(schema());
+        t.create_index("i").unwrap();
+        let mut model: Vec<Row> = Vec::new();
+        let mut moves = 0;
+        for id in 0..6 * BATCH_SIZE as i64 {
+            if rng.gen_range(0..400u32) == 0 {
+                let m = rng.gen_range(0..4i64);
+                let doomed = |r: &[Value]| r[0].as_i64().is_some_and(|id| id % 4 == m);
+                t.delete_where(|r| Ok::<_, ()>(doomed(r))).unwrap();
+                model.retain(|r| !doomed(r));
+            } else {
+                let row = arb_row(&mut rng, id);
+                // Interleaved keys: most inserts move their key's run.
+                moves += usize::from(model.last().is_some_and(|last| last[1] != row[1]));
+                t.insert(row.clone()).unwrap();
+                model.push(stored(row));
+            }
+            let pool = t.index_on("i").unwrap().pool_len();
+            assert!(pool <= 2 * t.len(), "id {id}: pool {pool} for {} rows", t.len());
+        }
+        assert!(moves > BATCH_SIZE, "{moves} inserts changed key");
+        check(&t, &model, &mut rng);
     }
 }
 

@@ -74,11 +74,13 @@ fi
 
 # Executor keys hash in place: a join key, a distinct row, a group key and
 # a TopK prefix are hashed where they lie and looked up in a `KeyTable`
-# (crates/engine/src/exec.rs), so no engine map or set is keyed by a row.
-echo "==> row-keyed map gate (no HashMap / HashSet keyed by Row or Vec<Value> in crates/engine/src)"
+# (crates/engine/src/exec.rs), and a hash index keeps its keys inline in one
+# entry table (crates/storage/src/index.rs), so no engine or storage map or
+# set is keyed by a row.
+echo "==> row-keyed map gate (no HashMap / HashSet keyed by Row or Vec<Value> in crates/engine/src, crates/storage/src)"
 if grep -rnE 'Hash(Map|Set)[[:space:]]*(::)?[[:space:]]*<[[:space:]]*&?[[:space:]]*(([A-Za-z_][A-Za-z0-9_]*::)*Row\b|Vec[[:space:]]*<[[:space:]]*([A-Za-z_][A-Za-z0-9_]*::)*Value[[:space:]]*>)' \
-    crates/engine/src; then
-    echo "error: a map or set keyed by a whole row; hash the key in place into a KeyTable" >&2
+    crates/engine/src crates/storage/src; then
+    echo "error: a map or set keyed by a whole row; hash the key in place (a KeyTable, an index entry)" >&2
     exit 1
 fi
 
